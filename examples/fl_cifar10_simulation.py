@@ -22,7 +22,7 @@ import argparse
 from repro.core import FedSZCompressor
 from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
-from repro.fl import FLSimulation, ParallelExecutor, SerialExecutor
+from repro.fl import FederatedRuntime, ParallelExecutor, SerialExecutor
 
 
 def run(model: str, rounds: int, samples: int, error_bound: float, workers: int) -> None:
@@ -36,7 +36,7 @@ def run(model: str, rounds: int, samples: int, error_bound: float, workers: int)
         setup = build_federated_setup(
             model_name=model, dataset_name="cifar10", rounds=rounds, samples=samples, seed=7
         )
-        simulation = FLSimulation(
+        runtime = FederatedRuntime(
             setup.model_fn,
             setup.train_dataset,
             setup.validation_dataset,
@@ -44,7 +44,7 @@ def run(model: str, rounds: int, samples: int, error_bound: float, workers: int)
             codec=codec,
             executor=executor,
         )
-        history = simulation.run()
+        history = runtime.run()
         histories[label] = history
         for record in history.records:
             rows.append(

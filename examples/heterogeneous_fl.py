@@ -30,7 +30,7 @@ from repro.core import FedSZCompressor
 from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
 from repro.fl import (
-    FLSimulation,
+    FederatedRuntime,
     ParallelExecutor,
     Transport,
     edge_fleet_specs,
@@ -61,7 +61,7 @@ def run(rounds: int, samples: int, straggler_factor: float, deadline: float) -> 
         setup = build_federated_setup(
             "resnet50", "cifar10", rounds=rounds, samples=samples, seed=11
         )
-        simulation = FLSimulation(
+        runtime = FederatedRuntime(
             setup.model_fn,
             setup.train_dataset,
             setup.validation_dataset,
@@ -71,7 +71,7 @@ def run(rounds: int, samples: int, straggler_factor: float, deadline: float) -> 
             executor=ParallelExecutor(max_workers=4),
             transport=Transport.heterogeneous(specs),
         )
-        history = simulation.run()
+        history = runtime.run()
         for record in history.records:
             rows.append(
                 {

@@ -28,7 +28,7 @@ import argparse
 
 from repro.core import FedSZCompressor
 from repro.experiments import build_federated_setup
-from repro.fl import FLSimulation, Transport, edge_fleet_specs
+from repro.fl import FederatedRuntime, Transport, edge_fleet_specs
 from repro.obs import MonitorServer, RunMonitor, build_error_analysis
 
 
@@ -55,7 +55,7 @@ def main() -> None:
         edge_fleet_specs(arguments.clients, straggler_ids=(arguments.clients - 1,))
     )
     monitor = None if arguments.monitor_off else RunMonitor()
-    simulation = FLSimulation(
+    runtime = FederatedRuntime(
         setup.model_fn,
         setup.train_dataset,
         setup.validation_dataset,
@@ -66,11 +66,11 @@ def main() -> None:
     )
 
     if monitor is None:
-        history = simulation.run()
+        history = runtime.run()
     else:
         with MonitorServer(monitor, port=arguments.port) as server:
             print(f"dashboard: {server.url}/   (JSON: {server.url}/api/status)")
-            history = simulation.run()
+            history = runtime.run()
             snapshot = monitor.snapshot()
             cache = snapshot["broadcast_cache"]
             print(
@@ -78,7 +78,7 @@ def main() -> None:
                 f"broadcast cache {cache.get('hits', 0)} hits / "
                 f"{cache.get('misses', 0)} misses"
             )
-    simulation.close()
+    runtime.close()
 
     print()
     print(build_error_analysis(history))

@@ -309,7 +309,7 @@ def _measure_codec_parallel(
 def _run_fl_round(harness: BenchHarness, metric: str, samples: int, clients: int) -> None:
     from repro.core import FedSZCompressor
     from repro.experiments.workloads import build_federated_setup
-    from repro.fl import FLSimulation, Transport, edge_fleet_specs
+    from repro.fl import FederatedRuntime, Transport, edge_fleet_specs
 
     setup = build_federated_setup(
         model_name="alexnet",
@@ -319,7 +319,7 @@ def _run_fl_round(harness: BenchHarness, metric: str, samples: int, clients: int
         local_epochs=1,
         seed=7,
     )
-    simulation = FLSimulation(
+    runtime = FederatedRuntime(
         setup.model_fn,
         setup.train_dataset,
         setup.validation_dataset,
@@ -332,7 +332,7 @@ def _run_fl_round(harness: BenchHarness, metric: str, samples: int, clients: int
     # cost stays out of the measurement and every repeat does the same work.
     def run(timer):
         with timer.measure("round"):
-            return simulation.runtime.run_round()
+            return runtime.run_round()
 
     harness.measure(metric, run, items=clients, extra={"samples": samples, "clients": clients})
 
@@ -358,14 +358,14 @@ def _measure_fl_parallel(
     from repro.core import FedSZCompressor
     from repro.experiments.workloads import build_federated_setup
     from repro.fl import (
-        FLSimulation,
+        FederatedRuntime,
         ProcessParallelExecutor,
         Transport,
         edge_fleet_specs,
     )
     from repro.fl.broadcast import BroadcastCache
 
-    def build(executor=None) -> FLSimulation:
+    def build(executor=None) -> FederatedRuntime:
         setup = build_federated_setup(
             model_name="alexnet",
             num_clients=clients,
@@ -374,7 +374,7 @@ def _measure_fl_parallel(
             local_epochs=1,
             seed=7,
         )
-        return FLSimulation(
+        return FederatedRuntime(
             setup.model_fn,
             setup.train_dataset,
             setup.validation_dataset,
@@ -407,11 +407,11 @@ def _measure_fl_parallel(
         # bit-identity assertion below.
         def run_serial(timer):
             with timer.measure("round"):
-                return serial.runtime.run_round()
+                return serial.run_round()
 
         def run_parallel(timer):
             with timer.measure("round"):
-                return parallel.runtime.run_round()
+                return parallel.run_round()
 
         serial_record = harness.measure(
             f"{metric}_serial",
@@ -426,8 +426,8 @@ def _measure_fl_parallel(
             extra={"samples": samples, "clients": clients, "workers": workers},
         )
         if (
-            parallel.runtime.history.deterministic_rows()
-            != serial.runtime.history.deterministic_rows()
+            parallel.history.deterministic_rows()
+            != serial.history.deterministic_rows()
         ):
             raise RuntimeError("process-parallel rounds must be bit-identical to serial")
         if parallel_record.seconds > 0:
@@ -435,7 +435,7 @@ def _measure_fl_parallel(
                 serial_record.seconds / parallel_record.seconds
             )
         parallel_record.extra["broadcast_cache"] = (
-            parallel.runtime.executor.broadcast_cache_stats()
+            parallel.executor.broadcast_cache_stats()
         )
     finally:
         serial.close()
@@ -585,7 +585,6 @@ def _run_mega_fleet(
             codec=None,
             seed=7,
             batch_size=16,
-            engine="events",
         )
 
     harness.measure(

@@ -108,7 +108,6 @@ def run_fl(
     mixing_rate: float = 0.5,
     executor: str = "serial",
     workers: int = 4,
-    engine: str = "rounds",
     heterogeneous: bool = False,
     stragglers: tuple = (),
     straggler_factor: float = 10.0,
@@ -130,7 +129,8 @@ def run_fl(
     transport, round scheduler, participation schedule *and* the default
     fleet shape (the preset's ``num_clients`` / ``rounds`` /
     ``client_fraction`` unless overridden on the command line) — the
-    ``--scheduler`` / ``--heterogeneous`` / straggler flags are then ignored.
+    scheduler, link and dropout arguments are then unused (the command line
+    refuses to combine their flags with ``--scenario``).
     Without a scenario, ``rounds`` and ``clients`` default to 3 and 4.
     ``checkpoint_dir`` makes the run crash-safe (a snapshot is written after
     every ``checkpoint_every``-th round); ``resume=True`` restores the latest
@@ -143,7 +143,7 @@ def run_fl(
     from repro.core import FedSZCompressor
     from repro.experiments.workloads import build_federated_setup
     from repro.fl import (
-        FLSimulation,
+        FederatedRuntime,
         Transport,
         build_executor,
         build_fleet_runtime,
@@ -218,7 +218,6 @@ def run_fl(
             setup.validation_dataset,
             codec=codec,
             executor=build_executor(executor, workers),
-            engine=engine,
             # Train with the same hyper-parameters as the non-scenario path;
             # the preset only decides fleet shape, links and availability.
             seed=setup.config.seed,
@@ -253,14 +252,11 @@ def run_fl(
             )
         )
     config = setup.config
-    if client_fraction is not None or engine != config.engine:
+    if client_fraction is not None:
         from dataclasses import replace
 
-        overrides = {"engine": engine}
-        if client_fraction is not None:
-            overrides["client_fraction"] = client_fraction
-        config = replace(config, **overrides)
-    simulation = FLSimulation(
+        config = replace(config, client_fraction=client_fraction)
+    runtime = FederatedRuntime(
         setup.model_fn,
         setup.train_dataset,
         setup.validation_dataset,
@@ -272,12 +268,34 @@ def run_fl(
         monitor=monitor,
     )
     try:
-        return simulation.run(**run_kwargs)
+        return runtime.run(**run_kwargs)
     finally:
-        simulation.close()
+        runtime.close()
+
+
+#: Flags whose job a ``--scenario`` preset takes over; each defaults to
+#: "not given" (None / False / []) so an explicit use is detectable.
+_SCENARIO_OWNED_FLAGS = {
+    "--scheduler": "scheduler",
+    "--deadline": "deadline",
+    "--mixing-rate": "mixing_rate",
+    "--heterogeneous": "heterogeneous",
+    "--straggler": "straggler",
+    "--dropout": "dropout",
+}
 
 
 def _run_fl_from_args(arguments) -> "object":
+    if arguments.scenario is not None:
+        for flag, dest in _SCENARIO_OWNED_FLAGS.items():
+            if getattr(arguments, dest) not in (None, False, []):
+                # Silently dropping the flag would run a different experiment
+                # from the one the command line describes.
+                raise ValueError(
+                    f"{flag} cannot be combined with --scenario: the "
+                    f"{arguments.scenario!r} preset supplies its own scheduler, "
+                    "links and dropout"
+                )
     monitor = None
     server = None
     if arguments.monitor_port is not None:
@@ -294,6 +312,17 @@ def _run_fl_from_args(arguments) -> "object":
 
 
 def _call_run_fl(arguments, monitor) -> "object":
+    # Flags left off the command line (None) fall to run_fl's own defaults.
+    given = {
+        parameter: value
+        for parameter, value in (
+            ("scheduler", arguments.scheduler),
+            ("deadline_seconds", arguments.deadline),
+            ("mixing_rate", arguments.mixing_rate),
+            ("dropout", arguments.dropout),
+        )
+        if value is not None
+    }
     return run_fl(
         model=arguments.model,
         dataset=arguments.dataset,
@@ -301,16 +330,11 @@ def _call_run_fl(arguments, monitor) -> "object":
         clients=arguments.clients,
         samples=arguments.samples,
         error_bound=None if arguments.uncompressed else arguments.error_bound,
-        scheduler=arguments.scheduler,
-        deadline_seconds=arguments.deadline,
-        mixing_rate=arguments.mixing_rate,
         executor=arguments.executor,
         workers=arguments.workers,
-        engine=arguments.engine,
         heterogeneous=arguments.heterogeneous,
         stragglers=tuple(arguments.straggler),
         straggler_factor=arguments.straggler_factor,
-        dropout=arguments.dropout,
         scenario=arguments.scenario,
         client_fraction=arguments.client_fraction,
         parallel_tensors=arguments.parallel_tensors,
@@ -320,6 +344,7 @@ def _call_run_fl(arguments, monitor) -> "object":
         checkpoint_every=arguments.checkpoint_every,
         resume=arguments.resume,
         monitor=monitor,
+        **given,
     )
 
 
@@ -377,12 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="FedSZ REL bound for the uplink codec")
     fl_parser.add_argument("--uncompressed", action="store_true",
                            help="ship raw updates (no codec)")
-    fl_parser.add_argument("--scheduler", default="sync",
-                           choices=["sync", "semi-sync", "async"])
-    fl_parser.add_argument("--deadline", type=float, default=5.0,
-                           help="semi-sync straggler deadline (simulated seconds)")
-    fl_parser.add_argument("--mixing-rate", type=float, default=0.5,
-                           help="async staleness-mixing rate")
+    fl_parser.add_argument("--scheduler", default=None,
+                           choices=["sync", "semi-sync", "async"],
+                           help="round strategy (default sync)")
+    fl_parser.add_argument("--deadline", type=float, default=None,
+                           help="semi-sync straggler deadline (simulated "
+                                "seconds, default 5)")
+    fl_parser.add_argument("--mixing-rate", type=float, default=None,
+                           help="async staleness-mixing rate (default 0.5)")
     fl_parser.add_argument("--executor", default="serial",
                            choices=["serial", "thread", "process", "parallel"],
                            help="how client work runs each round: serial loop, "
@@ -390,28 +417,23 @@ def build_parser() -> argparse.ArgumentParser:
                                 "shared-nothing worker processes — all "
                                 "bit-identical for deterministic codecs")
     fl_parser.add_argument("--workers", type=int, default=4)
-    fl_parser.add_argument("--engine", default="rounds",
-                           choices=["rounds", "events"],
-                           help="round-loop implementation: the legacy "
-                                "round-synchronous loop or the discrete-event "
-                                "engine (bit-identical results; per-round cost "
-                                "scales with participants + availability "
-                                "transitions instead of fleet size)")
     fl_parser.add_argument("--heterogeneous", action="store_true",
                            help="give each client its own edge link")
     fl_parser.add_argument("--straggler", type=int, action="append", default=[],
                            help="client id to turn into a straggler (repeatable)")
     fl_parser.add_argument("--straggler-factor", type=float, default=10.0)
-    fl_parser.add_argument("--dropout", type=float, default=0.0,
-                           help="per-round update dropout probability")
+    fl_parser.add_argument("--dropout", type=float, default=None,
+                           help="per-round update dropout probability "
+                                "(default 0)")
     from repro.fl.scenarios import available_scenarios
 
     fl_parser.add_argument("--scenario", default=None,
                            choices=[preset.name for preset in available_scenarios()],
                            help="fleet preset (supplies transport, scheduler, "
                                 "availability schedule and default fleet shape; "
-                                "overrides --scheduler / --heterogeneous / "
-                                "straggler flags)")
+                                "cannot be combined with --scheduler / "
+                                "--deadline / --mixing-rate / --heterogeneous "
+                                "/ --straggler / --dropout)")
     fl_parser.add_argument("--client-fraction", type=float, default=None,
                            help="fraction of clients sampled per round "
                                 "(participants = ceil(fraction x clients))")

@@ -159,7 +159,7 @@ class AdaptiveFedSZCompressor:
 
     Implements the same ``compress``/``decompress`` protocol as
     :class:`FedSZCompressor`, so it can be plugged straight into
-    :class:`repro.fl.FLSimulation`.  Call :meth:`observe_accuracy` once per
+    :class:`repro.fl.FederatedRuntime`.  Call :meth:`observe_accuracy` once per
     round (e.g. with the server's validation accuracy) to drive the
     controller.
     """

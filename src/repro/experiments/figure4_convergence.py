@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core import FedSZCompressor
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import build_federated_setup
-from repro.fl import FLSimulation
+from repro.fl import FederatedRuntime
 
 DEFAULT_COMPRESSORS: Sequence[Optional[str]] = (None, "sz2", "sz3", "zfp", "szx")
 
@@ -55,7 +55,7 @@ def run_figure4(
             if compressor is None
             else FedSZCompressor(error_bound=error_bound, lossy_compressor=compressor)
         )
-        history = FLSimulation(
+        history = FederatedRuntime(
             setup.model_fn, setup.train_dataset, setup.validation_dataset, setup.config, codec=codec
         ).run()
         label = compressor or "uncompressed"

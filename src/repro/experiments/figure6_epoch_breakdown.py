@@ -3,7 +3,7 @@
 The paper decomposes each client's epoch wall-clock into local training,
 validation and FedSZ compression, and reports that compression adds < 12.5 %
 (4.7 % on average) of the epoch time.  The harness reruns the federated
-simulation with FedSZ enabled and reports the measured decomposition per
+runtime with FedSZ enabled and reports the measured decomposition per
 model / dataset combination.
 
 The compression component is *measured*, not aggregate: every client's
@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 from repro.core import FedSZCompressor
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import build_federated_setup
-from repro.fl import FLSimulation
+from repro.fl import FederatedRuntime
 
 DEFAULT_COMBINATIONS: Tuple[Tuple[str, str], ...] = (
     ("resnet50", "cifar10"),
@@ -46,14 +46,14 @@ def run_figure6(
         setup = build_federated_setup(
             model_name=model, dataset_name=dataset, rounds=rounds, samples=samples, seed=seed
         )
-        simulation = FLSimulation(
+        runtime = FederatedRuntime(
             setup.model_fn,
             setup.train_dataset,
             setup.validation_dataset,
             setup.config,
             codec=FedSZCompressor(error_bound=error_bound),
         )
-        history = simulation.run()
+        history = runtime.run()
         breakdown = history.mean_epoch_breakdown(measured_codec=True)
         aggregate = history.mean_epoch_breakdown()
         result.add_row(

@@ -1,6 +1,7 @@
 """Federated-learning runtime (the APPFL/FedAvg stand-in), in three layers.
 
-The runtime separates the three concerns a real FL stack separates:
+One event engine (:mod:`repro.fl.events`) drives every round; around it the
+runtime separates the three concerns a real FL stack separates:
 
 * **scheduler** (:mod:`repro.fl.scheduler`) — what a round means:
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
@@ -16,9 +17,7 @@ The runtime separates the three concerns a real FL stack separates:
   straggler and dropout profiles, optionally backed by a device profile for
   codec-runtime modelling.
 
-:class:`FederatedRuntime` composes the layers;
-:class:`FLSimulation` is a backwards-compatible facade whose default
-composition reproduces the original sequential simulation exactly.  Clients
+:class:`FederatedRuntime` composes the layers.  Clients
 run local SGD on private synthetic data, the server aggregates and validates
 the global model, and every client update is routed through a pluggable codec
 (FedSZ or the uncompressed baseline) over its link.
@@ -75,7 +74,6 @@ from repro.fl.scheduler import (
     get_scheduler,
 )
 from repro.fl.server import EvaluationResult, FLServer
-from repro.fl.simulation import FLSimulation, UpdateCodec, run_federated_training
 from repro.fl.state import ClientRegistry, ModelPool
 from repro.fl.transport import (
     ClientLink,
@@ -141,9 +139,6 @@ __all__ = [
     "get_scheduler",
     "EvaluationResult",
     "FLServer",
-    "FLSimulation",
-    "UpdateCodec",
-    "run_federated_training",
     "ClientLink",
     "LinkSpec",
     "Transport",

@@ -277,9 +277,9 @@ def _check_match(kind: str, saved, current) -> None:
 #: may extend a run), the model-pool bound (pooled execution is bit-identical
 #: at any pool size), and the executor choice (serial, thread and process
 #: execution are bit-identical by construction, so a run may resume under a
-#: different executor or worker count; likewise the round engine — "rounds"
-#: and "events" drive identical simulated outcomes, so either may finish a
-#: run the other started).
+#: different executor or worker count).  ``engine`` is not an ``FLConfig``
+#: field: snapshots written while it was one (it only chose the round-loop
+#: implementation) carry the key and must still restore.
 _EXECUTION_ONLY_CONFIG_FIELDS = frozenset(
     {"rounds", "max_resident_models", "executor", "max_workers", "engine"}
 )

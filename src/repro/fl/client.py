@@ -213,7 +213,7 @@ class FLClient:
         the concatenated logits, so a dataset that fits in a single batch
         produces exactly the historical one-shot result.
         """
-        batch_size = max(1, int(self.config.eval_batch_size))
+        batch_size = self.config.eval_batch_size
         with self._borrow_model() as model:
             model.load_state_dict(dict(state_dict))
             model.eval()

@@ -69,14 +69,6 @@ class FLConfig:
     #: Worker count for the parallel executors (``None`` = thread pool sized
     #: to the task count, process pool sized to the host's cores).
     max_workers: Optional[int] = None
-    #: How rounds are driven: ``"rounds"`` is the legacy synchronous loop
-    #: that walks the fleet each round; ``"events"`` drives the run through
-    #: the discrete-event engine (:mod:`repro.fl.events`), whose per-round
-    #: cost scales with participants + availability transitions instead of
-    #: fleet size.  The two are bit-identical (asserted by
-    #: ``tests/integration/test_event_engine.py``), so this is
-    #: execution-only: a checkpointed run may resume under either engine.
-    engine: str = "rounds"
 
     def __post_init__(self) -> None:
         if self.num_clients <= 0:
@@ -89,10 +81,16 @@ class FLConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.partition_strategy not in {"iid", "dirichlet"}:
             raise ValueError(
                 f"partition_strategy must be 'iid' or 'dirichlet', got {self.partition_strategy!r}"
             )
+        if self.dirichlet_alpha <= 0:
+            raise ValueError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
         if self.bandwidth_mbps <= 0:
             raise ValueError(f"bandwidth_mbps must be positive, got {self.bandwidth_mbps}")
         if not 0.0 < self.client_fraction <= 1.0:
@@ -103,6 +101,8 @@ class FLConfig:
             raise ValueError(
                 f"learning_rate_decay must lie in (0, 1], got {self.learning_rate_decay}"
             )
+        if self.eval_batch_size <= 0:
+            raise ValueError(f"eval_batch_size must be positive, got {self.eval_batch_size}")
         if self.max_resident_models is not None and self.max_resident_models <= 0:
             raise ValueError(
                 f"max_resident_models must be positive, got {self.max_resident_models}"
@@ -119,7 +119,3 @@ class FLConfig:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.engine not in {"rounds", "events"}:
-            raise ValueError(
-                f"engine must be 'rounds' or 'events', got {self.engine!r}"
-            )

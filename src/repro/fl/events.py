@@ -1,12 +1,10 @@
-"""Discrete-event engine for fleet-scale federated rounds.
+"""Discrete-event engine: the round loop of every federated run.
 
-The legacy round loop walks the fleet: every round recomputes a full
-availability mask (O(num_clients)) and the runtime's bookkeeping scales with
-resident clients even when ``client_fraction`` means only a handful train.
-This module replaces that loop with a deterministic discrete-event engine so
-per-round work scales with **participants + availability transitions** — the
-events that actually happen — and a 100k–1M-client fleet costs what its
-activity costs, not what its census costs.
+Rounds and control actions flow through a deterministic event queue, and the
+reachable-client set is maintained incrementally, so per-round work scales
+with **participants + availability transitions** — the events that actually
+happen — and a 100k–1M-client fleet costs what its activity costs, not what
+its census costs.
 
 Pieces:
 
@@ -32,21 +30,20 @@ Pieces:
 
 Determinism contract
 --------------------
-The engine is **bit-identical** to the legacy loop (asserted at 256 clients
-across sync/semi-sync/async × serial/thread/process and under kill+resume in
+The simulated outcome (``deterministic_rows()`` and the final weights) is a
+pure function of the seed under every executor and across kill+resume
+(asserted at 256 clients for sync/semi-sync/async × serial/thread/process in
 ``tests/integration/test_event_engine.py``):
 
-* Within a round, event times are **round-relative** turnaround durations —
-  the exact floats the legacy loop compares — never re-based onto the global
-  clock (float addition is not associative; ``t0 + a <= t0 + b`` can
-  disagree with ``a <= b``).  The run-level virtual clock advances by each
-  round's ``simulated_round_seconds`` instead.
+* Within a round, event times are **round-relative** turnaround durations,
+  never re-based onto the global clock (float addition is not associative;
+  ``t0 + a <= t0 + b`` can disagree with ``a <= b``).  The run-level virtual
+  clock advances by each round's ``simulated_round_seconds`` instead.
 * Completion events are pushed in task order, so pop order is
   ``(turnaround, task order)`` — and since participants are sorted by client
-  id, that equals the legacy ``(turnaround_seconds, client_id)`` arrival
-  sort.  The deadline event is pushed after the completions, so a completion
-  at exactly the deadline drains first, preserving the legacy ``<=``
-  comparison.
+  id, that is an arrival sort by ``(turnaround_seconds, client_id)``.  The
+  deadline event is pushed after the completions, so a completion at exactly
+  the deadline drains first: ``turnaround <= deadline`` is on time.
 * Aggregation happens in **task order** from the results list (events decide
   membership and timing only), so float summation order never changes.
 * Sampling consumes the same RNG stream: the eligible ids handed to the
@@ -57,6 +54,7 @@ across sync/semi-sync/async × serial/thread/process and under kill+resume in
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -196,14 +194,16 @@ class EngineStats:
 class FleetEngine:
     """Drive a :class:`~repro.fl.runtime.FederatedRuntime` by events.
 
-    Construct with the runtime (``FLConfig.engine = "events"`` does this
-    automatically) and either call :meth:`run_round` per round or let
-    :meth:`run` own the whole run including checkpointing and fault
+    Every runtime owns one.  :meth:`run_round` executes a single round;
+    :meth:`run` owns a whole run including checkpointing and fault
     injection.  See the module docstring for the determinism contract.
     """
 
     def __init__(self, runtime) -> None:
-        self.runtime = runtime
+        # The runtime owns its engine.  A strong back-reference would be a
+        # cycle, and a dropped runtime (models, datasets, client state) would
+        # stay resident until the cycle collector happens to run.
+        self.runtime = weakref.proxy(runtime)
         self.eligible = EligibleSet()
         self.stats = EngineStats()
         #: Round index whose transitions the eligible set currently reflects
@@ -234,10 +234,9 @@ class FleetEngine:
         """Bring the eligible set to ``round_index``; return ``(ids, touches)``.
 
         Consecutive rounds fold the schedule's arrival/departure stream into
-        the set incrementally; any discontinuity (first round of a resumed
-        process, or a custom-scheduler fallback round in between) rebuilds
-        from the full mask — a pure function of the round index, so both
-        paths land on the same set.
+        the set incrementally; a discontinuity (the first round of a resumed
+        process) rebuilds from the full mask — a pure function of the round
+        index, so both paths land on the same set.
         """
         runtime = self.runtime
         if runtime.schedule is None:
@@ -265,16 +264,8 @@ class FleetEngine:
     # Rounds
     # ------------------------------------------------------------------
     def run_round(self):
-        """Execute one round by feeding its events to the scheduler.
-
-        Falls back to the scheduler's legacy ``run_round`` for custom
-        schedulers that do not consume events.
-        """
+        """Execute one round by feeding its events to the scheduler."""
         runtime = self.runtime
-        consume = getattr(runtime.scheduler, "consume_events", None)
-        if consume is None:
-            return runtime.scheduler.run_round(runtime)
-
         round_index = len(runtime.history)
         eligible, touches = self._advance_availability(round_index)
         context = runtime.start_round(eligible=eligible)
@@ -294,14 +285,14 @@ class FleetEngine:
         deadline = getattr(runtime.scheduler, "deadline_seconds", None)
         if deadline is not None:
             # Pushed after the completions: an update landing exactly at the
-            # deadline has a smaller sequence number and drains first,
-            # matching the legacy `turnaround <= deadline` comparison.
+            # deadline has a smaller sequence number and drains first, so
+            # `turnaround <= deadline` counts as on time.
             events.push(
                 Event(kind=STRAGGLER_DEADLINE, time=float(deadline), round_index=round_index)
             )
             self.stats.control_events += 1
 
-        record = consume(runtime, context, results, events)
+        record = runtime.scheduler.consume_events(runtime, context, results, events)
 
         self.stats.rounds_run += 1
         self.stats.participants += len(results)
@@ -324,9 +315,9 @@ class FleetEngine:
         """Drive the run to ``target`` completed rounds through the queue.
 
         Control events fire at the absolute virtual time the round closed;
-        at equal times the push order (checkpoint before fault before next
-        round start) decides — the exact sequence the legacy loop hard-codes,
-        here falling out of queue determinism.
+        at equal times the push order decides: checkpoint, then fault, then
+        the next round start — a fault fires only after the round's snapshot
+        is durable.
         """
         runtime = self.runtime
         queue = EventQueue()

@@ -1,8 +1,9 @@
-"""The layered federated runtime: scheduler + executor + transport.
+"""The layered federated runtime: engine + scheduler + executor + transport.
 
 :class:`FederatedRuntime` owns the server, the client population and the
-round-by-round history, and delegates the three orthogonal concerns to
-pluggable layers:
+round-by-round history.  One **engine** (:mod:`repro.fl.events`) is the round
+loop — rounds, checkpoints and fault injection flow through a deterministic
+event queue — and three orthogonal concerns are pluggable layers around it:
 
 * the **scheduler** (:mod:`repro.fl.scheduler`) decides what a round means —
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
@@ -10,7 +11,7 @@ pluggable layers:
 * the **executor** (:mod:`repro.fl.executor`) decides how client work runs —
   strictly sequential or concurrently on a thread pool;
 * the **transport** (:mod:`repro.fl.transport`) decides what each client's
-  link looks like — one shared channel (the seed behaviour) or heterogeneous
+  link looks like — one shared channel (the default) or heterogeneous
   per-client bandwidth/latency/straggler/dropout profiles.
 
 The client population is **lazy** (:mod:`repro.fl.state`): client objects are
@@ -21,9 +22,8 @@ O(max_workers) resident models instead of O(num_clients).  An optional
 are available each round before sampling — diurnal availability, flash
 crowds, and other fleet dynamics compose with every scheduler.
 
-The default composition (sync + serial + homogeneous + always-available)
-reproduces the seed ``FLSimulation`` numbers exactly;
-:class:`repro.fl.FLSimulation` is now a thin facade over this class.
+The default composition is sync + serial + one shared homogeneous channel +
+always-available clients.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.data.partition import partition_dataset
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig, participant_count
+from repro.fl.events import FleetEngine
 from repro.fl.executor import ClientResult, ClientTask, build_executor
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
 from repro.fl.scheduler import RoundScheduler, SynchronousScheduler
@@ -212,9 +213,8 @@ class FederatedRuntime:
         #: one (asserted in ``tests/obs/test_monitor_server.py``).
         self.monitor = monitor
 
-        # Seed-derivation order matches the seed FLSimulation exactly
-        # (partition, clients, sampling) so default runs are bit-compatible;
-        # transport streams draw after and do not perturb them.
+        # Seed-derivation order is fixed (partition, clients, sampling, then
+        # transport): histories and checkpoints are keyed to it.
         seeds = SeedSequenceFactory(self.config.seed)
         client_datasets = partition_dataset(
             train_dataset,
@@ -247,16 +247,10 @@ class FederatedRuntime:
         if callable(bind):
             bind(self)
 
-        #: Optional discrete-event engine (:mod:`repro.fl.events`): rounds and
-        #: control actions flow through a deterministic event queue and the
-        #: eligible set is maintained incrementally from availability
-        #: transitions.  ``engine="rounds"`` (the default) keeps the legacy
-        #: loop; both produce bit-identical histories and weights.
-        self.engine = None
-        if self.config.engine == "events":
-            from repro.fl.events import FleetEngine
-
-            self.engine = FleetEngine(self)
+        #: The round loop (:mod:`repro.fl.events`): rounds and control actions
+        #: flow through a deterministic event queue and the eligible set is
+        #: maintained incrementally from availability transitions.
+        self.engine = FleetEngine(self)
 
     def close(self) -> None:
         """Release executor resources (worker processes); idempotent.
@@ -348,24 +342,13 @@ class FederatedRuntime:
         if monitor is not None:
             monitor.run_started(self, target_rounds=target)
         try:
-            if self.engine is not None:
-                self.engine.run(
-                    target,
-                    directory=directory,
-                    checkpoint_every=checkpoint_every,
-                    keep_checkpoints=keep_checkpoints,
-                    injector=injector,
-                )
-            else:
-                while len(self.history) < target:
-                    self.run_round()
-                    completed = len(self.history)
-                    if directory is not None and (
-                        completed % checkpoint_every == 0 or completed >= target
-                    ):
-                        self._write_due_checkpoint(directory, keep_checkpoints)
-                    if injector is not None:
-                        self._consult_injector(injector, completed - 1, directory)
+            self.engine.run(
+                target,
+                directory=directory,
+                checkpoint_every=checkpoint_every,
+                keep_checkpoints=keep_checkpoints,
+                injector=injector,
+            )
         except BaseException as error:
             if monitor is not None:
                 monitor.run_finished(status="crashed", error=error)
@@ -375,8 +358,8 @@ class FederatedRuntime:
         return self.history
 
     def _write_due_checkpoint(self, directory: Path, keep_checkpoints: int) -> None:
-        """Persist a checkpoint for the last completed round (due-check is the
-        caller's: the legacy loop and the event engine share this body)."""
+        """Persist a checkpoint for the last completed round (the engine
+        decides when one is due)."""
         from repro.fl.checkpoint import capture_runtime, write_checkpoint
 
         path = write_checkpoint(
@@ -405,9 +388,7 @@ class FederatedRuntime:
 
     def run_round(self) -> RoundRecord:
         """Execute one round under the configured scheduler."""
-        if self.engine is not None:
-            return self.engine.run_round()
-        return self.scheduler.run_round(self)
+        return self.engine.run_round()
 
     # ------------------------------------------------------------------
     # Scheduler-facing primitives
@@ -415,12 +396,11 @@ class FederatedRuntime:
     def start_round(self, eligible: Optional[np.ndarray] = None) -> RoundContext:
         """Sample participants, broadcast the global state, build client tasks.
 
-        ``eligible`` (sorted client ids) lets the event engine hand over its
-        incrementally maintained eligible set, skipping the full-fleet mask
-        recomputation; ``None`` keeps the legacy mask path.
+        ``eligible`` is the engine's reachable-client set (sorted ids) under
+        the participation schedule; ``None`` means the whole fleet.
         """
         round_index = len(self.history)
-        participants = self._sample_clients(round_index, eligible=eligible)
+        participants = self._sample_clients(eligible)
         learning_rate = (
             self.config.learning_rate * self.config.learning_rate_decay**round_index
         )
@@ -567,37 +547,18 @@ class FederatedRuntime:
     # ------------------------------------------------------------------
     # Sampling and broadcast
     # ------------------------------------------------------------------
-    def _sample_clients(
-        self, round_index: int = 0, eligible: Optional[np.ndarray] = None
-    ) -> List[FLClient]:
+    def _sample_clients(self, eligible: Optional[np.ndarray] = None) -> List[FLClient]:
         """Sample this round's participants.
 
-        When a participation schedule is configured, its availability mask
-        restricts the eligible pool first; sampling then draws
+        ``eligible`` (sorted ids of the clients the participation schedule
+        leaves reachable) restricts the pool first; sampling then draws
         ``participant_count(client_fraction, len(eligible))`` clients (an
         explicit ceiling — see :func:`repro.fl.config.participant_count`)
-        from the eligible set, so participation tracks fleet availability.
-        Without a schedule the seed sampling path is used unchanged (the
-        count is taken over the whole fleet), keeping default runs
-        bit-identical.
-
-        A pre-computed ``eligible`` array (the event engine's incrementally
-        maintained set, equal to ``np.nonzero(mask)[0]``) bypasses the mask
-        computation; the RNG draw is identical because ``Generator.choice``
-        depends only on the pool size and draw count.
+        from it, so participation tracks fleet availability.  With ``None``
+        the count is taken over the whole fleet.
         """
-        num_clients = len(self.clients)
-        if eligible is None and self.schedule is not None:
-            mask = np.asarray(self.schedule.mask(round_index, num_clients), dtype=bool)
-            if mask.shape != (num_clients,):
-                raise ValueError(
-                    f"availability mask has shape {mask.shape}, expected ({num_clients},)"
-                )
-            eligible = np.nonzero(mask)[0]
-        if eligible is not None:
-            eligible = np.asarray(eligible, dtype=np.int64)
-            if eligible.size == 0:
-                return []
+        if eligible is not None and eligible.size == 0:
+            return []
 
         if self.config.client_fraction >= 1.0:
             if eligible is None:
@@ -605,6 +566,7 @@ class FederatedRuntime:
             return [self.clients[index] for index in eligible]
 
         if eligible is None:
+            num_clients = len(self.clients)
             count = participant_count(self.config.client_fraction, num_clients)
             indices = self._sampling_rng.choice(num_clients, size=count, replace=False)
         else:

@@ -4,8 +4,7 @@ A scheduler decides *what a round means*: who aggregates, with which weights,
 and how long the round takes in simulated time.
 
 * :class:`SynchronousScheduler` — classic FedAvg; the server waits for every
-  participant and averages them (the seed simulation's behaviour,
-  numerically unchanged).
+  participant and averages them.
 * :class:`SemiSynchronousScheduler` — FedAvg with a straggler deadline: any
   client whose simulated turnaround (training + codec + transfer) exceeds the
   deadline is excluded from aggregation and the round closes at the deadline
@@ -14,8 +13,10 @@ and how long the round takes in simulated time.
   (FedAsync-style): delivered updates are applied one at a time in arrival
   order, each with weight ``mixing_rate * (1 + staleness)**-staleness_exponent``.
 
-Schedulers only orchestrate; client execution belongs to the executor layer
-and per-client links to the transport layer.
+Schedulers are pure event consumers: the engine (:mod:`repro.fl.events`)
+samples, broadcasts and executes the round, then hands each scheduler's
+``consume_events`` the completion events to close it.  Client execution
+belongs to the executor layer and per-client links to the transport layer.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.fl.aggregation import mix_states
+from repro.fl.events import CLIENT_COMPLETION, STRAGGLER_DEADLINE
 from repro.fl.history import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,6 +38,17 @@ class RoundScheduler:
 
     def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
         """Execute one round against the runtime and return its record."""
+        return runtime.run_round()
+
+    def consume_events(self, runtime, context, results, events) -> RoundRecord:
+        """Close the round from its event stream.
+
+        ``events`` pops the round's completions by ``(turnaround, client id)``
+        (plus a :data:`~repro.fl.events.STRAGGLER_DEADLINE` when the scheduler
+        declares ``deadline_seconds``); ``results`` holds the same updates in
+        task order.  Decide who aggregates and how long the round took, then
+        return ``runtime.finish_round(...)``.
+        """
         raise NotImplementedError
 
     def state_dict(self) -> dict:
@@ -54,36 +67,14 @@ class SynchronousScheduler(RoundScheduler):
 
     name = "sync"
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        if delivered:
-            runtime.server.aggregate(
-                [result.state for result in delivered],
-                [float(result.update.num_samples) for result in delivered],
-            )
-        # The synchronous server waits for every participant's turnaround —
-        # including updates that were lost in transit (it only learns they are
-        # missing once their transfer window has passed).
-        round_seconds = max((r.turnaround_seconds for r in results), default=0.0)
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in delivered},
-            round_seconds=round_seconds,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of the barrier: drain every completion, then aggregate.
+        """The barrier: drain every completion, then aggregate.
 
-        Synchronous FedAvg is the degenerate case of the event engine — the
-        round closes at the last completion event (delivered or not), and
-        aggregation still walks ``results`` in task order so float summation
-        order matches :meth:`run_round` exactly.
+        The round closes at the last completion event, delivered or not — the
+        server only learns an update was lost in transit once its transfer
+        window has passed.  Aggregation walks ``results`` in task order, not
+        pop order, so float summation order is the same under every executor.
         """
-        from repro.fl.events import CLIENT_COMPLETION
-
         round_seconds = 0.0
         while events:
             event = events.pop()
@@ -116,43 +107,18 @@ class SemiSynchronousScheduler(RoundScheduler):
     def state_dict(self) -> dict:
         return {"name": self.name, "deadline_seconds": self.deadline_seconds}
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        on_time = [r for r in delivered if r.turnaround_seconds <= self.deadline_seconds]
-        if on_time:
-            runtime.server.aggregate(
-                [result.state for result in on_time],
-                [float(result.update.num_samples) for result in on_time],
-            )
-        # The round runs to the deadline whenever any expected update is
-        # missing at close — cut stragglers *and* updates dropped in transit
-        # (the server cannot distinguish "late" from "lost" until then).
-        waited_out = len(on_time) < len(results)
-        round_seconds = (
-            self.deadline_seconds
-            if waited_out
-            else max((r.turnaround_seconds for r in on_time), default=0.0)
-        )
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in on_time},
-            round_seconds=round_seconds,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of the deadline: completions race a deadline event.
+        """The deadline: completions race a deadline event.
 
         Deliveries popping before the :data:`~repro.fl.events.STRAGGLER_DEADLINE`
         event are on time; the engine pushes the deadline after the
         completions, so an update landing at exactly the deadline drains
-        first — reproducing :meth:`run_round`'s ``<=`` comparison.
-        Aggregation walks ``results`` in task order, not pop order.
+        first (``turnaround <= deadline`` is on time).  The round runs to the
+        deadline whenever any expected update is missing at close — cut
+        stragglers *and* updates dropped in transit, which the server cannot
+        tell apart until then.  Aggregation walks ``results`` in task order,
+        not pop order.
         """
-        from repro.fl.events import CLIENT_COMPLETION, STRAGGLER_DEADLINE
-
         on_time_ids = set()
         last_on_time = 0.0
         while events:
@@ -211,43 +177,14 @@ class AsynchronousScheduler(RoundScheduler):
         """Mixing weight for an update that is ``staleness`` versions old."""
         return self.mixing_rate * (1.0 + staleness) ** (-self.staleness_exponent)
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        arrivals = sorted(delivered, key=lambda r: (r.turnaround_seconds, r.client_id))
-
-        weights = {}
-        staleness_by_client = {}
-        global_state = runtime.server.global_state()
-        for staleness, result in enumerate(arrivals):
-            weight = self.staleness_weight(staleness)
-            global_state = mix_states(global_state, result.state, weight)
-            weights[result.client_id] = weight
-            staleness_by_client[result.client_id] = staleness
-        if arrivals:
-            runtime.server.set_global_state(global_state)
-
-        round_seconds = max((r.turnaround_seconds for r in arrivals), default=0.0)
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in arrivals},
-            round_seconds=round_seconds,
-            client_weights=weights,
-            client_staleness=staleness_by_client,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of async mixing: apply deliveries in pop order.
+        """Async mixing: apply deliveries in pop order.
 
         The engine pushes completions in task order (ascending client id), so
-        pop order is ``(turnaround, client_id)`` — exactly :meth:`run_round`'s
-        arrival sort — and each delivered update is mixed in the moment its
+        pop order is ``(turnaround, client_id)`` — simultaneous arrivals mix
+        lower id first — and each delivered update is mixed in the moment its
         event fires.
         """
-        from repro.fl.events import CLIENT_COMPLETION
-
         weights = {}
         staleness_by_client = {}
         aggregated_ids = set()

@@ -9,9 +9,9 @@ downlink and is one of the three pluggable layers of
 :class:`repro.fl.runtime.FederatedRuntime` (the others being the scheduler and
 the executor).
 
-``Transport.homogeneous`` reproduces the seed behaviour exactly: one shared
-:class:`~repro.network.bandwidth.SimulatedChannel` carries every client's
-update, so existing code that inspects ``simulation.channel`` keeps working.
+``Transport.homogeneous`` is the default: one shared
+:class:`~repro.network.bandwidth.SimulatedChannel` (``runtime.channel``)
+carries every client's update.
 ``Transport.heterogeneous`` gives each client an independent link built from a
 :class:`LinkSpec`, which is what the paper's multi-client wall-clock analysis
 (Figures 7-9) actually assumes.

@@ -30,7 +30,7 @@ class DPFedSZCompressor:
     """Laplace mechanism + FedSZ compression for client updates.
 
     Implements the ``compress``/``decompress`` protocol used by
-    :class:`repro.fl.FLSimulation`, so it can replace :class:`FedSZCompressor`
+    :class:`repro.fl.FederatedRuntime`, so it can replace :class:`FedSZCompressor`
     directly when an explicit privacy guarantee is wanted on top of the
     compression savings.
     """

@@ -86,8 +86,8 @@ def test_restore_reproduces_sampling_and_client_streams(data, model_fn, tmp_path
     assert fresh.history.records == runtime.history.records
     assert fresh._sampling_rng.bit_generator.state == runtime._sampling_rng.bit_generator.state
     # Continuing both runtimes draws identical participant samples.
-    assert [c.client_id for c in fresh._sample_clients(1)] == [
-        c.client_id for c in runtime._sample_clients(1)
+    assert [c.client_id for c in fresh._sample_clients()] == [
+        c.client_id for c in runtime._sample_clients()
     ]
 
 
@@ -226,6 +226,31 @@ def test_resume_allows_execution_only_config_changes(data, model_fn, tmp_path):
     other = _build_runtime(data, model_fn, rounds=7, max_resident_models=2)
     restore_runtime(other, load_checkpoint(latest_checkpoint(tmp_path)))
     assert len(other.history) == 1
+
+
+def test_snapshot_carrying_a_stale_engine_key_still_resumes(data, model_fn, tmp_path):
+    """``engine`` is no longer an FLConfig field, but snapshots on disk were
+    written when it was: they restore and finish bit-identically, and the
+    stale key does not loosen the check on fields that decide the outcome."""
+    reference = _build_runtime(data, model_fn)
+    rows = reference.run().deterministic_rows()
+
+    first = _build_runtime(data, model_fn)
+    first.run_round()
+    snapshot = capture_runtime(first)
+    snapshot.config["engine"] = "rounds"
+    path = write_checkpoint(snapshot, tmp_path)
+    assert load_checkpoint(path).config["engine"] == "rounds"
+
+    other = _build_runtime(data, model_fn, learning_rate=0.01)
+    with pytest.raises(CheckpointError, match="run configuration"):
+        restore_runtime(other, load_checkpoint(path))
+
+    resumed = _build_runtime(data, model_fn)
+    history = resumed.run(checkpoint_dir=tmp_path, resume=True)
+    assert history.deterministic_rows() == rows
+    for name, value in reference.server.global_state().items():
+        np.testing.assert_array_equal(resumed.server.global_state()[name], value)
 
 
 def test_resume_refuses_mismatched_scheduler(data, model_fn, tmp_path):

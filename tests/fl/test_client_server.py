@@ -131,6 +131,24 @@ def test_server_evaluate_without_dataset_raises(model_fn):
         server.evaluate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eval_batch_size", 0),
+        ("eval_batch_size", -8),
+        ("momentum", -0.1),
+        ("momentum", 1.0),
+        ("weight_decay", -1e-4),
+        ("dirichlet_alpha", 0.0),
+    ],
+)
+def test_flconfig_rejects_nonsense_at_construction(field, value):
+    """Values that used to fail mid-round (or silently do nothing) are refused
+    before any client trains, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        FLConfig(**{field: value})
+
+
 def test_flconfig_validation():
     with pytest.raises(ValueError):
         FLConfig(num_clients=0)

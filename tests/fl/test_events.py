@@ -1,31 +1,38 @@
 """Unit tests for the discrete-event engine building blocks.
 
-The integration-level equivalence guarantees (event engine == legacy loop,
-bit for bit, across schedulers and executors) live in
-``tests/integration/test_event_engine.py``; this module pins the pieces those
-guarantees are built from: deterministic queue ordering, the
-transitions-vs-mask contract of participation schedules, the incrementally
-maintained eligible set, and the random-access seed derivation lazily built
-transport links rely on.
+The integration-level guarantees (bit-identical histories across schedulers,
+executors and kill+resume) live in ``tests/integration/test_event_engine.py``;
+this module pins the pieces those guarantees are built from: deterministic
+queue ordering, the tie rules each scheduler applies when it closes a round,
+the transitions-vs-mask contract of participation schedules, the
+incrementally maintained eligible set, and the random-access seed derivation
+lazily built transport links rely on.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.fl.config import FLConfig
 from repro.fl.events import (
     CLIENT_COMPLETION,
     STRAGGLER_DEADLINE,
     EligibleSet,
     Event,
     EventQueue,
+    FleetEngine,
 )
 from repro.fl.scenarios import (
     DiurnalSchedule,
     FlashCrowdSchedule,
     FullParticipation,
+)
+from repro.fl.scheduler import (
+    AsynchronousScheduler,
+    SemiSynchronousScheduler,
+    SynchronousScheduler,
 )
 from repro.utils.seeding import SeedSequenceFactory
 
@@ -129,15 +136,89 @@ def test_eligible_set_counts_touches():
 
 
 # ----------------------------------------------------------------------
-# Config + seed plumbing the engine depends on
+# Tie rules at the close of a round
 # ----------------------------------------------------------------------
-def test_flconfig_validates_engine():
-    assert FLConfig().engine == "rounds"
-    assert FLConfig(engine="events").engine == "events"
-    with pytest.raises(ValueError):
-        FLConfig(engine="warp")
+class _ScriptedRuntime:
+    """Just enough runtime for ``FleetEngine.run_round``: the clients' results
+    are scripted, and ``finish_round`` hands back what the scheduler decided."""
+
+    schedule = None
+
+    def __init__(self, scheduler, arrivals):
+        self.scheduler = scheduler
+        self.history = []
+        self.global_state = {"w": np.zeros(1)}
+        self.server = SimpleNamespace(
+            aggregate=lambda states, weights: None,
+            global_state=lambda: self.global_state,
+            set_global_state=lambda state: None,
+        )
+        # Task order is ascending client id, as the sampler produces it.
+        self.results = [
+            SimpleNamespace(
+                client_id=client_id,
+                turnaround_seconds=turnaround,
+                delivered=delivered,
+                state={"w": np.ones(1)},
+                update=SimpleNamespace(num_samples=1),
+            )
+            for client_id, turnaround, delivered in sorted(arrivals)
+        ]
+
+    def start_round(self, eligible=None):
+        return None
+
+    def execute_clients(self, context):
+        return self.results
+
+    def finish_round(self, context, results, aggregated_ids, round_seconds,
+                     client_weights=None, client_staleness=None):
+        return SimpleNamespace(
+            aggregated=set(aggregated_ids),
+            seconds=round_seconds,
+            weights=client_weights,
+            staleness=client_staleness,
+        )
 
 
+def _close_round(scheduler, arrivals):
+    """One engine round over ``(client_id, turnaround, delivered)`` triples."""
+    runtime = _ScriptedRuntime(scheduler, arrivals)  # the engine holds it weakly
+    return FleetEngine(runtime).run_round()
+
+
+def test_sync_round_waits_for_an_undelivered_straggler():
+    closed = _close_round(SynchronousScheduler(), [(0, 1.0, True), (1, 9.0, False)])
+    assert closed.aggregated == {0}
+    assert closed.seconds == 9.0
+
+
+def test_semi_sync_delivery_at_exactly_the_deadline_is_on_time():
+    scheduler = SemiSynchronousScheduler(deadline_seconds=5.0)
+    closed = _close_round(scheduler, [(0, 2.0, True), (1, 5.0, True)])
+    assert closed.aggregated == {0, 1}
+    assert closed.seconds == 5.0  # nobody missing: closes at the last delivery
+
+    late = float(np.nextafter(5.0, 6.0))
+    closed = _close_round(scheduler, [(0, 2.0, True), (1, 5.0, True), (2, late, True)])
+    assert closed.aggregated == {0, 1}
+    assert closed.seconds == 5.0  # someone missing: runs to the deadline
+
+
+def test_async_simultaneous_deliveries_mix_lower_client_id_first():
+    scheduler = AsynchronousScheduler(mixing_rate=0.5, staleness_exponent=1.0)
+    closed = _close_round(
+        scheduler, [(2, 1.0, True), (5, 1.0, True), (9, 0.5, True), (7, 0.1, False)]
+    )
+    assert closed.staleness == {9: 0, 2: 1, 5: 2}  # turnaround first, then id
+    assert closed.weights == {9: 0.5, 2: 0.25, 5: 0.5 / 3.0}
+    assert closed.aggregated == {2, 5, 9}
+    assert closed.seconds == 1.0
+
+
+# ----------------------------------------------------------------------
+# Seed plumbing the engine depends on
+# ----------------------------------------------------------------------
 def test_seed_at_matches_sequential_derivation():
     """Random access into the spawn sequence equals sequential spawning — the
     property lazily materialised transport links rely on to match an eagerly

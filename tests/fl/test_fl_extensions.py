@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import FedSZCompressor
 from repro.data import load_dataset
-from repro.fl import FLConfig, FLSimulation
+from repro.fl import FLConfig, FederatedRuntime
 from repro.nn.models import create_model
 
 
@@ -25,7 +25,7 @@ def model_fn():
 def test_client_fraction_samples_subset(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=4, rounds=2, client_fraction=0.5, batch_size=16, seed=2)
-    simulation = FLSimulation(model_fn, train, val, config)
+    simulation = FederatedRuntime(model_fn, train, val, config)
     history = simulation.run()
     assert all(record.participating_clients == 2 for record in history.records)
 
@@ -33,7 +33,7 @@ def test_client_fraction_samples_subset(data, model_fn):
 def test_client_fraction_one_uses_everyone(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=3, rounds=1, batch_size=16, seed=2)
-    history = FLSimulation(model_fn, train, val, config).run()
+    history = FederatedRuntime(model_fn, train, val, config).run()
     assert history.records[0].participating_clients == 3
 
 
@@ -51,8 +51,8 @@ def test_downlink_compression_reduces_broadcast_bytes(data, model_fn):
     codec = FedSZCompressor(error_bound=1e-2)
     raw_config = FLConfig(num_clients=2, rounds=1, batch_size=16, compress_downlink=False, seed=3)
     compressed_config = FLConfig(num_clients=2, rounds=1, batch_size=16, compress_downlink=True, seed=3)
-    raw_history = FLSimulation(model_fn, train, val, raw_config, codec=codec).run()
-    compressed_history = FLSimulation(model_fn, train, val, compressed_config, codec=codec).run()
+    raw_history = FederatedRuntime(model_fn, train, val, raw_config, codec=codec).run()
+    compressed_history = FederatedRuntime(model_fn, train, val, compressed_config, codec=codec).run()
     assert raw_history.records[0].downlink_bytes > 0
     assert compressed_history.records[0].downlink_bytes < raw_history.records[0].downlink_bytes
     assert compressed_history.records[0].downlink_seconds < raw_history.records[0].downlink_seconds
@@ -61,7 +61,7 @@ def test_downlink_compression_reduces_broadcast_bytes(data, model_fn):
 def test_downlink_compression_without_codec_is_raw(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=2, rounds=1, batch_size=16, compress_downlink=True, seed=3)
-    history = FLSimulation(model_fn, train, val, config, codec=None).run()
+    history = FederatedRuntime(model_fn, train, val, config, codec=None).run()
     state_nbytes = sum(v.nbytes for v in model_fn().state_dict().values())
     assert history.records[0].downlink_bytes == 2 * state_nbytes
 
@@ -72,7 +72,7 @@ def test_downlink_compression_still_learns(data, model_fn):
         num_clients=2, rounds=3, batch_size=16, local_epochs=2, learning_rate=0.1,
         compress_downlink=True, seed=4,
     )
-    history = FLSimulation(model_fn, train, val, config, codec=FedSZCompressor(1e-2)).run()
+    history = FederatedRuntime(model_fn, train, val, config, codec=FedSZCompressor(1e-2)).run()
     assert history.final_accuracy >= history.records[0].global_accuracy - 0.05
 
 
@@ -82,8 +82,8 @@ def test_learning_rate_decay_changes_trajectory(data, model_fn):
     decayed = FLConfig(
         num_clients=2, rounds=3, batch_size=16, learning_rate=0.1, learning_rate_decay=0.1, seed=5
     )
-    history_base = FLSimulation(model_fn, train, val, base).run()
-    history_decay = FLSimulation(model_fn, train, val, decayed).run()
+    history_base = FederatedRuntime(model_fn, train, val, base).run()
+    history_decay = FederatedRuntime(model_fn, train, val, decayed).run()
     # First round identical (same LR), later rounds diverge.
     assert history_base.records[0].global_accuracy == pytest.approx(
         history_decay.records[0].global_accuracy, abs=1e-9
@@ -96,7 +96,7 @@ def test_learning_rate_decay_changes_trajectory(data, model_fn):
 def test_sampling_is_reproducible(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=4, rounds=2, client_fraction=0.5, batch_size=16, seed=7)
-    history_a = FLSimulation(model_fn, train, val, config).run()
-    history_b = FLSimulation(model_fn, train, val, config).run()
+    history_a = FederatedRuntime(model_fn, train, val, config).run()
+    history_b = FederatedRuntime(model_fn, train, val, config).run()
     for record_a, record_b in zip(history_a.records, history_b.records, strict=True):
         assert record_a.global_accuracy == pytest.approx(record_b.global_accuracy, abs=1e-9)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.fl import (
     FlashCrowdSchedule,
     FullParticipation,
     ModelPool,
+    ParticipationSchedule,
     available_scenarios,
     build_fleet_runtime,
     build_schedule,
@@ -245,7 +249,7 @@ def test_build_schedule_factory():
 # ----------------------------------------------------------------------
 # Availability-driven sampling in the runtime
 # ----------------------------------------------------------------------
-class _OnlyClients:
+class _OnlyClients(ParticipationSchedule):
     """Test schedule: a fixed eligible set every round."""
 
     def __init__(self, ids):
@@ -297,7 +301,7 @@ def test_empty_availability_round_is_recorded_gracefully(data, model_fn):
 def test_bad_mask_shape_raises(data, model_fn):
     train, val = data
 
-    class _Wrong:
+    class _Wrong(ParticipationSchedule):
         def mask(self, round_index, num_clients):
             return np.ones(num_clients + 1, dtype=bool)
 
@@ -306,6 +310,22 @@ def test_bad_mask_shape_raises(data, model_fn):
     )
     with pytest.raises(ValueError):
         runtime.run_round()
+
+
+def test_dropped_runtime_is_freed_without_the_cycle_collector(data, model_fn):
+    """The engine refers back to its runtime weakly: a strong cycle would keep
+    every dropped runtime (models, datasets) resident until a gc pass, which
+    is what a sweep building one runtime per configuration pays in peak RSS."""
+    train, val = data
+    runtime = FederatedRuntime(model_fn, train, val, FLConfig(num_clients=4, batch_size=16))
+    runtime.run_round()
+    alive = weakref.ref(runtime)
+    gc.disable()
+    try:
+        del runtime
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +359,22 @@ def test_scenario_build_components():
     assert not transport.is_homogeneous
     assert scheduler.name == "semi-sync"
     assert isinstance(schedule, DiurnalSchedule)
+
+
+def test_build_fleet_runtime_refuses_the_removed_engine_option(data, model_fn):
+    """The frozen benchmark still passes ``engine="events"``; that one value
+    is discarded, anything else says the option is gone — and neither puts
+    the key back on ``FLConfig``."""
+    train, val = data
+    kwargs = dict(seed=2, num_clients=8, rounds=1, batch_size=16)
+    runtime = build_fleet_runtime(
+        "uniform-edge", model_fn, train, val, engine="events", **kwargs
+    )
+    assert not hasattr(runtime.config, "engine")
+    with pytest.raises(ValueError, match="removed"):
+        build_fleet_runtime(
+            "uniform-edge", model_fn, train, val, engine="rounds", **kwargs
+        )
 
 
 def test_build_fleet_runtime_smoke(data, model_fn):

@@ -11,7 +11,6 @@ from repro.fl import (
     AsynchronousScheduler,
     FederatedRuntime,
     FLConfig,
-    FLSimulation,
     LinkSpec,
     ParallelExecutor,
     SemiSynchronousScheduler,
@@ -168,10 +167,10 @@ def _deterministic_fields(history):
 def test_parallel_executor_matches_serial_history(data, model_fn, config, codec_fn):
     """Same seeds => identical simulated outcome regardless of the executor."""
     train, val = data
-    serial = FLSimulation(
+    serial = FederatedRuntime(
         model_fn, train, val, config, codec=codec_fn(), executor=SerialExecutor()
     ).run()
-    parallel = FLSimulation(
+    parallel = FederatedRuntime(
         model_fn, train, val, config, codec=codec_fn(), executor=ParallelExecutor(max_workers=4)
     ).run()
     assert _deterministic_fields(serial) == _deterministic_fields(parallel)
@@ -179,10 +178,10 @@ def test_parallel_executor_matches_serial_history(data, model_fn, config, codec_
 
 def test_parallel_executor_keeps_per_client_reports(data, model_fn, config):
     """Per-client codec clones stop last_report clobbering: every client's own
-    ratio is recorded, and the facade codec still reports the last one."""
+    ratio is recorded, and the runtime's codec still reports the last one."""
     train, val = data
     codec = FedSZCompressor(error_bound=1e-2)
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         model_fn, train, val, config, codec=codec, executor=ParallelExecutor(max_workers=4)
     )
     record = simulation.run_round()
@@ -212,7 +211,7 @@ def test_sync_scheduler_matches_seed_reference_loop(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=2, rounds=1, batch_size=16, seed=5)
 
-    # Hand-rolled seed implementation (the original FLSimulation round).
+    # Hand-rolled seed implementation (one FedAvg round, written out).
     seeds = SeedSequenceFactory(config.seed)
     datasets = partition_dataset(
         train, config.num_clients, strategy=config.partition_strategy,
@@ -232,7 +231,7 @@ def test_sync_scheduler_matches_seed_reference_loop(data, model_fn):
     server.aggregate(states, weights)
     reference = server.evaluate()
 
-    history = FLSimulation(model_fn, train, val, config, codec=None).run(1)
+    history = FederatedRuntime(model_fn, train, val, config, codec=None).run(1)
     assert history.records[0].global_accuracy == reference.accuracy
     assert history.records[0].global_loss == reference.loss
 
@@ -242,7 +241,7 @@ def test_semi_sync_scheduler_cuts_straggler(data, model_fn, config):
     specs = edge_fleet_specs(
         4, bandwidths_mbps=(10.0,), straggler_ids=(1,), straggler_factor=1000.0
     )
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         model_fn, train, val, config,
         codec=None,
         scheduler=SemiSynchronousScheduler(deadline_seconds=10.0),
@@ -259,7 +258,7 @@ def test_semi_sync_scheduler_cuts_straggler(data, model_fn, config):
 
 def test_semi_sync_without_stragglers_closes_early(data, model_fn, config):
     train, val = data
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         model_fn, train, val, config,
         scheduler=SemiSynchronousScheduler(deadline_seconds=1e6),
     )
@@ -275,7 +274,7 @@ def test_async_scheduler_staleness_weights(data, model_fn, config):
     train, val = data
     # Distinct latencies make the arrival order deterministic.
     specs = [LinkSpec(bandwidth_mbps=10.0, latency_seconds=10.0 * (i + 1)) for i in range(4)]
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         model_fn, train, val, config,
         codec=None,
         scheduler=AsynchronousScheduler(mixing_rate=0.5, staleness_exponent=0.5),
@@ -294,7 +293,7 @@ def test_async_scheduler_staleness_weights(data, model_fn, config):
 def test_async_scheduler_still_learns(data, model_fn):
     train, val = data
     config = FLConfig(num_clients=2, rounds=3, batch_size=16, learning_rate=0.1, seed=5)
-    history = FLSimulation(
+    history = FederatedRuntime(
         model_fn, train, val, config,
         scheduler=AsynchronousScheduler(mixing_rate=0.9, staleness_exponent=0.5),
     ).run()
@@ -304,7 +303,7 @@ def test_async_scheduler_still_learns(data, model_fn):
 def test_dropout_excludes_update_from_aggregation(data, model_fn, config):
     train, val = data
     specs = [LinkSpec(dropout_probability=0.95) for _ in range(4)]
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         model_fn, train, val, config,
         codec=None,
         transport=Transport.heterogeneous(specs),
@@ -349,7 +348,7 @@ def test_mix_states_blends_and_preserves_dtypes():
 
 def test_history_client_rows_and_totals(data, model_fn, config):
     train, val = data
-    history = FLSimulation(
+    history = FederatedRuntime(
         model_fn, train, val, config, codec=FedSZCompressor(1e-2)
     ).run()
     rows = history.client_rows()
@@ -358,18 +357,6 @@ def test_history_client_rows_and_totals(data, model_fn, config):
     assert history.total_dropped_clients == 0
     assert history.total_straggler_clients == 0
     assert history.total_simulated_seconds > 0
-
-
-def test_facade_rejects_channel_and_transport_together(data, model_fn, config):
-    from repro.network import BandwidthModel, SimulatedChannel
-
-    train, val = data
-    with pytest.raises(ValueError):
-        FLSimulation(
-            model_fn, train, val, config,
-            channel=SimulatedChannel(BandwidthModel(10.0)),
-            transport=Transport.homogeneous(),
-        )
 
 
 def test_runtime_is_usable_directly(data, model_fn, config):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import FedSZCompressor, IdentityCodec
 from repro.data import load_dataset
-from repro.fl import FLConfig, FLSimulation, run_federated_training
+from repro.fl import FederatedRuntime, FLConfig
 from repro.nn.models import create_model
 
 
@@ -36,7 +36,7 @@ def config():
 
 def test_simulation_runs_and_records_history(data, model_fn, config):
     train, val = data
-    simulation = FLSimulation(model_fn, train, val, config, codec=None)
+    simulation = FederatedRuntime(model_fn, train, val, config, codec=None)
     history = simulation.run()
     assert len(history) == config.rounds
     assert len(simulation.clients) == config.num_clients
@@ -50,8 +50,8 @@ def test_simulation_runs_and_records_history(data, model_fn, config):
 
 def test_simulation_with_fedsz_reduces_uplink_bytes(data, model_fn, config):
     train, val = data
-    raw = FLSimulation(model_fn, train, val, config, codec=None).run(1)
-    fedsz = FLSimulation(
+    raw = FederatedRuntime(model_fn, train, val, config, codec=None).run(1)
+    fedsz = FederatedRuntime(
         model_fn, train, val, config, codec=FedSZCompressor(error_bound=1e-2)
     ).run(1)
     assert fedsz.records[0].uplink_bytes < raw.records[0].uplink_bytes
@@ -65,8 +65,8 @@ def test_simulation_accuracy_with_and_without_compression_is_close(data, model_f
     training trajectory dramatically (Figure 4's observation)."""
     train, val = data
     config = FLConfig(num_clients=2, rounds=2, batch_size=32, learning_rate=0.05, seed=5)
-    raw_history = FLSimulation(model_fn, train, val, config, codec=None).run()
-    fedsz_history = FLSimulation(
+    raw_history = FederatedRuntime(model_fn, train, val, config, codec=None).run()
+    fedsz_history = FederatedRuntime(
         model_fn, train, val, config, codec=FedSZCompressor(error_bound=1e-2)
     ).run()
     assert abs(raw_history.final_accuracy - fedsz_history.final_accuracy) < 0.25
@@ -74,8 +74,8 @@ def test_simulation_accuracy_with_and_without_compression_is_close(data, model_f
 
 def test_identity_codec_matches_no_codec_semantics(data, model_fn, config):
     train, val = data
-    raw = FLSimulation(model_fn, train, val, config, codec=None).run(1)
-    identity = FLSimulation(model_fn, train, val, config, codec=IdentityCodec()).run(1)
+    raw = FederatedRuntime(model_fn, train, val, config, codec=None).run(1)
+    identity = FederatedRuntime(model_fn, train, val, config, codec=IdentityCodec()).run(1)
     # Identity codec serializes but does not compress, so accuracies match and
     # payloads stay in the same size class.
     assert identity.records[0].mean_compression_ratio == pytest.approx(1.0, rel=0.05)
@@ -84,8 +84,8 @@ def test_identity_codec_matches_no_codec_semantics(data, model_fn, config):
 
 def test_simulation_is_seed_reproducible(data, model_fn, config):
     train, val = data
-    history_a = FLSimulation(model_fn, train, val, config, codec=None).run(1)
-    history_b = FLSimulation(model_fn, train, val, config, codec=None).run(1)
+    history_a = FederatedRuntime(model_fn, train, val, config, codec=None).run(1)
+    history_b = FederatedRuntime(model_fn, train, val, config, codec=None).run(1)
     assert history_a.records[0].global_accuracy == pytest.approx(
         history_b.records[0].global_accuracy, abs=1e-9
     )
@@ -101,20 +101,13 @@ def test_dirichlet_partition_strategy_runs(data, model_fn):
         batch_size=16,
         seed=11,
     )
-    history = FLSimulation(model_fn, train, val, config).run()
-    assert len(history) == 1
-
-
-def test_run_federated_training_wrapper(data, model_fn):
-    train, val = data
-    config = FLConfig(num_clients=2, rounds=1, batch_size=32, seed=0)
-    history = run_federated_training(model_fn, train, val, config)
+    history = FederatedRuntime(model_fn, train, val, config).run()
     assert len(history) == 1
 
 
 def test_history_summaries(data, model_fn, config):
     train, val = data
-    history = FLSimulation(model_fn, train, val, config, codec=FedSZCompressor()).run()
+    history = FederatedRuntime(model_fn, train, val, config, codec=FedSZCompressor()).run()
     assert history.final_accuracy == history.records[-1].global_accuracy
     assert history.best_accuracy >= history.final_accuracy - 1e-9
     assert history.total_compression_seconds > 0

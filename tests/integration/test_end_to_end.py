@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.data import load_dataset
 from repro.experiments import build_federated_setup
-from repro.fl import FLConfig, FLSimulation
+from repro.fl import FLConfig, FederatedRuntime
 from repro.network import crossover_bandwidth_mbps
 from repro.nn.models import create_model
 from repro.privacy import DPFedSZCompressor, analyze_state_dict_errors
@@ -34,12 +34,12 @@ def test_full_workflow_compress_train_decide():
     #    the previous self-referential check (final vs first round) sat on a
     #    knife's edge and flipped with the compressor-selection timing.
     setup = build_federated_setup("resnet50", "cifar10", rounds=3, samples=360, seed=13)
-    baseline = FLSimulation(
+    baseline = FederatedRuntime(
         setup.model_fn, setup.train_dataset, setup.validation_dataset, setup.config, codec=None
     ).run()
     setup = build_federated_setup("resnet50", "cifar10", rounds=3, samples=360, seed=13)
     codec = FedSZCompressor(error_bound=1e-2, lossy_compressor=selection.best.compressor)
-    history = FLSimulation(
+    history = FederatedRuntime(
         setup.model_fn, setup.train_dataset, setup.validation_dataset, setup.config, codec=codec
     ).run()
     assert history.final_accuracy > baseline.final_accuracy - 0.15
@@ -72,7 +72,7 @@ def test_noniid_fl_with_fedsz_and_client_sampling():
         seed=6,
     )
     codec = FedSZCompressor(error_bound=1e-2)
-    history = FLSimulation(
+    history = FederatedRuntime(
         lambda: create_model("mobilenetv2", "tiny", num_classes=10, seed=8),
         train,
         validation,
@@ -88,7 +88,7 @@ def test_noniid_fl_with_fedsz_and_client_sampling():
 def test_adaptive_and_dp_codecs_in_federated_loop():
     setup = build_federated_setup("resnet50", "cifar10", rounds=2, samples=300, seed=17)
     adaptive = AdaptiveFedSZCompressor(AdaptiveErrorBoundController(initial_bound=1e-2))
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         setup.model_fn, setup.train_dataset, setup.validation_dataset, setup.config, codec=adaptive
     )
     for _ in range(2):
@@ -98,7 +98,7 @@ def test_adaptive_and_dp_codecs_in_federated_loop():
 
     dp_setup = build_federated_setup("resnet50", "cifar10", rounds=2, samples=300, seed=18)
     dp_codec = DPFedSZCompressor(epsilon_per_round=10.0, clip_norm=0.5, seed=2)
-    dp_history = FLSimulation(
+    dp_history = FederatedRuntime(
         dp_setup.model_fn,
         dp_setup.train_dataset,
         dp_setup.validation_dataset,

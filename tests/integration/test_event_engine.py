@@ -1,14 +1,17 @@
 """Acceptance tests for the discrete-event fleet engine.
 
-Four guarantees are pinned here:
+Five guarantees are pinned here:
 
-* **engine equivalence** — at 256 clients, the event engine produces
-  bit-identical ``TrainingHistory.deterministic_rows()`` and final weights to
-  the legacy round loop, for every scheduler (sync / semi-sync / async, each
-  under its natural fleet preset) and every executor (serial / thread /
-  process);
-* **crash-safe equivalence** — a kill + resume under the event engine lands
-  on exactly the uninterrupted legacy run;
+* **executor equivalence** — at 256 clients, serial / thread / process runs
+  produce bit-identical ``TrainingHistory.deterministic_rows()`` and final
+  weights, for every scheduler (sync / semi-sync / async, each under its
+  natural fleet preset);
+* **close-of-round rules** — each round's recorded ``aggregated`` /
+  ``staleness`` / ``weight`` / ``simulated_round_seconds`` equal what a
+  test-side oracle (three small pure functions, one per scheduler) derives
+  from the same round's per-client turnarounds;
+* **crash-safe equivalence** — a kill + resume lands on exactly the
+  uninterrupted run;
 * **O(events) rounds** — per-round client touches scale with participants +
   availability transitions, not fleet size: a 4x larger fleet with the same
   participant count produces identical steady-state touch counts, and
@@ -21,6 +24,8 @@ Four guarantees are pinned here:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -61,7 +66,7 @@ def _model_fn():
     return create_model("alexnet", "tiny", num_classes=10, seed=0)
 
 
-def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
+def _build_fleet(fleet_data, preset_name: str, executor_name: str):
     train, validation = fleet_data
     overrides = {}
     if preset_name == "flash-crowd":
@@ -69,8 +74,7 @@ def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
         # train seconds.  The preset cycles four bandwidths, so same-bandwidth
         # clients would be ordered by wall-clock noise; distinct per-client
         # bandwidths separate every pair by >= ~10ms of simulated transfer,
-        # making the ordering a pure function of the config (the same
-        # precondition the legacy loop needs to be run-to-run reproducible).
+        # making the ordering a pure function of the config.
         overrides["bandwidths_mbps"] = tuple(0.2 + 0.01 * i for i in range(256))
     preset = get_scenario(preset_name, num_clients=256, rounds=2, **overrides)
     return build_fleet_runtime(
@@ -82,7 +86,6 @@ def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
         executor=_make_executor(executor_name),
         seed=7,
         batch_size=16,
-        engine=engine,
     )
 
 
@@ -103,38 +106,104 @@ def _assert_states_identical(reference, other):
         )
 
 
+@pytest.fixture(scope="module")
+def finished_fleet(fleet_data):
+    """``finished_fleet(preset, executor)``: that 2-round run, made once."""
+
+    @functools.cache
+    def finished(preset_name, executor_name):
+        runtime = _build_fleet(fleet_data, preset_name, executor_name)
+        _run_closed(runtime)
+        return runtime
+
+    return finished
+
+
 @pytest.mark.parametrize("preset_name", PRESETS)
-def test_event_engine_matches_legacy_loop_across_executors(fleet_data, preset_name):
-    """256-client preset, every executor: engine rows + weights == legacy."""
-    legacy = _build_fleet(fleet_data, preset_name, "rounds", "serial")
-    rows = _run_closed(legacy).deterministic_rows()
+def test_event_engine_matches_legacy_loop_across_executors(finished_fleet, preset_name):
+    """256-client preset: serial, thread and process executors agree on the
+    deterministic rows and on the final weights, bit for bit."""
+    serial = finished_fleet(preset_name, "serial")
+    rows = serial.history.deterministic_rows()
     assert len(rows) == 2
-    for executor_name in EXECUTORS:
-        engine_runtime = _build_fleet(fleet_data, preset_name, "events", executor_name)
-        history = _run_closed(engine_runtime)
-        assert history.deterministic_rows() == rows, executor_name
-        _assert_states_identical(legacy, engine_runtime)
+    for executor_name in ("thread", "process"):
+        other = finished_fleet(preset_name, executor_name)
+        assert other.history.deterministic_rows() == rows, executor_name
+        _assert_states_identical(serial, other)
+
+
+# ----------------------------------------------------------------------
+# Close-of-round oracle: what each scheduler must decide, as pure functions
+# of one round's ClientRoundStats.  Each returns
+# ``({client_id: (staleness, weight)} for aggregated clients, round seconds)``.
+# ----------------------------------------------------------------------
+def _sync_oracle(stats, scheduler):
+    aggregated = {s.client_id: (0, 0.0) for s in stats if s.delivered}
+    # The barrier waits for everyone, including updates lost in transit.
+    return aggregated, max((s.turnaround_seconds for s in stats), default=0.0)
+
+
+def _semi_sync_oracle(stats, scheduler):
+    deadline = scheduler.deadline_seconds
+    on_time = [s for s in stats if s.delivered and s.turnaround_seconds <= deadline]
+    if len(on_time) < len(stats):  # someone is late or lost: wait out the deadline
+        seconds = deadline
+    else:
+        seconds = max((s.turnaround_seconds for s in on_time), default=0.0)
+    return {s.client_id: (0, 0.0) for s in on_time}, seconds
+
+
+def _async_oracle(stats, scheduler):
+    arrivals = sorted(
+        (s for s in stats if s.delivered),
+        key=lambda s: (s.turnaround_seconds, s.client_id),
+    )
+    aggregated = {
+        s.client_id: (
+            i,
+            scheduler.mixing_rate * (1.0 + i) ** (-scheduler.staleness_exponent),
+        )
+        for i, s in enumerate(arrivals)
+    }
+    return aggregated, max((s.turnaround_seconds for s in arrivals), default=0.0)
+
+
+ORACLES = {"sync": _sync_oracle, "semi-sync": _semi_sync_oracle, "async": _async_oracle}
+
+
+@pytest.mark.parametrize("executor_name", EXECUTORS)
+@pytest.mark.parametrize("preset_name", PRESETS)
+def test_recorded_rounds_match_the_scheduler_oracle(finished_fleet, preset_name, executor_name):
+    runtime = finished_fleet(preset_name, executor_name)
+    oracle = ORACLES[runtime.scheduler.name]
+    for record in runtime.history.records:
+        assert record.client_stats, "an empty round would pin nothing"
+        aggregated, seconds = oracle(record.client_stats, runtime.scheduler)
+        recorded = {
+            s.client_id: (s.staleness, s.weight) for s in record.client_stats if s.aggregated
+        }
+        assert recorded == aggregated, record.round_index
+        assert record.simulated_round_seconds == seconds, record.round_index
 
 
 def test_event_engine_resume_is_bit_identical(fleet_data, tmp_path):
     """Kill after 2 of 4 rounds, resume with a fresh engine: the resumed run
-    must land on the uninterrupted legacy run exactly (availability rebuilds
-    from the mask at the discontinuity, then continues incrementally)."""
+    must land on the uninterrupted run exactly (availability rebuilds from
+    the mask at the discontinuity, then continues incrementally)."""
     train, validation = fleet_data
     preset = get_scenario("diurnal", num_clients=256, rounds=4)
 
-    def build(engine):
+    def build():
         return build_fleet_runtime(
-            preset, _model_fn, train, validation, codec=None, seed=7,
-            batch_size=16, engine=engine,
+            preset, _model_fn, train, validation, codec=None, seed=7, batch_size=16
         )
 
-    uninterrupted = build("rounds")
+    uninterrupted = build()
     rows = _run_closed(uninterrupted).deterministic_rows()
 
-    first = build("events")
+    first = build()
     _run_closed(first, 2, checkpoint_dir=tmp_path)
-    resumed = build("events")
+    resumed = build()
     history = _run_closed(resumed, 4, checkpoint_dir=tmp_path, resume=True)
     assert history.deterministic_rows() == rows
     _assert_states_identical(uninterrupted, resumed)
@@ -159,7 +228,6 @@ def test_round_cost_scales_with_events_not_fleet_size():
                 batch_size=16,
                 local_epochs=1,
                 client_fraction=participants / fleet_size,
-                engine="events",
                 seed=3,
             ),
             schedule=FullParticipation(),

@@ -16,7 +16,7 @@ import pytest
 from repro.data import load_dataset
 from repro.fl import (
     FLConfig,
-    FLSimulation,
+    FederatedRuntime,
     LinkSpec,
     ParallelExecutor,
     SemiSynchronousScheduler,
@@ -49,7 +49,7 @@ def _run_once(executor, data, latency_seconds: float = 0.4):
     # stays above 1.5x while X <= 10 * L = 4s; X is ~0.5s on a laptop.
     train, val = data
     config = FLConfig(num_clients=8, rounds=1, batch_size=32, seed=4)
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         lambda: create_model("mobilenetv2", "tiny", num_classes=10, seed=2),
         train,
         val,
@@ -91,7 +91,7 @@ def test_semi_sync_round_does_not_wait_for_straggler():
     train, val = full.split(0.8, seed=4)
     config = FLConfig(num_clients=4, rounds=1, batch_size=16, seed=6)
     deadline = 15.0
-    simulation = FLSimulation(
+    simulation = FederatedRuntime(
         lambda: create_model("resnet50", "tiny", num_classes=10, seed=8),
         train,
         val,

@@ -116,6 +116,33 @@ def test_cli_fl_checkpoint_every_requires_checkpoint_dir(capsys):
     assert "--checkpoint-dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--scheduler", "async"),
+        ("--deadline", "2.5"),
+        ("--mixing-rate", "0.3"),
+        ("--heterogeneous", None),
+        ("--straggler", "1"),
+        ("--dropout", "0.1"),
+    ],
+)
+def test_cli_fl_scenario_refuses_flags_the_preset_owns(flag, value, capsys):
+    """A preset supplies scheduler, links and dropout; a flag that would be
+    dropped on the floor is a usage error, not a silently different run."""
+    extra = [flag] if value is None else [flag, value]
+    exit_code = main(["fl", "--scenario", "uniform-edge", "--rounds", "1", *extra])
+    assert exit_code == 2
+    message = capsys.readouterr().err
+    assert flag in message and "--scenario" in message
+
+
+def test_cli_fl_has_no_engine_flag(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["fl", "--engine", "events"])
+    assert usage.value.code == 2
+
+
 def test_cli_fl_history_out_then_report(tmp_path, capsys):
     """`fl --history-out` writes a loadable history; `report` renders it."""
     history_path = tmp_path / "history.json"
