@@ -194,6 +194,11 @@ class AdaptiveFedSZCompressor:
         return self.controller.current_bound
 
     @property
+    def config(self) -> FedSZConfig:
+        """FedSZ config the next ``compress`` call runs under (bound included)."""
+        return self._codec.config
+
+    @property
     def last_report(self):
         """Report of the most recent compression (see :class:`FedSZCompressor`)."""
         return self._codec.last_report

@@ -122,6 +122,8 @@ class _CacheEntry:
     state: Dict[str, np.ndarray]
     nbytes: int
     payload: Optional[BroadcastPayload]
+    #: Codec bitstream of a compressed broadcast, reused as the wire buffer.
+    codec_payload: Optional[bytes] = None
 
 
 class BroadcastCache:
@@ -164,7 +166,7 @@ class BroadcastCache:
         if entry is not None and entry.key == key and reusable:
             self.hits += 1
             if build_payload and entry.payload is None:
-                entry.payload = self._build_payload(key, entry, global_state, codec, compressed)
+                entry.payload = self._build_payload(entry)
             return entry.state, entry.nbytes, entry.payload, 0.0, 0.0
 
         self.misses += 1
@@ -179,34 +181,26 @@ class BroadcastCache:
             state = codec.decompress(payload_bytes)
             decompress_seconds = time.perf_counter() - start
             nbytes = len(payload_bytes)
-            entry = _CacheEntry(key, state, nbytes, None)
-            entry._codec_payload = payload_bytes  # reused if a wire buffer is needed
+            entry = _CacheEntry(key, state, nbytes, None, payload_bytes)
         else:
             state = dict(global_state)
             nbytes = int(sum(np.asarray(v).nbytes for v in global_state.values()))
             entry = _CacheEntry(key, state, nbytes, None)
         if build_payload:
-            entry.payload = self._build_payload(key, entry, global_state, codec, compressed)
+            entry.payload = self._build_payload(entry)
         self._entry = entry
         return entry.state, entry.nbytes, entry.payload, compress_seconds, decompress_seconds
 
-    def _build_payload(
-        self, key: str, entry: _CacheEntry, global_state, codec, compressed: bool
-    ) -> BroadcastPayload:
+    def _build_payload(self, entry: _CacheEntry) -> BroadcastPayload:
         """Build the wire buffer for ``entry`` (counted once per round)."""
         self.serializations += 1
-        if compressed:
+        if entry.codec_payload is not None:
             # The codec payload *is* the bitstream — ship it and let each
             # worker's codec clone decompress once per round (deterministic
             # codecs decode bit-identically, the repo's standing guarantee).
-            data = getattr(entry, "_codec_payload", None)
-            if data is None:
-                data = codec.compress(dict(global_state))
-                self.compressions += 1
-                entry._codec_payload = data
-            return BroadcastPayload(key, ENCODING_CODEC, data, entry.nbytes)
+            return BroadcastPayload(entry.key, ENCODING_CODEC, entry.codec_payload, entry.nbytes)
         return BroadcastPayload(
-            key, ENCODING_ARRAYS, serialize_named_arrays(entry.state), entry.nbytes
+            entry.key, ENCODING_ARRAYS, serialize_named_arrays(entry.state), entry.nbytes
         )
 
 

@@ -1,56 +1,51 @@
 """Executor layer of the federated runtime.
 
 Executors decide *how* the per-round client work (local training, update
-compression, transport) runs:
+compression, transport) runs.  All three run the same client-task code — the
+two upload halves of :mod:`repro.fl.transport` — and differ only in where:
 
-* :class:`SerialExecutor` reproduces the seed simulation's strictly
-  sequential loop;
-* :class:`ParallelExecutor` runs clients concurrently on a thread pool —
-  local training is numpy-heavy (the BLAS calls release the GIL) and the
-  emulated link sleeps overlap, so an 8-client round on 4 workers finishes in
-  roughly the time of its two slowest clients;
-* :class:`ProcessParallelExecutor` runs clients on a persistent
-  shared-nothing worker-process pool.  Threads only overlap the GIL-releasing
-  fraction of the work; the pure-Python training loop (optimizer steps, loss
-  bookkeeping, loader iteration) still serialises on one interpreter lock.
-  Worker processes each own a private interpreter, model pool and codec
-  clone, so numpy-heavy rounds scale with cores — the regime the paper's
-  fleet-scale wall-clock analysis assumes.
+* :class:`SerialExecutor` runs clients one after another;
+* :class:`ParallelExecutor` runs them on a thread pool.  Threads overlap only
+  what releases the GIL (BLAS calls, emulated link sleeps), so this is the
+  executor for link-bound rounds (``LinkSpec(real_sleep=True)``), for codecs
+  without ``clone()`` (adaptive, DP — see below) and for platforms without
+  ``fork``;
+* :class:`ProcessParallelExecutor` runs them on a persistent pool of
+  shared-nothing worker processes, each with a private interpreter, model
+  pool and codec clone — the executor for compute-bound rounds.
+
+Measured on a 256-client ``uniform-edge`` fleet (13 clients a round, sz2 REL
+1e-2, BLAS pinned to one thread, 2 vCPUs, p25 round seconds): alexnet serial
+0.41 / 2 threads 0.36 / 2 processes 0.31; mobilenetv2 serial 0.36 / 2 threads
+0.52 / 2 processes 0.29.  On compute-bound rounds the thread pool never beats
+the process pool and can be slower than serial.
 
 Results are always returned in task order regardless of completion order, and
 every client draws from its own seeded streams, so for deterministic codecs
 the executor choice never changes the simulated outcome — only the wall-clock
-time to compute it (see ``tests/fl/test_runtime_layers.py`` and
-``tests/integration/test_process_executor.py`` for the determinism
-guarantee).  The one exception is a *stochastic* shared codec without
-``clone()`` (e.g. the DP codec, whose noise stream is consumed in call
-order): under the thread executor, which client draws which noise depends on
-thread arrival order, so such runs are only reproducible with the serial
-executor — and the process executor refuses them outright (its workers need
-independent clones).
+time to compute it (``tests/integration/test_process_executor.py`` and
+``test_executor_parity.py`` pin the guarantee).  The one exception is a
+*stochastic* shared codec without ``clone()`` (e.g. the DP codec, whose noise
+stream is consumed in call order): under the thread executor, which client
+draws which noise depends on thread arrival order, so such runs are only
+reproducible with the serial executor — and the process executor refuses them
+outright (its workers need independent clones).
 
 When a codec exposes ``clone()`` (e.g. :class:`repro.core.FedSZCompressor`),
-the thread executor builds **one clone per worker** (checked out per task
-from a small pool, not one per client — a fleet round reuses each worker's
-clone across all of that worker's tasks) so concurrent compressions cannot
+the thread executor builds **one clone per worker** (checked out per task, so
+a fleet round costs O(workers) clones) and concurrent compressions cannot
 clobber each other's ``last_report``.  Stateful codecs without ``clone()``
-(adaptive or DP codecs, whose round counters must stay global) are shared
-behind a lock instead.
+(whose round counters must stay global) are shared behind a lock instead.
 
 The process executor keeps determinism with a strict split of ownership:
-
-* **workers** do everything compute-bound but *stream-free* for the parent —
-  local training and codec work — against per-task client RNG snapshots
-  shipped in the task spec and shipped back advanced;
-* the **parent** keeps every simulation stream it owns: it pre-rolls link
-  dropout in task order before dispatch and replays the (pure-arithmetic)
-  channel sends in task order after collection, so channel logs and RNG
-  streams match the serial run draw for draw.
-
-Each round the parent ships a single fingerprint-keyed
-:class:`~repro.fl.broadcast.BroadcastPayload` to every worker; a worker
-decodes it once per round and serves all of its tasks from the decoded state,
-so broadcast deserialisation is O(workers), not O(participants).
+**workers** train and run the upload's codec half against per-task client RNG
+snapshots shipped in the task spec and shipped back advanced; the **parent**
+keeps every simulation stream it owns — it pre-rolls link dropout in task
+order before dispatch and runs the upload's link half in task order after
+collection, so channel logs and RNG streams match the serial run draw for
+draw.  Each round the parent ships a single fingerprint-keyed
+:class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
+it once and serves all of its tasks from the decoded state.
 
 Per-client concurrency composes with the pipeline's *per-tensor* concurrency
 (``FedSZConfig.parallel_tensors``): the two pools multiply, so when both are
@@ -64,7 +59,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import threading
-import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -72,9 +66,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.compression.metrics import compression_ratio
-from repro.core.serializer import serialize_named_arrays
-from repro.fl.broadcast import ENCODING_ARRAYS, BroadcastPayload, state_fingerprint
+from repro.fl.broadcast import BroadcastPayload
 from repro.fl.checkpoint import codec_fingerprint
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.scenarios import ClientCrash, CorruptedUpload
@@ -83,8 +75,9 @@ from repro.fl.transport import (
     ClientLink,
     LinkSpec,
     TransferStats,
-    corrupt_wire_bytes,
-    transmit_corrupted_update,
+    UploadRecord,
+    account_upload,
+    encode_upload,
     transmit_update,
 )
 from repro.network.devices import get_device_profile
@@ -102,9 +95,9 @@ class ClientTask:
     #: own downlink; folded into the turnaround so schedulers see the full
     #: receive → train → transmit window.
     downlink_seconds: float = 0.0
-    #: Simulated mid-round death of this client (see
-    #: :class:`repro.fl.scenarios.ClientCrash`): raised instead of training,
-    #: surfacing as a dropped update with zero payload bytes.
+    #: A :class:`repro.fl.scenarios.ClientCrash` (the client dies mid-round:
+    #: raised instead of training, surfacing as a dropped update with zero
+    #: payload bytes) or a :class:`repro.fl.scenarios.CorruptedUpload`.
     fault: Optional[BaseException] = None
     #: The round's shared wire buffer (built once per round by the runtime's
     #: :class:`~repro.fl.broadcast.BroadcastCache` when the executor sets
@@ -129,65 +122,72 @@ class ClientResult:
         return self.stats.delivered and self.state is not None
 
 
-def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
-    """Train one client on the broadcast state and transmit its update.
-
-    A task carrying a fault raises it *before* any stream advances — the
-    client died without training, rolling dropout or touching the channel —
-    so crashed runs stay bit-identical across executors.  The exception is a
-    :class:`~repro.fl.scenarios.CorruptedUpload` fault: the client trains and
-    transmits normally, but its framed payload is corrupted in transit and
-    the server's checksum rejects it (see
-    :func:`repro.fl.transport.transmit_corrupted_update`).
-    """
-    if task.fault is not None and not isinstance(task.fault, CorruptedUpload):
-        raise task.fault
-    update = task.client.train(task.broadcast_state, learning_rate=task.learning_rate)
-    if isinstance(task.fault, CorruptedUpload):
-        state, stats = transmit_corrupted_update(
-            update.state_dict, codec, task.link, lock=lock
-        )
-    else:
-        state, stats = transmit_update(update.state_dict, codec, task.link, lock=lock)
-    turnaround = (
-        task.downlink_seconds
-        + update.train_seconds
-        + stats.compress_seconds
-        + stats.transfer_seconds
-        + stats.decompress_seconds
-    )
+def _client_result(task: ClientTask, update: ClientUpdate, state, stats) -> ClientResult:
+    """Build a :class:`ClientResult`; the turnaround is the client's full
+    receive → train → compress → transmit → decompress window."""
     return ClientResult(
         client_id=update.client_id,
         update=update,
         state=state,
         stats=stats,
-        turnaround_seconds=turnaround,
+        turnaround_seconds=(
+            task.downlink_seconds
+            + update.train_seconds
+            + stats.compress_seconds
+            + stats.transfer_seconds
+            + stats.decompress_seconds
+        ),
     )
 
 
 def crashed_client_result(task: ClientTask) -> ClientResult:
     """The :class:`ClientResult` of a client that died mid-round.
 
-    The client never transmitted: zero payload bytes, zero codec and transfer
-    time, ``delivered=False``.  Its turnaround is just the broadcast receive
-    time — the only simulated work that happened before the death.
+    The client never trained or transmitted: zero payload bytes, zero codec
+    and transfer time, ``delivered=False`` — its turnaround is just the
+    broadcast receive time.
     """
-    update = ClientUpdate(
-        client_id=task.client.client_id,
-        state_dict={},
-        num_samples=task.client.num_samples,
-        train_loss=0.0,
-        train_accuracy=0.0,
-        train_seconds=0.0,
+    client = task.client
+    update = ClientUpdate(client.client_id, {}, client.num_samples, 0.0, 0.0, 0.0)
+    return _client_result(task, update, None, TransferStats(delivered=False))
+
+
+def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
+    """Train one client on the broadcast state and transmit its update.
+
+    A :class:`~repro.fl.scenarios.ClientCrash` fault fires *before* any
+    stream advances — the client died without training, rolling dropout or
+    touching the channel — so crashed runs stay bit-identical across
+    executors.  A :class:`~repro.fl.scenarios.CorruptedUpload` client trains
+    and transmits normally, but the server's frame check rejects what
+    arrives.
+    """
+    corrupted = isinstance(task.fault, CorruptedUpload)
+    try:
+        if task.fault is not None and not corrupted:
+            raise task.fault
+        update = task.client.train(task.broadcast_state, learning_rate=task.learning_rate)
+    except ClientCrash:
+        return crashed_client_result(task)
+    state, stats = transmit_update(
+        update.state_dict, codec, task.link, lock=lock, corrupted=corrupted
     )
-    stats = TransferStats(payload_nbytes=0, transfer_seconds=0.0, ratio=1.0, delivered=False)
-    return ClientResult(
-        client_id=task.client.client_id,
-        update=update,
-        state=None,
-        stats=stats,
-        turnaround_seconds=task.downlink_seconds,
-    )
+    return _client_result(task, update, state, stats)
+
+
+def _checked_max_workers(max_workers: Optional[int]) -> Optional[int]:
+    if max_workers is not None and max_workers <= 0:
+        raise ValueError(f"max_workers must be positive, got {max_workers}")
+    return max_workers
+
+
+def _hand_back_last_report(codec, results: List[ClientResult]) -> None:
+    """Facade contract of the pool executors: after a round the caller's codec
+    reports the last participant's compression, exactly as the shared
+    instance of a serial run does (workers compressed on clones)."""
+    last_report = results[-1].stats.report
+    if last_report is not None and hasattr(codec, "last_report"):
+        codec.last_report = last_report
 
 
 class SerialExecutor:
@@ -199,13 +199,7 @@ class SerialExecutor:
 
     def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
         """Execute every task in order with the shared codec instance."""
-        results = []
-        for task in tasks:
-            try:
-                results.append(run_client_task(task, codec))
-            except ClientCrash:
-                results.append(crashed_client_result(task))
-        return results
+        return [run_client_task(task, codec) for task in tasks]
 
 
 class ParallelExecutor:
@@ -221,9 +215,7 @@ class ParallelExecutor:
     name = "parallel"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
+        self.max_workers = _checked_max_workers(max_workers)
 
     def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
         """Execute tasks concurrently; results come back in task order."""
@@ -243,8 +235,6 @@ class ParallelExecutor:
             task_codec = clones.get() if clones is not None else codec
             try:
                 return run_client_task(task, task_codec, lock)
-            except ClientCrash:
-                return crashed_client_result(task)
             finally:
                 if clones is not None:
                     clones.put(task_codec)
@@ -253,13 +243,8 @@ class ParallelExecutor:
             futures = [pool.submit(run_one, task) for task in tasks]
             results = [future.result() for future in futures]
 
-        if cloneable and results:
-            # Keep the facade contract: after a round, the caller's codec
-            # reports the last participant's compression, exactly as the
-            # shared-instance serial path does.
-            last_report = results[-1].stats.report
-            if last_report is not None and hasattr(codec, "last_report"):
-                codec.last_report = last_report
+        if cloneable:
+            _hand_back_last_report(codec, results)
         return results
 
 
@@ -305,100 +290,33 @@ class _ClientTaskSpec:
 
 @dataclass
 class _WorkerTaskResult:
-    """What a worker ships back for one task (everything but link accounting,
-    which the parent replays against its own channel objects)."""
+    """What a worker ships back for one task: the trained update and the
+    codec half of its upload (the parent, owner of the links, runs the link
+    half).  A crashed client has neither."""
 
     index: int
-    client_id: int
-    crashed: bool
-    client_state: dict
-    #: The payload was checksum-framed and corrupted in transit: the parent
-    #: accounts it like a transit loss (``payload_nbytes`` holds the wire
-    #: bytes that travelled, nothing was decompressed or delivered).
-    corrupted: bool = False
-    num_samples: int = 0
-    train_loss: float = 0.0
-    train_accuracy: float = 0.0
-    train_seconds: float = 0.0
-    original_nbytes: int = 0
-    payload_nbytes: int = 0
-    compress_seconds: float = 0.0
-    decompress_seconds: float = 0.0
-    report: Optional[object] = None
-    update_state: Optional[Dict[str, np.ndarray]] = None
-    received_state: Optional[Dict[str, np.ndarray]] = None
+    client_state: Optional[dict] = None
+    update: Optional[ClientUpdate] = None
+    upload: Optional[UploadRecord] = None
 
 
 def _execute_spec(spec: _ClientTaskSpec, registry, codec, broadcast_state):
-    """Worker-side body of one client task: train, compress, account.
-
-    A :class:`CorruptedUpload` fault trains and compresses normally, then
-    replaces the payload with its corrupted framed wire bytes
-    (:func:`repro.fl.transport.corrupt_wire_bytes`) — nothing is decompressed
-    and the parent accounts the task as undelivered, exactly like the serial
-    :func:`repro.fl.transport.transmit_corrupted_update` path.
-    """
+    """Worker-side body of one client task — :func:`run_client_task` up to
+    the process boundary: train, then the upload's codec half."""
     corrupted = isinstance(spec.fault, CorruptedUpload)
+    if spec.fault is not None and not corrupted:
+        raise spec.fault
     client = registry[spec.client_id]
     client.restore_checkpoint_state(spec.client_state)
     update = client.train(broadcast_state, learning_rate=spec.learning_rate)
-    original_nbytes = int(
-        sum(np.asarray(v).nbytes for v in update.state_dict.values())
-    )
-    payload_nbytes = original_nbytes
-    compress_seconds = 0.0
-    decompress_seconds = 0.0
-    report = None
-    received_state = None
-    payload = None
-    if codec is not None:
-        start = time.perf_counter()
-        payload = codec.compress(update.state_dict)
-        compress_seconds = time.perf_counter() - start
-        report = getattr(codec, "last_report", None)
-        payload_nbytes = len(payload)
-        if not spec.dropped and not corrupted:
-            start = time.perf_counter()
-            received_state = codec.decompress(payload)
-            decompress_seconds = time.perf_counter() - start
-        device_profile = (
-            get_device_profile(spec.link_spec.device) if spec.link_spec.device else None
-        )
-        if device_profile is not None:
-            # Model the codec runtime on the client's hardware instead of
-            # trusting this host's measurement — same convention as
-            # :func:`repro.fl.transport.transmit_update`.
-            config = getattr(codec, "config", None)
-            if config is not None:
-                compress_seconds = device_profile.compression_seconds(
-                    config.lossy_compressor, original_nbytes, config.error_bound
-                )
-                if received_state is not None:
-                    decompress_seconds = device_profile.decompression_seconds(
-                        config.lossy_compressor, original_nbytes, config.error_bound
-                    )
-    if corrupted:
-        if payload is None:  # codec-less run: the wire carries raw arrays
-            payload = serialize_named_arrays(dict(update.state_dict))
-        payload_nbytes = len(corrupt_wire_bytes(payload))
-    return _WorkerTaskResult(
-        index=spec.index,
-        client_id=spec.client_id,
-        crashed=False,
+    upload = encode_upload(
+        update.state_dict,
+        codec,
+        get_device_profile(spec.link_spec.device),
+        dropped=spec.dropped,
         corrupted=corrupted,
-        client_state=client.checkpoint_state(),
-        num_samples=update.num_samples,
-        train_loss=update.train_loss,
-        train_accuracy=update.train_accuracy,
-        train_seconds=update.train_seconds,
-        original_nbytes=original_nbytes,
-        payload_nbytes=payload_nbytes,
-        compress_seconds=compress_seconds,
-        decompress_seconds=decompress_seconds,
-        report=report,
-        update_state=update.state_dict,
-        received_state=received_state,
     )
+    return _WorkerTaskResult(spec.index, client.checkpoint_state(), update, upload)
 
 
 def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
@@ -440,18 +358,9 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
                 break
             try:
                 try:
-                    if spec.fault is not None and not isinstance(
-                        spec.fault, CorruptedUpload
-                    ):
-                        raise spec.fault
                     result = _execute_spec(spec, registry, codec, cached_state)
                 except ClientCrash:
-                    result = _WorkerTaskResult(
-                        index=spec.index,
-                        client_id=spec.client_id,
-                        crashed=True,
-                        client_state=spec.client_state,
-                    )
+                    result = _WorkerTaskResult(spec.index)
                 result_queue.put(("result", result))
             except BaseException:
                 result_queue.put(
@@ -481,9 +390,7 @@ class ProcessParallelExecutor:
     wants_broadcast_payload = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = _checked_max_workers(max_workers) or os.cpu_count() or 1
         self._context: Optional[_WorkerContext] = None
         self._procs: list = []
         self._inboxes: list = []
@@ -597,32 +504,16 @@ class ProcessParallelExecutor:
         if not self._procs:
             self._start_pool(codec)
 
-        payload = tasks[0].broadcast_payload
-        if payload is None:
-            # Direct use without the runtime's BroadcastCache: build the wire
-            # buffer here (still once per round — tasks share the state).
-            state = dict(tasks[0].broadcast_state)
-            payload = BroadcastPayload(
-                fingerprint=state_fingerprint(state),
-                encoding=ENCODING_ARRAYS,
-                data=serialize_named_arrays(state),
-                nbytes=int(sum(np.asarray(v).nbytes for v in state.values())),
-            )
-
-        # Pre-roll dropout in task order before dispatch: the per-link streams
-        # are parent-owned, and a crashed client dies before rolling (serial
-        # parity — run_client_task raises the fault before transmitting).
-        dropped = [
-            False if task.fault is not None else task.link.roll_dropout()
-            for task in tasks
-        ]
+        # Dropout is pre-rolled here, in task order: the per-link streams are
+        # parent-owned, and a faulted client never rolls (serial parity — see
+        # run_client_task and transmit_update).
         specs = [
             _ClientTaskSpec(
                 index=index,
                 client_id=task.client.client_id,
                 learning_rate=task.learning_rate,
                 link_spec=task.link.spec,
-                dropped=dropped[index],
+                dropped=task.fault is None and task.link.roll_dropout(),
                 client_state=task.client.checkpoint_state(),
                 fault=task.fault,
             )
@@ -630,7 +521,7 @@ class ProcessParallelExecutor:
         ]
 
         for inbox in self._inboxes:
-            inbox.put(("round", payload))
+            inbox.put(("round", tasks[0].broadcast_payload))
         for spec in specs:
             self._task_queue.put(spec)
         for _ in self._procs:
@@ -647,21 +538,18 @@ class ProcessParallelExecutor:
 
         results = []
         for index, task in enumerate(tasks):
-            worker_result = raw_results[index]
-            if worker_result.crashed:
+            done = raw_results[index]
+            if done.update is None:
                 results.append(crashed_client_result(task))
                 continue
-            results.append(self._assemble(task, worker_result, codec, dropped[index]))
             # Ship the advanced client streams back into the parent's client,
             # keeping checkpoints and subsequent rounds bit-identical.
-            task.client.restore_checkpoint_state(worker_result.client_state)
-
-        if codec is not None and results:
-            # Facade contract, as in ParallelExecutor: the caller's codec
-            # reports the last participant's compression.
-            last_report = results[-1].stats.report
-            if last_report is not None and hasattr(codec, "last_report"):
-                codec.last_report = last_report
+            task.client.restore_checkpoint_state(done.client_state)
+            stats = account_upload(task.link, done.upload)
+            results.append(
+                _client_result(task, done.update, done.upload.received_state, stats)
+            )
+        _hand_back_last_report(codec, results)
         return results
 
     def _collect(self, expected_results: int):
@@ -692,75 +580,6 @@ class ProcessParallelExecutor:
                 self._worker_cache_stats[worker_id] = {"hits": hits, "misses": misses}
                 pending_acks -= 1
         return raw_results, errors
-
-    def _assemble(
-        self, task: ClientTask, r: _WorkerTaskResult, codec, dropped: bool
-    ) -> ClientResult:
-        """Replay link accounting for one worker result, in task order.
-
-        ``SimulatedChannel.send`` is pure arithmetic plus a transfer-log
-        append, so replaying it here yields the exact seconds and log entries
-        the serial run produces.
-        """
-        if r.corrupted:
-            record = task.link.send(
-                r.payload_nbytes, description="corrupted client update"
-            )
-            stats = TransferStats(
-                payload_nbytes=r.payload_nbytes,
-                transfer_seconds=record.seconds,
-                compress_seconds=r.compress_seconds,
-                decompress_seconds=0.0,
-                ratio=compression_ratio(r.original_nbytes, r.payload_nbytes),
-                delivered=False,
-                report=r.report,
-            )
-            state = None
-        elif codec is None:
-            record = task.link.send(r.original_nbytes, description="raw client update")
-            stats = TransferStats(
-                payload_nbytes=r.original_nbytes,
-                transfer_seconds=record.seconds,
-                ratio=1.0,
-                delivered=not dropped,
-            )
-            state = None if dropped else dict(r.update_state)
-        else:
-            record = task.link.send(
-                r.payload_nbytes, description="compressed client update"
-            )
-            stats = TransferStats(
-                payload_nbytes=r.payload_nbytes,
-                transfer_seconds=record.seconds,
-                compress_seconds=r.compress_seconds,
-                decompress_seconds=r.decompress_seconds,
-                ratio=compression_ratio(r.original_nbytes, r.payload_nbytes),
-                delivered=not dropped,
-                report=r.report,
-            )
-            state = None if dropped else r.received_state
-        update = ClientUpdate(
-            client_id=r.client_id,
-            state_dict=r.update_state,
-            num_samples=r.num_samples,
-            train_loss=r.train_loss,
-            train_accuracy=r.train_accuracy,
-            train_seconds=r.train_seconds,
-        )
-        turnaround = (
-            task.downlink_seconds
-            + r.train_seconds
-            + stats.compress_seconds
-            + stats.transfer_seconds
-            + stats.decompress_seconds
-        )
-        return ClientResult(
-            client_id=r.client_id,
-            update=update,
-            state=state,
-            stats=stats,
-            turnaround_seconds=turnaround,
-        )
 
 
 def build_executor(name: str = "serial", max_workers: Optional[int] = None):

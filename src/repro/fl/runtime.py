@@ -9,7 +9,7 @@ event queue — and three orthogonal concerns are pluggable layers around it:
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
   asynchronous staleness-weighted mixing;
 * the **executor** (:mod:`repro.fl.executor`) decides how client work runs —
-  strictly sequential or concurrently on a thread pool;
+  serially, on a thread pool, or on a pool of worker processes;
 * the **transport** (:mod:`repro.fl.transport`) decides what each client's
   link looks like — one shared channel (the default) or heterogeneous
   per-client bandwidth/latency/straggler/dropout profiles.
@@ -72,9 +72,11 @@ def _codec_error_bound(codec) -> tuple:
     Adaptive codecs expose the bound the *next* compress call will use as
     ``current_bound`` (always REL — they re-target a REL-mode FedSZ config);
     static codecs carry it on their dataclass ``config``.  Codecs without
-    either (identity baseline, custom codecs) are simply untracked.
+    either (identity baseline, custom codecs) are simply untracked, and so is
+    the DP codec: it bounds the error against the *noised* update, which
+    original-vs-received utilization cannot see.
     """
-    if codec is None:
+    if codec is None or hasattr(codec, "noise_scale"):
         return 0.0, ""
     bound = getattr(codec, "current_bound", None)
     if bound is not None:

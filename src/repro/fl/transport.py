@@ -15,6 +15,26 @@ carries every client's update.
 ``Transport.heterogeneous`` gives each client an independent link built from a
 :class:`LinkSpec`, which is what the paper's multi-client wall-clock analysis
 (Figures 7-9) actually assumes.
+
+One client upload is written once, as two halves that meet where a process
+boundary can sit:
+
+* the **codec half** (:func:`encode_upload`) needs no link, channel or RNG.
+  It compresses (timed) and, unless the update was lost in transit,
+  decompresses (timed) what the server receives.  A corrupted upload
+  (:class:`repro.fl.scenarios.CorruptedUpload`) is instead checksum-framed,
+  truncated and put through the server's frame check, which rejects it: the
+  client paid for compression and for the wire bytes that travelled, nothing
+  is decompressed or delivered.  On a link with a device profile the codec
+  seconds are then modelled on the client's hardware instead of measured on
+  this host (the paper's Raspberry Pi 5 convention).  The result is a
+  plain-data :class:`UploadRecord`;
+* the **link half** (:func:`account_upload`) occupies the link for the
+  record's wire bytes and builds the :class:`TransferStats`.
+
+:func:`transmit_update` is dropout roll + both halves, and is what in-process
+executors call; a process worker runs the codec half and its parent — the
+owner of links and dropout streams — the link half, in task order.
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.compression.errors import CorruptPayloadError
 from repro.compression.metrics import compression_ratio
 from repro.core.serializer import (
     frame_checksummed,
@@ -156,84 +177,27 @@ class ClientLink:
         return f"ClientLink(client_id={self.client_id}, spec={self.spec})"
 
 
-def transmit_update(
-    state_dict: Mapping[str, np.ndarray],
-    codec,
-    link: ClientLink,
-    lock=None,
-):
-    """Push one client update through the (optional) codec and its link.
+@dataclass
+class UploadRecord:  # repro-lint: worker-crossing
+    """Plain-data result of the codec half; a process worker ships it to
+    the parent, in-process executors hand it straight to the link half."""
 
-    Returns ``(received_state, TransferStats)``; ``received_state`` is ``None``
-    when the link dropped the update (the server never sees it).  ``lock``
-    serialises access to a codec shared across executor threads; pass ``None``
-    for per-client codec instances or serial execution.
-    """
-    original_nbytes = int(sum(np.asarray(v).nbytes for v in state_dict.values()))
-    dropped = link.roll_dropout()
-
-    if codec is None:
-        record = link.send(original_nbytes, description="raw client update")
-        stats = TransferStats(
-            payload_nbytes=original_nbytes,
-            transfer_seconds=record.seconds,
-            ratio=1.0,
-            delivered=not dropped,
-        )
-        return (None if dropped else dict(state_dict)), stats
-
-    # Timers start inside the lock: measured codec seconds must not include
-    # time spent waiting for other executor threads to release a shared codec
-    # (that wait would otherwise inflate turnarounds and could flip semi-sync
-    # straggler decisions based on thread scheduling).
-    guard = lock if lock is not None else contextlib.nullcontext()
-    with guard:
-        start = time.perf_counter()
-        payload = codec.compress(state_dict)
-        compress_seconds = time.perf_counter() - start
-        report = getattr(codec, "last_report", None)
-
-    record = link.send(payload, description="compressed client update")
-
-    received_state = None
-    decompress_seconds = 0.0
-    if not dropped:
-        with guard:
-            start = time.perf_counter()
-            received_state = codec.decompress(payload)
-            decompress_seconds = time.perf_counter() - start
-
-    if link.device_profile is not None:
-        # Model the codec runtime on the client's hardware instead of trusting
-        # this host's measurement (the paper's Raspberry Pi 5 convention).
-        config = getattr(codec, "config", None)
-        if config is not None:
-            compress_seconds = link.device_profile.compression_seconds(
-                config.lossy_compressor, original_nbytes, config.error_bound
-            )
-            if received_state is not None:
-                decompress_seconds = link.device_profile.decompression_seconds(
-                    config.lossy_compressor, original_nbytes, config.error_bound
-                )
-
-    stats = TransferStats(
-        payload_nbytes=len(payload),
-        transfer_seconds=record.seconds,
-        compress_seconds=compress_seconds,
-        decompress_seconds=decompress_seconds,
-        # One convention for empty payloads everywhere: the shared helper
-        # returns inf, matching repro.compression.metrics.
-        ratio=compression_ratio(original_nbytes, len(payload)),
-        delivered=not dropped,
-        report=report,
-    )
-    return received_state, stats
+    original_nbytes: int
+    wire_nbytes: int
+    description: str
+    delivered: bool
+    compress_seconds: float = 0.0
+    decompress_seconds: float = 0.0
+    report: Optional[object] = None
+    #: What the server holds after the upload; ``None`` when nothing arrived
+    #: (dropped in transit, or rejected by the frame check).
+    received_state: Optional[Dict[str, np.ndarray]] = None
 
 
 #: Frame magic for client-update uploads pushed through the checksummed
 #: frame (:func:`repro.core.serializer.frame_checksummed`).  Only the
-#: corrupted-upload fault path frames its wire bytes today — the healthy
-#: path ships codec payloads unframed, exactly as before.
+#: corrupted-upload fault frames its wire bytes — healthy uploads ship codec
+#: payloads unframed.
 UPLOAD_FRAME_MAGIC = b"FLUP"
 
 
@@ -250,67 +214,118 @@ def corrupt_wire_bytes(payload: bytes) -> bytes:
     return framed[: len(framed) - max(1, len(framed) // 4)]
 
 
-def transmit_corrupted_update(
+def encode_upload(
     state_dict: Mapping[str, np.ndarray],
     codec,
-    link: ClientLink,
+    device_profile: Optional[DeviceProfile] = None,
+    dropped: bool = False,
+    corrupted: bool = False,
     lock=None,
-) -> tuple:
-    """Push one client update whose framed payload is corrupted in transit.
+) -> UploadRecord:
+    """Codec half of an upload (see the module docstring).
 
-    The client does everything the healthy path does on its side — compress
-    (or serialize, for codec-less runs) and occupy the link for the bytes
-    that actually travelled — but the server's frame check
-    (:func:`repro.core.serializer.unframe_checksummed`) rejects what
-    arrives, so the update is accounted exactly like a transit loss:
-    ``delivered=False``, no received state, zero accepted bytes, no
-    decompression.  The link's dropout stream is **not** rolled — the fault
-    pre-empts the loss model, matching how executors skip the pre-roll for
-    faulted tasks — so corrupted rounds stay bit-identical across
-    serial/thread/process execution.
+    ``lock`` serialises access to a codec shared across executor threads.
+    Timers start inside it: measured codec seconds must not include time
+    spent waiting for other threads to release the codec (that wait would
+    inflate turnarounds and could flip semi-sync straggler decisions based
+    on thread scheduling).
     """
-    from repro.compression.errors import CorruptPayloadError
-
     original_nbytes = int(sum(np.asarray(v).nbytes for v in state_dict.values()))
+    delivered = not (dropped or corrupted)
     guard = lock if lock is not None else contextlib.nullcontext()
-    compress_seconds = 0.0
-    report = None
+    compress_seconds = decompress_seconds = 0.0
+    report = received_state = None
     if codec is None:
-        payload = serialize_named_arrays(dict(state_dict))
+        description = "raw client update"
+        wire_nbytes = original_nbytes
+        if corrupted:
+            payload = serialize_named_arrays(dict(state_dict))
+        elif delivered:
+            received_state = dict(state_dict)
     else:
+        description = "compressed client update"
         with guard:
             start = time.perf_counter()
             payload = codec.compress(state_dict)
             compress_seconds = time.perf_counter() - start
             report = getattr(codec, "last_report", None)
-
-    wire = corrupt_wire_bytes(payload)
-    record = link.send(wire, description="corrupted client update")
-
-    try:
-        unframe_checksummed(UPLOAD_FRAME_MAGIC, wire)
-    except CorruptPayloadError:
-        pass  # the server-side reject this fault exists to exercise
-    else:  # pragma: no cover - corrupt_wire_bytes guarantees a bad frame
-        raise RuntimeError("corrupted upload unexpectedly passed the frame check")
-
-    if codec is not None and link.device_profile is not None:
-        config = getattr(codec, "config", None)
-        if config is not None:
-            compress_seconds = link.device_profile.compression_seconds(
+        wire_nbytes = len(payload)
+        if delivered:
+            with guard:
+                start = time.perf_counter()
+                received_state = codec.decompress(payload)
+                decompress_seconds = time.perf_counter() - start
+    if corrupted:
+        description = "corrupted client update"
+        wire = corrupt_wire_bytes(payload)
+        wire_nbytes = len(wire)
+        try:
+            unframe_checksummed(UPLOAD_FRAME_MAGIC, wire)
+        except CorruptPayloadError:
+            pass  # the server-side reject this fault exists to exercise
+        else:  # pragma: no cover - corrupt_wire_bytes guarantees a bad frame
+            raise RuntimeError("corrupted upload unexpectedly passed the frame check")
+    config = getattr(codec, "config", None)
+    if device_profile is not None and config is not None:
+        compress_seconds = device_profile.compression_seconds(
+            config.lossy_compressor, original_nbytes, config.error_bound
+        )
+        if delivered:
+            decompress_seconds = device_profile.decompression_seconds(
                 config.lossy_compressor, original_nbytes, config.error_bound
             )
-
-    stats = TransferStats(
-        payload_nbytes=len(wire),
-        transfer_seconds=record.seconds,
+    return UploadRecord(
+        original_nbytes=original_nbytes,
+        wire_nbytes=wire_nbytes,
+        description=description,
+        delivered=delivered,
         compress_seconds=compress_seconds,
-        decompress_seconds=0.0,
-        ratio=compression_ratio(original_nbytes, len(wire)),
-        delivered=False,
+        decompress_seconds=decompress_seconds,
         report=report,
+        received_state=received_state,
     )
-    return None, stats
+
+
+def account_upload(link: ClientLink, upload: UploadRecord) -> TransferStats:
+    """Link half of an upload (see the module docstring).
+
+    ``SimulatedChannel.send`` of a byte count is pure arithmetic plus a
+    transfer-log append, so running this after the fact, in task order,
+    yields the seconds and log entries of a serial run.
+    """
+    sent = link.send(upload.wire_nbytes, description=upload.description)
+    return TransferStats(
+        payload_nbytes=upload.wire_nbytes,
+        transfer_seconds=sent.seconds,
+        compress_seconds=upload.compress_seconds,
+        decompress_seconds=upload.decompress_seconds,
+        # One convention for empty payloads everywhere: the shared helper
+        # returns inf, matching repro.compression.metrics.
+        ratio=compression_ratio(upload.original_nbytes, upload.wire_nbytes),
+        delivered=upload.delivered,
+        report=upload.report,
+    )
+
+
+def transmit_update(
+    state_dict: Mapping[str, np.ndarray],
+    codec,
+    link: ClientLink,
+    lock=None,
+    corrupted: bool = False,
+):
+    """Push one client update through the (optional) codec and its link.
+
+    Returns ``(received_state, TransferStats)``; ``received_state`` is ``None``
+    when the server never sees the update.  A ``corrupted`` upload pre-empts
+    the loss model: the link's dropout stream is **not** rolled, so faulted
+    rounds stay bit-identical across executors.
+    """
+    dropped = False if corrupted else link.roll_dropout()
+    upload = encode_upload(
+        state_dict, codec, link.device_profile, dropped=dropped, corrupted=corrupted, lock=lock
+    )
+    return upload.received_state, account_upload(link, upload)
 
 
 class Transport:

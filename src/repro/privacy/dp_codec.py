@@ -74,6 +74,11 @@ class DPFedSZCompressor:
         return self.rounds_released * self.epsilon_per_round
 
     @property
+    def config(self) -> FedSZConfig:
+        """Config of the FedSZ stage applied after the mechanism."""
+        return self._codec.config
+
+    @property
     def last_report(self):
         """Compression report of the most recent release."""
         return self._codec.last_report

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from repro.compression.metrics import compression_ratio
+from repro.core import FedSZCompressor
+from repro.core.adaptive import AdaptiveErrorBoundController, AdaptiveFedSZCompressor
 from repro.data import load_dataset
 from repro.fl import FederatedRuntime, FLConfig, LinkSpec, Transport
 from repro.fl.transport import ClientLink, transmit_update
+from repro.network.devices import RASPBERRY_PI_5
 from repro.nn.models import create_model
+from repro.privacy import DPFedSZCompressor
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +116,56 @@ def test_transfer_stats_ratio_matches_metrics_convention():
 
 
 def test_transfer_stats_ratio_regular_payload():
+    """The ratio is always original bytes over the bytes that travelled —
+    for a corrupted upload that is the truncated frame, not the payload."""
     state = {"w": np.zeros(1024, dtype=np.float32)}
-    link = ClientLink(0, LinkSpec(bandwidth_mbps=10.0))
-    from repro.core import FedSZCompressor
+    codec = FedSZCompressor(error_bound=1e-2)
+    for corrupted in (False, True):
+        link = ClientLink(0, LinkSpec(bandwidth_mbps=10.0))
+        _, stats = transmit_update(state, codec, link, corrupted=corrupted)
+        assert stats.delivered is not corrupted
+        assert stats.payload_nbytes > 0
+        assert stats.ratio == pytest.approx(compression_ratio(4096, stats.payload_nbytes))
+        assert stats.transfer_seconds == pytest.approx(
+            link.transmission_seconds(stats.payload_nbytes)
+        )
 
-    _, stats = transmit_update(state, FedSZCompressor(error_bound=1e-2), link)
-    assert stats.ratio == pytest.approx(
-        compression_ratio(4096, stats.payload_nbytes)
-    )
+
+# ----------------------------------------------------------------------
+# Device-modelled codec seconds
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "codec_fn",
+    [
+        lambda: FedSZCompressor(error_bound=1e-2),
+        lambda: AdaptiveFedSZCompressor(AdaptiveErrorBoundController(initial_bound=1e-2)),
+        lambda: DPFedSZCompressor(error_bound=1e-2),
+    ],
+    ids=["fedsz", "adaptive", "dp"],
+)
+def test_device_profile_models_codec_seconds_for_wrapping_codecs(codec_fn):
+    """Regression: on a Raspberry-Pi-5 link the adaptive and DP wrappers
+    reported this host's measured seconds (they exposed no ``config`` for the
+    device rule to read) while plain FedSZ reported the Table-I model."""
+    state = {"w": np.random.default_rng(0).standard_normal((256, 256)).astype(np.float32)}
+    link = ClientLink(0, LinkSpec(device="raspberry-pi-5"))
+    _, stats = transmit_update(state, codec_fn(), link)
+    nbytes = 256 * 256 * 4
+    assert stats.compress_seconds == RASPBERRY_PI_5.compression_seconds("sz2", nbytes, 1e-2)
+    assert stats.decompress_seconds == RASPBERRY_PI_5.decompression_seconds("sz2", nbytes, 1e-2)
+    assert stats.compress_seconds == pytest.approx(0.003705, rel=1e-3)
+
+
+def test_adaptive_codec_config_follows_the_current_bound():
+    controller = AdaptiveErrorBoundController(initial_bound=1e-2, patience=1)
+    codec = AdaptiveFedSZCompressor(controller)
+    assert codec.config.error_bound == codec.current_bound == 1e-2
+    for accuracy in (0.5, 0.6, 0.7, 0.1):  # grow on progress, back off on the drop
+        codec.observe_accuracy(accuracy)
+        assert codec.config.error_bound == codec.current_bound
+    assert {a.new_bound for a in controller.adjustments} != {1e-2}
+    with pytest.raises(AttributeError):
+        codec.config = None
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Integration-suite fixtures: the runtime RNG/clock sanitizer.
 
 The determinism suites (checkpoint-resume, process-executor, fleet-scale,
-thread-stress) assert bit-identity; while they run, the sanitizer from
+thread-stress, executor-parity) assert bit-identity; while they run, the sanitizer from
 :mod:`repro.analysis.sanitizer` patches the legacy global ``numpy.random``
 API, the stdlib ``random`` module functions and ``time.time`` to raise
 :class:`~repro.analysis.sanitizer.DeterminismViolation` when called from repo
@@ -23,6 +23,7 @@ SANITIZED_MODULES = frozenset({
     "test_process_executor",
     "test_fleet_scale",
     "test_thread_stress_determinism",
+    "test_executor_parity",
 })
 
 

@@ -1,0 +1,259 @@
+"""One upload path, three executors: parity on the inputs the upload twins
+used to handle separately, and typed failure of the process pool.
+
+* **parity** — links with a Raspberry-Pi-5 device profile *and* dropout, with
+  corrupted uploads and client crashes scheduled into the same run: serial,
+  thread and process executors agree on ``deterministic_rows()``, final
+  weights and — deterministic once device-modelled — every client's codec
+  seconds, wire bytes and delivery flag;
+* **frame check** — the server-side checksum reject of a corrupted upload
+  runs under every executor, not just the in-process ones;
+* **failure paths** — a poisoned task or a killed worker ends the round in a
+  ``RuntimeError`` with the pool reaped, never a hang, and the next round
+  restarts the pool and completes.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core import FedSZCompressor
+from repro.data import load_dataset
+from repro.fl import (
+    ClientCrashSchedule,
+    FederatedRuntime,
+    FLConfig,
+    LinkSpec,
+    ParallelExecutor,
+    ProcessParallelExecutor,
+    SerialExecutor,
+    Transport,
+)
+from repro.fl.scenarios import CorruptedUploadSchedule
+from repro.nn.models import create_model
+
+EXECUTORS = ["serial", "thread", "process"]
+#: A healthy 6-client round of the tiny model takes well under a second; a
+#: failed round additionally waits out one 1 s liveness poll.  Anything near
+#: this ceiling is a hang.
+FAILURE_CEILING_SECONDS = 30.0
+
+
+@pytest.fixture(scope="module")
+def data():
+    full = load_dataset("cifar10", num_samples=240, image_size=8, seed=0)
+    return full.split(0.75, seed=1)
+
+
+def _make_executor(name: str):
+    if name == "serial":
+        return SerialExecutor()
+    if name == "thread":
+        return ParallelExecutor(max_workers=2)
+    return ProcessParallelExecutor(max_workers=2)
+
+
+class _Faults:
+    """First fault any of the given schedules has for a (round, client)."""
+
+    def __init__(self, *schedules) -> None:
+        self._schedules = schedules
+
+    def fault_for(self, round_index: int, client_id: int):
+        for schedule in self._schedules:
+            fault = schedule.fault_for(round_index, client_id)
+            if fault is not None:
+                return fault
+        return None
+
+
+def _build_runtime(data, executor, codec, client_faults=None, **link) -> FederatedRuntime:
+    train, val = data
+    return FederatedRuntime(
+        lambda: create_model("resnet18", "tiny", num_classes=10, seed=7),
+        train,
+        val,
+        FLConfig(
+            num_clients=6, rounds=3, batch_size=16, local_epochs=1,
+            client_fraction=1.0, seed=3,
+        ),
+        codec=codec,
+        executor=executor,
+        transport=Transport.heterogeneous(
+            [LinkSpec(bandwidth_mbps=bw, **link) for bw in (2.0, 5.0, 10.0, 25.0, 50.0, 100.0)]
+        ),
+        client_faults=client_faults,
+    )
+
+
+# ----------------------------------------------------------------------
+# Parity
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "codec_fn", [lambda: None, lambda: FedSZCompressor(error_bound=1e-2)], ids=["raw", "fedsz"]
+)
+def test_device_dropout_corruption_and_crash_parity(data, codec_fn):
+    corrupted = {0: [1], 2: [4, 5]}
+    crashed = {1: [2, 3], 2: [0]}
+    faults = _Faults(CorruptedUploadSchedule(corrupted), ClientCrashSchedule(crashed))
+
+    def run(executor_name):
+        runtime = _build_runtime(
+            data, _make_executor(executor_name), codec_fn(), faults,
+            device="raspberry-pi-5", dropout_probability=0.4,
+        )
+        try:
+            runtime.run()
+        finally:
+            runtime.close()
+        return runtime
+
+    def client_rows(runtime):
+        return [
+            (record.round_index, s.client_id, s.compress_seconds, s.decompress_seconds,
+             s.payload_nbytes, s.delivered)
+            for record in runtime.history.records
+            for s in record.client_stats
+        ]
+
+    reference = run("serial")
+    compressed = reference.codec is not None
+    outcomes = set()
+    for row in client_rows(reference):
+        round_index, client_id, compress_s, decompress_s, nbytes, delivered = row
+        if client_id in crashed.get(round_index, ()):
+            outcomes.add("crashed")
+            assert (compress_s, decompress_s, nbytes, delivered) == (0.0, 0.0, 0, False)
+            continue
+        assert nbytes > 0
+        assert (compress_s > 0) is compressed  # Table-I model, not a measurement
+        assert (decompress_s > 0) is (compressed and delivered)
+        if client_id in corrupted.get(round_index, ()):
+            outcomes.add("corrupted")
+            assert not delivered
+        else:
+            outcomes.add("delivered" if delivered else "dropped")
+    assert outcomes == {"crashed", "corrupted", "delivered", "dropped"}
+
+    for executor_name in ("thread", "process"):
+        other = run(executor_name)
+        assert other.history.deterministic_rows() == reference.history.deterministic_rows()
+        assert client_rows(other) == client_rows(reference), executor_name
+        for name, value in reference.server.global_state().items():
+            np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
+
+
+@pytest.mark.parametrize("executor_name", EXECUTORS)
+def test_server_frame_check_runs_under_every_executor(data, executor_name, monkeypatch):
+    """Make the frame check *accept* the truncated frame: every executor must
+    notice, which proves each of them actually runs it."""
+    monkeypatch.setattr("repro.fl.transport.unframe_checksummed", lambda magic, data: data)
+    runtime = _build_runtime(
+        data, _make_executor(executor_name), FedSZCompressor(error_bound=1e-2),
+        CorruptedUploadSchedule({0: [2]}),
+    )
+    try:
+        with pytest.raises(RuntimeError, match="passed the frame check"):
+            runtime.run_round()
+    finally:
+        runtime.close()
+
+
+# ----------------------------------------------------------------------
+# Process-pool failure paths
+# ----------------------------------------------------------------------
+class _SabotagedCodec(FedSZCompressor):
+    """FedSZ whose ``compress`` misbehaves while the class-level switch is set.
+
+    Worker codecs are clones made after the fork, so the switch is read from
+    the class (inherited by workers at pool start), not from an instance.
+    """
+
+    sabotage = None  # None | "raise" | "exit"
+
+    def compress(self, state_dict):
+        cls = type(self)
+        if cls.sabotage == "raise":
+            raise ValueError("poisoned compress")
+        if cls.sabotage == "exit" and multiprocessing.current_process().name == "fl-worker-0":
+            os._exit(17)
+        return super().compress(state_dict)
+
+
+@pytest.fixture
+def sabotage():
+    def arm(mode):
+        _SabotagedCodec.sabotage = mode
+
+    yield arm
+    _SabotagedCodec.sabotage = None
+
+
+def _run_round_bounded(runtime):
+    """``runtime.run_round()`` on a helper thread, so that a hang fails the
+    test at the ceiling instead of wedging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((runtime.run_round(), None))
+        except BaseException as error:  # re-raised on the test thread below
+            outcome.append((None, error))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(FAILURE_CEILING_SECONDS)
+    assert outcome, f"run_round() still running after {FAILURE_CEILING_SECONDS} s"
+    record, error = outcome[0]
+    if error is not None:
+        raise error
+    return record
+
+
+def _assert_pool_reaped(executor) -> None:
+    assert executor._procs == []
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_is_a_typed_error_and_the_pool_restarts(data, sabotage):
+    executor = ProcessParallelExecutor(max_workers=2)
+    runtime = _build_runtime(data, executor, _SabotagedCodec(error_bound=1e-2))
+    try:
+        sabotage("raise")
+        with pytest.raises(RuntimeError) as failure:
+            _run_round_bounded(runtime)
+        message = str(failure.value)
+        assert "client 0 (task 0)" in message and "client 5 (task 5)" in message
+        assert "Traceback" in message and "ValueError: poisoned compress" in message
+        _assert_pool_reaped(executor)
+        assert len(runtime.history) == 0
+
+        sabotage(None)
+        record = _run_round_bounded(runtime)
+        assert record.round_index == 0
+        assert record.participating_clients == 6 and record.dropped_clients == 0
+        assert len(executor._procs) == 2  # a fresh pool
+    finally:
+        runtime.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_is_a_typed_error_not_a_hang(data, sabotage):
+    executor = ProcessParallelExecutor(max_workers=2)
+    runtime = _build_runtime(data, executor, _SabotagedCodec(error_bound=1e-2))
+    try:
+        sabotage("exit")
+        with pytest.raises(RuntimeError, match=r"died mid-round: fl-worker-0"):
+            _run_round_bounded(runtime)
+        _assert_pool_reaped(executor)
+
+        sabotage(None)
+        assert _run_round_bounded(runtime).participating_clients == 6
+    finally:
+        runtime.close()
+    assert multiprocessing.active_children() == []

@@ -280,8 +280,10 @@ def test_process_overhead_is_bounded_on_any_host(data):
     try:
         serial.run_round()
         process.run_round()  # pool start paid here, outside the timing
-        serial_seconds = _best_of(serial.run_round)
-        process_seconds = _best_of(process.run_round)
+        # Minima over several rounds: on a busy 2-core host single process
+        # rounds spread 0.17-0.37 s against a steady 0.11 s serial round.
+        serial_seconds = _best_of(serial.run_round, repeats=5)
+        process_seconds = _best_of(process.run_round, repeats=5)
     finally:
         serial.close()
         process.close()
