@@ -67,11 +67,17 @@ def resolve_error_bound(
         )
     if mode == ErrorBoundMode.ABS:
         return float(error_bound)
-    finite = data[np.isfinite(data)]
-    if finite.size == 0:
+    if data.size == 0:
         return float(error_bound)
-    value_range = float(finite.max() - finite.min())
-    return float(error_bound * value_range)
+    lowest, highest = data.min(), data.max()
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
+        # Only a tensor holding NaN/Inf has a non-finite extreme; the codecs
+        # reject those beforehand, so the masked copy is paid by nobody else.
+        finite = data[np.isfinite(data)]
+        if finite.size == 0:
+            return float(error_bound)
+        lowest, highest = finite.min(), finite.max()
+    return float(error_bound * float(highest - lowest))
 
 
 def safe_throughput_mbps(nbytes: int, seconds: Optional[float]) -> float:

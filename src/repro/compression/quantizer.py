@@ -57,24 +57,45 @@ def quantize_absolute(data: np.ndarray, error_bound: float, offset: float | None
     return QuantizationResult(indices=indices, offset=float(offset), bin_width=bin_width)
 
 
+#: Codes travel as int32 while every magnitude stays under this, so that the
+#: difference of any two codes (a Lorenzo residual) cannot overflow either.
+_INT32_CODE_LIMIT = 2**30
+
+
 def quantize_residuals(
-    data: np.ndarray, predictions: np.ndarray, error_bound: float
+    data: np.ndarray,
+    predictions: np.ndarray,
+    error_bound: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Quantize prediction residuals; reconstruction is ``pred + idx * 2ε``."""
+    """Quantize prediction residuals; reconstruction is ``pred + idx * 2ε``.
+
+    ``out`` is a float64 scratch array of the broadcast shape that the
+    residuals are computed in, step by step, instead of in fresh temporaries;
+    it may be ``predictions`` itself when those are no longer needed.  The
+    codes are int32 when their measured range allows, int64 otherwise.
+    """
     if error_bound <= 0 or not np.isfinite(error_bound):
         raise InvalidErrorBoundError(f"error bound must be positive and finite, got {error_bound}")
-    data = np.asarray(data, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    bin_width = 2.0 * float(error_bound)
-    return np.rint((data - predictions) / bin_width).astype(np.int64)
+    scaled = np.asarray(np.subtract(data, predictions, out=out, dtype=np.float64))
+    scaled /= 2.0 * float(error_bound)
+    np.rint(scaled, out=scaled)
+    if scaled.size and not (
+        -_INT32_CODE_LIMIT < scaled.min() and scaled.max() < _INT32_CODE_LIMIT
+    ):
+        return scaled.astype(np.int64)
+    return scaled.astype(np.int32)
 
 
 def dequantize_residuals(
-    indices: np.ndarray, predictions: np.ndarray, error_bound: float
+    indices: np.ndarray,
+    predictions: np.ndarray,
+    error_bound: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inverse of :func:`quantize_residuals`."""
-    bin_width = 2.0 * float(error_bound)
-    return np.asarray(predictions, dtype=np.float64) + np.asarray(indices, dtype=np.float64) * bin_width
+    """Inverse of :func:`quantize_residuals`; ``out`` receives the float64 result."""
+    values = np.multiply(indices, 2.0 * float(error_bound), out=out, dtype=np.float64)
+    return np.add(values, predictions, out=out)
 
 
 def zigzag_encode(indices: np.ndarray) -> np.ndarray:

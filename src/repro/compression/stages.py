@@ -42,7 +42,7 @@ import json
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -99,16 +99,28 @@ class Quantizer:
     Thin stage wrapper over :mod:`repro.compression.quantizer`'s residual
     primitives: ``encode`` maps value-minus-prediction onto signed bin
     indices, ``decode`` reconstructs ``prediction + index * 2ε``, which keeps
-    the element-wise error within ``ε`` by construction.
+    the element-wise error within ``ε`` by construction.  Both work in the
+    float64 array ``out`` when one is given, so a predictor can run every
+    step of a tensor through one scratch buffer.
     """
 
     @staticmethod
-    def encode(values: np.ndarray, predictions: np.ndarray, ctx: StageContext) -> np.ndarray:
-        return quantize_residuals(values, predictions, ctx.absolute_bound)
+    def encode(
+        values: np.ndarray,
+        predictions: np.ndarray,
+        ctx: StageContext,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        return quantize_residuals(values, predictions, ctx.absolute_bound, out=out)
 
     @staticmethod
-    def decode(indices: np.ndarray, predictions: np.ndarray, ctx: StageContext) -> np.ndarray:
-        return dequantize_residuals(indices, predictions, ctx.absolute_bound)
+    def decode(
+        indices: np.ndarray,
+        predictions: np.ndarray,
+        ctx: StageContext,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        return dequantize_residuals(indices, predictions, ctx.absolute_bound, out=out)
 
 
 @dataclass(frozen=True)
@@ -254,7 +266,7 @@ class StagedCompressor(LossyCompressor):
         if ctx.raw:
             return unpack_array(sections["raw"])
         flat = self._predictor().decode(sections, ctx)
-        return flat.astype(ctx.dtype).reshape(ctx.shape)
+        return flat.astype(ctx.dtype, copy=False).reshape(ctx.shape)
 
 
 def pad_to_blocks(flat: np.ndarray, block: int, fill: str = "edge") -> Tuple[np.ndarray, int]:

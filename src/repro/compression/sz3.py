@@ -54,14 +54,11 @@ class SZ3Predictor(PredictorStage):
         ctx.params["use_cubic"] = self.use_cubic
 
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
-        bin_width = ctx.bin_width
         reconstruction = np.zeros_like(flat)
-        codes: List[np.ndarray] = []
 
         # Anchor point: the first element is quantized against zero.
-        anchor_index = np.rint(flat[0] / bin_width).astype(np.int64)
-        reconstruction[0] = anchor_index * bin_width
-        codes.append(np.atleast_1d(anchor_index))
+        codes: List[np.ndarray] = [Quantizer.encode(flat[:1], 0.0, ctx)]
+        reconstruction[:1] = Quantizer.decode(codes[0], 0.0, ctx)
 
         for stride in _interpolation_strides(flat.size):
             targets = np.arange(stride, flat.size, 2 * stride)

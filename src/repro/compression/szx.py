@@ -144,25 +144,31 @@ def _packed_group_nbytes(group_count: int, block: int, width: int) -> int:
 
 
 def _pack_group_values(magnitudes: np.ndarray, signs: np.ndarray, width: int) -> bytes:
-    """Bit-pack sign + fixed-width magnitude for a group of blocks."""
-    group_count, block = magnitudes.shape
-    bits = np.zeros((group_count, block, width + 1), dtype=np.uint8)
-    bits[:, :, 0] = signs
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits[:, :, 1:] = (
-        (magnitudes[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-    ).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    """Bit-pack sign + fixed-width magnitude for a group of blocks.
+
+    The bit matrix is filled one column (bit position) at a time from the
+    magnitudes in their smallest unsigned dtype, so no intermediate is wider
+    than a byte per bit.
+    """
+    dtype = np.min_scalar_type((1 << width) - 1)
+    narrow = magnitudes.astype(dtype).ravel()
+    bits = np.empty((narrow.size, width + 1), dtype=np.uint8)
+    bits[:, 0] = signs.ravel()
+    for column in range(width):
+        shifted = narrow >> dtype.type(width - 1 - column)
+        np.bitwise_and(shifted, 1, out=bits[:, 1 + column], casting="unsafe")
+    return np.packbits(bits).tobytes()
 
 
 def _unpack_group_values(
     chunk: bytes, group_count: int, block: int, width: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_pack_group_values`."""
-    total_bits = group_count * block * (width + 1)
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))[:total_bits]
-    bits = bits.reshape(group_count, block, width + 1)
-    signs = bits[:, :, 0]
-    weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
-    magnitudes = bits[:, :, 1:].astype(np.uint64) @ weights
-    return magnitudes, signs
+    values = group_count * block
+    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))[: values * (width + 1)]
+    bits = bits.reshape(values, width + 1)
+    magnitudes = bits[:, 1].astype(np.min_scalar_type((1 << width) - 1))
+    for column in range(2, width + 1):
+        magnitudes <<= 1
+        magnitudes |= bits[:, column]
+    return magnitudes.reshape(group_count, block), bits[:, 0].reshape(group_count, block)

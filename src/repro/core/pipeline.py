@@ -288,7 +288,7 @@ def decompress_state_dict(
     for name, (flat, seconds) in zip(names, outcomes, strict=True):
         shape = tuple(shapes.get(name, flat.shape))
         dtype = np.dtype(dtypes.get(name, flat.dtype.str))
-        state[name] = flat.astype(dtype).reshape(shape)
+        state[name] = flat.astype(dtype, copy=False).reshape(shape)
         if report is not None:
             report.per_tensor_decompress_seconds[name] = seconds
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ def test_roundtrip_wide_range(backend, rng):
 def test_roundtrip_empty():
     payload = encode_indices(np.array([], dtype=np.int64))
     assert decode_indices(payload).size == 0
+    assert payload[0] == 0 and payload[9] == 0  # a plain int8 stream
 
 
 def test_deflate_picks_narrow_dtype(rng):
@@ -49,7 +53,7 @@ def test_unknown_backend_raises(rng):
 
 def test_corrupt_payload_raises(rng):
     payload = encode_indices(rng.integers(-5, 5, size=100))
-    with pytest.raises((CorruptPayloadError, Exception)):
+    with pytest.raises(CorruptPayloadError):
         decode_indices(payload[:5])
 
 
@@ -60,6 +64,137 @@ def test_truncated_body_detected(rng):
     tampered = payload[:1] + (2000).to_bytes(8, "little") + payload[9:]
     with pytest.raises(CorruptPayloadError):
         decode_indices(tampered)
+
+
+# ----------------------------------------------------------------------
+# Payload format: three backend codes, byte planes for multi-byte widths
+# ----------------------------------------------------------------------
+def _golden_int8() -> np.ndarray:
+    return (np.arange(96) * 7919 % 23) - 11
+
+
+def _golden_int16() -> np.ndarray:
+    return (np.arange(96) * 7919 % 2001) - 1000
+
+
+#: ``encode_indices`` output of the commit before byte planes existed
+#: (backend code 0 with level-6 bodies at both widths, and one ``huffman``).
+GOLDEN_PAYLOADS = {
+    "int8": (
+        _golden_int8,
+        "00600000000000000000789cfbfa8799eb1723c78fff6cdffeb270ff66e2fcc9c0fefd1feb576a"
+        "090300d3e42dff",
+    ),
+    "int16": (
+        _golden_int16,
+        "00600000000000000001789c05c1672202001400e0372e1145685c838c427594f632ae212bb3a3"
+        "94a2acce4164c59f377c5f400e78995fa8492bf48a8798c0311cc12abcf9b1aff9bb9dd8ba4df4"
+        "5437f4435a92940ee738c05dcad30cdd600167b107450842df4b1ef25b2bdb9cdd6945e7752055"
+        "094b8b93fc496794a22f3cc74dfc860bd8821fbff46d9fda95a5ed57af35a37fd296ac0cb8ca61"
+        "1e528d16e81eebb8880fd0802578f41d8ff893ed5ad49e754f633a927d894b9bff01b1d8627b",
+    ),
+    "huffman": (
+        _golden_int8,
+        "01600000000000000000789c4b6080801d8c105a02488b03691620fefa1f0240ec3f486c66a81e"
+        "109b0d89cd8ec4e640627322b1b990d8dc50362b107f839a0f627f4762ff4062ff4462ff4262ff"
+        "4662ff4562ff4362ff47623320d9cb88c4664262b320b1617a18d5b78bcdb24cbe58b7b56cf2f9"
+        "039e6f8f2eeb8bf812bf3676c9e70f42d585998ba7d98abf0ecfb4f9c332ef4e54c6d37ed75f57"
+        "6ff9db33aa0300ed8475c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+def test_payloads_of_the_previous_format_still_decode(name):
+    make_indices, payload_hex = GOLDEN_PAYLOADS[name]
+    np.testing.assert_array_equal(decode_indices(bytes.fromhex(payload_hex)), make_indices())
+
+
+@pytest.mark.parametrize("itemsize", [1, 2, 4, 8])
+@pytest.mark.parametrize("count", [1, 1000])
+def test_roundtrip_at_every_width(itemsize, count, rng):
+    limit = 2 ** (8 * itemsize - 1)
+    indices = rng.integers(-limit, limit, size=count, dtype=np.int64)
+    indices[0] = limit - 1  # pin the width whatever the draw
+    payload = encode_indices(indices)
+    # int8 stays a plain code-0 stream (old decoders read it); wider is planes.
+    assert payload[0] == (0 if itemsize == 1 else 2)
+    assert payload[9] == {1: 0, 2: 1, 4: 2, 8: 3}[itemsize]
+    decoded = decode_indices(payload)
+    assert decoded.dtype.itemsize == itemsize
+    np.testing.assert_array_equal(decoded, indices)
+
+
+def test_planes_body_is_low_bytes_then_high_bytes():
+    indices = np.array([0x0102, -2, 0x7F00, 3], dtype=np.int64)
+    body = zlib.decompress(encode_indices(indices)[10:])
+    assert body == bytes([0x02, 0xFE, 0x00, 0x03]) + bytes([0x01, 0xFF, 0x7F, 0x00])
+
+
+@pytest.mark.parametrize("scale", [1, 300], ids=["int8", "int16-planes"])
+def test_run_dominated_stream_takes_the_match_search(scale):
+    """Runs repeated with a long period: run-length coding alone lands well
+    under 2 bits a byte, and the LZ77 pass the rule then adds is far smaller."""
+    indices = np.tile(np.repeat(np.arange(-40, 40) * scale, 50), 25)
+    payload = encode_indices(indices)
+    narrow = indices.astype(np.int8 if scale == 1 else "<i2")
+    planes = np.ascontiguousarray(narrow.view(np.uint8).reshape(indices.size, -1).T)
+    run_length = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    run_length_only = run_length.compress(planes) + run_length.flush()
+    assert len(run_length_only) * 8 < 2 * planes.nbytes  # the rule's trigger
+    assert len(payload) - 10 < len(run_length_only) / 4
+    np.testing.assert_array_equal(decode_indices(payload), indices)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_input_container_width_does_not_change_the_payload(dtype, rng):
+    indices = rng.integers(-100, 100, size=5000)
+    assert encode_indices(indices.astype(dtype)) == encode_indices(indices)
+
+
+# ----------------------------------------------------------------------
+# Fail closed, in bounded memory
+# ----------------------------------------------------------------------
+def _forge(payload: bytes, backend=None, count=None, body=None) -> bytes:
+    header = bytearray(payload[:10])
+    if backend is not None:
+        header[0] = backend
+    if count is not None:
+        header[1:9] = count.to_bytes(8, "little")
+    return bytes(header) + (payload[10:] if body is None else body)
+
+
+@pytest.mark.parametrize("width", ["int8", "int16"])
+def test_hostile_entropy_payloads_raise_the_typed_error(width, rng):
+    indices = rng.integers(-5, 5, size=4000) * (1 if width == "int8" else 300)
+    payload = encode_indices(indices)
+    hostile = {
+        "forged count 2**60": _forge(payload, count=2**60),
+        "count beyond the deflate ceiling": _forge(payload, count=(len(payload) - 10) * 1032 + 1),
+        "count one too many": _forge(payload, count=indices.size + 1),
+        "count one too few": _forge(payload, count=indices.size - 1),
+        "truncated body": payload[:-7],
+        "truncated checksum": payload[:-1],
+        "garbage body": _forge(payload, body=bytes(range(256)) * 4),
+        "bit flip": payload[:40] + bytes([payload[40] ^ 0x10]) + payload[41:],
+        "zip bomb": _forge(payload, body=zlib.compress(bytes(50_000_000))),
+        "unknown backend": _forge(payload, backend=7),
+        "huffman garbage": _forge(payload, backend=1, body=b"\x00" * 64),
+    }
+    tracemalloc.start()
+    try:
+        for what, blob in hostile.items():
+            try:
+                decode_indices(blob)
+            except CorruptPayloadError:
+                continue  # zlib.error or MemoryError would escape as themselves
+            pytest.fail(f"{what}: decoded without an error")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The bomb inflates to 50 MB; nothing may be allocated past the declared
+    # size of the stream (4000 or 8000 bytes) plus the payloads themselves.
+    assert peak < 2_000_000
 
 
 @settings(max_examples=40, deadline=None)
