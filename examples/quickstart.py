@@ -54,7 +54,7 @@ def main() -> None:
 
     decision = codec.is_worthwhile(bandwidth_mbps=10.0)
     print(f"on a 10 Mbps uplink: {decision.uncompressed_transfer_seconds:.2f}s uncompressed vs "
-          f"{decision.compressed_total_seconds:.2f}s with FedSZ "
+          f"{decision.total_seconds:.2f}s with FedSZ "
           f"-> {'compress' if decision.worthwhile else 'send raw'} "
           f"({decision.speedup:.1f}x faster)")
 

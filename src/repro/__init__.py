@@ -11,8 +11,8 @@ Error-Bounded Lossy Compression for Federated Learning Communications"
 * :mod:`repro.data` — synthetic CIFAR-10 / Fashion-MNIST / Caltech101
   stand-ins and client partitioning;
 * :mod:`repro.fl` — FedAvg clients, server and the federated simulation loop;
-* :mod:`repro.network` — bandwidth/device/timing models and the Eqn.-1
-  decision rule;
+* :mod:`repro.network` — the link/codec-time model (``LinkSpec``), device
+  profiles and the Eqn.-1 decision rule;
 * :mod:`repro.core` — the FedSZ pipeline itself (partition, compress,
   serialize) and the compressor / error-bound selection procedures;
 * :mod:`repro.privacy` — compression-error analysis and the

@@ -22,7 +22,7 @@ import numpy as np
 from repro.compression.base import ErrorBoundMode
 from repro.compression.metrics import LossyEvaluation, evaluate_lossy
 from repro.compression.registry import get_lossy_compressor
-from repro.network.bandwidth import BandwidthModel
+from repro.network.bandwidth import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def select_lossy_compressor(
     call to the next.
     """
     sample = np.asarray(sample)
-    link = BandwidthModel(bandwidth_mbps)
-    transfer_budget = link.transmission_seconds(sample.nbytes)
+    transfer_budget = LinkSpec(bandwidth_mbps=bandwidth_mbps).transmission_seconds(sample.nbytes)
 
     evaluated: List[CompressorCandidate] = []
     for name in candidates:

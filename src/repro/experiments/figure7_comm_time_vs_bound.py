@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 from repro.core import FedSZConfig, compress_state_dict
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import PAPER_MODELS, pretrained_like_state_dict
-from repro.fl.transport import ClientLink, LinkSpec
+from repro.network import LinkSpec
 
 DEFAULT_BOUNDS = (1e-5, 1e-4, 1e-3, 1e-2)
 
@@ -47,9 +47,9 @@ def run_figure7(
             "error bound, against the uncompressed baseline."
         ),
     )
-    # One edge client's uplink from the transport layer: the link carries the
-    # bandwidth and the device profile that models codec runtime on-client.
-    uplink = ClientLink(0, LinkSpec(bandwidth_mbps=bandwidth_mbps, device=device))
+    # One edge client's uplink: the spec carries the bandwidth and the device
+    # profile that models codec runtime on-client.
+    uplink = LinkSpec(bandwidth_mbps=bandwidth_mbps, device=device)
 
     for model in models:
         state = pretrained_like_state_dict(model, dataset, max_elements_per_tensor, seed)

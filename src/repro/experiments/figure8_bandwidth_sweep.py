@@ -18,8 +18,7 @@ from repro.core import FedSZConfig, compress_state_dict
 from repro.experiments.figure7_comm_time_vs_bound import PAPER_STATE_NBYTES
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import pretrained_like_state_dict
-from repro.fl.transport import ClientLink, LinkSpec
-from repro.network import crossover_bandwidth_mbps, get_device_profile
+from repro.network import LinkSpec, crossover_bandwidth_mbps
 
 DEFAULT_COMPRESSORS = ("sz2", "sz3", "zfp")
 
@@ -59,10 +58,11 @@ def run_figure8(
         )
         per_compressor[compressor] = report
 
+    decisions = {}
     for bandwidth in bandwidths:
         # The sweep walks one edge client's uplink through every bandwidth;
-        # the link's device profile models on-client codec runtime.
-        uplink = ClientLink(0, LinkSpec(bandwidth_mbps=bandwidth, device=device))
+        # the spec's device profile models on-client codec runtime.
+        uplink = LinkSpec(bandwidth_mbps=bandwidth, device=device)
         baseline = uplink.estimate_upload(full_nbytes, None)
         result.add_row(
             compressor="original",
@@ -71,7 +71,7 @@ def run_figure8(
             worthwhile=False,
         )
         for compressor, report in per_compressor.items():
-            estimate = uplink.estimate_upload(
+            decision = decisions[compressor] = uplink.estimate_upload(
                 full_nbytes,
                 int(report.compressed_nbytes * scale),
                 compressor=compressor,
@@ -82,23 +82,18 @@ def run_figure8(
             result.add_row(
                 compressor=compressor,
                 bandwidth_mbps=bandwidth,
-                communication_seconds=estimate.total_seconds,
-                worthwhile=estimate.as_decision().worthwhile,
+                communication_seconds=decision.total_seconds,
+                worthwhile=decision.worthwhile,
             )
 
-    profile = get_device_profile(device) if device else None
-    for compressor, report in per_compressor.items():
-        if profile is not None:
-            compress_seconds = profile.compression_seconds(compressor, full_nbytes, error_bound)
-            decompress_seconds = profile.decompression_seconds(compressor, full_nbytes, error_bound)
-        else:
-            compress_seconds = report.compress_seconds * scale
-            decompress_seconds = (report.decompress_seconds or 0.0) * scale
+    # Byte counts and codec seconds do not depend on the bandwidth, so any
+    # decision of the sweep carries what the crossover is solved from.
+    for compressor, decision in decisions.items():
         crossover = crossover_bandwidth_mbps(
-            full_nbytes,
-            int(report.compressed_nbytes * scale),
-            compress_seconds,
-            decompress_seconds,
+            decision.original_nbytes,
+            decision.compressed_nbytes,
+            decision.compress_seconds,
+            decision.decompress_seconds,
         )
         result.add_note(
             f"{compressor}: compression worthwhile below ~{crossover:.0f} Mbps "

@@ -7,9 +7,9 @@ slowly with FedSZ than without, and (b) with a fixed population of 127
 clients, adding cores yields a strong-scaling speedup (7.51× at 128 cores in
 the paper).
 
-The harness calibrates the scaling model's per-client training, compression
-and update-size inputs from a short real federated run, then evaluates the
-analytic weak/strong scaling curves with and without FedSZ.
+The harness calibrates the scaling model's compression and update-size inputs
+from one FedSZ pass over a paper-scale state dict, then evaluates the analytic
+weak/strong scaling curves with and without FedSZ.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ def calibrate_scaling_inputs(
     update_nbytes: int = 14_000_000,
     max_elements_per_tensor: int = 150_000,
     seed: int = 0,
-    samples: int = 0,
-    measure_with_runtime: bool = False,
 ) -> dict:
     """Build the scaling-model inputs for the paper's MobileNetV2 setting.
 
@@ -43,47 +41,17 @@ def calibrate_scaling_inputs(
     because the pure-numpy tiny models train far faster than the paper's GPU
     clients and would otherwise make communication look disproportionally
     expensive.
-
-    With ``measure_with_runtime=True`` the compression runtime is instead
-    calibrated from a short *real* federated round: a
-    :class:`repro.fl.FederatedRuntime` with a parallel executor trains
-    ``samples`` synthetic examples across four clients, and the measured
-    per-client compression seconds (scaled to the paper-size update) replace
-    the single-shot estimate.
     """
-    from repro.core import FedSZCompressor, FedSZConfig, compress_state_dict
+    from repro.core import FedSZConfig, compress_state_dict
     from repro.experiments.workloads import pretrained_like_state_dict
 
     state = pretrained_like_state_dict(model, dataset, max_elements_per_tensor, seed)
     _, report = compress_state_dict(state, FedSZConfig(error_bound=error_bound))
     scale = update_nbytes / max(report.original_nbytes, 1)
-    compress_seconds_per_client = report.compress_seconds * scale
-
-    if measure_with_runtime and samples > 0:
-        from repro.experiments.workloads import build_federated_setup
-        from repro.fl import FederatedRuntime, ParallelExecutor
-
-        setup = build_federated_setup(model, dataset, rounds=1, samples=samples, seed=seed)
-        runtime = FederatedRuntime(
-            setup.model_fn,
-            setup.train_dataset,
-            setup.validation_dataset,
-            setup.config,
-            codec=FedSZCompressor(error_bound=error_bound),
-            executor=ParallelExecutor(max_workers=4),
-        )
-        record = runtime.run_round()
-        per_client = [
-            stat.compress_seconds
-            * (update_nbytes / max(stat.payload_nbytes * stat.compression_ratio, 1.0))
-            for stat in record.client_stats
-        ]
-        if per_client:
-            compress_seconds_per_client = float(sum(per_client) / len(per_client))
 
     return {
         "train_seconds_per_client": float(train_seconds_per_client),
-        "compress_seconds_per_client": compress_seconds_per_client,
+        "compress_seconds_per_client": report.compress_seconds * scale,
         "update_nbytes": int(update_nbytes),
         "compressed_nbytes": int(update_nbytes / report.ratio),
         "bandwidth_mbps": bandwidth_mbps,
@@ -95,10 +63,8 @@ def run_figure9(
     model: str = "mobilenetv2",
     dataset: str = "cifar10",
     total_clients: int = 127,
-    samples: int = 300,
     error_bound: float = 1e-2,
     seed: int = 0,
-    measure_with_runtime: bool = False,
 ) -> ExperimentResult:
     """Regenerate Figure 9 (weak and strong scaling, FedSZ vs uncompressed)."""
     result = ExperimentResult(
@@ -108,10 +74,8 @@ def run_figure9(
     inputs = calibrate_scaling_inputs(
         model=model,
         dataset=dataset,
-        samples=samples,
         error_bound=error_bound,
         seed=seed,
-        measure_with_runtime=measure_with_runtime,
     )
     fedsz_config = ScalingConfig(
         update_nbytes=inputs["update_nbytes"],
@@ -171,7 +135,7 @@ def run_figure9(
 
 
 def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure9(samples=200).to_text())
+    print(run_figure9().to_text())
 
 
 if __name__ == "__main__":  # pragma: no cover

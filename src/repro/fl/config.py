@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.network.bandwidth import LinkSpec
+
 
 def participant_count(client_fraction: float, num_clients: int) -> int:
     """Number of clients sampled per round for a given fraction.
@@ -91,8 +93,7 @@ class FLConfig:
             )
         if self.dirichlet_alpha <= 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth_mbps must be positive, got {self.bandwidth_mbps}")
+        LinkSpec(bandwidth_mbps=self.bandwidth_mbps)  # the link model's own validation
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(
                 f"client_fraction must lie in (0, 1], got {self.client_fraction}"

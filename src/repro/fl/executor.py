@@ -80,7 +80,6 @@ from repro.fl.transport import (
     encode_upload,
     transmit_update,
 )
-from repro.network.devices import get_device_profile
 
 
 @dataclass
@@ -312,7 +311,7 @@ def _execute_spec(spec: _ClientTaskSpec, registry, codec, broadcast_state):
     upload = encode_upload(
         update.state_dict,
         codec,
-        get_device_profile(spec.link_spec.device),
+        spec.link_spec,
         dropped=spec.dropped,
         corrupted=corrupted,
     )

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
-from repro.network.timing import EpochTimeBreakdown
-
 #: Schema tag of the standalone history files written by :meth:`TrainingHistory.save`.
 HISTORY_SCHEMA = "repro.history"
 HISTORY_SCHEMA_VERSION = 1
@@ -81,6 +79,15 @@ OBSERVATIONAL_ROUND_RECORD_FIELDS = frozenset({
     "error_bound",
     "error_bound_mode",
     "tensor_bound_utilization",
+})
+
+# Per-round means of the RoundRecord fields of the same class.
+DETERMINISTIC_EPOCH_TIME_BREAKDOWN_FIELDS = frozenset({"communication_seconds"})
+
+OBSERVATIONAL_EPOCH_TIME_BREAKDOWN_FIELDS = frozenset({
+    "client_training_seconds",
+    "validation_seconds",
+    "compression_seconds",
 })
 
 
@@ -225,6 +232,45 @@ class RoundRecord:
             "compression_seconds": self.compression_seconds,
             "train_seconds": self.train_seconds,
             "ratio": self.mean_compression_ratio,
+        }
+
+
+@dataclass
+class EpochTimeBreakdown:
+    """Per-epoch client wall-clock decomposition (Figure 6)."""
+
+    client_training_seconds: float = 0.0
+    validation_seconds: float = 0.0
+    compression_seconds: float = 0.0
+    communication_seconds: float = 0.0
+
+    @property
+    def total_seconds(self) -> float:
+        """Sum of all components."""
+        return (
+            self.client_training_seconds
+            + self.validation_seconds
+            + self.compression_seconds
+            + self.communication_seconds
+        )
+
+    @property
+    def compression_overhead_fraction(self) -> float:
+        """Compression share of the epoch (the paper reports <4.7 % on average)."""
+        total = self.total_seconds
+        if total <= 0:
+            return 0.0
+        return self.compression_seconds / total
+
+    def as_row(self) -> Dict[str, float]:
+        """Flat dictionary for tabulation."""
+        return {
+            "client_training_seconds": self.client_training_seconds,
+            "validation_seconds": self.validation_seconds,
+            "compression_seconds": self.compression_seconds,
+            "communication_seconds": self.communication_seconds,
+            "total_seconds": self.total_seconds,
+            "compression_overhead_percent": 100.0 * self.compression_overhead_fraction,
         }
 
 

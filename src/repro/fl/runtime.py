@@ -191,6 +191,10 @@ class FederatedRuntime:
     ) -> None:
         self.config = config or FLConfig()
         self.codec = codec
+        self.transport = transport or Transport.homogeneous(
+            bandwidth_mbps=self.config.bandwidth_mbps
+        )
+        self.transport.require_modellable(codec)
         self.scheduler = scheduler or SynchronousScheduler()
         # An explicit executor object wins; otherwise the config names one
         # (``executor="serial"`` by default, so default runs are unchanged).
@@ -238,9 +242,6 @@ class FederatedRuntime:
         self.history = TrainingHistory()
         self._sampling_rng = np.random.default_rng(seeds.next_seed())
 
-        self.transport = transport or Transport.homogeneous(
-            bandwidth_mbps=self.config.bandwidth_mbps
-        )
         self.transport.bind(len(self.clients), seed=seeds.next_seed())
 
         # Executors with worker processes need the client-population recipe

@@ -1,34 +1,34 @@
 """Transport layer of the federated runtime.
 
 Every client owns a :class:`ClientLink` — a point-to-point connection to the
-server with its own bandwidth, latency, straggler factor and dropout
-probability, optionally backed by a :class:`repro.network.DeviceProfile` that
-models the codec runtime on that client's hardware (e.g. a Raspberry Pi 5).
-A :class:`Transport` bundles the per-client uplinks plus the server broadcast
-downlink and is one of the three pluggable layers of
-:class:`repro.fl.runtime.FederatedRuntime` (the others being the scheduler and
-the executor).
+server described by a :class:`LinkSpec`: bandwidth, latency, straggler factor,
+dropout probability and, optionally, the client's hardware.  Every second the
+runtime bills comes from that spec: wire seconds from
+``LinkSpec.transmission_seconds``, codec seconds from ``LinkSpec.codec_seconds``
+(measured on this host, or modelled on the client's device — the paper's
+Raspberry Pi 5 convention).  The link adds what a spec cannot hold: the
+transfer log and the dropout stream.  A :class:`Transport` bundles the
+per-client uplinks plus the server broadcast downlink and is one of the three
+pluggable layers of :class:`repro.fl.runtime.FederatedRuntime` (the others
+being the scheduler and the executor).
 
-``Transport.homogeneous`` is the default: one shared
-:class:`~repro.network.bandwidth.SimulatedChannel` (``runtime.channel``)
-carries every client's update.
-``Transport.heterogeneous`` gives each client an independent link built from a
-:class:`LinkSpec`, which is what the paper's multi-client wall-clock analysis
-(Figures 7-9) actually assumes.
+``Transport.homogeneous`` is the default: every client has the same spec and
+one shared transfer log (``runtime.channel``).  ``Transport.heterogeneous``
+gives each client an independent link built from its own :class:`LinkSpec`,
+which is what the paper's multi-client wall-clock analysis (Figures 7-9)
+actually assumes.
 
 One client upload is written once, as two halves that meet where a process
 boundary can sit:
 
-* the **codec half** (:func:`encode_upload`) needs no link, channel or RNG.
+* the **codec half** (:func:`encode_upload`) needs no link state or RNG.
   It compresses (timed) and, unless the update was lost in transit,
   decompresses (timed) what the server receives.  A corrupted upload
   (:class:`repro.fl.scenarios.CorruptedUpload`) is instead checksum-framed,
   truncated and put through the server's frame check, which rejects it: the
   client paid for compression and for the wire bytes that travelled, nothing
-  is decompressed or delivered.  On a link with a device profile the codec
-  seconds are then modelled on the client's hardware instead of measured on
-  this host (the paper's Raspberry Pi 5 convention).  The result is a
-  plain-data :class:`UploadRecord`;
+  is decompressed or delivered.  The result is a plain-data
+  :class:`UploadRecord`;
 * the **link half** (:func:`account_upload`) occupies the link for the
   record's wire bytes and builds the :class:`TransferStats`.
 
@@ -53,42 +53,8 @@ from repro.core.serializer import (
     serialize_named_arrays,
     unframe_checksummed,
 )
-from repro.network.bandwidth import BandwidthModel, SimulatedChannel
-from repro.network.devices import DeviceProfile, get_device_profile
-from repro.network.timing import CommunicationEstimate, estimate_communication
+from repro.network.bandwidth import LinkSpec, SimulatedChannel
 from repro.utils.seeding import SeedSequenceFactory
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Static description of one client's link (and optionally its hardware).
-
-    ``straggler_factor`` multiplies the modelled transfer time of every send
-    (a factor of 20 turns the client into a straggler without changing the
-    link's nominal bandwidth); ``dropout_probability`` is the per-round chance
-    that the client's update is lost in transit.  ``device`` names a
-    :func:`repro.network.get_device_profile` profile used to *model* codec
-    runtime on that client instead of trusting this host's measurement.
-    """
-
-    bandwidth_mbps: float = 10.0
-    latency_seconds: float = 0.0
-    straggler_factor: float = 1.0
-    dropout_probability: float = 0.0
-    device: Optional[str] = None
-    real_sleep: bool = False
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        if self.latency_seconds < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency_seconds}")
-        if self.straggler_factor <= 0:
-            raise ValueError(f"straggler_factor must be positive, got {self.straggler_factor}")
-        if not 0.0 <= self.dropout_probability < 1.0:
-            raise ValueError(
-                f"dropout_probability must lie in [0, 1), got {self.dropout_probability}"
-            )
 
 
 @dataclass
@@ -110,7 +76,7 @@ class TransferStats:
 
 
 class ClientLink:
-    """One client's uplink: a bandwidth-limited channel plus failure model."""
+    """One client's uplink: its spec, a transfer log and a dropout stream."""
 
     def __init__(
         self,
@@ -121,57 +87,18 @@ class ClientLink:
     ) -> None:
         self.client_id = int(client_id)
         self.spec = spec or LinkSpec()
-        self.channel = channel or SimulatedChannel(
-            BandwidthModel(self.spec.bandwidth_mbps, self.spec.latency_seconds),
-            real_sleep=self.spec.real_sleep,
-        )
-        self.device_profile: Optional[DeviceProfile] = (
-            get_device_profile(self.spec.device) if self.spec.device else None
-        )
+        self.channel = channel or SimulatedChannel(self.spec)
         self._rng = np.random.default_rng(seed)
 
     def send(self, payload: bytes | int, description: str = ""):
-        """Push a payload through this link, honouring the straggler factor."""
-        return self.channel.send(
-            payload, description=description, delay_scale=self.spec.straggler_factor
-        )
-
-    def transmission_seconds(self, num_bytes: int) -> float:
-        """Modelled seconds to move ``num_bytes`` over this link."""
-        return self.channel.bandwidth.transmission_seconds(num_bytes) * self.spec.straggler_factor
+        """Push a payload through this link and log the transfer."""
+        return self.channel.send(payload, description=description)
 
     def roll_dropout(self) -> bool:
         """Draw from this link's private stream: is the next update lost?"""
         if self.spec.dropout_probability <= 0.0:
             return False
         return bool(self._rng.random() < self.spec.dropout_probability)
-
-    def estimate_upload(
-        self,
-        original_nbytes: int,
-        compressed_nbytes: Optional[int] = None,
-        compressor: Optional[str] = None,
-        error_bound: Optional[float] = None,
-        measured_compress_seconds: float = 0.0,
-        measured_decompress_seconds: float = 0.0,
-    ) -> CommunicationEstimate:
-        """Analytic end-to-end upload estimate over this link (Eqn. 1 inputs).
-
-        Codec runtimes come from the link's device profile when one is
-        configured, otherwise from the caller's measurements — the same
-        convention as :func:`repro.network.estimate_communication`, which this
-        wraps with the link's bandwidth.
-        """
-        return estimate_communication(
-            original_nbytes,
-            compressed_nbytes,
-            self.spec.bandwidth_mbps,
-            compressor=compressor,
-            error_bound=error_bound,
-            device=self.device_profile,
-            measured_compress_seconds=measured_compress_seconds,
-            measured_decompress_seconds=measured_decompress_seconds,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientLink(client_id={self.client_id}, spec={self.spec})"
@@ -217,13 +144,15 @@ def corrupt_wire_bytes(payload: bytes) -> bytes:
 def encode_upload(
     state_dict: Mapping[str, np.ndarray],
     codec,
-    device_profile: Optional[DeviceProfile] = None,
+    spec: LinkSpec,
     dropped: bool = False,
     corrupted: bool = False,
     lock=None,
 ) -> UploadRecord:
     """Codec half of an upload (see the module docstring).
 
+    ``spec`` decides whether the measured codec seconds or the client
+    device's modelled ones are billed.
     ``lock`` serialises access to a codec shared across executor threads.
     Timers start inside it: measured codec seconds must not include time
     spent waiting for other threads to release the codec (that wait would
@@ -266,14 +195,14 @@ def encode_upload(
         else:  # pragma: no cover - corrupt_wire_bytes guarantees a bad frame
             raise RuntimeError("corrupted upload unexpectedly passed the frame check")
     config = getattr(codec, "config", None)
-    if device_profile is not None and config is not None:
-        compress_seconds = device_profile.compression_seconds(
-            config.lossy_compressor, original_nbytes, config.error_bound
+    if config is not None:
+        compress_seconds, decompress_seconds = spec.codec_seconds(
+            config.lossy_compressor,
+            config.error_bound,
+            original_nbytes,
+            (compress_seconds, decompress_seconds),
+            delivered,
         )
-        if delivered:
-            decompress_seconds = device_profile.decompression_seconds(
-                config.lossy_compressor, original_nbytes, config.error_bound
-            )
     return UploadRecord(
         original_nbytes=original_nbytes,
         wire_nbytes=wire_nbytes,
@@ -323,7 +252,7 @@ def transmit_update(
     """
     dropped = False if corrupted else link.roll_dropout()
     upload = encode_upload(
-        state_dict, codec, link.device_profile, dropped=dropped, corrupted=corrupted, lock=lock
+        state_dict, codec, link.spec, dropped=dropped, corrupted=corrupted, lock=lock
     )
     return upload.received_state, account_upload(link, upload)
 
@@ -350,15 +279,11 @@ class Transport:
         self,
         specs: Optional[Sequence[LinkSpec]] = None,
         default_spec: Optional[LinkSpec] = None,
-        share_channel: bool = False,
-        channel: Optional[SimulatedChannel] = None,
         cycle_specs: bool = False,
     ) -> None:
         self._specs: Optional[List[LinkSpec]] = list(specs) if specs is not None else None
         self._default_spec = default_spec or LinkSpec()
-        self._share_channel = bool(share_channel or channel is not None)
-        self._channel = channel
-        self._user_channel = channel is not None
+        self._channel: Optional[SimulatedChannel] = None
         self._cycle_specs = bool(cycle_specs)
         self._num_clients: Optional[int] = None
         self._seed_factory: Optional[SeedSequenceFactory] = None
@@ -372,23 +297,16 @@ class Transport:
         cls,
         bandwidth_mbps: float = 10.0,
         latency_seconds: float = 0.0,
-        channel: Optional[SimulatedChannel] = None,
         real_sleep: bool = False,
     ) -> "Transport":
         """Every client shares one channel — identical to the seed simulation."""
-        if channel is not None:
-            spec = LinkSpec(
-                bandwidth_mbps=channel.bandwidth.bandwidth_mbps,
-                latency_seconds=channel.bandwidth.latency_seconds,
-                real_sleep=channel.real_sleep,
-            )
-        else:
-            spec = LinkSpec(
+        return cls(
+            default_spec=LinkSpec(
                 bandwidth_mbps=bandwidth_mbps,
                 latency_seconds=latency_seconds,
                 real_sleep=real_sleep,
             )
-        return cls(default_spec=spec, share_channel=True, channel=channel)
+        )
 
     @classmethod
     def heterogeneous(cls, specs: Sequence[LinkSpec], cycle: bool = False) -> "Transport":
@@ -411,9 +329,8 @@ class Transport:
 
         Rebinding (e.g. reusing one transport across two runtimes) drops
         every materialised link, so dropout streams restart from ``seed``
-        instead of continuing the previous run's draws.  A user-supplied
-        shared channel is kept (its transfer log spans both runs, as it did
-        in the seed simulation); an auto-created one is replaced.
+        instead of continuing the previous run's draws, and the shared
+        channel's transfer log starts empty.
         """
         if (
             self._specs is not None
@@ -424,16 +341,32 @@ class Transport:
                 f"transport has {len(self._specs)} link specs but the runtime has "
                 f"{num_clients} clients"
             )
-        if self._share_channel and (self._channel is None or not self._user_channel):
-            self._channel = SimulatedChannel(
-                BandwidthModel(
-                    self._default_spec.bandwidth_mbps, self._default_spec.latency_seconds
-                ),
-                real_sleep=self._default_spec.real_sleep,
-            )
+        if self.is_homogeneous:
+            self._channel = SimulatedChannel(self._default_spec)
         self._num_clients = int(num_clients)
         self._seed_factory = SeedSequenceFactory(seed)
         self.links = {}
+
+    def require_modellable(self, codec) -> None:
+        """Reject a codec whose seconds some link's device cannot model.
+
+        A codec that names its lossy compressor (``codec.config``) is billed
+        from the device's throughput table on every device link; a missing
+        row would otherwise only surface after a client has trained and
+        compressed.  Codecs without a ``config`` are host-measured and pass.
+        """
+        config = getattr(codec, "config", None)
+        if config is None:
+            return
+        specs = [self._default_spec] if self._specs is None else self._specs
+        for spec in {spec.device: spec for spec in specs}.values():
+            profile = spec.device_profile
+            if profile is not None and not profile.models(config.lossy_compressor):
+                raise ValueError(
+                    f"device {profile.name!r} has no throughput entry for compressor "
+                    f"{config.lossy_compressor!r}: its codec seconds cannot be modelled "
+                    f"on a LinkSpec(device={spec.device!r}) link"
+                )
 
     def _spec_for(self, client_id: int) -> LinkSpec:
         if self._specs is None:
@@ -480,7 +413,7 @@ class Transport:
         link = ClientLink(
             client_id,
             self._spec_for(client_id),
-            channel=self._channel if self._share_channel else None,
+            channel=self._channel,
             seed=self._seed_factory.seed_at(client_id),
         )
         self.links[client_id] = link
@@ -488,13 +421,7 @@ class Transport:
 
     def downlink_seconds(self, num_bytes: int, client_id: int) -> float:
         """Modelled broadcast time to one client (links are symmetric)."""
-        return self.uplink(client_id).transmission_seconds(num_bytes)
-
-    def total_uplink_seconds(self) -> float:
-        """Simulated transfer time accumulated across every link so far."""
-        if self._share_channel:
-            return self._channel.total_seconds if self._channel is not None else 0.0
-        return sum(link.channel.total_seconds for link in self.links.values())
+        return self.uplink(client_id).spec.transmission_seconds(num_bytes)
 
     # ------------------------------------------------------------------
     # Checkpoint support

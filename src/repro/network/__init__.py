@@ -1,23 +1,21 @@
-"""Network, device and timing models.
+"""Network and device models.
 
-Implements the communication side of the evaluation: bandwidth-limited
-channels (the paper's MPI + sleep emulation), the Raspberry Pi 5 device
-profile used for codec runtimes, the Eqn.-1 "is compression worthwhile"
-decision, per-epoch timing breakdowns and the weak/strong scaling simulator.
+Implements the communication side of the evaluation: :class:`LinkSpec`, the
+one link/codec-time model (bandwidth, latency, straggling, and the Raspberry
+Pi 5 device profile behind modelled codec runtimes) with its Eqn.-1 "is
+compression worthwhile" estimate, the sleep-emulated channel log, and the
+weak/strong scaling simulator built on it.
 """
 
 from repro.network.bandwidth import (
     DATACENTER_BANDWIDTH_MBPS,
     EDGE_BANDWIDTH_MBPS,
-    BandwidthModel,
+    CompressionDecision,
+    LinkSpec,
     SimulatedChannel,
     TransferRecord,
 )
-from repro.network.decision import (
-    CompressionDecision,
-    crossover_bandwidth_mbps,
-    should_compress,
-)
+from repro.network.decision import crossover_bandwidth_mbps, should_compress
 from repro.network.devices import (
     RASPBERRY_PI_5,
     RASPBERRY_PI_5_LOSSLESS_THROUGHPUT_MBPS,
@@ -33,17 +31,11 @@ from repro.network.scaling import (
     weak_scaling,
     weak_scaling_efficiency,
 )
-from repro.network.timing import (
-    CommunicationEstimate,
-    EpochTimeBreakdown,
-    TimingAccumulator,
-    estimate_communication,
-)
 
 __all__ = [
     "DATACENTER_BANDWIDTH_MBPS",
     "EDGE_BANDWIDTH_MBPS",
-    "BandwidthModel",
+    "LinkSpec",
     "SimulatedChannel",
     "TransferRecord",
     "CompressionDecision",
@@ -60,8 +52,4 @@ __all__ = [
     "strong_scaling",
     "weak_scaling",
     "weak_scaling_efficiency",
-    "CommunicationEstimate",
-    "EpochTimeBreakdown",
-    "TimingAccumulator",
-    "estimate_communication",
 ]

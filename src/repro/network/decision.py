@@ -7,56 +7,15 @@ payload:
 
     0 < t_C + t_D + S'/B_N < S/B_N
 
-This module provides the predicate, the net time saving, and the crossover
-bandwidth above which compression stops paying off (the ≈500 Mbps threshold
-of Figure 8).
+The inequality itself is :class:`repro.network.bandwidth.CompressionDecision`
+(what :meth:`LinkSpec.estimate_upload` returns); this module evaluates it for
+bare numbers and solves it for the crossover bandwidth above which
+compression stops paying off (the ≈500 Mbps threshold of Figure 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.network.bandwidth import BandwidthModel
-
-
-@dataclass(frozen=True)
-class CompressionDecision:
-    """Outcome of evaluating Eqn. 1 for one configuration."""
-
-    original_nbytes: int
-    compressed_nbytes: int
-    compress_seconds: float
-    decompress_seconds: float
-    bandwidth_mbps: float
-
-    @property
-    def uncompressed_transfer_seconds(self) -> float:
-        """Time to send the original payload (S / B_N)."""
-        return BandwidthModel(self.bandwidth_mbps).transmission_seconds(self.original_nbytes)
-
-    @property
-    def compressed_total_seconds(self) -> float:
-        """t_C + t_D + S' / B_N."""
-        transfer = BandwidthModel(self.bandwidth_mbps).transmission_seconds(self.compressed_nbytes)
-        return self.compress_seconds + self.decompress_seconds + transfer
-
-    @property
-    def worthwhile(self) -> bool:
-        """True when Eqn. 1 holds (compression reduces end-to-end time)."""
-        return 0.0 < self.compressed_total_seconds < self.uncompressed_transfer_seconds
-
-    @property
-    def seconds_saved(self) -> float:
-        """Net saving (positive when compression wins)."""
-        return self.uncompressed_transfer_seconds - self.compressed_total_seconds
-
-    @property
-    def speedup(self) -> float:
-        """Uncompressed time divided by compressed time."""
-        total = self.compressed_total_seconds
-        if total <= 0:
-            return float("inf")
-        return self.uncompressed_transfer_seconds / total
+from repro.network.bandwidth import CompressionDecision, LinkSpec
 
 
 def should_compress(
@@ -71,12 +30,11 @@ def should_compress(
         raise ValueError("byte counts must be non-negative")
     if compress_seconds < 0 or decompress_seconds < 0:
         raise ValueError("codec runtimes must be non-negative")
-    return CompressionDecision(
-        original_nbytes=int(original_nbytes),
-        compressed_nbytes=int(compressed_nbytes),
-        compress_seconds=float(compress_seconds),
-        decompress_seconds=float(decompress_seconds),
-        bandwidth_mbps=float(bandwidth_mbps),
+    return LinkSpec(bandwidth_mbps=float(bandwidth_mbps)).estimate_upload(
+        original_nbytes,
+        compressed_nbytes,
+        measured_compress_seconds=float(compress_seconds),
+        measured_decompress_seconds=float(decompress_seconds),
     )
 
 

@@ -14,6 +14,7 @@ module encodes that split:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -47,13 +48,18 @@ class DeviceProfile:
 
     ``throughput_mbps`` maps compressor name → {error bound → MB/s}.  When a
     requested error bound is missing, the nearest configured bound is used
-    (the paper only publishes three bounds per compressor).
+    (the paper only publishes three bounds per compressor); REL bounds are
+    decades, so "nearest" is measured in ``log10``.
     """
 
     name: str
     throughput_mbps: Mapping[str, Mapping[float, float]]
     lossless_throughput_mbps: Mapping[str, float]
     decompression_speedup: float = _DEFAULT_DECOMPRESSION_SPEEDUP
+
+    def models(self, compressor: str) -> bool:
+        """Whether this device has a throughput table for ``compressor``."""
+        return compressor.lower() in self.throughput_mbps
 
     def compression_seconds(
         self, compressor: str, num_bytes: int, error_bound: float = 1e-2
@@ -79,15 +85,13 @@ class DeviceProfile:
         return num_bytes / 1e6 / self.lossless_throughput_mbps[key]
 
     def _lookup_throughput(self, compressor: str, error_bound: float) -> float:
-        key = compressor.lower()
-        if key not in self.throughput_mbps:
+        if not self.models(compressor):
             raise KeyError(
                 f"device {self.name!r} has no throughput entry for compressor {compressor!r}"
             )
-        per_bound = self.throughput_mbps[key]
-        if error_bound in per_bound:
-            return per_bound[error_bound]
-        nearest = min(per_bound, key=lambda bound: abs(bound - error_bound))
+        per_bound = self.throughput_mbps[compressor.lower()]
+        target = math.log10(error_bound)
+        nearest = min(per_bound, key=lambda bound: abs(math.log10(bound) - target))
         return per_bound[nearest]
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.network.bandwidth import BandwidthModel
+from repro.network.bandwidth import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,11 @@ def _epoch_time(config: ScalingConfig, cores: int, clients: int) -> float:
         raise ValueError("cores and clients must be positive")
     waves = math.ceil(clients / cores)
     compute = waves * (config.train_seconds_per_client + config.compress_seconds_per_client)
-    client_link = BandwidthModel(config.bandwidth_mbps)
+    client_link = LinkSpec(bandwidth_mbps=config.bandwidth_mbps)
     uplink = waves * client_link.transmission_seconds(config.transmitted_nbytes)
-    server_link = BandwidthModel(config.bandwidth_mbps * config.server_bandwidth_multiplier)
+    server_link = LinkSpec(
+        bandwidth_mbps=config.bandwidth_mbps * config.server_bandwidth_multiplier
+    )
     ingest = clients * server_link.transmission_seconds(config.transmitted_nbytes)
     return compute + uplink + ingest
 

@@ -45,10 +45,3 @@ def megabits_per_second_to_bytes_per_second(mbps: float) -> float:
     if mbps <= 0:
         raise ValueError(f"bandwidth must be positive, got {mbps} Mbps")
     return mbps * BITS_PER_MEGABIT / 8.0
-
-
-def transmission_seconds(num_bytes: float, bandwidth_mbps: float) -> float:
-    """Time to push ``num_bytes`` through a ``bandwidth_mbps`` link."""
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    return num_bytes / megabits_per_second_to_bytes_per_second(bandwidth_mbps)

@@ -127,7 +127,7 @@ def test_transfer_stats_ratio_regular_payload():
         assert stats.payload_nbytes > 0
         assert stats.ratio == pytest.approx(compression_ratio(4096, stats.payload_nbytes))
         assert stats.transfer_seconds == pytest.approx(
-            link.transmission_seconds(stats.payload_nbytes)
+            link.spec.transmission_seconds(stats.payload_nbytes)
         )
 
 
@@ -154,6 +154,46 @@ def test_device_profile_models_codec_seconds_for_wrapping_codecs(codec_fn):
     assert stats.compress_seconds == RASPBERRY_PI_5.compression_seconds("sz2", nbytes, 1e-2)
     assert stats.decompress_seconds == RASPBERRY_PI_5.decompression_seconds("sz2", nbytes, 1e-2)
     assert stats.compress_seconds == pytest.approx(0.003705, rel=1e-3)
+    # The runtime and the figure 7/8 estimators bill one model.
+    estimate = link.spec.estimate_upload(
+        nbytes, stats.payload_nbytes, compressor="sz2", error_bound=1e-2
+    )
+    assert (stats.compress_seconds, stats.decompress_seconds, stats.transfer_seconds) == (
+        estimate.compress_seconds, estimate.decompress_seconds, estimate.transfer_seconds
+    )
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_unmodellable_codec_on_a_device_link_is_rejected_at_construction(
+    data, model_fn, executor, monkeypatch
+):
+    """Regression: a registered codec the Pi-5 table has no row for trained,
+    compressed and decompressed, and only then died with a ``KeyError`` from
+    the throughput lookup — inside a worker under the process executor."""
+    import multiprocessing
+
+    from repro.compression import registry
+    from repro.compression.sz2 import SZ2Predictor
+    from repro.core import IdentityCodec
+
+    monkeypatch.setitem(registry._LOSSY_FACTORIES, "mycodec", None)  # restored on teardown
+    registry.register_predictor("mycodec", SZ2Predictor)
+    train, val = data
+    config = FLConfig(num_clients=2, rounds=1, batch_size=16, seed=3, executor=executor)
+    specs = [LinkSpec(), LinkSpec(device="raspberry-pi-5")]
+    codec = FedSZCompressor(lossy_compressor="mycodec")
+    with pytest.raises(ValueError, match="'raspberry-pi-5'.*'mycodec'"):
+        FederatedRuntime(
+            model_fn, train, val, config, codec=codec, transport=Transport.heterogeneous(specs)
+        )
+    assert multiprocessing.active_children() == []  # no worker was started
+    # Host-measured combinations stay accepted: the same codec without a
+    # device link, and a codec without a ``config`` on the device link.
+    FederatedRuntime(model_fn, train, val, config, codec=codec).close()
+    FederatedRuntime(
+        model_fn, train, val, config, codec=IdentityCodec(),
+        transport=Transport.heterogeneous(specs),
+    ).close()
 
 
 def test_adaptive_codec_config_follows_the_current_bound():
@@ -184,9 +224,9 @@ def test_zero_byte_transfer_still_pays_link_latency(latency, straggler_factor):
             straggler_factor=straggler_factor,
         ),
     )
-    assert link.transmission_seconds(0) == pytest.approx(latency * straggler_factor)
+    assert link.spec.transmission_seconds(0) == pytest.approx(latency * straggler_factor)
     # The payload component is additive on top of the latency floor.
-    assert link.transmission_seconds(1_000_000) > link.transmission_seconds(0)
+    assert link.spec.transmission_seconds(1_000_000) > link.spec.transmission_seconds(0)
     # The channel-send path bills the same arithmetic.
     record = link.send(0, description="empty")
     assert record.seconds == pytest.approx(latency * straggler_factor)

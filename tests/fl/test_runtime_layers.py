@@ -53,17 +53,30 @@ def test_link_spec_validation():
         LinkSpec(straggler_factor=0.0)
     with pytest.raises(ValueError):
         LinkSpec(dropout_probability=1.0)
+    # NaN fails every comparison, so ``x <= 0`` checks let it (and inf) through
+    # into transfer seconds, turnarounds and semi-sync deadline decisions.
+    for field in ("bandwidth_mbps", "latency_seconds", "straggler_factor"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                LinkSpec(**{field: value})
+    # An unknown device fails here, not on the first lazy uplink of a round.
+    with pytest.raises(ValueError, match="rpi6"):
+        LinkSpec(device="rpi6")
+    assert LinkSpec(device="rpi5").device_profile is LinkSpec(device="raspberry-pi-5").device_profile
+    assert LinkSpec(device="local").device_profile is None
+    with pytest.raises(ValueError):
+        FLConfig(bandwidth_mbps=float("nan"))
 
 
 def test_straggler_factor_scales_transfer_time():
     fast = ClientLink(0, LinkSpec(bandwidth_mbps=10.0))
     slow = ClientLink(1, LinkSpec(bandwidth_mbps=10.0, straggler_factor=8.0))
     nbytes = 1_000_000
-    assert slow.transmission_seconds(nbytes) == pytest.approx(
-        8.0 * fast.transmission_seconds(nbytes)
+    assert slow.spec.transmission_seconds(nbytes) == pytest.approx(
+        8.0 * fast.spec.transmission_seconds(nbytes)
     )
     record = slow.send(nbytes)
-    assert record.seconds == pytest.approx(slow.transmission_seconds(nbytes))
+    assert record.seconds == slow.spec.transmission_seconds(nbytes)
 
 
 def test_dropout_stream_is_seeded_per_link():
@@ -99,6 +112,36 @@ def test_heterogeneous_transport_has_independent_links():
     assert links[2].spec.bandwidth_mbps == 5.0
 
 
+def test_spec_fingerprint_is_what_existing_checkpoints_recorded():
+    """``RunCheckpoint.transport`` is this dict; the literals were recorded
+    before ``LinkSpec`` moved to ``repro.network`` and grew methods, so a
+    checkpoint written then still matches (field names, order, defaults)."""
+    default = {
+        "bandwidth_mbps": 10.0, "latency_seconds": 0.0, "straggler_factor": 1.0,
+        "dropout_probability": 0.0, "device": None, "real_sleep": False,
+    }
+    assert Transport.homogeneous(bandwidth_mbps=10.0).spec_fingerprint() == {
+        "kind": "homogeneous", "spec": default,
+    }
+    fleet = edge_fleet_specs(
+        2, straggler_ids=(1,), dropout_probability=0.1, device="raspberry-pi-5"
+    )
+    edge = {**default, "latency_seconds": 0.01, "dropout_probability": 0.1,
+            "device": "raspberry-pi-5"}
+    fingerprint = Transport.heterogeneous(fleet).spec_fingerprint()
+    assert fingerprint == {
+        "kind": "heterogeneous",
+        "specs": [
+            {**edge, "bandwidth_mbps": 5.0},
+            {**edge, "bandwidth_mbps": 10.0, "straggler_factor": 10.0},
+        ],
+    }
+    assert list(fingerprint["specs"][0]) == list(default)
+    assert Transport.heterogeneous([LinkSpec(real_sleep=True)], cycle=True).spec_fingerprint() == {
+        "kind": "heterogeneous-cycle", "specs": [{**default, "real_sleep": True}],
+    }
+
+
 def test_transport_rebind_restarts_link_streams():
     """Reusing one transport across runtimes must not continue stale state:
     rebinding rebuilds the links, so dropout streams restart from the seed."""
@@ -124,18 +167,20 @@ def test_edge_fleet_specs_straggler_and_validation():
 
 
 def test_link_estimate_upload_matches_network_model():
-    from repro.network import estimate_communication
+    from repro.network import RASPBERRY_PI_5
+    from repro.network import LinkSpec as NetworkLinkSpec
 
+    assert LinkSpec is NetworkLinkSpec  # one class, importable from both layers
     link = ClientLink(0, LinkSpec(bandwidth_mbps=10.0, device="raspberry-pi-5"))
-    estimate = link.estimate_upload(
+    estimate = link.spec.estimate_upload(
         1_000_000, 100_000, compressor="sz2", error_bound=1e-2
     )
-    reference = estimate_communication(
-        1_000_000, 100_000, 10.0, compressor="sz2", error_bound=1e-2,
-        device=link.device_profile,
+    assert estimate.compress_seconds == RASPBERRY_PI_5.compression_seconds("sz2", 1_000_000, 1e-2)
+    assert estimate.total_seconds == (
+        estimate.compress_seconds
+        + RASPBERRY_PI_5.decompression_seconds("sz2", 1_000_000, 1e-2)
+        + link.send(100_000).seconds
     )
-    assert estimate.total_seconds == pytest.approx(reference.total_seconds)
-    assert estimate.compress_seconds > 0  # modelled from the Pi profile
 
 
 # ----------------------------------------------------------------------
@@ -365,4 +410,4 @@ def test_runtime_is_usable_directly(data, model_fn, config):
     history = runtime.run(1)
     assert len(history) == 1
     assert runtime.channel is not None
-    assert runtime.transport.total_uplink_seconds() > 0
+    assert history.total_uplink_seconds > 0

@@ -55,7 +55,7 @@ def _original_nbytes(state) -> int:
 
 def test_delivered_upload_round_trips_through_the_codec(state):
     codec = _CountingCodec(error_bound=1e-2)
-    upload = encode_upload(state, codec)
+    upload = encode_upload(state, codec, LinkSpec())
     assert isinstance(upload, UploadRecord)
     assert upload.delivered
     assert (codec.compress_calls, codec.decompress_calls) == (1, 1)
@@ -69,7 +69,7 @@ def test_delivered_upload_round_trips_through_the_codec(state):
 
 def test_dropped_upload_is_never_decompressed(state):
     codec = _CountingCodec(error_bound=1e-2)
-    upload = encode_upload(state, codec, dropped=True)
+    upload = encode_upload(state, codec, LinkSpec(), dropped=True)
     assert (codec.compress_calls, codec.decompress_calls) == (1, 0)
     assert upload.decompress_seconds == 0.0
     assert upload.received_state is None
@@ -83,8 +83,8 @@ def test_dropped_upload_is_never_decompressed(state):
 def test_dropped_upload_on_a_device_link_models_compress_only(state):
     link = ClientLink(0, LinkSpec(device="raspberry-pi-5"))
     codec = FedSZCompressor(error_bound=1e-2)
-    upload = encode_upload(state, codec, link.device_profile, dropped=True)
-    assert upload.compress_seconds == link.device_profile.compression_seconds(
+    upload = encode_upload(state, codec, link.spec, dropped=True)
+    assert upload.compress_seconds == link.spec.device_profile.compression_seconds(
         "sz2", _original_nbytes(state), 1e-2
     )
     assert upload.decompress_seconds == 0.0
@@ -115,12 +115,12 @@ def test_corrupted_upload_fails_loudly_if_the_frame_check_accepts(state, monkeyp
         "repro.fl.transport.unframe_checksummed", lambda magic, data: data
     )
     with pytest.raises(RuntimeError, match="passed the frame check"):
-        encode_upload(state, None, corrupted=True)
+        encode_upload(state, None, LinkSpec(), corrupted=True)
 
 
 @pytest.mark.parametrize("dropped", [False, True], ids=["delivered", "dropped"])
 def test_raw_upload_without_a_codec(state, dropped):
-    upload = encode_upload(state, None, dropped=dropped)
+    upload = encode_upload(state, None, LinkSpec(), dropped=dropped)
     assert upload.wire_nbytes == upload.original_nbytes == _original_nbytes(state)
     assert upload.compress_seconds == upload.decompress_seconds == 0.0
     assert upload.report is None
@@ -135,12 +135,12 @@ def test_raw_upload_without_a_codec(state, dropped):
     stats = account_upload(link, upload)
     assert stats.ratio == 1.0
     assert stats.payload_nbytes == upload.original_nbytes
-    assert stats.transfer_seconds == link.transmission_seconds(upload.original_nbytes)
+    assert stats.transfer_seconds == link.spec.transmission_seconds(upload.original_nbytes)
     assert link.channel.transfers[-1].description == "raw client update"
 
 
 def test_upload_record_crosses_a_process_boundary(state):
-    upload = encode_upload(state, FedSZCompressor(error_bound=1e-2))
+    upload = encode_upload(state, FedSZCompressor(error_bound=1e-2), LinkSpec())
     clone = pickle.loads(pickle.dumps(upload))
     link, twin = ClientLink(0), ClientLink(0)
     assert account_upload(twin, clone) == account_upload(link, upload)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fl.history import EpochTimeBreakdown
 from repro.network import (
     RASPBERRY_PI_5,
     DeviceProfile,
-    EpochTimeBreakdown,
+    LinkSpec,
     ScalingConfig,
-    TimingAccumulator,
-    estimate_communication,
     get_device_profile,
     speedup_curve,
     strong_scaling,
@@ -37,6 +36,17 @@ def test_device_profile_nearest_bound_lookup():
     exact = RASPBERRY_PI_5.compression_seconds("sz3", 1_000_000, 1e-3)
     nearby = RASPBERRY_PI_5.compression_seconds("sz3", 1_000_000, 2e-3)
     assert exact == nearby
+
+
+@pytest.mark.parametrize(
+    "error_bound, table1_mbps",
+    [(5e-4, 46.26), (4e-3, 70.75), (1e-5, 34.34), (1e-1, 70.75), (1e-3, 46.26)],
+)
+def test_device_profile_nearest_bound_is_taken_in_decades(error_bound, table1_mbps):
+    """REL bounds are decades: 5e-4 is nearer 1e-3 than 1e-4, and 4e-3 nearer
+    1e-2 than 1e-3, although the linear distances say the opposite."""
+    seconds = RASPBERRY_PI_5.compression_seconds("sz2", 1_000_000, error_bound)
+    assert seconds == 1.0 / table1_mbps
 
 
 def test_device_profile_decompression_faster_than_compression():
@@ -67,9 +77,9 @@ def test_get_device_profile_lookup():
 # Communication estimates
 # ----------------------------------------------------------------------
 def test_uncompressed_estimate_has_no_codec_time():
-    estimate = estimate_communication(230_000_000, None, bandwidth_mbps=10.0)
+    estimate = LinkSpec(bandwidth_mbps=10.0).estimate_upload(230_000_000, None)
     assert estimate.compress_seconds == 0.0
-    assert estimate.transmitted_nbytes == 230_000_000
+    assert estimate.compressed_nbytes == 230_000_000
     assert estimate.total_seconds == pytest.approx(184.0)
 
 
@@ -77,25 +87,18 @@ def test_compressed_estimate_with_device_profile_reduces_total_time():
     """Figure 7: at 10 Mbps, FedSZ cuts AlexNet communication by ~an order of magnitude."""
     original = 230_000_000
     compressed = int(original / 12.61)  # Table V AlexNet / CIFAR-10 at 1e-2
-    baseline = estimate_communication(original, None, bandwidth_mbps=10.0)
-    fedsz = estimate_communication(
-        original,
-        compressed,
-        bandwidth_mbps=10.0,
-        compressor="sz2",
-        error_bound=1e-2,
-        device=RASPBERRY_PI_5,
-    )
+    link = LinkSpec(bandwidth_mbps=10.0, device="raspberry-pi-5")
+    baseline = link.estimate_upload(original, None)
+    fedsz = link.estimate_upload(original, compressed, compressor="sz2", error_bound=1e-2)
     assert fedsz.total_seconds < baseline.total_seconds / 8
     assert (baseline.total_seconds - fedsz.total_seconds) > 100
-    assert fedsz.as_decision().worthwhile
+    assert fedsz.worthwhile
 
 
 def test_compressed_estimate_with_measured_times():
-    estimate = estimate_communication(
+    estimate = LinkSpec(bandwidth_mbps=100.0).estimate_upload(
         1_000_000,
         200_000,
-        bandwidth_mbps=100.0,
         compressor="sz2",
         measured_compress_seconds=0.01,
         measured_decompress_seconds=0.005,
@@ -122,16 +125,6 @@ def test_epoch_breakdown_fraction_and_row():
 
 def test_empty_breakdown_fraction_is_zero():
     assert EpochTimeBreakdown().compression_overhead_fraction == 0.0
-
-
-def test_timing_accumulator_mean():
-    accumulator = TimingAccumulator()
-    accumulator.add(EpochTimeBreakdown(10.0, 1.0, 0.5, 2.0))
-    accumulator.add(EpochTimeBreakdown(20.0, 3.0, 1.5, 4.0))
-    mean = accumulator.mean_breakdown()
-    assert mean.client_training_seconds == pytest.approx(15.0)
-    assert mean.compression_seconds == pytest.approx(1.0)
-    assert TimingAccumulator().mean_breakdown().total_seconds == 0.0
 
 
 # ----------------------------------------------------------------------

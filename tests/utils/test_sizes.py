@@ -10,7 +10,6 @@ from repro.utils.sizes import (
     megabits_per_second_to_bytes_per_second,
     nbytes_of,
     sizeof_state_dict,
-    transmission_seconds,
 )
 
 
@@ -45,15 +44,3 @@ def test_bandwidth_conversion_10mbps():
 def test_bandwidth_conversion_rejects_nonpositive():
     with pytest.raises(ValueError):
         megabits_per_second_to_bytes_per_second(0)
-
-
-def test_transmission_seconds_matches_paper_motivating_example():
-    # The introduction's example: a 10 GB update over 10 Mbps takes ~133 minutes
-    # (the paper rounds to "approximately 150 minutes").
-    seconds = transmission_seconds(10e9, 10)
-    assert seconds == pytest.approx(8000.0)
-    assert 100 < seconds / 60 < 160
-
-
-def test_transmission_seconds_zero_bytes():
-    assert transmission_seconds(0, 100) == 0.0
