@@ -22,6 +22,7 @@ the value distribution is what drives the entropy stage.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -56,7 +57,8 @@ _DATASET_SPREAD: Dict[str, float] = {
 
 
 def _dataset_seed(dataset: str) -> int:
-    return abs(hash(("fedsz-repro", dataset))) % (2**31)
+    """Per-dataset seed offset, the same in every process (``hash()`` of a str is salted)."""
+    return zlib.crc32(f"fedsz-repro/{dataset}".encode())
 
 
 def _heavy_tailed_weights(rng: np.random.Generator, size: int, scale: float) -> np.ndarray:

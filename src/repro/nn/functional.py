@@ -1,25 +1,79 @@
-"""Functional building blocks: im2col convolution, pooling, activations.
+"""Functional building blocks: convolution, pooling, activations.
 
 Everything operates on float32 numpy arrays in NCHW layout and returns both
 the forward result and whatever cache the corresponding backward pass needs.
-The implementations favour clarity and vectorisation over memory frugality,
-which is the right trade-off for the laptop-scale models used in the
-federated simulations.
+A pass is BLAS GEMMs plus a handful of contiguous float32 sweeps: float32 in
+gives float32, C-contiguous out with no ``astype`` copy on the way, and no
+function writes into an array it was handed (a cache may *alias* the caller's
+input, so callers must not mutate an input between forward and backward).
+Convolution and linear layers convert other dtypes on entry because their
+parameters are float32; the shape-only ops (ReLU, pooling, ``im2col`` /
+``col2im``) keep the dtype they are given.
+
+Convolution takes one of three paths, selected by the call alone:
+
+* ``kernel == 1`` and ``padding == 0`` — no window gathering: the columns are
+  the input viewed as ``(batch, channels, height * width)`` (one strided
+  gather when ``stride > 1``) and ``col2im`` is a reshape;
+* ``groups == in_channels == out_channels`` (depthwise) — no columns at all:
+  the padded input is held channels-last and its ``kernel²`` shifted taps are
+  multiplied and reduced in one pass (a strided window view through a plain,
+  path-search-free ``einsum``), each tap running over contiguous channels;
+* anything else (dense or grouped ``k×k``) — windows are gathered once into a
+  contiguous ``(batch, channels·k·k, positions)`` buffer.
+
+The first and third share the GEMMs: ``np.matmul`` forward and for the column
+gradient, one ``tensordot`` over batch and positions for the weight gradient.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 
 # ----------------------------------------------------------------------
-# im2col / col2im
+# Windows: padding, shifted taps, im2col / col2im
 # ----------------------------------------------------------------------
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def _pad(inputs: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+    """``inputs`` with a ``fill`` border (a copy), or ``inputs`` itself when ``padding == 0``."""
+    if padding == 0:
+        return inputs
+    batch, channels, height, width = inputs.shape
+    shape = (batch, channels, height + 2 * padding, width + 2 * padding)
+    padded = np.zeros(shape, inputs.dtype) if fill == 0.0 else np.full(shape, fill, inputs.dtype)
+    padded[:, :, padding : padding + height, padding : padding + width] = inputs
+    return padded
+
+
+def _crop(padded: np.ndarray, padding: int) -> np.ndarray:
+    """Inverse of :func:`_pad`, as a contiguous array."""
+    if padding == 0:
+        return padded
+    return np.ascontiguousarray(padded[:, :, padding:-padding, padding:-padding])
+
+
+def _taps(
+    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int, height_axis: int = 2
+) -> Iterator[np.ndarray]:
+    """The ``kernel²`` shifted, strided views of ``padded``, one per window offset.
+
+    Each view has ``out_h × out_w`` spatial positions and is writable, so the
+    same walk gathers windows (read the taps) and scatters them back (``+=``
+    into the taps of a zero array).  ``height_axis`` is 2 for NCHW, 1 for NHWC.
+    """
+    index = [slice(None)] * padded.ndim
+    for ky in range(kernel):
+        index[height_axis] = slice(ky, ky + stride * out_h, stride)
+        for kx in range(kernel):
+            index[height_axis + 1] = slice(kx, kx + stride * out_w, stride)
+            yield padded[tuple(index)]
 
 
 def im2col(
@@ -27,43 +81,30 @@ def im2col(
 ) -> Tuple[np.ndarray, int, int]:
     """Extract sliding windows as columns.
 
-    Parameters
-    ----------
-    inputs:
-        Array of shape ``(batch, channels, height, width)``.
-
-    Returns
-    -------
-    columns:
-        Array of shape ``(batch, channels * kernel * kernel, out_h * out_w)``.
-    out_h, out_w:
-        Output spatial dimensions.
+    Returns ``(columns, out_h, out_w)`` with ``columns`` of shape
+    ``(batch, channels * kernel * kernel, out_h * out_w)`` in the dtype of
+    ``inputs``.  For ``kernel == 1`` without padding the columns are a reshape
+    of ``inputs`` — a *view* when ``stride == 1`` and ``inputs`` is contiguous
+    — otherwise one freshly gathered contiguous buffer.
     """
     batch, channels, height, width = inputs.shape
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
-    if padding > 0:
-        inputs = np.pad(
-            inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    strides = inputs.strides
-    window_view = np.lib.stride_tricks.as_strided(
-        inputs,
-        shape=(batch, channels, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
+    if kernel == 1 and padding == 0:
+        if stride > 1:
+            inputs = inputs[:, :, ::stride, ::stride]
+        return inputs.reshape(batch, channels, out_h * out_w), out_h, out_w
+    padded = _pad(inputs, padding)
+    strides = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, channels, kernel, kernel, out_h, out_w),
+        strides=strides + (strides[2] * stride, strides[3] * stride),
         writeable=False,
     )
-    columns = window_view.transpose(0, 1, 4, 5, 2, 3).reshape(
-        batch, channels * kernel * kernel, out_h * out_w
-    )
-    return np.ascontiguousarray(columns), out_h, out_w
+    columns = np.empty((batch, channels * kernel * kernel, out_h * out_w), dtype=inputs.dtype)
+    columns.reshape(windows.shape)[...] = windows
+    return columns, out_h, out_w
 
 
 def col2im(
@@ -73,27 +114,90 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add columns back to image space (adjoint of :func:`im2col`)."""
+    """Scatter-add columns back to image space (adjoint of :func:`im2col`).
+
+    A reshape of ``columns`` for an unpadded, unstrided ``kernel == 1``;
+    otherwise ``kernel²`` strided ``+=`` into a zero image.
+    """
     batch, channels, height, width = input_shape
+    if kernel == 1 and stride == 1 and padding == 0:
+        return columns.reshape(input_shape)
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
     padded = np.zeros(
         (batch, channels, height + 2 * padding, width + 2 * padding), dtype=columns.dtype
     )
-    reshaped = columns.reshape(batch, channels, kernel, kernel, out_h, out_w)
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += reshaped[:, :, ky, kx, :, :]
-    if padding > 0:
-        return padded[:, :, padding : padding + height, padding : padding + width]
-    return padded
+    windows = columns.reshape(batch, channels, kernel * kernel, out_h, out_w)
+    for index, tap in enumerate(_taps(padded, kernel, stride, out_h, out_w)):
+        tap += windows[:, :, index]
+    return _crop(padded, padding)
 
 
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
+def _channels_last_windows(
+    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Read-only ``(batch, out_h, out_w, kernel, kernel, channels)`` view of a padded NHWC array."""
+    batch, _, _, channels = padded.shape
+    image, row, column, channel = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, out_h, out_w, kernel, kernel, channels),
+        strides=(image, row * stride, column * stride, row, column, channel),
+        writeable=False,
+    )
+
+
+def _depthwise_forward(
+    inputs: np.ndarray, weight: np.ndarray, stride: int, padding: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Depthwise convolution as one multiply-reduce over the ``kernel²`` shifted
+    taps of the padded input, held channels-last so each tap runs over
+    contiguous channels.
+
+    Returns the NCHW output and the padded NHWC input the backward pass reuses.
+    """
+    batch, channels, height, width = inputs.shape
+    kernel = weight.shape[-1]
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), np.float32)
+    padded[:, padding : padding + height, padding : padding + width] = inputs.transpose(0, 2, 3, 1)
+    output = np.einsum(
+        "bhwijc,ijc->bhwc",
+        _channels_last_windows(padded, kernel, stride, out_h, out_w),
+        np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0)),
+    )
+    return np.ascontiguousarray(output.transpose(0, 3, 1, 2)), padded
+
+
+def _depthwise_backward(
+    grad_output: np.ndarray, weight: np.ndarray, padded: np.ndarray, stride: int, padding: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(grad_input, grad_weight)`` of :func:`_depthwise_forward`: one multiply-reduce
+    against the cached padded input, and ``kernel²`` strided ``+=`` of the weighted gradient."""
+    kernel = weight.shape[-1]
+    _, _, out_h, out_w = grad_output.shape
+    grad = np.ascontiguousarray(grad_output.transpose(0, 2, 3, 1))
+    grad_weight = np.einsum(
+        "bhwijc,bhwc->ijc", _channels_last_windows(padded, kernel, stride, out_h, out_w), grad
+    )
+    grad_padded = np.zeros_like(padded)
+    scratch = np.empty_like(grad)
+    grad_taps = _taps(grad_padded, kernel, stride, out_h, out_w, height_axis=1)
+    for tap_weight, grad_tap in zip(weight.reshape(len(weight), -1).T, grad_taps, strict=True):
+        np.multiply(grad, tap_weight, out=scratch)
+        grad_tap += scratch
+    _, padded_h, padded_w, _ = padded.shape
+    grad_input = grad_padded[:, padding : padded_h - padding, padding : padded_w - padding]
+    return (
+        np.ascontiguousarray(grad_input.transpose(0, 3, 1, 2)),
+        np.ascontiguousarray(grad_weight.transpose(2, 0, 1)).reshape(weight.shape),
+    )
+
+
 def conv2d_forward(
     inputs: np.ndarray,
     weight: np.ndarray,
@@ -104,8 +208,11 @@ def conv2d_forward(
 ) -> Tuple[np.ndarray, dict]:
     """Grouped 2-D convolution forward pass.
 
-    ``weight`` has shape ``(out_channels, in_channels // groups, k, k)``.
+    ``weight`` has shape ``(out_channels, in_channels // groups, k, k)``.  The
+    cache holds the padded channels-last input on the depthwise path and the
+    columns (possibly a view of ``inputs``, see :func:`im2col`) otherwise.
     """
+    inputs = np.asarray(inputs, dtype=np.float32)
     batch, in_channels, _, _ = inputs.shape
     out_channels, group_in, kernel, _ = weight.shape
     if in_channels % groups or out_channels % groups:
@@ -115,72 +222,50 @@ def conv2d_forward(
             f"weight expects {group_in} input channels per group, got {in_channels // groups}"
         )
 
-    columns, out_h, out_w = im2col(inputs, kernel, stride, padding)
-    cache = {
-        "columns": columns,
-        "input_shape": inputs.shape,
-        "weight_shape": weight.shape,
-        "stride": stride,
-        "padding": padding,
-        "groups": groups,
-        "out_hw": (out_h, out_w),
-    }
-
-    if groups == 1:
-        flat_weight = weight.reshape(out_channels, -1)
-        output = np.einsum("of,bfp->bop", flat_weight, columns, optimize=True)
+    cache = {"input_shape": inputs.shape, "stride": stride, "padding": padding, "groups": groups}
+    if groups == in_channels == out_channels:
+        output, cache["padded"] = _depthwise_forward(inputs, weight, stride, padding)
     else:
-        group_out = out_channels // groups
-        columns_grouped = columns.reshape(batch, groups, group_in * kernel * kernel, out_h * out_w)
-        weight_grouped = weight.reshape(groups, group_out, group_in * kernel * kernel)
-        output = np.einsum("gof,bgfp->bgop", weight_grouped, columns_grouped, optimize=True)
-        output = output.reshape(batch, out_channels, out_h * out_w)
-
-    output = output.reshape(batch, out_channels, out_h, out_w)
+        columns, out_h, out_w = im2col(inputs, kernel, stride, padding)
+        cache["columns"] = columns
+        output = np.matmul(
+            weight.reshape(groups, out_channels // groups, -1),
+            columns.reshape(batch, groups, -1, out_h * out_w),
+        ).reshape(batch, out_channels, out_h, out_w)
     if bias is not None:
-        output = output + bias.reshape(1, -1, 1, 1)
-    return output.astype(np.float32), cache
+        output += bias.reshape(1, -1, 1, 1)
+    return output, cache
 
 
 def conv2d_backward(
     grad_output: np.ndarray, weight: np.ndarray, cache: dict
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a grouped convolution.
+    """Gradients of a grouped convolution, following the path the forward took.
 
     Returns ``(grad_input, grad_weight, grad_bias)``.
     """
+    stride, padding, groups = cache["stride"], cache["padding"], cache["groups"]
+    batch, out_channels, out_h, out_w = grad_output.shape
+    grad_bias = grad_output.sum(axis=(0, 2, 3))
+    if "padded" in cache:
+        grad_input, grad_weight = _depthwise_backward(
+            grad_output, weight, cache["padded"], stride, padding
+        )
+        return grad_input, grad_weight, grad_bias
+
     columns = cache["columns"]
-    input_shape = cache["input_shape"]
-    stride = cache["stride"]
-    padding = cache["padding"]
-    groups = cache["groups"]
-    out_h, out_w = cache["out_hw"]
-
-    batch, in_channels, _, _ = input_shape
-    out_channels, group_in, kernel, _ = weight.shape
-    grad_flat = grad_output.reshape(batch, out_channels, out_h * out_w)
-    grad_bias = grad_flat.sum(axis=(0, 2))
-
+    grad_grouped = grad_output.reshape(batch, groups, out_channels // groups, out_h * out_w)
+    weight_grouped = weight.reshape(groups, out_channels // groups, -1)
     if groups == 1:
-        flat_weight = weight.reshape(out_channels, -1)
-        grad_weight = np.einsum("bop,bfp->of", grad_flat, columns, optimize=True).reshape(weight.shape)
-        grad_columns = np.einsum("of,bop->bfp", flat_weight, grad_flat, optimize=True)
+        grad_weight = np.tensordot(grad_grouped[:, 0], columns, axes=((0, 2), (0, 2)))
     else:
-        group_out = out_channels // groups
-        grad_grouped = grad_flat.reshape(batch, groups, group_out, out_h * out_w)
-        columns_grouped = columns.reshape(batch, groups, group_in * kernel * kernel, out_h * out_w)
-        weight_grouped = weight.reshape(groups, group_out, group_in * kernel * kernel)
-        grad_weight = np.einsum("bgop,bgfp->gof", grad_grouped, columns_grouped, optimize=True)
-        grad_weight = grad_weight.reshape(weight.shape)
-        grad_columns = np.einsum("gof,bgop->bgfp", weight_grouped, grad_grouped, optimize=True)
-        grad_columns = grad_columns.reshape(batch, in_channels * kernel * kernel, out_h * out_w)
-
-    grad_input = col2im(grad_columns, input_shape, kernel, stride, padding)
-    return (
-        grad_input.astype(np.float32),
-        grad_weight.astype(np.float32),
-        grad_bias.astype(np.float32),
+        columns_grouped = columns.reshape(batch, groups, -1, out_h * out_w)
+        grad_weight = np.matmul(grad_grouped, columns_grouped.transpose(0, 1, 3, 2)).sum(axis=0)
+    grad_columns = np.matmul(weight_grouped.transpose(0, 2, 1), grad_grouped)
+    grad_input = col2im(
+        grad_columns.reshape(columns.shape), cache["input_shape"], weight.shape[-1], stride, padding
     )
+    return grad_input, grad_weight.reshape(weight.shape), grad_bias
 
 
 # ----------------------------------------------------------------------
@@ -189,111 +274,108 @@ def conv2d_backward(
 def max_pool2d_forward(
     inputs: np.ndarray, kernel: int, stride: int, padding: int = 0
 ) -> Tuple[np.ndarray, dict]:
-    """Max pooling forward pass."""
-    batch, channels, height, width = inputs.shape
-    columns, out_h, out_w = im2col(
-        inputs.reshape(batch * channels, 1, height, width), kernel, stride, padding
-    )
-    # columns: (batch*channels, kernel*kernel, out_h*out_w)
-    argmax = columns.argmax(axis=1)
-    output = columns.max(axis=1).reshape(batch, channels, out_h, out_w)
-    cache = {
-        "argmax": argmax,
-        "input_shape": inputs.shape,
-        "kernel": kernel,
-        "stride": stride,
-        "padding": padding,
-        "out_hw": (out_h, out_w),
-    }
-    return output.astype(np.float32), cache
+    """Max pooling forward pass: a running maximum over the window taps.
+
+    Padding is ``-inf``, so a padded position never wins the maximum.
+    """
+    _, _, height, width = inputs.shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    padded = _pad(inputs, padding, -np.inf)
+    taps = _taps(padded, kernel, stride, out_h, out_w)
+    output = next(taps).copy()
+    for tap in taps:
+        np.maximum(output, tap, out=output)
+    cache = {"padded": padded, "output": output, "kernel": kernel, "stride": stride, "padding": padding}
+    return output, cache
 
 
 def max_pool2d_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
-    """Max pooling backward pass."""
-    batch, channels, height, width = cache["input_shape"]
-    kernel = cache["kernel"]
-    stride = cache["stride"]
-    padding = cache["padding"]
-    out_h, out_w = cache["out_hw"]
-    argmax = cache["argmax"]
+    """Max pooling backward pass.
 
-    grad_columns = np.zeros(
-        (batch * channels, kernel * kernel, out_h * out_w), dtype=np.float32
-    )
-    flat_grad = grad_output.reshape(batch * channels, out_h * out_w)
-    rows = np.arange(batch * channels)[:, None]
-    cols = np.arange(out_h * out_w)[None, :]
-    grad_columns[rows, argmax, cols] = flat_grad
-    grad_input = col2im(
-        grad_columns, (batch * channels, 1, height, width), kernel, stride, padding
-    )
-    return grad_input.reshape(batch, channels, height, width).astype(np.float32)
+    Each window's gradient goes to its first maximal element in row-major
+    window order (what ``argmax`` picks), found by comparing the taps of the
+    cached input with the cached output.
+    """
+    padded, output = cache["padded"], cache["output"]
+    _, _, out_h, out_w = output.shape
+    grad_padded = np.zeros_like(padded)
+    unclaimed = np.ones(output.shape, dtype=bool)
+    taps = _taps(padded, cache["kernel"], cache["stride"], out_h, out_w)
+    grad_taps = _taps(grad_padded, cache["kernel"], cache["stride"], out_h, out_w)
+    for tap, grad_tap in zip(taps, grad_taps, strict=True):
+        hit = tap == output
+        hit &= unclaimed
+        unclaimed ^= hit
+        grad_tap += grad_output * hit
+    return _crop(grad_padded, cache["padding"])
 
 
 def global_avg_pool_forward(inputs: np.ndarray) -> Tuple[np.ndarray, dict]:
     """Adaptive average pooling to a 1×1 spatial output."""
-    output = inputs.mean(axis=(2, 3), keepdims=True)
-    return output.astype(np.float32), {"input_shape": inputs.shape}
+    return inputs.mean(axis=(2, 3), keepdims=True), {"input_shape": inputs.shape}
 
 
 def global_avg_pool_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
     """Backward pass of global average pooling."""
     _, _, height, width = cache["input_shape"]
-    scale = 1.0 / (height * width)
-    return (np.broadcast_to(grad_output, cache["input_shape"]) * scale).astype(np.float32)
+    return np.broadcast_to(grad_output, cache["input_shape"]) * (1.0 / (height * width))
 
 
 def avg_pool2d_forward(
     inputs: np.ndarray, kernel: int, stride: int, padding: int = 0
 ) -> Tuple[np.ndarray, dict]:
-    """Average pooling forward pass."""
-    batch, channels, height, width = inputs.shape
-    columns, out_h, out_w = im2col(
-        inputs.reshape(batch * channels, 1, height, width), kernel, stride, padding
-    )
-    output = columns.mean(axis=1).reshape(batch, channels, out_h, out_w)
-    cache = {
-        "input_shape": inputs.shape,
-        "kernel": kernel,
-        "stride": stride,
-        "padding": padding,
-        "out_hw": (out_h, out_w),
-    }
-    return output.astype(np.float32), cache
+    """Average pooling forward pass: the sum of the window taps over ``kernel²``.
+
+    Padding counts as zeros *and* in the divisor (count-include-pad).
+    """
+    _, _, height, width = inputs.shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    taps = _taps(_pad(inputs, padding), kernel, stride, out_h, out_w)
+    output = next(taps).copy()
+    for tap in taps:
+        output += tap
+    output /= kernel * kernel
+    cache = {"input_shape": inputs.shape, "kernel": kernel, "stride": stride, "padding": padding}
+    return output, cache
 
 
 def avg_pool2d_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
-    """Average pooling backward pass."""
+    """Average pooling backward pass: every tap receives ``grad / kernel²``."""
     batch, channels, height, width = cache["input_shape"]
-    kernel = cache["kernel"]
-    stride = cache["stride"]
-    padding = cache["padding"]
-    out_h, out_w = cache["out_hw"]
-    flat_grad = grad_output.reshape(batch * channels, 1, out_h * out_w)
-    grad_columns = np.repeat(flat_grad / (kernel * kernel), kernel * kernel, axis=1)
-    grad_input = col2im(
-        grad_columns, (batch * channels, 1, height, width), kernel, stride, padding
+    kernel, padding = cache["kernel"], cache["padding"]
+    _, _, out_h, out_w = grad_output.shape
+    grad_padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=grad_output.dtype
     )
-    return grad_input.reshape(batch, channels, height, width).astype(np.float32)
+    share = grad_output / (kernel * kernel)
+    for grad_tap in _taps(grad_padded, kernel, cache["stride"], out_h, out_w):
+        grad_tap += share
+    return _crop(grad_padded, padding)
 
 
 # ----------------------------------------------------------------------
 # Activations and classification head
 # ----------------------------------------------------------------------
-def relu_forward(inputs: np.ndarray, max_value: float | None = None) -> Tuple[np.ndarray, np.ndarray]:
-    """ReLU (or ReLU6 when ``max_value`` is set) forward pass."""
+def relu_forward(inputs: np.ndarray, max_value: float | None = None) -> np.ndarray:
+    """ReLU (or ReLU6 when ``max_value`` is set), one pass either way.
+
+    The output is all :func:`relu_backward` needs, so no mask is built here.
+    """
     if max_value is None:
-        output = np.maximum(inputs, 0.0)
-        mask = inputs > 0.0
-    else:
-        output = np.clip(inputs, 0.0, max_value)
-        mask = (inputs > 0.0) & (inputs < max_value)
-    return output.astype(np.float32), mask
+        return np.maximum(inputs, 0.0)
+    return np.clip(inputs, 0.0, max_value)
 
 
-def relu_backward(grad_output: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """ReLU backward pass."""
-    return (grad_output * mask).astype(np.float32)
+def relu_backward(
+    grad_output: np.ndarray, output: np.ndarray, max_value: float | None = None
+) -> np.ndarray:
+    """ReLU backward pass: the gradient where ``0 < output`` (``< max_value``)."""
+    mask = output > 0.0
+    if max_value is not None:
+        mask &= output < max_value
+    return grad_output * mask
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -304,7 +386,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and its gradient with respect to the logits."""
+    """Mean cross-entropy loss and its gradient with respect to the logits.
+
+    The softmax runs in float64; the gradient goes back to float32.
+    """
     probabilities = softmax(logits.astype(np.float64))
     batch = logits.shape[0]
     clipped = np.clip(probabilities[np.arange(batch), targets], 1e-12, None)

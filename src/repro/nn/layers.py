@@ -13,6 +13,10 @@ from repro.nn.parameter import Parameter
 from repro.utils.seeding import default_rng
 
 
+#: Reshape target that broadcasts a per-channel vector over NCHW activations.
+_PER_CHANNEL = (1, -1, 1, 1)
+
+
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
 
@@ -27,21 +31,19 @@ class Linear(Module):
         else:
             self.register_parameter("bias", None)
             object.__setattr__(self, "bias", None)
-        self._cache: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._cache = inputs
+        self._cache = inputs = np.asarray(inputs, dtype=np.float32)
         output = inputs @ self.weight.data.T
         if self.bias is not None:
-            output = output + self.bias.data
-        return output.astype(np.float32)
+            output += self.bias.data
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        inputs = self._cache
-        self.weight.accumulate_grad(grad_output.T @ inputs)
+        self.weight.accumulate_grad(grad_output.T @ self._cache)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
-        return (grad_output @ self.weight.data).astype(np.float32)
+        return grad_output @ self.weight.data
 
 
 class Conv2d(Module):
@@ -76,7 +78,6 @@ class Conv2d(Module):
         else:
             self.register_parameter("bias", None)
             object.__setattr__(self, "bias", None)
-        self._cache: Optional[dict] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
@@ -114,87 +115,79 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
         self.register_buffer("num_batches_tracked", np.array(0, dtype=np.int64))
-        self._cache: Optional[dict] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        inputs = np.asarray(inputs, dtype=np.float32)
         if self.training:
-            mean = inputs.mean(axis=(0, 2, 3))
-            var = inputs.var(axis=(0, 2, 3))
-            self._buffers["running_mean"] = (
-                (1.0 - self.momentum) * self._buffers["running_mean"] + self.momentum * mean
-            ).astype(np.float32)
-            self._buffers["running_var"] = (
-                (1.0 - self.momentum) * self._buffers["running_var"] + self.momentum * var
-            ).astype(np.float32)
-            self._buffers["num_batches_tracked"] = self._buffers["num_batches_tracked"] + 1
+            # One centred copy serves the variance, the normalised activations
+            # (scaled in place) and the backward pass.
+            mean = inputs.mean(axis=(0, 2, 3), keepdims=True)
+            normalized = inputs - mean
+            count = normalized.size // normalized.shape[1]
+            var = np.einsum("bchw,bchw->c", normalized, normalized) / count
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            normalized *= inv_std.reshape(_PER_CHANNEL)
+            output = normalized * self.weight.data.reshape(_PER_CHANNEL)
+            output += self.bias.data.reshape(_PER_CHANNEL)
+            buffers = self._buffers
+            keep = 1.0 - self.momentum
+            buffers["running_mean"] = keep * buffers["running_mean"] + self.momentum * mean.ravel()
+            buffers["running_var"] = keep * buffers["running_var"] + self.momentum * var
+            buffers["num_batches_tracked"] = buffers["num_batches_tracked"] + 1
+            self._cache = (normalized, inv_std, None)
         else:
+            # Running statistics fold into one multiply-add; ``normalized`` is
+            # rebuilt from the kept inputs only if backward is called.
             mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (inputs - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-        output = normalized * self.weight.data.reshape(1, -1, 1, 1) + self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = {
-            "normalized": normalized,
-            "inv_std": inv_std,
-            "input_shape": inputs.shape,
-            "training": self.training,
-        }
-        return output.astype(np.float32)
+            inv_std = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+            scale = self.weight.data * inv_std
+            output = inputs * scale.reshape(_PER_CHANNEL)
+            output += (self.bias.data - mean * scale).reshape(_PER_CHANNEL)
+            self._cache = (None, inv_std, (inputs, mean))
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = self._cache
-        normalized = cache["normalized"]
-        inv_std = cache["inv_std"]
-        batch, _, height, width = cache["input_shape"]
-        count = batch * height * width
-
-        grad_weight = np.sum(grad_output * normalized, axis=(0, 2, 3))
-        grad_bias = np.sum(grad_output, axis=(0, 2, 3))
+        normalized, inv_std, frozen = self._cache
+        if frozen is not None:
+            inputs, mean = frozen
+            normalized = (inputs - mean.reshape(_PER_CHANNEL)) * inv_std.reshape(_PER_CHANNEL)
+        grad_weight = np.einsum("bchw,bchw->c", grad_output, normalized)
+        grad_bias = grad_output.sum(axis=(0, 2, 3))
         self.weight.accumulate_grad(grad_weight)
         self.bias.accumulate_grad(grad_bias)
 
-        grad_normalized = grad_output * self.weight.data.reshape(1, -1, 1, 1)
-        if cache["training"]:
-            # Full batch-norm gradient (statistics depend on the batch).
-            sum_grad = grad_normalized.sum(axis=(0, 2, 3), keepdims=True)
-            sum_grad_normalized = (grad_normalized * normalized).sum(axis=(0, 2, 3), keepdims=True)
-            grad_input = (
-                grad_normalized - sum_grad / count - normalized * sum_grad_normalized / count
-            ) * inv_std.reshape(1, -1, 1, 1)
-        else:
-            grad_input = grad_normalized * inv_std.reshape(1, -1, 1, 1)
-        return grad_input.astype(np.float32)
+        scale = (self.weight.data * inv_std).reshape(_PER_CHANNEL)
+        if frozen is not None:
+            return grad_output * scale
+        # Full batch-norm gradient (statistics depend on the batch):
+        # scale * (grad - mean(grad) - normalized * mean(grad * normalized)),
+        # the two means being grad_bias / count and grad_weight / count.
+        count = grad_output.size // grad_output.shape[1]
+        grad_input = normalized * (grad_weight / -count).reshape(_PER_CHANNEL)
+        grad_input += grad_output
+        grad_input -= (grad_bias / count).reshape(_PER_CHANNEL)
+        grad_input *= scale
+        return grad_input
 
 
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
+    #: Upper clip of the activation (``None`` = unbounded).
+    max_value: Optional[float] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._mask = F.relu_forward(inputs)
-        return output
+        self._cache = F.relu_forward(inputs, self.max_value)
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.relu_backward(grad_output, self._mask)
+        return F.relu_backward(grad_output, self._cache, self.max_value)
 
 
-class ReLU6(Module):
+class ReLU6(ReLU):
     """ReLU clipped at 6, used throughout MobileNetV2."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._mask = F.relu_forward(inputs, max_value=6.0)
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.relu_backward(grad_output, self._mask)
+    max_value = 6.0
 
 
 class MaxPool2d(Module):
@@ -205,7 +198,6 @@ class MaxPool2d(Module):
         self.kernel_size = int(kernel_size)
         self.stride = int(stride) if stride is not None else int(kernel_size)
         self.padding = int(padding)
-        self._cache: Optional[dict] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.max_pool2d_forward(
@@ -218,14 +210,13 @@ class MaxPool2d(Module):
 
 
 class AvgPool2d(Module):
-    """Average pooling."""
+    """Average pooling; padding counts as zeros and in the divisor (count-include-pad)."""
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0) -> None:
         super().__init__()
         self.kernel_size = int(kernel_size)
         self.stride = int(stride) if stride is not None else int(kernel_size)
         self.padding = int(padding)
-        self._cache: Optional[dict] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.avg_pool2d_forward(
@@ -240,10 +231,6 @@ class AvgPool2d(Module):
 class GlobalAvgPool2d(Module):
     """Adaptive average pooling to 1×1 (the head pooling of ResNet/MobileNet)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._cache: Optional[dict] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.global_avg_pool_forward(inputs)
         return output
@@ -255,16 +242,12 @@ class GlobalAvgPool2d(Module):
 class Flatten(Module):
     """Flatten all dimensions after the batch axis."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: Optional[tuple] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._cache = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
+        return grad_output.reshape(self._cache)
 
 
 class Dropout(Module):
@@ -276,20 +259,20 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {probability}")
         self.probability = float(probability)
         self._rng = rng or default_rng()
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.training or self.probability == 0.0:
-            self._mask = None
+            self._cache = None
             return inputs
         keep = 1.0 - self.probability
-        self._mask = (self._rng.random(inputs.shape) < keep).astype(np.float32) / keep
-        return (inputs * self._mask).astype(np.float32)
+        # bool -> float32 is a real conversion; the mask carries the 1/keep scale.
+        self._cache = (self._rng.random(inputs.shape) < keep).astype(np.float32) / keep
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return grad_output
-        return (grad_output * self._mask).astype(np.float32)
+        return grad_output * self._cache
 
 
 class Identity(Module):

@@ -94,14 +94,14 @@ class InvertedResidual(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = self.block(inputs)
         if self.use_residual:
-            return (output + inputs).astype(np.float32)
+            return output + inputs
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_input = self.block.backward(grad_output)
         if self.use_residual:
-            grad_input = grad_input + grad_output
-        return grad_input.astype(np.float32)
+            return grad_input + grad_output
+        return grad_input
 
 
 #: (expand_ratio, output_channels, repeats, first_stride) — torchvision plan.

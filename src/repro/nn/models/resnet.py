@@ -59,13 +59,13 @@ class BasicBlock(Module):
         main = self.relu1(self.conv1(inputs))
         main = self.conv2(main)
         residual = self.shortcut(inputs)
-        return self.relu2((main + residual).astype(np.float32))
+        return self.relu2(main + residual)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_sum = self.relu2.backward(grad_output)
         grad_main = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
         grad_shortcut = self.shortcut.backward(grad_sum)
-        return (grad_main + grad_shortcut).astype(np.float32)
+        return grad_main + grad_shortcut
 
 
 class Bottleneck(Module):
@@ -92,7 +92,7 @@ class Bottleneck(Module):
         main = self.relu2(self.conv2(main))
         main = self.conv3(main)
         residual = self.shortcut(inputs)
-        return self.relu3((main + residual).astype(np.float32))
+        return self.relu3(main + residual)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_sum = self.relu3.backward(grad_output)
@@ -100,7 +100,7 @@ class Bottleneck(Module):
         grad_main = self.conv2.backward(self.relu2.backward(grad_main))
         grad_main = self.conv1.backward(self.relu1.backward(grad_main))
         grad_shortcut = self.shortcut.backward(grad_sum)
-        return (grad_main + grad_shortcut).astype(np.float32)
+        return grad_main + grad_shortcut
 
 
 class ResNet(Module):

@@ -38,6 +38,15 @@ class Module:
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self.training = True
+        #: Whatever ``forward`` keeps for ``backward`` (activations, columns,
+        #: masks).  Scratch, not state: never in ``state_dict()``, and dropped
+        #: when the module is pickled.
+        self._cache = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Registration
@@ -83,24 +92,30 @@ class Module:
                 yield module
 
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        """All modules in the tree, including ``self``."""
-        yield prefix, self
-        for name, module in self._modules.items():
-            if module is None:
-                continue
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from module.named_modules(child_prefix)
+        """All modules in the tree, including ``self``, parents before children.
+
+        One flat loop over an explicit stack: every other traversal is built
+        on it, and recursive generators would hand each item up through one
+        frame per tree level.
+        """
+        stack = [(prefix, self)]
+        while stack:
+            name, module = stack.pop()
+            yield name, module
+            for child_name, child in reversed(module._modules.items()):
+                if child is not None:
+                    stack.append((f"{name}.{child_name}" if name else child_name, child))
+
+    def _named_members(self, attribute: str, prefix: str) -> Iterator[Tuple[str, object]]:
+        """``(dotted name, member)`` for every non-``None`` entry of the per-module dict ``attribute``."""
+        for module_name, module in self.named_modules(prefix):
+            for name, member in getattr(module, attribute).items():
+                if member is not None:
+                    yield (f"{module_name}.{name}" if module_name else name), member
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         """All parameters in the tree with dot-separated names."""
-        for name, parameter in self._parameters.items():
-            if parameter is not None:
-                yield (f"{prefix}.{name}" if prefix else name), parameter
-        for child_name, module in self._modules.items():
-            if module is None:
-                continue
-            child_prefix = f"{prefix}.{child_name}" if prefix else child_name
-            yield from module.named_parameters(child_prefix)
+        return self._named_members("_parameters", prefix)
 
     def parameters(self) -> Iterator[Parameter]:
         """All parameters in the tree."""
@@ -109,14 +124,7 @@ class Module:
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """All buffers in the tree with dot-separated names."""
-        for name, buffer in self._buffers.items():
-            if buffer is not None:
-                yield (f"{prefix}.{name}" if prefix else name), buffer
-        for child_name, module in self._modules.items():
-            if module is None:
-                continue
-            child_prefix = f"{prefix}.{child_name}" if prefix else child_name
-            yield from module.named_buffers(child_prefix)
+        return self._named_members("_buffers", prefix)
 
     # ------------------------------------------------------------------
     # State dict
@@ -137,41 +145,31 @@ class Module:
 
     def load_state_dict(self, state_dict: Dict[str, np.ndarray], strict: bool = True) -> None:
         """Restore parameters and buffers from ``state_dict``."""
-        own_parameters = dict(self.named_parameters())
-        own_buffer_names = [name for name, _ in self.named_buffers()]
+        known = set()
         missing: List[str] = []
-        for name, parameter in own_parameters.items():
+        for name, parameter in self.named_parameters():
+            known.add(name)
             if name in state_dict:
                 parameter.copy_(state_dict[name])
-            elif strict:
+            else:
                 missing.append(name)
-        buffer_owner = self._buffer_owner_map()
-        for name in own_buffer_names:
-            if name in state_dict:
-                owner, local_name = buffer_owner[name]
-                incoming = np.asarray(state_dict[name])
-                current = owner._buffers[local_name]
-                owner._buffers[local_name] = incoming.astype(current.dtype).reshape(current.shape)
-            elif strict:
-                missing.append(name)
-        unexpected = [
-            key for key in state_dict if key not in own_parameters and key not in buffer_owner
-        ]
+        # Buffers are replaced, not written into, so walk their owners.
+        for prefix, module in self.named_modules():
+            for local_name, current in module._buffers.items():
+                if current is None:
+                    continue
+                name = f"{prefix}.{local_name}" if prefix else local_name
+                known.add(name)
+                if name in state_dict:
+                    incoming = np.asarray(state_dict[name])
+                    module._buffers[local_name] = incoming.astype(current.dtype).reshape(current.shape)
+                else:
+                    missing.append(name)
+        unexpected = [key for key in state_dict if key not in known]
         if strict and (missing or unexpected):
             raise KeyError(
                 f"load_state_dict mismatch: missing={missing!r}, unexpected={unexpected!r}"
             )
-
-    def _buffer_owner_map(self) -> Dict[str, Tuple["Module", str]]:
-        """Map fully-qualified buffer names onto (owning module, local name)."""
-        owners: Dict[str, Tuple[Module, str]] = {}
-        for prefix, module in self.named_modules():
-            for local_name, buffer in module._buffers.items():
-                if buffer is None:
-                    continue
-                full_name = f"{prefix}.{local_name}" if prefix else local_name
-                owners[full_name] = (module, local_name)
-        return owners
 
     # ------------------------------------------------------------------
     # Modes and gradients

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -111,3 +115,27 @@ def test_federated_setup_is_reproducible(dataset):
     state_b = setup_b.model_fn().state_dict()
     for name in state_a:
         np.testing.assert_array_equal(state_a[name], state_b[name])
+
+
+def test_paper_scale_state_dict_is_the_same_under_any_hash_seed():
+    # str hashes are salted per process; the dataset seed must not depend on them.
+    script = (
+        "import hashlib; from repro.experiments import pretrained_like_state_dict\n"
+        "state = pretrained_like_state_dict('alexnet', 'cifar10', max_elements_per_tensor=4096)\n"
+        "digest = hashlib.sha256()\n"
+        "for name in state: digest.update(name.encode()); digest.update(state[name].tobytes())\n"
+        "print(digest.hexdigest())"
+    )
+    digests = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

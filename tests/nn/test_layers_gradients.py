@@ -309,12 +309,13 @@ def test_sequential_backward_chains(rng):
 def test_im2col_col2im_adjoint(rng):
     """col2im must be the exact adjoint of im2col (dot-product test)."""
     inputs = rng.normal(size=(2, 3, 6, 6)).astype(np.float64)
-    columns, _, _ = F.im2col(inputs, kernel=3, stride=2, padding=1)
-    other = rng.normal(size=columns.shape)
-    back = F.col2im(other, inputs.shape, kernel=3, stride=2, padding=1)
-    lhs = float(np.sum(columns * other))
-    rhs = float(np.sum(inputs * back))
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    for kernel, stride, padding in [(3, 2, 1), (1, 1, 0), (1, 2, 0)]:
+        columns, _, _ = F.im2col(inputs, kernel=kernel, stride=stride, padding=padding)
+        other = rng.normal(size=columns.shape)
+        back = F.col2im(other, inputs.shape, kernel=kernel, stride=stride, padding=padding)
+        lhs = float(np.sum(columns * other))
+        rhs = float(np.sum(inputs * back))
+        assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_softmax_rows_sum_to_one(rng):
