@@ -1,9 +1,13 @@
-"""Bit-level writer/reader used by the Huffman and ZFP-style codecs.
+"""Bit-level helpers shared by the codecs.
 
-The writer supports both scalar appends and a vectorised
-``write_fixed_width`` path that packs an entire integer array with a common
-bit width in one numpy operation — the hot path for the ZFP and SZx
-analogues, which store many small fixed-width integers.
+Three things live here: :func:`expand_msb_first`, the kernel behind the
+vectorised Huffman encoder; :func:`pack_bit_flags` / :func:`unpack_bit_flags`,
+the one-bit-per-block sections of the SZ2 (predictor mode) and SZx (constant
+block) codecs; and a :class:`BitWriter` / :class:`BitReader` pair whose
+``write_fixed_width`` packs an integer array at a common bit width in one
+numpy operation.  No codec's hot path runs through the writer: SZx bit-packs
+its magnitudes itself (``szx._pack_group_values``) and ZFP hands integer
+coefficients to the entropy stage.
 """
 
 from __future__ import annotations

@@ -225,6 +225,13 @@ def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
     )
 
 
+class _Sections(Dict[str, bytes]):
+    """Payload sections by name; asking for one the payload lacks is corruption."""
+
+    def __missing__(self, name: str) -> bytes:
+        raise CorruptPayloadError(f"payload has no {name!r} section")
+
+
 class StagedCompressor(LossyCompressor):
     """Generic error-bounded compressor composed from a predictor stage.
 
@@ -261,7 +268,7 @@ class StagedCompressor(LossyCompressor):
         return pack_sections({"meta": pack_stage_meta(ctx), **sections})
 
     def decompress(self, payload: bytes) -> np.ndarray:
-        sections = unpack_sections(payload)
+        sections = _Sections(unpack_sections(payload))
         ctx = unpack_stage_meta(sections.get("meta"), self.name)
         if ctx.raw:
             return unpack_array(sections["raw"])

@@ -16,8 +16,18 @@ multi-level interpolation predictor:
   prediction near the boundaries.
 
 Prediction always uses *reconstructed* values, so the decompressor can follow
-the identical schedule and the error bound holds exactly; outputs are
-bit-identical to the pre-refactor implementation.
+the identical schedule and the error bound holds exactly.
+
+The points of the level at ``stride`` are ``stride, 3·stride, 5·stride, …``
+and their neighbours at ``±stride`` and ``±3·stride`` are consecutive points
+of ``reconstruction[::2·stride]``, the levels above.  So a level is walked
+with strided slices of that one view — values, targets and all four
+neighbours — and the boundary cases are where the slices end; no index array
+is built or gathered through.  Each prediction is the same float operations
+in the same order on the same neighbours as the index-array walk of the
+pre-refactor implementation, so codes, payload bytes and reconstructions are
+bit-identical to it (``tests/compression/test_sz3_slice_walk.py`` keeps that
+walk as the reference).
 """
 
 from __future__ import annotations
@@ -36,8 +46,10 @@ from repro.compression.stages import (
     StagedCompressor,
 )
 
-#: Classic 4-point cubic interpolation weights used by SZ3's spline predictor.
-_CUBIC_WEIGHTS = (-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0)
+#: Classic 4-point cubic interpolation weights used by SZ3's spline predictor:
+#: ``(outer, inner, inner, outer)`` over the two neighbours on either side.
+_CUBIC_OUTER_WEIGHT = -1.0 / 16.0
+_CUBIC_INNER_WEIGHT = 9.0 / 16.0
 
 
 class SZ3Predictor(PredictorStage):
@@ -61,39 +73,33 @@ class SZ3Predictor(PredictorStage):
         reconstruction[:1] = Quantizer.decode(codes[0], 0.0, ctx)
 
         for stride in _interpolation_strides(flat.size):
-            targets = np.arange(stride, flat.size, 2 * stride)
-            if targets.size == 0:
-                continue
-            predictions = _predict(reconstruction, targets, stride, flat.size, self.use_cubic)
-            level_codes = Quantizer.encode(flat[targets], predictions, ctx)
-            reconstruction[targets] = Quantizer.decode(level_codes, predictions, ctx)
+            targets = reconstruction[stride :: 2 * stride]
+            predictions = _predict(reconstruction[:: 2 * stride], targets.size, self.use_cubic)
+            level_codes = Quantizer.encode(flat[stride :: 2 * stride], predictions, ctx)
+            Quantizer.decode(level_codes, predictions, ctx, out=targets)
             codes.append(level_codes)
 
         return {"codes": self.entropy.encode(np.concatenate(codes))}
 
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
         size = ctx.size
-        bin_width = ctx.bin_width
         use_cubic = bool(ctx.params["use_cubic"])
 
         all_codes = EntropyStage.decode(sections["codes"])
+        if all_codes.size != size:
+            raise CorruptPayloadError(
+                f"sz3 payload holds {all_codes.size} quantization codes for {size} values"
+            )
         reconstruction = np.zeros(size, dtype=np.float64)
-
-        if all_codes.size == 0:
-            raise CorruptPayloadError("sz3 payload holds no quantization codes")
-        reconstruction[0] = all_codes[0] * bin_width
+        reconstruction[:1] = all_codes[:1] * ctx.bin_width
         cursor = 1
 
         for stride in _interpolation_strides(size):
-            targets = np.arange(stride, size, 2 * stride)
-            if targets.size == 0:
-                continue
+            targets = reconstruction[stride :: 2 * stride]
             level_codes = all_codes[cursor : cursor + targets.size]
-            if level_codes.size != targets.size:
-                raise CorruptPayloadError("sz3 payload truncated: missing level codes")
             cursor += targets.size
-            predictions = _predict(reconstruction, targets, stride, size, use_cubic)
-            reconstruction[targets] = Quantizer.decode(level_codes, predictions, ctx)
+            predictions = _predict(reconstruction[:: 2 * stride], targets.size, use_cubic)
+            Quantizer.decode(level_codes, predictions, ctx, out=targets)
 
         return reconstruction
 
@@ -131,37 +137,34 @@ def _interpolation_strides(size: int) -> List[int]:
     return list(reversed(strides))
 
 
-def _predict(
-    reconstruction: np.ndarray,
-    targets: np.ndarray,
-    stride: int,
-    size: int,
-    use_cubic: bool,
-) -> np.ndarray:
-    """Interpolate target points from already-reconstructed neighbours.
+def _predict(coarse: np.ndarray, count: int, use_cubic: bool) -> np.ndarray:
+    """Interpolate the ``count`` points of one level from the level above.
 
-    Left neighbours at ``target - stride`` always exist (they belong to a
-    coarser level).  Right neighbours at ``target + stride`` exist unless the
-    target sits near the end of the array; in that case previous-value
-    prediction is used, matching SZ3's boundary fallback.
+    ``coarse`` is ``reconstruction[::2 * stride]``, the points every coarser
+    level has already reconstructed; target ``j`` of the level sits half-way
+    between ``coarse[j]`` and ``coarse[j + 1]``, so each neighbour gather is a
+    slice of ``coarse`` and the boundary cases are the slice ends.  The left
+    neighbour always exists.  Without a right neighbour (only ever the last
+    target) previous-value prediction is used, matching SZ3's boundary
+    fallback; cubic interpolation needs two neighbours on both sides, which
+    leaves linear interpolation for the first target and the last one or two.
     """
-    left = reconstruction[targets - stride]
-    right_index = targets + stride
-    has_right = right_index < size
-    right = np.where(has_right, reconstruction[np.minimum(right_index, size - 1)], left)
-    predictions = np.where(has_right, 0.5 * (left + right), left)
-
-    if use_cubic:
-        far_left_index = targets - 3 * stride
-        far_right_index = targets + 3 * stride
-        has_cubic = (far_left_index >= 0) & (far_right_index < size) & has_right
-        if np.any(has_cubic):
-            w0, w1, w2, w3 = _CUBIC_WEIGHTS
-            cubic = (
-                w0 * reconstruction[np.maximum(far_left_index, 0)]
-                + w1 * left
-                + w2 * right
-                + w3 * reconstruction[np.minimum(far_right_index, size - 1)]
-            )
-            predictions = np.where(has_cubic, cubic, predictions)
+    predictions = np.empty(count, dtype=np.float64)
+    paired = coarse.size - 1  # targets that have a right neighbour
+    if use_cubic and paired >= 3:
+        # Each weighted point serves two targets (the weights are symmetric),
+        # so weigh the level once and add the four shifted slices in order.
+        outer = coarse * _CUBIC_OUTER_WEIGHT
+        inner = coarse * _CUBIC_INNER_WEIGHT
+        interior = predictions[1 : paired - 1]
+        np.add(outer[:-3], inner[1:-2], out=interior)
+        interior += inner[2:-1]
+        interior += outer[3:]
+        predictions[0] = 0.5 * (coarse[0] + coarse[1])
+        predictions[paired - 1] = 0.5 * (coarse[paired - 1] + coarse[paired])
+    else:
+        np.add(coarse[:-1], coarse[1:], out=predictions[:paired])
+        predictions[:paired] *= 0.5
+    if count > paired:
+        predictions[paired] = coarse[paired]
     return predictions

@@ -17,6 +17,7 @@ from repro.compression import (
     evaluate_lossy,
     get_lossy_compressor,
 )
+from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.errors import (
     CorruptPayloadError,
     InvalidErrorBoundError,
@@ -131,6 +132,17 @@ def test_corrupt_payload_rejected(compressor, spiky_weights):
     payload = compressor.compress(spiky_weights, 1e-2)
     with pytest.raises(CorruptPayloadError):
         compressor.decompress(payload[: len(payload) // 3])
+
+
+def test_missing_section_rejected(compressor, spiky_weights):
+    """Every section a decoder reads is one a payload can arrive without."""
+    for data in (spiky_weights, spiky_weights[:0]):  # predictor sections, raw fallback
+        sections = unpack_sections(compressor.compress(data, 1e-2))
+        assert len(sections) > 1
+        for name in sections:
+            remaining = {key: value for key, value in sections.items() if key != name}
+            with pytest.raises(CorruptPayloadError):
+                compressor.decompress(pack_sections(remaining))
 
 
 def test_registry_returns_same_behaviour(spiky_weights):
@@ -256,7 +268,10 @@ def test_zfp_error_tracks_requested_bound(spiky_weights):
 # ----------------------------------------------------------------------
 # Property-based round-trips
 # ----------------------------------------------------------------------
-@settings(max_examples=25, deadline=None)
+# Examples are derived from the test's source, not drawn afresh each run: a
+# fresh draw lands on ROADMAP item 4's float32 overshoot (pinned below) about
+# once in a dozen runs, which made tier-1 a coin flip.
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     data=hnp.arrays(
         dtype=np.float32,
@@ -273,3 +288,24 @@ def test_bounded_compressors_error_bound_property(data, bound, compressor_cls):
     value_range = float(data.max() - data.min())
     assert restored.shape == data.shape
     assert verify_error_bound(data, restored, bound * max(value_range, np.finfo(np.float32).tiny))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the bound holds for the float64 reconstruction and is "
+    "overshot by the rounding to float32 output; the fix must flip these",
+)
+@pytest.mark.parametrize("compressor_cls", [SZ2Compressor, SZ3Compressor], ids=["sz2", "sz3"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 1.0, 8.0],  # reconstructs 0.992: error 0.008000016 against 0.008
+        [-100.0, 100.0, 17.0],  # reconstructs 16.8: error 0.20000076 against 0.2 (PR 15)
+    ],
+    ids=["0-1-8", "-100-100-17"],
+)
+def test_float32_output_rounding_overshoots_the_bound(values, compressor_cls):
+    data = np.array(values, dtype=np.float32)
+    compressor = compressor_cls()
+    restored = compressor.decompress(compressor.compress(data, 1e-3, ErrorBoundMode.REL))
+    assert verify_error_bound(data, restored, 1e-3 * float(data.max() - data.min()))

@@ -1,0 +1,114 @@
+"""SZ3's level walk as strided slices, pinned against the index-array walk.
+
+``repro.compression.sz3`` visits the points of a level as slices of
+``reconstruction[::2 * stride]``.  The walk it replaced gathered the same
+points through index arrays; that version is kept here, verbatim, as the
+reference: the slice walk must predict every point of every level from the
+same neighbours with the same float operations, so predictions are compared
+element-exact and whole payloads against digests recorded at the commit that
+still had the index walk.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.compression import ErrorBoundMode, SZ3Compressor
+from repro.compression.base import pack_sections, unpack_sections
+from repro.compression.errors import CorruptPayloadError
+from repro.compression.stages import EntropyStage
+from repro.compression.sz3 import _interpolation_strides, _predict
+
+_CUBIC_WEIGHTS = (-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0)
+
+SIZES = list(range(1, 71)) + [1023, 1024, 1025, 5001, 65_537]
+
+
+def _reference_predict(reconstruction, targets, stride, size, use_cubic):
+    """``_predict`` as it was before the slice walk (fancy-index gathers)."""
+    left = reconstruction[targets - stride]
+    right_index = targets + stride
+    has_right = right_index < size
+    right = np.where(has_right, reconstruction[np.minimum(right_index, size - 1)], left)
+    predictions = np.where(has_right, 0.5 * (left + right), left)
+
+    if use_cubic:
+        far_left_index = targets - 3 * stride
+        far_right_index = targets + 3 * stride
+        has_cubic = (far_left_index >= 0) & (far_right_index < size) & has_right
+        if np.any(has_cubic):
+            w0, w1, w2, w3 = _CUBIC_WEIGHTS
+            cubic = (
+                w0 * reconstruction[np.maximum(far_left_index, 0)]
+                + w1 * left
+                + w2 * right
+                + w3 * reconstruction[np.minimum(far_right_index, size - 1)]
+            )
+            predictions = np.where(has_cubic, cubic, predictions)
+    return predictions
+
+
+def _weight_like(dtype, size=5001, seed=7):
+    """The tensor of ``test_staged_equivalence.py``: weights plus outliers."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.02, size).astype(dtype)
+    outliers = rng.choice(size, 32, replace=False)
+    values[outliers] = rng.uniform(-0.9, 0.9, 32).astype(dtype)
+    return values
+
+
+@pytest.mark.parametrize("use_cubic", [True, False], ids=["cubic", "linear"])
+def test_slice_walk_predicts_exactly_what_the_index_walk_did(use_cubic):
+    rng = np.random.default_rng(3)
+    for size in SIZES:
+        # Every point holds a value, so a neighbour read from the wrong place
+        # (or past a boundary) cannot go unnoticed.
+        reconstruction = rng.normal(0.0, 1.0, size)
+        visited = np.zeros(size, dtype=bool)
+        visited[:1] = True
+        for stride in _interpolation_strides(size):
+            targets = np.arange(stride, size, 2 * stride)
+            expected = _reference_predict(reconstruction, targets, stride, size, use_cubic)
+            actual = _predict(reconstruction[:: 2 * stride], targets.size, use_cubic)
+            assert actual.dtype == expected.dtype
+            np.testing.assert_array_equal(actual, expected, err_msg=f"{size=} {stride=}")
+            assert reconstruction[stride :: 2 * stride].size == targets.size
+            visited[stride :: 2 * stride] = True
+        assert visited.all(), f"{size=}: the levels do not cover every point"
+
+
+#: SHA-256 of ``SZ3Compressor().compress(_weight_like(dtype), bound, mode)`` at
+#: the parent commit (index walk; zlib 1.2.13, on which the bytes depend).
+PARENT_PAYLOAD_SHA256 = {
+    ("float32", "REL", 1e-1): "6f1828eaf519835536feda07d9034712f4639f84dc614b82dafa2f9529d1868b",
+    ("float32", "REL", 1e-3): "334de623020970ff2ad8b335c69ae8b01f93c67396ce779eb1215845e09b45f8",
+    ("float32", "ABS", 5e-3): "40decd551dc517aeae53ee58047586334648fb90ac6fb28a5346987a4271c3c7",
+    ("float64", "REL", 1e-1): "4fd77aed2e5491b420fecf816650ad6546270a794abc129f9567dc8a338c8ec6",
+    ("float64", "REL", 1e-3): "63a18fdb04b4424b446a6061efe3bd3767a661319645753176d3f802ff4c8b2f",
+    ("float64", "ABS", 5e-3): "569c99ac71779e53b80fcf6fcd8449bf5a0eb0f998edbeeacae2e612cbe77bbe",
+}
+
+
+@pytest.mark.parametrize(
+    "case", PARENT_PAYLOAD_SHA256, ids=lambda case: "{}-{}-{:g}".format(*case)
+)
+def test_payload_bytes_are_those_of_the_index_walk(case):
+    dtype, mode, bound = case
+    payload = SZ3Compressor().compress(_weight_like(dtype), bound, ErrorBoundMode[mode])
+    assert hashlib.sha256(payload).hexdigest() == PARENT_PAYLOAD_SHA256[case]
+
+
+@pytest.mark.parametrize("extra", [100, 1, -1], ids=["100-more", "1-more", "1-fewer"])
+def test_code_count_must_match_the_tensor(extra):
+    """The walk consumes exactly ``size`` codes; trailing ones used to decode
+    silently, as the honest tensor."""
+    data = _weight_like(np.float32)
+    sections = unpack_sections(SZ3Compressor().compress(data, 1e-2))
+    codes = EntropyStage.decode(sections["codes"])
+    forged = np.concatenate([codes, np.zeros(extra, codes.dtype)]) if extra > 0 else codes[:extra]
+    sections["codes"] = EntropyStage().encode(forged)
+    with pytest.raises(CorruptPayloadError, match="quantization codes"):
+        SZ3Compressor().decompress(pack_sections(sections))
