@@ -15,8 +15,8 @@ against the same 256-client population:
   async staleness-weighted mixing absorbs the burst.
 
 After each run the example prints the participation trace plus the
-memory-side proof: how many model instances were ever resident and how many
-client objects were ever materialised.
+memory-side proof: how many model instances were ever resident, how many
+client objects were ever materialised and how many data shards were ever cut.
 
 Run with::
 
@@ -57,7 +57,8 @@ def run(clients: int, rounds: int, samples: int, workers: int) -> None:
             f"{scenario.name:13s} final accuracy {history.final_accuracy:.3f}  "
             f"participants/round {participation}  "
             f"resident models {runtime.model_pool.created}/{clients}  "
-            f"materialized clients {runtime.clients.materialized_count}/{clients}"
+            f"materialized clients {runtime.clients.materialized_count}/{clients}  "
+            f"shards cut {runtime.clients.datasets.materialized_count}/{clients}"
         )
         for record in history.records:
             rows.append(

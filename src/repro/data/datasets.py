@@ -76,8 +76,8 @@ class SyntheticImageDataset:
                 f"images and labels disagree on sample count: {images.shape[0]} vs {labels.shape[0]}"
             )
         self.name = name
-        self.images = images.astype(np.float32)
-        self.labels = labels.astype(np.int64)
+        self.images = np.asarray(images, dtype=np.float32)
+        self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
 
     def __len__(self) -> int:
@@ -105,6 +105,11 @@ class SyntheticImageDataset:
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(self))
         cut = int(round(train_fraction * len(self)))
+        if cut in (0, len(self)):
+            raise ValueError(
+                f"splitting {len(self)} samples at {train_fraction} leaves an empty side: "
+                f"{cut} train, {len(self) - cut} validation"
+            )
         return self.subset(order[:cut]), self.subset(order[cut:])
 
 
@@ -133,6 +138,9 @@ def _generate_class_prototypes(
     return prototypes.astype(np.float32)
 
 
+_NOISE_SLAB_VALUES = 1 << 20  #: float64 noise values per ``rng.normal`` call
+
+
 def make_synthetic_dataset(
     name: str,
     num_samples: int,
@@ -142,7 +150,13 @@ def make_synthetic_dataset(
     prototype_scale: float = 1.0,
     seed: int = 0,
 ) -> SyntheticImageDataset:
-    """Build a synthetic dataset with class-conditional Gaussian structure."""
+    """Build a synthetic dataset with class-conditional Gaussian structure.
+
+    Noise is drawn a slab of samples at a time and added straight into the one
+    float32 image array, so no dataset-sized temporary is touched; consecutive
+    ``rng.normal`` calls continue one stream, so the images are bit-equal to
+    those of a single whole-dataset draw.
+    """
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     if num_classes < 2:
@@ -150,8 +164,12 @@ def make_synthetic_dataset(
     rng = np.random.default_rng(seed)
     prototypes = _generate_class_prototypes(rng, num_classes, input_shape, prototype_scale)
     labels = rng.integers(0, num_classes, size=num_samples)
-    noise = rng.normal(0.0, noise_scale, size=(num_samples, *input_shape)).astype(np.float32)
-    images = prototypes[labels] + noise
+    images = np.empty((num_samples, *input_shape), dtype=np.float32)
+    slab = max(1, _NOISE_SLAB_VALUES // int(np.prod(input_shape)))
+    for start in range(0, num_samples, slab):
+        chunk = labels[start : start + slab]
+        noise = rng.normal(0.0, noise_scale, size=(chunk.size, *input_shape))
+        np.add(prototypes[chunk], noise.astype(np.float32), out=images[start : start + slab])
     return SyntheticImageDataset(name, images, labels, num_classes)
 
 

@@ -8,17 +8,37 @@ protocol), so the federated runtime can exercise both regimes.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.data.datasets import SyntheticImageDataset
+from repro.utils.lazy import LazySequence
+
+
+class ClientShards(LazySequence):
+    """Per-client datasets over one parent dataset, cut on first access.
+
+    Shard ``i`` is ``dataset.subset(index_sets[i])``, the call an eager
+    partition makes for every client, so a fleet pays for the shards of the
+    clients that train; ``sizes`` has every client's sample count uncut.
+    """
+
+    def __init__(self, dataset: SyntheticImageDataset, index_sets: Sequence[np.ndarray]) -> None:
+        super().__init__(len(index_sets), lambda client_id: dataset.subset(index_sets[client_id]))
+        self.sizes = np.fromiter(map(len, index_sets), dtype=np.int64, count=len(index_sets))
 
 
 def iid_partition(
     dataset: SyntheticImageDataset, num_clients: int, seed: int = 0
 ) -> List[np.ndarray]:
-    """Uniformly random, equally sized client splits."""
+    """Uniformly random, equally sized client splits.
+
+    One permutation, cut as ``numpy.array_split`` cuts it (the first ``n % k``
+    clients get one sample more), each client's ids sorted: the two size
+    classes are two 2-D blocks sorted along their rows, the index sets their
+    row views, so no per-client call is made.
+    """
     if num_clients <= 0:
         raise ValueError(f"num_clients must be positive, got {num_clients}")
     if len(dataset) < num_clients:
@@ -27,7 +47,11 @@ def iid_partition(
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
-    return [np.sort(chunk) for chunk in np.array_split(order, num_clients)]
+    size, larger = divmod(len(dataset), num_clients)
+    cut = larger * (size + 1)
+    head = np.sort(order[:cut].reshape(larger, size + 1), axis=1)
+    tail = np.sort(order[cut:].reshape(num_clients - larger, size), axis=1)
+    return [*head, *tail]
 
 
 def dirichlet_partition(
@@ -75,18 +99,19 @@ def partition_dataset(
     strategy: str = "iid",
     alpha: float = 0.5,
     seed: int = 0,
-) -> List[SyntheticImageDataset]:
-    """Split a dataset into per-client datasets using the chosen strategy."""
+) -> ClientShards:
+    """Split a dataset into per-client datasets (:class:`ClientShards`: only
+    the index sets are computed here) using the chosen strategy."""
     if strategy == "iid":
         index_sets = iid_partition(dataset, num_clients, seed)
     elif strategy == "dirichlet":
         index_sets = dirichlet_partition(dataset, num_clients, alpha=alpha, seed=seed)
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}; expected 'iid' or 'dirichlet'")
-    return [dataset.subset(indices) for indices in index_sets]
+    return ClientShards(dataset, index_sets)
 
 
-def label_distribution(datasets: List[SyntheticImageDataset], num_classes: int) -> np.ndarray:
+def label_distribution(datasets: Sequence[SyntheticImageDataset], num_classes: int) -> np.ndarray:
     """Per-client label histogram, shape ``(clients, classes)`` — useful for
     checking how heterogeneous a partition is."""
     histogram = np.zeros((len(datasets), num_classes), dtype=np.int64)

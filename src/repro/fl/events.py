@@ -126,39 +126,77 @@ class EventQueue:
         return bool(self._heap)
 
 
+def _checked_ids(batch, num_clients: Optional[int]) -> np.ndarray:
+    """One transition batch as strictly increasing ``int64`` ids (sorted and
+    de-duplicated if it is not).  Rejects what no mask could mean: a non-integer
+    or non-1-D array, an id outside ``[0, num_clients)`` — two reductions over
+    the batch, not the fleet."""
+    ids = np.asarray(batch)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValueError(
+            f"client ids must be a 1-D integer array, got {ids.dtype} of shape {ids.shape}"
+        )
+    if ids.size and (ids.min() < 0 or (num_clients is not None and ids.max() >= num_clients)):
+        raise ValueError(
+            f"client ids must lie in [0, {num_clients}), got {ids.min()}..{ids.max()}"
+        )
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
+        ids = np.unique(ids)
+    return ids
+
+
 class EligibleSet:
     """The reachable-client set, maintained from arrival/departure batches.
 
     Ids are held as a sorted, unique ``int64`` array — exactly what
     ``np.nonzero(mask)[0]`` yields — so handing :meth:`ids` to the sampler
-    reproduces the mask-based draw bit for bit.  ``touched`` counts ids
-    moved through :meth:`apply` / :meth:`reset_from_mask`: the O(events)
-    guard asserts it scales with transitions, not fleet size.
+    reproduces the mask-based draw bit for bit.  A batch is merged in by
+    binary search plus one ``np.insert`` / ``np.delete``: an O(|set| +
+    |batch|) memmove that never re-sorts or re-hashes the set, with the
+    contents of a union-then-difference.  ``touched`` counts ids moved
+    through :meth:`apply` / :meth:`reset_from_mask`: the O(events) guard
+    asserts it scales with transitions, not fleet size.
     """
 
     def __init__(self) -> None:
         self._ids = np.empty(0, dtype=np.int64)
         self.touched = 0
 
-    def apply(self, arrivals: np.ndarray, departures: np.ndarray) -> None:
-        """Fold one round's transitions into the set."""
-        arrivals = np.asarray(arrivals, dtype=np.int64)
-        departures = np.asarray(departures, dtype=np.int64)
-        if arrivals.size:
-            self._ids = np.union1d(self._ids, arrivals)
-        if departures.size:
-            self._ids = np.setdiff1d(self._ids, departures, assume_unique=True)
-        self.touched += int(arrivals.size) + int(departures.size)
+    def apply(
+        self, arrivals: np.ndarray, departures: np.ndarray, num_clients: Optional[int] = None
+    ) -> None:
+        """Fold one round's transitions into the set: arrivals, then departures.
 
-    def reset_from_mask(self, mask: np.ndarray) -> None:
+        Arrivals already present and departures that are absent change
+        nothing; an id in both ends up absent.  ``num_clients`` bounds the
+        ids when the caller knows the fleet size.
+        """
+        arriving = _checked_ids(arrivals, num_clients)
+        leaving = _checked_ids(departures, num_clients)
+        # ``append(ids, -1)[at]``: the id at each insertion point; past the end
+        # it reads the sentinel, which equals no (validated, non-negative) id.
+        if arriving.size:
+            at = np.searchsorted(self._ids, arriving)
+            new = np.append(self._ids, -1)[at] != arriving
+            self._ids = np.insert(self._ids, at[new], arriving[new])
+        if leaving.size:
+            at = np.searchsorted(self._ids, leaving)
+            self._ids = np.delete(self._ids, at[np.append(self._ids, -1)[at] == leaving])
+        self.touched += int(np.size(arrivals)) + int(np.size(departures))
+
+    def reset_from_mask(self, mask: np.ndarray, num_clients: Optional[int] = None) -> None:
         """Rebuild the set from a full mask (the resume/discontinuity path).
 
         A pure function of the mask, so a fresh engine resuming mid-run
         lands on exactly the set the uninterrupted engine maintained
         incrementally.  Costs (and counts) a full-fleet touch.
         """
-        self._ids = np.nonzero(np.asarray(mask, dtype=bool))[0].astype(np.int64)
-        self.touched += int(np.asarray(mask).size)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 1 or num_clients not in (None, mask.size):
+            raise ValueError(f"availability mask has shape {mask.shape}, expected ({num_clients},)")
+        self._ids = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        self.touched += int(mask.size)
 
     def ids(self) -> np.ndarray:
         """Sorted unique ids of the currently reachable clients."""
@@ -245,17 +283,14 @@ class FleetEngine:
         before = self.eligible.touched
         if self._availability_round == round_index - 1:
             arrivals, departures = runtime.schedule.transitions(round_index, num_clients)
-            self.eligible.apply(arrivals, departures)
+            self.eligible.apply(arrivals, departures, num_clients)
             self.stats.availability_transitions += int(
                 np.asarray(arrivals).size + np.asarray(departures).size
             )
         else:
-            mask = np.asarray(runtime.schedule.mask(round_index, num_clients), dtype=bool)
-            if mask.shape != (num_clients,):
-                raise ValueError(
-                    f"availability mask has shape {mask.shape}, expected ({num_clients},)"
-                )
-            self.eligible.reset_from_mask(mask)
+            self.eligible.reset_from_mask(
+                runtime.schedule.mask(round_index, num_clients), num_clients
+            )
             self.stats.availability_transitions += len(self.eligible)
         self._availability_round = round_index
         return self.eligible.ids(), self.eligible.touched - before

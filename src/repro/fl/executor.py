@@ -62,7 +62,7 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -255,13 +255,15 @@ class _WorkerContext:
     """Everything a worker process needs to rebuild its slice of the fleet.
 
     Inherited through ``fork`` (never pickled), so ``model_fn`` may be any
-    callable — including the test suites' lambdas.
+    callable — including the test suites' lambdas — and ``datasets`` / ``seeds``
+    are the runtime's own lazy sequences: each worker cuts only the shards of
+    the clients it is handed.
     """
 
     model_fn: object
-    datasets: list
+    datasets: Sequence
     config: object
-    seeds: list
+    seeds: Sequence
     codec: object
 
 
@@ -411,9 +413,9 @@ class ProcessParallelExecutor:
         clients = runtime.clients
         self._context = _WorkerContext(
             model_fn=clients._model_fn,
-            datasets=clients._datasets,
+            datasets=clients.datasets,
             config=clients._config,
-            seeds=clients._seeds,
+            seeds=clients.seeds,
             codec=runtime.codec,
         )
 

@@ -232,7 +232,7 @@ class FederatedRuntime:
         self.server = FLServer(
             model_fn, validation_dataset, eval_batch_size=self.config.eval_batch_size
         )
-        client_seeds = [seeds.next_seed() for _ in client_datasets]
+        client_seeds = seeds.spawn(len(client_datasets))
         self.model_pool = ModelPool(
             model_fn, max_models=self._resolve_pool_size(self.executor)
         )

@@ -37,6 +37,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.lazy import LazySequence
 
 
 def stochastic_modules(model: Module) -> List[Module]:
@@ -163,7 +164,7 @@ class ModelPool:
             self.release(model)
 
 
-class ClientRegistry(Sequence):
+class ClientRegistry(LazySequence):
     """Lazily materialised client population.
 
     Behaves like an immutable list of :class:`FLClient`: ``len``, indexing,
@@ -171,6 +172,14 @@ class ClientRegistry(Sequence):
     constructed the first time it is accessed (and then cached).  All clients
     share one :class:`ModelPool`, so materialising a client does **not**
     build a model — only its data loader and bookkeeping.
+
+    ``datasets`` and ``seeds`` are read at a client's index when it is built
+    and never copied: lazy ones (``partition_dataset``'s shards, a
+    ``SeedSequenceFactory.spawn`` block) cut a shard and derive a seed for the
+    materialised clients only.  Both are pure functions of the index, so a
+    client is the same whenever it is first touched — which is also why
+    checkpointing iterates ``materialized_items()`` only: a client that never
+    ran has advanced no stream, and rebuilding it after resume is bit-identical.
     """
 
     def __init__(
@@ -181,61 +190,30 @@ class ClientRegistry(Sequence):
         seeds: Sequence[int],
         model_pool: ModelPool,
     ) -> None:
+        from repro.fl.client import FLClient
+
         if len(datasets) != len(seeds):
             raise ValueError(
                 f"got {len(datasets)} client datasets but {len(seeds)} seeds"
             )
-        for client_id, dataset in enumerate(datasets):
-            if len(dataset) == 0:
-                raise ValueError(f"client {client_id} received an empty dataset")
+        sizes = getattr(datasets, "sizes", None)
+        if sizes is None:  # already-cut datasets: their lengths are free
+            sizes = np.fromiter(map(len, datasets), dtype=np.int64, count=len(datasets))
+        if not np.all(sizes):
+            raise ValueError(f"client {int(np.argmin(sizes))} received an empty dataset")
+        # A closure, not a bound method: a registry that references itself
+        # keeps a dropped runtime's datasets resident until a cycle collection.
+        super().__init__(
+            len(datasets),
+            lambda index: FLClient(
+                index, model_fn, datasets[index], config, int(seeds[index]), model_pool
+            ),
+        )
         self._model_fn = model_fn
-        self._datasets = list(datasets)
+        self.datasets = datasets
         self._config = config
-        self._seeds = [int(seed) for seed in seeds]
+        self.seeds = seeds
         self.model_pool = model_pool
-        self._clients: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._datasets)
-
-    def __getitem__(self, index):
-        from repro.fl.client import FLClient
-
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = int(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"client index {index} out of range for {len(self)} clients")
-        client = self._clients.get(index)
-        if client is None:
-            client = FLClient(
-                index,
-                self._model_fn,
-                self._datasets[index],
-                self._config,
-                seed=self._seeds[index],
-                model_pool=self.model_pool,
-            )
-            self._clients[index] = client
-        return client
-
-    @property
-    def materialized_count(self) -> int:
-        """How many client objects have actually been constructed."""
-        return len(self._clients)
-
-    def materialized_items(self) -> List[tuple]:
-        """``(client_id, client)`` pairs for every materialised client, in id
-        order.
-
-        Checkpointing iterates these instead of the whole registry: a client
-        that was never materialised has never advanced any stream, so
-        rebuilding it lazily after resume is already bit-identical — only the
-        clients that actually ran carry state worth persisting.
-        """
-        return [(index, self._clients[index]) for index in sorted(self._clients)]
 
 
 __all__ = [

@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.lazy import LazySequence
+
 _GLOBAL_SEED: Optional[int] = None
 
 
@@ -55,14 +57,12 @@ class SeedSequenceFactory:
 
     def __init__(self, root_seed: int) -> None:
         self.root_seed = int(root_seed)
-        self._sequence = np.random.SeedSequence(self.root_seed)
         self._spawned = 0
 
     def next_seed(self) -> int:
         """Return the next derived 32-bit seed."""
-        child = self._sequence.spawn(1)[0]
         self._spawned += 1
-        return int(child.generate_state(1, dtype=np.uint32)[0])
+        return self.seed_at(self._spawned - 1)
 
     def seed_at(self, index: int) -> int:
         """The seed :meth:`next_seed` would return on its ``index``-th call.
@@ -82,9 +82,16 @@ class SeedSequenceFactory:
         """Return a generator seeded with :meth:`next_seed`."""
         return np.random.default_rng(self.next_seed())
 
-    def spawn(self, count: int) -> list[int]:
-        """Return ``count`` independent derived seeds."""
-        return [self.next_seed() for _ in range(count)]
+    def spawn(self, count: int) -> LazySequence:
+        """The seeds the next ``count`` calls of :meth:`next_seed` would return.
+
+        The block is claimed at once (:meth:`next_seed` continues after it) but
+        each seed is computed, by :meth:`seed_at`, when first read — a
+        100k-client fleet derives only the seeds of the clients that run.
+        """
+        start = self._spawned
+        self._spawned += int(count)
+        return LazySequence(count, lambda offset: self.seed_at(start + offset))
 
     @property
     def spawned(self) -> int:

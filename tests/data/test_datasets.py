@@ -12,7 +12,8 @@ from repro.data import (
     load_dataset,
     make_synthetic_dataset,
 )
-from repro.data.datasets import SyntheticImageDataset
+from repro.data import datasets as datasets_module
+from repro.data.datasets import SyntheticImageDataset, _generate_class_prototypes
 
 
 def test_paper_dataset_specs_match_table4():
@@ -111,3 +112,47 @@ def test_dataset_getitem_and_mismatch():
     assert 0 <= label < 10
     with pytest.raises(ValueError):
         SyntheticImageDataset("bad", np.zeros((4, 1, 2, 2)), np.zeros(3), 2)
+
+
+def test_split_refuses_an_empty_side():
+    """Rounding must not eat a side silently: an empty validation set makes a
+    runtime report accuracy 0.0 / loss 0.0 every round with no error."""
+    tiny = load_dataset("cifar10", num_samples=8, image_size=8, seed=0)
+    with pytest.raises(ValueError, match="8 train, 0 validation"):
+        tiny.split(0.95)
+    with pytest.raises(ValueError, match="0 train, 8 validation"):
+        tiny.split(0.05)
+    train, validation = load_dataset("cifar10", num_samples=600, image_size=8, seed=0).split(0.75)
+    assert (len(train), len(validation)) == (450, 150)
+
+
+def _one_draw_reference(num_samples, input_shape, num_classes, noise_scale, prototype_scale, seed):
+    """``make_synthetic_dataset`` as it was: one whole-dataset noise draw."""
+    rng = np.random.default_rng(seed)
+    prototypes = _generate_class_prototypes(rng, num_classes, input_shape, prototype_scale)
+    labels = rng.integers(0, num_classes, size=num_samples)
+    noise = rng.normal(0.0, noise_scale, size=(num_samples, *input_shape)).astype(np.float32)
+    return prototypes[labels] + noise, labels
+
+
+def test_slab_wise_synthesis_is_bit_equal_to_one_draw():
+    input_shape = (3, 16, 16)
+    slab = datasets_module._NOISE_SLAB_VALUES // int(np.prod(input_shape))
+    assert 1 < slab < 5_000  # 5 000 samples span several slabs
+    for num_samples in (1, slab - 1, slab, slab + 1, 5_000):
+        data = make_synthetic_dataset(
+            "toy", num_samples, input_shape, num_classes=7, noise_scale=0.4,
+            prototype_scale=0.8, seed=13,
+        )
+        images, labels = _one_draw_reference(num_samples, input_shape, 7, 0.4, 0.8, 13)
+        assert data.images.dtype == np.float32 and data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.images, images)
+        np.testing.assert_array_equal(data.labels, labels)
+
+
+def test_synthesis_slab_never_rounds_down_to_zero_samples(monkeypatch):
+    """A sample larger than the slab budget is still drawn one at a time."""
+    monkeypatch.setattr(datasets_module, "_NOISE_SLAB_VALUES", 10)
+    data = make_synthetic_dataset("toy", 5, (1, 4, 4), num_classes=3, seed=2)
+    images, _ = _one_draw_reference(5, (1, 4, 4), 3, 0.6, 1.0, 2)
+    np.testing.assert_array_equal(data.images, images)

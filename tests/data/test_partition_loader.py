@@ -82,6 +82,45 @@ def test_dirichlet_partition_validation(dataset):
         dirichlet_partition(dataset, 0)
 
 
+@pytest.mark.parametrize(
+    "num_samples, num_clients",
+    [(200, 4), (201, 4), (203, 4), (200, 200), (200, 1), (37, 36)],
+    ids=["n%k=0", "n%k=1", "n%k=k-1", "k=n", "k=1", "one-pair"],
+)
+def test_vectorised_iid_partition_equals_the_array_split_loop(num_samples, num_clients):
+    """Two row-sorted blocks reproduce ``np.array_split``'s layout exactly."""
+    data = load_dataset("cifar10", num_samples=num_samples, image_size=4, seed=0)
+    order = np.random.default_rng(9).permutation(num_samples)
+    reference = [np.sort(chunk) for chunk in np.array_split(order, num_clients)]
+    parts = iid_partition(data, num_clients, seed=9)
+    assert len(parts) == num_clients
+    for part, expected in zip(parts, reference, strict=True):
+        assert part.dtype == expected.dtype
+        np.testing.assert_array_equal(part, expected)
+
+
+@pytest.mark.parametrize("strategy", ["iid", "dirichlet"])
+def test_partition_dataset_cuts_shards_on_first_access(dataset, strategy):
+    """One return type for every strategy: sizes are known up front, a shard
+    is ``dataset.subset(indices)`` cut when first read, then cached."""
+    partitioner = iid_partition if strategy == "iid" else dirichlet_partition
+    index_sets = partitioner(dataset, 5, seed=3)
+    shards = partition_dataset(dataset, 5, strategy=strategy, seed=3)
+    assert len(shards) == 5
+    assert shards.sizes.tolist() == [len(indices) for indices in index_sets]
+    assert shards.materialized_count == 0
+    shard = shards[2]
+    assert shards.materialized_count == 1
+    assert shards[2] is shard and shards[-3] is shard
+    np.testing.assert_array_equal(shard.images, dataset.images[index_sets[2]])
+    np.testing.assert_array_equal(shard.labels, dataset.labels[index_sets[2]])
+    assert [len(s) for s in shards[1:3]] == shards.sizes[1:3].tolist()
+    assert sum(len(s) for s in shards) == len(dataset)  # iteration cuts the rest
+    assert shards.materialized_count == 5
+    with pytest.raises(IndexError):
+        shards[5]
+
+
 # ----------------------------------------------------------------------
 # DataLoader
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fl.events import (
     CLIENT_COMPLETION,
@@ -28,6 +30,7 @@ from repro.fl.scenarios import (
     DiurnalSchedule,
     FlashCrowdSchedule,
     FullParticipation,
+    ParticipationSchedule,
 )
 from repro.fl.scheduler import (
     AsynchronousScheduler,
@@ -133,6 +136,125 @@ def test_eligible_set_counts_touches():
     eligible.reset_from_mask(np.array([True, False, True, False]))
     assert eligible.ids().tolist() == [0, 2]
     assert eligible.touched == 9  # the rebuild is a full-fleet touch
+
+
+_id_batches = st.lists(st.integers(min_value=0, max_value=40), max_size=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rounds=st.lists(st.tuples(_id_batches, _id_batches), max_size=6))
+def test_eligible_set_apply_equals_a_python_set_model(rounds):
+    """The sorted merge against ``(set | arrivals) - departures``: batches
+    arrive unsorted, duplicated and overlapping; departures may be absent,
+    arrivals already present, an id may sit in both (it ends up absent), and
+    either batch — or the set — may be empty."""
+    eligible = EligibleSet()
+    model: set = set()
+    touched = 0
+    for arrivals, departures in rounds:
+        eligible.apply(np.array(arrivals, dtype=np.int32), np.array(departures, dtype=np.int64))
+        model = (model | set(arrivals)) - set(departures)
+        touched += len(arrivals) + len(departures)
+        ids = eligible.ids()
+        assert ids.dtype == np.int64
+        assert ids.tolist() == sorted(model)  # strictly increasing: sorted and unique
+        assert len(eligible) == len(model)
+        assert eligible.touched == touched
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        DiurnalSchedule(period_rounds=4, min_availability=0.2, max_availability=0.9, seed=5),
+        FlashCrowdSchedule(join_round=2, leave_round=5, crowd_fraction=0.4),
+    ],
+    ids=["diurnal", "flash-crowd"],
+)
+def test_eligible_set_equals_mask_nonzero_at_5000_ids(schedule):
+    num_clients = 5_000
+    eligible = EligibleSet()
+    for round_index in range(8):
+        eligible.apply(*schedule.transitions(round_index, num_clients), num_clients)
+        expected = np.nonzero(schedule.mask(round_index, num_clients))[0]
+        assert eligible.ids().dtype == np.int64
+        np.testing.assert_array_equal(eligible.ids(), expected)
+        assert np.all(np.diff(eligible.ids()) > 0)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        np.array([-1]),  # ClientRegistry.__getitem__(-1) would wrap to the last client
+        np.array([2.7]),  # would truncate to id 2
+        np.array([], dtype=np.float64),
+        np.array([True, False]),
+        np.array([[0, 1], [2, 3]]),
+        np.array([3, 10]),  # == num_clients
+    ],
+    ids=["negative", "float", "empty-float", "bool", "2-D", "past-the-fleet"],
+)
+def test_eligible_set_rejects_ids_no_mask_could_mean(batch):
+    empty = np.empty(0, dtype=np.int64)
+    for arrivals, departures in ((batch, empty), (empty, batch)):
+        eligible = EligibleSet()
+        eligible.apply(np.array([1, 2, 3]), empty, 10)
+        with pytest.raises(ValueError):
+            eligible.apply(arrivals, departures, 10)
+        assert eligible.ids().tolist() == [1, 2, 3]  # a rejected batch changes nothing
+        assert eligible.touched == 3
+    EligibleSet().apply(np.array([3, 10]), empty)  # no fleet size given: only the sign is checked
+
+
+def test_reset_from_mask_rejects_a_mask_that_is_not_one_flag_per_client():
+    eligible = EligibleSet()
+    with pytest.raises(ValueError):
+        eligible.reset_from_mask(np.ones((2, 3), dtype=bool))  # nonzero()[0] = [0 0 0 1 1 1]
+    with pytest.raises(ValueError):
+        eligible.reset_from_mask(np.ones(5, dtype=bool), 6)
+    assert len(eligible) == 0 and eligible.touched == 0
+    eligible.reset_from_mask(np.ones(5, dtype=bool), 5)
+    assert eligible.ids().tolist() == [0, 1, 2, 3, 4]
+
+
+class _ScriptedSchedule(ParticipationSchedule):
+    """Everyone reachable in round 0; ``batch`` arrives in round 1."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def mask(self, round_index, num_clients):
+        return np.ones(num_clients, dtype=bool)
+
+    def transitions(self, round_index, num_clients):
+        empty = np.empty(0, dtype=np.int64)
+        if round_index == 0:
+            return np.arange(num_clients), empty
+        return self.batch, empty
+
+
+@pytest.mark.parametrize(
+    "batch", [np.array([-1]), np.array([2.7]), np.array([4])], ids=["negative", "float", "past"]
+)
+def test_a_schedule_returning_bad_ids_fails_the_round(batch):
+    """The incremental path validates what the mask path does: the round
+    fails instead of training client ``-1 % n`` or ``int(2.7)``."""
+    from repro.data import load_dataset
+    from repro.fl import FederatedRuntime, FLConfig
+    from repro.nn.models import create_model
+
+    train, validation = load_dataset("cifar10", num_samples=48, image_size=8, seed=0).split(0.75)
+    runtime = FederatedRuntime(
+        lambda: create_model("alexnet", "tiny", num_classes=10, seed=0),
+        train,
+        validation,
+        FLConfig(num_clients=4, rounds=2, batch_size=8, seed=3),
+        schedule=_ScriptedSchedule(batch),
+    )
+    runtime.run_round()
+    with pytest.raises(ValueError, match="client ids"):
+        runtime.run_round()
+    assert len(runtime.history) == 1
+    assert runtime.clients.materialized_count == 4  # nobody new was built
 
 
 # ----------------------------------------------------------------------

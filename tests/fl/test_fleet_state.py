@@ -328,6 +328,64 @@ def test_dropped_runtime_is_freed_without_the_cycle_collector(data, model_fn):
         gc.enable()
 
 
+def test_fleet_construction_cuts_no_shard_and_derives_no_seed(model_fn):
+    """Laziness on counters, not wall-clock: a 20 000-client ``mega-fleet``
+    runtime is built without touching one client's data or seed, and after
+    three rounds exactly the materialised clients have been paid for."""
+    clients = 20_000
+    full = load_dataset("cifar10", num_samples=clients + 64, image_size=8, seed=0)
+    train, val = full.split(clients / (clients + 64), seed=1)
+    runtime = build_fleet_runtime(
+        get_scenario("mega-fleet", num_clients=clients), model_fn, train, val,
+        codec=None, seed=4, batch_size=16,
+    )
+    registry = runtime.clients
+    assert len(registry) == len(registry.datasets) == len(registry.seeds) == clients
+    assert registry.datasets.sizes.sum() == len(train)
+    assert registry.datasets.materialized_count == 0  # shards cut
+    assert registry.seeds.materialized_count == 0  # client seeds derived
+    assert registry.materialized_count == 0
+    for _ in range(3):
+        runtime.run_round()
+    assert 0 < registry.materialized_count <= 3 * participant_count(
+        runtime.config.client_fraction, clients
+    )
+    assert registry.datasets.materialized_count == registry.materialized_count
+    assert registry.seeds.materialized_count == registry.materialized_count
+    for client_id, client in registry.materialized_items():
+        assert client.dataset is registry.datasets[client_id]
+
+    # Nothing in the lazy layer may keep a dropped fleet's data resident.
+    alive = weakref.ref(registry.datasets)
+    gc.disable()
+    try:
+        del runtime, registry, client
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_lazily_built_clients_equal_eagerly_built_ones(data, model_fn):
+    """The registry's client ``i`` is the client the eager loop built: same
+    shard, same shuffle seed, whatever the order of first touch."""
+    from repro.data.partition import iid_partition
+    from repro.utils.seeding import SeedSequenceFactory
+
+    train, val = data
+    config = FLConfig(num_clients=6, batch_size=16, seed=21)
+    seeds = SeedSequenceFactory(config.seed)
+    index_sets = iid_partition(train, 6, seed=seeds.next_seed())
+    client_seeds = [seeds.next_seed() for _ in range(6)]
+    runtime = FederatedRuntime(model_fn, train, val, config)
+    for client_id in (4, 0, 5):  # not in id order
+        client = runtime.clients[client_id]
+        np.testing.assert_array_equal(client.dataset.images, train.images[index_sets[client_id]])
+        np.testing.assert_array_equal(client.dataset.labels, train.labels[index_sets[client_id]])
+        reference = np.random.default_rng(client_seeds[client_id]).bit_generator.state
+        assert client.loader.get_rng_state() == reference
+    assert runtime.clients.datasets.materialized_count == 3
+
+
 # ----------------------------------------------------------------------
 # Scenario presets
 # ----------------------------------------------------------------------

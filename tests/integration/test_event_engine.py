@@ -248,6 +248,43 @@ def test_round_cost_scales_with_events_not_fleet_size():
     assert touches[2048] == touches[8192]
 
 
+def test_workers_cut_their_own_shards_at_2048_clients():
+    """Serial == process at 2048 clients over lazy shards and seeds.
+
+    The worker pool forks inside round 0's dispatch, after round 0's
+    participants were sampled: every later participant's shard and seed exist
+    nowhere in a worker's inherited memory, so bit-identical rounds mean each
+    worker cut and derived its own from the lazy sequences the fork carried.
+    """
+    full = load_dataset("cifar10", num_samples=2_400, image_size=8, seed=0)
+    train, validation = full.split(2_048 / 2_400, seed=1)
+    finished = {}
+    for executor_name in ("serial", "process"):
+        runtime = build_fleet_runtime(
+            get_scenario("mega-fleet", num_clients=2_048, rounds=3, client_fraction=16 / 2_048),
+            _model_fn,
+            train,
+            validation,
+            codec=None,
+            executor=_make_executor(executor_name),
+            seed=5,
+            batch_size=16,
+        )
+        assert runtime.clients.datasets.materialized_count == 0
+        _run_closed(runtime)
+        assert 0 < runtime.clients.materialized_count < 3 * 16 + 1
+        assert runtime.clients.datasets.materialized_count == runtime.clients.materialized_count
+        finished[executor_name] = runtime
+    context = finished["process"].executor._context
+    assert context.datasets is finished["process"].clients.datasets  # carried, not copied
+    assert context.seeds is finished["process"].clients.seeds
+    assert (
+        finished["process"].history.deterministic_rows()
+        == finished["serial"].history.deterministic_rows()
+    )
+    _assert_states_identical(finished["serial"], finished["process"])
+
+
 @pytest.mark.parametrize("codec_fn", [lambda: None, lambda: FedSZCompressor(error_bound=1e-2)],
                          ids=["raw", "fedsz"])
 def test_corrupted_upload_is_rejected_identically_across_executors(codec_fn):

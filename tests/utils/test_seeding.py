@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.utils.seeding import SeedSequenceFactory, default_rng, get_global_seed, set_global_seed
 
@@ -46,3 +47,41 @@ def test_seed_factory_rngs_are_independent():
     rng_a = factory.next_rng()
     rng_b = factory.next_rng()
     assert not np.allclose(rng_a.normal(size=8), rng_b.normal(size=8))
+
+
+def _eager_stream(root_seed, count):
+    """The seeds as they were derived before ``seed_at``: one
+    ``SeedSequence.spawn(1)`` per seed, in order."""
+    sequence = np.random.SeedSequence(root_seed)
+    return [
+        int(sequence.spawn(1)[0].generate_state(1, dtype=np.uint32)[0]) for _ in range(count)
+    ]
+
+
+def test_spawn_block_is_lazy_and_equals_the_sequential_stream():
+    count = 40
+    expected = _eager_stream(77, 2 + count + 2)
+    factory = SeedSequenceFactory(77)
+    assert [factory.next_seed(), factory.next_seed()] == expected[:2]  # a block mid-stream
+    block = factory.spawn(count)
+    assert factory.spawned == 2 + count  # claimed at once ...
+    assert block.materialized_count == 0  # ... derived on first read
+    assert len(block) == count
+    for index in (0, 1, count - 1):
+        assert block[index] == expected[2 + index]
+    assert block[-1] == expected[2 + count - 1]
+    assert block.materialized_count == 3
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            block[index]
+    # next_seed() continues the one stream after the block.
+    assert [factory.next_seed(), factory.next_seed()] == expected[2 + count :]
+    assert factory.spawned == 2 + count + 2
+    assert block == expected[2 : 2 + count]
+    assert block != expected[1 : 1 + count]
+    assert block != expected[2 : 1 + count]
+
+
+def test_next_seed_matches_seed_sequence_spawning():
+    factory = SeedSequenceFactory(5)
+    assert [factory.next_seed() for _ in range(8)] == _eager_stream(5, 8)
