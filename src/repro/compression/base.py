@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from repro.compression.errors import (
 _SECTION_MAGIC = b"RPRS"
 _HEADER_STRUCT = struct.Struct("<4sI")
 _ENTRY_STRUCT = struct.Struct("<HQ")
+_ARRAY_DTYPE = re.compile(rb"[<>|=][biuf][0-9]+")
 
 
 class ErrorBoundMode(str, Enum):
@@ -77,7 +79,9 @@ def resolve_error_bound(
         if finite.size == 0:
             return float(error_bound)
         lowest, highest = finite.min(), finite.max()
-    return float(error_bound * float(highest - lowest))
+    # Python floats: float16/32 extremes widen exactly, so the bound is the one
+    # the tensor's float64 copy resolves to, whatever dtype it arrives in.
+    return float(error_bound * (float(highest) - float(lowest)))
 
 
 def safe_throughput_mbps(nbytes: int, seconds: Optional[float]) -> float:
@@ -343,24 +347,21 @@ def pack_array(array: np.ndarray) -> bytes:
 
 
 def unpack_array(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`pack_array`."""
-    if len(payload) < 2:
-        raise CorruptPayloadError("array payload too short")
-    (dtype_len,) = struct.unpack_from("<H", payload, 0)
-    offset = 2
-    dtype_name = payload[offset : offset + dtype_len].decode("ascii")
-    offset += dtype_len
-    (ndim,) = struct.unpack_from("<B", payload, offset)
-    offset += 1
-    shape: Tuple[int, ...] = ()
-    if ndim:
-        shape = struct.unpack_from(f"<{ndim}q", payload, offset)
-        offset += 8 * ndim
-    dtype = np.dtype(dtype_name)
-    expected = int(np.prod(shape)) if shape else 1
-    raw = payload[offset:]
-    if len(raw) != expected * dtype.itemsize:
-        raise CorruptPayloadError(
-            f"array payload size mismatch: expected {expected * dtype.itemsize} bytes, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    """Inverse of :func:`pack_array`; anything else is :class:`CorruptPayloadError`."""
+    try:
+        (dtype_len,) = struct.unpack_from("<H", payload, 0)
+        offset = 2 + dtype_len
+        # Only what ``dtype.str`` of a bool/int/uint/float array looks like
+        # reaches numpy, whose dtype parser raises anything up to SyntaxError.
+        if not _ARRAY_DTYPE.fullmatch(payload[2:offset]):
+            raise ValueError(f"dtype {payload[2:offset]!r}")
+        dtype = np.dtype(payload[2:offset].decode("ascii"))
+        (ndim,) = struct.unpack_from("<B", payload, offset)
+        shape = struct.unpack_from(f"<{ndim}q", payload, offset + 1)
+        raw = payload[offset + 1 + 8 * ndim :]
+        # Python ints: a forged shape cannot wrap the element count around.
+        if min(shape, default=0) < 0 or len(raw) != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{len(raw)} bytes for shape {shape} of {dtype}")
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except (struct.error, TypeError, ValueError) as error:
+        raise CorruptPayloadError(f"corrupt array payload: {error}") from error

@@ -17,7 +17,7 @@ Everything that is *not* prediction lives here, in exactly one place:
 * :class:`StageContext` — the per-invocation facts every stage sees (size,
   shape, dtype, resolved absolute bound, codec parameters);
 * :class:`PredictorStage` — the one interface a new codec must implement
-  (``encode`` sections from a flat float64 array, ``decode`` them back);
+  (``encode`` sections from the flat tensor, ``decode`` them back);
 * :class:`Quantizer` / :class:`EntropyStage` — the shared ``2ε`` uniform
   quantization and entropy-coding stages;
 * metadata framing (:func:`pack_stage_meta` / :func:`unpack_stage_meta`) and
@@ -145,10 +145,13 @@ class PredictorStage(ABC):
     ``prepare`` resolves the error bound (the shared default handles the
     ABS/REL semantics and the zero-bound raw fallback) and records the
     codec parameters that must survive into the payload metadata.
-    ``encode`` turns the flat float64 array into named payload sections;
-    ``decode`` is its exact inverse, reading parameters from the context the
-    metadata was unpacked into.  Implementations must be stateless — every
-    per-call fact belongs on the :class:`StageContext`.
+    ``encode`` turns the flat tensor into named payload sections; ``decode``
+    is its exact inverse, reading parameters from the context the metadata was
+    unpacked into.  ``flat`` arrives in the tensor's own float dtype, never as
+    a copy: a predictor that computes in float64 upcasts what it needs (SZ2 a
+    slab at a time) and reduces with ``dtype=np.float64``.  ``decode`` may
+    return float64 or ``ctx.dtype``.  Implementations must be stateless —
+    every per-call fact belongs on the :class:`StageContext`.
     """
 
     #: Human-readable stage name (diagnostics only).
@@ -167,11 +170,11 @@ class PredictorStage(ABC):
 
     @abstractmethod
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
-        """Compress a flat float64 array into named payload sections."""
+        """Compress the flat tensor (in its own dtype) into named payload sections."""
 
     @abstractmethod
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
-        """Reconstruct the flat float64 array from payload sections."""
+        """Reconstruct the flat array (float64 or ``ctx.dtype``) from payload sections."""
 
 
 def pack_stage_meta(ctx: StageContext) -> bytes:
@@ -239,7 +242,8 @@ class StagedCompressor(LossyCompressor):
     (so ``FedSZConfig.lossy_options`` can keep overriding them by name) and
     build their predictor per call from those attributes — predictor
     construction is a couple of attribute assignments, so this costs nothing
-    and guarantees option mutations are always picked up.
+    and guarantees option mutations are always picked up.  ``compress`` makes
+    no copy of the tensor: validation and bound resolution read it in place.
     """
 
     def _predictor(self) -> PredictorStage:
@@ -252,7 +256,7 @@ class StagedCompressor(LossyCompressor):
         mode: ErrorBoundMode = ErrorBoundMode.REL,
     ) -> bytes:
         data = validate_lossy_input(data, codec=self.name)
-        flat = data.astype(np.float64, copy=False).ravel()
+        flat = data.ravel()
         ctx = StageContext(
             size=flat.size,
             shape=data.shape,
@@ -277,16 +281,18 @@ class StagedCompressor(LossyCompressor):
 
 
 def pad_to_blocks(flat: np.ndarray, block: int, fill: str = "edge") -> Tuple[np.ndarray, int]:
-    """Pad a 1-D float64 array up to a whole number of ``block``-sized blocks.
+    """A 1-D float array as float64, padded to a whole number of ``block``-sized blocks.
 
-    ``fill="edge"`` repeats the last value (SZ2/SZx — keeps the pad inside
-    the final block's value range), ``fill="zero"`` pads with zeros (ZFP —
+    ``fill="edge"`` repeats the last value (SZx — keeps the pad inside the
+    final block's value range), ``fill="zero"`` pads with zeros (ZFP —
     matches block-floating-point alignment of a partially filled block).
+    The upcast and the padding are one copy; a float64 array of whole blocks
+    is returned as it is.
     """
     num_blocks = -(-flat.size // block)
     padded_size = num_blocks * block
     if padded_size == flat.size:
-        return flat, num_blocks
+        return flat.astype(np.float64, copy=False), num_blocks
     if fill == "edge":
         padded = np.empty(padded_size, dtype=np.float64)
         padded[flat.size :] = flat[-1]

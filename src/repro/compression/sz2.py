@@ -14,17 +14,23 @@ shared stages.  The decompressed output always satisfies ``|x - x̂| <= ε``
 element-wise and is bit-identical to the pre-refactor monolithic
 implementation (pinned by ``tests/compression/test_staged_equivalence.py``).
 
-The encode kernel is written against memory traffic, which is what a numpy
-codec pays for: one float64 scratch array carries scale → ``rint`` for both
-candidates, the centred blocks of the regression fit, the predictions and the
-per-value bit costs in turn; codes are int32 from the quantizer on (int64 only
-when their measured range demands it); the cost model is a table lookup; and
-the two candidates are merged by overwriting the rows of the rarer mode.  The
-allocation peak is ~10x a float32 input, pinned by
-``tests/compression/test_sz2_kernel.py``.  Decoding runs every block in place
-as the mode most blocks are in and redoes only the others, so the row
-gather/scatter touches a few percent of a weight tensor instead of all of it.
-None of this changes a code, a mode flag or a coefficient.
+Both kernels are written against memory traffic, which is what a numpy codec
+pays for.  They walk the blocks in slabs of :data:`_SLAB_ELEMENTS` values,
+upcast from the tensor's own dtype into one reused float64 buffer (the last
+block's edge padding included): a second slab-sized scratch array carries
+scale → ``rint`` for both candidates, the centred blocks of the regression
+fit, the predictions and the per-value bit costs in turn, so every pass reads
+and writes cache, not DRAM.  Codes are int32 from the quantizer on (the
+whole-tensor output is widened to int64 once, when a slab's measured range
+demands it); the cost model is a table lookup; the two candidates are merged
+by overwriting the rows of the slab's rarer mode.  Decoding runs every block of
+a slab in place as the mode most of them are in, redoes only the others, and
+writes the slab straight into an output of the tensor's dtype.  The only
+whole-tensor arrays are the codes and that output, so the allocation peak is
+1.8x (encode) and 1.5x (decode) a 9.4 MB float32 input, 8.1x and 4.5x with
+whole-tensor float64 intermediates; ``tests/compression/test_sz2_kernel.py``
+pins 2.5x.  Every float operation runs per block or per value, so slabs change
+no code, mode flag or coefficient (``tests/compression/test_sz2_slabs.py``).
 """
 
 from __future__ import annotations
@@ -43,8 +49,17 @@ from repro.compression.stages import (
     Quantizer,
     StageContext,
     StagedCompressor,
-    pad_to_blocks,
 )
+
+#: Values per slab of the encode and decode walks (rounded down to whole
+#: blocks, at least one).  Per value a slab keeps 36 bytes live while encoding
+#: (three float64/intp buffers, three int32 code arrays), so 64K values are
+#: 2.3 MB against 2 MiB of L2 per core here.  Predictor seconds over the 21
+#: lossy tensors of ResNet18-paper (11.2M values; median of 15 interleaved
+#: runs, encode / decode): 8K 0.230 / 0.066, 16K 0.180 / 0.053, 32K 0.184 /
+#: 0.053, 64K 0.185 / 0.056, 128K 0.202 / 0.062, 256K 0.216 / 0.061, 512K
+#: 0.223 / 0.059.  The plateau's upper end has the fewest Python iterations.
+_SLAB_ELEMENTS = 1 << 16
 
 
 class SZ2Predictor(PredictorStage):
@@ -68,52 +83,66 @@ class SZ2Predictor(PredictorStage):
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
         offset = float(ctx.params["offset"])
         block = self.block_size
-        padded, num_blocks = pad_to_blocks(flat, block, fill="edge")
-        blocks = padded.reshape(num_blocks, block)
-        # Every full-size float64 intermediate of the tensor lives in here.
-        scratch = np.empty_like(blocks)
-
-        # --- Lorenzo candidate: delta of quantized values, which for uniform
-        # quantization telescopes to an exactly error-bounded reconstruction.
-        codes = _lorenzo_deltas(Quantizer.encode(blocks, offset, ctx, out=scratch))
-        magnitudes = np.empty(blocks.shape, dtype=np.intp)
-        lorenzo_cost = _estimate_block_bits(codes, magnitudes, scratch)
-
-        # --- Regression candidate -----------------------------------------
+        num_blocks = -(-flat.size // block)
+        slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
+        # The float64 (and intp) arrays of the call, one slab long each.
+        values = np.empty((slab_blocks, block), dtype=np.float64)
+        scratch = np.empty_like(values)
+        magnitudes = np.empty(values.shape, dtype=np.intp)
         positions = np.arange(block, dtype=np.float64)
         position_mean = positions.mean()
-        position_var = float(np.sum((positions - position_mean) ** 2))
-        block_means = blocks.mean(axis=1)
-        np.subtract(blocks, block_means[:, None], out=scratch)
-        slopes = (scratch @ (positions - position_mean)) / position_var
-        intercepts = block_means - slopes * position_mean
-        # Coefficients are stored as float32; predict with the stored precision
-        # so that compression and decompression agree exactly.
-        slopes32 = slopes.astype(np.float32)
-        intercepts32 = intercepts.astype(np.float32)
-        predictions = _regression_predictions(intercepts32, slopes32, positions, out=scratch)
-        regression_codes = Quantizer.encode(blocks, predictions, ctx, out=scratch)
+        centred_positions = positions - position_mean
+        position_var = float(np.sum(centred_positions**2))
 
-        # --- Per-block mode selection -------------------------------------
-        regression_cost = _estimate_block_bits(regression_codes, magnitudes, scratch)
-        regression_cost += 64.0  # two float32 coefficients
-        use_regression = regression_cost < lorenzo_cost
-        width = np.result_type(codes, regression_codes)
-        codes = codes.astype(width, copy=False)
-        regression_codes = regression_codes.astype(width, copy=False)
-        # Merge by overwriting the rows of the rarer mode in the other array.
-        if 2 * np.count_nonzero(use_regression) > num_blocks:
-            lorenzo_rows = np.flatnonzero(~use_regression)
-            regression_codes[lorenzo_rows] = codes[lorenzo_rows]
-            codes = regression_codes
-        else:
-            regression_rows = np.flatnonzero(use_regression)
-            codes[regression_rows] = regression_codes[regression_rows]
-        coefficients = np.stack([intercepts32[use_regression], slopes32[use_regression]], axis=1)
+        codes = np.empty((num_blocks, block), dtype=np.int32)
+        use_regression = np.empty(num_blocks, dtype=bool)
+        lines32 = np.empty((num_blocks, 2), dtype=np.float32)  # (intercept, slope) rows
+
+        for first in range(0, num_blocks, slab_blocks):
+            rows = slice(first, min(first + slab_blocks, num_blocks))
+            count = rows.stop - first
+            blocks, work = values[:count], scratch[:count]
+            # Upcast the slab; the tensor's last block is padded with its
+            # last value, which keeps the pad inside that block's range.
+            chunk = flat[first * block : rows.stop * block]
+            blocks.reshape(-1)[: chunk.size] = chunk
+            blocks.reshape(-1)[chunk.size :] = chunk[-1]
+
+            # --- Lorenzo candidate: delta of quantized values, which for
+            # uniform quantization telescopes to an exactly error-bounded
+            # reconstruction.
+            lorenzo = _lorenzo_deltas(Quantizer.encode(blocks, offset, ctx, out=work))
+            lorenzo_cost = _estimate_block_bits(lorenzo, magnitudes[:count], work)
+
+            # --- Regression candidate -------------------------------------
+            block_means = blocks.mean(axis=1)
+            np.subtract(blocks, block_means[:, None], out=work)
+            slopes = (work @ centred_positions) / position_var
+            # Coefficients are stored as float32; predict with the stored
+            # precision so that compression and decompression agree exactly.
+            lines32[rows, 0] = block_means - slopes * position_mean
+            lines32[rows, 1] = slopes
+            predictions = _regression_predictions(lines32[rows], positions, out=work)
+            regression = Quantizer.encode(blocks, predictions, ctx, out=work)
+
+            # --- Per-block mode selection ---------------------------------
+            regression_cost = _estimate_block_bits(regression, magnitudes[:count], work)
+            regression_cost += 64.0  # two float32 coefficients
+            picked = np.less(regression_cost, lorenzo_cost, out=use_regression[rows])
+            if max(lorenzo.itemsize, regression.itemsize) > codes.itemsize:
+                codes = codes.astype(np.int64)
+            # Merge by storing the slab of the commoner mode and overwriting
+            # the rows of the rarer one.
+            if 2 * np.count_nonzero(picked) > count:
+                common, rare, rare_rows = regression, lorenzo, np.flatnonzero(~picked)
+            else:
+                common, rare, rare_rows = lorenzo, regression, np.flatnonzero(picked)
+            codes[rows] = common
+            codes[rows][rare_rows] = rare[rare_rows]
 
         return {
             "modes": pack_bit_flags(use_regression),
-            "coef": pack_array(coefficients),
+            "coef": pack_array(lines32[use_regression]),
             "codes": self.entropy.encode(codes.ravel()),
         }
 
@@ -126,39 +155,53 @@ class SZ2Predictor(PredictorStage):
         codes = EntropyStage.decode(sections["codes"])
         use_regression = unpack_bit_flags(sections["modes"], num_blocks)
         coefficients = unpack_array(sections["coef"]).reshape(-1, 2)
-        regression_rows = np.flatnonzero(use_regression)
-        lorenzo_rows = np.flatnonzero(~use_regression)
-        if codes.size != num_blocks * block or len(coefficients) != regression_rows.size:
+        if codes.size != num_blocks * block or len(coefficients) != np.count_nonzero(
+            use_regression
+        ):
             raise CorruptPayloadError("sz2 payload sections disagree on the block count")
         codes = codes.reshape(num_blocks, block)
+        lines = np.zeros((num_blocks, 2), dtype=coefficients.dtype)
+        lines[use_regression] = coefficients
         positions = np.arange(block, dtype=np.float64)
 
-        # Decode every block in place as the mode most blocks are in (weights:
-        # regression; smooth fields: Lorenzo), then redo the other blocks.
-        # Only those few rows are ever gathered and scattered.
-        reconstruction = np.empty((num_blocks, block), dtype=np.float64)
-        if regression_rows.size <= lorenzo_rows.size:
-            Quantizer.decode(
-                _lorenzo_quantized(codes, out=reconstruction), offset, ctx, out=reconstruction
-            )
-            if regression_rows.size:
-                predictions = _regression_predictions(
-                    coefficients[:, 0], coefficients[:, 1], positions
-                )
-                reconstruction[regression_rows] = Quantizer.decode(
-                    codes[regression_rows], predictions, ctx
-                )
-        else:
-            lines = np.zeros((num_blocks, 2), dtype=coefficients.dtype)
-            lines[regression_rows] = coefficients
-            predictions = _regression_predictions(lines[:, 0], lines[:, 1], positions)
-            Quantizer.decode(codes, predictions, ctx, out=reconstruction)
-            if lorenzo_rows.size:
-                reconstruction[lorenzo_rows] = Quantizer.decode(
-                    _lorenzo_quantized(codes[lorenzo_rows]), offset, ctx
-                )
+        slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
+        values = np.empty((slab_blocks, block), dtype=np.float64)
+        scratch = np.empty_like(values)
+        restored = np.empty(size, dtype=ctx.dtype)
 
-        return reconstruction.ravel()[:size]
+        for first in range(0, num_blocks, slab_blocks):
+            rows = slice(first, min(first + slab_blocks, num_blocks))
+            slab_codes, slab_lines = codes[rows], lines[rows]
+            reconstruction = values[: len(slab_codes)]
+            regression_rows = np.flatnonzero(use_regression[rows])
+            lorenzo_rows = np.flatnonzero(~use_regression[rows])
+
+            # Decode every block of the slab in place as the mode most of
+            # them are in (weights: regression; smooth fields: Lorenzo), then
+            # redo the others.  Only those few rows are gathered and scattered.
+            if regression_rows.size <= lorenzo_rows.size:
+                quantized = _lorenzo_quantized(slab_codes, out=reconstruction)
+                Quantizer.decode(quantized, offset, ctx, out=reconstruction)
+                if regression_rows.size:
+                    predictions = _regression_predictions(slab_lines[regression_rows], positions)
+                    reconstruction[regression_rows] = Quantizer.decode(
+                        slab_codes[regression_rows], predictions, ctx
+                    )
+            else:
+                predictions = _regression_predictions(
+                    slab_lines, positions, out=scratch[: len(slab_codes)]
+                )
+                Quantizer.decode(slab_codes, predictions, ctx, out=reconstruction)
+                if lorenzo_rows.size:
+                    reconstruction[lorenzo_rows] = Quantizer.decode(
+                        _lorenzo_quantized(slab_codes[lorenzo_rows]), offset, ctx
+                    )
+
+            # Rounds to the tensor's dtype and drops the last block's pad.
+            kept = restored[first * block : rows.stop * block]
+            kept[...] = reconstruction.reshape(-1)[: kept.size]
+
+        return restored
 
 
 class SZ2Compressor(StagedCompressor):
@@ -185,16 +228,12 @@ class SZ2Compressor(StagedCompressor):
 
 
 def _regression_predictions(
-    intercepts32: np.ndarray,
-    slopes32: np.ndarray,
-    positions: np.ndarray,
-    out: np.ndarray | None = None,
+    lines32: np.ndarray, positions: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-block line ``intercept + slope * position`` from float32 coefficients."""
-    predictions = np.multiply(
-        slopes32.astype(np.float64)[:, None], positions[None, :], out=out
-    )
-    predictions += intercepts32.astype(np.float64)[:, None]
+    """Per-block line ``intercept + slope * position`` from float32 ``(intercept, slope)`` rows."""
+    lines = lines32.astype(np.float64)
+    predictions = np.multiply(lines[:, 1:], positions, out=out)
+    predictions += lines[:, :1]
     return predictions
 
 

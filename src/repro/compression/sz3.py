@@ -66,6 +66,7 @@ class SZ3Predictor(PredictorStage):
         ctx.params["use_cubic"] = self.use_cubic
 
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
+        flat = flat.astype(np.float64, copy=False)  # the walk reads it level by level
         reconstruction = np.zeros_like(flat)
 
         # Anchor point: the first element is quantized against zero.

@@ -98,7 +98,7 @@ class ZFPPredictor(PredictorStage):
         else:
             # Absolute bounds are translated against the data range so that a
             # tighter bound still yields more retained bits.
-            finite_range = float(flat.max() - flat.min()) if flat.size else 1.0
+            finite_range = float(flat.max()) - float(flat.min()) if flat.size else 1.0
             relative = ctx.error_bound / finite_range if finite_range > 0 else ctx.error_bound
             precision = precision_for_relative_bound(max(relative, 1e-9))
         ctx.params["precision"] = precision

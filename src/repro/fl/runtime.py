@@ -112,7 +112,8 @@ def _bound_utilization(result, bound: float, mode: str) -> Dict[str, float]:
         b = np.asarray(received[name])
         if a.shape != b.shape or a.size == 0:
             continue
-        error = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+        difference = np.subtract(a, b, dtype=np.float64)  # the one tensor-sized temporary
+        error = float(np.abs(difference, out=difference).max())
         resolved = resolve_error_bound(a, bound, mode_enum)
         if resolved > 0.0:
             utilization[name] = error / resolved

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,18 @@ from repro.compression import (
     register_lossless,
     register_lossy,
 )
-from repro.compression.base import CompressionStats, pack_array, pack_sections, unpack_array, unpack_sections
+from repro.compression.base import (
+    CompressionStats,
+    pack_array,
+    pack_sections,
+    resolve_error_bound,
+    unpack_array,
+    unpack_sections,
+)
 from repro.compression.errors import CorruptPayloadError, UnknownCompressorError
 from repro.compression.lossless import ZlibCompressor
 from repro.compression.metrics import stats_from_evaluation
+from repro.compression.stages import unpack_stage_meta
 
 
 def test_builtin_registrations_present():
@@ -123,3 +133,86 @@ def test_unpack_array_size_mismatch_detected():
     payload = pack_array(np.arange(10, dtype=np.float32))
     with pytest.raises(CorruptPayloadError):
         unpack_array(payload[:-4])
+
+
+def _forged_array(dtype: bytes = b"<f4", shape=(1,), data: bytes = bytes(4)) -> bytes:
+    header = struct.pack("<H", len(dtype)) + dtype + struct.pack("<B", len(shape))
+    return header + struct.pack(f"<{len(shape)}q", *shape) + data
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _forged_array(shape=(2**32, 2**32), data=b""),  # np.prod wrapped this to 0 elements
+        _forged_array(shape=(-1, -1)),  # reshape took one -1 as "whatever fits"
+        _forged_array(shape=(-1,)),
+        _forged_array(dtype=b"|O8", data=bytes(8)),
+        _forged_array(dtype=b"zzz"),
+        _forged_array(dtype=b"\xff\xfe"),
+        _forged_array(dtype=b"<c8", data=bytes(8)),
+        _forged_array(dtype=b"|S4"),
+        _forged_array(dtype=b",f4"),  # numpy's parser raised SyntaxError
+        _forged_array(shape=(1,) * 100),  # more dimensions than an array can have
+        pack_array(np.zeros((2, 3), dtype=np.float32))[:9],  # cut inside the shape
+        pack_array(np.zeros((2, 3), dtype=np.float32))[:3],  # cut inside the dtype name
+        b"\x03",
+        b"",
+    ],
+    ids=[
+        "count-wraps", "two-unknown-dims", "negative-dim", "object", "no-such-dtype", "not-ascii",
+        "complex", "bytes", "comma", "100-dims", "cut-in-shape", "cut-in-dtype", "one-byte", "empty",
+    ],
+)
+def test_unpack_array_answers_hostile_bytes_with_corrupt_payload_error(payload):
+    with pytest.raises(CorruptPayloadError):
+        unpack_array(payload)
+
+
+def test_unpack_array_damage_sweep_never_escapes_untyped(rng):
+    """Every truncation and 400 seeded bit flips of a packed array end in
+    ``CorruptPayloadError`` or in an array, never in another exception."""
+    array = rng.normal(size=(3, 5)).astype(np.float32)
+    payload = pack_array(array)
+    damaged = [payload[:cut] for cut in range(len(payload))]
+    for position in rng.integers(0, 8 * len(payload), 400):
+        flipped = bytearray(payload)
+        flipped[position // 8] ^= 1 << (position % 8)
+        damaged.append(bytes(flipped))
+    intact = 0
+    for blob in damaged:
+        try:
+            restored = unpack_array(blob)
+        except CorruptPayloadError:
+            continue
+        # Flips inside the data (or to another dtype of the same width) decode.
+        assert restored.nbytes == array.nbytes
+        intact += 1
+    assert 0 < intact < len(damaged)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_rel_bound_is_the_one_of_the_float64_copy(dtype, rng):
+    """The extremes are subtracted as Python floats, so the bound a float16/32
+    tensor resolves to is the one the codec enforces — and writes into the
+    payload — whichever dtype it is asked in (float32 used to differ on about
+    half of such tensors, in the last digits)."""
+    for _ in range(200):
+        data = rng.normal(0.0, 0.02, 5000).astype(dtype)
+        bound = resolve_error_bound(data, 1e-2, ErrorBoundMode.REL)
+        assert bound == resolve_error_bound(data.astype(np.float64), 1e-2, ErrorBoundMode.REL)
+        assert bound == 1e-2 * (float(data.max()) - float(data.min()))
+    meta = unpack_sections(SZ2Compressor().compress(data, 1e-2))["meta"]
+    assert unpack_stage_meta(meta, "sz2").absolute_bound == bound
+    # A range that overflows the tensor's own dtype is finite in float64.
+    wide = np.array([-np.finfo(dtype).max, np.finfo(dtype).max], dtype=dtype)
+    if dtype != np.float64:
+        assert resolve_error_bound(wide, 1e-2, ErrorBoundMode.REL) == 2e-2 * float(wide[1])
+
+
+def test_abs_mode_and_non_finite_extremes_resolve_as_before():
+    data = np.array([1.0, np.nan, -3.0, np.inf, 2.0], dtype=np.float32)
+    assert resolve_error_bound(data, 0.25, ErrorBoundMode.ABS) == 0.25
+    assert resolve_error_bound(data, 0.25, ErrorBoundMode.REL) == 0.25 * 5.0  # finite values only
+    nothing_finite = np.array([np.nan, np.inf], dtype=np.float32)
+    assert resolve_error_bound(nothing_finite, 0.25, ErrorBoundMode.REL) == 0.25
+    assert resolve_error_bound(np.zeros(0, np.float32), 0.25, ErrorBoundMode.REL) == 0.25

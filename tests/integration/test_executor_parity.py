@@ -257,3 +257,51 @@ def test_killed_worker_is_a_typed_error_not_a_hang(data, sabotage):
     finally:
         runtime.close()
     assert multiprocessing.active_children() == []
+
+
+def test_bound_utilization_is_error_over_the_codec_bound_on_every_executor(data):
+    """``tensor_bound_utilization`` is ``max|a - b|`` over the bound the codec
+    enforced — the REL bound of the tensor's float64 copy — per lossy tensor,
+    maximised over the round's delivered updates; pure arithmetic, so serial
+    and process runs agree to the bit."""
+    from repro.compression.base import ErrorBoundMode, resolve_error_bound
+
+    def run(executor_name):
+        runtime = _build_runtime(
+            data, _make_executor(executor_name), FedSZCompressor(error_bound=1e-2)
+        )
+        rounds = []  # per round: the executor's results, as finish_round got them
+        finish_round = runtime.finish_round
+
+        def recording_finish_round(context, results, *args, **kwargs):
+            rounds.append(results)
+            return finish_round(context, results, *args, **kwargs)
+
+        runtime.finish_round = recording_finish_round
+        try:
+            runtime.run(rounds=2)
+        finally:
+            runtime.close()
+        return runtime.history.records, rounds
+
+    records, rounds = run("serial")
+    assert len(records) == len(rounds) == 2
+    for record, results in zip(records, rounds):
+        expected = {}
+        for result in results:
+            assert result.delivered
+            for name in result.stats.report.per_tensor_ratio:
+                sent = np.asarray(result.update.state_dict[name])
+                got = np.asarray(result.state[name])
+                assert sent.dtype == np.float32
+                error = float(np.abs(sent.astype(np.float64) - got.astype(np.float64)).max())
+                bound = resolve_error_bound(sent.astype(np.float64), 1e-2, ErrorBoundMode.REL)
+                # The codec bounds the float64 reconstruction; storing it as
+                # float32 may add half an ulp of the largest magnitude.
+                assert error <= bound + float(np.abs(sent).max()) * 2.0**-23, name
+                expected[name] = max(expected.get(name, 0.0), error / bound)
+        assert expected and record.tensor_bound_utilization == expected
+    other_records, _ = run("process")
+    assert [r.tensor_bound_utilization for r in other_records] == [
+        r.tensor_bound_utilization for r in records
+    ]
