@@ -24,7 +24,7 @@ import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +193,28 @@ class LossyCompressor(ABC):
     def decompress(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array encoded in ``payload``."""
 
+    def group_slices(self, sizes: Sequence[int]) -> List[slice]:
+        """Cut consecutive tensors of these element counts into groups.
+
+        Each slice is worth one :meth:`compress_group` / :meth:`decompress_group`
+        call: a tensor alone, unless the codec saves work by coding small
+        neighbours together.  A payload never depends on the grouping.
+        """
+        return [slice(index, index + 1) for index in range(len(sizes))]
+
+    def compress_group(
+        self,
+        tensors: Sequence[np.ndarray],
+        error_bound: float,
+        mode: ErrorBoundMode = ErrorBoundMode.REL,
+    ) -> List[bytes]:
+        """:meth:`compress` of each tensor, in order."""
+        return [self.compress(tensor, error_bound, mode) for tensor in tensors]
+
+    def decompress_group(self, payloads: Sequence[bytes]) -> List[np.ndarray]:
+        """:meth:`decompress` of each payload, in order."""
+        return [self.decompress(payload) for payload in payloads]
+
     def roundtrip(
         self,
         data: np.ndarray,
@@ -336,14 +358,12 @@ def unpack_sections(payload: bytes) -> Dict[str, bytes]:
 
 def pack_array(array: np.ndarray) -> bytes:
     """Serialize a numpy array (dtype, shape and raw bytes) into one section."""
-    original = np.asarray(array)
-    # np.ascontiguousarray promotes 0-d arrays to 1-d; preserve the true shape.
-    array = np.ascontiguousarray(original).reshape(original.shape)
+    array = np.asarray(array)
     dtype_name = array.dtype.str.encode("ascii")
-    header = struct.pack("<H", len(dtype_name)) + dtype_name
-    header += struct.pack("<B", array.ndim)
-    header += struct.pack(f"<{array.ndim}q", *array.shape) if array.ndim else b""
-    return header + array.tobytes()
+    header = struct.pack(
+        f"<H{len(dtype_name)}sB{array.ndim}q", len(dtype_name), dtype_name, array.ndim, *array.shape
+    )
+    return header + array.tobytes()  # C order, whatever the array's strides
 
 
 def unpack_array(payload: bytes) -> np.ndarray:

@@ -107,14 +107,13 @@ _MAX_INFLATE_RATIO = 1032
 def _narrowest_signed_dtype(values: np.ndarray) -> np.dtype:
     """Smallest signed integer dtype that can hold every value exactly."""
     if values.size == 0:
-        return np.dtype("<i1")
+        return _DTYPE_BY_CODE[0]
     lowest = int(values.min())
     highest = int(values.max())
-    for dtype in (np.dtype("<i1"), np.dtype("<i2"), np.dtype("<i4")):
-        info = np.iinfo(dtype)
-        if info.min <= lowest and highest <= info.max:
-            return dtype
-    return np.dtype("<i8")
+    for code, bits in ((0, 7), (1, 15), (2, 31)):
+        if -(1 << bits) <= lowest and highest < 1 << bits:
+            return _DTYPE_BY_CODE[code]
+    return _DTYPE_BY_CODE[3]
 
 
 def _deflate(raw: np.ndarray, level: int) -> bytes:

@@ -74,11 +74,12 @@ def quantize_residuals(
     residuals are computed in, step by step, instead of in fresh temporaries;
     it may be ``predictions`` itself when those are no longer needed.  The
     codes are int32 when their measured range allows, int64 otherwise.
+    ``error_bound`` is one bound, or a column of one bound per row of ``data``.
     """
-    if error_bound <= 0 or not np.isfinite(error_bound):
+    if not np.all((error_bound > 0) & (error_bound < np.inf)):  # NaN fails both
         raise InvalidErrorBoundError(f"error bound must be positive and finite, got {error_bound}")
     scaled = np.asarray(np.subtract(data, predictions, out=out, dtype=np.float64))
-    scaled /= 2.0 * float(error_bound)
+    scaled /= 2.0 * error_bound
     np.rint(scaled, out=scaled)
     if scaled.size and not (
         -_INT32_CODE_LIMIT < scaled.min() and scaled.max() < _INT32_CODE_LIMIT
@@ -94,7 +95,7 @@ def dequantize_residuals(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inverse of :func:`quantize_residuals`; ``out`` receives the float64 result."""
-    values = np.multiply(indices, 2.0 * float(error_bound), out=out, dtype=np.float64)
+    values = np.multiply(indices, 2.0 * error_bound, out=out, dtype=np.float64)
     return np.add(values, predictions, out=out)
 
 

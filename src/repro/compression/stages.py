@@ -39,10 +39,12 @@ codec ``clone()`` is a shallow copy and concurrent per-tensor compression
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,8 @@ from repro.compression.quantizer import dequantize_residuals, quantize_residuals
 STAGED_FORMAT_VERSION = 3
 
 _META_STRUCT = struct.Struct("<IQdB")
+_FLOAT_DTYPE = re.compile(rb"[<>=]f[0-9]+")
+_PARAMS_JSON = json.JSONEncoder(sort_keys=True)  # ``json.dumps`` builds one per call
 
 
 @dataclass
@@ -99,28 +103,30 @@ class Quantizer:
     Thin stage wrapper over :mod:`repro.compression.quantizer`'s residual
     primitives: ``encode`` maps value-minus-prediction onto signed bin
     indices, ``decode`` reconstructs ``prediction + index * 2ε``, which keeps
-    the element-wise error within ``ε`` by construction.  Both work in the
-    float64 array ``out`` when one is given, so a predictor can run every
-    step of a tensor through one scratch buffer.
+    the element-wise error within ``ε`` by construction.  ``bound`` is the
+    tensor's ``ctx.absolute_bound``, or a column of one bound per row when the
+    rows come from several tensors.  Both work in the float64 array ``out``
+    when one is given, so a predictor can run every step of a tensor through
+    one scratch buffer.
     """
 
     @staticmethod
     def encode(
         values: np.ndarray,
         predictions: np.ndarray,
-        ctx: StageContext,
+        bound: float | np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return quantize_residuals(values, predictions, ctx.absolute_bound, out=out)
+        return quantize_residuals(values, predictions, bound, out=out)
 
     @staticmethod
     def decode(
         indices: np.ndarray,
         predictions: np.ndarray,
-        ctx: StageContext,
+        bound: float | np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return dequantize_residuals(indices, predictions, ctx.absolute_bound, out=out)
+        return dequantize_residuals(indices, predictions, bound, out=out)
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,12 @@ class PredictorStage(ABC):
     slab at a time) and reduces with ``dtype=np.float64``.  ``decode`` may
     return float64 or ``ctx.dtype``.  Implementations must be stateless —
     every per-call fact belongs on the :class:`StageContext`.
+
+    That is all a codec writes.  It inherits :meth:`encode_group` and
+    :meth:`decode_group`, through which :class:`StagedCompressor` hands over
+    consecutive tensors: the defaults take them one at a time, and a predictor
+    whose per-call set-up outweighs a small tensor overrides them (SZ2 walks
+    a run of small tensors as one slab) without moving a byte of any section.
     """
 
     #: Human-readable stage name (diagnostics only).
@@ -176,22 +188,29 @@ class PredictorStage(ABC):
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
         """Reconstruct the flat array (float64 or ``ctx.dtype``) from payload sections."""
 
+    def encode_group(
+        self, flats: Sequence[np.ndarray], ctxs: Sequence[StageContext]
+    ) -> List[Dict[str, bytes]]:
+        """:meth:`encode` of each prepared, non-raw tensor, in order."""
+        return [self.encode(flat, ctx) for flat, ctx in zip(flats, ctxs, strict=True)]
+
+    def decode_group(
+        self, sections: Sequence[Mapping[str, bytes]], ctxs: Sequence[StageContext]
+    ) -> List[np.ndarray]:
+        """:meth:`decode` of each non-raw payload, in order."""
+        return [self.decode(member, ctx) for member, ctx in zip(sections, ctxs, strict=True)]
+
 
 def pack_stage_meta(ctx: StageContext) -> bytes:
     """Serialize the shared metadata section for a staged payload."""
-    params_blob = json.dumps(ctx.params, sort_keys=True).encode("utf-8")
+    params_blob = _PARAMS_JSON.encode(ctx.params).encode("utf-8")
     dtype_name = np.dtype(ctx.dtype).str.encode("ascii")
-    blob = bytearray(
-        _META_STRUCT.pack(
-            STAGED_FORMAT_VERSION, ctx.size, float(ctx.absolute_bound), 1 if ctx.raw else 0
-        )
+    fixed = struct.pack(
+        f"<IQdBH{len(dtype_name)}sB{len(ctx.shape)}qI",
+        STAGED_FORMAT_VERSION, ctx.size, float(ctx.absolute_bound), 1 if ctx.raw else 0,
+        len(dtype_name), dtype_name, len(ctx.shape), *ctx.shape, len(params_blob),
     )
-    blob += struct.pack("<H", len(dtype_name)) + dtype_name
-    blob += struct.pack("<B", len(ctx.shape))
-    if ctx.shape:
-        blob += struct.pack(f"<{len(ctx.shape)}q", *ctx.shape)
-    blob += struct.pack("<I", len(params_blob)) + params_blob
-    return bytes(blob)
+    return fixed + params_blob
 
 
 def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
@@ -205,6 +224,10 @@ def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
         cursor = _META_STRUCT.size
         (dtype_len,) = struct.unpack_from("<H", blob, cursor)
         cursor += 2
+        # Only what ``dtype.str`` of a float array looks like reaches numpy,
+        # whose dtype parser raises anything up to SyntaxError.
+        if not _FLOAT_DTYPE.fullmatch(blob[cursor : cursor + dtype_len]):
+            raise CorruptPayloadError(f"{codec} payload is not of a float dtype")
         dtype = np.dtype(blob[cursor : cursor + dtype_len].decode("ascii"))
         cursor += dtype_len
         (ndim,) = struct.unpack_from("<B", blob, cursor)
@@ -218,6 +241,9 @@ def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
         params = json.loads(blob[cursor : cursor + params_len].decode("utf-8"))
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as error:
         raise CorruptPayloadError(f"corrupt {codec} payload metadata: {error}") from error
+    # Python ints: a forged shape cannot wrap the element count around.
+    if min(shape, default=0) < 0 or math.prod(shape) != size or not isinstance(params, dict):
+        raise CorruptPayloadError(f"{codec} payload metadata disagrees with itself")
     return StageContext(
         size=int(size),
         shape=tuple(int(s) for s in shape),
@@ -249,35 +275,60 @@ class StagedCompressor(LossyCompressor):
     def _predictor(self) -> PredictorStage:
         raise NotImplementedError(f"{type(self).__name__} must build its predictor stage")
 
+    def compress_group(
+        self,
+        tensors: Sequence[np.ndarray],
+        error_bound: float,
+        mode: ErrorBoundMode = ErrorBoundMode.REL,
+    ) -> List[bytes]:
+        predictor = self._predictor()
+        members = []
+        for data in tensors:
+            data = validate_lossy_input(data, codec=self.name)
+            ctx = StageContext(
+                size=data.size,
+                shape=data.shape,
+                dtype=data.dtype,
+                error_bound=float(error_bound),
+                mode=mode,
+            )
+            flat = data.ravel()
+            predictor.prepare(flat, ctx)
+            members.append((data, flat, ctx))
+        staged = [(flat, ctx) for _, flat, ctx in members if not ctx.raw]
+        encoded = iter(predictor.encode_group(*zip(*staged, strict=True)) if staged else ())
+        return [
+            pack_sections(
+                {"meta": pack_stage_meta(ctx)}
+                | ({"raw": pack_array(data)} if ctx.raw else next(encoded))
+            )
+            for data, _, ctx in members
+        ]
+
     def compress(
         self,
         data: np.ndarray,
         error_bound: float,
         mode: ErrorBoundMode = ErrorBoundMode.REL,
     ) -> bytes:
-        data = validate_lossy_input(data, codec=self.name)
-        flat = data.ravel()
-        ctx = StageContext(
-            size=flat.size,
-            shape=data.shape,
-            dtype=data.dtype,
-            error_bound=float(error_bound),
-            mode=mode,
-        )
-        predictor = self._predictor()
-        predictor.prepare(flat, ctx)
-        if ctx.raw:
-            return pack_sections({"meta": pack_stage_meta(ctx), "raw": pack_array(data)})
-        sections = predictor.encode(flat, ctx)
-        return pack_sections({"meta": pack_stage_meta(ctx), **sections})
+        return self.compress_group([data], error_bound, mode)[0]
+
+    def decompress_group(self, payloads: Sequence[bytes]) -> List[np.ndarray]:
+        members = []
+        for payload in payloads:
+            sections = _Sections(unpack_sections(payload))
+            members.append((sections, unpack_stage_meta(sections.get("meta"), self.name)))
+        staged = [member for member in members if not member[1].raw]
+        decoded = iter(self._predictor().decode_group(*zip(*staged, strict=True)) if staged else ())
+        return [
+            unpack_array(sections["raw"])
+            if ctx.raw
+            else next(decoded).astype(ctx.dtype, copy=False).reshape(ctx.shape)
+            for sections, ctx in members
+        ]
 
     def decompress(self, payload: bytes) -> np.ndarray:
-        sections = _Sections(unpack_sections(payload))
-        ctx = unpack_stage_meta(sections.get("meta"), self.name)
-        if ctx.raw:
-            return unpack_array(sections["raw"])
-        flat = self._predictor().decode(sections, ctx)
-        return flat.astype(ctx.dtype, copy=False).reshape(ctx.shape)
+        return self.decompress_group([payload])[0]
 
 
 def pad_to_blocks(flat: np.ndarray, block: int, fill: str = "edge") -> Tuple[np.ndarray, int]:

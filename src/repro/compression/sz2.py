@@ -31,11 +31,29 @@ whole-tensor arrays are the codes and that output, so the allocation peak is
 whole-tensor float64 intermediates; ``tests/compression/test_sz2_kernel.py``
 pins 2.5x.  Every float operation runs per block or per value, so slabs change
 no code, mode flag or coefficient (``tests/compression/test_sz2_slabs.py``).
+
+A block never looks outside itself, so the walk takes a *run* of tensors: one
+of any size, or consecutive small ones whose blocks together fit one slab
+(:func:`_runs`), filled into the same block matrix.  The ~35 numpy calls of a
+slab then cost a run what they cost one tensor — 210 µs each for the ≤4,096
+value tensors of a MobileNetV2 update — and the only per-tensor facts left in
+the walk are the edge pad of a tensor's last block and its ``ε``, a column of
+one entry per row (a scalar for a lone tensor, which numpy divides by faster).
+Each tensor keeps its own ``modes`` / ``coef`` / ``codes`` sections and its own
+DEFLATE stream, byte for byte (``tests/compression/test_sz2_groups.py``; the
+one float reduction that sees neighbouring rows, the slope's matrix-vector
+product, can differ in the last float64 bit with the row's position, as it
+already did from slab to slab, and is rounded to the stored float32 before
+use).  One slab bounds a run, so a list of small tensors allocates what one
+slab of a large tensor does and the peaks above hold.  Decoding cuts its runs
+from each payload's own validated metadata (size, block size, offset).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+import itertools
+import math
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +81,14 @@ _SLAB_ELEMENTS = 1 << 16
 
 
 class SZ2Predictor(PredictorStage):
-    """Blockwise hybrid Lorenzo/regression prediction (SZ2 analogue)."""
+    """Blockwise hybrid Lorenzo/regression prediction (SZ2 analogue).
+
+    ``encode`` / ``decode`` here are the run walks of the module docstring:
+    they take the tensors (sections) and contexts of one run as sequences and
+    return a list, and ``encode_group`` / ``decode_group`` cut the runs.  They
+    keep the names of the one-tensor interface because the benchmark's trace
+    times those attributes on every predictor.
+    """
 
     name = "sz2-hybrid"
 
@@ -80,10 +105,32 @@ class SZ2Predictor(PredictorStage):
         # which is the behaviour Section VII-D analyses.
         ctx.params["offset"] = 0.0
 
-    def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
-        offset = float(ctx.params["offset"])
+    def encode_group(
+        self, flats: Sequence[np.ndarray], ctxs: Sequence[StageContext]
+    ) -> List[Dict[str, bytes]]:
+        sections: List[Dict[str, bytes]] = []
+        for run in _runs([flat.size for flat in flats], self.block_size):
+            sections += self.encode(flats[run], ctxs[run])
+        return sections
+
+    def decode_group(
+        self, sections: Sequence[Mapping[str, bytes]], ctxs: Sequence[StageContext]
+    ) -> List[np.ndarray]:
+        restored: List[np.ndarray] = []
+        # Only payloads that agree on block size and offset can share a walk.
+        for (block, _), same in itertools.groupby(ctxs, key=_walk_params):
+            for run in _runs([ctx.size for ctx in same], block):
+                here = slice(len(restored), len(restored) + run.stop - run.start)
+                restored += self.decode(sections[here], ctxs[here])
+        return restored
+
+    def encode(
+        self, flats: Sequence[np.ndarray], ctxs: Sequence[StageContext]
+    ) -> List[Dict[str, bytes]]:
+        """Walk one run (see :func:`_runs`); one section dict per tensor."""
+        offset = float(ctxs[0].params["offset"])  # ``prepare`` gave every tensor the same
         block = self.block_size
-        num_blocks = -(-flat.size // block)
+        spans, num_blocks, bounds = _layout([flat.size for flat in flats], ctxs, block)
         slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
         # The float64 (and intp) arrays of the call, one slab long each.
         values = np.empty((slab_blocks, block), dtype=np.float64)
@@ -102,16 +149,19 @@ class SZ2Predictor(PredictorStage):
             rows = slice(first, min(first + slab_blocks, num_blocks))
             count = rows.stop - first
             blocks, work = values[:count], scratch[:count]
-            # Upcast the slab; the tensor's last block is padded with its
+            bound = _rows_of(bounds, rows)
+            # Upcast the slab; each tensor's last block is padded with its
             # last value, which keeps the pad inside that block's range.
-            chunk = flat[first * block : rows.stop * block]
-            blocks.reshape(-1)[: chunk.size] = chunk
-            blocks.reshape(-1)[chunk.size :] = chunk[-1]
+            for member, slab_rows, elements in _overlaps(spans, rows, block):
+                chunk = flats[member][elements]
+                filled = blocks[slab_rows].reshape(-1)
+                filled[: chunk.size] = chunk
+                filled[chunk.size :] = chunk[-1]
 
             # --- Lorenzo candidate: delta of quantized values, which for
             # uniform quantization telescopes to an exactly error-bounded
             # reconstruction.
-            lorenzo = _lorenzo_deltas(Quantizer.encode(blocks, offset, ctx, out=work))
+            lorenzo = _lorenzo_deltas(Quantizer.encode(blocks, offset, bound, out=work))
             lorenzo_cost = _estimate_block_bits(lorenzo, magnitudes[:count], work)
 
             # --- Regression candidate -------------------------------------
@@ -123,7 +173,7 @@ class SZ2Predictor(PredictorStage):
             lines32[rows, 0] = block_means - slopes * position_mean
             lines32[rows, 1] = slopes
             predictions = _regression_predictions(lines32[rows], positions, out=work)
-            regression = Quantizer.encode(blocks, predictions, ctx, out=work)
+            regression = Quantizer.encode(blocks, predictions, bound, out=work)
 
             # --- Per-block mode selection ---------------------------------
             regression_cost = _estimate_block_bits(regression, magnitudes[:count], work)
@@ -140,25 +190,36 @@ class SZ2Predictor(PredictorStage):
             codes[rows] = common
             codes[rows][rare_rows] = rare[rare_rows]
 
-        return {
-            "modes": pack_bit_flags(use_regression),
-            "coef": pack_array(lines32[use_regression]),
-            "codes": self.entropy.encode(codes.ravel()),
-        }
+        return [
+            {
+                "modes": pack_bit_flags(use_regression[span]),
+                "coef": pack_array(lines32[span][use_regression[span]]),
+                "codes": self.entropy.encode(codes[span].ravel()),
+            }
+            for span in spans
+        ]
 
-    def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
-        size = ctx.size
-        offset = float(ctx.params.get("offset", 0.0))
-        block = int(ctx.params["block_size"])
-        num_blocks = -(-size // block) if size else 0
-
-        codes = EntropyStage.decode(sections["codes"])
-        use_regression = unpack_bit_flags(sections["modes"], num_blocks)
-        coefficients = unpack_array(sections["coef"]).reshape(-1, 2)
-        if codes.size != num_blocks * block or len(coefficients) != np.count_nonzero(
-            use_regression
-        ):
-            raise CorruptPayloadError("sz2 payload sections disagree on the block count")
+    def decode(
+        self, sections: Sequence[Mapping[str, bytes]], ctxs: Sequence[StageContext]
+    ) -> List[np.ndarray]:
+        """Inverse walk of one run whose payloads agree on :func:`_walk_params`."""
+        block, offset = _walk_params(ctxs[0])
+        spans, num_blocks, bounds = _layout([ctx.size for ctx in ctxs], ctxs, block)
+        parts = []
+        for member, span in zip(sections, spans, strict=True):
+            count = span.stop - span.start
+            member_codes = EntropyStage.decode(member["codes"])
+            member_modes = unpack_bit_flags(member["modes"], count)
+            member_lines = unpack_array(member["coef"]).reshape(-1, 2)
+            if member_codes.size != count * block or len(member_lines) != np.count_nonzero(
+                member_modes
+            ):
+                raise CorruptPayloadError("sz2 payload sections disagree on the block count")
+            parts.append((member_codes, member_modes, member_lines))
+        # One tensor's arrays are used as they are, copy-free; several are joined.
+        codes, use_regression, coefficients = (
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts, strict=True))
+        )
         codes = codes.reshape(num_blocks, block)
         lines = np.zeros((num_blocks, 2), dtype=coefficients.dtype)
         lines[use_regression] = coefficients
@@ -167,7 +228,7 @@ class SZ2Predictor(PredictorStage):
         slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
         values = np.empty((slab_blocks, block), dtype=np.float64)
         scratch = np.empty_like(values)
-        restored = np.empty(size, dtype=ctx.dtype)
+        restored = [np.empty(ctx.size, dtype=ctx.dtype) for ctx in ctxs]
 
         for first in range(0, num_blocks, slab_blocks):
             rows = slice(first, min(first + slab_blocks, num_blocks))
@@ -175,31 +236,35 @@ class SZ2Predictor(PredictorStage):
             reconstruction = values[: len(slab_codes)]
             regression_rows = np.flatnonzero(use_regression[rows])
             lorenzo_rows = np.flatnonzero(~use_regression[rows])
+            bound = _rows_of(bounds, rows)
 
             # Decode every block of the slab in place as the mode most of
             # them are in (weights: regression; smooth fields: Lorenzo), then
             # redo the others.  Only those few rows are gathered and scattered.
             if regression_rows.size <= lorenzo_rows.size:
                 quantized = _lorenzo_quantized(slab_codes, out=reconstruction)
-                Quantizer.decode(quantized, offset, ctx, out=reconstruction)
+                Quantizer.decode(quantized, offset, bound, out=reconstruction)
                 if regression_rows.size:
                     predictions = _regression_predictions(slab_lines[regression_rows], positions)
                     reconstruction[regression_rows] = Quantizer.decode(
-                        slab_codes[regression_rows], predictions, ctx
+                        slab_codes[regression_rows], predictions, _rows_of(bound, regression_rows)
                     )
             else:
                 predictions = _regression_predictions(
                     slab_lines, positions, out=scratch[: len(slab_codes)]
                 )
-                Quantizer.decode(slab_codes, predictions, ctx, out=reconstruction)
+                Quantizer.decode(slab_codes, predictions, bound, out=reconstruction)
                 if lorenzo_rows.size:
                     reconstruction[lorenzo_rows] = Quantizer.decode(
-                        _lorenzo_quantized(slab_codes[lorenzo_rows]), offset, ctx
+                        _lorenzo_quantized(slab_codes[lorenzo_rows]),
+                        offset,
+                        _rows_of(bound, lorenzo_rows),
                     )
 
-            # Rounds to the tensor's dtype and drops the last block's pad.
-            kept = restored[first * block : rows.stop * block]
-            kept[...] = reconstruction.reshape(-1)[: kept.size]
+            # Rounds to each tensor's dtype and drops its last block's pad.
+            for member, slab_rows, elements in _overlaps(spans, rows, block):
+                kept = restored[member][elements]
+                kept[...] = reconstruction[slab_rows].reshape(-1)[: kept.size]
 
         return restored
 
@@ -221,10 +286,73 @@ class SZ2Compressor(StagedCompressor):
         self.entropy_backend = entropy_backend
         self.compression_level = int(compression_level)
 
+    def group_slices(self, sizes: Sequence[int]) -> List[slice]:
+        return _runs(sizes, self.block_size)
+
     def _predictor(self) -> SZ2Predictor:
         return SZ2Predictor(
             self.block_size, EntropyStage(self.entropy_backend, self.compression_level)
         )
+
+
+def _runs(sizes: Sequence[int], block: int) -> List[slice]:
+    """Consecutive tensors as runs: a new one starts where the next tensor's
+    blocks no longer fit the slab, so a tensor of a slab or more walks alone."""
+    limit = max(1, _SLAB_ELEMENTS // block)
+    runs: List[slice] = []
+    used = limit + 1
+    for index, size in enumerate(sizes):
+        blocks = -(-size // block)
+        if used + blocks > limit:
+            runs.append(slice(index, index))
+            used = 0
+        runs[-1] = slice(runs[-1].start, index + 1)
+        used += blocks
+    return runs
+
+
+def _layout(sizes: Sequence[int], ctxs: Sequence[StageContext], block: int):
+    """The rows of the run's block matrix each tensor fills, the row count, and ``ε`` by row.
+
+    ``ε`` of a lone tensor stays a scalar — numpy divides a slab by a scalar
+    1.5x and multiplies it 3.5x faster than by a broadcast column, and a tensor
+    of many slabs is always alone; several tensors get a column of one per row.
+    """
+    spans: List[slice] = []
+    stop = 0
+    for size in sizes:
+        spans.append(slice(stop, stop - (-size // block)))
+        stop = spans[-1].stop
+    if len(ctxs) == 1:
+        return spans, stop, ctxs[0].absolute_bound
+    bounds = np.empty((stop, 1), dtype=np.float64)
+    for ctx, span in zip(ctxs, spans, strict=True):
+        bounds[span] = ctx.absolute_bound
+    return spans, stop, bounds
+
+
+def _overlaps(spans: Sequence[slice], rows: slice, block: int):
+    """``(tensor, its rows within the slab, its elements there)`` per tensor in slab ``rows``."""
+    for member, span in enumerate(spans):
+        lo, hi = max(rows.start, span.start), min(rows.stop, span.stop)
+        if lo < hi:
+            elements = slice((lo - span.start) * block, (hi - span.start) * block)
+            yield member, slice(lo - rows.start, hi - rows.start), elements
+
+
+def _rows_of(bounds, rows):
+    return bounds if isinstance(bounds, float) else bounds[rows]
+
+
+def _walk_params(ctx: StageContext) -> Tuple[int, float]:
+    """Validated ``(block_size, offset)`` of a payload's metadata."""
+    try:
+        block, offset = int(ctx.params["block_size"]), float(ctx.params.get("offset", 0.0))
+    except (KeyError, TypeError, ValueError) as error:
+        raise CorruptPayloadError(f"corrupt sz2 payload parameters: {error!r}") from error
+    if block < 1 or not math.isfinite(offset):
+        raise CorruptPayloadError(f"sz2 payload declares block size {block}, offset {offset}")
+    return block, offset
 
 
 def _regression_predictions(

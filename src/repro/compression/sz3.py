@@ -70,20 +70,21 @@ class SZ3Predictor(PredictorStage):
         reconstruction = np.zeros_like(flat)
 
         # Anchor point: the first element is quantized against zero.
-        codes: List[np.ndarray] = [Quantizer.encode(flat[:1], 0.0, ctx)]
-        reconstruction[:1] = Quantizer.decode(codes[0], 0.0, ctx)
+        bound = ctx.absolute_bound
+        codes: List[np.ndarray] = [Quantizer.encode(flat[:1], 0.0, bound)]
+        reconstruction[:1] = Quantizer.decode(codes[0], 0.0, bound)
 
         for stride in _interpolation_strides(flat.size):
             targets = reconstruction[stride :: 2 * stride]
             predictions = _predict(reconstruction[:: 2 * stride], targets.size, self.use_cubic)
-            level_codes = Quantizer.encode(flat[stride :: 2 * stride], predictions, ctx)
-            Quantizer.decode(level_codes, predictions, ctx, out=targets)
+            level_codes = Quantizer.encode(flat[stride :: 2 * stride], predictions, bound)
+            Quantizer.decode(level_codes, predictions, bound, out=targets)
             codes.append(level_codes)
 
         return {"codes": self.entropy.encode(np.concatenate(codes))}
 
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
-        size = ctx.size
+        size, bound = ctx.size, ctx.absolute_bound
         use_cubic = bool(ctx.params["use_cubic"])
 
         all_codes = EntropyStage.decode(sections["codes"])
@@ -100,7 +101,7 @@ class SZ3Predictor(PredictorStage):
             level_codes = all_codes[cursor : cursor + targets.size]
             cursor += targets.size
             predictions = _predict(reconstruction[:: 2 * stride], targets.size, use_cubic)
-            Quantizer.decode(level_codes, predictions, ctx, out=targets)
+            Quantizer.decode(level_codes, predictions, bound, out=targets)
 
         return reconstruction
 

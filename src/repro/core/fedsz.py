@@ -9,11 +9,10 @@ worthwhileness check for a given link bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+import zlib
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-
-import hashlib
 
 from repro.compression.base import ErrorBoundMode
 from repro.core.config import FedSZConfig
@@ -21,9 +20,14 @@ from repro.core.pipeline import FedSZReport, compress_state_dict, decompress_sta
 from repro.network.decision import CompressionDecision, should_compress
 
 
-def _payload_digest(payload: bytes) -> bytes:
-    """Cheap identity fingerprint for "is this the payload I just produced?"."""
-    return hashlib.blake2b(payload, digest_size=16).digest()
+def _payload_digest(payload: bytes) -> Tuple[int, int]:
+    """Cheap identity fingerprint for "is this the payload I just produced?".
+
+    Length and CRC-32: nobody forges a payload to borrow a timing map, and a
+    cryptographic hash of every payload, twice a round trip, was the one cost
+    of a codec op that no span of the trace covered.
+    """
+    return len(payload), zlib.crc32(payload)
 
 
 class FedSZCompressor:
@@ -63,7 +67,7 @@ class FedSZCompressor:
             max_codec_workers=max_codec_workers,
         )
         self.last_report: Optional[FedSZReport] = None
-        self._last_payload_digest: Optional[bytes] = None
+        self._last_payload_digest: Optional[Tuple[int, int]] = None
 
     @classmethod
     def from_config(cls, config: FedSZConfig) -> "FedSZCompressor":
@@ -99,9 +103,9 @@ class FedSZCompressor:
 
         Decoding honours the configured per-tensor parallelism.  Measured
         per-tensor decode times are recorded onto ``last_report`` only when
-        ``payload`` is byte-for-byte the one ``compress`` produced (checked
-        by digest) — decompressing any other payload, even one with the same
-        tensor names, must not mix foreign timings into an unrelated report.
+        ``payload`` is the one ``compress`` produced (same length and CRC-32)
+        — decompressing any other payload, even one with the same tensor
+        names, must not mix foreign timings into an unrelated report.
         """
         matches = (
             self.last_report is not None

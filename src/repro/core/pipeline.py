@@ -8,16 +8,19 @@
    the lossless codec over the serialized remainder;
 3. assemble a single self-describing bitstream for transmission.
 
-Step 2 is a :class:`TensorTask`-based engine: each lossy tensor is one task,
-and with ``FedSZConfig.parallel_tensors`` the tasks run concurrently on a
-thread pool — codec stages are stateless (each worker gets its own ``clone()``)
-and the vectorized numpy/zlib kernels release the GIL, so per-tensor
-parallelism buys real wall-clock on multi-core hosts.  Tasks are assembled in
-state-dict order regardless of completion order, so the payload is
-byte-identical to the serial path.  Per-tensor compress/decompress wall times
-are recorded on the :class:`FedSZReport` (``per_tensor_compress_seconds`` /
+Step 2 is a :class:`TensorTask`-based engine: the codec cuts the lossy
+partition into groups (``LossyCompressor.group_slices`` — a tensor each, or for
+SZ2 a run of small tensors that share one slab walk), each group is one
+``compress_group`` call, and with ``FedSZConfig.parallel_tensors`` the groups
+run concurrently on a thread pool — codec stages are stateless (each worker
+gets its own ``clone()``) and the vectorized numpy/zlib kernels release the
+GIL, so parallelism buys real wall-clock on multi-core hosts.  Every tensor
+keeps its own payload and results are assembled in state-dict order, so the
+bitstream is byte-identical whatever the grouping or the worker count.  The
+measured wall time of a group is split over its tensors by ``nbytes`` into the
+:class:`FedSZReport` (``per_tensor_compress_seconds`` /
 ``per_tensor_decompress_seconds``), which is what the Figure 6 epoch-breakdown
-harness surfaces as *measured* codec time.
+harness sums as *measured* codec time.
 
 ``decompress_state_dict`` implements the server-side inverse: split the
 bitstream, decompress both partitions (optionally tensor-parallel too),
@@ -27,6 +30,8 @@ loaded straight into the global model.
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compression.errors import CorruptPayloadError
 from repro.compression.registry import get_lossless_compressor, get_lossy_compressor
 from repro.core.config import FedSZConfig
 from repro.core.partition import partition_state_dict
@@ -63,10 +69,11 @@ class FedSZReport:
     #: Workers actually used for per-tensor codec work (1 = serial path).
     codec_workers: int = 1
     per_tensor_ratio: Dict[str, float] = field(default_factory=dict)
-    #: Measured per-tensor codec wall time (lossy partition only).  Unlike
-    #: ``compress_seconds`` — the aggregate pipeline wall including
-    #: partitioning, the lossless pass and serialization — these are the
-    #: codec-kernel seconds Figure 6 reports as FedSZ overhead.
+    #: Measured codec wall time by lossy tensor.  Unlike ``compress_seconds``
+    #: — the aggregate pipeline wall including partitioning, the lossless pass
+    #: and serialization — these are the codec-kernel seconds Figure 6 reports
+    #: as FedSZ overhead.  One key per tensor; tensors the codec coded as one
+    #: group share that group's measured seconds in proportion to ``nbytes``.
     per_tensor_compress_seconds: Dict[str, float] = field(default_factory=dict)
     per_tensor_decompress_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -140,23 +147,50 @@ def resolve_codec_workers(config: FedSZConfig, task_count: int) -> int:
 
 
 def _run_codec_tasks(
-    tasks: Sequence,
-    workers: int,
-    make_worker_fn: Callable[[], Callable],
-) -> List[object]:
-    """Run one callable per task, serially or on a thread pool, in task order.
+    tasks: Sequence, workers: int, codec, call: Callable
+) -> List[Tuple[list, float]]:
+    """``call(codec, task)`` of every task with its wall seconds, in task order.
 
-    ``make_worker_fn`` builds a fresh task callable per submission (each one
-    closes over its own codec clone, so no codec instance is shared across
-    threads — cheap because stage-based clones are shallow copies); results
-    always come back in task order regardless of completion order.
+    Serially, or on a thread pool where every task gets its own ``clone()`` of
+    the codec, so no codec instance is shared across threads — cheap because
+    stage-based clones are shallow copies.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        fn = make_worker_fn()
-        return [fn(task) for task in tasks]
+
+    def timed(task_codec, task) -> Tuple[list, float]:
+        start = time.perf_counter()
+        result = call(task_codec, task)
+        return result, time.perf_counter() - start
+
+    if workers <= 1:
+        return [timed(codec, task) for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(make_worker_fn(), task) for task in tasks]
+        futures = [pool.submit(timed, codec.clone(), task) for task in tasks]
         return [future.result() for future in futures]
+
+
+def _shares(seconds: float, weights: Sequence[int]) -> List[float]:
+    """A group's measured seconds split over its members by their bytes."""
+    total = sum(weights) or 1
+    return [seconds * weight / total for weight in weights]
+
+
+def _header_codec(factory: Callable, header: Mapping[str, object], key: str):
+    """The codec a received header names; an unusable name is a corrupt payload."""
+    try:
+        return factory(header[key])
+    except (KeyError, AttributeError) as error:  # missing or unregistered; not a string
+        raise CorruptPayloadError(f"FedSZ header has no usable {key!r}: {error}") from error
+
+
+def _header_layout(header: Mapping[str, object], name: str) -> Tuple[Tuple[int, ...], str]:
+    """The shape and dtype string a received header gives one lossy tensor."""
+    try:
+        shape, dtype = header["lossy_shapes"][name], header["lossy_dtypes"][name]
+        if min(shape, default=0) < 0 or not isinstance(dtype, str):
+            raise ValueError(f"shape {shape!r}, dtype {dtype!r}")
+        return tuple(map(operator.index, shape)), dtype
+    except (KeyError, TypeError, ValueError) as error:
+        raise CorruptPayloadError(f"FedSZ header does not describe {name!r}: {error}") from error
 
 
 def compress_state_dict(
@@ -190,39 +224,37 @@ def compress_state_dict(
     lossless_codec = get_lossless_compressor(config.lossless_compressor)
 
     tasks = [TensorTask(name=name, tensor=tensor) for name, tensor in partition.lossy.items()]
-    workers = resolve_codec_workers(config, len(tasks))
+    runs = lossy_codec.group_slices([task.tensor.size for task in tasks])
+    groups = [tasks[run] for run in runs]
+    workers = resolve_codec_workers(config, len(groups))
 
+    lossy_nbytes, lossless_nbytes = partition.lossy_nbytes, partition.lossless_nbytes
     report = FedSZReport(
-        original_nbytes=partition.total_nbytes,
-        lossy_original_nbytes=partition.lossy_nbytes,
-        lossless_original_nbytes=partition.lossless_nbytes,
+        original_nbytes=lossy_nbytes + lossless_nbytes,
+        lossy_original_nbytes=lossy_nbytes,
+        lossless_original_nbytes=lossless_nbytes,
         lossy_tensor_count=len(partition.lossy),
         lossless_tensor_count=len(partition.lossless),
         codec_workers=workers,
     )
 
-    def make_compress_fn() -> Callable[[TensorTask], Tuple[bytes, float]]:
-        task_codec = lossy_codec.clone() if workers > 1 else lossy_codec
+    def compress_group(codec, group: Sequence[TensorTask]) -> List[bytes]:
+        flats = [np.ascontiguousarray(task.tensor).ravel() for task in group]
+        return codec.compress_group(flats, config.error_bound, config.error_bound_mode)
 
-        def compress_one(task: TensorTask) -> Tuple[bytes, float]:
-            flat = np.ascontiguousarray(task.tensor).ravel()
-            tensor_start = time.perf_counter()
-            payload = task_codec.compress(flat, config.error_bound, config.error_bound_mode)
-            return payload, time.perf_counter() - tensor_start
-
-        return compress_one
-
-    outcomes = _run_codec_tasks(tasks, workers, make_compress_fn)
+    outcomes = _run_codec_tasks(groups, workers, lossy_codec, compress_group)
 
     lossy_payloads: Dict[str, bytes] = {}
     lossy_shapes: Dict[str, list] = {}
     lossy_dtypes: Dict[str, str] = {}
-    for task, (payload, seconds) in zip(tasks, outcomes, strict=True):
-        lossy_payloads[task.name] = payload
-        lossy_shapes[task.name] = list(task.tensor.shape)
-        lossy_dtypes[task.name] = np.dtype(task.tensor.dtype).str
-        report.per_tensor_ratio[task.name] = task.nbytes / max(len(payload), 1)
-        report.per_tensor_compress_seconds[task.name] = seconds
+    for group, (payloads, seconds) in zip(groups, outcomes, strict=True):
+        shares = _shares(seconds, [task.nbytes for task in group])
+        for task, payload, share in zip(group, payloads, shares, strict=True):
+            lossy_payloads[task.name] = payload
+            lossy_shapes[task.name] = list(task.tensor.shape)
+            lossy_dtypes[task.name] = np.dtype(task.tensor.dtype).str
+            report.per_tensor_ratio[task.name] = task.nbytes / max(len(payload), 1)
+            report.per_tensor_compress_seconds[task.name] = share
 
     lossless_blob = lossless_codec.compress(serialize_named_arrays(partition.lossless))
 
@@ -259,25 +291,22 @@ def decompress_state_dict(
     """
     config = config or FedSZConfig()
     header, lossy_payloads, lossless_blob = parse_fedsz_payload(payload)
-    lossy_codec = get_lossy_compressor(header["lossy_compressor"])
-    lossless_codec = get_lossless_compressor(header["lossless_compressor"])
+    lossy_codec = _header_codec(get_lossy_compressor, header, "lossy_compressor")
+    lossless_codec = _header_codec(get_lossless_compressor, header, "lossless_compressor")
 
-    shapes = header.get("lossy_shapes", {})
-    dtypes = header.get("lossy_dtypes", {})
+    # The header is outside input.  Its shapes only schedule the work (what is
+    # walked together the codec cuts from each payload's own metadata), and
+    # they shape nothing before they agree with what was decoded.
     names = list(lossy_payloads)
-    workers = resolve_codec_workers(config, len(names))
+    layout = {name: _header_layout(header, name) for name in names}
+    runs = lossy_codec.group_slices([math.prod(shape) for shape, _ in layout.values()])
+    groups = [names[run] for run in runs]
+    workers = resolve_codec_workers(config, len(groups))
 
-    def make_decompress_fn() -> Callable[[str], Tuple[np.ndarray, float]]:
-        task_codec = lossy_codec.clone() if workers > 1 else lossy_codec
+    def decompress_group(codec, group: Sequence[str]) -> List[np.ndarray]:
+        return codec.decompress_group([lossy_payloads[name] for name in group])
 
-        def decompress_one(name: str) -> Tuple[np.ndarray, float]:
-            tensor_start = time.perf_counter()
-            flat = task_codec.decompress(lossy_payloads[name])
-            return flat, time.perf_counter() - tensor_start
-
-        return decompress_one
-
-    outcomes = _run_codec_tasks(names, workers, make_decompress_fn)
+    outcomes = _run_codec_tasks(groups, workers, lossy_codec, decompress_group)
 
     if report is not None:
         # The map describes exactly this payload — never a union with keys
@@ -285,12 +314,18 @@ def decompress_state_dict(
         report.per_tensor_decompress_seconds.clear()
 
     state: Dict[str, np.ndarray] = {}
-    for name, (flat, seconds) in zip(names, outcomes, strict=True):
-        shape = tuple(shapes.get(name, flat.shape))
-        dtype = np.dtype(dtypes.get(name, flat.dtype.str))
-        state[name] = flat.astype(dtype, copy=False).reshape(shape)
-        if report is not None:
-            report.per_tensor_decompress_seconds[name] = seconds
+    for group, (flats, seconds) in zip(groups, outcomes, strict=True):
+        shares = _shares(seconds, [flat.nbytes for flat in flats])
+        for name, flat, share in zip(group, flats, shares, strict=True):
+            shape, dtype = layout[name]
+            if math.prod(shape) != flat.size or dtype != flat.dtype.str:
+                raise CorruptPayloadError(
+                    f"FedSZ header describes {name!r} as {dtype!r}{shape}, "
+                    f"its payload holds {flat.dtype.str!r}{flat.shape}"
+                )
+            state[name] = flat.reshape(shape)
+            if report is not None:
+                report.per_tensor_decompress_seconds[name] = share
 
     state.update(deserialize_named_arrays(lossless_codec.decompress(lossless_blob)))
     return state

@@ -10,8 +10,10 @@ The compression component is *measured*, not aggregate: every client's
 :class:`~repro.core.pipeline.FedSZReport` records per-tensor codec wall times
 (``per_tensor_compress_seconds``), and the breakdown sums those maps instead
 of attributing the whole pipeline wall (partitioning, the lossless pass,
-payload framing) to error-bounded compression.  The aggregate pipeline wall
-is still surfaced in the ``pipeline_seconds`` column for comparison.
+payload framing) to error-bounded compression.  Small tensors that the codec
+coded as one group share that group's measured seconds by ``nbytes``, so the
+sum is the measured total either way.  The aggregate pipeline wall is still
+surfaced in the ``pipeline_seconds`` column for comparison.
 """
 
 from __future__ import annotations

@@ -1,0 +1,284 @@
+"""Tensors coded as a group must come out as if each had been coded alone.
+
+``compress_group`` / ``decompress_group`` hand a codec consecutive tensors in
+one call; SZ2 walks a run of small ones as one slab (``sz2._runs``) with a
+bin width per row.  Here a list built to land on every edge of that walk is
+coded as groups and tensor by tensor, for every codec (the others through
+``LossyCompressor``'s loop) x dtype x mode x bound, and the payloads and the
+reconstructions must be equal to the bit.  For SZ2 the payloads are also
+compared with digests recorded at the parent commit, whose ``compress`` knew
+one tensor at a time (zlib 1.2.13, on which the bytes depend).  The slab is
+shrunk to eight blocks so that the list crosses many run boundaries cheaply.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.compression import (
+    ErrorBoundMode,
+    SZ2Compressor,
+    SZ3Compressor,
+    SZxCompressor,
+    ZFPCompressor,
+    sz2,
+)
+from repro.compression.base import pack_sections, unpack_sections
+from repro.compression.errors import CorruptPayloadError
+from repro.compression.stages import EntropyStage, unpack_stage_meta
+from repro.core import FedSZCompressor
+from repro.core.serializer import parse_fedsz_payload
+
+BLOCK = 256
+SLAB_BLOCKS = 8
+CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "szx": SZxCompressor, "zfp": ZFPCompressor}
+DTYPES = ["float16", "float32", "float64"]
+MODES = [ErrorBoundMode.REL, ErrorBoundMode.ABS]
+BOUNDS = [1e-1, 1e-2, 1e-4]
+
+
+@pytest.fixture
+def small_slab(monkeypatch):
+    monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", SLAB_BLOCKS * BLOCK)
+
+
+def _noise(size: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(0.0, 0.02, size)
+
+
+def _members(block: int = BLOCK, slab_blocks: int = SLAB_BLOCKS):
+    """``(label, float64 tensor)`` pairs; the labels say which edge each is for."""
+    slab = slab_blocks * block
+    ramp = np.linspace(-0.05, 0.05, 3 * block)  # regression fits it: int8 codes at any bound
+    sizes = [
+        ("one-value", 1), ("block-1", block - 1), ("block", block), ("block+1", block + 1),
+        ("fills-slab", 3 * block),  # 1 + 1 + 1 + 2 + 3 blocks: the slab exactly
+        ("fills-slab-a", 3 * block), ("fills-slab-b", 5 * block),  # and again, in two
+        ("overflows-a", 3 * block), ("overflows-b", 5 * block + 1),  # one value too many
+        ("before-big", block), ("big", 2 * slab + 7), ("after-big", block),
+    ]
+    members = [(label, _noise(size, seed)) for seed, (label, size) in enumerate(sizes)]
+    members += [
+        ("constant", np.full(2 * block, 0.25)),  # raw fallback inside a run
+        ("after-constant", _noise(block + 3, 100)),
+        ("empty", np.zeros(0)),  # raw fallback, no blocks at all
+        ("smooth", ramp),
+        ("noisy", 10.0 * _noise(3 * block, 101)),  # int16 codes at REL 1e-4, next to int8
+    ]
+    return members
+
+
+def _digest(payloads) -> str:
+    return hashlib.sha256(b"".join(payloads)).hexdigest()[:12]
+
+
+#: ``_digest`` of ``[SZ2Compressor().compress(tensor.astype(dtype), bound, mode) ...]`` over
+#: ``_members()`` at the parent commit, keyed by ``(dtype, mode, bound)``.
+PARENT_SZ2_DIGESTS = {
+    ("float16", "rel", 1e-1): "06b4b6084ed6",
+    ("float16", "rel", 1e-2): "6e95383dabef",
+    ("float16", "rel", 1e-4): "d11c63cce2ee",
+    ("float16", "abs", 1e-1): "9ac9f53cac5f",
+    ("float16", "abs", 1e-2): "d2c563c92652",
+    ("float16", "abs", 1e-4): "6404311c40c6",
+    ("float32", "rel", 1e-1): "6f6d28195a55",
+    ("float32", "rel", 1e-2): "0f73f50ecdac",
+    ("float32", "rel", 1e-4): "f0f82b2af013",
+    ("float32", "abs", 1e-1): "453eeb61405b",
+    ("float32", "abs", 1e-2): "539a0598781e",
+    ("float32", "abs", 1e-4): "a7302a65a2cf",
+    ("float64", "rel", 1e-1): "fbd3c224ca2b",
+    ("float64", "rel", 1e-2): "2832139e75e3",
+    ("float64", "rel", 1e-4): "8ac5e19d5df7",
+    ("float64", "abs", 1e-1): "3f873364a106",
+    ("float64", "abs", 1e-2): "c3ea3dc72ff7",
+    ("float64", "abs", 1e-4): "b1d29684ac1b",
+}
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", CODECS)
+def test_a_group_is_coded_as_each_tensor_alone(name, dtype, mode, bound, small_slab):
+    codec = CODECS[name]()
+    tensors = [tensor.astype(dtype) for _, tensor in _members()]
+    alone = [codec.compress(tensor, bound, mode) for tensor in tensors]
+    # Every way the pipeline can hand the list over: all at once, and run by run.
+    assert codec.compress_group(tensors, bound, mode) == alone
+    runs = codec.group_slices([tensor.size for tensor in tensors])
+    assert [i for run in runs for i in range(len(tensors))[run]] == list(range(len(tensors)))
+    assert [p for run in runs for p in codec.compress_group(tensors[run], bound, mode)] == alone
+    if name == "sz2":
+        assert _digest(alone) == PARENT_SZ2_DIGESTS[(dtype, mode.value, bound)]
+
+    expected = [codec.decompress(payload) for payload in alone]
+    for restored in (
+        codec.decompress_group(alone),
+        [flat for run in runs for flat in codec.decompress_group(alone[run])],
+    ):
+        for (label, _), tensor, got, want in zip(
+            _members(), tensors, restored, expected, strict=True
+        ):
+            assert got.dtype == tensor.dtype and got.shape == tensor.shape, label
+            np.testing.assert_array_equal(got, want, err_msg=label)
+
+
+def test_runs_cut_where_the_slab_is_full(small_slab):
+    labels = [label for label, _ in _members()]
+    sizes = [tensor.size for _, tensor in _members()]
+    assert [labels[run] for run in SZ2Compressor().group_slices(sizes)] == [
+        ["one-value", "block-1", "block", "block+1", "fills-slab"],
+        ["fills-slab-a", "fills-slab-b"],
+        ["overflows-a"],
+        ["overflows-b", "before-big"],
+        ["big"],  # a tensor of a slab or more walks alone
+        ["after-big", "constant", "after-constant", "empty", "smooth"],
+        ["noisy"],
+    ]
+    # The other codecs gain nothing from neighbours: one tensor a group.
+    assert SZ3Compressor().group_slices(sizes) == [slice(i, i + 1) for i in range(len(sizes))]
+
+
+def test_int8_and_int16_code_streams_share_a_run(small_slab):
+    members = dict(_members())
+    tensors = [members["smooth"].astype(np.float32), members["noisy"].astype(np.float32)]
+    assert SZ2Compressor().group_slices([t.size for t in tensors]) == [slice(0, 2)]
+    payloads = SZ2Compressor().compress_group(tensors, 1e-4, ErrorBoundMode.REL)
+    widths = [
+        EntropyStage.decode(unpack_sections(payload)["codes"]).dtype.itemsize
+        for payload in payloads
+    ]
+    assert widths == [1, 2]
+    assert payloads == [SZ2Compressor().compress(t, 1e-4, ErrorBoundMode.REL) for t in tensors]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+def test_dtypes_may_mix_within_a_run(mode, small_slab):
+    tensors = [_noise(BLOCK + 5, seed).astype(dtype) for seed, dtype in enumerate(DTYPES * 2)]
+    codec = SZ2Compressor()
+    assert codec.group_slices([t.size for t in tensors]) == [slice(0, 4), slice(4, 6)]
+    payloads = codec.compress_group(tensors, 1e-2, mode)
+    assert payloads == [codec.compress(tensor, 1e-2, mode) for tensor in tensors]
+    for tensor, restored in zip(tensors, codec.decompress_group(payloads), strict=True):
+        assert restored.dtype == tensor.dtype
+        alone = codec.decompress(codec.compress(tensor, 1e-2, mode))
+        np.testing.assert_array_equal(restored, alone)
+
+
+def test_block_size_from_lossy_options_reaches_the_group_walk(monkeypatch):
+    monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", 8 * 64)
+    state = {
+        f"layer{index}.weight": _noise(size, index).astype(np.float32).reshape(-1, 1)
+        for index, size in enumerate([130, 64, 190, 8 * 64 + 1, 63, 200])
+    }
+    codec = FedSZCompressor(
+        error_bound=1e-2, lossy_options={"block_size": 64}, partition_threshold=50
+    )
+    payload = codec.compress(state)
+    _, lossy_payloads, _ = parse_fedsz_payload(payload)
+    alone = SZ2Compressor(block_size=64)
+    assert lossy_payloads == {
+        name: alone.compress(tensor.ravel(), 1e-2) for name, tensor in state.items()
+    }
+    restored = codec.decompress(payload)
+    for name, tensor in state.items():
+        expected = alone.decompress(lossy_payloads[name]).reshape(tensor.shape)
+        np.testing.assert_array_equal(restored[name], expected)
+
+
+def test_payloads_of_another_block_size_decode_alone(small_slab):
+    """Decode runs are cut from each payload's own metadata: whatever the
+    decoder is configured with, and whoever its neighbours are."""
+    tensors = [_noise(BLOCK + 9, seed).astype(np.float32) for seed in range(5)]
+    blocks = [256, 256, 64, 256, 64]
+    payloads = [
+        SZ2Compressor(block_size=block).compress(tensor, 1e-2)
+        for block, tensor in zip(blocks, tensors, strict=True)
+    ]
+    decoder = SZ2Compressor(block_size=32)
+    for restored, payload in zip(decoder.decompress_group(payloads), payloads, strict=True):
+        np.testing.assert_array_equal(restored, decoder.decompress(payload))
+
+
+# ----------------------------------------------------------------------
+# Allocation: a list of small tensors costs what one large tensor costs
+# ----------------------------------------------------------------------
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_slab_groups_keep_the_allocation_ceiling_of_one_large_tensor():
+    """256 tensors of 4,096 values: every run fills the real slab exactly, and
+    only one run's codes and slab buffers are alive at a time — the 2.5x of
+    ``test_sz2_kernel.py``, which a single large tensor is held to."""
+    tensors = [_noise(4096, seed).astype(np.float32) for seed in range(256)]
+    nbytes = sum(tensor.nbytes for tensor in tensors)
+    codec = SZ2Compressor()
+    runs = codec.group_slices([tensor.size for tensor in tensors])
+    assert [run.stop - run.start for run in runs] == [sz2._SLAB_ELEMENTS // 4096] * 16
+    peak = _traced_peak(lambda: codec.compress_group(tensors, 1e-2))
+    assert peak <= 2.5 * nbytes, f"compress peak {peak / nbytes:.2f}x the input"
+    payloads = codec.compress_group(tensors, 1e-2)
+    peak = _traced_peak(lambda: codec.decompress_group(payloads))
+    assert peak <= 2.5 * nbytes, f"decompress peak {peak / nbytes:.2f}x the input"
+
+
+# ----------------------------------------------------------------------
+# Forged stage metadata fails closed
+# ----------------------------------------------------------------------
+def _with_meta(payload: bytes, old: bytes, new: bytes) -> bytes:
+    sections = unpack_sections(payload)
+    assert sections["meta"].count(old) == 1
+    sections["meta"] = sections["meta"].replace(old, new)
+    return pack_sections(sections)
+
+
+@pytest.mark.parametrize("forged", [b",f4", b"<U4", b"<i4", b"|b1", b"<c8", b"<f3"])
+@pytest.mark.parametrize("name", CODECS)
+def test_a_forged_meta_dtype_is_a_corrupt_payload(name, forged, rng):
+    """``',f4'`` used to reach numpy's dtype parser (``SyntaxError``); ``'<U4'``
+    and ``'<i4'`` were accepted as the dtype of a lossy tensor."""
+    codec = CODECS[name]()
+    payload = codec.compress(rng.normal(0.0, 0.02, 600).astype(np.float32), 1e-2)
+    with pytest.raises(CorruptPayloadError):
+        codec.decompress(_with_meta(payload, b"<f4", forged))
+    with pytest.raises(CorruptPayloadError):
+        unpack_stage_meta(unpack_sections(_with_meta(payload, b"<f4", forged))["meta"], name)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (b'"block_size": 256', b'"block_size": 0  '),
+        (b'"block_size": 256', b'"block_size": -64'),
+        (b'"block_size": 256', b'"block_size": "x"'),
+        (b'"block_size": 256', b'"block_sizes": 25'),
+        (b'"offset": 0.0', b'"offset": NaN'),
+        (b'"offset": 0.0', b'"offset": [1]'),
+    ],
+    ids=["zero-block", "negative-block", "string-block", "no-block", "nan-offset", "list-offset"],
+)
+def test_forged_sz2_walk_parameters_are_a_corrupt_payload(old, new, rng):
+    payload = SZ2Compressor().compress(rng.normal(0.0, 0.02, 600).astype(np.float32), 1e-2)
+    with pytest.raises(CorruptPayloadError):
+        SZ2Compressor().decompress(_with_meta(payload, old, new))
+
+
+def test_meta_whose_shape_and_size_disagree_is_a_corrupt_payload(rng):
+    data = rng.normal(0.0, 0.02, (30, 20)).astype(np.float32)
+    payload = SZ2Compressor().compress(data, 1e-2)
+    sections = unpack_sections(payload)
+    forged = sections["meta"].replace((30).to_bytes(8, "little"), (31).to_bytes(8, "little"))
+    assert forged != sections["meta"]
+    with pytest.raises(CorruptPayloadError):
+        SZ2Compressor().decompress(pack_sections({**sections, "meta": forged}))

@@ -232,3 +232,96 @@ def test_codec_clone_is_independent(tiny_state):
     identity_clone = identity.clone()
     identity_clone.compress(tiny_state)
     assert identity.last_report is None
+
+
+# ----------------------------------------------------------------------
+# A received FedSZ header is outside input: forgeries fail closed
+# ----------------------------------------------------------------------
+def _reframed(payload: bytes, edit) -> bytes:
+    """``payload`` with its header passed through ``edit`` (in place)."""
+    header, lossy_payloads, lossless_blob = parse_fedsz_payload(payload)
+    edit(header)
+    return build_fedsz_payload(header, lossy_payloads, lossless_blob)
+
+
+def _set(path, value):
+    def edit(header):
+        target = header
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+WEIGHT = "features.3.block.0.0.weight"  # (96, 24, 1, 1) float32 in ``mobilenet_state``
+
+FORGED_HEADERS = {
+    # What each did at the parent commit is in the comment.
+    "shape-of-another-size": _set(["lossy_shapes", WEIGHT], [7, 7]),  # ValueError: cannot reshape
+    "shape-negative": _set(["lossy_shapes", WEIGHT], [-1]),  # accepted
+    "shape-a-string": _set(["lossy_shapes", WEIGHT], "12x12"),  # TypeError
+    "shape-of-floats": _set(["lossy_shapes", WEIGHT], [2.5, 4]),  # TypeError
+    "shapes-a-list": _set(["lossy_shapes"], [[4, 4]]),  # AttributeError
+    "shapes-missing": lambda header: header.pop("lossy_shapes"),  # flat tensors came back
+    "dtype-unparsable": _set(["lossy_dtypes", WEIGHT], ",f4"),  # SyntaxError
+    "dtype-an-int-kind": _set(["lossy_dtypes", WEIGHT], "<i4"),  # weights silently cast to int32
+    "dtype-another-float": _set(["lossy_dtypes", WEIGHT], "<f8"),  # silently widened
+    "dtype-not-a-string": _set(["lossy_dtypes", WEIGHT], 4),  # TypeError
+    "dtypes-a-list": _set(["lossy_dtypes"], ["<f4"]),  # AttributeError
+    "lossy-codec-unknown": _set(["lossy_compressor"], "sz9"),  # UnknownCompressorError
+    "lossy-codec-not-a-string": _set(["lossy_compressor"], 2),  # AttributeError
+    "lossy-codec-missing": lambda header: header.pop("lossy_compressor"),  # KeyError
+    "lossless-codec-unknown": _set(["lossless_compressor"], "rar"),  # UnknownCompressorError
+}
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+@pytest.mark.parametrize("forgery", FORGED_HEADERS)
+def test_forged_fedsz_header_is_a_corrupt_payload(mobilenet_state, forgery, parallel):
+    config = FedSZConfig(parallel_tensors=parallel, max_codec_workers=2)
+    payload, _ = compress_state_dict(mobilenet_state, config)
+    header, _, _ = parse_fedsz_payload(payload)
+    assert WEIGHT in header["lossy_shapes"]
+    assert decompress_state_dict(_reframed(payload, lambda header: None), config).keys()
+    with pytest.raises(CorruptPayloadError):
+        decompress_state_dict(_reframed(payload, FORGED_HEADERS[forgery]), config)
+
+
+def test_header_sizes_only_schedule_the_decode(mobilenet_state):
+    """Shapes that lie about which tensors are small change the grouping the
+    pipeline asks for, never what the codec walks together: that it cuts from
+    each payload's own metadata, and the lie is caught once sizes are known."""
+    payload, _ = compress_state_dict(mobilenet_state, FedSZConfig())
+    header, _, _ = parse_fedsz_payload(payload)
+    names = list(header["lossy_shapes"])
+
+    def swap(header):
+        shapes = header["lossy_shapes"]
+        shapes[names[0]], shapes[names[-1]] = shapes[names[-1]], shapes[names[0]]
+
+    assert header["lossy_shapes"][names[0]] != header["lossy_shapes"][names[-1]]
+    with pytest.raises(CorruptPayloadError, match="describes"):
+        decompress_state_dict(_reframed(payload, swap))
+
+
+# ----------------------------------------------------------------------
+# Report: a group's measured seconds are split over its members by bytes
+# ----------------------------------------------------------------------
+def test_group_seconds_are_split_over_the_members_by_nbytes(mobilenet_state):
+    from repro.compression import SZ2Compressor
+    from repro.core.partition import partition_state_dict
+
+    restored, report = roundtrip_state_dict(mobilenet_state, FedSZConfig())
+    lossy = partition_state_dict(mobilenet_state, 1024).lossy
+    runs = SZ2Compressor().group_slices([tensor.size for tensor in lossy.values()])
+    assert any(run.stop - run.start > 1 for run in runs)  # the tiny model's tensors do group
+    names = list(lossy)
+    for seconds in (report.per_tensor_compress_seconds, report.per_tensor_decompress_seconds):
+        assert list(seconds) == names  # one key per lossy tensor, in state-dict order
+        for run in runs:
+            group = names[run]
+            rates = [seconds[name] / lossy[name].nbytes for name in group]
+            assert rates == pytest.approx([rates[0]] * len(group))
+    assert report.lossy_compress_seconds <= report.compress_seconds * report.codec_workers
+    assert report.lossy_decompress_seconds <= report.decompress_seconds

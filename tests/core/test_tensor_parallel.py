@@ -3,7 +3,10 @@
 The tensor-parallel hot path must be a pure scheduling change — the assembled
 FedSZ bitstream is byte-identical to the serial path for any worker count —
 and both paths must record measured per-tensor compress/decompress times on
-the report.
+the report.  A thread-pool task is one group of the codec's ``group_slices``:
+the tiny model's nine lossy tensors are a single SZ2 group at the real slab
+size (nothing to overlap), so every test also runs with the slab shrunk to
+8,192 values, where they are four.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import SZ2Compressor, sz2
 from repro.core import FedSZCompressor
 from repro.core.config import FedSZConfig
 from repro.core.pipeline import (
@@ -29,10 +33,22 @@ def model_state():
     return create_model("mobilenetv2", "tiny", seed=3).state_dict()
 
 
+@pytest.fixture(autouse=True, params=[sz2._SLAB_ELEMENTS, 8192], ids=["real-slab", "8K-slab"])
+def slab(request, monkeypatch):
+    monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", request.param)
+
+
 def _lossy_names(state, threshold=1024):
     from repro.core.partition import partition_state_dict
 
     return set(partition_state_dict(state, threshold).lossy)
+
+
+def _group_count(state) -> int:
+    from repro.core.partition import partition_state_dict
+
+    lossy = partition_state_dict(state, 1024).lossy
+    return len(SZ2Compressor().group_slices([tensor.size for tensor in lossy.values()]))
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
@@ -42,7 +58,9 @@ def test_parallel_payload_byte_identical_to_serial(model_state, workers):
         model_state, FedSZConfig(parallel_tensors=True, max_codec_workers=workers)
     )
     assert parallel_payload == serial_payload
-    assert report.codec_workers == min(workers, report.lossy_tensor_count)
+    groups = _group_count(model_state)
+    assert groups == (4 if sz2._SLAB_ELEMENTS == 8192 else 1)
+    assert report.codec_workers == min(workers, groups)
 
 
 def test_parallel_and_serial_roundtrips_agree(model_state):
