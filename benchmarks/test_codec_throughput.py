@@ -28,7 +28,7 @@ def test_lossy_compression_throughput(benchmark, compressor):
     assert len(payload) < _SAMPLE.nbytes
 
 
-@pytest.mark.parametrize("compressor", ["sz2", "szx"])
+@pytest.mark.parametrize("compressor", ["sz2", "sz3", "szx", "zfp"])
 def test_lossy_decompression_throughput(benchmark, compressor):
     codec = get_lossy_compressor(compressor)
     payload = codec.compress(_SAMPLE, 1e-2, ErrorBoundMode.REL)

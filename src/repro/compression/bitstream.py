@@ -6,7 +6,7 @@ the one-bit-per-block sections of the SZ2 (predictor mode) and SZx (constant
 block) codecs; and a :class:`BitWriter` / :class:`BitReader` pair whose
 ``write_fixed_width`` packs an integer array at a common bit width in one
 numpy operation.  No codec's hot path runs through the writer: SZx bit-packs
-its magnitudes itself (``szx._pack_group_values``) and ZFP hands integer
+its fields a lane at a time (``szx._pack_fields``) and ZFP hands integer
 coefficients to the entropy stage.
 """
 

@@ -154,9 +154,9 @@ class PredictorStage(ABC):
     ``encode`` turns the flat tensor into named payload sections; ``decode``
     is its exact inverse, reading parameters from the context the metadata was
     unpacked into.  ``flat`` arrives in the tensor's own float dtype, never as
-    a copy: a predictor that computes in float64 upcasts what it needs (SZ2 a
-    slab at a time) and reduces with ``dtype=np.float64``.  ``decode`` may
-    return float64 or ``ctx.dtype``.  Implementations must be stateless —
+    a copy: a predictor that computes in float64 upcasts what it needs (SZ2
+    and SZx a slab at a time) and reduces with ``dtype=np.float64``.  ``decode``
+    may return float64 or ``ctx.dtype``.  Implementations must be stateless —
     every per-call fact belongs on the :class:`StageContext`.
 
     That is all a codec writes.  It inherits :meth:`encode_group` and
@@ -331,26 +331,18 @@ class StagedCompressor(LossyCompressor):
         return self.decompress_group([payload])[0]
 
 
-def pad_to_blocks(flat: np.ndarray, block: int, fill: str = "edge") -> Tuple[np.ndarray, int]:
-    """A 1-D float array as float64, padded to a whole number of ``block``-sized blocks.
+def pad_to_blocks(flat: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
+    """A 1-D float array as float64, zero-padded to a whole number of ``block``-sized blocks.
 
-    ``fill="edge"`` repeats the last value (SZx — keeps the pad inside the
-    final block's value range), ``fill="zero"`` pads with zeros (ZFP —
-    matches block-floating-point alignment of a partially filled block).
-    The upcast and the padding are one copy; a float64 array of whole blocks
-    is returned as it is.
+    Zeros match ZFP's block-floating-point alignment of a partially filled
+    block.  The upcast and the padding are one copy; a float64 array of whole
+    blocks is returned as it is.
     """
     num_blocks = -(-flat.size // block)
     padded_size = num_blocks * block
     if padded_size == flat.size:
         return flat.astype(np.float64, copy=False), num_blocks
-    if fill == "edge":
-        padded = np.empty(padded_size, dtype=np.float64)
-        padded[flat.size :] = flat[-1]
-    elif fill == "zero":
-        padded = np.zeros(padded_size, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown pad fill {fill!r}")
+    padded = np.zeros(padded_size, dtype=np.float64)
     padded[: flat.size] = flat
     return padded, num_blocks
 

@@ -170,8 +170,13 @@ class SZ2Predictor(PredictorStage):
             slopes = (work @ centred_positions) / position_var
             # Coefficients are stored as float32; predict with the stored
             # precision so that compression and decompression agree exactly.
-            lines32[rows, 0] = block_means - slopes * position_mean
-            lines32[rows, 1] = slopes
+            with np.errstate(over="ignore"):
+                lines32[rows, 0] = block_means - slopes * position_mean
+                lines32[rows, 1] = slopes
+            # A line beyond float32 (float64 tensors only) predicts nothing:
+            # zero it, and the block takes the Lorenzo candidate below.
+            unfit = ~np.isfinite(lines32[rows]).all(axis=1)
+            lines32[rows][unfit] = 0.0
             predictions = _regression_predictions(lines32[rows], positions, out=work)
             regression = Quantizer.encode(blocks, predictions, bound, out=work)
 
@@ -179,6 +184,7 @@ class SZ2Predictor(PredictorStage):
             regression_cost = _estimate_block_bits(regression, magnitudes[:count], work)
             regression_cost += 64.0  # two float32 coefficients
             picked = np.less(regression_cost, lorenzo_cost, out=use_regression[rows])
+            picked &= ~unfit
             if max(lorenzo.itemsize, regression.itemsize) > codes.itemsize:
                 codes = codes.astype(np.int64)
             # Merge by storing the slab of the commoner mode and overwriting
@@ -210,12 +216,12 @@ class SZ2Predictor(PredictorStage):
             count = span.stop - span.start
             member_codes = EntropyStage.decode(member["codes"])
             member_modes = unpack_bit_flags(member["modes"], count)
-            member_lines = unpack_array(member["coef"]).reshape(-1, 2)
-            if member_codes.size != count * block or len(member_lines) != np.count_nonzero(
+            member_lines = unpack_array(member["coef"])
+            if member_codes.size != count * block or member_lines.size != 2 * np.count_nonzero(
                 member_modes
             ):
                 raise CorruptPayloadError("sz2 payload sections disagree on the block count")
-            parts.append((member_codes, member_modes, member_lines))
+            parts.append((member_codes, member_modes, member_lines.reshape(-1, 2)))
         # One tensor's arrays are used as they are, copy-free; several are joined.
         codes, use_regression, coefficients = (
             parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts, strict=True))

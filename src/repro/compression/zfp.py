@@ -106,7 +106,7 @@ class ZFPPredictor(PredictorStage):
 
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
         precision = int(ctx.params["precision"])
-        padded, num_blocks = pad_to_blocks(flat, _BLOCK, fill="zero")
+        padded, num_blocks = pad_to_blocks(flat, _BLOCK)
         blocks = padded.reshape(num_blocks, _BLOCK)
 
         # Block-floating-point: express every value as mantissa * 2^emax where
