@@ -252,9 +252,9 @@ def _measure_codec_parallel(
     (the TensorTask engine); only the worker count differs, and the assembled
     payloads are asserted byte-identical so the speedup never comes from doing
     different work.  The parallel record's ``extra`` carries the measured
-    speedup — on a >= ``workers``-core host the GIL-releasing numpy/zlib
-    kernels should put it at >= 2x; on fewer cores it degrades toward 1x,
-    which the committed baseline's normalized compare tolerates.
+    speedup.  No mobilenetv2 group reaches the pipeline's pool threshold, so
+    both records time the serial path and the speedup reads about 1x, which
+    the committed baseline's normalized compare tolerates.
     """
     from repro.core.config import FedSZConfig
     from repro.core.pipeline import compress_state_dict, decompress_state_dict
@@ -264,9 +264,7 @@ def _measure_codec_parallel(
     state = create_model("mobilenetv2", "paper", seed=0).state_dict()
     nbytes = _state_dict_nbytes(state)
     serial_config = FedSZConfig(error_bound=1e-2)
-    parallel_config = FedSZConfig(
-        error_bound=1e-2, parallel_tensors=True, max_codec_workers=workers
-    )
+    parallel_config = FedSZConfig(error_bound=1e-2, max_codec_workers=workers)
 
     serial_payload, _ = compress_state_dict(state, serial_config)
     parallel_payload, _ = compress_state_dict(state, parallel_config)

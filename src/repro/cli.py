@@ -10,7 +10,7 @@ Usage::
         --executor parallel --workers 4 --heterogeneous --straggler 2
     python -m repro.cli fl --scenario uniform-edge --clients 256 \
         --client-fraction 0.05 --executor parallel --workers 4
-    python -m repro.cli fl --parallel-tensors --codec-workers 4
+    python -m repro.cli fl --codec-workers 1
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts --resume
     python -m repro.cli fl --monitor-port 8700 --history-out history.json
@@ -114,7 +114,6 @@ def run_fl(
     dropout: float = 0.0,
     scenario: Optional[str] = None,
     client_fraction: Optional[float] = None,
-    parallel_tensors: bool = False,
     codec_workers: Optional[int] = None,
     seed: int = 0,
     checkpoint_dir: Optional[Path] = None,
@@ -184,18 +183,10 @@ def run_fl(
     )
     from repro.fl.scheduler import canonical_scheduler_name
 
-    # An explicit worker count is an unambiguous request for per-tensor
-    # parallelism; silently running serial because --parallel-tensors was
-    # omitted would fake the benchmark the user thinks they are running.
-    parallel_tensors = parallel_tensors or codec_workers is not None
     codec = (
         None
         if error_bound is None
-        else FedSZCompressor(
-            error_bound=error_bound,
-            parallel_tensors=parallel_tensors,
-            max_codec_workers=codec_workers,
-        )
+        else FedSZCompressor(error_bound=error_bound, max_codec_workers=codec_workers)
     )
 
     run_kwargs = {}
@@ -337,7 +328,6 @@ def _call_run_fl(arguments, monitor) -> "object":
         straggler_factor=arguments.straggler_factor,
         scenario=arguments.scenario,
         client_fraction=arguments.client_fraction,
-        parallel_tensors=arguments.parallel_tensors,
         codec_workers=arguments.codec_workers,
         seed=arguments.seed,
         checkpoint_dir=arguments.checkpoint_dir,
@@ -437,13 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     fl_parser.add_argument("--client-fraction", type=float, default=None,
                            help="fraction of clients sampled per round "
                                 "(participants = ceil(fraction x clients))")
-    fl_parser.add_argument("--parallel-tensors", action="store_true",
-                           help="compress the lossy partition's tensors "
-                                "concurrently on a thread pool (payloads are "
-                                "byte-identical to the serial path)")
     fl_parser.add_argument("--codec-workers", type=int, default=None,
-                           help="thread-pool width for per-tensor codec work "
-                                "(implies --parallel-tensors; default: cpu count)")
+                           help="cap on the codec's thread pool, which runs "
+                                "only when two or more tensors are big enough "
+                                "to scale (1: always serial; default: cpu "
+                                "count; payloads are byte-identical at any "
+                                "value)")
     fl_parser.add_argument("--seed", type=int, default=0)
     fl_parser.add_argument("--checkpoint-dir", type=Path, default=None,
                            help="write a crash-safe run snapshot here after "

@@ -31,12 +31,10 @@ class FedSZConfig:
     partition_threshold: int = DEFAULT_PARTITION_THRESHOLD
     #: Extra keyword arguments forwarded to the lossy compressor factory.
     lossy_options: Dict[str, object] = field(default_factory=dict)
-    #: Compress (and decompress) the lossy partition's tensors concurrently on
-    #: a thread pool.  Codec stages are stateless and the numpy/zlib kernels
-    #: release the GIL, so per-tensor parallelism buys real wall-clock on
-    #: multi-core hosts; the assembled payload is byte-identical either way.
-    parallel_tensors: bool = False
-    #: Thread-pool width for per-tensor codec work (``None`` → ``os.cpu_count()``).
+    #: Cap on the thread pool the pipeline runs big codec groups on
+    #: (``core.pipeline.resolve_codec_workers`` decides when it runs): ``1``
+    #: forces the serial path, ``None`` allows the host's cores.  Payloads are
+    #: byte-identical at any value.
     max_codec_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -53,11 +51,8 @@ class FedSZConfig:
 
     def describe(self) -> str:
         """One-line human-readable summary used in logs and reports."""
-        parallel = ""
-        if self.parallel_tensors:
-            workers = self.max_codec_workers or "auto"
-            parallel = f", parallel_tensors={workers}"
+        cap = "" if self.max_codec_workers is None else f", codec_workers<={self.max_codec_workers}"
         return (
             f"FedSZ({self.lossy_compressor} @ {self.error_bound:g} {self.error_bound_mode.value}, "
-            f"lossless={self.lossless_compressor}, threshold={self.partition_threshold}{parallel})"
+            f"lossless={self.lossless_compressor}, threshold={self.partition_threshold}{cap})"
         )

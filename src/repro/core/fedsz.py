@@ -53,7 +53,6 @@ class FedSZCompressor:
         lossless_compressor: str = "blosc-lz",
         partition_threshold: int = 1024,
         lossy_options: Optional[Dict[str, object]] = None,
-        parallel_tensors: bool = False,
         max_codec_workers: Optional[int] = None,
     ) -> None:
         self.config = FedSZConfig(
@@ -63,7 +62,6 @@ class FedSZCompressor:
             lossless_compressor=lossless_compressor,
             partition_threshold=partition_threshold,
             lossy_options=dict(lossy_options or {}),
-            parallel_tensors=parallel_tensors,
             max_codec_workers=max_codec_workers,
         )
         self.last_report: Optional[FedSZReport] = None
@@ -101,7 +99,7 @@ class FedSZCompressor:
     def decompress(self, payload: bytes) -> Dict[str, np.ndarray]:
         """Reconstruct a state dict from a FedSZ payload.
 
-        Decoding honours the configured per-tensor parallelism.  Measured
+        Decoding honours the configured codec-pool cap.  Measured
         per-tensor decode times are recorded onto ``last_report`` only when
         ``payload`` is the one ``compress`` produced (same length and CRC-32)
         — decompressing any other payload, even one with the same tensor

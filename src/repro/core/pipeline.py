@@ -11,28 +11,30 @@
 Step 2 is a :class:`TensorTask`-based engine: the codec cuts the lossy
 partition into groups (``LossyCompressor.group_slices`` — a tensor each, or for
 SZ2 a run of small tensors that share one slab walk), each group is one
-``compress_group`` call, and with ``FedSZConfig.parallel_tensors`` the groups
-run concurrently on a thread pool — codec stages are stateless (each worker
-gets its own ``clone()``) and the vectorized numpy/zlib kernels release the
-GIL, so parallelism buys real wall-clock on multi-core hosts.  Every tensor
-keeps its own payload and results are assembled in state-dict order, so the
-bitstream is byte-identical whatever the grouping or the worker count.  The
-measured wall time of a group is split over its tensors by ``nbytes`` into the
-:class:`FedSZReport` (``per_tensor_compress_seconds`` /
+``compress_group`` call, and when the groups are big enough to scale
+(:func:`resolve_codec_workers`) they run concurrently on a thread pool — codec
+stages are stateless (each worker gets its own ``clone()``) and the vectorized
+numpy/zlib kernels release the GIL.  Every tensor keeps its own payload and
+results are assembled in state-dict order, so the bitstream is byte-identical
+whatever the grouping or the worker count.  The wall time of the codec phase
+is split over the groups by their measured seconds and over a group's tensors
+by ``nbytes`` into the :class:`FedSZReport` (``per_tensor_compress_seconds`` /
 ``per_tensor_decompress_seconds``), which is what the Figure 6 epoch-breakdown
 harness sums as *measured* codec time.
 
 ``decompress_state_dict`` implements the server-side inverse: split the
-bitstream, decompress both partitions (optionally tensor-parallel too),
-reshape every entry back to its tensor and return a state dict that can be
-loaded straight into the global model.
+bitstream, decompress both partitions (on the same pool rule), reshape every
+entry back to its tensor and return a state dict that can be loaded straight
+into the global model.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -73,7 +75,8 @@ class FedSZReport:
     #: — the aggregate pipeline wall including partitioning, the lossless pass
     #: and serialization — these are the codec-kernel seconds Figure 6 reports
     #: as FedSZ overhead.  One key per tensor; tensors the codec coded as one
-    #: group share that group's measured seconds in proportion to ``nbytes``.
+    #: group share that group's measured seconds in proportion to ``nbytes``,
+    #: and the map sums to the codec phase's wall time at any worker count.
     per_tensor_compress_seconds: Dict[str, float] = field(default_factory=dict)
     per_tensor_decompress_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -134,26 +137,52 @@ class TensorTask:
         return int(np.asarray(self.tensor).nbytes)
 
 
-def resolve_codec_workers(config: FedSZConfig, task_count: int) -> int:
-    """Thread-pool width for ``task_count`` tensor tasks under ``config``.
+#: Values a codec group must hold to earn a lane of the thread pool.  2 threads
+#: against 1 on eight equal float32 tensors (REL 1e-2, BLAS pinned, 2 vCPUs,
+#: medians; SZx the worse of two runs), compress / decompress:
+#:   values  sz2          sz3          szx          zfp
+#:   2^16    1.28 / 1.13  1.05 / 1.18  0.83 / 0.68  1.54 / 1.49
+#:   2^17    1.46 / 1.34  1.28 / 1.30  1.04 / 0.86  1.80 / 1.70
+#:   2^18    1.51 / 1.44  1.52 / 1.62  0.98 / 0.81  1.89 / 1.72
+#:   2^19    1.58 / 1.60  1.61 / 1.66  1.16 / 0.96  1.89 / 1.83
+#:   2^20    1.72 / 1.84  1.71 / 1.74  1.19 / 1.16  1.81 / 1.81
+#:   2^21    1.75 / 1.87  1.62 / 1.63  1.29 / 1.15  1.59 / 1.70
+#:   2^22    1.77 / 1.79  1.89 / 1.71  1.11 / 1.12  1.69 / 1.77
+#: SZx's short memory-bound passes convoy on the GIL below 2^20, the smallest
+#: size at which every codec gains both ways.
+_POOL_MIN_VALUES = 1 << 20
 
-    Returns 1 (the serial path, no pool at all) unless per-tensor parallelism
-    is enabled and there is more than one task to overlap.
+
+def resolve_codec_workers(config: FedSZConfig, group_sizes: Sequence[int]) -> int:
+    """Thread-pool width for codec groups of these value counts under ``config``.
+
+    The pool runs only when at least two groups hold ``_POOL_MIN_VALUES``
+    values and the call comes from the main thread of a process that is not a
+    ``multiprocessing`` child — inside an executor's client workers the codec
+    stays serial, so the two pools never multiply.  Its width is the number of
+    such groups, capped by ``config.max_codec_workers`` (``None``: the host's
+    cores).  Every other call is the serial loop (1).
     """
-    if not config.parallel_tensors or task_count <= 1:
+    lanes = sum(size >= _POOL_MIN_VALUES for size in group_sizes)
+    if (
+        lanes < 2
+        or threading.current_thread() is not threading.main_thread()
+        or multiprocessing.parent_process() is not None
+    ):
         return 1
-    workers = config.max_codec_workers or os.cpu_count() or 1
-    return max(1, min(int(workers), task_count))
+    return min(config.max_codec_workers or os.cpu_count() or 1, lanes)
 
 
 def _run_codec_tasks(
-    tasks: Sequence, workers: int, codec, call: Callable
+    tasks: Sequence, sizes: Sequence[int], workers: int, codec, call: Callable
 ) -> List[Tuple[list, float]]:
-    """``call(codec, task)`` of every task with its wall seconds, in task order.
+    """``call(codec, task)`` of every task with its share of the wall, in task order.
 
     Serially, or on a thread pool where every task gets its own ``clone()`` of
     the codec, so no codec instance is shared across threads — cheap because
-    stage-based clones are shallow copies.
+    stage-based clones are shallow copies.  The pool takes the largest
+    ``sizes`` first, so no lane is left finishing a big group alone.  Seconds
+    are scaled to sum to the call's wall time: pooled tasks overlap.
     """
 
     def timed(task_codec, task) -> Tuple[list, float]:
@@ -161,11 +190,17 @@ def _run_codec_tasks(
         result = call(task_codec, task)
         return result, time.perf_counter() - start
 
+    start = time.perf_counter()
     if workers <= 1:
-        return [timed(codec, task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(timed, codec.clone(), task) for task in tasks]
-        return [future.result() for future in futures]
+        outcomes = [timed(codec, task) for task in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            order = sorted(range(len(tasks)), key=lambda index: -sizes[index])
+            futures = {index: pool.submit(timed, codec.clone(), tasks[index]) for index in order}
+            outcomes = [futures[index].result() for index in range(len(tasks))]
+    wall = time.perf_counter() - start
+    busy = sum(seconds for _, seconds in outcomes) or 1.0
+    return [(result, seconds * wall / busy) for result, seconds in outcomes]
 
 
 def _shares(seconds: float, weights: Sequence[int]) -> List[float]:
@@ -224,9 +259,11 @@ def compress_state_dict(
     lossless_codec = get_lossless_compressor(config.lossless_compressor)
 
     tasks = [TensorTask(name=name, tensor=tensor) for name, tensor in partition.lossy.items()]
-    runs = lossy_codec.group_slices([task.tensor.size for task in tasks])
+    sizes = [task.tensor.size for task in tasks]
+    runs = lossy_codec.group_slices(sizes)
     groups = [tasks[run] for run in runs]
-    workers = resolve_codec_workers(config, len(groups))
+    group_sizes = [sum(sizes[run]) for run in runs]
+    workers = resolve_codec_workers(config, group_sizes)
 
     lossy_nbytes, lossless_nbytes = partition.lossy_nbytes, partition.lossless_nbytes
     report = FedSZReport(
@@ -242,7 +279,7 @@ def compress_state_dict(
         flats = [np.ascontiguousarray(task.tensor).ravel() for task in group]
         return codec.compress_group(flats, config.error_bound, config.error_bound_mode)
 
-    outcomes = _run_codec_tasks(groups, workers, lossy_codec, compress_group)
+    outcomes = _run_codec_tasks(groups, group_sizes, workers, lossy_codec, compress_group)
 
     lossy_payloads: Dict[str, bytes] = {}
     lossy_shapes: Dict[str, list] = {}
@@ -283,11 +320,10 @@ def decompress_state_dict(
 ) -> Dict[str, np.ndarray]:
     """Reconstruct a state dict from a FedSZ bitstream.
 
-    ``config`` only supplies the per-tensor parallelism knobs
-    (``parallel_tensors`` / ``max_codec_workers``); which codecs to use is
-    read from the payload header, so a plain ``decompress_state_dict(blob)``
-    keeps decoding any FedSZ payload.  When ``report`` is given, measured
-    per-tensor decode times are recorded on it.
+    ``config`` only supplies the codec pool's cap (``max_codec_workers``);
+    which codecs to use is read from the payload header, so a plain
+    ``decompress_state_dict(blob)`` keeps decoding any FedSZ payload.  When
+    ``report`` is given, measured per-tensor decode times are recorded on it.
     """
     config = config or FedSZConfig()
     header, lossy_payloads, lossless_blob = parse_fedsz_payload(payload)
@@ -295,18 +331,21 @@ def decompress_state_dict(
     lossless_codec = _header_codec(get_lossless_compressor, header, "lossless_compressor")
 
     # The header is outside input.  Its shapes only schedule the work (what is
-    # walked together the codec cuts from each payload's own metadata), and
-    # they shape nothing before they agree with what was decoded.
+    # walked together the codec cuts from each payload's own metadata, and
+    # whether the pool runs), and they shape nothing before they agree with
+    # what was decoded.
     names = list(lossy_payloads)
     layout = {name: _header_layout(header, name) for name in names}
-    runs = lossy_codec.group_slices([math.prod(shape) for shape, _ in layout.values()])
+    sizes = [math.prod(shape) for shape, _ in layout.values()]
+    runs = lossy_codec.group_slices(sizes)
     groups = [names[run] for run in runs]
-    workers = resolve_codec_workers(config, len(groups))
+    group_sizes = [sum(sizes[run]) for run in runs]
+    workers = resolve_codec_workers(config, group_sizes)
 
     def decompress_group(codec, group: Sequence[str]) -> List[np.ndarray]:
         return codec.decompress_group([lossy_payloads[name] for name in group])
 
-    outcomes = _run_codec_tasks(groups, workers, lossy_codec, decompress_group)
+    outcomes = _run_codec_tasks(groups, group_sizes, workers, lossy_codec, decompress_group)
 
     if report is not None:
         # The map describes exactly this payload — never a union with keys

@@ -98,6 +98,23 @@ def _jsonable(value):
     raise TypeError(f"checkpoint metadata is not JSON-serializable: {type(value)!r}")
 
 
+#: Codec settings that never change a payload: the codec pool's cap, and the
+#: pool switch that fingerprints stored before the pool decided for itself
+#: still carry.
+_EXECUTION_ONLY_CODEC_FIELDS = frozenset({"max_codec_workers", "parallel_tensors"})
+
+
+def _static_settings(fingerprint):
+    """``fingerprint`` without execution-only codec settings, at any depth."""
+    if not isinstance(fingerprint, dict):
+        return fingerprint
+    return {
+        key: _static_settings(value)
+        for key, value in fingerprint.items()
+        if key not in _EXECUTION_ONLY_CODEC_FIELDS
+    }
+
+
 def codec_fingerprint(codec) -> Optional[Dict[str, object]]:
     """Identity of a codec: class name plus static configuration.
 
@@ -114,7 +131,8 @@ def codec_fingerprint(codec) -> Optional[Dict[str, object]]:
     ``checkpoint_fingerprint()`` for composite codecs whose settings live
     elsewhere (the adaptive and DP wrappers).  The value is canonicalised
     through JSON so captured and freshly computed fingerprints compare equal
-    after the on-disk round trip.
+    after the on-disk round trip.  Settings that only choose how the codec
+    runs are left out (:func:`_static_settings`).
     """
     if codec is None:
         return None
@@ -126,7 +144,7 @@ def codec_fingerprint(codec) -> Optional[Dict[str, object]]:
         config = getattr(codec, "config", None)
         if dataclasses.is_dataclass(config):
             fingerprint["params"] = dataclasses.asdict(config)
-    return json.loads(json.dumps(fingerprint, sort_keys=True, default=_jsonable))
+    return _static_settings(json.loads(json.dumps(fingerprint, sort_keys=True, default=_jsonable)))
 
 
 #: Backwards-compatible alias from before the fingerprint went public.
@@ -305,7 +323,9 @@ def validate_compatible(runtime, checkpoint: RunCheckpoint) -> None:
         runtime.schedule.state_dict() if runtime.schedule is not None else None,
     )
     _check_match("transport topology", checkpoint.transport, runtime.transport.spec_fingerprint())
-    _check_match("codec", checkpoint.codec_fingerprint, codec_fingerprint(runtime.codec))
+    _check_match(
+        "codec", _static_settings(checkpoint.codec_fingerprint), codec_fingerprint(runtime.codec)
+    )
     if checkpoint.codec is not None and not callable(
         getattr(runtime.codec, "restore_checkpoint_state", None)
     ):

@@ -1,21 +1,26 @@
-"""The TensorTask engine: parallel == serial payloads, per-tensor timings.
+"""The TensorTask engine: the pool's rule, pooled == serial payloads, timings.
 
-The tensor-parallel hot path must be a pure scheduling change — the assembled
-FedSZ bitstream is byte-identical to the serial path for any worker count —
-and both paths must record measured per-tensor compress/decompress times on
-the report.  A thread-pool task is one group of the codec's ``group_slices``:
-the tiny model's nine lossy tensors are a single SZ2 group at the real slab
-size (nothing to overlap), so every test also runs with the slab shrunk to
-8,192 values, where they are four.
+The pipeline puts codec groups on a thread pool only when at least two of them
+hold ``pipeline._POOL_MIN_VALUES`` values (2^20), so the tests here run the
+default config with that threshold patched down to a few thousand values —
+what the pool does is then exercised on tensors small enough for tier-1.  It
+must be a pure scheduling change: the assembled FedSZ bitstream and every
+reconstruction are byte-identical to the serial path, a failing group raises
+what the serial path raises, and no thread outlives the call.
 """
 
 from __future__ import annotations
 
+import re
+import threading
+
 import numpy as np
 import pytest
 
-from repro.compression import SZ2Compressor, sz2
-from repro.core import FedSZCompressor
+from repro.compression import sz2
+from repro.compression.base import ErrorBoundMode
+from repro.compression.errors import CorruptPayloadError, UnsupportedDataError
+from repro.core import FedSZCompressor, pipeline
 from repro.core.config import FedSZConfig
 from repro.core.pipeline import (
     TensorTask,
@@ -24,89 +29,215 @@ from repro.core.pipeline import (
     resolve_codec_workers,
     roundtrip_state_dict,
 )
+from repro.core.serializer import build_fedsz_payload, parse_fedsz_payload
+
+#: Patched pool threshold: the three big tensors of ``_state`` qualify, ``d`` does not.
+LOW = 4096
+SERIAL = FedSZConfig(max_codec_workers=1)
+POOLED = FedSZConfig(max_codec_workers=2)
 
 
-@pytest.fixture(scope="module")
-def model_state():
+@pytest.fixture
+def low_threshold(monkeypatch):
+    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", LOW)
+
+
+def _state(dtype=np.float32, seed=0):
+    """Three tensors SZ2 walks alone (each over its 64K-value slab), a small
+    one and a lossless bias."""
+    rng = np.random.default_rng(seed)
+    shapes = {"a.weight": (256, 257), "b.weight": (130, 512), "c.weight": (70_000,),
+              "d.weight": (48, 48), "d.bias": (48,)}
+    return {name: (rng.standard_normal(shape) * 0.05).astype(dtype)
+            for name, shape in shapes.items()}
+
+
+# ----------------------------------------------------------------------
+# The rule
+# ----------------------------------------------------------------------
+def test_the_pool_needs_two_groups_of_the_threshold():
+    at = pipeline._POOL_MIN_VALUES
+    assert at == 1 << 20
+    capped = FedSZConfig(max_codec_workers=8)
+    assert resolve_codec_workers(capped, []) == 1
+    assert resolve_codec_workers(capped, [at - 1] * 10) == 1
+    assert resolve_codec_workers(capped, [at, at - 1, 5]) == 1  # one qualifying group
+    assert resolve_codec_workers(capped, [at - 1, at, 5, at]) == 2  # two
+    assert resolve_codec_workers(capped, [at] * 3 + [5] * 40) == 3  # never more lanes than groups
+    assert resolve_codec_workers(capped, [at] * 100) == 8  # the cap
+    assert resolve_codec_workers(FedSZConfig(max_codec_workers=1), [at] * 4) == 1
+    assert 1 <= resolve_codec_workers(FedSZConfig(), [at] * 100) <= 100  # None: the host's cores
+
+
+def test_the_pool_stays_off_outside_the_main_thread():
+    widths = []
+    worker = threading.Thread(
+        target=lambda: widths.append(resolve_codec_workers(POOLED, [1 << 20] * 4))
+    )
+    worker.start()
+    worker.join()
+    assert widths == [1] and resolve_codec_workers(POOLED, [1 << 20] * 4) == 2
+
+
+@pytest.mark.parametrize("threshold, workers", [(66_560, 2), (66_561, 1)], ids=["at", "above"])
+def test_the_report_names_the_workers_the_rule_chose(monkeypatch, threshold, workers):
+    """``a`` (65,792 values) never qualifies: ``b`` (66,560) and ``c``
+    (70,000) are two lanes at 66,560 and one above it."""
+    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", threshold)
+    state = _state()
+    payload, report = compress_state_dict(state, FedSZConfig(max_codec_workers=4))
+    assert report.codec_workers == workers
+    assert payload == compress_state_dict(state, SERIAL)[0]
+
+
+def test_small_models_keep_the_serial_path():
     from repro.nn.models import create_model
 
-    return create_model("mobilenetv2", "tiny", seed=3).state_dict()
+    state = create_model("mobilenetv2", "tiny", seed=3).state_dict()
+    assert compress_state_dict(state, FedSZConfig())[1].codec_workers == 1
 
 
-@pytest.fixture(autouse=True, params=[sz2._SLAB_ELEMENTS, 8192], ids=["real-slab", "8K-slab"])
-def slab(request, monkeypatch):
-    monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", request.param)
-
-
-def _lossy_names(state, threshold=1024):
-    from repro.core.partition import partition_state_dict
-
-    return set(partition_state_dict(state, threshold).lossy)
-
-
-def _group_count(state) -> int:
-    from repro.core.partition import partition_state_dict
-
-    lossy = partition_state_dict(state, 1024).lossy
-    return len(SZ2Compressor().group_slices([tensor.size for tensor in lossy.values()]))
-
-
-@pytest.mark.parametrize("workers", [2, 4, 8])
-def test_parallel_payload_byte_identical_to_serial(model_state, workers):
-    serial_payload, _ = compress_state_dict(model_state, FedSZConfig())
-    parallel_payload, report = compress_state_dict(
-        model_state, FedSZConfig(parallel_tensors=True, max_codec_workers=workers)
+# ----------------------------------------------------------------------
+# Pooled == serial, byte for byte
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", [ErrorBoundMode.REL, ErrorBoundMode.ABS], ids=["rel", "abs"])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64], ids=lambda d: d.__name__)
+@pytest.mark.parametrize("codec", ["sz2", "sz3", "szx", "zfp"])
+def test_pooled_payload_and_reconstruction_equal_serial(low_threshold, codec, dtype, mode):
+    state = _state(dtype)
+    configs = [
+        FedSZConfig(lossy_compressor=codec, error_bound_mode=mode, max_codec_workers=workers)
+        for workers in (1, 2)
+    ]
+    (serial, serial_report), (pooled, pooled_report) = (
+        roundtrip_state_dict(state, config) for config in configs
     )
-    assert parallel_payload == serial_payload
-    groups = _group_count(model_state)
-    assert groups == (4 if sz2._SLAB_ELEMENTS == 8192 else 1)
-    assert report.codec_workers == min(workers, groups)
+    assert (serial_report.codec_workers, pooled_report.codec_workers) == (1, 2)
+    payloads = [compress_state_dict(state, config)[0] for config in configs]
+    assert payloads[0] == payloads[1]
+    # Either payload decoded either way gives the same bytes back.
+    assert decompress_state_dict(payloads[0], configs[1]).keys() == state.keys()
+    for name in state:
+        assert serial[name].dtype == pooled[name].dtype == dtype
+        assert serial[name].tobytes() == pooled[name].tobytes(), name
 
 
-def test_parallel_and_serial_roundtrips_agree(model_state):
-    serial, _ = roundtrip_state_dict(model_state, FedSZConfig())
-    parallel, _ = roundtrip_state_dict(
-        model_state, FedSZConfig(parallel_tensors=True, max_codec_workers=4)
-    )
-    assert set(serial) == set(parallel)
-    for name in serial:
-        np.testing.assert_array_equal(serial[name], parallel[name])
+def test_pooled_roundtrip_of_a_grouping_codec(low_threshold, monkeypatch):
+    """SZ2 at an 8K slab cuts the tiny model's nine tensors into four groups
+    of 5,248 to 7,168 values: four lanes, capped at two."""
+    from repro.nn.models import create_model
+
+    monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", 8192)
+    state = create_model("mobilenetv2", "tiny", seed=3).state_dict()
+    (serial, _), (pooled, report) = (roundtrip_state_dict(state, c) for c in (SERIAL, POOLED))
+    assert report.codec_workers == 2
+    for name in state:
+        assert serial[name].tobytes() == pooled[name].tobytes(), name
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
-def test_per_tensor_timing_maps_cover_the_lossy_partition(model_state, parallel):
-    config = FedSZConfig(parallel_tensors=parallel, max_codec_workers=4)
-    _, report = roundtrip_state_dict(model_state, config)
-    expected = _lossy_names(model_state)
-    assert set(report.per_tensor_compress_seconds) == expected
-    assert set(report.per_tensor_decompress_seconds) == expected
+# ----------------------------------------------------------------------
+# Timings: wall seconds, not thread seconds
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config", [SERIAL, POOLED], ids=["serial", "pooled"])
+def test_codec_seconds_are_a_share_of_the_wall(low_threshold, config):
+    state = _state()
+    _, report = roundtrip_state_dict(state, config)
+    lossy = {name for name in state if name != "d.bias"}
+    assert set(report.per_tensor_compress_seconds) == lossy
+    assert set(report.per_tensor_decompress_seconds) == lossy
     assert all(seconds >= 0.0 for seconds in report.per_tensor_compress_seconds.values())
-    assert report.lossy_compress_seconds == pytest.approx(
-        sum(report.per_tensor_compress_seconds.values())
-    )
-    # Every task's timing window lies inside the compress wall and at most
-    # ``codec_workers`` tasks overlap, so the summed codec time is bounded by
-    # workers x wall (== the wall itself on the serial path).
-    assert report.lossy_compress_seconds <= report.compress_seconds * report.codec_workers
+    # Pooled groups overlap; their shares still sum to no more than the wall.
+    assert report.lossy_compress_seconds <= report.compress_seconds
+    assert report.lossy_decompress_seconds <= report.decompress_seconds
 
 
-def test_fedsz_compressor_exposes_parallel_knobs(model_state):
-    codec = FedSZCompressor(error_bound=1e-2, parallel_tensors=True, max_codec_workers=4)
-    payload = codec.compress(model_state)
-    assert payload == FedSZCompressor(error_bound=1e-2).compress(model_state)
+# ----------------------------------------------------------------------
+# Failure on the pool: the serial error, no thread left behind
+# ----------------------------------------------------------------------
+def _poisoned(state):
+    state = dict(state)
+    state["b.weight"] = state["b.weight"].copy()
+    state["b.weight"][3, 7] = np.nan
+    return state
+
+
+def _forged(payload):
+    header, lossy, lossless = parse_fedsz_payload(payload)
+    lossy["b.weight"] = lossy["b.weight"][:40]
+    return build_fedsz_payload(header, lossy, lossless)
+
+
+FAILURES = {
+    "nan-compress": (
+        UnsupportedDataError,
+        lambda config, state: compress_state_dict(_poisoned(state), config),
+    ),
+    "forged-decompress": (
+        CorruptPayloadError,
+        lambda config, state: decompress_state_dict(
+            _forged(compress_state_dict(state, config)[0]), config
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", FAILURES)
+@pytest.mark.parametrize("codec", ["sz2", "szx"])
+def test_a_failing_group_raises_the_serial_error_and_joins_the_pool(low_threshold, codec, failure):
+    expected, call = FAILURES[failure]
+    state = _state()
+    errors = []
+    for workers in (1, 2):
+        config = FedSZConfig(lossy_compressor=codec, max_codec_workers=workers)
+        before = threading.active_count()
+        with pytest.raises(expected) as raised:
+            call(config, state)
+        assert threading.active_count() == before
+        errors.append(raised.value)
+    assert type(errors[0]) is type(errors[1]) and str(errors[0]) == str(errors[1])
+
+
+@pytest.mark.parametrize("codec", ["sz2", "szx"])
+def test_a_failing_group_through_the_compressor(low_threshold, codec):
+    state = _state()
+    serial, pooled = (FedSZCompressor(lossy_compressor=codec, max_codec_workers=w) for w in (1, 2))
+    before = threading.active_count()
+    with pytest.raises(UnsupportedDataError) as serial_error:
+        serial.compress(_poisoned(state))
+    with pytest.raises(UnsupportedDataError, match=re.escape(str(serial_error.value))):
+        pooled.compress(_poisoned(state))
+    forged = _forged(pooled.compress(state))
+    assert pooled.last_report.codec_workers == 2
+    with pytest.raises(CorruptPayloadError) as serial_error:
+        serial.decompress(forged)
+    with pytest.raises(CorruptPayloadError, match=re.escape(str(serial_error.value))):
+        pooled.decompress(forged)
+    assert threading.active_count() == before
+
+
+# ----------------------------------------------------------------------
+# The compressor facade and its reports
+# ----------------------------------------------------------------------
+def test_fedsz_compressor_keeps_the_cap(low_threshold):
+    state = _state()
+    codec = FedSZCompressor(error_bound=1e-2, max_codec_workers=2)
+    payload = codec.compress(state)
+    assert payload == FedSZCompressor(error_bound=1e-2, max_codec_workers=1).compress(state)
+    assert codec.last_report.codec_workers == 2
     restored = codec.decompress(payload)
-    assert set(restored) == set(model_state)
-    assert set(codec.last_report.per_tensor_decompress_seconds) == _lossy_names(model_state)
-    duplicate = codec.clone()
-    assert duplicate.config.parallel_tensors and duplicate.config.max_codec_workers == 4
+    assert set(restored) == set(state)
+    assert set(codec.last_report.per_tensor_decompress_seconds) == set(state) - {"d.bias"}
+    assert codec.clone().config.max_codec_workers == 2
+    assert "codec_workers<=2" in codec.config.describe()
+    assert "codec_workers" not in FedSZConfig().describe()
 
 
-def test_decompress_of_foreign_payload_does_not_pollute_last_report(model_state):
+def test_decompress_of_foreign_payload_does_not_pollute_last_report():
     """Timings from some other payload must not be mixed into a report that
     describes a different compression."""
+    state = _state()
     codec = FedSZCompressor(error_bound=1e-2)
-    codec.compress(model_state)
-    own_decode_keys = _lossy_names(model_state)
+    codec.compress(state)
 
     foreign_state = {"only.weight": np.ones((64, 64), dtype=np.float32)}
     foreign_payload = FedSZCompressor(error_bound=1e-2).compress(foreign_state)
@@ -115,32 +246,17 @@ def test_decompress_of_foreign_payload_does_not_pollute_last_report(model_state)
     assert codec.last_report.per_tensor_decompress_seconds == {}
 
     # Decompressing the matching payload still records its timings.
-    codec.decompress(codec.compress(model_state))
-    assert set(codec.last_report.per_tensor_decompress_seconds) == own_decode_keys
+    codec.decompress(codec.compress(state))
+    assert set(codec.last_report.per_tensor_decompress_seconds) == set(state) - {"d.bias"}
 
 
-def test_decompress_honours_explicit_config_and_report(model_state):
-    payload, report = compress_state_dict(model_state, FedSZConfig())
-    state = decompress_state_dict(
-        payload,
-        FedSZConfig(parallel_tensors=True, max_codec_workers=4),
-        report=report,
-    )
-    assert set(report.per_tensor_decompress_seconds) == _lossy_names(model_state)
-    for name, tensor in state.items():
-        assert tensor.shape == np.asarray(model_state[name]).shape
-
-
-def test_resolve_codec_workers_bounds():
-    serial = FedSZConfig()
-    parallel = FedSZConfig(parallel_tensors=True, max_codec_workers=8)
-    assert resolve_codec_workers(serial, 10) == 1
-    assert resolve_codec_workers(parallel, 0) == 1
-    assert resolve_codec_workers(parallel, 1) == 1
-    assert resolve_codec_workers(parallel, 3) == 3  # never more lanes than tasks
-    assert resolve_codec_workers(parallel, 100) == 8
-    unlimited = FedSZConfig(parallel_tensors=True)  # None → cpu count
-    assert 1 <= resolve_codec_workers(unlimited, 100) <= 100
+def test_decompress_honours_explicit_config_and_report(low_threshold):
+    state = _state()
+    payload, report = compress_state_dict(state, SERIAL)
+    restored = decompress_state_dict(payload, POOLED, report=report)
+    assert set(report.per_tensor_decompress_seconds) == set(state) - {"d.bias"}
+    for name, tensor in restored.items():
+        assert tensor.shape == state[name].shape
 
 
 def test_invalid_max_codec_workers_rejected():

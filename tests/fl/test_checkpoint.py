@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.compression.base import pack_sections
+from repro.core import FedSZCompressor
 from repro.core.adaptive import AdaptiveErrorBoundController, AdaptiveFedSZCompressor
 from repro.core.serializer import frame_checksummed, serialize_named_arrays
 from repro.data import load_dataset
@@ -19,6 +20,7 @@ from repro.fl.checkpoint import (
     CheckpointError,
     capture_runtime,
     checkpoint_path,
+    codec_fingerprint,
     latest_checkpoint,
     list_checkpoints,
     load_checkpoint,
@@ -306,6 +308,32 @@ def test_resume_refuses_mismatched_codec(data, model_fn, tmp_path):
     )
     restore_runtime(matching, load_checkpoint(latest_checkpoint(tmp_path)))
     assert matching.codec.rounds_released == stateful.codec.rounds_released
+
+
+def test_codec_worker_cap_is_not_part_of_the_codec_identity(data, model_fn, tmp_path):
+    """Payloads are byte-identical at any codec-pool cap, so a run resumes
+    under another one — also from a snapshot whose fingerprint carries the cap
+    and the retired ``parallel_tensors`` switch — while a different error bound
+    is still refused."""
+    train, val = data
+    config = FLConfig(num_clients=3, rounds=2, batch_size=16, seed=3)
+
+    def runtime(**codec):
+        return FederatedRuntime(model_fn, train, val, config, codec=FedSZCompressor(**codec))
+
+    assert codec_fingerprint(FedSZCompressor(max_codec_workers=4)) == codec_fingerprint(
+        FedSZCompressor()
+    )
+    first = runtime(max_codec_workers=4)
+    first.run_round()
+    snapshot = capture_runtime(first)
+    snapshot.codec_fingerprint["params"].update(parallel_tensors=True, max_codec_workers=4)
+    path = write_checkpoint(snapshot, tmp_path)
+    resumed = runtime(max_codec_workers=2)
+    restore_runtime(resumed, load_checkpoint(path))
+    assert len(resumed.history) == 1
+    with pytest.raises(CheckpointError, match="codec"):
+        restore_runtime(runtime(error_bound=1e-3, max_codec_workers=4), load_checkpoint(path))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ used to handle separately, and typed failure of the process pool.
   runs under every executor, not just the in-process ones;
 * **failure paths** — a poisoned task or a killed worker ends the round in a
   ``RuntimeError`` with the pool reaped, never a hang, and the next round
-  restarts the pool and completes.
+  restarts the pool and completes;
+* **no multiplied pools** — the codec's tensor pool stays off inside thread
+  and process workers, and process workers pin BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import FedSZCompressor
+from repro.core import FedSZCompressor, pipeline
 from repro.data import load_dataset
 from repro.fl import (
     ClientCrashSchedule,
@@ -34,6 +36,7 @@ from repro.fl import (
     SerialExecutor,
     Transport,
 )
+from repro.fl.executor import _openblas_threads
 from repro.fl.scenarios import CorruptedUploadSchedule
 from repro.nn.models import create_model
 
@@ -305,3 +308,69 @@ def test_bound_utilization_is_error_over_the_codec_bound_on_every_executor(data)
     assert [r.tensor_bound_utilization for r in other_records] == [
         r.tensor_bound_utilization for r in records
     ]
+
+
+# ----------------------------------------------------------------------
+# Executor workers and the codec's own pools
+# ----------------------------------------------------------------------
+class _BlasProbe(FedSZCompressor):
+    """FedSZ whose reports also carry the OpenBLAS width they compressed under."""
+
+    def compress(self, state_dict):
+        payload = super().compress(state_dict)
+        self.last_report.blas_threads = _openblas_threads("get")
+        return payload
+
+
+def _run_recording_reports(runtime, rounds=2):
+    """Run ``rounds`` rounds; return every client's upload report."""
+    reports = []
+    finish_round = runtime.finish_round
+
+    def recording_finish_round(context, results, *args, **kwargs):
+        reports.extend(result.stats.report for result in results)
+        return finish_round(context, results, *args, **kwargs)
+
+    runtime.finish_round = recording_finish_round
+    try:
+        runtime.run(rounds=rounds)
+    finally:
+        runtime.close()
+    return reports
+
+
+def test_the_codec_pool_stays_off_inside_executor_workers(data, monkeypatch):
+    """With every SZx tensor over the pool threshold a serial run's clients
+    compress on the pool; thread and process workers compress serially — the
+    two pools never multiply — and all three runs agree."""
+    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", 1)
+
+    def run(executor_name):
+        codec = FedSZCompressor(error_bound=1e-2, lossy_compressor="szx", max_codec_workers=2)
+        runtime = _build_runtime(data, _make_executor(executor_name), codec)
+        return runtime, _run_recording_reports(runtime)
+
+    reference, reports = run("serial")
+    assert {report.codec_workers for report in reports} == {2}
+    for executor_name in ("thread", "process"):
+        other, reports = run(executor_name)
+        assert {report.codec_workers for report in reports} == {1}, executor_name
+        assert other.history.deterministic_rows() == reference.history.deterministic_rows()
+        for name, value in reference.server.global_state().items():
+            np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
+
+
+@pytest.mark.skipif(_openblas_threads("get") is None, reason="numpy bundles no OpenBLAS")
+def test_process_workers_pin_blas_to_one_thread(data):
+    before = _openblas_threads("get")
+    _openblas_threads("set", 2)
+    try:
+        if _openblas_threads("get") != 2:
+            pytest.skip("OpenBLAS cannot run two threads on this host")
+        runtime = _build_runtime(
+            data, ProcessParallelExecutor(max_workers=2), _BlasProbe(error_bound=1e-2)
+        )
+        reports = _run_recording_reports(runtime, rounds=1)
+    finally:
+        _openblas_threads("set", before)
+    assert reports and {report.blas_threads for report in reports} == {1}
