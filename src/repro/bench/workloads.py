@@ -10,8 +10,6 @@ layers of the repo:
   emitted JSON;
 * per-codec state-dict compression (``codecs``) through the full FedSZ
   pipeline for each of SZ2/SZ3/SZx/ZFP;
-* serial vs tensor-parallel state-dict compression (``codec_parallel``) on
-  the TensorTask engine, with the measured speedup kept in the JSON;
 * a full federated round (``fl_round``) on the scheduler/executor/transport
   stack from :mod:`repro.fl`;
 * a fleet-scale round (``fl_fleet``) — 256 lazy clients, 5% sampled per
@@ -241,67 +239,6 @@ def _measure_codec(harness: BenchHarness, name: str, state: Dict[str, np.ndarray
             "ratio": compression_ratio(nbytes, len(payload)),
         },
     )
-
-
-def _measure_codec_parallel(
-    harness: BenchHarness, metric: str = "codec_parallel", workers: int = 4
-) -> None:
-    """Serial vs tensor-parallel FedSZ compression of a mobilenetv2 state dict.
-
-    Both paths run through :func:`repro.core.pipeline.compress_state_dict`
-    (the TensorTask engine); only the worker count differs, and the assembled
-    payloads are asserted byte-identical so the speedup never comes from doing
-    different work.  The parallel record's ``extra`` carries the measured
-    speedup.  No mobilenetv2 group reaches the pipeline's pool threshold, so
-    both records time the serial path and the speedup reads about 1x, which
-    the committed baseline's normalized compare tolerates.
-    """
-    from repro.core.config import FedSZConfig
-    from repro.core.pipeline import compress_state_dict, decompress_state_dict
-
-    from repro.nn.models import create_model
-
-    state = create_model("mobilenetv2", "paper", seed=0).state_dict()
-    nbytes = _state_dict_nbytes(state)
-    serial_config = FedSZConfig(error_bound=1e-2)
-    parallel_config = FedSZConfig(error_bound=1e-2, max_codec_workers=workers)
-
-    serial_payload, _ = compress_state_dict(state, serial_config)
-    parallel_payload, _ = compress_state_dict(state, parallel_config)
-    if parallel_payload != serial_payload:
-        raise RuntimeError("tensor-parallel payload must be byte-identical to serial")
-
-    def run_serial(timer):
-        with timer.measure("compress"):
-            payload, _ = compress_state_dict(state, serial_config)
-        with timer.measure("decompress"):
-            decompress_state_dict(payload, serial_config)
-
-    def run_parallel(timer):
-        with timer.measure("compress"):
-            payload, _ = compress_state_dict(state, parallel_config)
-        with timer.measure("decompress"):
-            decompress_state_dict(payload, parallel_config)
-
-    from repro.core.partition import partition_state_dict
-
-    lossy_tensors = len(partition_state_dict(state, serial_config.partition_threshold).lossy)
-    serial_record = harness.measure(
-        f"{metric}_serial",
-        run_serial,
-        nbytes=nbytes,
-        extra={"lossy_tensors": lossy_tensors},
-    )
-    parallel_record = harness.measure(
-        f"{metric}_workers{workers}",
-        run_parallel,
-        nbytes=nbytes,
-        extra={"workers": workers},
-    )
-    if parallel_record.seconds > 0:  # extras land in JSON, so no inf here
-        parallel_record.extra["speedup_vs_serial"] = (
-            serial_record.seconds / parallel_record.seconds
-        )
 
 
 def _run_fl_round(harness: BenchHarness, metric: str, samples: int, clients: int) -> None:
@@ -796,14 +733,6 @@ def _workload_checkpoint(harness: BenchHarness) -> None:
 )
 def _workload_fl_parallel(harness: BenchHarness) -> None:
     _measure_fl_parallel(harness, "fl_parallel", workers=4)
-
-
-@register_workload(
-    "codec_parallel",
-    "Serial vs tensor-parallel FedSZ state-dict compression (mobilenetv2, 4 workers)",
-)
-def _workload_codec_parallel(harness: BenchHarness) -> None:
-    _measure_codec_parallel(harness, "codec_parallel", workers=4)
 
 
 @register_workload("tiny", "Fast composite for CI smoke runs (codec + entropy + FL round)")

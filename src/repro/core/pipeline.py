@@ -31,10 +31,7 @@ into the global model.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
-import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -52,6 +49,7 @@ from repro.core.serializer import (
     parse_fedsz_payload,
     serialize_named_arrays,
 )
+from repro.utils.pools import pool_width
 
 
 @dataclass
@@ -156,21 +154,13 @@ _POOL_MIN_VALUES = 1 << 20
 def resolve_codec_workers(config: FedSZConfig, group_sizes: Sequence[int]) -> int:
     """Thread-pool width for codec groups of these value counts under ``config``.
 
-    The pool runs only when at least two groups hold ``_POOL_MIN_VALUES``
-    values and the call comes from the main thread of a process that is not a
-    ``multiprocessing`` child — inside an executor's client workers the codec
-    stays serial, so the two pools never multiply.  Its width is the number of
-    such groups, capped by ``config.max_codec_workers`` (``None``: the host's
-    cores).  Every other call is the serial loop (1).
+    A group of at least ``_POOL_MIN_VALUES`` values is one lane; the lanes,
+    capped by ``config.max_codec_workers``, go through
+    :func:`~repro.utils.pools.pool_width` — so inside an executor's client
+    workers the codec stays serial.
     """
     lanes = sum(size >= _POOL_MIN_VALUES for size in group_sizes)
-    if (
-        lanes < 2
-        or threading.current_thread() is not threading.main_thread()
-        or multiprocessing.parent_process() is not None
-    ):
-        return 1
-    return min(config.max_codec_workers or os.cpu_count() or 1, lanes)
+    return pool_width(lanes, config.max_codec_workers)
 
 
 def _run_codec_tasks(

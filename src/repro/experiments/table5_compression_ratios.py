@@ -59,7 +59,7 @@ def run_table5(
         ratios = [row["ratio"] for row in recommended]
         result.add_note(
             f"ratio range at the recommended 1e-2 bound: {min(ratios):.2f}x - {max(ratios):.2f}x "
-            "(paper: 5.26x - 12.61x)"
+            "(paper: 5.55x - 12.61x)"
         )
     return result
 

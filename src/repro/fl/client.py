@@ -22,6 +22,7 @@ import numpy as np
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.fl.config import FLConfig
+from repro.fl.server import evaluate_model
 from repro.fl.state import (
     ModelPool,
     capture_stochastic_state,
@@ -207,25 +208,15 @@ class FLClient:
     def evaluate(self, state_dict: Mapping[str, np.ndarray]) -> Dict[str, float]:
         """Evaluate a state dict on this client's local data (no training).
 
-        The forward pass runs in mini-batches of ``config.eval_batch_size``
-        so peak activation memory is bounded by the batch size rather than
-        the client's dataset — the loss and accuracy are computed once over
-        the concatenated logits, so a dataset that fits in a single batch
-        produces exactly the historical one-shot result.
+        The server's routine, :func:`~repro.fl.server.evaluate_model`, in
+        batches of ``config.eval_batch_size``: a dataset that fits one batch
+        gives exactly the one-shot result.  Pool lanes past the borrowed model
+        run on copies made for this call only; inside an executor's workers
+        the pass is serial.
         """
-        batch_size = self.config.eval_batch_size
         with self._borrow_model() as model:
             model.load_state_dict(dict(state_dict))
-            model.eval()
-            images = self.dataset.images
-            chunks = [
-                model(images[start : start + batch_size])
-                for start in range(0, len(self.dataset), batch_size)
-            ]
-            logits = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
-            loss = self._loss(logits, self.dataset.labels)
-            return {
-                "loss": loss,
-                "accuracy": F.accuracy(logits, self.dataset.labels),
-                "num_samples": float(len(self.dataset)),
-            }
+            loss, accuracy = evaluate_model(
+                model, self.dataset.images, self.dataset.labels, self.config.eval_batch_size
+            )
+        return {"loss": loss, "accuracy": accuracy, "num_samples": float(len(self.dataset))}

@@ -52,7 +52,10 @@ class FLConfig:
     client_fraction: float = 1.0
     #: Multiplicative learning-rate decay applied after every round.
     learning_rate_decay: float = 1.0
-    eval_batch_size: int = 128
+    #: Rows per forward pass when evaluating, and the evaluation pool's unit
+    #: of work: a validation split of two or more batches runs them on up to
+    #: one thread per core (``repro.fl.server.evaluate_model``).
+    eval_batch_size: int = 64
     #: Upper bound on simultaneously resident client-model instances (the
     #: runtime's :class:`~repro.fl.state.ModelPool` size).  ``None`` derives
     #: the bound from the executor's worker count: 1 for the serial executor,

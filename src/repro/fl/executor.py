@@ -47,10 +47,13 @@ draw.  Each round the parent ships a single fingerprint-keyed
 :class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
 it once and serves all of its tasks from the decoded state.
 
-Per-client concurrency never multiplies with the pipeline's *per-tensor* thread
-pool: that pool runs only from the main thread of a process that is not a
-``multiprocessing`` child (:func:`repro.core.pipeline.resolve_codec_workers`),
-so thread and process workers compress and decompress serially.  Process
+Per-client concurrency never multiplies with the library's own thread pools —
+the pipeline's per-tensor codec pool and the evaluation pool over validation
+batches (:func:`repro.fl.server.evaluate_model`).  Both start only from the
+main thread of a process that is not a ``multiprocessing`` child
+(:func:`repro.utils.pools.pool_width`), so thread and process workers code
+and evaluate serially, and the server's evaluation, which runs in the parent
+after the round's clients are collected, never overlaps them.  Process
 workers also cap numpy's bundled OpenBLAS at one thread each.
 """
 

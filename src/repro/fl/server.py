@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.datasets import SyntheticImageDataset
 from repro.fl.aggregation import fedavg
 from repro.nn import functional as F
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
+from repro.utils.pools import pool_width
 
 
 @dataclass
@@ -25,6 +27,52 @@ class EvaluationResult:
     seconds: float
 
 
+def evaluate_model(
+    model: Module,
+    images: np.ndarray,
+    labels: np.ndarray,
+    batch_size: int,
+    replicas: Optional[List[Module]] = None,
+) -> Tuple[float, float]:
+    """Loss and top-1 accuracy of ``model``, in eval mode, on ``images``.
+
+    The forward pass runs in batches of ``batch_size`` rows, so peak activation
+    memory is bounded by the batch rather than the dataset, and loss and
+    accuracy are taken once over the logits concatenated in batch order.
+    Where :func:`~repro.utils.pools.pool_width` allows, contiguous runs of
+    batches go to a thread pool: the first lane runs on ``model``, every other
+    lane on a replica — a deep copy of ``model`` kept in ``replicas`` (grown as
+    needed; ``None`` keeps them for this call only), loaded with ``model``'s
+    state.  A batch's logits do not depend on its lane, so the result is the
+    same at any width, and a failing batch raises what the serial loop raises.
+    """
+    if not len(labels):
+        return 0.0, 0.0
+    starts = range(0, len(labels), batch_size)
+    lanes = pool_width(len(starts))
+    model.eval()
+
+    def forward(lane_model: Module, lane_starts) -> List[np.ndarray]:
+        return [lane_model(images[start : start + batch_size]) for start in lane_starts]
+
+    if lanes == 1:
+        chunks = forward(model, starts)
+    else:
+        replicas = [] if replicas is None else replicas
+        replicas.extend(copy.deepcopy(model) for _ in range(lanes - 1 - len(replicas)))
+        models = [model, *replicas[: lanes - 1]]
+        state = model.state_dict()
+        for replica in models[1:]:
+            replica.load_state_dict(state)
+        runs = np.array_split(np.asarray(starts), lanes)
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            futures = [pool.submit(forward, *lane) for lane in zip(models, runs, strict=True)]
+            chunks = [chunk for future in futures for chunk in future.result()]
+    logits = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+    loss, _ = F.cross_entropy(logits, np.asarray(labels, dtype=np.int64))
+    return loss, F.accuracy(logits, labels)
+
+
 class FLServer:
     """Holds the global model, aggregates client updates, validates."""
 
@@ -32,12 +80,13 @@ class FLServer:
         self,
         model_fn: Callable[[], Module],
         validation_dataset: Optional[SyntheticImageDataset] = None,
-        eval_batch_size: int = 128,
+        eval_batch_size: int = 64,
     ) -> None:
         self.model = model_fn()
         self.validation_dataset = validation_dataset
         self.eval_batch_size = int(eval_batch_size)
-        self._loss = CrossEntropyLoss()
+        #: The evaluation pool's replicas of ``model``, built on first use.
+        self._replicas: List[Module] = []
 
     def global_state(self) -> Dict[str, np.ndarray]:
         """Snapshot of the current global model."""
@@ -63,21 +112,12 @@ class FLServer:
         if dataset is None:
             raise ValueError("no validation dataset available for evaluation")
         start = time.perf_counter()
-        self.model.eval()
-        losses: List[float] = []
-        accuracies: List[float] = []
-        counts: List[int] = []
-        for start_index in range(0, len(dataset), self.eval_batch_size):
-            images = dataset.images[start_index : start_index + self.eval_batch_size]
-            labels = dataset.labels[start_index : start_index + self.eval_batch_size]
-            logits = self.model(images)
-            losses.append(self._loss(logits, labels) * labels.shape[0])
-            accuracies.append(F.accuracy(logits, labels) * labels.shape[0])
-            counts.append(labels.shape[0])
-        total = sum(counts)
+        loss, accuracy = evaluate_model(
+            self.model, dataset.images, dataset.labels, self.eval_batch_size, self._replicas
+        )
         return EvaluationResult(
-            loss=sum(losses) / max(total, 1),
-            accuracy=sum(accuracies) / max(total, 1),
-            num_samples=total,
+            loss=loss,
+            accuracy=accuracy,
+            num_samples=len(dataset),
             seconds=time.perf_counter() - start,
         )

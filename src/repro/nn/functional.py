@@ -222,7 +222,10 @@ def conv2d_forward(
             f"weight expects {group_in} input channels per group, got {in_channels // groups}"
         )
 
-    cache = {"input_shape": inputs.shape, "stride": stride, "padding": padding, "groups": groups}
+    cache = {
+        "input_shape": inputs.shape, "stride": stride, "padding": padding, "groups": groups,
+        "bias": bias is not None,
+    }
     if groups == in_channels == out_channels:
         output, cache["padded"] = _depthwise_forward(inputs, weight, stride, padding)
     else:
@@ -239,14 +242,15 @@ def conv2d_forward(
 
 def conv2d_backward(
     grad_output: np.ndarray, weight: np.ndarray, cache: dict
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of a grouped convolution, following the path the forward took.
 
-    Returns ``(grad_input, grad_weight, grad_bias)``.
+    Returns ``(grad_input, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
+    when the forward had no bias.
     """
     stride, padding, groups = cache["stride"], cache["padding"], cache["groups"]
     batch, out_channels, out_h, out_w = grad_output.shape
-    grad_bias = grad_output.sum(axis=(0, 2, 3))
+    grad_bias = grad_output.sum(axis=(0, 2, 3)) if cache["bias"] else None
     if "padded" in cache:
         grad_input, grad_weight = _depthwise_backward(
             grad_output, weight, cache["padded"], stride, padding

@@ -13,8 +13,7 @@ from repro.cli import main
 def test_registry_contains_the_documented_workloads():
     names = {spec.name for spec in available_workloads()}
     assert {
-        "tiny", "huffman", "bitstream", "codecs", "fl_round", "codec_parallel",
-        "checkpoint",
+        "tiny", "huffman", "bitstream", "codecs", "fl_round", "checkpoint",
     } <= names
 
 
@@ -33,18 +32,6 @@ def test_committed_checkpoint_baseline_is_valid():
         "checkpoint_paper_snapshot",
         "checkpoint_paper_restore",
     } <= set(report["metrics"])
-
-
-def test_committed_codec_parallel_baseline_is_valid():
-    from pathlib import Path
-
-    baseline = (
-        Path(__file__).resolve().parents[2] / "benchmarks" / "baselines" / "codec_parallel.json"
-    )
-    report = json.loads(baseline.read_text())
-    validate_report(report)
-    assert report["workload"] == "codec_parallel"
-    assert {"codec_parallel_serial", "codec_parallel_workers4"} <= set(report["metrics"])
 
 
 def test_get_workload_is_case_insensitive_and_rejects_unknown():

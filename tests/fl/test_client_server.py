@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.data import load_dataset
+from repro.data.datasets import SyntheticImageDataset
 from repro.fl import FLClient, FLConfig, FLServer
 from repro.nn.models import create_model
+from repro.nn.module import Module
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,84 @@ def test_server_evaluate_without_dataset_raises(model_fn):
     server = FLServer(model_fn)
     with pytest.raises(ValueError):
         server.evaluate()
+
+
+# ----------------------------------------------------------------------
+# The evaluation pool: same numbers at any width, the serial error
+# ----------------------------------------------------------------------
+def _numbers(result):
+    return result.loss, result.accuracy, result.num_samples
+
+
+def test_evaluation_is_the_same_at_any_lane_count_and_on_any_thread(
+    dataset, model_fn, monkeypatch
+):
+    """160 samples in batches of 16 are ten units of work: one, two or four
+    lanes as the host has cores, and the serial loop off the main thread."""
+    states = [create_model("resnet50", "tiny", num_classes=10, seed=s).state_dict() for s in (1, 2)]
+    results = {}
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda lanes=lanes: lanes)
+        server = FLServer(model_fn, dataset, eval_batch_size=16)
+        results[lanes] = []
+        for state in states:  # replicas are built once and reloaded every call
+            server.set_global_state(state)
+            results[lanes].append(_numbers(server.evaluate()))
+        assert len(server._replicas) == lanes - 1
+    off_main = []
+    worker = threading.Thread(target=lambda: off_main.append(_numbers(server.evaluate())))
+    worker.start()
+    worker.join()
+    assert results[1] == results[2] == results[4]
+    assert results[1][0] != results[1][1] and off_main == results[1][1:]
+
+
+def test_the_replicas_are_copies_not_new_models(dataset, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    built = []
+
+    def counting_model_fn():
+        built.append(None)
+        return create_model("resnet50", "tiny", num_classes=10, seed=4)
+
+    server = FLServer(counting_model_fn, dataset, eval_batch_size=32)
+    server.evaluate()
+    server.evaluate()
+    assert len(built) == 1 and len(server._replicas) == 3
+
+
+class _NaNGuard(Module):
+    """A model that refuses a batch holding a NaN, naming the row."""
+
+    def __init__(self, inner: Module) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def forward(self, inputs):
+        rows = np.flatnonzero(np.isnan(inputs).reshape(len(inputs), -1).any(axis=1))
+        if rows.size:
+            raise FloatingPointError(f"NaN in row {rows[0]} of a batch of {len(inputs)}")
+        return self.inner(inputs)
+
+
+def test_a_failing_lane_raises_the_serial_error_and_joins_its_threads(
+    dataset, model_fn, monkeypatch
+):
+    """Batch 2 (lane 0 of two) fails at row 8, batch 8 (lane 1) at row 2: the
+    caller sees the first failure in batch order, as the serial loop does."""
+    images = dataset.images.copy()
+    images[[40, 130], 0, 0, 0] = np.nan
+    poisoned = SyntheticImageDataset("poisoned", images, dataset.labels, dataset.num_classes)
+    errors = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda lanes=lanes: lanes)
+        server = FLServer(lambda: _NaNGuard(model_fn()), poisoned, eval_batch_size=16)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as raised:
+            server.evaluate()
+        assert threading.active_count() == before
+        errors.append(raised.value)
+    assert str(errors[0]) == str(errors[1]) == "NaN in row 8 of a batch of 16"
 
 
 @pytest.mark.parametrize(

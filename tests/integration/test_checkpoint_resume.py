@@ -7,7 +7,9 @@ The scenario deliberately stresses every stream the checkpoint must carry:
 * link ``dropout_probability > 0`` — per-link dropout streams advance;
 * mobilenetv2 (Dropout layers) — per-client stochastic streams advance;
 * a FedSZ codec — payload bytes and ratios must match exactly;
-* multi-epoch loaders — shuffle streams advance per epoch.
+* multi-epoch loaders — shuffle streams advance per epoch;
+* a 130-sample validation split — three batches of the default
+  ``eval_batch_size``, so the server evaluates on its two-lane pool.
 
 Wall-clock-measured fields (train/compress seconds, turnarounds) legitimately
 differ between runs; the comparison uses
@@ -16,6 +18,8 @@ exactly the simulation-determined fields.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -42,8 +46,8 @@ CRASH_AFTER = 1
 
 @pytest.fixture(scope="module")
 def data():
-    full = load_dataset("cifar10", num_samples=160, image_size=8, seed=0)
-    return full.split(0.75, seed=1)
+    full = load_dataset("cifar10", num_samples=250, image_size=8, seed=0)
+    return full.split(0.48, seed=1)  # 120 train, 130 validation
 
 
 def _build_runtime(data, executor_name: str) -> FederatedRuntime:
@@ -89,7 +93,8 @@ def _assert_states_identical(reference, resumed):
 
 
 @pytest.mark.parametrize("executor_name", ["serial", "parallel", "process"])
-def test_kill_after_round_k_resume_is_bit_identical(data, tmp_path, executor_name):
+def test_kill_after_round_k_resume_is_bit_identical(data, tmp_path, executor_name, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     reference = _build_runtime(data, executor_name)
     crashed = resumed = None
     try:
@@ -109,6 +114,7 @@ def test_kill_after_round_k_resume_is_bit_identical(data, tmp_path, executor_nam
         history = resumed.run(checkpoint_dir=tmp_path, resume=True)
 
         assert len(history) == ROUNDS
+        assert len(resumed.server._replicas) == len(reference.server._replicas) == 1
         _assert_states_identical(reference, resumed)
         assert history.deterministic_rows() == reference.history.deterministic_rows()
         # The restored prefix carries the crashed process's measured timings

@@ -12,7 +12,10 @@ used to handle separately, and typed failure of the process pool.
   ``RuntimeError`` with the pool reaped, never a hang, and the next round
   restarts the pool and completes;
 * **no multiplied pools** — the codec's tensor pool stays off inside thread
-  and process workers, and process workers pin BLAS to one thread.
+  and process workers, and process workers pin BLAS to one thread;
+* **the evaluation pool** — the 130-sample validation split is three batches
+  of the default ``eval_batch_size``, so every parity run's server evaluates
+  on two lanes, in the parent, whichever executor ran the clients.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ FAILURE_CEILING_SECONDS = 30.0
 
 @pytest.fixture(scope="module")
 def data():
-    full = load_dataset("cifar10", num_samples=240, image_size=8, seed=0)
-    return full.split(0.75, seed=1)
+    full = load_dataset("cifar10", num_samples=310, image_size=8, seed=0)
+    return full.split(0.58, seed=1)  # 180 train, 130 validation
 
 
 def _make_executor(name: str):
@@ -100,7 +103,8 @@ def _build_runtime(data, executor, codec, client_faults=None, **link) -> Federat
 @pytest.mark.parametrize(
     "codec_fn", [lambda: None, lambda: FedSZCompressor(error_bound=1e-2)], ids=["raw", "fedsz"]
 )
-def test_device_dropout_corruption_and_crash_parity(data, codec_fn):
+def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     corrupted = {0: [1], 2: [4, 5]}
     crashed = {1: [2, 3], 2: [0]}
     faults = _Faults(CorruptedUploadSchedule(corrupted), ClientCrashSchedule(crashed))
@@ -145,6 +149,7 @@ def test_device_dropout_corruption_and_crash_parity(data, codec_fn):
 
     for executor_name in ("thread", "process"):
         other = run(executor_name)
+        assert len(other.server._replicas) == len(reference.server._replicas) == 1
         assert other.history.deterministic_rows() == reference.history.deterministic_rows()
         assert client_rows(other) == client_rows(reference), executor_name
         for name, value in reference.server.global_state().items():
