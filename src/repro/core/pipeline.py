@@ -50,6 +50,7 @@ from repro.core.serializer import (
     serialize_named_arrays,
 )
 from repro.utils.pools import pool_width
+from repro.utils.timing import lane_clock
 
 
 @dataclass
@@ -176,11 +177,13 @@ def _run_codec_tasks(
     """
 
     def timed(task_codec, task) -> Tuple[list, float]:
-        start = time.perf_counter()
+        clock = lane_clock()
+        start = clock()
         result = call(task_codec, task)
-        return result, time.perf_counter() - start
+        return result, clock() - start
 
-    start = time.perf_counter()
+    clock = lane_clock()
+    start = clock()
     if workers <= 1:
         outcomes = [timed(codec, task) for task in tasks]
     else:
@@ -188,7 +191,7 @@ def _run_codec_tasks(
             order = sorted(range(len(tasks)), key=lambda index: -sizes[index])
             futures = {index: pool.submit(timed, codec.clone(), tasks[index]) for index in order}
             outcomes = [futures[index].result() for index in range(len(tasks))]
-    wall = time.perf_counter() - start
+    wall = clock() - start
     busy = sum(seconds for _, seconds in outcomes) or 1.0
     return [(result, seconds * wall / busy) for result, seconds in outcomes]
 
@@ -227,7 +230,8 @@ def compress_state_dict(
     Returns the payload plus a :class:`FedSZReport` describing what happened.
     """
     config = config or FedSZConfig()
-    start = time.perf_counter()
+    clock = lane_clock()
+    start = clock()
 
     partition = partition_state_dict(state_dict, config.partition_threshold)
     lossy_codec = get_lossy_compressor(config.lossy_compressor)
@@ -299,7 +303,7 @@ def compress_state_dict(
     report.lossy_compressed_nbytes = sum(len(blob) for blob in lossy_payloads.values())
     report.lossless_compressed_nbytes = len(lossless_blob)
     report.compressed_nbytes = len(payload)
-    report.compress_seconds = time.perf_counter() - start
+    report.compress_seconds = clock() - start
     return payload, report
 
 

@@ -4,21 +4,25 @@ Executors decide *how* the per-round client work (local training, update
 compression, transport) runs.  All three run the same client-task code — the
 two upload halves of :mod:`repro.fl.transport` — and differ only in where:
 
-* :class:`SerialExecutor` runs clients one after another;
-* :class:`ParallelExecutor` runs them on a thread pool.  Threads overlap only
-  what releases the GIL (BLAS calls, emulated link sleeps), so this is the
-  executor for link-bound rounds (``LinkSpec(real_sleep=True)``), for codecs
-  without ``clone()`` (adaptive, DP — see below) and for platforms without
-  ``fork``;
+* :class:`SerialExecutor` trains clients one after another, then runs the
+  codec halves of their uploads on one lane per core, each lane on its own
+  ``clone()`` of the codec (a codec without one, a one-upload round or a call
+  off the main thread codes on the caller), then the link halves in task
+  order.  A codec error thus surfaces once the round's training is done;
+* :class:`ParallelExecutor` runs whole clients on a thread pool.  Threads
+  overlap only what releases the GIL (BLAS calls, emulated link sleeps), so
+  this is the executor for link-bound rounds (``LinkSpec(real_sleep=True)``),
+  for codecs without ``clone()`` (adaptive, DP — see below) and for platforms
+  without ``fork``;
 * :class:`ProcessParallelExecutor` runs them on a persistent pool of
   shared-nothing worker processes, each with a private interpreter, model
   pool and codec clone — the executor for compute-bound rounds.
 
 Measured on a 256-client ``uniform-edge`` fleet (13 clients a round, sz2 REL
-1e-2, BLAS pinned to one thread, 2 vCPUs, p25 round seconds): alexnet serial
-0.41 / 2 threads 0.36 / 2 processes 0.31; mobilenetv2 serial 0.36 / 2 threads
-0.52 / 2 processes 0.29.  On compute-bound rounds the thread pool never beats
-the process pool and can be slower than serial.
+1e-2, BLAS pinned to one thread, 2 vCPUs, p25 of 12 rounds): alexnet serial
+0.23 s (0.28 s coding on the caller) / 2 threads 0.20 / 2 processes 0.19;
+mobilenetv2 serial 0.19 / 2 threads 0.21 / 2 processes 0.14 (its small
+tensors convoy on the GIL).
 
 Results are always returned in task order regardless of completion order, and
 every client draws from its own seeded streams, so for deterministic codecs
@@ -32,10 +36,10 @@ reproducible with the serial executor — and the process executor refuses them
 outright (its workers need independent clones).
 
 When a codec exposes ``clone()`` (e.g. :class:`repro.core.FedSZCompressor`),
-the thread executor builds **one clone per worker** (checked out per task, so
-a fleet round costs O(workers) clones) and concurrent compressions cannot
-clobber each other's ``last_report``.  Stateful codecs without ``clone()``
-(whose round counters must stay global) are shared behind a lock instead.
+each serial lane or thread worker codes on **its own clone**, and after the
+round the caller's codec reports the last participant's ``last_report``.
+Stateful codecs without ``clone()`` (whose round counters must stay global)
+are shared behind a lock.
 
 The process executor keeps determinism with a strict split of ownership:
 **workers** train and run the upload's codec half against per-task client RNG
@@ -47,13 +51,13 @@ draw.  Each round the parent ships a single fingerprint-keyed
 :class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
 it once and serves all of its tasks from the decoded state.
 
-Per-client concurrency never multiplies with the library's own thread pools —
-the pipeline's per-tensor codec pool and the evaluation pool over validation
-batches (:func:`repro.fl.server.evaluate_model`).  Both start only from the
+Three thread pools never multiply: the serial executor's upload lanes, the
+pipeline's per-tensor codec pool and the evaluation pool over validation
+batches (:func:`repro.fl.server.evaluate_model`) each start only from the
 main thread of a process that is not a ``multiprocessing`` child
-(:func:`repro.utils.pools.pool_width`), so thread and process workers code
-and evaluate serially, and the server's evaluation, which runs in the parent
-after the round's clients are collected, never overlaps them.  Process
+(:func:`repro.utils.pools.pool_width`).  So lanes and thread and process
+workers code and evaluate serially (the per-tensor pool serves one-upload
+serial rounds), and the server evaluates after the round's clients.  Process
 workers also cap numpy's bundled OpenBLAS at one thread each.
 """
 
@@ -67,8 +71,9 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +91,7 @@ from repro.fl.transport import (
     encode_upload,
     transmit_update,
 )
+from repro.utils.pools import pool_width
 
 
 @dataclass
@@ -157,8 +163,8 @@ def crashed_client_result(task: ClientTask) -> ClientResult:
     return _client_result(task, update, None, TransferStats(delivered=False))
 
 
-def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
-    """Train one client on the broadcast state and transmit its update.
+def _train(task: ClientTask) -> Optional[ClientUpdate]:
+    """Train one task's client on the broadcast state; ``None`` if it crashed.
 
     A :class:`~repro.fl.scenarios.ClientCrash` fault fires *before* any
     stream advances — the client died without training, rolling dropout or
@@ -167,17 +173,40 @@ def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
     and transmits normally, but the server's frame check rejects what
     arrives.
     """
-    corrupted = isinstance(task.fault, CorruptedUpload)
     try:
-        if task.fault is not None and not corrupted:
+        if task.fault is not None and not isinstance(task.fault, CorruptedUpload):
             raise task.fault
-        update = task.client.train(task.broadcast_state, learning_rate=task.learning_rate)
+        return task.client.train(task.broadcast_state, learning_rate=task.learning_rate)
     except ClientCrash:
+        return None
+
+
+def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
+    """Train one client and transmit its update — the thread executor's task."""
+    update = _train(task)
+    if update is None:
         return crashed_client_result(task)
-    state, stats = transmit_update(
-        update.state_dict, codec, task.link, lock=lock, corrupted=corrupted
-    )
+    corrupted = isinstance(task.fault, CorruptedUpload)
+    state, stats = transmit_update(update.state_dict, codec, task.link, lock, corrupted)
     return _client_result(task, update, state, stats)
+
+
+def _encode_uploads(jobs: List[Callable], codec) -> List[UploadRecord]:
+    """``job(codec)`` of every :func:`encode_upload` partial, in job order, on
+    ``pool_width(len(jobs))`` lanes with a ``codec.clone()`` each — or on the
+    caller's codec, here, for one lane or a codec without ``clone()``."""
+    width = pool_width(len(jobs)) if hasattr(codec, "clone") else 1
+    if width == 1:
+        return [job(codec) for job in jobs]
+    lane = threading.local()
+
+    def on_lane(job: Callable) -> UploadRecord:
+        if not hasattr(lane, "codec"):
+            lane.codec = codec.clone()
+        return job(lane.codec)
+
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(on_lane, jobs))
 
 
 def _checked_max_workers(max_workers: Optional[int]) -> Optional[int]:
@@ -187,24 +216,50 @@ def _checked_max_workers(max_workers: Optional[int]) -> Optional[int]:
 
 
 def _hand_back_last_report(codec, results: List[ClientResult]) -> None:
-    """Facade contract of the pool executors: after a round the caller's codec
-    reports the last participant's compression, exactly as the shared
-    instance of a serial run does (workers compressed on clones)."""
-    last_report = results[-1].stats.report
-    if last_report is not None and hasattr(codec, "last_report"):
-        codec.last_report = last_report
+    """Facade contract: after a round the caller's codec reports the last
+    participant's compression.  Lanes and workers compressed on clones; a
+    one-lane run's codec already holds it (and may expose it read-only)."""
+    reports = [result.stats.report for result in results if result.stats.report is not None]
+    if reports and getattr(codec, "last_report", None) is not reports[-1]:
+        codec.last_report = reports[-1]
+
+
+def _settle(tasks, updates, uploads, codec) -> List[ClientResult]:
+    """The link halves of a round's uploads, in task order; ``updates[i]`` and
+    ``uploads[i]`` are ``None`` where task ``i``'s client crashed."""
+    results = []
+    for task, update, upload in zip(tasks, updates, uploads, strict=True):
+        if update is None:
+            results.append(crashed_client_result(task))
+        else:
+            stats = account_upload(task.link, upload)
+            results.append(_client_result(task, update, upload.received_state, stats))
+    _hand_back_last_report(codec, results)
+    return results
 
 
 class SerialExecutor:
-    """Run clients one after another — the seed simulation's behaviour."""
+    """Train clients in task order; code their uploads on one lane per core."""
 
     name = "serial"
     #: Concurrency level — the runtime sizes its model pool from this.
     max_workers = 1
 
     def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
-        """Execute every task in order with the shared codec instance."""
-        return [run_client_task(task, codec) for task in tasks]
+        """Train in task order, code the surviving updates, settle in task order."""
+        updates = [_train(task) for task in tasks]
+        jobs = []
+        for task, update in zip(tasks, updates, strict=True):
+            if update is not None:
+                corrupted = isinstance(task.fault, CorruptedUpload)
+                dropped = not corrupted and task.link.roll_dropout()
+                jobs.append(
+                    partial(encode_upload, update.state_dict, spec=task.link.spec,
+                            dropped=dropped, corrupted=corrupted)
+                )
+        encoded = iter(_encode_uploads(jobs, codec))
+        uploads = [None if update is None else next(encoded) for update in updates]
+        return _settle(tasks, updates, uploads, codec)
 
 
 class ParallelExecutor:
@@ -558,21 +613,12 @@ class ProcessParallelExecutor:
             )
             raise RuntimeError(f"worker task(s) failed:\n{details}")
 
-        results = []
-        for index, task in enumerate(tasks):
-            done = raw_results[index]
-            if done.update is None:
-                results.append(crashed_client_result(task))
-                continue
-            # Ship the advanced client streams back into the parent's client,
-            # keeping checkpoints and subsequent rounds bit-identical.
-            task.client.restore_checkpoint_state(done.client_state)
-            stats = account_upload(task.link, done.upload)
-            results.append(
-                _client_result(task, done.update, done.upload.received_state, stats)
-            )
-        _hand_back_last_report(codec, results)
-        return results
+        done = [raw_results[index] for index in range(len(tasks))]
+        for task, result in zip(tasks, done, strict=True):
+            if result.update is not None:
+                # Advanced client streams back: checkpoints stay bit-identical.
+                task.client.restore_checkpoint_state(result.client_state)
+        return _settle(tasks, [r.update for r in done], [r.upload for r in done], codec)
 
     def _collect(self, expected_results: int):
         """Drain one round's results and idle acks, watching worker liveness."""

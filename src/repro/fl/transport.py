@@ -32,15 +32,14 @@ boundary can sit:
 * the **link half** (:func:`account_upload`) occupies the link for the
   record's wire bytes and builds the :class:`TransferStats`.
 
-:func:`transmit_update` is dropout roll + both halves, and is what in-process
-executors call; a process worker runs the codec half and its parent — the
-owner of links and dropout streams — the link half, in task order.
+:func:`transmit_update` is dropout roll + both halves (the thread executor's
+upload); serial lanes and process workers run the codec half, and the owner of
+links and dropout streams the link half, in task order.
 """
 
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -55,6 +54,7 @@ from repro.core.serializer import (
 )
 from repro.network.bandwidth import LinkSpec, SimulatedChannel
 from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.timing import lane_clock
 
 
 @dataclass
@@ -152,12 +152,9 @@ def encode_upload(
     """Codec half of an upload (see the module docstring).
 
     ``spec`` decides whether the measured codec seconds or the client
-    device's modelled ones are billed.
+    device's modelled ones are billed; measured ones on the calling thread's
+    :func:`~repro.utils.timing.lane_clock`.
     ``lock`` serialises access to a codec shared across executor threads.
-    Timers start inside it: measured codec seconds must not include time
-    spent waiting for other threads to release the codec (that wait would
-    inflate turnarounds and could flip semi-sync straggler decisions based
-    on thread scheduling).
     """
     original_nbytes = int(sum(np.asarray(v).nbytes for v in state_dict.values()))
     delivered = not (dropped or corrupted)
@@ -173,17 +170,18 @@ def encode_upload(
             received_state = dict(state_dict)
     else:
         description = "compressed client update"
+        clock = lane_clock()
         with guard:
-            start = time.perf_counter()
+            start = clock()
             payload = codec.compress(state_dict)
-            compress_seconds = time.perf_counter() - start
+            compress_seconds = clock() - start
             report = getattr(codec, "last_report", None)
         wire_nbytes = len(payload)
         if delivered:
             with guard:
-                start = time.perf_counter()
+                start = clock()
                 received_state = codec.decompress(payload)
-                decompress_seconds = time.perf_counter() - start
+                decompress_seconds = clock() - start
     if corrupted:
         description = "corrupted client update"
         wire = corrupt_wire_bytes(payload)

@@ -3,12 +3,15 @@
 ``encode_upload`` (codec half) and ``account_upload`` (link half) are the
 one upload body every executor runs; ``transmit_update`` is dropout roll +
 both.  Pinned here: what each outcome — delivered, dropped in transit,
-corrupted in transit — costs and leaves behind, with and without a codec.
+corrupted in transit — costs and leaves behind, with and without a codec, and
+which clock the codec half reads on and off the main thread.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.fl.transport import (
     encode_upload,
     transmit_update,
 )
+from repro.utils.timing import lane_clock
 
 
 class _CountingCodec(FedSZCompressor):
@@ -171,3 +175,33 @@ def test_shared_codec_lock_is_held_only_around_codec_calls(state):
     link = ClientLink(0)
     transmit_update(state, _Codec(error_bound=1e-2), link, lock=lock)
     assert lock.entries == 2 and lock.depth == 0
+
+
+def _on_a_thread(function):
+    """``function()`` on a fresh non-main thread; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(function()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_a_lane_reads_its_own_cpu_clock():
+    assert lane_clock() is time.perf_counter
+    assert _on_a_thread(lane_clock) is time.thread_time
+
+
+def test_codec_seconds_off_the_main_thread_come_from_the_thread_clock(state, monkeypatch):
+    """With the thread clock frozen, a lane's codec half measures nothing —
+    on every timer down to the pipeline's per-tensor shares — while the main
+    thread still measures wall seconds."""
+    monkeypatch.setattr(time, "thread_time", lambda: 1.0)
+    codec = FedSZCompressor(error_bound=1e-2)
+    upload = _on_a_thread(lambda: encode_upload(state, codec, LinkSpec()))
+    assert upload.delivered
+    assert upload.compress_seconds == upload.decompress_seconds == 0.0
+    assert upload.report.compress_seconds == 0.0
+    assert set(upload.report.per_tensor_compress_seconds.values()) == {0.0}
+    assert set(upload.report.per_tensor_decompress_seconds.values()) == {0.0}
+    upload = encode_upload(state, codec, LinkSpec())
+    assert upload.compress_seconds > 0 and upload.decompress_seconds > 0

@@ -11,8 +11,13 @@ used to handle separately, and typed failure of the process pool.
 * **failure paths** — a poisoned task or a killed worker ends the round in a
   ``RuntimeError`` with the pool reaped, never a hang, and the next round
   restarts the pool and completes;
-* **no multiplied pools** — the codec's tensor pool stays off inside thread
-  and process workers, and process workers pin BLAS to one thread;
+* **serial lanes** — the serial executor codes a round's uploads on one lane
+  per core: histories, weights and codec seconds agree at 1, 2 and 4 lanes;
+  a codec without ``clone()`` stays on the caller, in task order; a lane's
+  error is the serial error with no thread left behind;
+* **no multiplied pools** — the codec's tensor pool stays off on serial lanes
+  and inside thread and process workers, and process workers pin BLAS to one
+  thread;
 * **the evaluation pool** — the 130-sample validation split is three batches
   of the default ``eval_batch_size``, so every parity run's server evaluates
   on two lanes, in the parent, whichever executor ran the clients.
@@ -42,6 +47,7 @@ from repro.fl import (
 from repro.fl.executor import _openblas_threads
 from repro.fl.scenarios import CorruptedUploadSchedule
 from repro.nn.models import create_model
+from repro.privacy import DPFedSZCompressor
 
 EXECUTORS = ["serial", "thread", "process"]
 #: A healthy 6-client round of the tiny model takes well under a second; a
@@ -78,7 +84,9 @@ class _Faults:
         return None
 
 
-def _build_runtime(data, executor, codec, client_faults=None, **link) -> FederatedRuntime:
+def _build_runtime(
+    data, executor, codec, client_faults=None, client_fraction=1.0, **link
+) -> FederatedRuntime:
     train, val = data
     return FederatedRuntime(
         lambda: create_model("resnet18", "tiny", num_classes=10, seed=7),
@@ -86,7 +94,7 @@ def _build_runtime(data, executor, codec, client_faults=None, **link) -> Federat
         val,
         FLConfig(
             num_clients=6, rounds=3, batch_size=16, local_epochs=1,
-            client_fraction=1.0, seed=3,
+            client_fraction=client_fraction, seed=3,
         ),
         codec=codec,
         executor=executor,
@@ -109,7 +117,8 @@ def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch)
     crashed = {1: [2, 3], 2: [0]}
     faults = _Faults(CorruptedUploadSchedule(corrupted), ClientCrashSchedule(crashed))
 
-    def run(executor_name):
+    def run(executor_name, lanes=2):
+        monkeypatch.setattr(os, "cpu_count", lambda: lanes)
         runtime = _build_runtime(
             data, _make_executor(executor_name), codec_fn(), faults,
             device="raspberry-pi-5", dropout_probability=0.4,
@@ -147,11 +156,12 @@ def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch)
             outcomes.add("delivered" if delivered else "dropped")
     assert outcomes == {"crashed", "corrupted", "delivered", "dropped"}
 
-    for executor_name in ("thread", "process"):
-        other = run(executor_name)
-        assert len(other.server._replicas) == len(reference.server._replicas) == 1
+    for executor_name, lanes in (("thread", 2), ("process", 2), ("serial", 1), ("serial", 4)):
+        other = run(executor_name, lanes)
+        if lanes == 2:
+            assert len(other.server._replicas) == len(reference.server._replicas) == 1
         assert other.history.deterministic_rows() == reference.history.deterministic_rows()
-        assert client_rows(other) == client_rows(reference), executor_name
+        assert client_rows(other) == client_rows(reference), (executor_name, lanes)
         for name, value in reference.server.global_state().items():
             np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
 
@@ -345,24 +355,141 @@ def _run_recording_reports(runtime, rounds=2):
 
 
 def test_the_codec_pool_stays_off_inside_executor_workers(data, monkeypatch):
-    """With every SZx tensor over the pool threshold a serial run's clients
-    compress on the pool; thread and process workers compress serially — the
-    two pools never multiply — and all three runs agree."""
+    """With every SZx tensor over the pool threshold, only a serial round's
+    single upload compresses on the tensor pool: two or more uploads run on
+    the serial executor's lanes, and thread and process workers compress
+    serially — the pools never multiply — and every run agrees."""
     monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def run(executor_name):
+    def run(executor_name, client_fraction=1.0):
         codec = FedSZCompressor(error_bound=1e-2, lossy_compressor="szx", max_codec_workers=2)
-        runtime = _build_runtime(data, _make_executor(executor_name), codec)
+        runtime = _build_runtime(
+            data, _make_executor(executor_name), codec, client_fraction=client_fraction
+        )
         return runtime, _run_recording_reports(runtime)
 
     reference, reports = run("serial")
-    assert {report.codec_workers for report in reports} == {2}
+    assert {report.codec_workers for report in reports} == {1}
+    single, reports = run("serial", client_fraction=0.1)
+    assert len(reports) == 2 and {report.codec_workers for report in reports} == {2}
     for executor_name in ("thread", "process"):
         other, reports = run(executor_name)
         assert {report.codec_workers for report in reports} == {1}, executor_name
         assert other.history.deterministic_rows() == reference.history.deterministic_rows()
         for name, value in reference.server.global_state().items():
             np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
+    other, reports = run("thread", client_fraction=0.1)
+    assert {report.codec_workers for report in reports} == {1}
+    assert other.history.deterministic_rows() == single.history.deterministic_rows()
+
+
+# ----------------------------------------------------------------------
+# Serial lanes
+# ----------------------------------------------------------------------
+class _CallLog(DPFedSZCompressor):
+    """DP codec that logs the thread and the input of every compress."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def compress(self, state_dict):
+        self.calls.append((threading.current_thread(), state_dict))
+        return super().compress(state_dict)
+
+
+def test_a_codec_without_clone_stays_on_the_caller_in_task_order(data, monkeypatch):
+    """The DP codec's noise stream is consumed in call order, so its uploads
+    never take a lane: every compress runs on the calling thread, in task
+    order, and the run equals a one-lane run."""
+    crashed = ClientCrashSchedule({0: [2]})
+
+    def run(lanes):
+        monkeypatch.setattr(os, "cpu_count", lambda: lanes)
+        codec = _CallLog(epsilon_per_round=10.0, seed=4)
+        runtime = _build_runtime(data, SerialExecutor(), codec, crashed)
+        uploads = []
+        finish_round = runtime.finish_round
+
+        def recording_finish_round(context, results, *args, **kwargs):
+            uploads.extend(r.update.state_dict for r in results if r.stats.report is not None)
+            return finish_round(context, results, *args, **kwargs)
+
+        runtime.finish_round = recording_finish_round
+        try:
+            runtime.run(rounds=2)
+        finally:
+            runtime.close()
+        return runtime, codec, uploads
+
+    runtime, codec, uploads = run(2)
+    assert len(uploads) == 11
+    assert [thread for thread, _ in codec.calls] == [threading.main_thread()] * 11
+    assert all(sent is logged for sent, (_, logged) in zip(uploads, codec.calls, strict=True))
+    one_lane, _, _ = run(1)
+    assert runtime.history.deterministic_rows() == one_lane.history.deterministic_rows()
+
+
+def test_a_lane_error_is_the_serial_error_with_no_thread_left(data, sabotage, monkeypatch):
+    """A codec error on the lanes surfaces as the one-lane path raises it,
+    every lane thread is gone, and the next round runs."""
+    errors = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda lanes=lanes: lanes)
+        runtime = _build_runtime(data, SerialExecutor(), _SabotagedCodec(error_bound=1e-2))
+        threads = threading.active_count()
+        sabotage("raise")
+        with pytest.raises(ValueError) as failure:
+            runtime.run_round()
+        assert threading.active_count() == threads
+        assert len(runtime.history) == 0
+        errors.append((type(failure.value), str(failure.value)))
+        sabotage(None)
+        assert runtime.run_round().participating_clients == 6
+        runtime.close()
+    assert errors == [(ValueError, "poisoned compress")] * 2
+
+
+class _LaneLog(FedSZCompressor):
+    """FedSZ whose instances and clones log who compressed on which thread."""
+
+    log: list = []
+
+    def compress(self, state_dict):
+        type(self).log.append((self, threading.current_thread()))
+        return super().compress(state_dict)
+
+
+def test_lanes_code_on_their_own_clones_and_hand_the_last_report_back(data, monkeypatch):
+    """Each lane compresses on its own clone, never on the caller's codec;
+    afterwards the caller's codec holds the report of the last client that
+    uploaded, skipping one that crashed at the end of the task list."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_LaneLog, "log", [])
+    codec = _LaneLog(error_bound=1e-2)
+    runtime = _build_runtime(data, SerialExecutor(), codec, ClientCrashSchedule({0: [5]}))
+    rounds = []
+    finish_round = runtime.finish_round
+
+    def recording_finish_round(context, results, *args, **kwargs):
+        rounds.append(results)
+        return finish_round(context, results, *args, **kwargs)
+
+    runtime.finish_round = recording_finish_round
+    try:
+        for _ in range(2):
+            runtime.run_round()
+            reports = [result.stats.report for result in rounds[-1]]
+            assert codec.last_report is [r for r in reports if r is not None][-1]
+    finally:
+        runtime.close()
+    assert reports[-1] is not None and rounds[0][-1].stats.report is None
+    assert len(_LaneLog.log) == 11
+    assert all(instance is not codec for instance, _ in _LaneLog.log)
+    threads = {id(instance): thread for instance, thread in _LaneLog.log}
+    assert set(threads.items()) == {(id(i), t) for i, t in _LaneLog.log}
+    assert threading.main_thread() not in threads.values()
 
 
 @pytest.mark.skipif(_openblas_threads("get") is None, reason="numpy bundles no OpenBLAS")
