@@ -171,6 +171,10 @@ class LossyCompressor(ABC):
     #: ZFP's fixed-precision mode is the one analogue that does not.
     strictly_bounded: bool = True
 
+    #: Values a group must hold to earn a lane of the pipeline's codec pool,
+    #: as measured in ``core.pipeline.resolve_codec_workers`` (unmeasured: 2^20).
+    pool_min_values: int = 1 << 20
+
     def clone(self) -> "LossyCompressor":
         """A fresh codec with the same configuration.
 

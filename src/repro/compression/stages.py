@@ -331,22 +331,6 @@ class StagedCompressor(LossyCompressor):
         return self.decompress_group([payload])[0]
 
 
-def pad_to_blocks(flat: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
-    """A 1-D float array as float64, zero-padded to a whole number of ``block``-sized blocks.
-
-    Zeros match ZFP's block-floating-point alignment of a partially filled
-    block.  The upcast and the padding are one copy; a float64 array of whole
-    blocks is returned as it is.
-    """
-    num_blocks = -(-flat.size // block)
-    padded_size = num_blocks * block
-    if padded_size == flat.size:
-        return flat.astype(np.float64, copy=False), num_blocks
-    padded = np.zeros(padded_size, dtype=np.float64)
-    padded[: flat.size] = flat
-    return padded, num_blocks
-
-
 __all__ = [
     "STAGED_FORMAT_VERSION",
     "StageContext",
@@ -356,5 +340,4 @@ __all__ = [
     "StagedCompressor",
     "pack_stage_meta",
     "unpack_stage_meta",
-    "pad_to_blocks",
 ]

@@ -279,6 +279,7 @@ class SZ2Compressor(StagedCompressor):
     """Blockwise hybrid Lorenzo/regression compressor (SZ2 analogue)."""
 
     name = "sz2"
+    pool_min_values = 1 << 16
 
     def __init__(
         self,

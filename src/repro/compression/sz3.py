@@ -66,22 +66,27 @@ class SZ3Predictor(PredictorStage):
         ctx.params["use_cubic"] = self.use_cubic
 
     def encode(self, flat: np.ndarray, ctx: StageContext) -> Dict[str, bytes]:
-        flat = flat.astype(np.float64, copy=False)  # the walk reads it level by level
-        reconstruction = np.zeros_like(flat)
+        # The quantizer upcasts what it reads of ``flat``, so no float64 copy is kept.
+        reconstruction = np.zeros(flat.size, dtype=np.float64)
 
         # Anchor point: the first element is quantized against zero.
         bound = ctx.absolute_bound
-        codes: List[np.ndarray] = [Quantizer.encode(flat[:1], 0.0, bound)]
-        reconstruction[:1] = Quantizer.decode(codes[0], 0.0, bound)
+        anchor = Quantizer.encode(flat[:1], 0.0, bound)
+        reconstruction[:1] = Quantizer.decode(anchor, 0.0, bound)
+        codes = np.empty(flat.size, dtype=anchor.dtype)  # widened once if a level needs it
+        codes[:1], cursor = anchor, 1
 
         for stride in _interpolation_strides(flat.size):
             targets = reconstruction[stride :: 2 * stride]
             predictions = _predict(reconstruction[:: 2 * stride], targets.size, self.use_cubic)
             level_codes = Quantizer.encode(flat[stride :: 2 * stride], predictions, bound)
             Quantizer.decode(level_codes, predictions, bound, out=targets)
-            codes.append(level_codes)
+            if level_codes.itemsize > codes.itemsize:
+                codes = codes.astype(level_codes.dtype)
+            codes[cursor : cursor + targets.size] = level_codes
+            cursor += targets.size
 
-        return {"codes": self.entropy.encode(np.concatenate(codes))}
+        return {"codes": self.entropy.encode(codes)}
 
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
         size, bound = ctx.size, ctx.absolute_bound
@@ -110,6 +115,7 @@ class SZ3Compressor(StagedCompressor):
     """Multi-level interpolation predictor compressor (SZ3 analogue)."""
 
     name = "sz3"
+    pool_min_values = 1 << 16
 
     def __init__(
         self,

@@ -216,6 +216,7 @@ class SZxCompressor(StagedCompressor):
     """Constant-block + bit-truncation compressor (SZx analogue)."""
 
     name = "szx"
+    pool_min_values = 1 << 20
 
     def __init__(self, block_size: int = 128) -> None:
         if block_size < 4:

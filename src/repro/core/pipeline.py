@@ -12,8 +12,8 @@ Step 2 is a :class:`TensorTask`-based engine: the codec cuts the lossy
 partition into groups (``LossyCompressor.group_slices`` — a tensor each, or for
 SZ2 a run of small tensors that share one slab walk), each group is one
 ``compress_group`` call, and when the groups are big enough to scale
-(:func:`resolve_codec_workers`) they run concurrently on a thread pool — codec
-stages are stateless (each worker gets its own ``clone()``) and the vectorized
+(:func:`resolve_codec_workers`) they run concurrently on lanes — codec stages
+are stateless (each lane gets its own ``clone()``) and the vectorized
 numpy/zlib kernels release the GIL.  Every tensor keeps its own payload and
 results are assembled in state-dict order, so the bitstream is byte-identical
 whatever the grouping or the worker count.  The wall time of the codec phase
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,7 +48,7 @@ from repro.core.serializer import (
     parse_fedsz_payload,
     serialize_named_arrays,
 )
-from repro.utils.pools import pool_width
+from repro.utils.pools import pool_width, run_lanes
 from repro.utils.timing import lane_clock
 
 
@@ -136,31 +135,27 @@ class TensorTask:
         return int(np.asarray(self.tensor).nbytes)
 
 
-#: Values a codec group must hold to earn a lane of the thread pool.  2 threads
-#: against 1 on eight equal float32 tensors (REL 1e-2, BLAS pinned, 2 vCPUs,
-#: medians; SZx the worse of two runs), compress / decompress:
-#:   values  sz2          sz3          szx          zfp
-#:   2^16    1.28 / 1.13  1.05 / 1.18  0.83 / 0.68  1.54 / 1.49
-#:   2^17    1.46 / 1.34  1.28 / 1.30  1.04 / 0.86  1.80 / 1.70
-#:   2^18    1.51 / 1.44  1.52 / 1.62  0.98 / 0.81  1.89 / 1.72
-#:   2^19    1.58 / 1.60  1.61 / 1.66  1.16 / 0.96  1.89 / 1.83
-#:   2^20    1.72 / 1.84  1.71 / 1.74  1.19 / 1.16  1.81 / 1.81
-#:   2^21    1.75 / 1.87  1.62 / 1.63  1.29 / 1.15  1.59 / 1.70
-#:   2^22    1.77 / 1.79  1.89 / 1.71  1.11 / 1.12  1.69 / 1.77
-#: SZx's short memory-bound passes convoy on the GIL below 2^20, the smallest
-#: size at which every codec gains both ways.
-_POOL_MIN_VALUES = 1 << 20
+def resolve_codec_workers(config: FedSZConfig, codec, group_sizes: Sequence[int]) -> int:
+    """Lanes for ``codec``'s groups of these value counts under ``config``.
 
-
-def resolve_codec_workers(config: FedSZConfig, group_sizes: Sequence[int]) -> int:
-    """Thread-pool width for codec groups of these value counts under ``config``.
-
-    A group of at least ``_POOL_MIN_VALUES`` values is one lane; the lanes,
-    capped by ``config.max_codec_workers``, go through
-    :func:`~repro.utils.pools.pool_width` — so inside an executor's client
+    A group of at least ``codec.pool_min_values`` values is one lane: the
+    size from which the codec gains on threads.  2 lanes against 1 on eight
+    equal float32 tensors (the codec's groups of them; REL 1e-2, BLAS pinned,
+    2 vCPUs, medians of 5), compress / decompress:
+      values  sz2          sz3          szx          zfp
+      2^15    1.38 / 1.35  0.89 / 1.00  0.76 / 0.67  1.79 / 1.46
+      2^16    1.61 / 1.44  1.11 / 1.26  0.91 / 0.78  1.89 / 1.67
+      2^17    1.54 / 1.47  1.56 / 1.53  1.14 / 1.07  1.89 / 1.82
+      2^18    1.63 / 1.61  1.66 / 1.78  1.09 / 0.99  2.03 / 1.76
+      2^19    1.47 / 1.58  1.53 / 1.72  1.14 / 1.23  1.69 / 1.88
+      2^20    1.73 / 1.62  1.54 / 1.59  1.15 / 1.01  1.85 / 1.65
+      2^21    1.44 / 1.54  1.60 / 1.71  1.32 / 1.06  1.87 / 1.51
+    SZx's short memory-bound passes convoy on the GIL, so it stays at 2^20.
+    The lanes, capped by ``config.max_codec_workers``, go through
+    :func:`~repro.utils.pools.pool_width` — so inside an executor's lanes and
     workers the codec stays serial.
     """
-    lanes = sum(size >= _POOL_MIN_VALUES for size in group_sizes)
+    lanes = sum(size >= codec.pool_min_values for size in group_sizes)
     return pool_width(lanes, config.max_codec_workers)
 
 
@@ -169,11 +164,12 @@ def _run_codec_tasks(
 ) -> List[Tuple[list, float]]:
     """``call(codec, task)`` of every task with its share of the wall, in task order.
 
-    Serially, or on a thread pool where every task gets its own ``clone()`` of
-    the codec, so no codec instance is shared across threads — cheap because
-    stage-based clones are shallow copies.  The pool takes the largest
-    ``sizes`` first, so no lane is left finishing a big group alone.  Seconds
-    are scaled to sum to the call's wall time: pooled tasks overlap.
+    Serially, or on :func:`~repro.utils.pools.run_lanes` with a ``clone()`` of
+    the codec a lane, so no codec instance is shared across threads — cheap
+    because stage-based clones are shallow copies.  The lanes take the
+    largest ``sizes`` first, so no lane is left finishing a big group alone
+    (of several failing groups, the largest's error is raised).  Seconds are
+    scaled to sum to the call's wall time: pooled tasks overlap.
     """
 
     def timed(task_codec, task) -> Tuple[list, float]:
@@ -187,10 +183,10 @@ def _run_codec_tasks(
     if workers <= 1:
         outcomes = [timed(codec, task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            order = sorted(range(len(tasks)), key=lambda index: -sizes[index])
-            futures = {index: pool.submit(timed, codec.clone(), tasks[index]) for index in order}
-            outcomes = [futures[index].result() for index in range(len(tasks))]
+        order = sorted(range(len(tasks)), key=lambda index: -sizes[index])
+        pooled = run_lanes([tasks[i] for i in order], timed, workers, lambda _: codec.clone())
+        by_task = sorted(zip(order, pooled, strict=True), key=operator.itemgetter(0))
+        outcomes = [outcome for _, outcome in by_task]
     wall = clock() - start
     busy = sum(seconds for _, seconds in outcomes) or 1.0
     return [(result, seconds * wall / busy) for result, seconds in outcomes]
@@ -257,7 +253,7 @@ def compress_state_dict(
     runs = lossy_codec.group_slices(sizes)
     groups = [tasks[run] for run in runs]
     group_sizes = [sum(sizes[run]) for run in runs]
-    workers = resolve_codec_workers(config, group_sizes)
+    workers = resolve_codec_workers(config, lossy_codec, group_sizes)
 
     lossy_nbytes, lossless_nbytes = partition.lossy_nbytes, partition.lossless_nbytes
     report = FedSZReport(
@@ -334,7 +330,7 @@ def decompress_state_dict(
     runs = lossy_codec.group_slices(sizes)
     groups = [names[run] for run in runs]
     group_sizes = [sum(sizes[run]) for run in runs]
-    workers = resolve_codec_workers(config, group_sizes)
+    workers = resolve_codec_workers(config, lossy_codec, group_sizes)
 
     def decompress_group(codec, group: Sequence[str]) -> List[np.ndarray]:
         return codec.decompress_group([lossy_payloads[name] for name in group])

@@ -51,10 +51,12 @@ draw.  Each round the parent ships a single fingerprint-keyed
 :class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
 it once and serves all of its tasks from the decoded state.
 
-Three thread pools never multiply: the serial executor's upload lanes, the
+One lane runner, :func:`repro.utils.pools.run_lanes`, is every thread pool
+here — the serial executor's upload lanes, the thread executor's workers, the
 pipeline's per-tensor codec pool and the evaluation pool over validation
-batches (:func:`repro.fl.server.evaluate_model`) each start only from the
-main thread of a process that is not a ``multiprocessing`` child
+batches (:func:`repro.fl.server.evaluate_model`) — with the calling thread as
+lane 0, and its pools never multiply: one starts only from the main thread of
+a process that is not a ``multiprocessing`` child, outside any lane
 (:func:`repro.utils.pools.pool_width`).  So lanes and thread and process
 workers code and evaluate serially (the per-tensor pool serves one-upload
 serial rounds), and the server evaluates after the round's clients.  Process
@@ -69,7 +71,6 @@ import os
 import queue as queue_module
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -91,7 +92,7 @@ from repro.fl.transport import (
     encode_upload,
     transmit_update,
 )
-from repro.utils.pools import pool_width
+from repro.utils.pools import pool_width, run_lanes
 
 
 @dataclass
@@ -198,15 +199,7 @@ def _encode_uploads(jobs: List[Callable], codec) -> List[UploadRecord]:
     width = pool_width(len(jobs)) if hasattr(codec, "clone") else 1
     if width == 1:
         return [job(codec) for job in jobs]
-    lane = threading.local()
-
-    def on_lane(job: Callable) -> UploadRecord:
-        if not hasattr(lane, "codec"):
-            lane.codec = codec.clone()
-        return job(lane.codec)
-
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(on_lane, jobs))
+    return run_lanes(jobs, lambda lane_codec, job: job(lane_codec), width, lambda _: codec.clone())
 
 
 def _checked_max_workers(max_workers: Optional[int]) -> Optional[int]:
@@ -263,11 +256,12 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Run clients concurrently on a thread pool.
+    """Run clients concurrently on :func:`~repro.utils.pools.run_lanes`.
 
-    ``max_workers`` bounds concurrency (defaults to the task count).  Codecs
-    with a ``clone()`` method get one instance **per worker**, checked out
-    per task — a fleet round costs O(workers) clones, not O(participants).
+    ``max_workers`` bounds concurrency (defaults to the task count); the
+    calling thread is one of the workers.  Codecs with a ``clone()`` method
+    get one instance **per worker**, which codes every task it pulls — a
+    fleet round costs O(workers) clones, not O(participants).
     Other codecs are shared behind a lock, which serialises codec work but
     still overlaps training and transport.
     """
@@ -284,25 +278,12 @@ class ParallelExecutor:
         workers = min(self.max_workers or len(tasks), len(tasks))
         cloneable = codec is not None and hasattr(codec, "clone")
         lock = threading.Lock() if (codec is not None and not cloneable) else None
-
-        clones: Optional[queue_module.SimpleQueue] = None
-        if cloneable:
-            clones = queue_module.SimpleQueue()
-            for _ in range(workers):
-                clones.put(codec.clone())
-
-        def run_one(task: ClientTask) -> ClientResult:
-            task_codec = clones.get() if clones is not None else codec
-            try:
-                return run_client_task(task, task_codec, lock)
-            finally:
-                if clones is not None:
-                    clones.put(task_codec)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_one, task) for task in tasks]
-            results = [future.result() for future in futures]
-
+        results = run_lanes(
+            tasks,
+            lambda lane_codec, task: run_client_task(task, lane_codec, lock),
+            workers,
+            lambda _: codec.clone() if cloneable else codec,
+        )
         if cloneable:
             _hand_back_last_report(codec, results)
         return results

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -14,7 +13,7 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.fl.aggregation import fedavg
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.utils.pools import pool_width
+from repro.utils.pools import pool_width, run_lanes
 
 
 @dataclass
@@ -40,10 +39,10 @@ def evaluate_model(
     memory is bounded by the batch rather than the dataset, and loss and
     accuracy are taken once over the logits concatenated in batch order.
     Where :func:`~repro.utils.pools.pool_width` allows, contiguous runs of
-    batches go to a thread pool: the first lane runs on ``model``, every other
-    lane on a replica — a deep copy of ``model`` kept in ``replicas`` (grown as
-    needed; ``None`` keeps them for this call only), loaded with ``model``'s
-    state.  A batch's logits do not depend on its lane, so the result is the
+    batches go to :func:`~repro.utils.pools.run_lanes`: lane 0, the caller,
+    runs on ``model``, every other lane on a replica — a deep copy of
+    ``model`` kept in ``replicas`` (grown as needed; ``None`` keeps them for
+    this call only), loaded with ``model``'s state.  A batch's logits do not depend on its lane, so the result is the
     same at any width, and a failing batch raises what the serial loop raises.
     """
     if not len(labels):
@@ -55,19 +54,14 @@ def evaluate_model(
     def forward(lane_model: Module, lane_starts) -> List[np.ndarray]:
         return [lane_model(images[start : start + batch_size]) for start in lane_starts]
 
-    if lanes == 1:
-        chunks = forward(model, starts)
-    else:
-        replicas = [] if replicas is None else replicas
-        replicas.extend(copy.deepcopy(model) for _ in range(lanes - 1 - len(replicas)))
-        models = [model, *replicas[: lanes - 1]]
-        state = model.state_dict()
-        for replica in models[1:]:
-            replica.load_state_dict(state)
-        runs = np.array_split(np.asarray(starts), lanes)
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            futures = [pool.submit(forward, *lane) for lane in zip(models, runs, strict=True)]
-            chunks = [chunk for future in futures for chunk in future.result()]
+    replicas = [] if replicas is None else replicas
+    replicas.extend(copy.deepcopy(model) for _ in range(lanes - 1 - len(replicas)))
+    models = [model, *replicas[: lanes - 1]]
+    for replica in models[1:]:
+        replica.load_state_dict(model.state_dict())
+    runs = np.array_split(np.asarray(starts), lanes)
+    outputs = run_lanes(runs, forward, lanes, models.__getitem__)
+    chunks = [chunk for output in outputs for chunk in output]
     logits = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
     loss, _ = F.cross_entropy(logits, np.asarray(labels, dtype=np.int64))
     return loss, F.accuracy(logits, labels)

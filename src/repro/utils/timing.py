@@ -13,6 +13,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Tuple, TypeVar
 
+from repro.utils.pools import in_lane
+
 T = TypeVar("T")
 
 
@@ -97,11 +99,12 @@ class Stopwatch:
 
 def lane_clock() -> Callable[[], float]:
     """The clock codec seconds are read with: ``time.perf_counter`` on the
-    main thread, ``time.thread_time`` on the lanes of a pool, whose wall
+    main thread, ``time.thread_time`` off it and on every lane of
+    :func:`~repro.utils.pools.run_lanes` (the caller's included), whose wall
     seconds would also count their waits on each other (an AlexNet compress
     on one of two lanes, 2 vCPUs: 1.40–1.45x its one-lane seconds on the wall
     clock, 1.20–1.34x on the thread clock — the lanes share caches too)."""
-    if threading.current_thread() is threading.main_thread():
+    if threading.current_thread() is threading.main_thread() and not in_lane():
         return time.perf_counter
     return time.thread_time
 

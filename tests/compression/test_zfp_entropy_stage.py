@@ -6,18 +6,21 @@ deflating them itself.  The quantised coefficients did not change, so every
 reconstruction must still equal the frozen ``ReferenceZFPCompressor`` bit for
 bit; the payload layout did change, and its decoder must reject anything it
 cannot account for — including a payload in the previous layout — with
-:class:`CorruptPayloadError`, in bounded memory.
+:class:`CorruptPayloadError`, in bounded memory.  The encode later became a
+slab walk: its payloads are pinned against digests recorded at the commit
+before it, across slab boundaries, and its allocation peak has a ceiling.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.compression import ErrorBoundMode, ZFPCompressor
+from repro.compression import ErrorBoundMode, ZFPCompressor, zfp
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.reference_codecs import ReferenceZFPCompressor
@@ -85,6 +88,78 @@ def test_decoder_level_does_not_matter():
     expected = reference.decompress(reference.compress(data, 1e-2))
     payload = ZFPCompressor(compression_level=1).compress(data, 1e-2)
     np.testing.assert_array_equal(ZFPCompressor(compression_level=9).decompress(payload), expected)
+
+
+# ----------------------------------------------------------------------
+# The encode slab walk: parent bytes at every slab boundary, allocation peak
+# ----------------------------------------------------------------------
+#: The slab the sizes below were cut for (they need not follow a retuned one).
+RECORDED_SLAB = 1 << 16
+SMALL_SLAB_BLOCKS = 16
+
+
+@pytest.fixture(params=["real-slab", "16-block-slab"])
+def slab(request, monkeypatch):
+    """Run the test at the real slab size and at sixteen blocks a slab."""
+    if request.param == "16-block-slab":
+        monkeypatch.setattr(zfp, "_SLAB_ELEMENTS", SMALL_SLAB_BLOCKS * 4)
+
+
+def _pinned_sizes():
+    """Under a block, around one, then a slab exactly, a slab and a value, and
+    three slabs and a ragged tail — for the sixteen-block slab and the recorded one."""
+    sizes = {1, 3, 4, 5}
+    for slab_values in (SMALL_SLAB_BLOCKS * 4, RECORDED_SLAB):
+        sizes |= {slab_values, slab_values + 1, 3 * slab_values + 4 + 3}
+    return sorted(sizes)
+
+
+def _pinned_payloads(dtype, mode, bound):
+    """The payloads of every pinned size: weights with a stretch of zero blocks."""
+    payloads = []
+    for size in _pinned_sizes():
+        data = _weights(size, dtype, seed=size)
+        data[size // 3 : size // 2] = 0.0
+        payloads.append(ZFPCompressor().compress(data, bound, ErrorBoundMode[mode]))
+    return payloads
+
+
+#: SHA-256 of the joined ``_pinned_payloads`` at the parent commit (whole-tensor
+#: encode; zlib 1.2.13, on which the bytes depend).
+PARENT_PAYLOAD_SHA256 = {
+    ("float16", "REL", 1e-2): "1ff4b5e2d713cd969d48cec551418f4242eecbd74f404b2f446b5241d076f0bc",
+    ("float16", "REL", 1e-3): "e093a8e1c69209795a99e84d913181d518a13e8889fb09b04f9d3bb0856a112f",
+    ("float16", "ABS", 1e-3): "aaabef159d0e7fdabab7dd3821db6aac79064ca5fc5d27ca3f42052174b65091",
+    ("float32", "REL", 1e-2): "14ff5c327e137af9106b6d389973502d5278c9f8ed7079d8557cc2b0323c8e42",
+    ("float32", "REL", 1e-3): "b3298a5884323dd4870635645b8b9f52c42f7a0360f6d96fe906431edf3fcc22",
+    ("float32", "ABS", 1e-3): "6bb8ffa8ef7d0e45d9ca6e38ba4f37eff2b68a567c728f6a056487875d01c66f",
+    ("float64", "REL", 1e-2): "c9c23f36b1a5d7af3feca6f943aa4c28415f45b57099abb5f587ffdca31a21f6",
+    ("float64", "REL", 1e-3): "fbe469573ad1ad1ce24ebd9067aaac8cd3acad054f2a6a4c4dbddb975414994c",
+    ("float64", "ABS", 1e-3): "9872e412a5988ca4a2b1cf341c2704c7776c0e6603170606efd15d21837e11e6",
+}
+
+
+@pytest.mark.parametrize(
+    "case", PARENT_PAYLOAD_SHA256, ids=lambda case: "{}-{}-{:g}".format(*case)
+)
+def test_every_slab_boundary_gives_the_parent_bytes(case, slab):
+    payloads = _pinned_payloads(*case)
+    assert hashlib.sha256(b"".join(payloads)).hexdigest() == PARENT_PAYLOAD_SHA256[case]
+
+
+def test_encode_allocation_peak_is_bounded():
+    """The whole-tensor arrays are the int32 codes and the block exponents;
+    everything float64 is a slab.  Measured on MobileNetV2-paper's largest
+    tensor (409,600 float32 values) at REL 1e-2: 4.25x, against 12.1x with
+    whole-tensor float64 blocks, normalised copy and coefficients."""
+    data = _weights(409_600)
+    tracemalloc.start()
+    try:
+        ZFPCompressor().compress(data, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the input"
 
 
 @pytest.mark.parametrize("bound,floor", [(1e-2, 3.2), (1e-3, 2.7)], ids=["rel-1e2", "rel-1e3"])

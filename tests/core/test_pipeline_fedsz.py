@@ -279,10 +279,10 @@ FORGED_HEADERS = {
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
 @pytest.mark.parametrize("forgery", FORGED_HEADERS)
 def test_forged_fedsz_header_is_a_corrupt_payload(mobilenet_state, forgery, parallel, monkeypatch):
-    from repro.core import pipeline
+    from repro.compression import SZ2Compressor
 
     if parallel:  # every group qualifies for the codec pool
-        monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", 1)
+        monkeypatch.setattr(SZ2Compressor, "pool_min_values", 1)
     config = FedSZConfig(max_codec_workers=2)
     payload, _ = compress_state_dict(mobilenet_state, config)
     header, _, _ = parse_fedsz_payload(payload)

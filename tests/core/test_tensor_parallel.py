@@ -1,27 +1,37 @@
 """The TensorTask engine: the pool's rule, pooled == serial payloads, timings.
 
-The pipeline puts codec groups on a thread pool only when at least two of them
-hold ``pipeline._POOL_MIN_VALUES`` values (2^20), so the tests here run the
-default config with that threshold patched down to a few thousand values —
-what the pool does is then exercised on tensors small enough for tier-1.  It
-must be a pure scheduling change: the assembled FedSZ bitstream and every
-reconstruction are byte-identical to the serial path, a failing group raises
-what the serial path raises, and no thread outlives the call.
+The pipeline puts codec groups on lanes only when at least two of them hold
+the codec's ``pool_min_values`` (2^16 values, 2^20 for SZx), so most tests
+here run the default config with that threshold patched down to a few
+thousand values — what the pool does is then exercised on tensors small
+enough for tier-1.  It must be a pure scheduling change: the assembled FedSZ
+bitstream and every reconstruction are byte-identical to the serial path, a
+failing group raises what the serial path raises, and no thread outlives the
+call.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 
 import numpy as np
 import pytest
 
-from repro.compression import sz2
+from repro.compression import (
+    SZ2Compressor,
+    SZ3Compressor,
+    SZxCompressor,
+    ZFPCompressor,
+    get_lossy_compressor,
+    sz2,
+)
 from repro.compression.base import ErrorBoundMode
 from repro.compression.errors import CorruptPayloadError, UnsupportedDataError
-from repro.core import FedSZCompressor, pipeline
+from repro.core import FedSZCompressor
 from repro.core.config import FedSZConfig
+from repro.core.partition import partition_state_dict
 from repro.core.pipeline import (
     TensorTask,
     compress_state_dict,
@@ -30,16 +40,24 @@ from repro.core.pipeline import (
     roundtrip_state_dict,
 )
 from repro.core.serializer import build_fedsz_payload, parse_fedsz_payload
+from repro.nn.models import create_model
 
 #: Patched pool threshold: the three big tensors of ``_state`` qualify, ``d`` does not.
 LOW = 4096
 SERIAL = FedSZConfig(max_codec_workers=1)
 POOLED = FedSZConfig(max_codec_workers=2)
+CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "szx": SZxCompressor, "zfp": ZFPCompressor}
+
+
+def lower_thresholds(monkeypatch, values: int) -> None:
+    """Give every codec's groups a lane from ``values`` values on."""
+    for codec in CODECS.values():
+        monkeypatch.setattr(codec, "pool_min_values", values)
 
 
 @pytest.fixture
 def low_threshold(monkeypatch):
-    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", LOW)
+    lower_thresholds(monkeypatch, LOW)
 
 
 def _state(dtype=np.float32, seed=0):
@@ -55,35 +73,62 @@ def _state(dtype=np.float32, seed=0):
 # ----------------------------------------------------------------------
 # The rule
 # ----------------------------------------------------------------------
-def test_the_pool_needs_two_groups_of_the_threshold():
-    at = pipeline._POOL_MIN_VALUES
-    assert at == 1 << 20
+#: Where each codec gains on threads (``resolve_codec_workers`` holds the measurements).
+THRESHOLDS = {"sz2": 1 << 16, "sz3": 1 << 16, "szx": 1 << 20, "zfp": 1 << 16}
+
+
+@pytest.mark.parametrize("name", THRESHOLDS)
+def test_the_pool_needs_two_groups_of_the_codecs_threshold(name):
+    codec = get_lossy_compressor(name)
+    at = codec.pool_min_values
+    assert at == THRESHOLDS[name]
     capped = FedSZConfig(max_codec_workers=8)
-    assert resolve_codec_workers(capped, []) == 1
-    assert resolve_codec_workers(capped, [at - 1] * 10) == 1
-    assert resolve_codec_workers(capped, [at, at - 1, 5]) == 1  # one qualifying group
-    assert resolve_codec_workers(capped, [at - 1, at, 5, at]) == 2  # two
-    assert resolve_codec_workers(capped, [at] * 3 + [5] * 40) == 3  # never more lanes than groups
-    assert resolve_codec_workers(capped, [at] * 100) == 8  # the cap
-    assert resolve_codec_workers(FedSZConfig(max_codec_workers=1), [at] * 4) == 1
-    assert 1 <= resolve_codec_workers(FedSZConfig(), [at] * 100) <= 100  # None: the host's cores
+    assert resolve_codec_workers(capped, codec, []) == 1
+    assert resolve_codec_workers(capped, codec, [at - 1] * 10) == 1
+    assert resolve_codec_workers(capped, codec, [at, at - 1, 5]) == 1  # one qualifying group
+    assert resolve_codec_workers(capped, codec, [at - 1, at, 5, at]) == 2  # two
+    assert resolve_codec_workers(capped, codec, [at] * 3 + [5] * 40) == 3  # lanes <= groups
+    assert resolve_codec_workers(capped, codec, [at] * 100) == 8  # the cap
+    assert resolve_codec_workers(FedSZConfig(max_codec_workers=1), codec, [at] * 4) == 1
+    assert 1 <= resolve_codec_workers(FedSZConfig(), codec, [at] * 100) <= 100  # the host's cores
+
+
+@pytest.fixture(scope="module")
+def mobilenetv2_paper_sizes():
+    state = create_model("mobilenetv2", "paper", seed=11).state_dict()
+    lossy = partition_state_dict(state, FedSZConfig().partition_threshold).lossy
+    return [tensor.size for tensor in lossy.values()]
+
+
+@pytest.mark.parametrize("name, lanes", [("sz2", 2), ("sz3", 2), ("szx", 1), ("zfp", 2)])
+def test_mobilenetv2_paper_is_pooled_by_every_codec_but_szx(
+    mobilenetv2_paper_sizes, monkeypatch, name, lanes
+):
+    """Its largest tensor is 409,600 values: past 2^16 many times over, never 2^20."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    codec = get_lossy_compressor(name)
+    sizes = mobilenetv2_paper_sizes
+    group_sizes = [sum(sizes[run]) for run in codec.group_slices(sizes)]
+    assert max(group_sizes) == 409_600
+    assert resolve_codec_workers(FedSZConfig(), codec, group_sizes) == lanes
 
 
 def test_the_pool_stays_off_outside_the_main_thread():
     widths = []
+    codec = SZ2Compressor()
     worker = threading.Thread(
-        target=lambda: widths.append(resolve_codec_workers(POOLED, [1 << 20] * 4))
+        target=lambda: widths.append(resolve_codec_workers(POOLED, codec, [1 << 20] * 4))
     )
     worker.start()
     worker.join()
-    assert widths == [1] and resolve_codec_workers(POOLED, [1 << 20] * 4) == 2
+    assert widths == [1] and resolve_codec_workers(POOLED, codec, [1 << 20] * 4) == 2
 
 
 @pytest.mark.parametrize("threshold, workers", [(66_560, 2), (66_561, 1)], ids=["at", "above"])
 def test_the_report_names_the_workers_the_rule_chose(monkeypatch, threshold, workers):
     """``a`` (65,792 values) never qualifies: ``b`` (66,560) and ``c``
     (70,000) are two lanes at 66,560 and one above it."""
-    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", threshold)
+    lower_thresholds(monkeypatch, threshold)
     state = _state()
     payload, report = compress_state_dict(state, FedSZConfig(max_codec_workers=4))
     assert report.codec_workers == workers

@@ -1,7 +1,8 @@
 """Acceptance test for the codec pool's headline claim.
 
-The pipeline runs codec groups on a thread pool by itself once two of them
-hold 2^20 values or more.  On a state dict it engages on — four 2^21-value
+The pipeline runs codec groups on lanes by itself once two of them hold the
+codec's ``pool_min_values`` (2^16 values for SZ2).  On a state dict it engages
+on — four 2^21-value
 float32 tensors plus small ones, the shape of a paper-scale model's deep
 layers — compressing with the pool must give the serial path's payload byte
 for byte, and on a host with >= 2 cores be >= 1.3x faster wall-clock at two

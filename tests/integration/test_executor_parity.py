@@ -32,7 +32,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import FedSZCompressor, pipeline
+from repro.compression import SZxCompressor
+from repro.core import FedSZCompressor
 from repro.data import load_dataset
 from repro.fl import (
     ClientCrashSchedule,
@@ -359,7 +360,7 @@ def test_the_codec_pool_stays_off_inside_executor_workers(data, monkeypatch):
     single upload compresses on the tensor pool: two or more uploads run on
     the serial executor's lanes, and thread and process workers compress
     serially — the pools never multiply — and every run agrees."""
-    monkeypatch.setattr(pipeline, "_POOL_MIN_VALUES", 1)
+    monkeypatch.setattr(SZxCompressor, "pool_min_values", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def run(executor_name, client_fraction=1.0):
@@ -489,7 +490,7 @@ def test_lanes_code_on_their_own_clones_and_hand_the_last_report_back(data, monk
     assert all(instance is not codec for instance, _ in _LaneLog.log)
     threads = {id(instance): thread for instance, thread in _LaneLog.log}
     assert set(threads.items()) == {(id(i), t) for i, t in _LaneLog.log}
-    assert threading.main_thread() not in threads.values()
+    assert threading.main_thread() in threads.values()  # the caller is lane 0, on a clone
 
 
 @pytest.mark.skipif(_openblas_threads("get") is None, reason="numpy bundles no OpenBLAS")
