@@ -15,9 +15,11 @@ element-wise and is bit-identical to the pre-refactor monolithic
 implementation (pinned by ``tests/compression/test_staged_equivalence.py``).
 
 Both kernels are written against memory traffic, which is what a numpy codec
-pays for.  They walk the blocks in slabs of :data:`_SLAB_ELEMENTS` values,
-upcast from the tensor's own dtype into one reused float64 buffer (the last
-block's edge padding included): a second slab-sized scratch array carries
+pays for.  They walk the blocks in slabs — a run (below) of up to
+:data:`_RUN_ELEMENTS` values as one slab, a larger tensor in slabs of
+:data:`_SLAB_ELEMENTS` values — upcast from the tensor's own dtype into one
+reused float64 buffer (the last block's edge padding included): a second
+slab-sized scratch array carries
 scale → ``rint`` for both candidates, the centred blocks of the regression
 fit, the predictions and the per-value bit costs in turn, so every pass reads
 and writes cache, not DRAM.  Codes are int32 from the quantizer on (the
@@ -33,20 +35,24 @@ pins 2.5x.  Every float operation runs per block or per value, so slabs change
 no code, mode flag or coefficient (``tests/compression/test_sz2_slabs.py``).
 
 A block never looks outside itself, so the walk takes a *run* of tensors: one
-of any size, or consecutive small ones whose blocks together fit one slab
-(:func:`_runs`), filled into the same block matrix.  The ~35 numpy calls of a
-slab then cost a run what they cost one tensor — 210 µs each for the ≤4,096
-value tensors of a MobileNetV2 update — and the only per-tensor facts left in
-the walk are the edge pad of a tensor's last block and its ``ε``, a column of
-one entry per row (a scalar for a lone tensor, which numpy divides by faster).
+of any size, or consecutive ones whose blocks together fit
+:data:`_RUN_ELEMENTS` (:func:`_runs`), filled into the same block matrix.  The
+~35 numpy calls of a slab then cost a run what they cost one tensor — 210 µs
+each for the ≤4,096 value tensors of a MobileNetV2 update, and AlexNet-tiny's
+six lossy tensors (221,440 values) are one walk — and the only per-tensor
+facts left in the walk are the edge pad of a tensor's last block and its
+``ε``, a column of one entry per row (a scalar for a lone tensor, which numpy
+divides by faster).
 Each tensor keeps its own ``modes`` / ``coef`` / ``codes`` sections and its own
 DEFLATE stream, byte for byte (``tests/compression/test_sz2_groups.py``; the
 one float reduction that sees neighbouring rows, the slope's matrix-vector
 product, can differ in the last float64 bit with the row's position, as it
 already did from slab to slab, and is rounded to the stored float32 before
-use).  One slab bounds a run, so a list of small tensors allocates what one
-slab of a large tensor does and the peaks above hold.  Decoding cuts its runs
-from each payload's own validated metadata (size, block size, offset).
+use).  A list of tensors allocates one run's slab at a time: a full
+2^18-value run encodes at a 10.5 MB peak (10x a float32 run, 4.0x with
+2^16-value slabs), while tensors above the run limit keep the peaks above.
+Decoding cuts its runs from each payload's own validated metadata (size,
+block size, offset).
 """
 
 from __future__ import annotations
@@ -78,6 +84,21 @@ from repro.compression.stages import (
 #: 0.053, 64K 0.185 / 0.056, 128K 0.202 / 0.062, 256K 0.216 / 0.061, 512K
 #: 0.223 / 0.059.  The plateau's upper end has the fewest Python iterations.
 _SLAB_ELEMENTS = 1 << 16
+
+#: Values a run of consecutive tensors may hold (:func:`_runs`); a run that
+#: fits walks as one slab, so only a lone tensor above this keeps
+#: :data:`_SLAB_ELEMENTS` slabs.  The codec halves of 13 AlexNet-tiny uploads
+#: (``encode_upload``, 221,440 lossy values each, medians of 9) on 1 and 2
+#: lanes, and ``codec_bulk`` compress (medians of 4 runs), 2 vCPUs:
+#:
+#:   run limit        2^16    2^17    2^18    2^19    2^20
+#:   1 lane, ms        231     214     212     210     209
+#:   2 lanes, ms       172     150     139     140     147
+#:   codec_bulk MB/s   238     257     251     255     243
+#:
+#: AlexNet-tiny is one walk from 2^18 on, and ``codec_bulk`` does not separate
+#: the limits beyond its ±8% noise, so the smallest such limit is kept.
+_RUN_ELEMENTS = 1 << 18
 
 
 class SZ2Predictor(PredictorStage):
@@ -131,7 +152,7 @@ class SZ2Predictor(PredictorStage):
         offset = float(ctxs[0].params["offset"])  # ``prepare`` gave every tensor the same
         block = self.block_size
         spans, num_blocks, bounds = _layout([flat.size for flat in flats], ctxs, block)
-        slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
+        slab_blocks = _slab_blocks(num_blocks, block)
         # The float64 (and intp) arrays of the call, one slab long each.
         values = np.empty((slab_blocks, block), dtype=np.float64)
         scratch = np.empty_like(values)
@@ -231,7 +252,7 @@ class SZ2Predictor(PredictorStage):
         lines[use_regression] = coefficients
         positions = np.arange(block, dtype=np.float64)
 
-        slab_blocks = max(1, min(num_blocks, _SLAB_ELEMENTS // block))
+        slab_blocks = _slab_blocks(num_blocks, block)
         values = np.empty((slab_blocks, block), dtype=np.float64)
         scratch = np.empty_like(values)
         restored = [np.empty(ctx.size, dtype=ctx.dtype) for ctx in ctxs]
@@ -304,8 +325,9 @@ class SZ2Compressor(StagedCompressor):
 
 def _runs(sizes: Sequence[int], block: int) -> List[slice]:
     """Consecutive tensors as runs: a new one starts where the next tensor's
-    blocks no longer fit the slab, so a tensor of a slab or more walks alone."""
-    limit = max(1, _SLAB_ELEMENTS // block)
+    blocks no longer fit :data:`_RUN_ELEMENTS`, so a tensor of that size or
+    more walks alone."""
+    limit = max(1, _RUN_ELEMENTS // block)
     runs: List[slice] = []
     used = limit + 1
     for index, size in enumerate(sizes):
@@ -316,6 +338,14 @@ def _runs(sizes: Sequence[int], block: int) -> List[slice]:
         runs[-1] = slice(runs[-1].start, index + 1)
         used += blocks
     return runs
+
+
+def _slab_blocks(num_blocks: int, block: int) -> int:
+    """Blocks per slab of a run's walk: all of a run that fits :func:`_runs`'
+    limit, :data:`_SLAB_ELEMENTS` worth of a lone tensor above it."""
+    if num_blocks <= max(1, _RUN_ELEMENTS // block):
+        return max(1, num_blocks)
+    return max(1, _SLAB_ELEMENTS // block)
 
 
 def _layout(sizes: Sequence[int], ctxs: Sequence[StageContext], block: int):

@@ -50,9 +50,17 @@ def fedavg(
     aggregated: Dict[str, np.ndarray] = {}
     for key in reference_keys:
         reference = np.asarray(client_states[0][key])
-        stacked = np.stack(
-            [np.asarray(state[key], dtype=np.float64) for state in client_states], axis=0
-        )
+        # Each client's tensor is converted once, straight into its row;
+        # ``stacked[i] = ...`` also fills the row of a 0-d buffer.
+        stacked = np.empty((len(client_states), *reference.shape), dtype=np.float64)
+        for index, state in enumerate(client_states):
+            value = np.asarray(state[key])
+            if value.shape != reference.shape:  # assignment would broadcast it
+                raise ValueError(
+                    f"client state dict #{index} has {key!r} of shape {value.shape}, "
+                    f"client #0 {reference.shape}"
+                )
+            stacked[index] = value
         averaged = np.tensordot(weights, stacked, axes=1)
         if np.issubdtype(reference.dtype, np.integer):
             aggregated[key] = np.rint(averaged).astype(reference.dtype)

@@ -19,10 +19,13 @@ two upload halves of :mod:`repro.fl.transport` — and differ only in where:
   pool and codec clone — the executor for compute-bound rounds.
 
 Measured on a 256-client ``uniform-edge`` fleet (13 clients a round, sz2 REL
-1e-2, BLAS pinned to one thread, 2 vCPUs, p25 of 12 rounds): alexnet serial
-0.23 s (0.28 s coding on the caller) / 2 threads 0.20 / 2 processes 0.19;
-mobilenetv2 serial 0.19 / 2 threads 0.21 / 2 processes 0.14 (its small
-tensors convoy on the GIL).
+1e-2, BLAS pinned to one thread, 2 shared vCPUs, p25 of 12 rounds, mean of two
+runs that spread ±10%): alexnet serial 0.25 s / 2 threads 0.26 / 2 processes
+0.26; mobilenetv2 serial 0.27 / 2 threads 0.30 / 2 processes 0.20 (its small
+tensors convoy on the GIL).  A serial lane's codec half includes the upload's
+bound utilization, and SZ2 codes AlexNet-tiny's lossy tensors in one walk:
+ten alternating ``perf/run.py --workload fl_codec_heavy`` pairs read
+``round_s`` 0.177 → 0.159 s when both moved there (seed 11).
 
 Results are always returned in task order regardless of completion order, and
 every client draws from its own seeded streams, so for deterministic codecs

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.compression.base import ErrorBoundMode, resolve_error_bound
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.partition import partition_dataset
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload
@@ -46,7 +45,7 @@ from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
 from repro.fl.scheduler import RoundScheduler, SynchronousScheduler
 from repro.fl.server import FLServer
 from repro.fl.state import ClientRegistry, ModelPool
-from repro.fl.transport import Transport
+from repro.fl.transport import Transport, codec_error_bound
 from repro.nn.module import Module
 from repro.utils.seeding import SeedSequenceFactory
 
@@ -64,62 +63,6 @@ def _measured_codec_seconds(stats) -> float:
     if not per_tensor:
         return 0.0
     return float(sum(per_tensor.values()))
-
-
-def _codec_error_bound(codec) -> tuple:
-    """The ``(bound, mode)`` the uplink codec enforces, or ``(0.0, "")``.
-
-    Adaptive codecs expose the bound the *next* compress call will use as
-    ``current_bound`` (always REL — they re-target a REL-mode FedSZ config);
-    static codecs carry it on their dataclass ``config``.  Codecs without
-    either (identity baseline, custom codecs) are simply untracked, and so is
-    the DP codec: it bounds the error against the *noised* update, which
-    original-vs-received utilization cannot see.
-    """
-    if codec is None or hasattr(codec, "noise_scale"):
-        return 0.0, ""
-    bound = getattr(codec, "current_bound", None)
-    if bound is not None:
-        return float(bound), ErrorBoundMode.REL.name
-    config = getattr(codec, "config", None)
-    bound = getattr(config, "error_bound", None)
-    if bound is None:
-        return 0.0, ""
-    mode = getattr(config, "error_bound_mode", ErrorBoundMode.REL)
-    return float(bound), getattr(mode, "name", str(mode))
-
-
-def _bound_utilization(result, bound: float, mode: str) -> Dict[str, float]:
-    """Per-tensor fraction of the error bound one delivered update consumed.
-
-    ``max|original - reconstructed| / resolved_bound`` for every lossy tensor
-    (the codec report names them via ``per_tensor_ratio``; codecs without a
-    report fall back to every tensor).  Pure arithmetic over states every
-    executor already ships back, so tracking perturbs no RNG stream and the
-    values are bit-identical across serial/thread/process runs.
-    """
-    report = getattr(result.stats, "report", None)
-    lossy_names = getattr(report, "per_tensor_ratio", None)
-    original = result.update.state_dict
-    received = result.state
-    names = lossy_names if lossy_names else original
-    mode_enum = ErrorBoundMode.ABS if mode == "ABS" else ErrorBoundMode.REL
-    utilization: Dict[str, float] = {}
-    for name in names:
-        if name not in original or name not in received:
-            continue
-        a = np.asarray(original[name])
-        b = np.asarray(received[name])
-        if a.shape != b.shape or a.size == 0:
-            continue
-        difference = np.subtract(a, b, dtype=np.float64)  # the one tensor-sized temporary
-        error = float(np.abs(difference, out=difference).max())
-        resolved = resolve_error_bound(a, bound, mode_enum)
-        if resolved > 0.0:
-            utilization[name] = error / resolved
-        else:  # zero-range tensor under a REL bound: exact or infinitely over
-            utilization[name] = 0.0 if error == 0.0 else float("inf")
-    return utilization
 
 
 @dataclass
@@ -454,20 +397,18 @@ class FederatedRuntime:
         client_staleness = client_staleness or {}
 
         # Bound-pressure accounting: how much of the codec's error bound each
-        # delivered update actually consumed, per tensor.  Feeds the
-        # observability layer's near-violation ranking (repro.obs.report).
-        error_bound, bound_mode = _codec_error_bound(self.codec)
+        # delivered update actually consumed, per tensor, as the upload's codec
+        # half measured it.  Feeds the observability layer's near-violation
+        # ranking (repro.obs.report).
+        error_bound, bound_mode = codec_error_bound(self.codec)
         client_utilization: Dict[int, float] = {}
         tensor_utilization: Dict[str, float] = {}
-        if self.codec is not None and error_bound > 0.0:
-            for result in results:
-                if not result.delivered or not result.update.state_dict:
-                    continue
-                per_tensor = _bound_utilization(result, error_bound, bound_mode)
-                if per_tensor:
-                    client_utilization[result.client_id] = max(per_tensor.values())
-                for name, value in per_tensor.items():
-                    tensor_utilization[name] = max(tensor_utilization.get(name, 0.0), value)
+        for result in results:
+            per_tensor = result.stats.bound_utilization
+            if per_tensor:
+                client_utilization[result.client_id] = max(per_tensor.values())
+            for name, value in per_tensor.items():
+                tensor_utilization[name] = max(tensor_utilization.get(name, 0.0), value)
 
         client_stats = [
             ClientRoundStat(

@@ -23,7 +23,9 @@ boundary can sit:
 
 * the **codec half** (:func:`encode_upload`) needs no link state or RNG.
   It compresses (timed) and, unless the update was lost in transit,
-  decompresses (timed) what the server receives.  A corrupted upload
+  decompresses (timed) what the server receives and measures how much of the
+  codec's error bound each lossy tensor used (:func:`codec_error_bound`;
+  observational, so off the codec clock).  A corrupted upload
   (:class:`repro.fl.scenarios.CorruptedUpload`) is instead checksum-framed,
   truncated and put through the server's frame check, which rejects it: the
   client paid for compression and for the wire bytes that travelled, nothing
@@ -40,11 +42,12 @@ links and dropout streams the link half, in task order.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compression.base import ErrorBoundMode, resolve_error_bound
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.metrics import compression_ratio
 from repro.core.serializer import (
@@ -68,6 +71,9 @@ class TransferStats:
     ratio: float = 1.0
     delivered: bool = True
     report: Optional[object] = None
+    #: ``max|x - x̂| / ε`` per lossy tensor of a delivered upload (see
+    #: :func:`encode_upload`); empty when nothing arrived or the codec is untracked.
+    bound_utilization: Dict[str, float] = field(default_factory=dict)
 
     @property
     def codec_seconds(self) -> float:
@@ -119,6 +125,8 @@ class UploadRecord:  # repro-lint: worker-crossing
     #: What the server holds after the upload; ``None`` when nothing arrived
     #: (dropped in transit, or rejected by the frame check).
     received_state: Optional[Dict[str, np.ndarray]] = None
+    #: Plain floats by tensor name: what :class:`TransferStats` carries on.
+    bound_utilization: Dict[str, float] = field(default_factory=dict)
 
 
 #: Frame magic for client-update uploads pushed through the checksummed
@@ -126,6 +134,63 @@ class UploadRecord:  # repro-lint: worker-crossing
 #: corrupted-upload fault frames its wire bytes — healthy uploads ship codec
 #: payloads unframed.
 UPLOAD_FRAME_MAGIC = b"FLUP"
+
+
+def codec_error_bound(codec) -> Tuple[float, str]:
+    """The ``(bound, mode name)`` the uplink codec enforces, or ``(0.0, "")``.
+
+    Adaptive codecs expose the bound the *next* compress call will use as
+    ``current_bound`` (always REL — they re-target a REL-mode FedSZ config);
+    static codecs carry it on their dataclass ``config``.  Codecs without
+    either (identity baseline, custom codecs) are simply untracked, and so is
+    the DP codec: it bounds the error against the *noised* update, which
+    original-vs-received utilization cannot see.
+    """
+    if codec is None or hasattr(codec, "noise_scale"):
+        return 0.0, ""
+    bound = getattr(codec, "current_bound", None)
+    if bound is not None:
+        return float(bound), ErrorBoundMode.REL.name
+    config = getattr(codec, "config", None)
+    bound = getattr(config, "error_bound", None)
+    if bound is None:
+        return 0.0, ""
+    mode = getattr(config, "error_bound_mode", ErrorBoundMode.REL)
+    return float(bound), getattr(mode, "name", str(mode))
+
+
+def _bound_utilization(
+    original: Mapping[str, np.ndarray],
+    received: Mapping[str, np.ndarray],
+    report,
+    bound: float,
+    mode: str,
+) -> Dict[str, float]:
+    """Per-tensor fraction of the error bound one delivered update consumed.
+
+    ``max|original - received| / resolved_bound`` for every lossy tensor (the
+    codec report names them via ``per_tensor_ratio``; codecs without a report
+    fall back to every tensor).  Pure arithmetic over the two states, so it
+    perturbs no RNG stream and is bit-identical on every executor and lane.
+    """
+    names = getattr(report, "per_tensor_ratio", None) or original
+    mode_enum = ErrorBoundMode.ABS if mode == "ABS" else ErrorBoundMode.REL
+    utilization: Dict[str, float] = {}
+    for name in names:
+        if name not in original or name not in received:
+            continue
+        a = np.asarray(original[name])
+        b = np.asarray(received[name])
+        if a.shape != b.shape or a.size == 0:
+            continue
+        difference = np.subtract(a, b, dtype=np.float64)  # the one tensor-sized temporary
+        error = float(np.abs(difference, out=difference).max())
+        resolved = resolve_error_bound(a, bound, mode_enum)
+        if resolved > 0.0:
+            utilization[name] = error / resolved
+        else:  # zero-range tensor under a REL bound: exact or infinitely over
+            utilization[name] = 0.0 if error == 0.0 else float("inf")
+    return utilization
 
 
 def corrupt_wire_bytes(payload: bytes) -> bytes:
@@ -154,13 +219,15 @@ def encode_upload(
     ``spec`` decides whether the measured codec seconds or the client
     device's modelled ones are billed; measured ones on the calling thread's
     :func:`~repro.utils.timing.lane_clock`.
-    ``lock`` serialises access to a codec shared across executor threads.
+    ``lock`` serialises access to a codec shared across executor threads;
+    the bound utilization is measured outside it.
     """
     original_nbytes = int(sum(np.asarray(v).nbytes for v in state_dict.values()))
     delivered = not (dropped or corrupted)
     guard = lock if lock is not None else contextlib.nullcontext()
     compress_seconds = decompress_seconds = 0.0
     report = received_state = None
+    utilization: Dict[str, float] = {}
     if codec is None:
         description = "raw client update"
         wire_nbytes = original_nbytes
@@ -182,6 +249,9 @@ def encode_upload(
                 start = clock()
                 received_state = codec.decompress(payload)
                 decompress_seconds = clock() - start
+            bound, mode = codec_error_bound(codec)
+            if bound > 0.0:
+                utilization = _bound_utilization(state_dict, received_state, report, bound, mode)
     if corrupted:
         description = "corrupted client update"
         wire = corrupt_wire_bytes(payload)
@@ -210,6 +280,7 @@ def encode_upload(
         decompress_seconds=decompress_seconds,
         report=report,
         received_state=received_state,
+        bound_utilization=utilization,
     )
 
 
@@ -231,6 +302,7 @@ def account_upload(link: ClientLink, upload: UploadRecord) -> TransferStats:
         ratio=compression_ratio(upload.original_nbytes, upload.wire_nbytes),
         delivered=upload.delivered,
         report=upload.report,
+        bound_utilization=upload.bound_utilization,
     )
 
 

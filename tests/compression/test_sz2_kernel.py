@@ -22,7 +22,12 @@ from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.bitstream import unpack_bit_flags
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.reference_codecs import ReferenceSZ2Compressor
-from repro.compression.sz2 import _COST_TABLE, _SLAB_ELEMENTS, _estimate_block_bits
+from repro.compression.sz2 import (
+    _COST_TABLE,
+    _RUN_ELEMENTS,
+    _SLAB_ELEMENTS,
+    _estimate_block_bits,
+)
 
 
 def _traced_peak(call) -> int:
@@ -60,6 +65,25 @@ def test_decompress_allocation_peak_is_bounded(size, dtype, rng):
     payload = SZ2Compressor().compress(data, 1e-2)
     peak = _traced_peak(lambda: SZ2Compressor().decompress(payload))
     assert peak <= 2.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the input"
+
+
+@pytest.mark.parametrize(
+    "dtype,encode_ceiling,decode_ceiling",
+    [(np.float32, 11.0, 6.0), (np.float64, 5.5, 3.5)],
+    ids=["float32", "float64"],
+)
+def test_a_full_run_walks_within_its_one_slab_ceiling(dtype, encode_ceiling, decode_ceiling, rng):
+    """A run of exactly ``_RUN_ELEMENTS`` values walks as one slab: three
+    float64/intp slab buffers (6.3 MB), the int32 codes and the candidates'
+    code arrays, 10.5 MB for either dtype.  Measured encode 10.0x a float32
+    input (4.0x, 4.2 MB, when such a run walked in 2^16-value slabs) and 5.0x
+    a float64 one; decode 5.6x and 3.3x."""
+    data = rng.normal(0.0, 0.02, _RUN_ELEMENTS).astype(dtype)
+    peak = _traced_peak(lambda: SZ2Compressor().compress(data, 1e-2))
+    assert peak <= encode_ceiling * data.nbytes, f"compress peak {peak / data.nbytes:.2f}x"
+    payload = SZ2Compressor().compress(data, 1e-2)
+    peak = _traced_peak(lambda: SZ2Compressor().decompress(payload))
+    assert peak <= decode_ceiling * data.nbytes, f"decompress peak {peak / data.nbytes:.2f}x"
 
 
 def test_compress_never_holds_a_float64_copy_of_the_tensor(rng):

@@ -50,9 +50,11 @@ CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "szx": SZxCompressor, "zfp
 
 
 def lower_thresholds(monkeypatch, values: int) -> None:
-    """Give every codec's groups a lane from ``values`` values on."""
+    """Give every codec's groups a lane from ``values`` values on, and cap
+    SZ2's runs at one slab, so each big tensor of ``_state`` is a group."""
     for codec in CODECS.values():
         monkeypatch.setattr(codec, "pool_min_values", values)
+    monkeypatch.setattr(sz2, "_RUN_ELEMENTS", sz2._SLAB_ELEMENTS)
 
 
 @pytest.fixture
@@ -61,8 +63,8 @@ def low_threshold(monkeypatch):
 
 
 def _state(dtype=np.float32, seed=0):
-    """Three tensors SZ2 walks alone (each over its 64K-value slab), a small
-    one and a lossless bias."""
+    """Three tensors SZ2 walks alone (each over the 64K-value run limit that
+    ``lower_thresholds`` sets), a small one and a lossless bias."""
     rng = np.random.default_rng(seed)
     shapes = {"a.weight": (256, 257), "b.weight": (130, 512), "c.weight": (70_000,),
               "d.weight": (48, 48), "d.bias": (48,)}
@@ -168,10 +170,11 @@ def test_pooled_payload_and_reconstruction_equal_serial(low_threshold, codec, dt
 
 
 def test_pooled_roundtrip_of_a_grouping_codec(low_threshold, monkeypatch):
-    """SZ2 at an 8K slab cuts the tiny model's nine tensors into four groups
-    of 5,248 to 7,168 values: four lanes, capped at two."""
+    """SZ2 at an 8K run limit cuts the tiny model's nine tensors into four
+    groups of 5,248 to 7,168 values: four lanes, capped at two."""
     from repro.nn.models import create_model
 
+    monkeypatch.setattr(sz2, "_RUN_ELEMENTS", 8192)
     monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", 8192)
     state = create_model("mobilenetv2", "tiny", seed=3).state_dict()
     (serial, _), (pooled, report) = (roundtrip_state_dict(state, c) for c in (SERIAL, POOLED))

@@ -59,6 +59,44 @@ def test_fedavg_validation_errors():
         fedavg([{"w": np.zeros(2)}, {"v": np.zeros(2)}])
 
 
+def _stacked_fedavg(states, weights):
+    """FedAvg as it was written before the one-pass conversion: a float64 copy
+    of each client's tensor, then ``np.stack``, then the same ``tensordot``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    averaged = {}
+    for key, reference in states[0].items():
+        stacked = np.stack([np.asarray(s[key], dtype=np.float64) for s in states], axis=0)
+        value = np.tensordot(weights, stacked, axes=1)
+        if np.issubdtype(np.asarray(reference).dtype, np.integer):
+            averaged[key] = np.rint(value).astype(np.asarray(reference).dtype)
+        else:
+            averaged[key] = value.astype(np.asarray(reference).dtype)
+    return averaged
+
+
+@pytest.mark.parametrize("model", ["mobilenetv2", "alexnet"])
+def test_fedavg_is_bit_identical_to_stacking_float64_copies(model):
+    """BatchNorm's 0-d ``num_batches_tracked`` included: rows are assigned, not iterated."""
+    states = [create_model(model, "tiny", seed=seed).state_dict() for seed in range(5)]
+    weights = [13, 7, 29, 1, 50]
+    assert any(np.asarray(value).ndim == 0 for value in states[0].values()) == (
+        model == "mobilenetv2"
+    )
+    expected = _stacked_fedavg(states, weights)
+    for name, value in fedavg(states, client_weights=weights).items():
+        assert value.dtype == expected[name].dtype and value.shape == expected[name].shape
+        assert value.tobytes() == expected[name].tobytes(), name
+
+
+def test_fedavg_rejects_a_tensor_of_another_shape():
+    """Row assignment would broadcast a (1,) tensor into a (2,) row; np.stack refused it."""
+    with pytest.raises(ValueError, match="shape"):
+        fedavg([{"w": np.zeros(2)}, {"w": np.zeros(1)}])
+    with pytest.raises(ValueError, match="shape"):
+        fedavg([{"w": np.zeros((2, 3))}, {"w": np.zeros((3, 2))}])
+
+
 def test_fedavg_of_model_states_loads_back():
     model = create_model("mobilenetv2", "tiny", seed=0)
     state_a = create_model("mobilenetv2", "tiny", seed=1).state_dict()
