@@ -4,7 +4,6 @@ Each ablation varies one knob of the FedSZ pipeline on the same trained-like
 state dict and checks the expected direction of the effect:
 
 * partition threshold — how much of the state dict takes the lossy path;
-* entropy backend — DEFLATE vs canonical Huffman for SZ2's index stream;
 * error-bound mode — relative vs absolute bounds;
 * lossless codec choice for the metadata partition.
 """
@@ -50,23 +49,6 @@ def test_ablation_partition_threshold(run_once):
     assert rows[-1]["ratio"] < rows[1]["ratio"] / 2
     # The default threshold keeps ~all of the achievable ratio.
     assert rows[1]["ratio"] > 0.8 * rows[0]["ratio"]
-
-
-def test_ablation_entropy_backend(run_once):
-    def compare():
-        deflate = SZ2Compressor(entropy_backend="deflate")
-        huffman = SZ2Compressor(entropy_backend="huffman")
-        return {
-            "deflate_nbytes": len(deflate.compress(_WEIGHTS, 1e-2)),
-            "huffman_nbytes": len(huffman.compress(_WEIGHTS, 1e-2)),
-        }
-
-    sizes = run_once(compare)
-    print()
-    print(sizes)
-    # Both entropy stages land in the same size class (within 2x of each
-    # other); DEFLATE is the default because it is much faster in pure Python.
-    assert 0.5 < sizes["deflate_nbytes"] / sizes["huffman_nbytes"] < 2.0
 
 
 def test_ablation_error_bound_mode(run_once):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-#: JSON output schema tag (mirrors ``repro.bench``'s schema versioning).
+#: JSON output schema tag and version of the lint report.
 LINT_SCHEMA = "repro.lint"
 LINT_SCHEMA_VERSION = 1
 

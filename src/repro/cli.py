@@ -14,27 +14,17 @@ Usage::
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts --resume
     python -m repro.cli fl --monitor-port 8700 --history-out history.json
-    python -m repro.cli bench list
-    python -m repro.cli bench --workload tiny --out BENCH_tiny.json
-    python -m repro.cli bench compare benchmarks/baselines/tiny.json BENCH_tiny.json
-    python -m repro.cli bench compare base_a.json cur_a.json base_b.json cur_b.json \
-        --report-out diagnosis.md
-    python -m repro.cli report --history history.json --bench BENCH_tiny.json \
-        --out report.md
+    python -m repro.cli report --history history.json --out report.md
 
 ``run`` regenerates one of the paper's tables/figures (``--quick`` shrinks
 the workload so a full sweep completes in a few minutes).  ``fl`` drives the
 layered federated runtime directly: pick a round scheduler (sync / semi-sync
 / async), an executor (serial / parallel) and a transport (homogeneous or a
-heterogeneous edge fleet with injected stragglers and dropout).  ``bench``
-runs the performance workloads from :mod:`repro.bench`, writes a
-schema-versioned ``BENCH_<workload>.json`` and, in ``compare`` mode, diffs
-one or more baseline/current BENCH pairs, prints every failing metric across
-all of them in one combined summary and exits nonzero when any metric
-regressed past the tolerance.  ``report`` renders the deterministic post-run
-error-analysis markdown from a saved history (``fl --history-out``) and/or
-BENCH files; ``fl --monitor-port`` serves a live status dashboard while the
-simulation runs.
+heterogeneous edge fleet with injected stragglers and dropout).  ``report``
+renders the deterministic post-run error-analysis markdown from a saved
+history (``fl --history-out``); ``fl --monitor-port`` serves a live status
+dashboard while the simulation runs.  Performance is measured by the repo
+benchmark, ``perf/run.py``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -454,44 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the full training history as schema-"
                                 "tagged JSON (input for 'repro.cli report')")
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="run performance benchmarks / compare BENCH JSON files"
-    )
-    bench_parser.add_argument(
-        "mode", nargs="?", default="run", choices=["run", "compare", "list"],
-        help="'run' (default) times a workload, 'compare' diffs baseline/"
-             "current BENCH pairs, 'list' shows available workloads",
-    )
-    bench_parser.add_argument(
-        "paths", nargs="*", type=Path,
-        help="compare mode: one or more <baseline.json> <current.json> pairs",
-    )
-    bench_parser.add_argument("--workload", default="tiny",
-                              help="workload name (see 'bench list')")
-    bench_parser.add_argument("--out", type=Path, default=None,
-                              help="output JSON path (default BENCH_<workload>.json)")
-    bench_parser.add_argument("--warmup", type=int, default=1,
-                              help="untimed warmup calls per metric")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="timed repeats per metric (min is reported)")
-    bench_parser.add_argument("--tolerance", type=float, default=2.0,
-                              help="compare mode: fail when current/baseline exceeds this ratio")
-    bench_parser.add_argument("--min-seconds", type=float, default=1e-3,
-                              help="compare mode: ignore regressions whose current "
-                                   "time is below this noise floor")
-    bench_parser.add_argument("--normalize", action="store_true",
-                              help="compare mode: divide ratios by their median to "
-                                   "cancel overall machine-speed differences "
-                                   "(for gating CI runs against a dev-machine baseline)")
-    bench_parser.add_argument("--report-out", type=Path, default=None,
-                              help="compare mode: write a markdown gate diagnosis "
-                                   "here (written before the nonzero exit, so a "
-                                   "failed gate still produces its artifact)")
-    bench_parser.add_argument("--history", type=Path, default=None,
-                              help="compare mode: training-history JSON (from "
-                                   "'fl --history-out') to fold into the "
-                                   "--report-out diagnosis")
-
     lint_parser = subparsers.add_parser(
         "lint", help="run the repo-specific determinism/fork-safety lint"
     )
@@ -551,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--history", type=Path, default=None,
                                help="training-history JSON written by "
                                     "'fl --history-out'")
-    report_parser.add_argument("--bench", type=Path, action="append", default=[],
-                               help="BENCH JSON file to include (repeatable)")
     report_parser.add_argument("--out", type=Path, default=None,
                                help="write the markdown here instead of stdout")
     report_parser.add_argument("--title", default="Run error-analysis report",
@@ -713,145 +663,19 @@ def _run_lint(arguments) -> int:
     return 1 if result.findings else 0
 
 
-def _run_bench(arguments) -> int:
-    from repro.bench import (
-        available_workloads,
-        build_report,
-        compare_reports,
-        load_report,
-        render_report,
-        run_workload,
-        write_report,
-    )
-    from repro.bench.reporter import default_output_path
-
-    if arguments.mode == "list":
-        for spec in available_workloads():
-            print(f"{spec.name:12s} {spec.description}")
-        return 0
-
-    if arguments.mode == "compare":
-        return _run_bench_compare(arguments, load_report, compare_reports)
-
-    try:
-        records = run_workload(
-            arguments.workload, warmup=arguments.warmup, repeats=arguments.repeats
-        )
-    except (KeyError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    report = build_report(
-        arguments.workload.lower(),
-        records,
-        warmup=arguments.warmup,
-        repeats=arguments.repeats,
-    )
-    destination = arguments.out or default_output_path(arguments.workload.lower())
-    write_report(report, destination)
-    print(render_report(report))
-    print(f"wrote {destination}")
-    return 0
-
-
-def _run_bench_compare(arguments, load_report, compare_reports) -> int:
-    """Diff every baseline/current pair, then report all failures at once.
-
-    A CI gate that stops at the first failing workload forces a fix-rerun-fix
-    loop; this runs every comparison, prints one combined failure summary and
-    — when ``--report-out`` is set — writes the markdown diagnosis *before*
-    exiting nonzero, so a red gate always ships its explanation.
-    """
-    paths = arguments.paths
-    if len(paths) < 2 or len(paths) % 2 != 0:
-        print(
-            "bench compare needs baseline/current path pairs: "
-            "<baseline.json> <current.json> [<baseline2.json> <current2.json> ...]",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        results = [
-            compare_reports(
-                load_report(baseline_path),
-                load_report(current_path),
-                tolerance=arguments.tolerance,
-                min_seconds=arguments.min_seconds,
-                normalize=arguments.normalize,
-            )
-            for baseline_path, current_path in zip(paths[0::2], paths[1::2], strict=True)
-        ]
-    except (OSError, ValueError, KeyError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    for result in results:
-        print(result.render())
-        print()
-
-    failing = [result for result in results if not result.ok]
-    if failing:
-        total = sum(len(result.failures) for result in failing)
-        print(
-            f"bench compare: {total} failing metric(s) across "
-            f"{len(failing)} of {len(results)} workload(s):"
-        )
-        for result in failing:
-            for comparison in result.failures:
-                if comparison.status == "missing":
-                    print(f"  {result.workload}/{comparison.name}: missing from current run")
-                else:
-                    print(
-                        f"  {result.workload}/{comparison.name}: "
-                        f"{comparison.ratio:.2f}x over baseline "
-                        f"(tolerance {result.tolerance:g}x)"
-                    )
-    else:
-        print(f"bench compare: all {len(results)} workload(s) within tolerance")
-
-    if arguments.report_out is not None:
-        from repro.obs.report import build_bench_diagnosis, build_error_analysis
-
-        if arguments.history is not None:
-            from repro.fl.history import TrainingHistory
-
-            try:
-                history = TrainingHistory.load(arguments.history)
-            except (OSError, ValueError) as error:
-                print(error, file=sys.stderr)
-                return 2
-            text = build_error_analysis(
-                history=history,
-                bench_comparisons=results,
-                title="Bench gate diagnosis",
-            )
-        else:
-            text = build_bench_diagnosis(results)
-        arguments.report_out.parent.mkdir(parents=True, exist_ok=True)
-        arguments.report_out.write_text(text, encoding="utf-8")
-        print(f"wrote {arguments.report_out}")
-    return 0 if not failing else 1
-
-
 def _run_report(arguments) -> int:
-    from repro.bench import load_report
     from repro.fl.history import TrainingHistory
     from repro.obs.report import build_error_analysis
 
-    if arguments.history is None and not arguments.bench:
-        print("report needs --history and/or at least one --bench file", file=sys.stderr)
+    if arguments.history is None:
+        print("report needs --history", file=sys.stderr)
         return 2
     try:
-        history = (
-            TrainingHistory.load(arguments.history) if arguments.history is not None else None
-        )
-        bench_reports = [load_report(path) for path in arguments.bench]
+        history = TrainingHistory.load(arguments.history)
     except (OSError, ValueError, KeyError) as error:
         print(error, file=sys.stderr)
         return 2
-    text = build_error_analysis(
-        history=history,
-        bench_reports=bench_reports or None,
-        title=arguments.title,
-    )
+    text = build_error_analysis(history=history, title=arguments.title)
     if arguments.out is None:
         print(text, end="")
     else:
@@ -871,9 +695,6 @@ def main(argv: Optional[list] = None) -> int:
 
     if arguments.command == "lint":
         return _run_lint(arguments)
-
-    if arguments.command == "bench":
-        return _run_bench(arguments)
 
     if arguments.command == "report":
         return _run_report(arguments)

@@ -37,7 +37,6 @@ from repro.compression.errors import (
     UnknownCompressorError,
     UnsupportedDataError,
 )
-from repro.compression.huffman import HuffmanCode, HuffmanCodec
 from repro.compression.lossless import (
     BloscLZCompressor,
     GzipCompressor,
@@ -105,8 +104,6 @@ __all__ = [
     "InvalidErrorBoundError",
     "UnknownCompressorError",
     "UnsupportedDataError",
-    "HuffmanCode",
-    "HuffmanCodec",
     "BloscLZCompressor",
     "GzipCompressor",
     "XzCompressor",

@@ -1,21 +1,16 @@
-"""Entropy-coding backends for quantization indices.
+"""Entropy coding of quantization indices.
 
 The real SZ2/SZ3 pipelines entropy-code their quantization indices with a
-Huffman stage followed by Zstandard.  In this reproduction two backends are
-offered:
-
-* ``"huffman"`` — our canonical Huffman codec followed by DEFLATE, which is
-  the closest structural match to Huffman + Zstd.
-* ``"deflate"`` — zlib's run-length + Huffman coder over the byte planes of
-  the narrowest integer width that can represent the indices.  It is the
-  default backend.
+Huffman stage followed by Zstandard.  This reproduction has no Zstandard
+dependency, so one coder stands in for both: zlib's run-length + Huffman DEFLATE over the byte
+planes of the narrowest integer width that can represent the indices.
 
 Payload format
 --------------
 Every payload is ``<B backend> <Q count> <B dtype code>`` followed by a zlib
 stream, so the decoder needs no configuration.  The dtype code names the
-little-endian signed width (0/1/2/3 = int8/16/32/64).  Three backend codes
-exist:
+little-endian signed width (0/1/2/3 = int8/16/32/64).  Two backend codes are
+read:
 
 ====  ==========  ==========================================================
 code  name        inflated body
@@ -23,7 +18,6 @@ code  name        inflated body
 0     deflate     the indices in their narrow dtype, element after element.
                   Written for int8 streams; every payload written before
                   byte planes existed carries it too, at any width.
-1     huffman     a :class:`~repro.compression.huffman.HuffmanCodec` stream.
 2     planes      ``itemsize`` byte planes of the narrow dtype: byte 0 (the
                   low byte) of every index, then byte 1 of every index, ...
                   Written for int16/int32/int64 streams.
@@ -33,6 +27,31 @@ Planes put the near-constant high bytes of small residuals next to each other
 (runs) and leave the low bytes as one stationary symbol source, which is what
 a Huffman coder wants; for int8 the plane layout *is* the element layout, so
 those streams keep code 0 and stay readable by older decoders.
+
+Code 1 was an opt-in canonical-Huffman body that no default configuration
+ever wrote.  It is rejected as an unknown backend, like any other code, before
+a byte of its body is inflated.
+
+Why there is no second coder
+----------------------------
+A canonical Huffman coder followed by DEFLATE (code 1) was measured against
+this one on ResNet18-paper's 21 lossy tensors (44.7 MB, seed 11), one
+``SZ2Compressor`` call per tensor, best of 3, two runs, 2 vCPUs:
+
+=========  ========================  =====================  ===================
+REL bound  ratio deflate -> huffman  compress MB/s          decompress MB/s
+                                     deflate / huffman      deflate / huffman
+=========  ========================  =====================  ===================
+1e-1       16.82 -> 20.23 (+20.3%)   25.5-30.1 / 37.0-41.3  381-404 / 24.8-27.2
+1e-2       6.813 -> 6.825 (+0.2%)    113-136 / 22.3-23.4    322-384 / 3.0-3.7
+1e-3       3.398 -> 3.993 (+17.5%)   72-87 / 11.6-12.8      182-210 / 1.8-1.9
+=========  ========================  =====================  ===================
+
+The bar for a second coder was at least 3% more ratio at no less than half
+the speed.  At the paper's operating point, REL 1e-2, Huffman bought 0.2% and
+decoded about 100x slower; at 1e-1 and 1e-3 it bought 17-20% but decoded 15x
+and 100x slower.  That +17-20% is what a faster Huffman decoder would have to
+beat to come back.
 
 Selection rule
 --------------
@@ -72,17 +91,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Literal
 
 import numpy as np
 
 from repro.compression.errors import CorruptPayloadError
-from repro.compression.huffman import HuffmanCodec
-
-EntropyBackend = Literal["deflate", "huffman"]
 
 _BACKEND_DEFLATE = 0
-_BACKEND_HUFFMAN = 1
 _BACKEND_PLANES = 2
 
 _HEADER = struct.Struct("<BQB")
@@ -146,18 +160,9 @@ def _inflate(body: bytes, nbytes: int) -> bytes:
     return raw
 
 
-def encode_indices(
-    indices: np.ndarray,
-    backend: EntropyBackend = "deflate",
-    level: int = 6,
-) -> bytes:
+def encode_indices(indices: np.ndarray, level: int = 6) -> bytes:
     """Entropy-code an integer index array into a self-describing payload."""
     indices = np.asarray(indices).ravel()
-    if backend == "huffman":
-        body = zlib.compress(HuffmanCodec().encode(indices.astype(np.int64, copy=False)), level)
-        return _HEADER.pack(_BACKEND_HUFFMAN, indices.size, 0) + body
-    if backend != "deflate":
-        raise ValueError(f"unknown entropy backend {backend!r}")
     dtype = _narrowest_signed_dtype(indices)
     narrow = np.ascontiguousarray(indices, dtype=dtype)
     if dtype.itemsize == 1:
@@ -180,16 +185,6 @@ def decode_indices(payload: bytes) -> np.ndarray:
         raise CorruptPayloadError("entropy payload too short")
     backend, count, dtype_code = _HEADER.unpack_from(payload, 0)
     body = payload[_HEADER.size :]
-    if backend == _BACKEND_HUFFMAN:
-        try:
-            decoded = HuffmanCodec().decode(zlib.decompress(body))
-        except zlib.error as error:
-            raise CorruptPayloadError(f"corrupt entropy payload body: {error}") from error
-        if decoded.size != count:
-            raise CorruptPayloadError(
-                f"entropy payload declared {count} symbols but decoded {decoded.size}"
-            )
-        return decoded.astype(np.int64, copy=False)
     if backend not in (_BACKEND_DEFLATE, _BACKEND_PLANES):
         raise CorruptPayloadError(f"unknown entropy backend code {backend}")
     if dtype_code not in _DTYPE_BY_CODE:

@@ -8,9 +8,8 @@ predictor/quantizer/encoder pipeline:
 
                  ┌────────────┐   ┌───────────┐   ┌──────────────┐
     tensor ───▶  │ Predictor  │──▶│ Quantizer │──▶│ EntropyStage │──▶ payload
-                 │   stage    │   │  (2ε grid)│   │ (Huffman /   │
-                 └────────────┘   └───────────┘   │  DEFLATE)    │
-                                                  └──────────────┘
+                 │   stage    │   │  (2ε grid)│   │  (DEFLATE)   │
+                 └────────────┘   └───────────┘   └──────────────┘
 
 Everything that is *not* prediction lives here, in exactly one place:
 
@@ -58,7 +57,7 @@ from repro.compression.base import (
     unpack_sections,
     validate_lossy_input,
 )
-from repro.compression.entropy import EntropyBackend, decode_indices, encode_indices
+from repro.compression.entropy import decode_indices, encode_indices
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.quantizer import dequantize_residuals, quantize_residuals
 
@@ -131,13 +130,12 @@ class Quantizer:
 
 @dataclass(frozen=True)
 class EntropyStage:
-    """Entropy-coding stage over quantization indices (Huffman / DEFLATE)."""
+    """Entropy-coding stage over quantization indices (DEFLATE)."""
 
-    backend: EntropyBackend = "deflate"
     level: int = 6
 
     def encode(self, indices: np.ndarray) -> bytes:
-        return encode_indices(indices, self.backend, self.level)
+        return encode_indices(indices, self.level)
 
     @staticmethod
     def decode(payload: bytes) -> np.ndarray:

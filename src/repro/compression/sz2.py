@@ -5,7 +5,8 @@ are processed in small blocks, each block is predicted either with a Lorenzo
 predictor (previous-value prediction) or a linear-regression fit, the
 prediction residuals are quantized onto a uniform grid of width ``2ε`` and the
 resulting integer indices are entropy-coded (Huffman + Zstd in the original
-implementation).
+implementation, the shared DEFLATE stage of :mod:`repro.compression.entropy`
+here).
 
 In the stage pipeline (:mod:`repro.compression.stages`) only the hybrid
 Lorenzo/regression *prediction* lives here; validation, bound resolution, the
@@ -65,7 +66,6 @@ import numpy as np
 
 from repro.compression.base import pack_array, unpack_array
 from repro.compression.bitstream import pack_bit_flags, unpack_bit_flags
-from repro.compression.entropy import EntropyBackend
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.stages import (
     EntropyStage,
@@ -305,22 +305,18 @@ class SZ2Compressor(StagedCompressor):
     def __init__(
         self,
         block_size: int = 256,
-        entropy_backend: EntropyBackend = "deflate",
         compression_level: int = 6,
     ) -> None:
         if block_size < 4:
             raise ValueError(f"block_size must be >= 4, got {block_size}")
         self.block_size = int(block_size)
-        self.entropy_backend = entropy_backend
         self.compression_level = int(compression_level)
 
     def group_slices(self, sizes: Sequence[int]) -> List[slice]:
         return _runs(sizes, self.block_size)
 
     def _predictor(self) -> SZ2Predictor:
-        return SZ2Predictor(
-            self.block_size, EntropyStage(self.entropy_backend, self.compression_level)
-        )
+        return SZ2Predictor(self.block_size, EntropyStage(self.compression_level))
 
 
 def _runs(sizes: Sequence[int], block: int) -> List[slice]:

@@ -36,7 +36,6 @@ from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.compression.entropy import EntropyBackend
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.stages import (
     EntropyStage,
@@ -117,20 +116,12 @@ class SZ3Compressor(StagedCompressor):
     name = "sz3"
     pool_min_values = 1 << 16
 
-    def __init__(
-        self,
-        entropy_backend: EntropyBackend = "deflate",
-        compression_level: int = 6,
-        use_cubic: bool = True,
-    ) -> None:
-        self.entropy_backend = entropy_backend
+    def __init__(self, compression_level: int = 6, use_cubic: bool = True) -> None:
         self.compression_level = int(compression_level)
         self.use_cubic = bool(use_cubic)
 
     def _predictor(self) -> SZ3Predictor:
-        return SZ3Predictor(
-            self.use_cubic, EntropyStage(self.entropy_backend, self.compression_level)
-        )
+        return SZ3Predictor(self.use_cubic, EntropyStage(self.compression_level))
 
 
 def _interpolation_strides(size: int) -> List[int]:

@@ -185,4 +185,4 @@ class ZFPCompressor(StagedCompressor):
         self.compression_level = int(compression_level)
 
     def _predictor(self) -> ZFPPredictor:
-        return ZFPPredictor(EntropyStage("deflate", self.compression_level))
+        return ZFPPredictor(EntropyStage(self.compression_level))

@@ -220,7 +220,7 @@ class EngineStats:
 
     @property
     def total_events(self) -> int:
-        """Every event the engine processed (the bench's events/sec basis)."""
+        """Every event the engine processed (the basis of ``events_per_round``)."""
         return (
             self.rounds_run
             + self.completion_events

@@ -15,20 +15,18 @@ Three pieces, deliberately decoupled from the simulation they observe:
   :mod:`repro.obs.routes`, snapshot shaping in :mod:`repro.obs.services`.
 * :func:`build_error_analysis` (:mod:`repro.obs.report`) — a deterministic
   post-run markdown report over a :class:`~repro.fl.history.TrainingHistory`
-  (plus optional BENCH JSONs and gate comparisons): rounds/tensors where the
-  error bound was nearly violated, adaptive-controller thrash, the worst
-  clients/links, and the fault/checkpoint timeline.  CI attaches it to every
-  bench run so a failed gate arrives with a diagnosis, not a bare number.
+  (``python -m repro.cli report --history history.json``): rounds/tensors
+  where the error bound was nearly violated, adaptive-controller thrash, the
+  worst clients/links, and the fault/checkpoint timeline.
 """
 
 from repro.obs.monitor import MonitorEvent, RunMonitor
-from repro.obs.report import build_bench_diagnosis, build_error_analysis
+from repro.obs.report import build_error_analysis
 from repro.obs.server import MonitorServer
 
 __all__ = [
     "MonitorEvent",
     "RunMonitor",
     "MonitorServer",
-    "build_bench_diagnosis",
     "build_error_analysis",
 ]

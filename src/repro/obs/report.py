@@ -1,12 +1,12 @@
 """Deterministic post-run error-analysis reports.
 
 :func:`build_error_analysis` turns a :class:`~repro.fl.history.TrainingHistory`
-(plus optional BENCH documents and gate comparisons) into a markdown report
-that answers the question a failed run or failed gate actually raises: *where*
-did it go wrong?  It ranks the rounds and tensors where the error bound was
-nearly violated, detects adaptive-controller thrash in the per-round bound
-trajectory, ranks the worst clients/links by drops, deadline cuts and
-turnaround, and reconstructs the fault timeline from the delivery flags.
+into a markdown report that answers the question a failed run actually
+raises: *where* did it go wrong?  It ranks the rounds and tensors where the
+error bound was nearly violated, detects adaptive-controller thrash in the
+per-round bound trajectory, ranks the worst clients/links by drops, deadline
+cuts and turnaround, and reconstructs the fault timeline from the delivery
+flags.
 
 Determinism is a hard requirement — CI diffs these reports across runs, and
 the test suite pins them byte-for-byte.  Hence: no wall-clock timestamps, no
@@ -18,7 +18,7 @@ fixed ``%.4g``-style formatter.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 #: Bound-utilization level at which a round/tensor is flagged.  1.0 means the
 #: reconstruction error touched the bound exactly.
@@ -252,68 +252,11 @@ def _fault_timeline(history) -> List[str]:
     return lines
 
 
-def _bench_section(
-    bench_comparisons: Optional[Sequence] = None,
-    bench_reports: Optional[Sequence[Dict]] = None,
-) -> List[str]:
-    lines: List[str] = []
-    if bench_comparisons:
-        lines.extend(["## Benchmark gates", ""])
-        ordered = sorted(bench_comparisons, key=lambda r: r.workload)
-        failing = [r for r in ordered if not r.ok]
-        lines.append(
-            f"{len(ordered)} workload(s) compared, {len(failing)} failing."
-        )
-        lines.append("")
-        lines.append("| workload | metric | baseline (s) | current (s) | ratio | status |")
-        lines.append("| --- | --- | --- | --- | --- | --- |")
-        for result in ordered:
-            for comparison in sorted(result.comparisons, key=lambda c: c.name):
-                status = comparison.status.upper() if comparison.status in (
-                    "regression", "missing"
-                ) else comparison.status
-                lines.append(
-                    f"| {result.workload} | {comparison.name} "
-                    f"| {_fmt(comparison.baseline_seconds)} "
-                    f"| {_fmt(comparison.current_seconds)} "
-                    f"| {_fmt(comparison.ratio)} | {status} |"
-                )
-        lines.append("")
-    if bench_reports:
-        from repro.bench.reporter import metric_summary
-
-        lines.extend(["## Benchmark measurements", ""])
-        lines.append("| workload | metric | seconds | detail |")
-        lines.append("| --- | --- | --- | --- |")
-        ordered_reports = sorted(
-            bench_reports, key=lambda d: str(d.get("workload", ""))
-        )
-        for document in ordered_reports:
-            workload = document.get("workload", "?")
-            metrics = document.get("metrics", {})
-            for name in sorted(metrics):
-                metric = metrics[name]
-                lines.append(
-                    f"| {workload} | {name} | {_fmt(float(metric['seconds']))} "
-                    f"| {metric_summary(metric)} |"
-                )
-        lines.append("")
-    return lines
-
-
-def build_error_analysis(
-    history=None,
-    bench_comparisons: Optional[Sequence] = None,
-    bench_reports: Optional[Sequence[Dict]] = None,
-    title: str = "Run error-analysis report",
-) -> str:
+def build_error_analysis(history=None, title: str = "Run error-analysis report") -> str:
     """Render the full markdown report.
 
-    ``history`` is a :class:`~repro.fl.history.TrainingHistory` (or None when
-    only benchmark data is being diagnosed); ``bench_comparisons`` is a
-    sequence of :class:`~repro.bench.compare.ComparisonResult`;
-    ``bench_reports`` is a sequence of validated BENCH documents.  Output is a
-    pure function of these inputs.
+    ``history`` is a :class:`~repro.fl.history.TrainingHistory` (None renders
+    the empty report).  Output is a pure function of it.
     """
     lines: List[str] = [f"# {title}", ""]
     if history is not None:
@@ -322,58 +265,13 @@ def build_error_analysis(
         lines.extend(_controller_stability(history))
         lines.extend(_worst_clients(history))
         lines.extend(_fault_timeline(history))
-    lines.extend(_bench_section(bench_comparisons, bench_reports))
     if len(lines) == 2:
         lines.extend(["No inputs provided — nothing to analyse.", ""])
     return "\n".join(lines).rstrip() + "\n"
 
 
-def build_bench_diagnosis(results: Sequence, title: str = "Bench gate diagnosis") -> str:
-    """Markdown diagnosis for ``bench compare --report-out``.
-
-    ``results`` is the list of :class:`~repro.bench.compare.ComparisonResult`
-    from one multi-pair gate invocation; the report leads with the combined
-    verdict so a red CI job's artifact answers "what failed" in one line.
-    """
-    ordered = sorted(results, key=lambda r: r.workload)
-    failing = [r for r in ordered if not r.ok]
-    lines = [f"# {title}", ""]
-    if not ordered:
-        lines.extend(["No comparisons ran.", ""])
-        return "\n".join(lines)
-    if failing:
-        total = sum(len(r.failures) for r in failing)
-        lines.append(
-            f"**GATE FAILED** — {total} failing metric(s) across "
-            f"{len(failing)} of {len(ordered)} workload(s):"
-        )
-        lines.append("")
-        for result in failing:
-            for comparison in sorted(result.failures, key=lambda c: c.name):
-                if comparison.status == "missing":
-                    lines.append(
-                        f"- `{result.workload}/{comparison.name}`: **missing** from "
-                        f"the current run (baseline {_fmt(comparison.baseline_seconds)} s)"
-                    )
-                else:
-                    lines.append(
-                        f"- `{result.workload}/{comparison.name}`: "
-                        f"{_fmt(comparison.ratio)}x over baseline "
-                        f"({_fmt(comparison.baseline_seconds)} s -> "
-                        f"{_fmt(comparison.current_seconds)} s, "
-                        f"tolerance {_fmt(result.tolerance)}x)"
-                    )
-        lines.append("")
-    else:
-        lines.append(f"**GATE PASSED** — all {len(ordered)} workload(s) within tolerance.")
-        lines.append("")
-    lines.extend(_bench_section(bench_comparisons=ordered))
-    return "\n".join(lines).rstrip() + "\n"
-
-
 __all__ = [
     "build_error_analysis",
-    "build_bench_diagnosis",
     "NEAR_VIOLATION_THRESHOLD",
     "THRASH_FLIP_FRACTION",
 ]

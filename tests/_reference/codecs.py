@@ -5,9 +5,7 @@ they existed before the stage-based refactor (see
 :mod:`repro.compression.stages`).  They exist for one purpose only: the
 equivalence tests in ``tests/compression/test_staged_equivalence.py`` pin the
 staged codecs' *decompressed outputs* bit-identically against these
-references, per codec and per dtype — the same role
-:mod:`repro.compression.reference` plays for the vectorised entropy-coding
-hot paths.
+references, per codec and per dtype.
 
 Do not extend or optimise this module; new codec work belongs in the stage
 pipeline.
@@ -31,7 +29,7 @@ from repro.compression.base import (
     unpack_sections,
 )
 from repro.compression.bitstream import pack_bit_flags, unpack_bit_flags
-from repro.compression.entropy import EntropyBackend, decode_indices, encode_indices
+from repro.compression.entropy import decode_indices, encode_indices
 from repro.compression.errors import CorruptPayloadError, InvalidErrorBoundError
 
 
@@ -54,13 +52,11 @@ class ReferenceSZ2Compressor(LossyCompressor):
     def __init__(
         self,
         block_size: int = 256,
-        entropy_backend: EntropyBackend = "deflate",
         compression_level: int = 6,
     ) -> None:
         if block_size < 4:
             raise ValueError(f"block_size must be >= 4, got {block_size}")
         self.block_size = int(block_size)
-        self.entropy_backend = entropy_backend
         self.compression_level = int(compression_level)
 
     # ------------------------------------------------------------------
@@ -133,7 +129,7 @@ class ReferenceSZ2Compressor(LossyCompressor):
             "meta": self._pack_meta(flat.size, absolute_bound, offset, original_shape, original_dtype, raw=False),
             "modes": pack_bit_flags(use_regression),
             "coef": pack_array(coefficients),
-            "codes": encode_indices(codes.ravel(), self.entropy_backend, self.compression_level),
+            "codes": encode_indices(codes.ravel(), self.compression_level),
         }
         return pack_sections(sections)
 
@@ -267,11 +263,9 @@ class ReferenceSZ3Compressor(LossyCompressor):
 
     def __init__(
         self,
-        entropy_backend: EntropyBackend = "deflate",
         compression_level: int = 6,
         use_cubic: bool = True,
     ) -> None:
-        self.entropy_backend = entropy_backend
         self.compression_level = int(compression_level)
         self.use_cubic = bool(use_cubic)
 
@@ -318,7 +312,7 @@ class ReferenceSZ3Compressor(LossyCompressor):
         all_codes = np.concatenate(codes)
         sections = {
             "meta": self._pack_meta(flat.size, absolute_bound, original_shape, original_dtype, raw=False),
-            "codes": encode_indices(all_codes, self.entropy_backend, self.compression_level),
+            "codes": encode_indices(all_codes, self.compression_level),
         }
         return pack_sections(sections)
 

@@ -1,67 +1,13 @@
-"""Tests for the bit-level writer/reader."""
+"""Tests for the one-bit-per-block flag sections."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.bitstream import (
-    BitReader,
-    BitWriter,
-    pack_bit_flags,
-    unpack_bit_flags,
-)
+from repro.compression.bitstream import pack_bit_flags, unpack_bit_flags
 from repro.compression.errors import CorruptPayloadError
-
-
-def test_single_bits_roundtrip():
-    writer = BitWriter()
-    pattern = [1, 0, 1, 1, 0, 0, 1, 0, 1]
-    for bit in pattern:
-        writer.write_bit(bit)
-    reader = BitReader(writer.getvalue(), bit_count=writer.bit_count)
-    assert [reader.read_bit() for _ in pattern] == pattern
-
-
-def test_write_bits_roundtrip_msb_first():
-    writer = BitWriter()
-    writer.write_bits(0b1011, 4)
-    writer.write_bits(0b1, 1)
-    reader = BitReader(writer.getvalue(), bit_count=5)
-    assert reader.read_bits(4) == 0b1011
-    assert reader.read_bit() == 1
-
-
-def test_fixed_width_vectorised_roundtrip():
-    values = np.array([0, 1, 5, 31, 16, 7], dtype=np.uint64)
-    writer = BitWriter()
-    writer.write_fixed_width(values, 5)
-    reader = BitReader(writer.getvalue(), bit_count=writer.bit_count)
-    decoded = reader.read_fixed_width(values.size, 5)
-    np.testing.assert_array_equal(decoded, values)
-
-
-def test_zero_width_write_is_noop():
-    writer = BitWriter()
-    writer.write_fixed_width(np.arange(10, dtype=np.uint64), 0)
-    assert writer.bit_count == 0
-    assert writer.getvalue() == b""
-
-
-def test_read_past_end_raises():
-    writer = BitWriter()
-    writer.write_bits(3, 2)
-    reader = BitReader(writer.getvalue(), bit_count=2)
-    reader.read_bits(2)
-    with pytest.raises(CorruptPayloadError):
-        reader.read_bit()
-
-
-def test_bit_count_larger_than_payload_raises():
-    with pytest.raises(CorruptPayloadError):
-        BitReader(b"\x00", bit_count=64)
 
 
 def test_bit_flags_roundtrip():
@@ -75,19 +21,6 @@ def test_bit_flags_truncated_payload_raises():
     payload = pack_bit_flags([True] * 4)
     with pytest.raises(CorruptPayloadError):
         unpack_bit_flags(payload, 100)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    values=st.lists(st.integers(min_value=0, max_value=2**20 - 1), min_size=1, max_size=200),
-    width=st.integers(min_value=20, max_value=40),
-)
-def test_fixed_width_roundtrip_property(values, width):
-    array = np.array(values, dtype=np.uint64)
-    writer = BitWriter()
-    writer.write_fixed_width(array, width)
-    reader = BitReader(writer.getvalue(), bit_count=writer.bit_count)
-    np.testing.assert_array_equal(reader.read_fixed_width(array.size, width), array)
 
 
 @settings(max_examples=50, deadline=None)

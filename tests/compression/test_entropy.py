@@ -1,7 +1,8 @@
-"""Tests for the entropy-coding backends."""
+"""Tests for the entropy coder of quantization indices."""
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
 import zlib
 
@@ -10,21 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import SZ2Compressor
+from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.entropy import decode_indices, encode_indices
 from repro.compression.errors import CorruptPayloadError
 
 
-@pytest.mark.parametrize("backend", ["deflate", "huffman"])
-def test_roundtrip_small_alphabet(backend, rng):
+def test_roundtrip_small_alphabet(rng):
     indices = rng.choice([-2, -1, 0, 1, 2], size=10_000, p=[0.05, 0.2, 0.5, 0.2, 0.05])
-    payload = encode_indices(indices, backend=backend)
+    payload = encode_indices(indices)
     np.testing.assert_array_equal(decode_indices(payload), indices)
 
 
-@pytest.mark.parametrize("backend", ["deflate", "huffman"])
-def test_roundtrip_wide_range(backend, rng):
+def test_roundtrip_wide_range(rng):
     indices = rng.integers(-(2**31), 2**31, size=2000)
-    payload = encode_indices(indices, backend=backend)
+    payload = encode_indices(indices)
     np.testing.assert_array_equal(decode_indices(payload), indices)
 
 
@@ -46,11 +47,6 @@ def test_skewed_indices_compress_well(rng):
     assert len(payload) < indices.size  # < 1 byte per symbol
 
 
-def test_unknown_backend_raises(rng):
-    with pytest.raises(ValueError):
-        encode_indices(np.array([1, 2, 3]), backend="lz77")
-
-
 def test_corrupt_payload_raises(rng):
     payload = encode_indices(rng.integers(-5, 5, size=100))
     with pytest.raises(CorruptPayloadError):
@@ -67,7 +63,7 @@ def test_truncated_body_detected(rng):
 
 
 # ----------------------------------------------------------------------
-# Payload format: three backend codes, byte planes for multi-byte widths
+# Payload format: two backend codes, byte planes for multi-byte widths
 # ----------------------------------------------------------------------
 def _golden_int8() -> np.ndarray:
     return (np.arange(96) * 7919 % 23) - 11
@@ -78,7 +74,7 @@ def _golden_int16() -> np.ndarray:
 
 
 #: ``encode_indices`` output of the commit before byte planes existed
-#: (backend code 0 with level-6 bodies at both widths, and one ``huffman``).
+#: (backend code 0 with level-6 bodies at both widths).
 GOLDEN_PAYLOADS = {
     "int8": (
         _golden_int8,
@@ -93,21 +89,28 @@ GOLDEN_PAYLOADS = {
         "094b8b93fc496794a22f3cc74dfc860bd8821fbff46d9fda95a5ed57af35a37fd296ac0cb8ca61"
         "1e528d16e81eebb8880fd0802578f41d8ff893ed5ad49e754f633a927d894b9bff01b1d8627b",
     ),
-    "huffman": (
-        _golden_int8,
-        "01600000000000000000789c4b6080801d8c105a02488b03691620fefa1f0240ec3f486c66a81e"
-        "109b0d89cd8ec4e640627322b1b990d8dc50362b107f839a0f627f4762ff4062ff4462ff4262ff"
-        "4662ff4562ff4362ff47623320d9cb88c4664262b320b1617a18d5b78bcdb24cbe58b7b56cf2f9"
-        "039e6f8f2eeb8bf812bf3676c9e70f42d585998ba7d98abf0ecfb4f9c332ef4e54c6d37ed75f57"
-        "6ff9db33aa0300ed8475c8",
-    ),
 }
+
+#: The same commit's opt-in ``huffman`` payload of ``_golden_int8()``.  Backend
+#: code 1 is no longer read.
+RETIRED_HUFFMAN_PAYLOAD = (
+    "01600000000000000000789c4b6080801d8c105a02488b03691620fefa1f0240ec3f486c66a81e"
+    "109b0d89cd8ec4e640627322b1b990d8dc50362b107f839a0f627f4762ff4062ff4462ff4262ff"
+    "4662ff4562ff4362ff47623320d9cb88c4664262b320b1617a18d5b78bcdb24cbe58b7b56cf2f9"
+    "039e6f8f2eeb8bf812bf3676c9e70f42d585998ba7d98abf0ecfb4f9c332ef4e54c6d37ed75f57"
+    "6ff9db33aa0300ed8475c8"
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
 def test_payloads_of_the_previous_format_still_decode(name):
     make_indices, payload_hex = GOLDEN_PAYLOADS[name]
     np.testing.assert_array_equal(decode_indices(bytes.fromhex(payload_hex)), make_indices())
+
+
+def test_the_retired_huffman_payload_fails_closed():
+    with pytest.raises(CorruptPayloadError, match="unknown entropy backend code 1"):
+        decode_indices(bytes.fromhex(RETIRED_HUFFMAN_PAYLOAD))
 
 
 @pytest.mark.parametrize("itemsize", [1, 2, 4, 8])
@@ -197,13 +200,41 @@ def test_hostile_entropy_payloads_raise_the_typed_error(width, rng):
     assert peak < 2_000_000
 
 
+@pytest.fixture(scope="module")
+def huffman_bomb() -> bytes:
+    """A 261 KB code-1 payload whose body inflates to 256 MB of zeros.  The
+    Huffman decoder this code once selected inflated it without a cap."""
+    coder, chunk = zlib.compressobj(), bytes(1 << 20)
+    body = b"".join(coder.compress(chunk) for _ in range(256)) + coder.flush()
+    return struct.pack("<BQB", 1, 1 << 28, 0) + body
+
+
+def _peak_while_rejected(decode, payload) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptPayloadError):
+            decode(payload)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huffman_bomb_fails_closed_before_inflating(huffman_bomb):
+    assert len(huffman_bomb) < 270_000
+    assert _peak_while_rejected(decode_indices, huffman_bomb) <= 4_000_000
+
+
+def test_huffman_bomb_inside_an_sz2_payload_fails_closed(huffman_bomb, rng):
+    sections = unpack_sections(SZ2Compressor().compress(rng.normal(0, 0.02, 10_000), 1e-2))
+    sections["codes"] = huffman_bomb
+    forged = pack_sections(sections)
+    assert _peak_while_rejected(SZ2Compressor().decompress, forged) <= 4_000_000
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     values=st.lists(st.integers(min_value=-(2**50), max_value=2**50), min_size=0, max_size=500),
-    backend=st.sampled_from(["deflate", "huffman"]),
 )
-def test_roundtrip_property(values, backend):
+def test_roundtrip_property(values):
     indices = np.array(values, dtype=np.int64)
-    if backend == "huffman" and indices.size == 0:
-        return
-    np.testing.assert_array_equal(decode_indices(encode_indices(indices, backend)), indices)
+    np.testing.assert_array_equal(decode_indices(encode_indices(indices)), indices)

@@ -194,13 +194,6 @@ def test_szx_is_faster_than_sz2_on_large_input(rng):
 # ----------------------------------------------------------------------
 # Codec-specific behaviour
 # ----------------------------------------------------------------------
-def test_sz2_huffman_backend_roundtrip(spiky_weights):
-    compressor = SZ2Compressor(entropy_backend="huffman")
-    restored = compressor.decompress(compressor.compress(spiky_weights, 1e-2))
-    value_range = float(spiky_weights.max() - spiky_weights.min())
-    assert verify_error_bound(spiky_weights, restored, 1e-2 * value_range)
-
-
 def test_sz2_uses_regression_for_linear_ramps():
     ramp = np.linspace(0.0, 100.0, 8192, dtype=np.float64)
     sz2 = SZ2Compressor()

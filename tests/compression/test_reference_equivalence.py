@@ -1,153 +1,16 @@
-"""Vectorised codec paths must be bit-identical to the scalar references.
+"""The vectorised flag packer must be bit-identical to its scalar reference.
 
-The vectorised Huffman encoder/decoder and bitstream writer/reader replaced
-per-bit Python loops; these tests pin them against the pre-vectorization
-implementations kept in :mod:`repro.compression.reference`, with emphasis on
-the edge cases the ISSUE calls out: empty input, a single-symbol alphabet, an
-alphabet larger than 256 symbols, and maximally skewed (Fibonacci-weighted)
-frequencies that force max-length codewords.
+``pack_bit_flags`` replaced a per-flag generator; this pins it against the
+pre-vectorization implementation kept in ``tests/_reference/bitstream.py``
+for every input kind it accepts.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from _reference.bitstream import reference_pack_bit_flags
 
-from repro.compression.bitstream import BitReader, BitWriter, pack_bit_flags
-from repro.compression.errors import CorruptPayloadError
-from repro.compression.huffman import HuffmanCode, HuffmanCodec
-from repro.compression.reference import (
-    ReferenceBitReader,
-    ReferenceBitWriter,
-    ReferenceHuffmanCodec,
-    reference_deserialize_table,
-    reference_pack_bit_flags,
-)
-
-
-def _fibonacci_skewed_symbols(num_symbols: int) -> np.ndarray:
-    """Fibonacci-weighted symbol stream: the classic worst case that drives
-    canonical Huffman codeword lengths to their maximum (num_symbols - 1)."""
-    weights = [1, 1]
-    while len(weights) < num_symbols:
-        weights.append(weights[-1] + weights[-2])
-    return np.repeat(np.arange(num_symbols, dtype=np.int64), weights)
-
-
-def _assert_codecs_agree(data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=np.int64)
-    codec, reference = HuffmanCodec(), ReferenceHuffmanCodec()
-    payload = codec.encode(data)
-    assert payload == reference.encode(data), "encoded payloads must be bit-identical"
-    np.testing.assert_array_equal(codec.decode(payload), data)
-    np.testing.assert_array_equal(reference.decode(payload), data)
-
-
-def test_huffman_empty_input_matches_reference():
-    _assert_codecs_agree(np.array([], dtype=np.int64))
-
-
-def test_huffman_single_symbol_alphabet_matches_reference():
-    _assert_codecs_agree(np.full(1000, 42, dtype=np.int64))
-    _assert_codecs_agree(np.array([-7], dtype=np.int64))
-
-
-def test_huffman_alphabet_larger_than_256_matches_reference():
-    rng = np.random.default_rng(0)
-    alphabet = np.arange(-300, 300, dtype=np.int64)  # 600 distinct symbols
-    data = rng.choice(alphabet, size=20_000)
-    assert np.unique(data).size > 256
-    _assert_codecs_agree(data)
-
-
-def test_huffman_max_length_codewords_match_reference():
-    # 21 Fibonacci-weighted symbols force a 20-bit longest codeword — the
-    # boundary where decode still uses the vectorised lookup-table path.
-    data = _fibonacci_skewed_symbols(21)
-    assert HuffmanCode.from_symbols(data).max_length == 20
-    _assert_codecs_agree(data)
-
-
-def test_huffman_beyond_table_limit_matches_reference():
-    # 26 symbols push max_length past the 20-bit table limit onto the
-    # first-code fallback; both codecs must still agree payload-for-payload.
-    data = _fibonacci_skewed_symbols(26)
-    assert HuffmanCode.from_symbols(data).max_length > 20
-    _assert_codecs_agree(data)
-
-
-def test_huffman_scalar_fallback_for_huge_payloads(monkeypatch):
-    # Past the memory limit, decode drops to the 1 B/bit scalar walk; force
-    # the threshold low to cover that path without a gigabyte payload.
-    monkeypatch.setattr(HuffmanCodec, "_VECTOR_PATH_LIMIT_BITS", 64)
-    data = np.arange(500, dtype=np.int64) % 17
-    codec = HuffmanCodec()
-    np.testing.assert_array_equal(codec.decode(codec.encode(data)), data)
-
-
-def test_huffman_skewed_stream_matches_reference():
-    rng = np.random.default_rng(1)
-    data = rng.choice([0, 0, 0, 0, 1, -1, 2, -2, 9], size=10_000).astype(np.int64)
-    _assert_codecs_agree(data)
-
-
-def test_table_deserialize_matches_reference():
-    data = _fibonacci_skewed_symbols(18)
-    table = HuffmanCode.from_symbols(data).serialize_table()
-    vectorised = HuffmanCode.deserialize_table(table)
-    reference = reference_deserialize_table(table)
-    np.testing.assert_array_equal(vectorised.symbols, reference.symbols)
-    np.testing.assert_array_equal(vectorised.lengths, reference.lengths)
-    np.testing.assert_array_equal(vectorised.codes, reference.codes)
-
-
-def test_decode_corruption_errors_match_reference():
-    data = np.arange(64, dtype=np.int64)
-    payload = HuffmanCodec().encode(data)
-    truncated = payload[: len(payload) - 2]
-    for codec in (HuffmanCodec(), ReferenceHuffmanCodec()):
-        with pytest.raises(CorruptPayloadError):
-            codec.decode(truncated)
-
-
-def test_bitwriter_interleaved_writes_match_reference():
-    rng = np.random.default_rng(2)
-    writer, reference = BitWriter(), ReferenceBitWriter()
-    for _ in range(500):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            bit = int(rng.integers(0, 2))
-            writer.write_bit(bit)
-            reference.write_bit(bit)
-        elif kind == 1:
-            width = int(rng.integers(1, 64))
-            value = int(rng.integers(0, 1 << min(width, 62)))
-            writer.write_bits(value, width)
-            reference.write_bits(value, width)
-        else:
-            bits = rng.integers(0, 2, size=int(rng.integers(1, 40)))
-            writer.write_bit_array(bits)
-            reference.write_bit_array(bits)
-    assert writer.bit_count == reference.bit_count
-    assert writer.getvalue() == reference.getvalue()
-
-
-def test_bitwriter_wide_value_matches_reference_semantics():
-    # Widths above 64 bits take a separate expansion path; the MSB-first
-    # layout must be preserved exactly.
-    value = (1 << 100) | (1 << 64) | 0b1011
-    writer = BitWriter()
-    writer.write_bits(value, 101)
-    reader = BitReader(writer.getvalue(), bit_count=101)
-    assert reader.read_bits(101) == value
-
-
-def test_bitreader_read_bits_matches_reference():
-    rng = np.random.default_rng(3)
-    payload = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
-    reader, reference = BitReader(payload), ReferenceBitReader(payload)
-    for width in (0, 1, 3, 7, 8, 13, 31, 64, 200, 1024):
-        assert reader.read_bits(width) == reference.read_bits(width)
+from repro.compression.bitstream import pack_bit_flags
 
 
 def test_pack_bit_flags_matches_reference_for_all_input_kinds():

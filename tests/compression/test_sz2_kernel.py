@@ -21,7 +21,7 @@ from repro.compression import ErrorBoundMode, SZ2Compressor
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.bitstream import unpack_bit_flags
 from repro.compression.errors import CorruptPayloadError
-from repro.compression.reference_codecs import ReferenceSZ2Compressor
+from _reference.codecs import ReferenceSZ2Compressor
 from repro.compression.sz2 import (
     _COST_TABLE,
     _RUN_ELEMENTS,

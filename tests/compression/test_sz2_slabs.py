@@ -29,7 +29,7 @@ from repro.compression import (
 )
 from repro.compression.base import unpack_sections
 from repro.compression.bitstream import unpack_bit_flags
-from repro.compression.reference_codecs import ReferenceSZ2Compressor
+from _reference.codecs import ReferenceSZ2Compressor
 from repro.compression.stages import EntropyStage
 from repro.core import FedSZCompressor
 

@@ -23,7 +23,7 @@ import pytest
 from repro.compression import ErrorBoundMode, SZ2Compressor, SZxCompressor, szx
 from repro.compression.base import pack_array, pack_sections, unpack_array, unpack_sections
 from repro.compression.errors import CorruptPayloadError, InvalidErrorBoundError
-from repro.compression.reference_codecs import ReferenceSZxCompressor
+from _reference.codecs import ReferenceSZxCompressor
 from repro.compression.stages import pack_stage_meta, unpack_stage_meta
 from repro.core import FedSZCompressor
 from repro.core.serializer import build_fedsz_payload, parse_fedsz_payload

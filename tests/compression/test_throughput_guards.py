@@ -1,10 +1,9 @@
 """Zero/denormal elapsed times must read as ``inf`` throughput, never raise.
 
 Sub-microsecond codec calls can report an elapsed time of exactly 0.0 (clock
-granularity) or a denormal float whose division overflows; both
-``CompressionStats`` and the bench reporter's ``MetricRecord`` must map these
-to ``inf`` ("too fast to measure") instead of raising or leaking a warning
-into reports.
+granularity) or a denormal float whose division overflows; ``CompressionStats``
+must map these to ``inf`` ("too fast to measure") instead of raising or
+leaking a warning into reports.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 
 import pytest
 
-from repro.bench.harness import MetricRecord
 from repro.compression import CompressionStats, safe_throughput_mbps
 
 DENORMAL = 5e-324  # smallest positive float: division by it overflows
@@ -44,27 +42,3 @@ def test_safe_throughput_never_raises_and_is_finite_when_measurable():
     assert safe_throughput_mbps(10**9, DENORMAL) == float("inf")
     assert safe_throughput_mbps(0, 0.0) == float("inf")
     assert math.isfinite(safe_throughput_mbps(1_000_000, 1.0))
-
-
-@pytest.mark.parametrize("elapsed", [0.0, DENORMAL], ids=["zero", "denormal"])
-def test_metric_record_rates_are_inf_not_error(elapsed):
-    import json
-
-    record = MetricRecord(
-        name="m", seconds=elapsed, mean_seconds=elapsed, repeats=1, warmup=0,
-        items=10**9, nbytes=10**9,
-    )
-    assert record.items_per_second == float("inf")
-    assert record.mb_per_second == float("inf")
-    # JSON output stays strict RFC 8259: "too fast to measure" becomes null,
-    # never the non-standard Infinity token.
-    payload = record.as_dict()
-    assert payload["items_per_second"] is None
-    assert payload["mb_per_second"] is None
-    assert "Infinity" not in json.dumps(payload)
-
-
-def test_metric_record_rates_none_without_work_annotations():
-    record = MetricRecord(name="m", seconds=0.0, mean_seconds=0.0, repeats=1, warmup=0)
-    assert record.items_per_second is None
-    assert record.mb_per_second is None

@@ -23,7 +23,7 @@ import pytest
 from repro.compression import ErrorBoundMode, ZFPCompressor, zfp
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.errors import CorruptPayloadError
-from repro.compression.reference_codecs import ReferenceZFPCompressor
+from _reference.codecs import ReferenceZFPCompressor
 from repro.compression.stages import EntropyStage, pack_stage_meta, unpack_stage_meta
 from repro.core import FedSZCompressor
 from repro.nn.models import create_model

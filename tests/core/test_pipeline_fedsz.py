@@ -220,6 +220,15 @@ def test_lossy_options_rejects_unknown_names(tiny_state):
         FedSZCompressor(lossy_options={"not_an_option": 1}).compress(tiny_state)
 
 
+def test_the_removed_entropy_backend_option_is_rejected(tiny_state):
+    """SZ2 has one entropy coder; the option that picked another is unknown."""
+    with pytest.raises(ValueError, match="unknown option 'entropy_backend'"):
+        compress_state_dict(
+            tiny_state,
+            FedSZConfig(error_bound=1e-2, lossy_options={"entropy_backend": "huffman"}),
+        )
+
+
 def test_codec_clone_is_independent(tiny_state):
     codec = FedSZCompressor(error_bound=1e-3, lossy_compressor="sz3")
     clone = codec.clone()

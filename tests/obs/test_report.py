@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.compare import ComparisonResult, MetricComparison
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
-from repro.obs.report import (
-    NEAR_VIOLATION_THRESHOLD,
-    build_bench_diagnosis,
-    build_error_analysis,
-)
+from repro.obs.report import NEAR_VIOLATION_THRESHOLD, build_error_analysis
 
 
 def make_record(round_index: int, **overrides) -> RoundRecord:
@@ -233,79 +228,3 @@ def test_history_load_rejects_foreign_files(tmp_path):
     path.write_text('{"schema": "something.else", "records": []}')
     with pytest.raises(ValueError, match="not a training-history file"):
         TrainingHistory.load(path)
-
-
-def _comparison(workload: str, failures: bool) -> ComparisonResult:
-    result = ComparisonResult(workload=workload, tolerance=2.0)
-    result.comparisons.append(
-        MetricComparison(
-            name="fast_metric", status="ok",
-            baseline_seconds=0.01, current_seconds=0.011, ratio=1.1,
-        )
-    )
-    if failures:
-        result.comparisons.append(
-            MetricComparison(
-                name="slow_metric", status="regression",
-                baseline_seconds=0.02, current_seconds=0.1, ratio=5.0,
-            )
-        )
-        result.comparisons.append(
-            MetricComparison(name="gone_metric", status="missing", baseline_seconds=0.03)
-        )
-    return result
-
-
-def test_bench_diagnosis_lists_every_failure():
-    text = build_bench_diagnosis([_comparison("b", True), _comparison("a", True)])
-    assert "**GATE FAILED** — 4 failing metric(s) across 2 of 2 workload(s):" in text
-    # Workloads sort alphabetically; failures sort by metric name.
-    assert text.index("`a/gone_metric`") < text.index("`a/slow_metric`")
-    assert text.index("`a/slow_metric`") < text.index("`b/gone_metric`")
-    assert "5x over baseline (0.02 s -> 0.1 s, tolerance 2x)" in text
-    assert "**missing** from the current run (baseline 0.03 s)" in text
-
-
-def test_bench_diagnosis_passing_gate():
-    text = build_bench_diagnosis([_comparison("a", False)])
-    assert "**GATE PASSED** — all 1 workload(s) within tolerance." in text
-    assert "FAILED" not in text
-
-
-def test_error_analysis_includes_gate_section(crafted_history):
-    text = build_error_analysis(
-        crafted_history, bench_comparisons=[_comparison("a", True)]
-    )
-    assert "## Benchmark gates" in text
-    assert "| a | slow_metric | 0.02 | 0.1 | 5 | REGRESSION |" in text
-
-
-def test_error_analysis_includes_bench_measurements():
-    document = {
-        "schema": "repro.bench",
-        "schema_version": 1,
-        "workload": "tiny",
-        "metrics": {
-            "huffman": {"seconds": 0.0021, "items_per_second": 4.76e8},
-            "quantize": {"seconds": 0.001, "phases": {"plan": 0.0004, "pack": 0.0006}},
-        },
-    }
-    text = build_error_analysis(bench_reports=[document])
-    assert "## Benchmark measurements" in text
-    assert "| tiny | huffman | 0.0021 | 4.76e+08 items/s |" in text
-    assert "| tiny | quantize | 0.001 | plan=0.0004s, pack=0.0006s |" in text
-
-
-def test_metric_summary_is_deterministic():
-    from repro.bench.reporter import metric_summary
-
-    metric = {
-        "seconds": 0.5,
-        "items_per_second": 1000.0,
-        "mb_per_second": 12.5,
-        "phases": {"compress": 0.3, "decompress": 0.2},
-    }
-    assert metric_summary(metric) == (
-        "1000 items/s; 12.5 MB/s; compress=0.3000s, decompress=0.2000s"
-    )
-    assert metric_summary({"seconds": 0.5}) == ""

@@ -187,72 +187,3 @@ def test_cli_report_rejects_foreign_history(tmp_path, capsys):
     bogus.write_text('{"schema": "nope"}')
     assert main(["report", "--history", str(bogus)]) == 2
     assert "not a training-history file" in capsys.readouterr().err
-
-
-def _write_bench(path, workload, metrics):
-    path.write_text(json.dumps({
-        "schema": "repro.bench",
-        "schema_version": 1,
-        "workload": workload,
-        "created_at": "2026-01-01T00:00:00+00:00",
-        "environment": {},
-        "config": {"warmup": 1, "repeats": 3},
-        "metrics": {name: {"seconds": seconds} for name, seconds in metrics.items()},
-    }))
-    return path
-
-
-def test_cli_bench_compare_multi_pair_collects_all_failures(tmp_path, capsys):
-    """One invocation gates several workloads and reports every failing
-    metric — not just the first — before the nonzero exit."""
-    base_a = _write_bench(tmp_path / "base_a.json", "a", {"m1": 0.01, "m2": 0.02})
-    cur_a = _write_bench(tmp_path / "cur_a.json", "a", {"m1": 0.05, "m2": 0.021})
-    base_b = _write_bench(tmp_path / "base_b.json", "b", {"m3": 0.01})
-    cur_b = _write_bench(tmp_path / "cur_b.json", "b", {})
-    diagnosis = tmp_path / "diag.md"
-
-    exit_code = main(["bench", "compare",
-                      str(base_a), str(cur_a), str(base_b), str(cur_b),
-                      "--report-out", str(diagnosis)])
-    assert exit_code == 1
-    out = capsys.readouterr().out
-    assert "2 failing metric(s) across 2 of 2 workload(s)" in out
-    assert "a/m1: 5.00x over baseline" in out
-    assert "b/m3: missing from current run" in out
-    # The diagnosis artifact exists despite the failing gate.
-    text = diagnosis.read_text()
-    assert "**GATE FAILED**" in text
-    assert "`a/m1`" in text and "`b/m3`" in text
-
-
-def test_cli_bench_compare_multi_pair_all_ok(tmp_path, capsys):
-    base = _write_bench(tmp_path / "base.json", "a", {"m1": 0.01})
-    cur = _write_bench(tmp_path / "cur.json", "a", {"m1": 0.011})
-    diagnosis = tmp_path / "diag.md"
-    assert main(["bench", "compare", str(base), str(cur),
-                 "--report-out", str(diagnosis)]) == 0
-    assert "all 1 workload(s) within tolerance" in capsys.readouterr().out
-    assert "**GATE PASSED**" in diagnosis.read_text()
-
-
-def test_cli_bench_compare_rejects_odd_path_count(tmp_path, capsys):
-    base = _write_bench(tmp_path / "base.json", "a", {"m1": 0.01})
-    assert main(["bench", "compare", str(base)]) == 2
-    assert "pairs" in capsys.readouterr().err
-
-
-def test_cli_bench_compare_report_includes_history(tmp_path, capsys):
-    from repro.fl.history import TrainingHistory
-
-    base = _write_bench(tmp_path / "base.json", "a", {"m1": 0.01})
-    cur = _write_bench(tmp_path / "cur.json", "a", {"m1": 0.5})
-    history_path = tmp_path / "history.json"
-    TrainingHistory().save(history_path)
-    diagnosis = tmp_path / "diag.md"
-    assert main(["bench", "compare", str(base), str(cur),
-                 "--history", str(history_path),
-                 "--report-out", str(diagnosis)]) == 1
-    text = diagnosis.read_text()
-    assert text.startswith("# Bench gate diagnosis")
-    assert "## Run summary" in text  # history section folded in
-    assert "## Benchmark gates" in text
