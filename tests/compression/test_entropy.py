@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import SZ2Compressor
+from repro.compression import SZ2Compressor, SZ3Compressor, ZFPCompressor
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.entropy import decode_indices, encode_indices
 from repro.compression.errors import CorruptPayloadError
@@ -149,10 +149,30 @@ def test_run_dominated_stream_takes_the_match_search(scale):
     np.testing.assert_array_equal(decode_indices(payload), indices)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 def test_input_container_width_does_not_change_the_payload(dtype, rng):
     indices = rng.integers(-100, 100, size=5000)
     assert encode_indices(indices.astype(dtype)) == encode_indices(indices)
+
+
+#: (value, dtype code of the narrowest signed width that holds it) on both
+#: sides of every width boundary.
+WIDTH_BOUNDARIES = [
+    (127, 0), (-128, 0), (128, 1), (-129, 1),
+    (32767, 1), (-32768, 1), (32768, 2), (-32769, 2),
+    (2**31 - 1, 2), (-(2**31), 2), (2**31, 3), (-(2**31) - 1, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "value,dtype_code", WIDTH_BOUNDARIES, ids=[str(value) for value, _ in WIDTH_BOUNDARIES]
+)
+def test_narrowest_width_at_its_boundaries(value, dtype_code):
+    indices = np.array([0, value, -1], dtype=np.int64)
+    payload = encode_indices(indices)
+    assert payload[9] == dtype_code
+    assert payload[0] == (0 if dtype_code == 0 else 2)
+    np.testing.assert_array_equal(decode_indices(payload), indices)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +220,54 @@ def test_hostile_entropy_payloads_raise_the_typed_error(width, rng):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("backend", [1, 3, 127, 128, 255])
+def test_backend_codes_but_0_and_2_fail_closed_before_inflating(backend):
+    bomb = zlib.compress(bytes(50_000_000))
+    payload = struct.pack("<BQB", backend, 50_000_000, 0) + bomb
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptPayloadError, match=f"unknown entropy backend code {backend}$"):
+            decode_indices(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(payload)  # the body is sliced once, never inflated
+
+
+@pytest.mark.parametrize("dtype_code", [4, 127, 255])
+def test_unknown_dtype_codes_fail_closed(dtype_code, rng):
+    payload = bytearray(encode_indices(rng.integers(-5, 5, size=100)))
+    payload[9] = dtype_code
+    with pytest.raises(CorruptPayloadError, match=f"unknown entropy dtype code {dtype_code}"):
+        decode_indices(bytes(payload))
+
+
+ENTROPY_CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "zfp": ZFPCompressor}
+BOUNDS = [1e-1, 1e-2, 1e-3, 1e-5]
+
+
+def _codes_section(codec_name: str, bound: float) -> dict:
+    data = np.random.default_rng(0).normal(0, 0.02, 10_000)
+    return unpack_sections(ENTROPY_CODECS[codec_name]().compress(data, bound))
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("codec_name", sorted(ENTROPY_CODECS))
+def test_codec_writers_emit_only_backend_codes_0_and_2(codec_name, bound):
+    """No writer emits code 1: int8 index streams are code 0, wider are planes."""
+    codes = _codes_section(codec_name, bound)["codes"]
+    assert codes[0] == (0 if codes[9] == 0 else 2)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("codec_name", sorted(ENTROPY_CODECS))
+def test_backend_code_1_in_a_codec_payload_fails_closed(codec_name, bound):
+    sections = _codes_section(codec_name, bound)
+    sections["codes"] = b"\x01" + sections["codes"][1:]
+    with pytest.raises(CorruptPayloadError, match="unknown entropy backend code 1"):
+        ENTROPY_CODECS[codec_name]().decompress(pack_sections(sections))
+
+
 @pytest.fixture(scope="module")
 def huffman_bomb() -> bytes:
     """A 261 KB code-1 payload whose body inflates to 256 MB of zeros.  The
@@ -231,6 +299,15 @@ def test_huffman_bomb_inside_an_sz2_payload_fails_closed(huffman_bomb, rng):
     assert _peak_while_rejected(SZ2Compressor().decompress, forged) <= 4_000_000
 
 
+@pytest.mark.parametrize("codec_name", ["sz3", "zfp"])
+def test_huffman_bomb_inside_a_codec_payload_fails_closed(codec_name, huffman_bomb, rng):
+    codec = ENTROPY_CODECS[codec_name]()
+    sections = unpack_sections(codec.compress(rng.normal(0, 0.02, 10_000), 1e-2))
+    sections["codes"] = huffman_bomb
+    forged = pack_sections(sections)
+    assert _peak_while_rejected(codec.decompress, forged) <= 4_000_000
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     values=st.lists(st.integers(min_value=-(2**50), max_value=2**50), min_size=0, max_size=500),
@@ -238,3 +315,4 @@ def test_huffman_bomb_inside_an_sz2_payload_fails_closed(huffman_bomb, rng):
 def test_roundtrip_property(values):
     indices = np.array(values, dtype=np.int64)
     np.testing.assert_array_equal(decode_indices(encode_indices(indices)), indices)
+

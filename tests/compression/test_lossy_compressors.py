@@ -194,6 +194,13 @@ def test_szx_is_faster_than_sz2_on_large_input(rng):
 # ----------------------------------------------------------------------
 # Codec-specific behaviour
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("codec_cls", [SZ2Compressor, SZ3Compressor], ids=["sz2", "sz3"])
+def test_entropy_backend_is_not_a_constructor_argument(codec_cls):
+    """The index stream has one coder, so there is nothing to select."""
+    with pytest.raises(TypeError, match="entropy_backend"):
+        codec_cls(entropy_backend="deflate")
+
+
 def test_sz2_uses_regression_for_linear_ramps():
     ramp = np.linspace(0.0, 100.0, 8192, dtype=np.float64)
     sz2 = SZ2Compressor()

@@ -8,6 +8,7 @@ for every input kind it accepts.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from _reference.bitstream import reference_pack_bit_flags
 
 from repro.compression.bitstream import pack_bit_flags
@@ -22,3 +23,11 @@ def test_pack_bit_flags_matches_reference_for_all_input_kinds():
     assert pack_bit_flags(tuple(flags.tolist())) == expected  # tuple
     assert pack_bit_flags(bool(flag) for flag in flags) == expected  # generator
     assert pack_bit_flags([]) == reference_pack_bit_flags([]) == b""
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000])
+def test_pack_bit_flags_matches_reference_at_byte_boundaries(count):
+    flags = np.random.default_rng(count).random(count) < 0.5
+    expected = reference_pack_bit_flags(flags.tolist())
+    assert pack_bit_flags(flags) == expected
+    assert pack_bit_flags(flags.astype(np.uint8)) == expected  # 0/1 integers

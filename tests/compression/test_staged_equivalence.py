@@ -56,8 +56,13 @@ def _assert_identical(staged, reference, data, bound, mode):
 @pytest.mark.parametrize("staged_cls,reference_cls", PAIRS, ids=PAIR_IDS)
 @pytest.mark.parametrize(
     "mode,bound",
-    [(ErrorBoundMode.REL, 1e-1), (ErrorBoundMode.REL, 1e-3), (ErrorBoundMode.ABS, 5e-3)],
-    ids=["rel-1e1", "rel-1e3", "abs-5e3"],
+    [
+        (ErrorBoundMode.REL, 1e-1),
+        (ErrorBoundMode.REL, 1e-2),
+        (ErrorBoundMode.REL, 1e-3),
+        (ErrorBoundMode.ABS, 5e-3),
+    ],
+    ids=["rel-1e1", "rel-1e2", "rel-1e3", "abs-5e3"],
 )
 def test_staged_decodes_bit_identically(staged_cls, reference_cls, dtype, mode, bound):
     _assert_identical(staged_cls(), reference_cls(), _weight_like(dtype), bound, mode)

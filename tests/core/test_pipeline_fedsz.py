@@ -229,6 +229,19 @@ def test_the_removed_entropy_backend_option_is_rejected(tiny_state):
         )
 
 
+@pytest.mark.parametrize("lossy_compressor", ["sz3", "szx", "zfp"])
+def test_no_codec_takes_an_entropy_backend_option(tiny_state, lossy_compressor):
+    with pytest.raises(ValueError, match="unknown option 'entropy_backend'"):
+        compress_state_dict(
+            tiny_state,
+            FedSZConfig(
+                error_bound=1e-2,
+                lossy_compressor=lossy_compressor,
+                lossy_options={"entropy_backend": "deflate"},
+            ),
+        )
+
+
 def test_codec_clone_is_independent(tiny_state):
     codec = FedSZCompressor(error_bound=1e-3, lossy_compressor="sz3")
     clone = codec.clone()

@@ -187,3 +187,18 @@ def test_cli_report_rejects_foreign_history(tmp_path, capsys):
     bogus.write_text('{"schema": "nope"}')
     assert main(["report", "--history", str(bogus)]) == 2
     assert "not a training-history file" in capsys.readouterr().err
+
+
+def test_cli_has_no_bench_verb(capsys):
+    """Every performance number comes from ``perf/run.py``; the CLI has none."""
+    with pytest.raises(SystemExit) as exited:
+        main(["bench", "run", "--workload", "tiny"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_cli_report_takes_no_bench_input(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["report", "--bench", str(tmp_path / "bench.json")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --bench" in capsys.readouterr().err
