@@ -24,7 +24,7 @@ import argparse
 from repro.core import AdaptiveErrorBoundController, AdaptiveFedSZCompressor
 from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
-from repro.fl import FederatedRuntime, ParallelExecutor
+from repro.fl import FederatedRuntime, SerialExecutor
 from repro.privacy import DPFedSZCompressor
 
 
@@ -39,16 +39,16 @@ def run_adaptive(rounds: int, samples: int) -> None:
         patience=2,
     )
     codec = AdaptiveFedSZCompressor(controller)
-    # Drive the layered runtime directly: adaptive/DP codecs are stateful, so
-    # the parallel executor shares them behind a lock while still overlapping
-    # client training and transport.
+    # Drive the layered runtime directly: adaptive/DP codecs are stateful and
+    # have no clone(), so the serial executor codes every upload on them in
+    # task order — the run is reproducible, noise draws included.
     runtime = FederatedRuntime(
         setup.model_fn,
         setup.train_dataset,
         setup.validation_dataset,
         setup.config,
         codec=codec,
-        executor=ParallelExecutor(max_workers=4),
+        executor=SerialExecutor(),
     )
     rows = []
     for _ in range(rounds):
@@ -83,7 +83,7 @@ def run_private(rounds: int, samples: int, epsilon: float) -> None:
         baseline_setup.validation_dataset,
         baseline_setup.config,
         codec=None,
-        executor=ParallelExecutor(max_workers=4),
+        executor=SerialExecutor(),
     ).run()
 
     print(f"per-round epsilon: {epsilon:g}  (noise scale {codec.noise_scale:.3f}, "

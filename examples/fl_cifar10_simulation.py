@@ -5,8 +5,8 @@ Reproduces the paper's core experiment at laptop scale: FedAvg over four
 clients on a synthetic CIFAR-10 stand-in, once with raw updates and once with
 FedSZ-compressed updates (SZ2 @ REL 1e-2), on an emulated 10 Mbps uplink.
 The script reports per-round accuracy, uplink traffic and the simulated
-communication time of both runs.  Clients run concurrently on the layered
-runtime's :class:`~repro.fl.ParallelExecutor`; pass ``--serial`` to fall back
+communication time of both runs.  Clients train on worker processes
+(:class:`~repro.fl.ProcessParallelExecutor`); pass ``--serial`` to fall back
 to the sequential executor (the simulated numbers are identical either way —
 only the wall-clock changes).
 
@@ -22,13 +22,12 @@ import argparse
 from repro.core import FedSZCompressor
 from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
-from repro.fl import FederatedRuntime, ParallelExecutor, SerialExecutor
+from repro.fl import FederatedRuntime, ProcessParallelExecutor, SerialExecutor
 
 
 def run(model: str, rounds: int, samples: int, error_bound: float, workers: int) -> None:
     rows = []
     histories = {}
-    executor = SerialExecutor() if workers <= 1 else ParallelExecutor(max_workers=workers)
     for label, codec in (
         ("uncompressed", None),
         (f"fedsz (sz2 @ {error_bound:g})", FedSZCompressor(error_bound=error_bound)),
@@ -42,9 +41,12 @@ def run(model: str, rounds: int, samples: int, error_bound: float, workers: int)
             setup.validation_dataset,
             setup.config,
             codec=codec,
-            executor=executor,
+            executor=SerialExecutor() if workers <= 1 else ProcessParallelExecutor(workers),
         )
-        history = runtime.run()
+        try:
+            history = runtime.run()
+        finally:
+            runtime.close()
         histories[label] = history
         for record in history.records:
             rows.append(
@@ -81,7 +83,7 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--error-bound", type=float, default=1e-2)
-    parser.add_argument("--workers", type=int, default=4, help="parallel client workers")
+    parser.add_argument("--workers", type=int, default=2, help="client worker processes")
     parser.add_argument("--serial", action="store_true", help="force the serial executor")
     arguments = parser.parse_args()
     workers = 1 if arguments.serial else arguments.workers

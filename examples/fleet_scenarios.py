@@ -2,8 +2,8 @@
 """Fleet-scale federated simulation on a laptop: scenario presets.
 
 The lazy-client runtime (:mod:`repro.fl.state`) materialises a model only
-when a client is actually sampled and reuses a bounded pool of model
-instances, so a 256-client fleet costs four resident models — not 256.  This
+when a client is actually sampled and every client trains on one reused
+model instance, so a 256-client fleet costs one resident model — not 256.  This
 example runs the three scenario presets from :mod:`repro.fl.scenarios`
 against the same 256-client population:
 
@@ -30,10 +30,10 @@ import argparse
 from repro.core import FedSZCompressor
 from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
-from repro.fl import ParallelExecutor, available_scenarios, build_fleet_runtime, get_scenario
+from repro.fl import SerialExecutor, available_scenarios, build_fleet_runtime, get_scenario
 
 
-def run(clients: int, rounds: int, samples: int, workers: int) -> None:
+def run(clients: int, rounds: int, samples: int) -> None:
     rows = []
     for preset in available_scenarios():
         scenario = get_scenario(preset.name, num_clients=clients, rounds=rounds)
@@ -47,7 +47,7 @@ def run(clients: int, rounds: int, samples: int, workers: int) -> None:
             setup.train_dataset,
             setup.validation_dataset,
             codec=FedSZCompressor(error_bound=1e-2),
-            executor=ParallelExecutor(max_workers=workers),
+            executor=SerialExecutor(),
             seed=11,
             batch_size=16,
         )
@@ -84,10 +84,8 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=640,
                         help="synthetic dataset size; must leave every client "
                              "at least one training sample after the 80/20 split")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="parallel executor width = model-pool bound")
     arguments = parser.parse_args()
-    run(arguments.clients, arguments.rounds, arguments.samples, arguments.workers)
+    run(arguments.clients, arguments.rounds, arguments.samples)
 
 
 if __name__ == "__main__":

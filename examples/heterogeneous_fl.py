@@ -15,7 +15,7 @@ federated workload under the three round strategies of
   staleness-decayed weights; the straggler still contributes, just late and
   with a smaller weight.
 
-Clients execute concurrently on a :class:`~repro.fl.ParallelExecutor`.
+Clients train on two worker processes (:class:`~repro.fl.ProcessParallelExecutor`).
 
 Run with::
 
@@ -31,7 +31,7 @@ from repro.experiments import build_federated_setup
 from repro.experiments.reporting import render_table
 from repro.fl import (
     FederatedRuntime,
-    ParallelExecutor,
+    ProcessParallelExecutor,
     Transport,
     edge_fleet_specs,
     get_scheduler,
@@ -68,10 +68,13 @@ def run(rounds: int, samples: int, straggler_factor: float, deadline: float) -> 
             setup.config,
             codec=FedSZCompressor(error_bound=1e-2),
             scheduler=get_scheduler(name, **kwargs),
-            executor=ParallelExecutor(max_workers=4),
+            executor=ProcessParallelExecutor(max_workers=2),
             transport=Transport.heterogeneous(specs),
         )
-        history = runtime.run()
+        try:
+            history = runtime.run()
+        finally:
+            runtime.close()
         for record in history.records:
             rows.append(
                 {

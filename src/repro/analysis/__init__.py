@@ -2,7 +2,7 @@
 
 An AST-based, repo-specific lint engine plus a runtime RNG/clock sanitizer.
 The rules encode the invariants the integration suites enforce dynamically —
-bit-identical serial/thread/process execution, resume==uninterrupted,
+bit-identical serial/process execution, resume==uninterrupted,
 monitored==unmonitored — so the cheap static pass catches the recurring bug
 classes (unseeded RNG substreams, wall-clock in simulation fields,
 unpicklable objects crossing the fork boundary) at diff time.

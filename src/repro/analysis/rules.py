@@ -7,7 +7,7 @@ JSON output and the self-tests all pick it up by its ``rule_id``.
 
 Rules are *repo-specific* on purpose: they encode the determinism and
 fork-safety invariants this codebase actually enforces at integration-test
-time (bit-identical serial/thread/process executions, resume==uninterrupted,
+time (bit-identical serial/process executions, resume==uninterrupted,
 monitored==unmonitored), not generic style.
 """
 

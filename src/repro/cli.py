@@ -7,9 +7,9 @@ Usage::
     python -m repro.cli run figure8 --quick
     python -m repro.cli run all --quick --output results/
     python -m repro.cli fl --scheduler semi-sync --deadline 2.0 \
-        --executor parallel --workers 4 --heterogeneous --straggler 2
+        --executor process --workers 2 --heterogeneous --straggler 2
     python -m repro.cli fl --scenario uniform-edge --clients 256 \
-        --client-fraction 0.05 --executor parallel --workers 4
+        --client-fraction 0.05 --executor process --workers 2
     python -m repro.cli fl --codec-workers 1
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts
     python -m repro.cli fl --scenario unreliable-server --checkpoint-dir ckpts --resume
@@ -19,7 +19,7 @@ Usage::
 ``run`` regenerates one of the paper's tables/figures (``--quick`` shrinks
 the workload so a full sweep completes in a few minutes).  ``fl`` drives the
 layered federated runtime directly: pick a round scheduler (sync / semi-sync
-/ async), an executor (serial / parallel) and a transport (homogeneous or a
+/ async), an executor (serial / process) and a transport (homogeneous or a
 heterogeneous edge fleet with injected stragglers and dropout).  ``report``
 renders the deterministic post-run error-analysis markdown from a saved
 history (``fl --history-out``); ``fl --monitor-port`` serves a live status
@@ -391,11 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     fl_parser.add_argument("--mixing-rate", type=float, default=None,
                            help="async staleness-mixing rate (default 0.5)")
     fl_parser.add_argument("--executor", default="serial",
-                           choices=["serial", "thread", "process", "parallel"],
-                           help="how client work runs each round: serial loop, "
-                                "thread pool ('parallel' is a legacy alias), or "
-                                "shared-nothing worker processes — all "
-                                "bit-identical for deterministic codecs")
+                           choices=["serial", "process"],
+                           help="how client work runs each round: serial loop "
+                                "or shared-nothing worker processes — "
+                                "bit-identical either way")
     fl_parser.add_argument("--workers", type=int, default=4)
     fl_parser.add_argument("--heterogeneous", action="store_true",
                            help="give each client its own edge link")

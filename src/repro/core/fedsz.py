@@ -79,9 +79,9 @@ class FedSZCompressor:
     def clone(self) -> "FedSZCompressor":
         """A fresh compressor with the same configuration and no report state.
 
-        The parallel executor clones the codec once per client so concurrent
-        compressions keep independent ``last_report``s instead of clobbering a
-        shared one.  Subclasses carrying extra state must override this (the
+        The serial executor's upload lanes and each process worker code on a
+        clone, so concurrent compressions keep independent ``last_report``s
+        instead of clobbering a shared one.  Subclasses carrying extra state must override this (the
         default only copies the config).
         """
         return type(self).from_config(self.config)

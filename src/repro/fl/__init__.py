@@ -6,10 +6,9 @@ runtime separates the three concerns a real FL stack separates:
 * **scheduler** (:mod:`repro.fl.scheduler`) — what a round means:
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
   asynchronous staleness-weighted mixing;
-* **executor** (:mod:`repro.fl.executor`) — how client work runs: strictly
-  sequential (:class:`SerialExecutor`), concurrently on a thread pool
-  (:class:`ParallelExecutor`, per-worker codec clones), or on a persistent
-  shared-nothing worker-process pool
+* **executor** (:mod:`repro.fl.executor`) — how client work runs: trained in
+  sequence with uploads coded on one lane per core (:class:`SerialExecutor`),
+  or on a persistent shared-nothing worker-process pool
   (:class:`ProcessParallelExecutor`), fed by a fingerprint-keyed
   once-per-round broadcast payload cache (:mod:`repro.fl.broadcast`);
 * **transport** (:mod:`repro.fl.transport`) — what each client's link looks
@@ -43,7 +42,6 @@ from repro.fl.config import FLConfig
 from repro.fl.executor import (
     ClientResult,
     ClientTask,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     build_executor,
@@ -92,7 +90,6 @@ __all__ = [
     "FLConfig",
     "ClientResult",
     "ClientTask",
-    "ParallelExecutor",
     "ProcessParallelExecutor",
     "SerialExecutor",
     "build_executor",

@@ -14,7 +14,7 @@ each of them explicit, paid **at most once per round**:
   through the :mod:`repro.core.serializer` bitstream (raw broadcasts) or
   reuses the codec payload itself (compressed broadcasts) exactly once per
   round, and only when the active executor asks for it
-  (``wants_broadcast_payload``) — serial and thread runs pay nothing.
+  (``wants_broadcast_payload``) — serial runs pay nothing.
 * **repeat rounds** — when nothing changed since the previous round (same
   global state, same codec fingerprint, same error bound — e.g. every update
   was dropped or every client crashed), the cache returns the previous

@@ -27,19 +27,17 @@ Resume is **bit-identical**: restoring the latest snapshot into a freshly
 constructed runtime and finishing the run produces exactly the final weights
 and (simulation-determined) history rows of an uninterrupted run — asserted
 by ``tests/integration/test_checkpoint_resume.py`` under both the serial and
-parallel executors, with a :class:`~repro.fl.scenarios.ServerCrashSchedule`
+process executors, with a :class:`~repro.fl.scenarios.ServerCrashSchedule`
 killing the first attempt mid-run.
 
 The checkpoint also *validates* before restoring: the run configuration,
 scheduler, participation schedule, link topology and codec identity recorded
 at save time must match the resuming runtime.  Executor choice is exempt:
-for deterministic codecs, serial and parallel execution produce identical
-simulated outcomes (the PR-1 determinism guarantee), so a run may resume on
-a different worker count.  The one known exception is a *stochastic shared*
-codec without ``clone()`` — the DP codec under the parallel executor draws
-noise in thread-completion order (see :mod:`repro.fl.executor`), so such
-runs are only reproducible, and therefore only bit-identically resumable,
-with the serial executor.  Codec state is captured through an optional
+serial and process execution produce identical simulated outcomes, so a run
+may resume under the other executor or on a different worker count.  A
+*stochastic shared* codec without ``clone()`` (the DP codec) draws its noise
+in task order on the serial executor, which is the only executor that runs
+it (see :mod:`repro.fl.executor`).  Codec state is captured through an optional
 protocol: any codec exposing ``checkpoint_state()`` /
 ``restore_checkpoint_state(state)`` (the adaptive error-bound compressor,
 the DP codec) has its evolving state carried across the crash.
@@ -292,15 +290,35 @@ def _check_match(kind: str, saved, current) -> None:
 
 #: Config fields that do not influence the simulated outcome and may differ
 #: between the checkpointing and resuming processes: the round target (resume
-#: may extend a run), the model-pool bound (pooled execution is bit-identical
-#: at any pool size), and the executor choice (serial, thread and process
-#: execution are bit-identical by construction, so a run may resume under a
-#: different executor or worker count).  ``engine`` is not an ``FLConfig``
-#: field: snapshots written while it was one (it only chose the round-loop
-#: implementation) carry the key and must still restore.
+#: may extend a run) and the executor choice (serial and process execution
+#: are bit-identical by construction, so a run may resume under the other
+#: executor, a different worker count, or from a snapshot that names an
+#: executor since removed).  ``engine`` and ``max_resident_models`` are no
+#: longer ``FLConfig`` fields: snapshots written while they were (they chose
+#: the round-loop implementation and the model-pool bound) carry the keys and
+#: must still restore.
 _EXECUTION_ONLY_CONFIG_FIELDS = frozenset(
     {"rounds", "max_resident_models", "executor", "max_workers", "engine"}
 )
+
+#: ``LinkSpec`` fields that snapshots written while they existed still carry
+#: in their transport topology.  ``real_sleep`` slept through the modelled
+#: seconds and changed no recorded number.
+_STALE_LINK_FIELDS = frozenset({"real_sleep"})
+
+
+def _current_topology(transport: Dict[str, object]) -> Dict[str, object]:
+    """A stored transport topology without the ``LinkSpec`` fields since removed."""
+
+    def current(spec):
+        return {key: value for key, value in spec.items() if key not in _STALE_LINK_FIELDS}
+
+    topology = dict(transport)
+    if "spec" in topology:
+        topology["spec"] = current(topology["spec"])
+    if "specs" in topology:
+        topology["specs"] = [current(spec) for spec in topology["specs"]]
+    return topology
 
 
 def validate_compatible(runtime, checkpoint: RunCheckpoint) -> None:
@@ -322,7 +340,11 @@ def validate_compatible(runtime, checkpoint: RunCheckpoint) -> None:
         checkpoint.schedule,
         runtime.schedule.state_dict() if runtime.schedule is not None else None,
     )
-    _check_match("transport topology", checkpoint.transport, runtime.transport.spec_fingerprint())
+    _check_match(
+        "transport topology",
+        _current_topology(checkpoint.transport),
+        runtime.transport.spec_fingerprint(),
+    )
     _check_match(
         "codec", _static_settings(checkpoint.codec_fingerprint), codec_fingerprint(runtime.codec)
     )

@@ -56,23 +56,15 @@ class FLConfig:
     #: of work: a validation split of two or more batches runs them on up to
     #: one thread per core (``repro.fl.server.evaluate_model``).
     eval_batch_size: int = 64
-    #: Upper bound on simultaneously resident client-model instances (the
-    #: runtime's :class:`~repro.fl.state.ModelPool` size).  ``None`` derives
-    #: the bound from the executor's worker count: 1 for the serial executor,
-    #: ``max_workers`` for the parallel one, unbounded (grow with concurrency)
-    #: when the executor does not declare a worker count.
-    max_resident_models: Optional[int] = None
     seed: int = 0
-    #: How client work runs each round: ``"serial"`` (the seed loop),
-    #: ``"thread"`` (alias ``"parallel"``: a thread pool overlapping the
-    #: GIL-releasing fraction), or ``"process"`` (shared-nothing worker
+    #: How client work runs each round: ``"serial"`` (the seed loop, uploads
+    #: coded on one lane per core) or ``"process"`` (shared-nothing worker
     #: processes — see :class:`repro.fl.executor.ProcessParallelExecutor`).
-    #: All three are bit-identical for deterministic codecs; an executor
-    #: *object* passed to the runtime overrides this.  Execution-only: a
-    #: checkpointed run may resume under a different executor.
+    #: Both are bit-identical; an executor *object* passed to the runtime
+    #: overrides this.  Execution-only: a checkpointed run may resume under a
+    #: different executor.
     executor: str = "serial"
-    #: Worker count for the parallel executors (``None`` = thread pool sized
-    #: to the task count, process pool sized to the host's cores).
+    #: Worker count for the process executor (``None`` = the host's cores).
     max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -107,19 +99,7 @@ class FLConfig:
             )
         if self.eval_batch_size <= 0:
             raise ValueError(f"eval_batch_size must be positive, got {self.eval_batch_size}")
-        if self.max_resident_models is not None and self.max_resident_models <= 0:
-            raise ValueError(
-                f"max_resident_models must be positive, got {self.max_resident_models}"
-            )
-        if self.executor.lower().replace("_", "-") not in {
-            "serial",
-            "thread",
-            "parallel",
-            "process",
-        }:
-            raise ValueError(
-                f"executor must be 'serial', 'thread' (alias 'parallel') or "
-                f"'process', got {self.executor!r}"
-            )
+        if self.executor.lower().replace("_", "-") not in {"serial", "process"}:
+            raise ValueError(f"executor must be 'serial' or 'process', got {self.executor!r}")
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")

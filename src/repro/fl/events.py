@@ -32,7 +32,7 @@ Determinism contract
 --------------------
 The simulated outcome (``deterministic_rows()`` and the final weights) is a
 pure function of the seed under every executor and across kill+resume
-(asserted at 256 clients for sync/semi-sync/async × serial/thread/process in
+(asserted at 256 clients for sync/semi-sync/async × serial/process in
 ``tests/integration/test_event_engine.py``):
 
 * Within a round, event times are **round-relative** turnaround durations,

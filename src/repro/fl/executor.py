@@ -1,48 +1,43 @@
 """Executor layer of the federated runtime.
 
 Executors decide *how* the per-round client work (local training, update
-compression, transport) runs.  All three run the same client-task code — the
-two upload halves of :mod:`repro.fl.transport` — and differ only in where:
+compression, transport) runs.  Both run the same client-task code — the two
+upload halves of :mod:`repro.fl.transport` — and differ only in where, and
+each trains on exactly one thread per process:
 
 * :class:`SerialExecutor` trains clients one after another, then runs the
   codec halves of their uploads on one lane per core, each lane on its own
-  ``clone()`` of the codec (a codec without one, a one-upload round or a call
-  off the main thread codes on the caller), then the link halves in task
-  order.  A codec error thus surfaces once the round's training is done;
-* :class:`ParallelExecutor` runs whole clients on a thread pool.  Threads
-  overlap only what releases the GIL (BLAS calls, emulated link sleeps), so
-  this is the executor for link-bound rounds (``LinkSpec(real_sleep=True)``),
-  for codecs without ``clone()`` (adaptive, DP — see below) and for platforms
-  without ``fork``;
+  ``clone()`` of the codec (a codec without one — adaptive, DP — a one-upload
+  round or a call off the main thread codes on the caller, in task order),
+  then the link halves in task order.  A codec error thus surfaces once the
+  round's training is done;
 * :class:`ProcessParallelExecutor` runs them on a persistent pool of
   shared-nothing worker processes, each with a private interpreter, model
   pool and codec clone — the executor for compute-bound rounds.
 
 Measured on a 256-client ``uniform-edge`` fleet (13 clients a round, sz2 REL
-1e-2, BLAS pinned to one thread, 2 shared vCPUs, p25 of 12 rounds, mean of two
-runs that spread ±10%): alexnet serial 0.25 s / 2 threads 0.26 / 2 processes
-0.26; mobilenetv2 serial 0.27 / 2 threads 0.30 / 2 processes 0.20 (its small
-tensors convoy on the GIL).  A serial lane's codec half includes the upload's
-bound utilization, and SZ2 codes AlexNet-tiny's lossy tensors in one walk:
-ten alternating ``perf/run.py --workload fl_codec_heavy`` pairs read
+1e-2, BLAS pinned to one thread, 2 shared vCPUs, 12 steady rounds, three
+alternations): alexnet serial 0.205–0.246 s a round / 2 processes
+0.232–0.238 / 2 threads 0.211–0.233; mobilenetv2 0.224–0.248 / 0.178–0.187 /
+0.268–0.270 — the thread executor, deleted for it, won only over sleeping
+links.  A serial lane's codec half includes the upload's bound utilization,
+and SZ2 codes AlexNet-tiny's lossy tensors in one walk: ten alternating
+``perf/run.py --workload fl_codec_heavy`` pairs read
 ``round_s`` 0.177 → 0.159 s when both moved there (seed 11).
 
 Results are always returned in task order regardless of completion order, and
-every client draws from its own seeded streams, so for deterministic codecs
-the executor choice never changes the simulated outcome — only the wall-clock
-time to compute it (``tests/integration/test_process_executor.py`` and
-``test_executor_parity.py`` pin the guarantee).  The one exception is a
-*stochastic* shared codec without ``clone()`` (e.g. the DP codec, whose noise
-stream is consumed in call order): under the thread executor, which client
-draws which noise depends on thread arrival order, so such runs are only
-reproducible with the serial executor — and the process executor refuses them
-outright (its workers need independent clones).
+every client draws from its own seeded streams, so the executor choice never
+changes the simulated outcome — only the wall-clock time to compute it
+(``tests/integration/test_process_executor.py`` and
+``test_executor_parity.py`` pin the guarantee).  A *stochastic* shared codec
+without ``clone()`` (e.g. the DP codec, whose noise stream is consumed in call
+order) codes on the serial executor's caller in task order, so it is
+reproducible too; the process executor refuses it outright (its workers need
+independent clones).
 
 When a codec exposes ``clone()`` (e.g. :class:`repro.core.FedSZCompressor`),
-each serial lane or thread worker codes on **its own clone**, and after the
+each serial lane or worker process codes on **its own clone**, and after the
 round the caller's codec reports the last participant's ``last_report``.
-Stateful codecs without ``clone()`` (whose round counters must stay global)
-are shared behind a lock.
 
 The process executor keeps determinism with a strict split of ownership:
 **workers** train and run the upload's codec half against per-task client RNG
@@ -55,15 +50,15 @@ draw.  Each round the parent ships a single fingerprint-keyed
 it once and serves all of its tasks from the decoded state.
 
 One lane runner, :func:`repro.utils.pools.run_lanes`, is every thread pool
-here — the serial executor's upload lanes, the thread executor's workers, the
-pipeline's per-tensor codec pool and the evaluation pool over validation
-batches (:func:`repro.fl.server.evaluate_model`) — with the calling thread as
-lane 0, and its pools never multiply: one starts only from the main thread of
-a process that is not a ``multiprocessing`` child, outside any lane
-(:func:`repro.utils.pools.pool_width`).  So lanes and thread and process
-workers code and evaluate serially (the per-tensor pool serves one-upload
-serial rounds), and the server evaluates after the round's clients.  Process
-workers also cap numpy's bundled OpenBLAS at one thread each.
+here — the serial executor's upload lanes, the pipeline's per-tensor codec
+pool and the evaluation pool over validation batches
+(:func:`repro.fl.server.evaluate_model`) — with the calling thread as lane 0,
+and its pools never multiply: one starts only from the main thread of a
+process that is not a ``multiprocessing`` child, outside any lane
+(:func:`repro.utils.pools.pool_width`).  So lanes and process workers code and
+evaluate serially (the per-tensor pool serves one-upload serial rounds), and
+the server evaluates after the round's clients.  Process workers also cap
+numpy's bundled OpenBLAS at one thread each.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ import ctypes
 import multiprocessing
 import os
 import queue as queue_module
-import threading
 import traceback
 from dataclasses import dataclass, replace
 from functools import partial
@@ -93,7 +87,7 @@ from repro.fl.transport import (
     UploadRecord,
     account_upload,
     encode_upload,
-    transmit_update,
+    transmit_update,  # noqa: F401 -- span target of perf/fedbench/spans.py
 )
 from repro.utils.pools import pool_width, run_lanes
 
@@ -185,16 +179,6 @@ def _train(task: ClientTask) -> Optional[ClientUpdate]:
         return None
 
 
-def run_client_task(task: ClientTask, codec, lock=None) -> ClientResult:
-    """Train one client and transmit its update — the thread executor's task."""
-    update = _train(task)
-    if update is None:
-        return crashed_client_result(task)
-    corrupted = isinstance(task.fault, CorruptedUpload)
-    state, stats = transmit_update(update.state_dict, codec, task.link, lock, corrupted)
-    return _client_result(task, update, state, stats)
-
-
 def _encode_uploads(jobs: List[Callable], codec) -> List[UploadRecord]:
     """``job(codec)`` of every :func:`encode_upload` partial, in job order, on
     ``pool_width(len(jobs))`` lanes with a ``codec.clone()`` each — or on the
@@ -203,12 +187,6 @@ def _encode_uploads(jobs: List[Callable], codec) -> List[UploadRecord]:
     if width == 1:
         return [job(codec) for job in jobs]
     return run_lanes(jobs, lambda lane_codec, job: job(lane_codec), width, lambda _: codec.clone())
-
-
-def _checked_max_workers(max_workers: Optional[int]) -> Optional[int]:
-    if max_workers is not None and max_workers <= 0:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
-    return max_workers
 
 
 def _hand_back_last_report(codec, results: List[ClientResult]) -> None:
@@ -238,8 +216,6 @@ class SerialExecutor:
     """Train clients in task order; code their uploads on one lane per core."""
 
     name = "serial"
-    #: Concurrency level — the runtime sizes its model pool from this.
-    max_workers = 1
 
     def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
         """Train in task order, code the surviving updates, settle in task order."""
@@ -256,40 +232,6 @@ class SerialExecutor:
         encoded = iter(_encode_uploads(jobs, codec))
         uploads = [None if update is None else next(encoded) for update in updates]
         return _settle(tasks, updates, uploads, codec)
-
-
-class ParallelExecutor:
-    """Run clients concurrently on :func:`~repro.utils.pools.run_lanes`.
-
-    ``max_workers`` bounds concurrency (defaults to the task count); the
-    calling thread is one of the workers.  Codecs with a ``clone()`` method
-    get one instance **per worker**, which codes every task it pulls — a
-    fleet round costs O(workers) clones, not O(participants).
-    Other codecs are shared behind a lock, which serialises codec work but
-    still overlaps training and transport.
-    """
-
-    name = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = _checked_max_workers(max_workers)
-
-    def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
-        """Execute tasks concurrently; results come back in task order."""
-        if not tasks:
-            return []
-        workers = min(self.max_workers or len(tasks), len(tasks))
-        cloneable = codec is not None and hasattr(codec, "clone")
-        lock = threading.Lock() if (codec is not None and not cloneable) else None
-        results = run_lanes(
-            tasks,
-            lambda lane_codec, task: run_client_task(task, lane_codec, lock),
-            workers,
-            lambda _: codec.clone() if cloneable else codec,
-        )
-        if cloneable:
-            _hand_back_last_report(codec, results)
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +289,8 @@ class _WorkerTaskResult:
 
 
 def _execute_spec(spec: _ClientTaskSpec, registry, codec, broadcast_state):
-    """Worker-side body of one client task — :func:`run_client_task` up to
-    the process boundary: train, then the upload's codec half."""
+    """Worker-side body of one client task: train, then the upload's codec
+    half (the parent runs the link half)."""
     corrupted = isinstance(spec.fault, CorruptedUpload)
     if spec.fault is not None and not corrupted:
         raise spec.fault
@@ -381,8 +323,8 @@ def _openblas_threads(verb: str, *args):
 def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
     """Worker loop: decode each round's broadcast once, then drain tasks.
 
-    One registry, one bounded model pool (a worker runs its tasks serially,
-    so one resident model suffices) and one codec clone live for the whole
+    One registry, one model pool (a worker runs its tasks serially, so it
+    builds one model) and one codec clone live for the whole
     pool lifetime.  The broadcast state is cached under its fingerprint, so a
     repeat round (same state, same codec) skips the decode entirely; the idle
     ack ships cumulative hit/miss counters back for the cache-behaviour
@@ -395,7 +337,7 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
         context.datasets,
         context.config,
         context.seeds,
-        ModelPool(context.model_fn, max_models=1),
+        ModelPool(context.model_fn),
     )
     codec = context.codec.clone() if context.codec is not None else None
     cached_fingerprint = None
@@ -451,7 +393,9 @@ class ProcessParallelExecutor:
     wants_broadcast_payload = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = _checked_max_workers(max_workers) or os.cpu_count() or 1
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError(f"max_workers must be positive, got {max_workers}")
+        self.max_workers = max_workers or os.cpu_count() or 1
         self._context: Optional[_WorkerContext] = None
         self._procs: list = []
         self._inboxes: list = []
@@ -500,7 +444,7 @@ class ProcessParallelExecutor:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ProcessParallelExecutor requires the 'fork' start method "
-                "(unavailable on this platform); use the thread executor"
+                "(unavailable on this platform); use the serial executor"
             )
         ctx = multiprocessing.get_context("fork")
         context = replace(self._context, codec=codec)
@@ -567,7 +511,7 @@ class ProcessParallelExecutor:
 
         # Dropout is pre-rolled here, in task order: the per-link streams are
         # parent-owned, and a faulted client never rolls (serial parity — see
-        # run_client_task and transmit_update).
+        # SerialExecutor.run_clients).
         specs = [
             _ClientTaskSpec(
                 index=index,
@@ -635,19 +579,10 @@ class ProcessParallelExecutor:
 
 
 def build_executor(name: str = "serial", max_workers: Optional[int] = None):
-    """Build an executor by short name (the ``FLConfig.executor`` values).
-
-    ``"thread"`` and ``"parallel"`` are synonyms — the CLI always said
-    ``parallel`` for the thread pool and older configs still do.
-    """
+    """Build an executor by short name (the ``FLConfig.executor`` values)."""
     key = name.lower().replace("_", "-")
     if key == "serial":
         return SerialExecutor()
-    if key in ("thread", "parallel"):
-        return ParallelExecutor(max_workers=max_workers)
     if key == "process":
         return ProcessParallelExecutor(max_workers=max_workers)
-    raise ValueError(
-        f"unknown executor {name!r}; available: 'serial', 'thread' "
-        "(alias 'parallel'), 'process'"
-    )
+    raise ValueError(f"unknown executor {name!r}; available: 'serial', 'process'")

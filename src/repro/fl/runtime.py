@@ -9,15 +9,15 @@ event queue — and three orthogonal concerns are pluggable layers around it:
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
   asynchronous staleness-weighted mixing;
 * the **executor** (:mod:`repro.fl.executor`) decides how client work runs —
-  serially, on a thread pool, or on a pool of worker processes;
+  serially or on a pool of worker processes;
 * the **transport** (:mod:`repro.fl.transport`) decides what each client's
   link looks like — one shared channel (the default) or heterogeneous
   per-client bandwidth/latency/straggler/dropout profiles.
 
 The client population is **lazy** (:mod:`repro.fl.state`): client objects are
-materialised on first access and models are borrowed from a bounded
-:class:`~repro.fl.state.ModelPool`, so a 256–1024-client fleet costs
-O(max_workers) resident models instead of O(num_clients).  An optional
+materialised on first access and models are borrowed from a
+:class:`~repro.fl.state.ModelPool`, so a 256–1024-client fleet costs one
+resident model per training process instead of O(num_clients).  An optional
 **participation schedule** (:mod:`repro.fl.scenarios`) masks which clients
 are available each round before sampling — diurnal availability, flash
 crowds, and other fleet dynamics compose with every scheduler.
@@ -177,9 +177,7 @@ class FederatedRuntime:
             model_fn, validation_dataset, eval_batch_size=self.config.eval_batch_size
         )
         client_seeds = seeds.spawn(len(client_datasets))
-        self.model_pool = ModelPool(
-            model_fn, max_models=self._resolve_pool_size(self.executor)
-        )
+        self.model_pool = ModelPool(model_fn)
         self.clients = ClientRegistry(
             model_fn, client_datasets, self.config, client_seeds, self.model_pool
         )
@@ -202,18 +200,12 @@ class FederatedRuntime:
     def close(self) -> None:
         """Release executor resources (worker processes); idempotent.
 
-        Serial and thread executors hold nothing and make this a no-op, so
-        callers can ``close()`` unconditionally.
+        The serial executor holds nothing and makes this a no-op, so callers
+        can ``close()`` unconditionally.
         """
         close = getattr(self.executor, "close", None)
         if callable(close):
             close()
-
-    def _resolve_pool_size(self, executor) -> Optional[int]:
-        """Model-pool bound: explicit config, else the executor's concurrency."""
-        if self.config.max_resident_models is not None:
-            return self.config.max_resident_models
-        return getattr(executor, "max_workers", None)
 
     # ------------------------------------------------------------------
     # Round loop

@@ -327,7 +327,7 @@ class ClientCrash(RuntimeError):
     bytes (the client never transmitted), the scheduler sees one more
     non-delivered participant, and the round completes normally.  The
     exception is picklable — it crosses the process-executor boundary intact
-    via ``__reduce__`` — so thread and process pools surface it identically.
+    via ``__reduce__`` — so serial and process execution surface it identically.
     """
 
     def __init__(self, round_index: int, client_id: int) -> None:
@@ -375,8 +375,8 @@ class CorruptedUpload(RuntimeError):
     :func:`repro.fl.transport.corrupt_wire_bytes`), so the server rejects the
     payload and accounts the client as a dropped update with zero accepted
     bytes.  Picklable via ``__reduce__`` so it crosses the process-executor
-    boundary intact, making the reject path identical across serial, thread
-    and process execution.
+    boundary intact, making the reject path identical across serial and
+    process execution.
     """
 
     def __init__(self, round_index: int, client_id: int) -> None:

@@ -6,11 +6,11 @@ time grew as O(num_clients × model params) even when ``client_fraction``
 meant most clients never trained in a given round.  This module provides the
 two pieces that break that coupling:
 
-* :class:`ModelPool` — a bounded, thread-safe pool of reusable model
-  instances.  A client *borrows* a model for the duration of one local
-  training run (load the broadcast state in, train, export the update) and
-  returns it, so the number of resident models is O(max_models) — typically
-  the executor's worker count — instead of O(num_clients).
+* :class:`ModelPool` — a free list of reusable model instances.  A client
+  *borrows* a model for the duration of one local training run (load the
+  broadcast state in, train, export the update) and returns it.  Every
+  process trains on one thread, so one resident model per process serves the
+  whole fleet instead of O(num_clients).
 * :class:`ClientRegistry` — a sequence of lazily materialised
   :class:`FLClient` objects.  Client objects themselves are cheap (a dataset
   reference, a data loader, a few seeds) and are only created when first
@@ -30,7 +30,6 @@ overwrites them wholesale at the start of every training run.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence
 
@@ -68,48 +67,25 @@ def restore_stochastic_state(model: Module, states: Sequence[dict]) -> None:
 
 
 class ModelPool:
-    """Bounded, thread-safe pool of reusable model instances.
+    """Free list of reusable model instances.
 
-    ``acquire`` hands out a free model, constructing a new one only while
-    fewer than ``max_models`` exist (``None`` = grow on demand, which still
-    bounds residency by the executor's concurrency).  When the pool is
-    exhausted, ``acquire`` blocks until another thread releases — safe under
-    the executor layer because a task never holds more than one model.
-
-    ``created`` / ``peak_in_use`` instrument the memory claim the fleet tests
-    assert: peak resident model instances stay within the worker budget no
-    matter how many clients the fleet has.
+    ``acquire`` hands out a free model and constructs one only when none is
+    free.  Training runs on one thread per process (the serial executor's
+    caller, or one worker process each), so a pool builds one model whatever
+    the fleet size; ``created`` / ``in_use`` / ``peak_in_use`` instrument that
+    claim for the fleet tests.
     """
 
-    def __init__(self, model_fn: Callable[[], Module], max_models: Optional[int] = None) -> None:
-        if max_models is not None and max_models <= 0:
-            raise ValueError(f"max_models must be positive, got {max_models}")
+    def __init__(self, model_fn: Callable[[], Module]) -> None:
         self._model_fn = model_fn
-        self.max_models = max_models
-        self._condition = threading.Condition()
         self._free: List[Module] = []
-        self._created = 0
-        self._in_use = 0
-        self._peak_in_use = 0
+        #: Total model instances constructed so far (= peak residency).
+        self.created = 0
+        #: Models currently borrowed.
+        self.in_use = 0
+        #: Most models simultaneously borrowed over the pool's lifetime.
+        self.peak_in_use = 0
         self._pristine_states: Optional[List[dict]] = None
-
-    @property
-    def created(self) -> int:
-        """Total model instances constructed so far (= peak residency)."""
-        with self._condition:
-            return self._created
-
-    @property
-    def in_use(self) -> int:
-        """Models currently borrowed."""
-        with self._condition:
-            return self._in_use
-
-    @property
-    def peak_in_use(self) -> int:
-        """Most models simultaneously borrowed over the pool's lifetime."""
-        with self._condition:
-            return self._peak_in_use
 
     @property
     def pristine_states(self) -> List[dict]:
@@ -118,41 +94,29 @@ class ModelPool:
         Captured from the first model the pool builds; because model
         factories are deterministic (seeded weight init and layer RNGs),
         every construction starts from these same states.
-
-        Condition's default lock is re-entrant, so the acquire/release pair
-        below is safe to run while we hold it.
         """
-        with self._condition:
-            if self._pristine_states is None:
-                # Force one construction so first-time borrowers have a
-                # reference.
-                self.release(self.acquire())
-            return list(self._pristine_states)
+        if self._pristine_states is None:
+            # Force one construction so first-time borrowers have a reference.
+            self.release(self.acquire())
+        return list(self._pristine_states)
 
     def acquire(self) -> Module:
-        """Borrow a model, blocking until one is free or can be built."""
-        with self._condition:
-            while True:
-                if self._free:
-                    model = self._free.pop()
-                    break
-                if self.max_models is None or self._created < self.max_models:
-                    model = self._model_fn()
-                    self._created += 1
-                    if self._pristine_states is None:
-                        self._pristine_states = capture_stochastic_state(model)
-                    break
-                self._condition.wait()
-            self._in_use += 1
-            self._peak_in_use = max(self._peak_in_use, self._in_use)
-            return model
+        """Borrow a free model, building one if none is free."""
+        if self._free:
+            model = self._free.pop()
+        else:
+            model = self._model_fn()
+            self.created += 1
+            if self._pristine_states is None:
+                self._pristine_states = capture_stochastic_state(model)
+        self.in_use += 1
+        self.peak_in_use = max(self.peak_in_use, self.in_use)
+        return model
 
     def release(self, model: Module) -> None:
         """Return a borrowed model to the pool."""
-        with self._condition:
-            self._in_use -= 1
-            self._free.append(model)
-            self._condition.notify()
+        self.in_use -= 1
+        self._free.append(model)
 
     @contextmanager
     def borrow(self) -> Iterator[Module]:

@@ -34,14 +34,13 @@ boundary can sit:
 * the **link half** (:func:`account_upload`) occupies the link for the
   record's wire bytes and builds the :class:`TransferStats`.
 
-:func:`transmit_update` is dropout roll + both halves (the thread executor's
-upload); serial lanes and process workers run the codec half, and the owner of
-links and dropout streams the link half, in task order.
+:func:`transmit_update` is dropout roll + both halves, one upload on the
+calling thread; serial lanes and process workers run the codec half, and the
+owner of links and dropout streams the link half, in task order.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -212,19 +211,15 @@ def encode_upload(
     spec: LinkSpec,
     dropped: bool = False,
     corrupted: bool = False,
-    lock=None,
 ) -> UploadRecord:
     """Codec half of an upload (see the module docstring).
 
     ``spec`` decides whether the measured codec seconds or the client
     device's modelled ones are billed; measured ones on the calling thread's
     :func:`~repro.utils.timing.lane_clock`.
-    ``lock`` serialises access to a codec shared across executor threads;
-    the bound utilization is measured outside it.
     """
     original_nbytes = int(sum(np.asarray(v).nbytes for v in state_dict.values()))
     delivered = not (dropped or corrupted)
-    guard = lock if lock is not None else contextlib.nullcontext()
     compress_seconds = decompress_seconds = 0.0
     report = received_state = None
     utilization: Dict[str, float] = {}
@@ -238,17 +233,15 @@ def encode_upload(
     else:
         description = "compressed client update"
         clock = lane_clock()
-        with guard:
-            start = clock()
-            payload = codec.compress(state_dict)
-            compress_seconds = clock() - start
-            report = getattr(codec, "last_report", None)
+        start = clock()
+        payload = codec.compress(state_dict)
+        compress_seconds = clock() - start
+        report = getattr(codec, "last_report", None)
         wire_nbytes = len(payload)
         if delivered:
-            with guard:
-                start = clock()
-                received_state = codec.decompress(payload)
-                decompress_seconds = clock() - start
+            start = clock()
+            received_state = codec.decompress(payload)
+            decompress_seconds = clock() - start
             bound, mode = codec_error_bound(codec)
             if bound > 0.0:
                 utilization = _bound_utilization(state_dict, received_state, report, bound, mode)
@@ -310,7 +303,6 @@ def transmit_update(
     state_dict: Mapping[str, np.ndarray],
     codec,
     link: ClientLink,
-    lock=None,
     corrupted: bool = False,
 ):
     """Push one client update through the (optional) codec and its link.
@@ -321,9 +313,7 @@ def transmit_update(
     rounds stay bit-identical across executors.
     """
     dropped = False if corrupted else link.roll_dropout()
-    upload = encode_upload(
-        state_dict, codec, link.spec, dropped=dropped, corrupted=corrupted, lock=lock
-    )
+    upload = encode_upload(state_dict, codec, link.spec, dropped=dropped, corrupted=corrupted)
     return upload.received_state, account_upload(link, upload)
 
 
@@ -367,15 +357,10 @@ class Transport:
         cls,
         bandwidth_mbps: float = 10.0,
         latency_seconds: float = 0.0,
-        real_sleep: bool = False,
     ) -> "Transport":
         """Every client shares one channel — identical to the seed simulation."""
         return cls(
-            default_spec=LinkSpec(
-                bandwidth_mbps=bandwidth_mbps,
-                latency_seconds=latency_seconds,
-                real_sleep=real_sleep,
-            )
+            default_spec=LinkSpec(bandwidth_mbps=bandwidth_mbps, latency_seconds=latency_seconds)
         )
 
     @classmethod

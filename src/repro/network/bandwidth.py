@@ -10,14 +10,14 @@ a codec run costs.
 
 The paper emulates constrained networks by inserting sleeps sized so that each
 transfer takes as long as it would on the target link (Section VI-C).
-:class:`SimulatedChannel` is the transfer log of such a link: time is
-accounted virtually unless the spec asks for ``real_sleep``.
+:class:`SimulatedChannel` is the transfer log of such a link: it records the
+seconds those sleeps would last and never sleeps — a sleep changes no
+recorded number, only the wall time of a run.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -43,7 +43,6 @@ class LinkSpec:
     straggler_factor: float = 1.0
     dropout_probability: float = 0.0
     device: Optional[str] = None
-    real_sleep: bool = False
 
     def __post_init__(self) -> None:
         # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both comparisons.
@@ -198,12 +197,7 @@ class TransferRecord:
 
 @dataclass
 class SimulatedChannel:
-    """Transfer log of one link, accumulating simulated transfer time.
-
-    ``spec.real_sleep`` reproduces the paper's wall-clock emulation (the
-    process actually sleeps for the computed duration); by default time is
-    only accounted virtually so large sweeps remain fast.
-    """
+    """Transfer log of one link, accumulating simulated transfer time."""
 
     spec: LinkSpec
     transfers: List[TransferRecord] = field(default_factory=list)
@@ -212,8 +206,6 @@ class SimulatedChannel:
         """Simulate sending ``payload`` (bytes object or a byte count)."""
         num_bytes = payload if isinstance(payload, int) else len(payload)
         seconds = self.spec.transmission_seconds(num_bytes)
-        if self.spec.real_sleep:
-            time.sleep(seconds)
         record = TransferRecord(payload_nbytes=num_bytes, seconds=seconds, description=description)
         self.transfers.append(record)
         return record

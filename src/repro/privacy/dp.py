@@ -52,7 +52,7 @@ def client_round_rng(seed: int, client_id: int, round_index: int) -> np.random.G
     executor.  This is the substream DP releases should draw from — a single
     sequential generator shared across clients (as
     :class:`~repro.privacy.DPFedSZCompressor` still uses) consumes noise in
-    call order, which under the parallel executor depends on thread timing.
+    call order, so a round's draws depend on which clients coded before.
     """
     sequence = np.random.SeedSequence([int(seed), int(client_id), int(round_index)])
     return np.random.default_rng(sequence)

@@ -3,11 +3,14 @@
 Covers the cache's three claims in isolation — once-per-round serialization,
 guaranteed invalidation on state/codec/bound changes, stateful-codec opt-out —
 plus the satellite behaviours that ride on it: broadcast codec seconds landing
-on the round record (and in the Figure-6 breakdown), and the thread executor
-cloning the codec once per worker rather than once per task.
+on the round record (and in the Figure-6 breakdown), and the serial
+executor's upload lanes cloning the codec once per lane rather than once per
+task.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -214,11 +217,13 @@ def test_uncompressed_broadcast_records_zero_codec_seconds(tiny_setup):
 
 
 # ----------------------------------------------------------------------
-# Thread executor clones once per worker (satellite: clone churn)
+# Serial upload lanes clone once per lane (satellite: clone churn)
 # ----------------------------------------------------------------------
-def test_thread_executor_clones_once_per_worker(tiny_setup):
-    from repro.fl import FederatedRuntime, FLConfig, ParallelExecutor
+def test_serial_lanes_clone_once_per_lane(tiny_setup, monkeypatch):
+    from repro.fl import FederatedRuntime, FLConfig, SerialExecutor
     from repro.nn.models import create_model
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two upload lanes
 
     class CountingFedSZ(FedSZCompressor):
         clone_calls = 0
@@ -235,11 +240,11 @@ def test_thread_executor_clones_once_per_worker(tiny_setup):
         val,
         FLConfig(num_clients=8, rounds=1, batch_size=16, seed=3),
         codec=codec,
-        executor=ParallelExecutor(max_workers=2),
+        executor=SerialExecutor(),
     )
     results_report = runtime.run().records[0]
     assert results_report.participating_clients == 8
-    # One clone per worker per round — not one per task (8 would be churn).
+    # One clone per lane per round — not one per task (8 would be churn).
     assert CountingFedSZ.clone_calls == 2
     # Facade contract: the caller's codec reports the last participant.
     assert codec.last_report is not None

@@ -43,11 +43,11 @@ def model_fn():
     return lambda: create_model("alexnet", "tiny", num_classes=10, seed=9)
 
 
-def _build_runtime(data, model_fn, **config_overrides):
+def _build_runtime(data, model_fn, transport=None, **config_overrides):
     train, val = data
     kwargs = dict(num_clients=3, rounds=2, batch_size=16, seed=3)
     kwargs.update(config_overrides)
-    return FederatedRuntime(model_fn, train, val, FLConfig(**kwargs))
+    return FederatedRuntime(model_fn, train, val, FLConfig(**kwargs), transport=transport)
 
 
 # ----------------------------------------------------------------------
@@ -220,35 +220,72 @@ def test_resume_refuses_mismatched_config(data, model_fn, tmp_path):
 
 
 def test_resume_allows_execution_only_config_changes(data, model_fn, tmp_path):
-    """The round target and the model-pool bound do not affect the simulated
-    outcome, so resuming may change them (e.g. to extend a finished run)."""
+    """The round target and the executor do not affect the simulated outcome,
+    so resuming may change them (e.g. to extend a finished run on workers)."""
     runtime = _build_runtime(data, model_fn)
     runtime.run_round()
     write_checkpoint(capture_runtime(runtime), tmp_path)
-    other = _build_runtime(data, model_fn, rounds=7, max_resident_models=2)
-    restore_runtime(other, load_checkpoint(latest_checkpoint(tmp_path)))
+    other = _build_runtime(data, model_fn, rounds=7, executor="process", max_workers=2)
+    try:
+        restore_runtime(other, load_checkpoint(latest_checkpoint(tmp_path)))
+    finally:
+        other.close()
     assert len(other.history) == 1
 
 
-def test_snapshot_carrying_a_stale_engine_key_still_resumes(data, model_fn, tmp_path):
-    """``engine`` is no longer an FLConfig field, but snapshots on disk were
-    written when it was: they restore and finish bit-identically, and the
-    stale key does not loosen the check on fields that decide the outcome."""
-    reference = _build_runtime(data, model_fn)
+def _stale_config(key, value):
+    def mutate(snapshot):
+        snapshot.config[key] = value
+
+    return mutate
+
+
+def _stale_link_field(snapshot):
+    transport = snapshot.transport
+    for spec in transport["specs"] if "specs" in transport else [transport["spec"]]:
+        spec["real_sleep"] = False
+
+
+def _heterogeneous():
+    return Transport.heterogeneous([LinkSpec(bandwidth_mbps=bw) for bw in (5.0, 10.0)], cycle=True)
+
+
+#: Keys that snapshots written by older code carry: ``(mutate, transport)``.
+STALE_SNAPSHOTS = {
+    "engine": (_stale_config("engine", "rounds"), lambda: None),
+    "max-resident-models": (_stale_config("max_resident_models", 2), lambda: None),
+    "thread-executor": (_stale_config("executor", "thread"), lambda: None),
+    "real-sleep": (_stale_link_field, lambda: None),
+    "real-sleep-heterogeneous": (_stale_link_field, _heterogeneous),
+}
+
+
+@pytest.mark.parametrize("stale", STALE_SNAPSHOTS)
+def test_snapshot_carrying_a_stale_engine_key_still_resumes(data, model_fn, tmp_path, stale):
+    """``engine``, ``max_resident_models``, the thread executor and
+    ``LinkSpec.real_sleep`` are gone, but snapshots on disk were written when
+    they existed: they restore and finish bit-identically, and the stale key
+    does not loosen the check on fields that decide the outcome."""
+    mutate, transport = STALE_SNAPSHOTS[stale]
+    reference = _build_runtime(data, model_fn, transport())
     rows = reference.run().deterministic_rows()
 
-    first = _build_runtime(data, model_fn)
+    first = _build_runtime(data, model_fn, transport())
     first.run_round()
     snapshot = capture_runtime(first)
-    snapshot.config["engine"] = "rounds"
+    mutate(snapshot)
     path = write_checkpoint(snapshot, tmp_path)
-    assert load_checkpoint(path).config["engine"] == "rounds"
+    loaded = load_checkpoint(path)
+    assert (loaded.config, loaded.transport) == (snapshot.config, snapshot.transport)
 
-    other = _build_runtime(data, model_fn, learning_rate=0.01)
+    other = _build_runtime(data, model_fn, transport(), learning_rate=0.01)
     with pytest.raises(CheckpointError, match="run configuration"):
         restore_runtime(other, load_checkpoint(path))
+    elsewhere = _build_runtime(data, model_fn, Transport.homogeneous(bandwidth_mbps=5.0))
+    with pytest.raises(CheckpointError, match="transport topology"):
+        restore_runtime(elsewhere, load_checkpoint(path))
 
-    resumed = _build_runtime(data, model_fn)
+    resumed = _build_runtime(data, model_fn, transport())
     history = resumed.run(checkpoint_dir=tmp_path, resume=True)
     assert history.deterministic_rows() == rows
     for name, value in reference.server.global_state().items():

@@ -243,3 +243,6 @@ def test_flconfig_validation():
         FLConfig(bandwidth_mbps=0)
     with pytest.raises(ValueError):
         FLConfig(learning_rate=0)
+    # The model-pool bound is gone with the thread executor, not ignored.
+    with pytest.raises(TypeError, match="max_resident_models"):
+        FLConfig(max_resident_models=2)

@@ -44,7 +44,7 @@ def model_fn():
 # ModelPool
 # ----------------------------------------------------------------------
 def test_model_pool_reuses_instances(model_fn):
-    pool = ModelPool(model_fn, max_models=2)
+    pool = ModelPool(model_fn)
     first = pool.acquire()
     pool.release(first)
     second = pool.acquire()
@@ -54,8 +54,8 @@ def test_model_pool_reuses_instances(model_fn):
     assert pool.peak_in_use == 1
 
 
-def test_model_pool_respects_bound(model_fn):
-    pool = ModelPool(model_fn, max_models=2)
+def test_model_pool_counts_overlapping_borrows(model_fn):
+    pool = ModelPool(model_fn)
     a = pool.acquire()
     b = pool.acquire()
     assert pool.created == 2
@@ -65,15 +65,23 @@ def test_model_pool_respects_bound(model_fn):
     # A third borrower reuses a freed model instead of building a third.
     with pool.borrow():
         assert pool.created == 2
+    assert (pool.in_use, pool.peak_in_use) == (0, 2)
 
 
-def test_model_pool_validation(model_fn):
-    with pytest.raises(ValueError):
-        ModelPool(model_fn, max_models=0)
+def test_model_pool_takes_no_bound(model_fn):
+    """One trainer thread borrows one model at a time, so the pool needs no
+    bound: ``max_models`` is refused, and sequential borrowers share one model."""
+    with pytest.raises(TypeError, match="max_models"):
+        ModelPool(model_fn, max_models=2)
+    pool = ModelPool(model_fn)
+    for _ in range(5):
+        with pool.borrow():
+            assert pool.in_use == 1
+    assert (pool.created, pool.in_use, pool.peak_in_use) == (1, 0, 1)
 
 
 def test_pool_pristine_states_match_fresh_model(model_fn):
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     pristine = pool.pristine_states
     fresh = capture_stochastic_state(model_fn())
     assert pristine == fresh
@@ -102,7 +110,7 @@ def test_registry_materialises_lazily(data, model_fn):
     from repro.data.partition import partition_dataset
 
     datasets = partition_dataset(train, 8, seed=0)
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     registry = ClientRegistry(model_fn, datasets, FLConfig(num_clients=8), list(range(8)), pool)
     assert len(registry) == 8
     assert registry.materialized_count == 0
@@ -121,7 +129,7 @@ def test_registry_materialises_lazily(data, model_fn):
 def test_registry_rejects_empty_datasets(data, model_fn):
     train, _ = data
     empty = train.subset(np.array([], dtype=np.int64))
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     with pytest.raises(ValueError):
         ClientRegistry(model_fn, [train, empty], FLConfig(num_clients=2), [0, 1], pool)
     with pytest.raises(ValueError):
@@ -130,7 +138,7 @@ def test_registry_rejects_empty_datasets(data, model_fn):
 
 def test_pooled_client_has_no_resident_model(data, model_fn):
     train, _ = data
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     client = FLClient(0, model_fn, train, FLConfig(batch_size=16), seed=1, model_pool=pool)
     with pytest.raises(AttributeError):
         _ = client.model
@@ -148,7 +156,7 @@ def test_pooled_client_matches_private_model_bitwise(data, model_fn):
     broadcast = model_fn().state_dict()
 
     private = FLClient(0, model_fn, train, config, seed=5)
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     pooled = FLClient(0, model_fn, train, config, seed=5, model_pool=pool)
 
     for _ in range(2):
@@ -169,7 +177,7 @@ def test_pool_interleaving_does_not_leak_streams(data, model_fn):
     first = reference_a.train(broadcast, learning_rate=0.05)
     second_expected = reference_a.train(broadcast, learning_rate=0.05)
 
-    pool = ModelPool(model_fn, max_models=1)
+    pool = ModelPool(model_fn)
     client_a = FLClient(0, model_fn, train, config, seed=5, model_pool=pool)
     client_b = FLClient(1, model_fn, train, config, seed=6, model_pool=pool)
     assert client_a.train(broadcast, learning_rate=0.05).train_loss == first.train_loss

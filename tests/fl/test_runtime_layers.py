@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
+    ProcessParallelExecutor,
     SemiSynchronousScheduler,
     SerialExecutor,
     SynchronousScheduler,
     Transport,
+    build_executor,
     edge_fleet_specs,
     get_scheduler,
     mix_states,
@@ -59,6 +62,9 @@ def test_link_spec_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=field.split("_")[0]):
                 LinkSpec(**{field: value})
+    # Links never sleep: the field that asked them to is gone, not ignored.
+    with pytest.raises(TypeError, match="real_sleep"):
+        LinkSpec(real_sleep=True)
     # An unknown device fails here, not on the first lazy uplink of a round.
     with pytest.raises(ValueError, match="rpi6"):
         LinkSpec(device="rpi6")
@@ -98,6 +104,13 @@ def test_homogeneous_transport_shares_one_channel():
     assert all(link.channel is transport.channel for link in links)
 
 
+def test_homogeneous_transport_takes_no_real_sleep():
+    """Links model Eqn. 1's turnaround and never sleep, so the option that
+    made a homogeneous transport sleep is gone, not ignored."""
+    with pytest.raises(TypeError, match="real_sleep"):
+        Transport.homogeneous(bandwidth_mbps=10.0, real_sleep=True)
+
+
 def test_heterogeneous_transport_has_independent_links():
     specs = edge_fleet_specs(3, bandwidths_mbps=(5.0, 50.0))
     transport = Transport.heterogeneous(specs)
@@ -115,10 +128,12 @@ def test_heterogeneous_transport_has_independent_links():
 def test_spec_fingerprint_is_what_existing_checkpoints_recorded():
     """``RunCheckpoint.transport`` is this dict; the literals were recorded
     before ``LinkSpec`` moved to ``repro.network`` and grew methods, so a
-    checkpoint written then still matches (field names, order, defaults)."""
+    checkpoint written then still matches (field names, order, defaults).
+    Those checkpoints also carry the since-removed ``real_sleep`` key, which
+    resume drops before comparing (``tests/fl/test_checkpoint.py``)."""
     default = {
         "bandwidth_mbps": 10.0, "latency_seconds": 0.0, "straggler_factor": 1.0,
-        "dropout_probability": 0.0, "device": None, "real_sleep": False,
+        "dropout_probability": 0.0, "device": None,
     }
     assert Transport.homogeneous(bandwidth_mbps=10.0).spec_fingerprint() == {
         "kind": "homogeneous", "spec": default,
@@ -137,8 +152,8 @@ def test_spec_fingerprint_is_what_existing_checkpoints_recorded():
         ],
     }
     assert list(fingerprint["specs"][0]) == list(default)
-    assert Transport.heterogeneous([LinkSpec(real_sleep=True)], cycle=True).spec_fingerprint() == {
-        "kind": "heterogeneous-cycle", "specs": [{**default, "real_sleep": True}],
+    assert Transport.heterogeneous([LinkSpec()], cycle=True).spec_fingerprint() == {
+        "kind": "heterogeneous-cycle", "specs": [default],
     }
 
 
@@ -209,25 +224,31 @@ def _deterministic_fields(history):
 
 
 @pytest.mark.parametrize("codec_fn", [lambda: None, lambda: FedSZCompressor(1e-2), IdentityCodec])
-def test_parallel_executor_matches_serial_history(data, model_fn, config, codec_fn):
+def test_process_executor_matches_serial_history(data, model_fn, config, codec_fn):
     """Same seeds => identical simulated outcome regardless of the executor."""
     train, val = data
     serial = FederatedRuntime(
         model_fn, train, val, config, codec=codec_fn(), executor=SerialExecutor()
     ).run()
-    parallel = FederatedRuntime(
-        model_fn, train, val, config, codec=codec_fn(), executor=ParallelExecutor(max_workers=4)
-    ).run()
-    assert _deterministic_fields(serial) == _deterministic_fields(parallel)
+    runtime = FederatedRuntime(
+        model_fn, train, val, config, codec=codec_fn(),
+        executor=ProcessParallelExecutor(max_workers=2),
+    )
+    try:
+        process = runtime.run()
+    finally:
+        runtime.close()
+    assert _deterministic_fields(serial) == _deterministic_fields(process)
 
 
-def test_parallel_executor_keeps_per_client_reports(data, model_fn, config):
-    """Per-client codec clones stop last_report clobbering: every client's own
+def test_serial_lanes_keep_per_client_reports(data, model_fn, config, monkeypatch):
+    """Per-lane codec clones stop last_report clobbering: every client's own
     ratio is recorded, and the runtime's codec still reports the last one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     train, val = data
     codec = FedSZCompressor(error_bound=1e-2)
     simulation = FederatedRuntime(
-        model_fn, train, val, config, codec=codec, executor=ParallelExecutor(max_workers=4)
+        model_fn, train, val, config, codec=codec, executor=SerialExecutor()
     )
     record = simulation.run_round()
     assert len(record.client_stats) == config.num_clients
@@ -237,10 +258,22 @@ def test_parallel_executor_keeps_per_client_reports(data, model_fn, config):
     )
 
 
-def test_parallel_executor_validation():
+def test_process_executor_validation():
     with pytest.raises(ValueError):
-        ParallelExecutor(max_workers=0)
-    assert ParallelExecutor().run_clients([], codec=None) == []
+        ProcessParallelExecutor(max_workers=0)
+    assert ProcessParallelExecutor().run_clients([], codec=None) == []
+
+
+@pytest.mark.parametrize("removed", ["thread", "parallel"])
+def test_removed_executor_names_fail_naming_the_valid_ones(removed):
+    """The thread executor is gone: its names fail where they are read, and
+    the message says what to use instead."""
+    with pytest.raises(ValueError, match=r"'serial'.*'process'"):
+        FLConfig(executor=removed)
+    with pytest.raises(ValueError, match=r"'serial'.*'process'"):
+        build_executor(removed)
+    assert isinstance(build_executor("serial"), SerialExecutor)
+    assert isinstance(build_executor("process", max_workers=2), ProcessParallelExecutor)
 
 
 # ----------------------------------------------------------------------

@@ -150,31 +150,30 @@ def test_upload_record_crosses_a_process_boundary(state):
     assert account_upload(twin, clone) == account_upload(link, upload)
 
 
-def test_shared_codec_lock_is_held_only_around_codec_calls(state):
-    class _Lock:
-        depth = entries = 0
+def test_a_slow_link_bills_its_seconds_without_sleeping(state, monkeypatch):
+    """Eqn. 1's turnaround is modelled, never slept: a 0.01 Mb/s link with a
+    5 s latency bills over 5 s and the upload still returns at once."""
 
-        def __enter__(self):
-            self.depth += 1
-            self.entries += 1
+    def _no_sleep(seconds):
+        raise AssertionError(f"an upload slept {seconds} s")
 
-        def __exit__(self, *exc):
-            self.depth -= 1
+    monkeypatch.setattr(time, "sleep", _no_sleep)
+    spec = LinkSpec(bandwidth_mbps=0.01, latency_seconds=5.0)
+    link = ClientLink(0, spec)
+    received, stats = transmit_update(state, FedSZCompressor(error_bound=1e-2), link)
+    assert received is not None and stats.delivered
+    assert stats.transfer_seconds == spec.transmission_seconds(stats.payload_nbytes) > 5.0
+    assert link.channel.total_seconds == stats.transfer_seconds
 
-    lock = _Lock()
 
-    class _Codec(FedSZCompressor):
-        def compress(self, state_dict):
-            assert lock.depth == 1
-            return super().compress(state_dict)
-
-        def decompress(self, payload):
-            assert lock.depth == 1
-            return super().decompress(payload)
-
-    link = ClientLink(0)
-    transmit_update(state, _Codec(error_bound=1e-2), link, lock=lock)
-    assert lock.entries == 2 and lock.depth == 0
+def test_the_upload_halves_take_no_codec_lock(state):
+    """Each process trains on one thread, so no caller shares a codec between
+    threads and neither half accepts a lock to guard one."""
+    codec = FedSZCompressor(error_bound=1e-2)
+    with pytest.raises(TypeError, match="lock"):
+        encode_upload(state, codec, LinkSpec(), lock=threading.Lock())
+    with pytest.raises(TypeError, match="lock"):
+        transmit_update(state, codec, ClientLink(0), lock=threading.Lock())
 
 
 def _on_a_thread(function):

@@ -11,8 +11,8 @@ results as the reference, runs it on the results ``finish_round`` receives,
 and requires the recorded values to equal it to the bit, key order included:
 
 * FedSZ at a REL and an ABS bound, on the serial executor at 1, 2 and 4
-  lanes, the thread executor and the process executor, in runs with dropped,
-  corrupted and crashed uploads, which carry no utilization;
+  lanes and the process executor, in runs with dropped, corrupted and crashed
+  uploads, which carry no utilization;
 * the adaptive codec, whose bound moves between rounds;
 * the DP and identity codecs, which stay untracked;
 * a zero-range tensor under REL: 0.0 when it arrives exact, inf when not.
@@ -35,7 +35,6 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     Transport,
@@ -45,7 +44,7 @@ from repro.nn.models import create_model
 from repro.privacy import DPFedSZCompressor
 
 #: ``(executor, lanes)``: the serial executor codes on ``lanes`` lanes.
-EXECUTORS = [("serial", 1), ("serial", 2), ("serial", 4), ("thread", 2), ("process", 2)]
+EXECUTORS = [("serial", 1), ("serial", 2), ("serial", 4), ("process", 2)]
 CORRUPTED = {0: [1], 1: [4]}
 CRASHED = {0: [3], 1: [0, 5]}
 
@@ -132,8 +131,6 @@ def _executor(name: str, lanes: int, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: lanes)
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ParallelExecutor(max_workers=lanes)
     return ProcessParallelExecutor(max_workers=lanes)
 
 
@@ -229,10 +226,7 @@ def test_fedsz_utilization_is_the_round_end_reference_on_every_executor(
         assert [_bits(u.items()) for u in per_round] == [_bits(u.items()) for u in first], key
 
 
-@pytest.mark.parametrize("executor_name", ["serial", "thread"])
-def test_the_adaptive_codec_is_measured_at_the_bound_it_compressed_at(
-    data, executor_name, monkeypatch
-):
+def test_the_adaptive_codec_is_measured_at_the_bound_it_compressed_at(data, monkeypatch):
     """The bound doubles after every round (patience 1, accuracy kept up), so
     each round's utilization is against a different ``current_bound``."""
     codec = AdaptiveFedSZCompressor(
@@ -240,7 +234,7 @@ def test_the_adaptive_codec_is_measured_at_the_bound_it_compressed_at(
     )
     rounds_seen = _run(
         data,
-        _executor(executor_name, 2, monkeypatch),
+        _executor("serial", 2, monkeypatch),
         codec,
         rounds=3,
         after_round=lambda record: codec.observe_accuracy(record.global_accuracy),
@@ -252,8 +246,8 @@ def test_the_adaptive_codec_is_measured_at_the_bound_it_compressed_at(
 @pytest.mark.parametrize(
     "codec_fn,executors",
     [
-        (lambda: DPFedSZCompressor(epsilon_per_round=10.0, seed=4), ["serial", "thread"]),
-        (IdentityCodec, ["serial", "thread", "process"]),
+        (lambda: DPFedSZCompressor(epsilon_per_round=10.0, seed=4), ["serial"]),
+        (IdentityCodec, ["serial", "process"]),
     ],
     ids=["dp", "identity"],
 )
@@ -276,7 +270,7 @@ class _OffsetConstant(FedSZCompressor):
         return restored
 
 
-@pytest.mark.parametrize("name,lanes", [("serial", 2), ("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("name,lanes", [("serial", 2), ("process", 2)])
 def test_an_inexact_zero_range_tensor_is_infinitely_over_a_rel_bound(
     data, name, lanes, monkeypatch
 ):

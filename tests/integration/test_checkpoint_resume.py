@@ -30,7 +30,6 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     ServerCrashSchedule,
@@ -52,9 +51,7 @@ def data():
 
 def _build_runtime(data, executor_name: str) -> FederatedRuntime:
     train, val = data
-    if executor_name == "parallel":
-        executor = ParallelExecutor(max_workers=2)
-    elif executor_name == "process":
+    if executor_name == "process":
         executor = ProcessParallelExecutor(max_workers=2)
     else:
         executor = SerialExecutor()
@@ -92,7 +89,7 @@ def _assert_states_identical(reference, resumed):
         assert reference_state[name].dtype == resumed_state[name].dtype
 
 
-@pytest.mark.parametrize("executor_name", ["serial", "parallel", "process"])
+@pytest.mark.parametrize("executor_name", ["serial", "process"])
 def test_kill_after_round_k_resume_is_bit_identical(data, tmp_path, executor_name, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     reference = _build_runtime(data, executor_name)

@@ -2,7 +2,7 @@
 
 Five guarantees are pinned here:
 
-* **executor equivalence** — at 256 clients, serial / thread / process runs
+* **executor equivalence** — at 256 clients, serial and process runs
   produce bit-identical ``TrainingHistory.deterministic_rows()`` and final
   weights, for every scheduler (sync / semi-sync / async, each under its
   natural fleet preset);
@@ -20,7 +20,7 @@ Five guarantees are pinned here:
 * **corrupted uploads** — a :class:`~repro.fl.scenarios.CorruptedUpload`
   fault trains and transmits, the server's checksum frame rejects the
   payload, and the accounting (dropped update, zero accepted bytes) is
-  bit-identical across all three executors.
+  bit-identical across both executors.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.data import load_dataset
 from repro.fl import (
     FederatedRuntime,
     FLConfig,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     build_fleet_runtime,
@@ -45,7 +44,7 @@ from repro.fl.scenarios import CorruptedUploadSchedule, FullParticipation
 from repro.nn.models import create_model
 
 PRESETS = ["uniform-edge", "diurnal", "flash-crowd"]  # sync / semi-sync / async
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,6 @@ def fleet_data():
 def _make_executor(name: str):
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ParallelExecutor(max_workers=4)
     return ProcessParallelExecutor(max_workers=4)
 
 
@@ -121,15 +118,14 @@ def finished_fleet(fleet_data):
 
 @pytest.mark.parametrize("preset_name", PRESETS)
 def test_event_engine_matches_legacy_loop_across_executors(finished_fleet, preset_name):
-    """256-client preset: serial, thread and process executors agree on the
+    """256-client preset: serial and process executors agree on the
     deterministic rows and on the final weights, bit for bit."""
     serial = finished_fleet(preset_name, "serial")
     rows = serial.history.deterministic_rows()
     assert len(rows) == 2
-    for executor_name in ("thread", "process"):
-        other = finished_fleet(preset_name, executor_name)
-        assert other.history.deterministic_rows() == rows, executor_name
-        _assert_states_identical(serial, other)
+    other = finished_fleet(preset_name, "process")
+    assert other.history.deterministic_rows() == rows
+    _assert_states_identical(serial, other)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +286,7 @@ def test_workers_cut_their_own_shards_at_2048_clients():
 def test_corrupted_upload_is_rejected_identically_across_executors(codec_fn):
     """A corrupted client trains and occupies its link, but the checksum
     frame rejects the payload: dropped update, zero accepted bytes, and
-    bit-identical accounting under serial/thread/process execution."""
+    bit-identical accounting under serial and process execution."""
     full = load_dataset("cifar10", num_samples=160, image_size=8, seed=0)
     train, validation = full.split(0.75, seed=1)
     faults = CorruptedUploadSchedule({0: [1], 1: [3]})
@@ -321,5 +317,4 @@ def test_corrupted_upload_is_rejected_identically_across_executors(codec_fn):
         s.payload_nbytes for s in round_zero.client_stats if s.delivered
     )
     assert round_zero.dropped_clients == 1
-    for executor_name in ("thread", "process"):
-        assert run(executor_name).deterministic_rows() == rows, executor_name
+    assert run("process").deterministic_rows() == rows

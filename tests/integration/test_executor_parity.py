@@ -1,9 +1,9 @@
-"""One upload path, three executors: parity on the inputs the upload twins
+"""One upload path, two executors: parity on the inputs the upload twins
 used to handle separately, and typed failure of the process pool.
 
 * **parity** — links with a Raspberry-Pi-5 device profile *and* dropout, with
-  corrupted uploads and client crashes scheduled into the same run: serial,
-  thread and process executors agree on ``deterministic_rows()``, final
+  corrupted uploads and client crashes scheduled into the same run: serial
+  and process executors agree on ``deterministic_rows()``, final
   weights and — deterministic once device-modelled — every client's codec
   seconds, wire bytes and delivery flag;
 * **frame check** — the server-side checksum reject of a corrupted upload
@@ -16,8 +16,7 @@ used to handle separately, and typed failure of the process pool.
   a codec without ``clone()`` stays on the caller, in task order; a lane's
   error is the serial error with no thread left behind;
 * **no multiplied pools** — the codec's tensor pool stays off on serial lanes
-  and inside thread and process workers, and process workers pin BLAS to one
-  thread;
+  and inside process workers, and process workers pin BLAS to one thread;
 * **the evaluation pool** — the 130-sample validation split is three batches
   of the default ``eval_batch_size``, so every parity run's server evaluates
   on two lanes, in the parent, whichever executor ran the clients.
@@ -40,7 +39,6 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     Transport,
@@ -50,7 +48,7 @@ from repro.fl.scenarios import CorruptedUploadSchedule
 from repro.nn.models import create_model
 from repro.privacy import DPFedSZCompressor
 
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "process"]
 #: A healthy 6-client round of the tiny model takes well under a second; a
 #: failed round additionally waits out one 1 s liveness poll.  Anything near
 #: this ceiling is a hang.
@@ -66,8 +64,6 @@ def data():
 def _make_executor(name: str):
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ParallelExecutor(max_workers=2)
     return ProcessParallelExecutor(max_workers=2)
 
 
@@ -157,7 +153,7 @@ def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch)
             outcomes.add("delivered" if delivered else "dropped")
     assert outcomes == {"crashed", "corrupted", "delivered", "dropped"}
 
-    for executor_name, lanes in (("thread", 2), ("process", 2), ("serial", 1), ("serial", 4)):
+    for executor_name, lanes in (("process", 2), ("serial", 1), ("serial", 4)):
         other = run(executor_name, lanes)
         if lanes == 2:
             assert len(other.server._replicas) == len(reference.server._replicas) == 1
@@ -358,8 +354,8 @@ def _run_recording_reports(runtime, rounds=2):
 def test_the_codec_pool_stays_off_inside_executor_workers(data, monkeypatch):
     """With every SZx tensor over the pool threshold, only a serial round's
     single upload compresses on the tensor pool: two or more uploads run on
-    the serial executor's lanes, and thread and process workers compress
-    serially — the pools never multiply — and every run agrees."""
+    the serial executor's lanes, and process workers compress serially — the
+    pools never multiply — and every run agrees."""
     monkeypatch.setattr(SZxCompressor, "pool_min_values", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
@@ -374,13 +370,12 @@ def test_the_codec_pool_stays_off_inside_executor_workers(data, monkeypatch):
     assert {report.codec_workers for report in reports} == {1}
     single, reports = run("serial", client_fraction=0.1)
     assert len(reports) == 2 and {report.codec_workers for report in reports} == {2}
-    for executor_name in ("thread", "process"):
-        other, reports = run(executor_name)
-        assert {report.codec_workers for report in reports} == {1}, executor_name
-        assert other.history.deterministic_rows() == reference.history.deterministic_rows()
-        for name, value in reference.server.global_state().items():
-            np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
-    other, reports = run("thread", client_fraction=0.1)
+    other, reports = run("process")
+    assert {report.codec_workers for report in reports} == {1}
+    assert other.history.deterministic_rows() == reference.history.deterministic_rows()
+    for name, value in reference.server.global_state().items():
+        np.testing.assert_array_equal(value, other.server.global_state()[name], err_msg=name)
+    other, reports = run("process", client_fraction=0.1)
     assert {report.codec_workers for report in reports} == {1}
     assert other.history.deterministic_rows() == single.history.deterministic_rows()
 

@@ -1,10 +1,9 @@
 """Fleet-scale integration: 256 clients on a bounded-memory runtime.
 
 The acceptance claim of the fleet refactor: a 256-client,
-``client_fraction=0.05`` run completes with peak resident model instances
-bounded by the executor's worker count (not the fleet size), and the
-simulated outcome is bit-identical between the serial and worker-pool
-executions.
+``client_fraction=0.05`` run trains on one resident model per training
+process (not one per client), and the simulated outcome is bit-identical
+between the serial and worker-process executions.
 """
 
 from __future__ import annotations
@@ -15,14 +14,14 @@ from repro.data import load_dataset
 from repro.fl import (
     FederatedRuntime,
     FLConfig,
-    ParallelExecutor,
+    ProcessParallelExecutor,
     SerialExecutor,
     build_fleet_runtime,
 )
 from repro.nn.models import create_model
 
 FLEET_SIZE = 256
-WORKERS = 4
+WORKERS = 2
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +59,17 @@ def _deterministic_fields(history):
     ]
 
 
+def _run_process(model_fn, train, val):
+    runtime = FederatedRuntime(
+        model_fn, train, val, _fleet_config(),
+        executor=ProcessParallelExecutor(max_workers=WORKERS),
+    )
+    try:
+        return runtime, runtime.run()
+    finally:
+        runtime.close()
+
+
 def test_fleet_run_bounds_resident_models_and_stays_deterministic(fleet_data, model_fn):
     train, val = fleet_data
 
@@ -67,55 +77,33 @@ def test_fleet_run_bounds_resident_models_and_stays_deterministic(fleet_data, mo
         model_fn, train, val, _fleet_config(), executor=SerialExecutor()
     )
     serial_history = serial.run()
-
-    pooled = FederatedRuntime(
-        model_fn, train, val, _fleet_config(), executor=ParallelExecutor(max_workers=WORKERS)
-    )
-    pooled_history = pooled.run()
+    process, process_history = _run_process(model_fn, train, val)
 
     # ceil(0.05 x 256) = 13 participants per round.
     assert all(r.participating_clients == 13 for r in serial_history.records)
 
-    # The memory ceiling: resident models track the worker budget, never the
-    # fleet; the serial path needs exactly one.
-    assert serial.model_pool.created == 1
-    assert pooled.model_pool.created <= WORKERS
-    assert pooled.model_pool.peak_in_use <= WORKERS
-    assert pooled.model_pool.in_use == 0
+    # The memory ceiling: one trainer thread, one resident model, never the
+    # fleet; the parent of a process run trains nothing and builds none.
+    assert serial.model_pool.created == serial.model_pool.peak_in_use == 1
+    assert serial.model_pool.in_use == 0
+    assert process.model_pool.created == 0
 
     # Lazy materialisation: only sampled clients ever exist as objects.
     sampled = {
-        stat.client_id for record in pooled_history.records for stat in record.client_stats
+        stat.client_id for record in serial_history.records for stat in record.client_stats
     }
-    assert pooled.clients.materialized_count == len(sampled) < FLEET_SIZE
+    assert serial.clients.materialized_count == len(sampled) < FLEET_SIZE
+    assert process.clients.materialized_count == len(sampled)
 
-    # Worker-pool execution is bit-identical to the serial loop at fleet scale.
-    assert _deterministic_fields(serial_history) == _deterministic_fields(pooled_history)
+    # Worker-process execution is bit-identical to the serial loop at fleet scale.
+    assert _deterministic_fields(serial_history) == _deterministic_fields(process_history)
 
 
 def test_fleet_rerun_is_reproducible(fleet_data, model_fn):
     train, val = fleet_data
-    first = FederatedRuntime(
-        model_fn, train, val, _fleet_config(), executor=ParallelExecutor(max_workers=WORKERS)
-    ).run()
-    second = FederatedRuntime(
-        model_fn, train, val, _fleet_config(), executor=ParallelExecutor(max_workers=WORKERS)
-    ).run()
+    _, first = _run_process(model_fn, train, val)
+    _, second = _run_process(model_fn, train, val)
     assert _deterministic_fields(first) == _deterministic_fields(second)
-
-
-def test_explicit_max_resident_models_overrides_executor(fleet_data, model_fn):
-    train, val = fleet_data
-    config = FLConfig(
-        num_clients=FLEET_SIZE, rounds=1, batch_size=8, client_fraction=0.05,
-        max_resident_models=2, seed=5,
-    )
-    runtime = FederatedRuntime(
-        model_fn, train, val, config, executor=ParallelExecutor(max_workers=WORKERS)
-    )
-    runtime.run()
-    assert runtime.model_pool.max_models == 2
-    assert runtime.model_pool.created <= 2
 
 
 def test_flash_crowd_participation_trace(fleet_data, model_fn):
@@ -131,10 +119,10 @@ def test_flash_crowd_participation_trace(fleet_data, model_fn):
         num_clients=FLEET_SIZE,
         rounds=4,
         batch_size=8,
-        executor=ParallelExecutor(max_workers=WORKERS),
+        executor=SerialExecutor(),
     )
     history = runtime.run(4)
     participation = [record.participating_clients for record in history.records]
     # core = 128 clients -> ceil(0.05 x 128) = 7; full fleet -> 13.
     assert participation == [7, 7, 13, 13]
-    assert runtime.model_pool.created <= WORKERS
+    assert runtime.model_pool.created == runtime.model_pool.peak_in_use == 1

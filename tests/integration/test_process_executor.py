@@ -2,7 +2,7 @@
 
 Three guarantees are pinned here:
 
-* **determinism** — serial, thread and process executors produce bit-identical
+* **determinism** — serial and process executors produce bit-identical
   ``TrainingHistory.deterministic_rows()`` (and final weights) on a config that
   stresses every stream: participant sampling, link dropout, mobilenet-style
   stochastic layers and a FedSZ codec;
@@ -34,7 +34,6 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     Transport,
@@ -42,7 +41,7 @@ from repro.fl import (
 from repro.nn.models import create_model
 
 WORKERS = 4
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +53,6 @@ def data():
 def _make_executor(name: str, workers: int = 2):
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ParallelExecutor(max_workers=workers)
     return ProcessParallelExecutor(max_workers=workers)
 
 
@@ -115,19 +112,18 @@ def _assert_states_identical(reference: FederatedRuntime, other: FederatedRuntim
         np.testing.assert_array_equal(reference_state[name], other_state[name], err_msg=name)
 
 
-def test_serial_thread_process_are_bit_identical(data):
+def test_serial_and_process_are_bit_identical(data):
     runtimes = _run_all(data)
     reference = runtimes["serial"]
     rows = reference.history.deterministic_rows()
     assert len(rows) == 3
-    for name in ("thread", "process"):
-        assert runtimes[name].history.deterministic_rows() == rows, name
-        _assert_states_identical(reference, runtimes[name])
+    assert runtimes["process"].history.deterministic_rows() == rows
+    _assert_states_identical(reference, runtimes["process"])
 
 
 def test_client_crash_is_a_dropped_update_not_a_hung_pool(data):
     """Crash every participant of round 1: the round must complete with four
-    dropped updates and zero uplink bytes, identically under all executors."""
+    dropped updates and zero uplink bytes, identically under both executors."""
     faults = {1: [0, 1, 2, 3]}
     runtimes = _run_all(
         data,
@@ -149,9 +145,8 @@ def test_client_crash_is_a_dropped_update_not_a_hung_pool(data):
     # Nothing aggregated, so the global model is unchanged across the round.
     rows = reference.history.deterministic_rows()
     assert rows[1]["global_accuracy"] == rows[0]["global_accuracy"]
-    for name in ("thread", "process"):
-        assert runtimes[name].history.deterministic_rows() == rows, name
-        _assert_states_identical(reference, runtimes[name])
+    assert runtimes["process"].history.deterministic_rows() == rows
+    _assert_states_identical(reference, runtimes["process"])
 
 
 def test_broadcast_is_prepared_at_most_once_per_round(data):
@@ -252,8 +247,8 @@ def _build_speed_runtime(executor) -> FederatedRuntime:
 )
 def test_process_round_speedup_at_four_workers():
     """>= 2x round wall-clock with 4 worker processes — the fl_parallel bench
-    claim.  Unlike the thread pool, the whole client (pure-Python training
-    loop included) runs outside the parent's GIL."""
+    claim.  The whole client (pure-Python training loop included) runs
+    outside the parent's GIL."""
     serial = _build_speed_runtime(SerialExecutor())
     process = _build_speed_runtime(ProcessParallelExecutor(max_workers=WORKERS))
     try:

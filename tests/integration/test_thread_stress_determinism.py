@@ -2,17 +2,20 @@
 
 ``sys.setswitchinterval(1e-5)`` makes the interpreter preempt threads roughly
 every 10 microseconds — hundreds of times more often than the 5 ms default —
-so any latent race in the thread executor's codec checkout, the model pool's
-borrow/return protocol or the broadcast cache gets thousands of extra chances
-to reorder operations per round.  The acceptance bar is unchanged: serial,
-thread and process executors must stay bit-identical on
-``deterministic_rows()`` and final weights.  The RNG/clock sanitizer (see
+so any latent race in the serial executor's upload lanes (the in-process
+threads that code a round's uploads, each on its own codec clone), their
+last-report hand-back or the process executor's parent-side queue threads
+gets thousands of extra chances to reorder operations per round.  The
+acceptance bar is unchanged: serial at one lane, serial at four lanes and
+the process executor must stay bit-identical on ``deterministic_rows()`` and
+final weights.  The RNG/clock sanitizer (see
 ``conftest.py``) is active throughout, so a race that *would* be hidden by a
 global-stream fallback raises instead of flaking.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
@@ -24,7 +27,6 @@ from repro.fl import (
     FederatedRuntime,
     FLConfig,
     LinkSpec,
-    ParallelExecutor,
     ProcessParallelExecutor,
     SerialExecutor,
     Transport,
@@ -62,7 +64,7 @@ def _build_runtime(data, executor) -> FederatedRuntime:
             rounds=3,
             batch_size=16,
             local_epochs=1,
-            client_fraction=0.5,
+            client_fraction=1.0,
             seed=3,
         ),
         codec=FedSZCompressor(error_bound=1e-2),
@@ -85,14 +87,21 @@ def _run(data, executor):
         runtime.close()
 
 
-def test_thread_executor_is_bit_identical_under_stress(data):
-    """Serial == 4-thread under ~10us preemption, rows and final weights."""
-    serial_rows, serial_state = _run(data, SerialExecutor())
-    thread_rows, thread_state = _run(data, ParallelExecutor(max_workers=4))
-    assert thread_rows == serial_rows
-    assert thread_state.keys() == serial_state.keys()
-    for name in serial_state:
-        np.testing.assert_array_equal(serial_state[name], thread_state[name], err_msg=name)
+def _run_on_lanes(data, lanes, monkeypatch):
+    """A serial run whose uploads code on ``lanes`` lanes (``pool_width``
+    reads the host's cores)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: lanes)
+    return _run(data, SerialExecutor())
+
+
+def test_serial_lanes_are_bit_identical_under_stress(data, monkeypatch):
+    """One lane == four lanes under ~10us preemption, rows and final weights."""
+    one_rows, one_state = _run_on_lanes(data, 1, monkeypatch)
+    four_rows, four_state = _run_on_lanes(data, 4, monkeypatch)
+    assert four_rows == one_rows
+    assert four_state.keys() == one_state.keys()
+    for name in one_state:
+        np.testing.assert_array_equal(one_state[name], four_state[name], err_msg=name)
 
 
 def test_process_executor_is_bit_identical_under_stress(data):
@@ -109,10 +118,10 @@ def test_process_executor_is_bit_identical_under_stress(data):
         np.testing.assert_array_equal(serial_state[name], process_state[name], err_msg=name)
 
 
-def test_repeated_thread_runs_are_stable_under_stress(data):
-    """Two stressed thread runs agree with each other (no flaky divergence)."""
-    first_rows, first_state = _run(data, ParallelExecutor(max_workers=4))
-    second_rows, second_state = _run(data, ParallelExecutor(max_workers=4))
+def test_repeated_lane_runs_are_stable_under_stress(data, monkeypatch):
+    """Two stressed four-lane runs agree with each other (no flaky divergence)."""
+    first_rows, first_state = _run_on_lanes(data, 4, monkeypatch)
+    second_rows, second_state = _run_on_lanes(data, 4, monkeypatch)
     assert first_rows == second_rows
     for name in first_state:
         np.testing.assert_array_equal(first_state[name], second_state[name], err_msg=name)

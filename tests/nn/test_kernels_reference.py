@@ -337,8 +337,8 @@ def test_pooled_model_carries_nothing_from_the_previous_borrower():
         client.train(global_state)
         return client.train(global_state).state_dict
 
-    warm = second_client_update(ModelPool(model_fn, max_models=1), warm=True)
-    cold = second_client_update(ModelPool(model_fn, max_models=1), warm=False)
+    warm = second_client_update(ModelPool(model_fn), warm=True)
+    cold = second_client_update(ModelPool(model_fn), warm=False)
     assert list(warm) == list(cold)
     for name in warm:
         np.testing.assert_array_equal(warm[name], cold[name])

@@ -67,7 +67,7 @@ def test_cli_fl_subcommand_runs_layered_runtime(capsys):
             "--rounds", "1",
             "--samples", "160",
             "--clients", "2",
-            "--executor", "parallel",
+            "--executor", "process",
             "--workers", "2",
             "--scheduler", "async",
             "--per-client",
@@ -141,6 +141,15 @@ def test_cli_fl_has_no_engine_flag(capsys):
     with pytest.raises(SystemExit) as usage:
         main(["fl", "--engine", "events"])
     assert usage.value.code == 2
+
+
+@pytest.mark.parametrize("removed", ["thread", "parallel"])
+def test_cli_fl_refuses_the_removed_thread_executor(removed, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["fl", "--executor", removed])
+    assert usage.value.code == 2
+    message = capsys.readouterr().err
+    assert "'serial'" in message and "'process'" in message
 
 
 def test_cli_fl_history_out_then_report(tmp_path, capsys):
