@@ -455,28 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this rule id (repeatable; default: all rules)",
     )
     lint_parser.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program rules (CONC/FORK002/DET005/EXH) "
-             "on a cached project-wide call graph",
-    )
-    lint_parser.add_argument(
         "--changed", action="store_true",
         help="lint only files changed per git (staged, unstaged and "
-             "untracked) — the pre-commit fast path; with --deep the full "
-             "index is still built but findings are scoped to changed files",
+             "untracked) — the pre-commit fast path",
     )
     lint_parser.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text",
         help="output format (default: text)",
-    )
-    lint_parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="--deep call-graph cache directory "
-             "(default: .repro-lint-cache; see also --no-cache)",
-    )
-    lint_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="--deep: always rebuild the project index, touch no cache files",
     )
     lint_parser.add_argument(
         "--baseline", type=Path, default=None,
@@ -545,11 +530,7 @@ def _run_lint(arguments) -> int:
     """Run the determinism/fork-safety lint; exit 1 on fresh findings."""
     from repro.analysis import (
         Baseline,
-        Finding,
-        deep_rule_descriptions,
-        get_deep_rules,
         get_rules,
-        lint_deep,
         lint_paths,
         render_json,
         render_sarif,
@@ -558,36 +539,15 @@ def _run_lint(arguments) -> int:
         write_baseline,
     )
     from repro.analysis.baseline import DEFAULT_BASELINE_NAME
-    from repro.analysis.callgraph import DEFAULT_CACHE_DIR
-    from repro.analysis.deep import available_deep_rules
 
     if arguments.list_rules:
         for description in rule_descriptions():
             print(f"{description['id']:8s} {description['summary']}")
             print(f"{'':8s} invariant: {description['invariant']}")
-        for description in deep_rule_descriptions():
-            print(f"{description['id']:8s} [deep] {description['summary']}")
-            print(f"{'':8s} invariant: {description['invariant']}")
         return 0
 
-    deep_ids = set(available_deep_rules())
-    requested_shallow = arguments.rule
-    if arguments.rule is not None:
-        requested_shallow = [
-            rule for rule in arguments.rule if rule.upper() not in deep_ids
-        ]
-        if not arguments.deep and len(requested_shallow) != len(arguments.rule):
-            deep_only = [r for r in arguments.rule if r.upper() in deep_ids]
-            print(
-                f"rule(s) {', '.join(deep_only)} are whole-program rules; "
-                "add --deep to run them",
-                file=sys.stderr,
-            )
-            return 2
     try:
-        # All shallow rules by default, but none when --rule asked for deep
-        # rules exclusively.
-        rules = get_rules(requested_shallow)
+        rules = get_rules(arguments.rule)
     except KeyError as error:
         print(error, file=sys.stderr)
         return 2
@@ -597,38 +557,15 @@ def _run_lint(arguments) -> int:
         print(f"no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    shallow_paths = arguments.paths
-    changed_files = None
+    paths = arguments.paths
     if arguments.changed:
         try:
-            changed_files = _git_changed_python_files(arguments.paths)
+            paths = _git_changed_python_files(arguments.paths)
         except RuntimeError as error:
             print(error, file=sys.stderr)
             return 2
-        shallow_paths = changed_files
 
-    result = lint_paths(shallow_paths, rules)
-
-    if arguments.deep:
-        cache_dir = None if arguments.no_cache else (
-            arguments.cache_dir or DEFAULT_CACHE_DIR
-        )
-        deep_rules = get_deep_rules(arguments.rule)
-        # The index always covers the full paths: whole-program properties
-        # (a dispatch arm in another module) need the whole program even
-        # when only reporting on changed files.
-        deep_result, _project = lint_deep(
-            arguments.paths, rules=deep_rules, cache_dir=cache_dir
-        )
-        deep_findings = deep_result.findings
-        if changed_files is not None:
-            changed_keys = {path.as_posix() for path in changed_files}
-            deep_findings = [
-                finding for finding in deep_findings if finding.path in changed_keys
-            ]
-        result.findings = sorted(
-            result.findings + deep_findings, key=Finding.sort_key
-        )
+    result = lint_paths(paths, rules)
 
     if arguments.write_baseline:
         destination = arguments.baseline or Path(DEFAULT_BASELINE_NAME)
@@ -652,10 +589,7 @@ def _run_lint(arguments) -> int:
     if arguments.format == "json":
         output = render_json(result)
     elif arguments.format == "sarif":
-        descriptions = rule_descriptions() + (
-            deep_rule_descriptions() if arguments.deep else []
-        )
-        output = render_sarif(result, descriptions)
+        output = render_sarif(result, rule_descriptions())
     else:
         output = render_text(result)
     print(output)

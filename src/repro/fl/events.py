@@ -14,8 +14,7 @@ Pieces:
   comparison-of-payload order.
 * Typed events (:class:`Event`) — round start, per-client completion (timed
   by the transport's simulated link seconds, which unifies the virtual
-  clock), straggler deadline, batched client arrival/departure, checkpoint
-  due, and fault injection.
+  clock), straggler deadline, checkpoint due, and fault injection.
 * :class:`EligibleSet` — the incrementally maintained "who is reachable"
   set.  Availability schedules compile into arrival/departure event streams
   (:meth:`repro.fl.scenarios.ParticipationSchedule.transitions`) instead of
@@ -66,8 +65,6 @@ ROUND_START = "round-start"
 CLIENT_COMPLETION = "client-completion"
 #: The semi-synchronous scheduler's cutoff: later completions are stragglers.
 STRAGGLER_DEADLINE = "straggler-deadline"
-#: A batch of clients became reachable / dropped off the fleet.
-AVAILABILITY = "availability"
 #: A checkpoint is due (persisted before any fault can fire).
 CHECKPOINT_DUE = "checkpoint-due"
 #: The fault injector is consulted (the worst-case crash point).
@@ -89,9 +86,6 @@ class Event:
     client_id: Optional[int] = None
     #: The :class:`~repro.fl.executor.ClientResult` behind a completion.
     result: Optional[object] = None
-    #: Batched ids for :data:`AVAILABILITY` events.
-    arrivals: Optional[np.ndarray] = None
-    departures: Optional[np.ndarray] = None
 
 
 class EventQueue:
@@ -394,7 +388,6 @@ __all__ = [
     "ROUND_START",
     "CLIENT_COMPLETION",
     "STRAGGLER_DEADLINE",
-    "AVAILABILITY",
     "CHECKPOINT_DUE",
     "FAULT_INJECTION",
     "Event",

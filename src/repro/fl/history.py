@@ -13,7 +13,8 @@ HISTORY_SCHEMA_VERSION = 1
 # Deterministic-vs-observational field classification.
 #
 # Every field of the record dataclasses below must appear in exactly one of
-# its class's two sets (EXH002 enforces completeness and disjointness).
+# its class's two sets (``test_every_record_field_is_classified`` in
+# ``tests/fl/test_history.py`` holds completeness and disjointness).
 # *Deterministic* fields are reproduced bit-for-bit by a seeded run on any
 # host/executor — they are what :meth:`TrainingHistory.deterministic_rows`
 # exposes and what the resume/equivalence suites compare.  *Observational*
@@ -21,7 +22,7 @@ HISTORY_SCHEMA_VERSION = 1
 # and legitimately differ between runs of the same seed.
 #
 # Adding a field to ClientRoundStat/RoundRecord without classifying it here
-# is a lint failure by design: the decision is the point.
+# is a test failure by design: the decision is the point.
 # ----------------------------------------------------------------------
 DETERMINISTIC_CLIENT_ROUND_STAT_FIELDS = frozenset({
     "client_id",

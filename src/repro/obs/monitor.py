@@ -78,7 +78,7 @@ class RunMonitor:
         self._lock = threading.RLock()
         # Late-bound so monkeypatched/sanitized time.time is honoured; the
         # default wall clock feeds monitor data only, never simulation state.
-        self._clock = clock if clock is not None else time.time  # repro-lint: disable=DET005 -- monitor timestamps are observational; callers inject a deterministic clock in tests
+        self._clock = clock if clock is not None else time.time
         self._events: deque = deque(maxlen=max_events)
         self._subscribers: List[Callable[[MonitorEvent], None]] = []
         self._status = "idle"

@@ -89,82 +89,44 @@ def test_list_rules(tree, capsys):
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "FORK001"):
         assert rule_id in out
     assert "invariant:" in out
+    assert "[deep]" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--deep"], "unrecognized arguments"),
+        (["--cache-dir", "x"], "unrecognized arguments"),
+        (["--no-cache"], "unrecognized arguments"),
+        (["--rule", "CONC001"], "unknown lint rule"),
+    ],
+    ids=["deep", "cache-dir", "no-cache", "conc001"],
+)
+def test_removed_whole_program_surface_exits_two(tree, argv, error, capsys):
+    try:
+        code = main(["lint", "pkg", *argv])
+    except SystemExit as usage_error:
+        code = usage_error.code
+    assert code == 2
+    assert error in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# --deep / --changed / SARIF
+# SARIF
 # ----------------------------------------------------------------------
-RACY = """
-import threading
-
-class Counter:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def bump(self):
-        with self._lock:
-            self._count += 1
-
-    def reset(self):
-        self._count = 0
-"""
-
-
-@pytest.fixture
-def deep_tree(tmp_path, monkeypatch):
-    """A tree that is shallow-clean but has a deep (CONC001) finding."""
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "racy.py").write_text(RACY)
-    (tmp_path / "pkg" / "clean.py").write_text(CLEAN)
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
-def test_deep_finds_what_shallow_misses(deep_tree, capsys):
-    assert main(["lint", "pkg"]) == 0
-    capsys.readouterr()
-    assert main(["lint", "pkg", "--deep", "--no-cache"]) == 1
-    out = capsys.readouterr().out
-    assert "racy.py" in out and "CONC001" in out
-
-
-def test_deep_rule_filter_requires_deep_flag(deep_tree, capsys):
-    assert main(["lint", "pkg", "--rule", "CONC001"]) == 2
-    assert "add --deep" in capsys.readouterr().err
-    assert main(["lint", "pkg", "--deep", "--rule", "CONC001", "--no-cache"]) == 1
-    assert main(["lint", "pkg", "--deep", "--rule", "EXH001", "--no-cache"]) == 0
-
-
-def test_deep_respects_baseline(deep_tree, capsys):
-    assert main(["lint", "pkg", "--deep", "--no-cache", "--write-baseline"]) == 0
-    assert main(["lint", "pkg", "--deep", "--no-cache"]) == 0
-    assert "baselined" in capsys.readouterr().out
-
-
-def test_deep_populates_and_reuses_cache(deep_tree, capsys):
-    assert main(["lint", "pkg", "--deep", "--cache-dir", "cachedir"]) == 1
-    cached = list((deep_tree / "cachedir").glob("callgraph-*.json"))
-    assert len(cached) == 1
-    # Second run must give identical output from the cached index.
-    first = capsys.readouterr().out
-    assert main(["lint", "pkg", "--deep", "--cache-dir", "cachedir"]) == 1
-    assert capsys.readouterr().out == first
-
-
-def test_sarif_output_is_valid_and_carries_findings(deep_tree, capsys):
-    assert main(["lint", "pkg", "--deep", "--no-cache", "--format", "sarif"]) == 1
+def test_sarif_output_is_valid_and_carries_findings(tree, capsys):
+    assert main(["lint", "pkg", "--format", "sarif"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"DET001", "CONC001", "EXH001"} <= rule_ids
+    assert {"DET001", "FORK001"} <= rule_ids
     results = run["results"]
-    assert results and results[0]["ruleId"] == "CONC001"
+    assert [result["ruleId"] for result in results] == ["DET001"]
     location = results[0]["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("racy.py")
-    assert location["region"]["startLine"] > 1
+    assert location["artifactLocation"]["uri"].endswith("dirty.py")
+    assert location["region"]["startLine"] == 2
 
 
 def test_sarif_without_deep_lists_only_shallow_rules(tree, capsys):
@@ -172,14 +134,6 @@ def test_sarif_without_deep_lists_only_shallow_rules(tree, capsys):
     payload = json.loads(capsys.readouterr().out)
     rule_ids = {rule["id"] for rule in payload["runs"][0]["tool"]["driver"]["rules"]}
     assert "DET001" in rule_ids and "CONC001" not in rule_ids
-
-
-def test_list_rules_includes_deep_section(tree, capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("CONC001", "CONC002", "DET005", "EXH001", "EXH002", "FORK002"):
-        assert rule_id in out
-    assert "[deep]" in out
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +149,11 @@ def _git(tree, *args):
 
 
 @pytest.fixture
-def git_tree(deep_tree):
-    _git(deep_tree, "init", "-q")
-    _git(deep_tree, "add", ".")
-    _git(deep_tree, "commit", "-q", "-m", "seed")
-    return deep_tree
+def git_tree(tree):
+    _git(tree, "init", "-q")
+    _git(tree, "add", ".")
+    _git(tree, "commit", "-q", "-m", "seed")
+    return tree
 
 
 def test_changed_scopes_to_modified_files(git_tree, capsys):
@@ -213,18 +167,7 @@ def test_changed_scopes_to_modified_files(git_tree, capsys):
     assert "clean.py" in out and "1 file(s)" in out
 
 
-def test_changed_deep_scopes_findings_but_indexes_everything(git_tree, capsys):
-    # racy.py is unchanged, so its CONC001 finding is out of scope...
-    (git_tree / "pkg" / "clean.py").write_text(CLEAN + "VALUE2 = 2\n")
-    assert main(["lint", "pkg", "--changed", "--deep", "--no-cache"]) == 0
-    capsys.readouterr()
-    # ...until racy.py itself changes.
-    (git_tree / "pkg" / "racy.py").write_text(RACY + "\n# touched\n")
-    assert main(["lint", "pkg", "--changed", "--deep", "--no-cache"]) == 1
-    assert "CONC001" in capsys.readouterr().out
-
-
-def test_changed_outside_git_exits_two(deep_tree, monkeypatch, capsys):
-    monkeypatch.setenv("GIT_DIR", str(deep_tree / "definitely-not-a-repo"))
+def test_changed_outside_git_exits_two(tree, monkeypatch, capsys):
+    monkeypatch.setenv("GIT_DIR", str(tree / "definitely-not-a-repo"))
     assert main(["lint", "pkg", "--changed"]) == 2
     assert "git status failed" in capsys.readouterr().err

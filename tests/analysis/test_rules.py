@@ -73,6 +73,54 @@ class TestDet001:
                     return self.random.choice([1, 2])
         """)
 
+    @pytest.mark.parametrize("imports,call,resolved", [
+        ("import numpy as np", "np.random.normal()", "numpy.random.normal"),
+        ("import numpy", "numpy.random.permutation(4)", "numpy.random.permutation"),
+        ("import numpy.random as npr", "npr.shuffle(items)", "numpy.random.shuffle"),
+        ("from numpy.random import randint", "randint(3)", "numpy.random.randint"),
+        ("import random as rnd", "rnd.gauss(0.0, 1.0)", "random.gauss"),
+    ], ids=["np-alias", "numpy", "submodule-alias", "from-numpy-random", "stdlib-alias"])
+    def test_fires_through_every_import_style(self, imports, call, resolved):
+        hits = findings("DET001", f"{imports}\ndef draw(items):\n    return {call}\n")
+        assert [f.rule for f in hits] == ["DET001"]
+        assert resolved in hits[0].message
+
+    @pytest.mark.parametrize("constructor", [
+        "default_rng(seed)",
+        "Generator(np.random.PCG64(seed))",
+        "SeedSequence(seed)",
+        "RandomState(seed)",
+        "MT19937(seed)",
+    ])
+    def test_silent_on_explicit_stream_constructors(self, constructor):
+        assert not findings("DET001", f"""
+            import numpy as np
+            def stream(seed):
+                return np.random.{constructor}
+        """)
+
+    def test_from_import_of_explicit_classes_is_silent(self):
+        assert not findings("DET001", """
+            from random import Random, SystemRandom
+            def streams(seed):
+                return Random(seed), SystemRandom()
+        """)
+
+    def test_silent_on_relative_random_module(self):
+        # ``from .random import choice`` is a package-local module, not the
+        # stdlib's shared stream.
+        assert not findings("DET001", """
+            from .random import choice
+            def pick(items):
+                return choice(items)
+        """)
+
+    def test_silent_on_parameter_named_random(self):
+        assert not findings("DET001", """
+            def pick(random, items):
+                return random.choice(items)
+        """)
+
 
 # ----------------------------------------------------------------------
 # DET002 — wall-clock / timing taint
@@ -138,6 +186,69 @@ class TestDet002:
                 history.add_round(uplink_seconds=nbytes / bandwidth)
         """)
 
+    @pytest.mark.parametrize("imports,call,resolved", [
+        ("import time", "time.time()", "time.time"),
+        ("import time", "time.time_ns()", "time.time_ns"),
+        ("import datetime", "datetime.datetime.now()", "datetime.datetime.now"),
+        ("from datetime import datetime", "datetime.utcnow()", "datetime.datetime.utcnow"),
+        ("from datetime import datetime", "datetime.today()", "datetime.datetime.today"),
+        ("from datetime import date", "date.today()", "datetime.date.today"),
+    ], ids=["time", "time_ns", "datetime-now", "utcnow", "datetime-today", "date-today"])
+    def test_fires_on_every_banned_source(self, imports, call, resolved):
+        hits = findings("DET002", f"{imports}\ndef stamp():\n    return {call}\n")
+        assert [f.rule for f in hits] == ["DET002"]
+        assert f"{resolved}()" in hits[0].message
+
+    _MEASUREMENT_CLOCKS = [
+        "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
+        "process_time", "process_time_ns",
+    ]
+
+    @pytest.mark.parametrize("clock", _MEASUREMENT_CLOCKS)
+    def test_measurement_clocks_are_legal_in_measured_fields(self, clock):
+        assert not findings("DET002", f"""
+            import time
+            def train(record):
+                start = time.{clock}()
+                record.train_seconds = time.{clock}() - start
+        """)
+
+    @pytest.mark.parametrize("clock", _MEASUREMENT_CLOCKS)
+    def test_every_measurement_clock_taints_a_deterministic_kwarg(self, clock):
+        hits = findings("DET002", f"""
+            import time
+            def finish(history):
+                history.add_round(downlink_seconds=time.{clock}())
+        """)
+        assert [f.rule for f in hits] == ["DET002"]
+        assert "downlink_seconds" in hits[0].message
+
+    @pytest.mark.parametrize("binding", [
+        "elapsed = -perf_counter()",
+        "elapsed = perf_counter() if measured else 0.0",
+        "elapsed = 0.0; elapsed += perf_counter()",
+        "start = elapsed = perf_counter()",
+        "elapsed = 2.0 * (perf_counter() - 1.0)",
+    ], ids=["unary", "conditional", "augmented", "chained-targets", "nested-binop"])
+    def test_taint_propagates_through_local_bindings(self, binding):
+        hits = findings("DET002", f"""
+            from time import perf_counter
+            def finish(record, measured):
+                {binding}
+                record.staleness = elapsed
+        """)
+        assert [f.rule for f in hits] == ["DET002"]
+        assert ".staleness" in hits[0].message
+
+    def test_fires_on_augmented_deterministic_attribute(self):
+        hits = findings("DET002", """
+            import time
+            def finish(record, start):
+                record.uplink_seconds += time.perf_counter() - start
+        """)
+        assert [f.rule for f in hits] == ["DET002"]
+        assert "uplink_seconds" in hits[0].message
+
 
 # ----------------------------------------------------------------------
 # DET003 — codec clone / checkpoint pair
@@ -200,6 +311,52 @@ class TestDet003:
                     self.cache = {}
         """)
 
+    @pytest.mark.parametrize("value", [
+        "[]", "{}", "{1, 2}",
+        "[x for x in range(3)]", "{k: 0 for k in 'ab'}", "{x for x in range(3)}",
+        "list()", "dict()", "set()", "bytearray()",
+        "deque()", "defaultdict(list)", "OrderedDict()", "Counter()",
+    ])
+    def test_every_mutable_container_needs_a_clone(self, value):
+        hits = findings("DET003", f"""
+            from repro.compression.base import LossyCompressor
+            class Adaptive(LossyCompressor):
+                def __init__(self):
+                    self.state = {value}
+        """)
+        assert [f.rule for f in hits] == ["DET003"]
+        assert "Adaptive" in hits[0].message
+
+    @pytest.mark.parametrize("base", [
+        "LossyCompressor", "LosslessCompressor", "StagedCompressor",
+        "base.FedSZCompressor",
+    ])
+    def test_every_shallow_clone_base_is_covered(self, base):
+        hits = findings("DET003", f"""
+            from repro.compression import base
+            class Windowed({base}):
+                def __init__(self):
+                    self.window = []
+        """)
+        assert [f.rule for f in hits] == ["DET003"]
+
+    def test_silent_on_codec_without_init(self):
+        assert not findings("DET003", """
+            from repro.compression.base import LossyCompressor
+            class Stateless(LossyCompressor):
+                def compress(self, array):
+                    return array
+        """)
+
+    def test_silent_on_local_containers_in_init(self):
+        assert not findings("DET003", """
+            from repro.compression.base import LossyCompressor
+            class Configured(LossyCompressor):
+                def __init__(self, bounds):
+                    scratch = [float(b) for b in bounds]
+                    self.bound = max(scratch)
+        """)
+
 
 # ----------------------------------------------------------------------
 # DET004 — silent failure / assert-as-validation
@@ -258,6 +415,48 @@ class TestDet004:
             def test_payload():
                 assert 1 + 1 == 2
         """, path="tests/fake/test_module.py")
+
+    @pytest.mark.parametrize("clause", [
+        "except BaseException:\n        pass",
+        "except (ValueError, Exception):\n        pass",
+        "except builtins.Exception:\n        pass",
+        "except Exception:\n        ...",
+        "except Exception:\n        \"\"\"Nothing to do.\"\"\"",
+    ], ids=["base-exception", "tuple", "attribute", "ellipsis", "docstring"])
+    def test_fires_on_every_silent_broad_form(self, clause):
+        source = f"import builtins\ndef run(task):\n    try:\n        task()\n    {clause}\n"
+        hits = findings("DET004", source)
+        assert [f.rule for f in hits] == ["DET004"]
+        assert "swallowed" in hits[0].message
+
+    @pytest.mark.parametrize("path", [
+        "tests/fake/helpers.py",
+        "src/repro/fake/test_module.py",
+        "src/repro/fake/conftest.py",
+    ])
+    def test_asserts_allowed_in_every_test_location(self, path):
+        assert not findings("DET004", """
+            def check(value):
+                assert value
+        """, path=path)
+
+    def test_silent_on_reraising_broad_except(self):
+        assert not findings("DET004", """
+            def run(task):
+                try:
+                    task()
+                except Exception:
+                    raise
+        """)
+
+    def test_justified_suppression_silences_a_swallow(self):
+        assert not findings("DET004", """
+            def close(handle):
+                try:
+                    handle.close()
+                except Exception:  # repro-lint: disable=DET004 -- best-effort cleanup
+                    pass
+        """)
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +539,73 @@ class TestFork001:
             from typing import Callable
             class SchedulerConfig:
                 tick: Callable[[], None]
+        """)
+
+    @pytest.mark.parametrize("name", [
+        "_ClientTaskSpec", "_WorkerTaskResult", "DownlinkLinkSpec",
+        "ClientCrash", "BroadcastPayload",
+    ])
+    def test_every_worker_crossing_name_is_checked(self, name):
+        hits = findings("FORK001", f"""
+            from typing import Callable
+            class {name}:
+                handler: Callable[[], None]
+        """)
+        assert [f.rule for f in hits] == ["FORK001"]
+        assert name in hits[0].message
+
+    @pytest.mark.parametrize("annotation,forbidden", [
+        ("Optional[threading.Lock]", "Lock"),
+        ("queue.Queue", "Queue"),
+        ("List[Callable[[], int]]", "Callable"),
+        ("Dict[str, threading.Event]", "Event"),
+        ("'Optional[Thread]'", "Thread"),
+    ], ids=["optional-lock", "queue", "list-of-callables", "dict-of-events", "string"])
+    def test_fires_on_forbidden_types_nested_in_annotations(self, annotation, forbidden):
+        hits = findings("FORK001", f"""
+            import queue
+            import threading
+            from typing import Callable, Dict, List, Optional
+            class _ClientTaskSpec:
+                live: {annotation}
+        """)
+        assert [f.rule for f in hits] == ["FORK001"]
+        assert f"{forbidden}-typed" in hits[0].message
+
+    def test_fires_on_lambda_inside_a_method(self):
+        hits = findings("FORK001", """
+            class _WorkerTaskResult:
+                def finish(self):
+                    self.callback = lambda: None
+        """)
+        assert [f.rule for f in hits] == ["FORK001"]
+        assert "lambda" in hits[0].message
+
+    @pytest.mark.parametrize("constructor", [
+        "threading.Thread(target=None)",
+        "queue.SimpleQueue()",
+        "multiprocessing.Pool(2)",
+    ])
+    def test_fires_on_every_live_self_binding(self, constructor):
+        hits = findings("FORK001", f"""
+            import multiprocessing
+            import queue
+            import threading
+            class _ClientTaskSpec:
+                def __post_init__(self):
+                    self.live = {constructor}
+        """)
+        assert [f.rule for f in hits] == ["FORK001"]
+        assert "self.live" in hits[0].message
+
+    def test_silent_on_live_objects_held_in_locals(self):
+        assert not findings("FORK001", """
+            import threading
+            class _ClientTaskSpec:
+                def describe(self):
+                    guard = threading.Lock()
+                    with guard:
+                        return str(self)
         """)
 
 

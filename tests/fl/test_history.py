@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import pytest
 
+from repro.fl import history as history_module
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
 
 
@@ -128,3 +131,19 @@ def test_deterministic_rows_excludes_wall_clock_fields():
     assert row["clients"][0]["client_id"] == 0
     assert "train_seconds" not in row["clients"][0]
     assert "turnaround_seconds" not in row["clients"][0]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ClientRoundStat, RoundRecord, history_module.EpochTimeBreakdown],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_record_field_is_classified(cls):
+    """A new record field must be declared deterministic (compared bit-for-bit
+    by the resume and executor-parity suites) or observational (host-measured):
+    a field in neither set is silently left out of both contracts."""
+    prefix = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).upper()
+    deterministic = getattr(history_module, f"DETERMINISTIC_{prefix}_FIELDS")
+    observational = getattr(history_module, f"OBSERVATIONAL_{prefix}_FIELDS")
+    assert {f.name for f in dataclasses.fields(cls)} == deterministic | observational
+    assert not deterministic & observational

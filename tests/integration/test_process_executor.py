@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import time
+from multiprocessing import queues, reduction
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_client_crash_is_a_dropped_update_not_a_hung_pool(data):
     assert rows[1]["global_accuracy"] == rows[0]["global_accuracy"]
     assert runtimes["process"].history.deterministic_rows() == rows
     _assert_states_identical(reference, runtimes["process"])
+
+
+def test_every_worker_message_pickles_on_the_sending_thread(data, monkeypatch):
+    """``multiprocessing.Queue.put`` pickles on a feeder thread that only
+    prints what it cannot pickle, so an unpicklable field on a task spec or a
+    worker result hangs the round instead of failing it.  Pickling each
+    message on its sender first (forked workers inherit the patch) makes that
+    an error here; the run ships specs with and without a crash fault, trained
+    results and crashed ones."""
+    put = queues.Queue.put
+
+    def put_pickled(self, obj, *args, **kwargs):
+        reduction.ForkingPickler.dumps(obj)
+        return put(self, obj, *args, **kwargs)
+
+    monkeypatch.setattr(queues.Queue, "put", put_pickled)
+    runtime = _build_runtime(
+        data, "process", rounds=2, client_fraction=1.0, dropout=0.0,
+        client_faults=ClientCrashSchedule({1: [0]}),
+    )
+    try:
+        runtime.run()
+    finally:
+        runtime.close()
+    assert [record.dropped_clients for record in runtime.history.records] == [0, 1]
 
 
 def test_broadcast_is_prepared_at_most_once_per_round(data):
