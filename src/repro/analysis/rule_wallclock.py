@@ -26,6 +26,11 @@ from typing import Iterator, Set
 
 from repro.analysis.engine import Finding, ModuleContext
 from repro.analysis.rules import LintRule, register_rule
+from repro.fl.history import (
+    DETERMINISTIC_CLIENT_ROUND_STAT_FIELDS,
+    DETERMINISTIC_EPOCH_TIME_BREAKDOWN_FIELDS,
+    DETERMINISTIC_ROUND_RECORD_FIELDS,
+)
 
 #: Never legal outside utils/timing.py (real wall-clock).
 _BANNED_SOURCES = frozenset({
@@ -41,21 +46,16 @@ _MEASUREMENT_SOURCES = frozenset({
     "time.process_time", "time.process_time_ns",
 }) | _BANNED_SOURCES
 
-#: Fields of TrainingHistory.deterministic_rows() — the bit-identity surface.
-#: (Measured fields like train_seconds/compress_seconds are intentionally
-#: absent: measurement belongs there.)
-DETERMINISTIC_FIELDS = frozenset({
-    "global_accuracy", "global_loss",
-    "mean_client_loss", "mean_client_accuracy",
-    "uplink_bytes", "uplink_seconds",
-    "downlink_bytes", "downlink_seconds", "downlink_aggregate_seconds",
-    "mean_compression_ratio", "participating_clients",
-    "dropped_clients", "straggler_clients",
-    "num_samples", "train_loss", "train_accuracy",
-    "payload_nbytes", "compression_ratio", "transfer_seconds",
-    "delivered", "aggregated", "staleness", "weight",
-    "simulated_round_seconds",
-})
+#: Fields of TrainingHistory.deterministic_rows() — the bit-identity surface —
+#: as fl/history.py classifies them.  (Measured fields like
+#: train_seconds/compress_seconds, and simulated_round_seconds, which is
+#: derived from measured turnarounds, are observational there: measurement
+#: belongs in them.)
+DETERMINISTIC_FIELDS = (
+    DETERMINISTIC_CLIENT_ROUND_STAT_FIELDS
+    | DETERMINISTIC_ROUND_RECORD_FIELDS
+    | DETERMINISTIC_EPOCH_TIME_BREAKDOWN_FIELDS
+)
 
 _EXEMPT_SUFFIXES = ("utils/timing.py",)
 

@@ -28,6 +28,8 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.analysis import rule_rng as _rule_rng
+
 __all__ = ["DeterminismViolation", "sanitized", "is_active"]
 
 
@@ -36,18 +38,10 @@ class DeterminismViolation(RuntimeError):
 
 
 #: numpy.random module-level functions backed by the hidden global
-#: RandomState.  Mirrors rule_rng._NUMPY_GLOBAL_FNS, intersected with what
-#: the installed numpy actually exposes.
-_NUMPY_GLOBAL_FNS = (
-    "seed", "get_state", "set_state",
-    "rand", "randn", "randint",
-    "random", "random_sample", "ranf", "sample", "bytes",
-    "choice", "shuffle", "permutation",
-    "beta", "binomial", "exponential", "gamma", "geometric", "gumbel",
-    "laplace", "logistic", "lognormal", "multinomial", "multivariate_normal",
-    "normal", "pareto", "poisson", "power", "rayleigh", "standard_cauchy",
-    "standard_exponential", "standard_gamma", "standard_normal", "standard_t",
-    "triangular", "uniform", "vonmises", "wald", "weibull", "zipf",
+#: RandomState: rule_rng._NUMPY_GLOBAL_FNS, intersected with what the
+#: installed numpy actually exposes.
+_NUMPY_GLOBAL_FNS = tuple(
+    sorted(name for name in _rule_rng._NUMPY_GLOBAL_FNS if hasattr(np.random, name))
 )
 
 _STDLIB_GLOBAL_FNS = (

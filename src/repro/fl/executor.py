@@ -66,6 +66,7 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
 import traceback
 from dataclasses import dataclass, replace
@@ -364,12 +365,22 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
                     result = _execute_spec(spec, registry, codec, cached_state)
                 except ClientCrash:
                     result = _WorkerTaskResult(spec.index)
-                result_queue.put(("result", result))
+                message = _pickled(("result", result))
             except BaseException:
-                result_queue.put(
-                    ("error", spec.index, spec.client_id, traceback.format_exc())
-                )
-        result_queue.put(("idle", worker_id, hits, misses))
+                message = _pickled(("error", spec.index, spec.client_id, traceback.format_exc()))
+            result_queue.put(message)
+        result_queue.put(_pickled(("idle", worker_id, hits, misses)))
+
+
+def _pickled(message: tuple) -> bytes:
+    """``message`` pickled on the calling thread.
+
+    ``multiprocessing.Queue.put`` pickles on a feeder thread that prints what
+    it cannot pickle and drops it, so an unpicklable worker result would leave
+    the parent waiting for it forever; pickled here, it fails its task
+    instead.  The parent unpickles in :meth:`ProcessParallelExecutor._collect`.
+    """
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class ProcessParallelExecutor:
@@ -555,7 +566,7 @@ class ProcessParallelExecutor:
         pending_acks = len(self._procs)
         while len(raw_results) + len(errors) < expected_results or pending_acks:
             try:
-                message = self._result_queue.get(timeout=1.0)
+                message = pickle.loads(self._result_queue.get(timeout=1.0))
             except queue_module.Empty:
                 dead = [proc.name for proc in self._procs if not proc.is_alive()]
                 if dead:

@@ -249,6 +249,26 @@ class TestDet002:
         assert [f.rule for f in hits] == ["DET002"]
         assert "uplink_seconds" in hits[0].message
 
+    def test_fires_on_the_deterministic_breakdown_field(self):
+        # fl/history.py classifies EpochTimeBreakdown.communication_seconds
+        # as deterministic.
+        hits = findings("DET002", """
+            import time
+            def breakdown(start):
+                return EpochTimeBreakdown(communication_seconds=time.perf_counter() - start)
+        """)
+        assert [f.rule for f in hits] == ["DET002"]
+        assert "communication_seconds" in hits[0].message
+
+    def test_silent_on_simulated_round_seconds(self):
+        # ... and RoundRecord.simulated_round_seconds as observational: it is
+        # derived from measured client turnarounds.
+        assert not findings("DET002", """
+            import time
+            def finish(record, start):
+                record.simulated_round_seconds = time.perf_counter() - start
+        """)
+
 
 # ----------------------------------------------------------------------
 # DET003 — codec clone / checkpoint pair

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import rule_rng
 from repro.analysis.sanitizer import (
     DeterminismViolation,
     is_active,
@@ -45,6 +46,26 @@ class TestRaisesFromRepoCode:
             monitor = RunMonitor(clock=lambda: 0.0)
             event = monitor.emit("probe")
             assert event.wall_time == 0.0
+
+
+    def test_numpy_dirichlet_from_repo_code_raises(self):
+        # A frame whose file sits under repro/ (and not under tests/) counts
+        # as repo runtime code.
+        call = compile(
+            "np.random.dirichlet([1.0, 1.0])", "/src/repro/fake/module.py", "eval"
+        )
+        with sanitized():
+            with pytest.raises(DeterminismViolation, match="numpy.random.dirichlet"):
+                eval(call, {"np": np})
+
+    def test_every_numpy_global_the_lint_rule_names_is_guarded(self):
+        names = [name for name in rule_rng._NUMPY_GLOBAL_FNS if hasattr(np.random, name)]
+        with sanitized():
+            unguarded = [
+                name for name in names
+                if not getattr(getattr(np.random, name), "__repro_sanitizer__", False)
+            ]
+        assert names and not unguarded
 
 
 class TestPassThroughOutsideRepo:

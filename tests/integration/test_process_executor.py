@@ -22,6 +22,8 @@ byte-identity checks run everywhere — same gating as
 from __future__ import annotations
 
 import os
+import re
+import threading
 import time
 from multiprocessing import queues, reduction
 
@@ -65,6 +67,7 @@ def _build_runtime(
     client_fraction: float = 0.5,
     dropout: float = 0.3,
     client_faults=None,
+    codec=None,
 ) -> FederatedRuntime:
     train, val = data
     return FederatedRuntime(
@@ -79,7 +82,7 @@ def _build_runtime(
             client_fraction=client_fraction,
             seed=3,
         ),
-        codec=FedSZCompressor(error_bound=1e-2),
+        codec=codec if codec is not None else FedSZCompressor(error_bound=1e-2),
         executor=_make_executor(executor_name),
         transport=Transport.heterogeneous(
             [
@@ -173,6 +176,54 @@ def test_every_worker_message_pickles_on_the_sending_thread(data, monkeypatch):
     finally:
         runtime.close()
     assert [record.dropped_clients for record in runtime.history.records] == [0, 1]
+
+
+class _LockReportingCodec(FedSZCompressor):
+    """A cloneable codec whose report holds a lock (which no pickle can carry)
+    while ``poisoned`` is set; workers inherit the flag when the pool forks."""
+
+    poisoned = True
+
+    def compress(self, state_dict):
+        payload = super().compress(state_dict)
+        if _LockReportingCodec.poisoned:
+            self.last_report.guard = threading.Lock()
+        return payload
+
+
+def test_an_unpicklable_worker_result_fails_the_round_instead_of_hanging(data, monkeypatch):
+    """A worker result that cannot be pickled becomes an error for its task,
+    so the round raises naming the client (rather than waiting forever for a
+    message the queue's feeder thread dropped), and the restarted pool runs
+    the next round."""
+    monkeypatch.setattr(_LockReportingCodec, "poisoned", True)
+    runtime = _build_runtime(
+        data, "process", rounds=2, client_fraction=1.0, dropout=0.0,
+        codec=_LockReportingCodec(error_bound=1e-2),
+    )
+    outcome = []
+
+    def first_round():
+        try:
+            runtime.run_round()
+        except BaseException as failure:  # handed to the test thread below
+            outcome.append(failure)
+
+    try:
+        thread = threading.Thread(target=first_round, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the round hung on an unpicklable worker result"
+        (failure,) = outcome
+        assert isinstance(failure, RuntimeError)
+        assert re.search(r"client \d+ \(task \d+\)", str(failure))
+        assert "cannot pickle" in str(failure)
+        monkeypatch.setattr(_LockReportingCodec, "poisoned", False)
+        record = runtime.run_round()
+    finally:
+        runtime.close()
+    assert record.participating_clients == 4
+    assert record.dropped_clients == 0
 
 
 def test_broadcast_is_prepared_at_most_once_per_round(data):
