@@ -155,8 +155,50 @@ def resolve_codec_workers(config: FedSZConfig, codec, group_sizes: Sequence[int]
     :func:`~repro.utils.pools.pool_width` — so inside an executor's lanes and
     workers the codec stays serial.
     """
-    lanes = sum(size >= codec.pool_min_values for size in group_sizes)
-    return pool_width(lanes, config.max_codec_workers)
+    return pool_width(_scaling_groups(codec, group_sizes), config.max_codec_workers)
+
+
+def _scaling_groups(codec, group_sizes: Sequence[int]) -> int:
+    """How many of these groups hold at least ``codec.pool_min_values`` values."""
+    return sum(size >= codec.pool_min_values for size in group_sizes)
+
+
+def _lossy_codec(config: FedSZConfig):
+    """The lossy codec ``config`` names, with its ``lossy_options`` set."""
+    lossy_codec = get_lossy_compressor(config.lossy_compressor)
+    for option, value in config.lossy_options.items():
+        # Only override attributes the codec actually defines — silently
+        # setattr-ing a typo ("blocksize") onto the instance would leave the
+        # intended option at its default with no error anywhere.
+        if not hasattr(lossy_codec, option):
+            valid = sorted(
+                name
+                for name in vars(lossy_codec)
+                if not name.startswith("_") and not callable(getattr(lossy_codec, name))
+            )
+            raise ValueError(
+                f"unknown option {option!r} for lossy compressor "
+                f"{config.lossy_compressor!r}; available options: {valid}"
+            )
+        setattr(lossy_codec, option, value)
+    return lossy_codec
+
+
+def _group_sizes(lossy_codec, sizes: Sequence[int]) -> Tuple[List[slice], List[int]]:
+    """The codec's groups of tensors of these value counts, and each group's values."""
+    runs = lossy_codec.group_slices(sizes)
+    return runs, [sum(sizes[run]) for run in runs]
+
+
+def codes_off_the_gil(state_dict: Mapping[str, np.ndarray], config: FedSZConfig) -> bool:
+    """Whether compressing ``state_dict`` under ``config`` walks a group big
+    enough for the codec to gain on a thread (:func:`resolve_codec_workers`'s
+    lane rule): a compress that then spends long stretches in GIL-free numpy
+    / zlib kernels, so it can overlap Python work on another thread."""
+    lossy_codec = _lossy_codec(config)
+    partition = partition_state_dict(state_dict, config.partition_threshold)
+    _, group_sizes = _group_sizes(lossy_codec, [tensor.size for tensor in partition.lossy.values()])
+    return _scaling_groups(lossy_codec, group_sizes) > 0
 
 
 def _run_codec_tasks(
@@ -230,29 +272,12 @@ def compress_state_dict(
     start = clock()
 
     partition = partition_state_dict(state_dict, config.partition_threshold)
-    lossy_codec = get_lossy_compressor(config.lossy_compressor)
-    for option, value in config.lossy_options.items():
-        # Only override attributes the codec actually defines — silently
-        # setattr-ing a typo ("blocksize") onto the instance would leave the
-        # intended option at its default with no error anywhere.
-        if not hasattr(lossy_codec, option):
-            valid = sorted(
-                name
-                for name in vars(lossy_codec)
-                if not name.startswith("_") and not callable(getattr(lossy_codec, name))
-            )
-            raise ValueError(
-                f"unknown option {option!r} for lossy compressor "
-                f"{config.lossy_compressor!r}; available options: {valid}"
-            )
-        setattr(lossy_codec, option, value)
+    lossy_codec = _lossy_codec(config)
     lossless_codec = get_lossless_compressor(config.lossless_compressor)
 
     tasks = [TensorTask(name=name, tensor=tensor) for name, tensor in partition.lossy.items()]
-    sizes = [task.tensor.size for task in tasks]
-    runs = lossy_codec.group_slices(sizes)
+    runs, group_sizes = _group_sizes(lossy_codec, [task.tensor.size for task in tasks])
     groups = [tasks[run] for run in runs]
-    group_sizes = [sum(sizes[run]) for run in runs]
     workers = resolve_codec_workers(config, lossy_codec, group_sizes)
 
     lossy_nbytes, lossless_nbytes = partition.lossy_nbytes, partition.lossless_nbytes
@@ -327,9 +352,8 @@ def decompress_state_dict(
     names = list(lossy_payloads)
     layout = {name: _header_layout(header, name) for name in names}
     sizes = [math.prod(shape) for shape, _ in layout.values()]
-    runs = lossy_codec.group_slices(sizes)
+    runs, group_sizes = _group_sizes(lossy_codec, sizes)
     groups = [names[run] for run in runs]
-    group_sizes = [sum(sizes[run]) for run in runs]
     workers = resolve_codec_workers(config, lossy_codec, group_sizes)
 
     def decompress_group(codec, group: Sequence[str]) -> List[np.ndarray]:

@@ -5,15 +5,37 @@ compression, transport) runs.  Both run the same client-task code — the two
 upload halves of :mod:`repro.fl.transport` — and differ only in where, and
 each trains on exactly one thread per process:
 
-* :class:`SerialExecutor` trains clients one after another, then runs the
-  codec halves of their uploads on one lane per core, each lane on its own
-  ``clone()`` of the codec (a codec without one — adaptive, DP — a one-upload
-  round or a call off the main thread codes on the caller, in task order),
-  then the link halves in task order.  A codec error thus surfaces once the
-  round's training is done;
+* :class:`SerialExecutor` trains clients one after another on the caller
+  and codes their uploads on one lane per core, each lane on its own
+  ``clone()`` of the codec (a codec without one — adaptive, DP — a
+  one-upload round or a call off the main thread codes on the caller, in
+  task order, once every client has trained), then runs the link halves in
+  task order;
 * :class:`ProcessParallelExecutor` runs them on a persistent pool of
   shared-nothing worker processes, each with a private interpreter, model
   pool and codec clone — the executor for compute-bound rounds.
+
+The serial executor keeps one schedule, a stream: right after each client
+trains, the caller rolls its link's dropout and hands its upload's codec
+half to the helper lanes, which pull the uploads in task order as they
+arrive; when the last client has trained the caller joins them as lane 0.
+So the codec runs behind training, on the core training leaves idle — but
+only where an upload releases the GIL long enough to overlap the caller's
+Python (:func:`~repro.core.pipeline.codes_off_the_gil`: a lossy group of at
+least the codec's ``pool_min_values``, asked once a round of the broadcast
+state).  Otherwise the helpers start once the last client has trained.
+AlexNet-tiny under SZ2 (one ~220k-value group) streams: ten alternating
+``perf/run.py --workload fl_codec_heavy`` pairs read ``round_s`` 0.153 →
+0.143 s on seed 11 and 0.150 → 0.142 s on seed 23 (2 vCPUs, BLAS pinned).
+MobileNetV2-tiny's whole lossy partition is ~24k values of Python-bound
+codec work that contends with training for the GIL: streamed,
+``fl_train_heavy`` read 0.152 → 0.162 s (five pairs), so it keeps the
+batched lanes.  A streamed round's measured ``train_seconds`` (wall clock)
+include the caller's waits for the GIL: a median AlexNet-tiny client of that
+fleet reads 4.2 → 5.7 ms.  A codec error on a helper surfaces once training
+is done, as the lowest-index error; a training error on the caller wins over
+it, once every helper has joined — what training every client before coding
+any raises.
 
 Measured on a 256-client ``uniform-edge`` fleet (13 clients a round, sz2 REL
 1e-2, BLAS pinned to one thread, 2 shared vCPUs, 12 steady rounds, three
@@ -47,12 +69,16 @@ order before dispatch and runs the upload's link half in task order after
 collection, so channel logs and RNG streams match the serial run draw for
 draw.  Each round the parent ships a single fingerprint-keyed
 :class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
-it once and serves all of its tasks from the decoded state.
+it once and serves all of its tasks from the decoded state.  Every message
+either side puts on a queue is pickled first, on the sending thread, so
+one that cannot be pickled fails its round naming the client instead of
+hanging it (:func:`_pickled`).
 
 One lane runner, :func:`repro.utils.pools.run_lanes`, is every thread pool
-here — the serial executor's upload lanes, the pipeline's per-tensor codec
-pool and the evaluation pool over validation batches
-(:func:`repro.fl.server.evaluate_model`) — with the calling thread as lane 0,
+here — the serial executor's upload lanes (fed the stream as it trains),
+the pipeline's per-tensor codec pool and the evaluation pool over
+validation batches (:func:`repro.fl.server.evaluate_model`) — with the
+calling thread as lane 0,
 and its pools never multiply: one starts only from the main thread of a
 process that is not a ``multiprocessing`` child, outside any lane
 (:func:`repro.utils.pools.pool_width`).  So lanes and process workers code and
@@ -72,10 +98,12 @@ import traceback
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import FedSZConfig
+from repro.core.pipeline import codes_off_the_gil
 from repro.fl.broadcast import BroadcastPayload
 from repro.fl.checkpoint import codec_fingerprint
 from repro.fl.client import ClientUpdate, FLClient
@@ -173,21 +201,32 @@ def _train(task: ClientTask) -> Optional[ClientUpdate]:
     arrives.
     """
     try:
-        if task.fault is not None and not isinstance(task.fault, CorruptedUpload):
+        if not _trains(task):
             raise task.fault
         return task.client.train(task.broadcast_state, learning_rate=task.learning_rate)
     except ClientCrash:
         return None
 
 
-def _encode_uploads(jobs: List[Callable], codec) -> List[UploadRecord]:
-    """``job(codec)`` of every :func:`encode_upload` partial, in job order, on
-    ``pool_width(len(jobs))`` lanes with a ``codec.clone()`` each — or on the
-    caller's codec, here, for one lane or a codec without ``clone()``."""
-    width = pool_width(len(jobs)) if hasattr(codec, "clone") else 1
-    if width == 1:
-        return [job(codec) for job in jobs]
-    return run_lanes(jobs, lambda lane_codec, job: job(lane_codec), width, lambda _: codec.clone())
+def _trains(task: ClientTask) -> bool:
+    """Whether the task's client trains: it has no fault, or a corrupted upload."""
+    return task.fault is None or isinstance(task.fault, CorruptedUpload)
+
+
+def _code(codec, job) -> UploadRecord:
+    """One :func:`encode_upload` partial on a lane's codec."""
+    return job(codec)
+
+
+def _codes_behind_training(tasks: List[ClientTask], codec) -> bool:
+    """Whether helper lanes start coding at round start, behind training.
+
+    Only if an upload releases the GIL long enough to overlap the caller's
+    training — :func:`~repro.core.pipeline.codes_off_the_gil`, asked once
+    on the broadcast state, whose names and shapes every update shares.
+    """
+    config = getattr(codec, "config", None)
+    return isinstance(config, FedSZConfig) and codes_off_the_gil(tasks[0].broadcast_state, config)
 
 
 def _hand_back_last_report(codec, results: List[ClientResult]) -> None:
@@ -219,18 +258,28 @@ class SerialExecutor:
     name = "serial"
 
     def run_clients(self, tasks: List[ClientTask], codec=None) -> List[ClientResult]:
-        """Train in task order, code the surviving updates, settle in task order."""
-        updates = [_train(task) for task in tasks]
-        jobs = []
-        for task, update in zip(tasks, updates, strict=True):
-            if update is not None:
-                corrupted = isinstance(task.fault, CorruptedUpload)
-                dropped = not corrupted and task.link.roll_dropout()
-                jobs.append(
-                    partial(encode_upload, update.state_dict, spec=task.link.spec,
-                            dropped=dropped, corrupted=corrupted)
-                )
-        encoded = iter(_encode_uploads(jobs, codec))
+        """Train in task order, code the surviving updates — behind training
+        where the gate allows — and settle them in task order."""
+        updates: List[Optional[ClientUpdate]] = []
+
+        def jobs():
+            for task in tasks:
+                update = _train(task)
+                updates.append(update)
+                if update is not None:
+                    corrupted = isinstance(task.fault, CorruptedUpload)
+                    dropped = not corrupted and task.link.roll_dropout()
+                    yield partial(encode_upload, update.state_dict, spec=task.link.spec,
+                                  dropped=dropped, corrupted=corrupted)
+
+        width = pool_width(sum(map(_trains, tasks))) if hasattr(codec, "clone") else 1
+        stream = jobs()
+        if width == 1 or not _codes_behind_training(tasks, codec):
+            stream = list(stream)  # every client trains before any upload codes
+        if width == 1:
+            encoded = iter([job(codec) for job in stream])
+        else:
+            encoded = iter(run_lanes(stream, _code, width, lambda _: codec.clone()))
         uploads = [None if update is None else next(encoded) for update in updates]
         return _settle(tasks, updates, uploads, codec)
 
@@ -346,7 +395,7 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
     hits = 0
     misses = 0
     while True:
-        message = inbox.get()
+        message = pickle.loads(inbox.get())
         if message[0] == "stop":
             return
         payload = message[1]
@@ -357,7 +406,7 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
             cached_fingerprint = payload.fingerprint
             misses += 1
         while True:
-            spec = task_queue.get()
+            spec = pickle.loads(task_queue.get())
             if spec is None:
                 break
             try:
@@ -372,13 +421,15 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
         result_queue.put(_pickled(("idle", worker_id, hits, misses)))
 
 
-def _pickled(message: tuple) -> bytes:
+def _pickled(message) -> bytes:
     """``message`` pickled on the calling thread.
 
     ``multiprocessing.Queue.put`` pickles on a feeder thread that prints what
-    it cannot pickle and drops it, so an unpicklable worker result would leave
-    the parent waiting for it forever; pickled here, it fails its task
-    instead.  The parent unpickles in :meth:`ProcessParallelExecutor._collect`.
+    it cannot pickle and drops it, so an unpicklable task spec or worker
+    result would leave its receiver waiting for it forever; pickled here, it
+    fails its task instead.  Both sides put only such bytes: workers unpickle
+    in :func:`_process_worker_main`, the parent in
+    :meth:`ProcessParallelExecutor._collect`.
     """
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -479,7 +530,7 @@ class ProcessParallelExecutor:
         """Shut the worker pool down; the next round restarts it lazily."""
         for inbox in self._inboxes:
             try:
-                inbox.put(("stop",))
+                inbox.put(_pickled(("stop",)))
             except (OSError, ValueError):
                 pass
         for proc in self._procs:
@@ -536,12 +587,25 @@ class ProcessParallelExecutor:
             for index, task in enumerate(tasks)
         ]
 
-        for inbox in self._inboxes:
-            inbox.put(("round", tasks[0].broadcast_payload))
+        # Pickled here, before any put: the queue's feeder thread would drop
+        # an unpicklable spec and leave the round waiting for its result.
+        round_message = _pickled(("round", tasks[0].broadcast_payload))
+        wire_specs = []
         for spec in specs:
-            self._task_queue.put(spec)
+            try:
+                wire_specs.append(_pickled(spec))
+            except Exception as error:
+                self.close()
+                raise RuntimeError(
+                    f"task spec of client {spec.client_id} (task {spec.index}) "
+                    f"cannot be sent to a worker: {error}"
+                ) from error
+        for inbox in self._inboxes:
+            inbox.put(round_message)
+        for wire_spec in wire_specs:
+            self._task_queue.put(wire_spec)
         for _ in self._procs:
-            self._task_queue.put(None)
+            self._task_queue.put(_pickled(None))
 
         raw_results, errors = self._collect(len(specs))
         if errors:

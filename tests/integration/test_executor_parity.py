@@ -12,9 +12,14 @@ used to handle separately, and typed failure of the process pool.
   ``RuntimeError`` with the pool reaped, never a hang, and the next round
   restarts the pool and completes;
 * **serial lanes** — the serial executor codes a round's uploads on one lane
-  per core: histories, weights and codec seconds agree at 1, 2 and 4 lanes;
+  per core: histories, weights and codec seconds agree at 1, 2 and 4 lanes,
+  whether the helper lanes code behind training or after it;
   a codec without ``clone()`` stays on the caller, in task order; a lane's
   error is the serial error with no thread left behind;
+* **the streamed schedule** — a helper lane's codec error while the caller
+  still trains is raised after training as the lowest-index error, a
+  training error on the caller is raised after every helper has joined, and
+  the gate streams AlexNet-tiny's SZ2 uploads but not MobileNetV2-tiny's;
 * **no multiplied pools** — the codec's tensor pool stays off on serial lanes
   and inside process workers, and process workers pin BLAS to one thread;
 * **the evaluation pool** — the 130-sample validation split is three batches
@@ -24,19 +29,22 @@ used to handle separately, and typed failure of the process pool.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.compression import SZxCompressor
+from repro.compression import SZ2Compressor, SZxCompressor
 from repro.core import FedSZCompressor
 from repro.data import load_dataset
 from repro.fl import (
     ClientCrashSchedule,
     FederatedRuntime,
+    FLClient,
     FLConfig,
     LinkSpec,
     ProcessParallelExecutor,
@@ -82,11 +90,11 @@ class _Faults:
 
 
 def _build_runtime(
-    data, executor, codec, client_faults=None, client_fraction=1.0, **link
+    data, executor, codec, client_faults=None, client_fraction=1.0, model="resnet18", **link
 ) -> FederatedRuntime:
     train, val = data
     return FederatedRuntime(
-        lambda: create_model("resnet18", "tiny", num_classes=10, seed=7),
+        lambda: create_model(model, "tiny", num_classes=10, seed=7),
         train,
         val,
         FLConfig(
@@ -102,20 +110,59 @@ def _build_runtime(
     )
 
 
+def _live_helpers() -> int:
+    """Lane helper threads alive right now (:func:`repro.utils.pools.run_lanes`
+    names them ``lane-<n>``)."""
+    return sum(thread.name.startswith("lane-") for thread in threading.enumerate())
+
+
+def _patch_training(monkeypatch, hook=lambda position: None) -> dict:
+    """Call ``hook(position)`` as each client starts training, ``position``
+    counting the trainings since the patch; return the map from each update's
+    ``state_dict`` (by id) to its position, filled in as clients finish."""
+    positions = {}
+    counter = itertools.count()
+    train = FLClient.train
+
+    def hooked(self, *args, **kwargs):
+        position = next(counter)
+        hook(position)
+        update = train(self, *args, **kwargs)
+        positions[id(update.state_dict)] = position
+        return update
+
+    monkeypatch.setattr(FLClient, "train", hooked)
+    return positions
+
+
 # ----------------------------------------------------------------------
 # Parity
 # ----------------------------------------------------------------------
+def _fedsz():
+    return FedSZCompressor(error_bound=1e-2)
+
+
 @pytest.mark.parametrize(
-    "codec_fn", [lambda: None, lambda: FedSZCompressor(error_bound=1e-2)], ids=["raw", "fedsz"]
+    ("codec_fn", "streamed"),
+    [(lambda: None, False), (_fedsz, False), (_fedsz, True)],
+    ids=["raw", "fedsz", "fedsz-streamed"],
 )
-def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_device_dropout_corruption_and_crash_parity(data, codec_fn, streamed, monkeypatch):
+    """``fedsz-streamed`` lowers SZ2's lane threshold so that the tiny
+    model's uploads pass the gate: the serial runs on two and four lanes code
+    them on helper lanes while the caller trains (a helper is alive at every
+    training), the one-lane run after training, and all of them agree."""
+    if streamed:
+        monkeypatch.setattr(SZ2Compressor, "pool_min_values", 1)
     corrupted = {0: [1], 2: [4, 5]}
     crashed = {1: [2, 3], 2: [0]}
     faults = _Faults(CorruptedUploadSchedule(corrupted), ClientCrashSchedule(crashed))
+    helpers = []
+    _patch_training(monkeypatch, lambda position: helpers.append(_live_helpers()))
 
     def run(executor_name, lanes=2):
         monkeypatch.setattr(os, "cpu_count", lambda: lanes)
+        helpers.clear()
         runtime = _build_runtime(
             data, _make_executor(executor_name), codec_fn(), faults,
             device="raspberry-pi-5", dropout_probability=0.4,
@@ -124,6 +171,9 @@ def test_device_dropout_corruption_and_crash_parity(data, codec_fn, monkeypatch)
             runtime.run()
         finally:
             runtime.close()
+        if executor_name == "serial":
+            assert len(helpers) == 15  # every training the caller ran
+            assert set(helpers) == {lanes - 1 if streamed and lanes > 1 else 0}, lanes
         return runtime
 
     def client_rows(runtime):
@@ -486,6 +536,106 @@ def test_lanes_code_on_their_own_clones_and_hand_the_last_report_back(data, monk
     threads = {id(instance): thread for instance, thread in _LaneLog.log}
     assert set(threads.items()) == {(id(i), t) for i, t in _LaneLog.log}
     assert threading.main_thread() in threads.values()  # the caller is lane 0, on a clone
+
+
+# ----------------------------------------------------------------------
+# The streamed schedule: helper lanes code behind the caller's training
+# ----------------------------------------------------------------------
+def test_a_helper_lane_error_is_raised_after_training_as_the_lowest(data, monkeypatch):
+    """Four lanes code the uploads while the caller trains.  Upload 1 fails
+    on a helper, then upload 0 on another, and the last client trains only
+    once both have: the round raises upload 0's error after every client
+    trained, and no lane thread is left."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(SZ2Compressor, "pool_min_values", 1)
+    second_failed, first_failed = threading.Event(), threading.Event()
+    trained = []
+
+    def hook(position):
+        if position == 5:
+            assert first_failed.wait(FAILURE_CEILING_SECONDS)
+        trained.append(position)
+
+    positions = _patch_training(monkeypatch, hook)
+
+    def compress(self, state_dict):
+        position = positions[id(state_dict)]
+        assert threading.current_thread() is not threading.main_thread()
+        if position == 0:
+            assert second_failed.wait(FAILURE_CEILING_SECONDS)
+            first_failed.set()
+        else:
+            second_failed.set()
+        raise ValueError(f"poisoned upload {position}")
+
+    monkeypatch.setattr(FedSZCompressor, "compress", compress)
+    runtime = _build_runtime(data, SerialExecutor(), FedSZCompressor(error_bound=1e-2))
+    threads = threading.active_count()
+    try:
+        with pytest.raises(ValueError, match="poisoned upload 0"):
+            runtime.run_round()  # on the main thread: lanes start only there
+    finally:
+        runtime.close()
+    assert trained == list(range(6))
+    assert threading.active_count() == threads
+    assert len(runtime.history) == 0
+
+
+def test_a_training_error_is_raised_after_every_helper_joined(data, monkeypatch):
+    """The caller's third training raises (not a crash) while a helper codes
+    upload 0: that error is the round's, raised only once the helper has
+    finished its upload and joined."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(SZ2Compressor, "pool_min_values", 1)
+    coding = threading.Event()
+    coded = []
+
+    def hook(position):
+        if position == 2:
+            assert coding.wait(FAILURE_CEILING_SECONDS)
+            raise RuntimeError("training failed on the caller")
+
+    positions = _patch_training(monkeypatch, hook)
+    compress = FedSZCompressor.compress
+
+    def slow_compress(self, state_dict):
+        assert threading.current_thread() is not threading.main_thread()
+        coding.set()
+        time.sleep(0.05)
+        payload = compress(self, state_dict)
+        coded.append(positions[id(state_dict)])
+        return payload
+
+    monkeypatch.setattr(FedSZCompressor, "compress", slow_compress)
+    runtime = _build_runtime(data, SerialExecutor(), FedSZCompressor(error_bound=1e-2))
+    threads = threading.active_count()
+    try:
+        with pytest.raises(RuntimeError, match="training failed on the caller"):
+            runtime.run_round()
+        assert coded in ([0], [0, 1])  # upload 0 finished before the raise
+        assert threading.active_count() == threads
+    finally:
+        runtime.close()
+    assert len(runtime.history) == 0
+
+
+@pytest.mark.parametrize(("model", "streams"), [("mobilenetv2", False), ("alexnet", True)])
+def test_the_gate_streams_alexnet_uploads_and_not_mobilenetv2s(data, model, streams, monkeypatch):
+    """With SZ2's real lane threshold, AlexNet-tiny's one ~220k-value group
+    codes behind training (a helper is alive from the first training on);
+    MobileNetV2-tiny's lossy partition, ~24k values, is Python-bound, so no
+    helper starts before its last client has trained."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    helpers = []
+    _patch_training(monkeypatch, lambda position: helpers.append(_live_helpers()))
+    runtime = _build_runtime(
+        data, SerialExecutor(), FedSZCompressor(error_bound=1e-2), model=model
+    )
+    try:
+        runtime.run_round()
+    finally:
+        runtime.close()
+    assert helpers == [1 if streams else 0] * 6
 
 
 @pytest.mark.skipif(_openblas_threads("get") is None, reason="numpy bundles no OpenBLAS")

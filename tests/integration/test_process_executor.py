@@ -41,6 +41,7 @@ from repro.fl import (
     SerialExecutor,
     Transport,
 )
+from repro.fl.scenarios import ClientCrash
 from repro.nn.models import create_model
 
 WORKERS = 4
@@ -219,6 +220,61 @@ def test_an_unpicklable_worker_result_fails_the_round_instead_of_hanging(data, m
         assert re.search(r"client \d+ \(task \d+\)", str(failure))
         assert "cannot pickle" in str(failure)
         monkeypatch.setattr(_LockReportingCodec, "poisoned", False)
+        record = runtime.run_round()
+    finally:
+        runtime.close()
+    assert record.participating_clients == 4
+    assert record.dropped_clients == 0
+
+
+class _LockedCrash(ClientCrash):
+    """A client crash that carries a lock, which no pickle can carry."""
+
+    def __init__(self, round_index: int, client_id: int) -> None:
+        super().__init__(round_index, client_id)
+        self.guard = threading.Lock()
+
+    def __reduce__(self):
+        return (type(self), (self.round_index, self.client_id), {"guard": self.guard})
+
+
+class _ArmedLockedCrash:
+    """Crash client 1 with a :class:`_LockedCrash` while ``armed`` is set."""
+
+    armed = True
+
+    def fault_for(self, round_index: int, client_id: int):
+        return _LockedCrash(round_index, client_id) if self.armed and client_id == 1 else None
+
+
+def test_an_unpicklable_task_spec_fails_the_round_instead_of_hanging(data):
+    """The parent pickles every task spec before it puts any, so a spec that
+    cannot be pickled raises naming its client (rather than the queue's
+    feeder thread dropping it and the round waiting forever for its result),
+    the pool is closed, and the next round runs."""
+    faults = _ArmedLockedCrash()
+    runtime = _build_runtime(
+        data, "process", rounds=2, client_fraction=1.0, dropout=0.0, client_faults=faults
+    )
+    outcome = []
+
+    def first_round():
+        try:
+            runtime.run_round()
+        except BaseException as failure:  # handed to the test thread below
+            outcome.append(failure)
+
+    try:
+        thread = threading.Thread(target=first_round, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the round hung on an unpicklable task spec"
+        (failure,) = outcome
+        assert isinstance(failure, RuntimeError)
+        assert re.search(r"client 1 \(task \d+\)", str(failure))
+        assert "cannot pickle" in str(failure)
+        assert runtime.executor._procs == [] and len(runtime.history) == 0
+        faults.armed = False
         record = runtime.run_round()
     finally:
         runtime.close()

@@ -8,7 +8,10 @@ last-report hand-back or the process executor's parent-side queue threads
 gets thousands of extra chances to reorder operations per round.  The
 acceptance bar is unchanged: serial at one lane, serial at four lanes and
 the process executor must stay bit-identical on ``deterministic_rows()`` and
-final weights.  The RNG/clock sanitizer (see
+final weights — and so must serial at one, two and four lanes when the
+helper lanes code each upload while the caller trains the next client (the
+streamed schedule, which SZ2's lowered lane threshold switches on here).
+The RNG/clock sanitizer (see
 ``conftest.py``) is active throughout, so a race that *would* be hidden by a
 global-stream fallback raises instead of flaking.
 """
@@ -21,6 +24,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.compression import SZ2Compressor
 from repro.core import FedSZCompressor
 from repro.data import load_dataset
 from repro.fl import (
@@ -102,6 +106,19 @@ def test_serial_lanes_are_bit_identical_under_stress(data, monkeypatch):
     assert four_state.keys() == one_state.keys()
     for name in one_state:
         np.testing.assert_array_equal(one_state[name], four_state[name], err_msg=name)
+
+
+def test_streamed_lanes_are_bit_identical_under_stress(data, monkeypatch):
+    """Helper lanes coding behind training: one == two == four lanes under
+    ~10us preemption, rows and final weights."""
+    monkeypatch.setattr(SZ2Compressor, "pool_min_values", 1)
+    one_rows, one_state = _run_on_lanes(data, 1, monkeypatch)
+    for lanes in (2, 4):
+        rows, state = _run_on_lanes(data, lanes, monkeypatch)
+        assert rows == one_rows, lanes
+        assert state.keys() == one_state.keys()
+        for name in one_state:
+            np.testing.assert_array_equal(one_state[name], state[name], err_msg=name)
 
 
 def test_process_executor_is_bit_identical_under_stress(data):

@@ -88,9 +88,7 @@ def test_a_setup_error_is_raised_and_the_lanes_joined():
     assert threading.active_count() == before
 
 
-def test_every_item_runs_once_on_more_lanes_than_cores_under_preemption():
-    """Eight lanes switching every 10 µs: the shared pull counter hands each
-    item to exactly one lane, and each result lands in its own slot."""
+def _assert_each_item_runs_once_on_eight_lanes_under_preemption(items) -> None:
     taken = {}
 
     def setup(lane):
@@ -104,11 +102,17 @@ def test_every_item_runs_once_on_more_lanes_than_cores_under_preemption():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = run_lanes(list(range(5000)), work, 8, setup)
+        results = run_lanes(items, work, 8, setup)
     finally:
         sys.setswitchinterval(interval)
     assert results == [-item for item in range(5000)]
     assert sorted(item for mine in taken.values() for item in mine) == list(range(5000))
+
+
+def test_every_item_runs_once_on_more_lanes_than_cores_under_preemption():
+    """Eight lanes switching every 10 µs: the shared pull counter hands each
+    item to exactly one lane, and each result lands in its own slot."""
+    _assert_each_item_runs_once_on_eight_lanes_under_preemption(list(range(5000)))
 
 
 def test_no_more_lanes_than_items():
@@ -116,3 +120,66 @@ def test_no_more_lanes_than_items():
     assert run_lanes(["only"], lambda lane, item: item, 4, lanes.append) == ["only"]
     assert lanes == [0]
     assert run_lanes([], lambda lane, item: item, 4, lanes.append) == []
+
+
+@WIDTHS
+def test_an_iterator_is_worked_by_the_helpers_while_the_caller_produces_it(width):
+    """On two or more lanes the caller produces item ``k`` only once a helper
+    has worked item ``k - 1``, which it could not if the helpers waited for
+    the iterator's end; on one lane the caller produces, then works, all."""
+    done = [threading.Event() for _ in range(6)]
+
+    def produce():
+        for item in range(6):
+            if width > 1 and item:
+                assert done[item - 1].wait(timeout=5.0)
+            yield item
+
+    def work(lane, item):
+        done[item].set()
+        return item, lane
+
+    before = threading.active_count()
+    results = run_lanes(produce(), work, width, lambda lane: lane)
+    assert threading.active_count() == before
+    assert [item for item, _ in results] == list(range(6))
+    early = {lane for _, lane in results[:5]}  # item 5 may also go to the caller
+    assert (early == {0}) if width == 1 else (0 not in early)
+
+
+@WIDTHS
+def test_an_error_producing_the_items_wins_once_every_lane_joined(width):
+    """Item 1 fails on a helper while the caller is still producing; the
+    caller then fails producing item 3.  Its error is the one raised — the
+    serial loop, producing every item first, would never have worked one —
+    after every lane has joined."""
+    failed = threading.Event()
+    worked = []
+
+    def produce():
+        yield from range(3)
+        if width > 1:
+            assert failed.wait(timeout=5.0)
+        raise LookupError("cannot produce item 3")
+
+    def work(_, item):
+        worked.append(item)
+        if item == 1:
+            failed.set()
+            raise ValueError(item)
+        return item
+
+    before = threading.active_count()
+    with pytest.raises(LookupError, match="item 3"):
+        run_lanes(produce(), work, width, lambda lane: None)
+    assert threading.active_count() == before
+    if width == 1:
+        assert worked == []
+    else:
+        assert {0, 1} <= set(worked) <= {0, 1, 2}
+
+
+def test_every_streamed_item_runs_once_on_more_lanes_than_cores_under_preemption():
+    """Eight lanes switching every 10 µs while the caller still produces the
+    items: each item runs once and its result lands in its own slot."""
+    _assert_each_item_runs_once_on_eight_lanes_under_preemption(iter(range(5000)))
