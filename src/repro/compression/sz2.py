@@ -13,7 +13,7 @@ Lorenzo/regression *prediction* lives here; validation, bound resolution, the
 raw fallback, ``2ε`` quantization, entropy coding and payload framing are the
 shared stages.  The decompressed output always satisfies ``|x - x̂| <= ε``
 element-wise and is bit-identical to the pre-refactor monolithic
-implementation (pinned by ``tests/compression/test_staged_equivalence.py``).
+implementation (pinned by the golden corpus, ``tests/golden/``).
 
 Both kernels are written against memory traffic, which is what a numpy codec
 pays for.  They walk the blocks in slabs — a run (below) of up to
@@ -33,7 +33,7 @@ whole-tensor arrays are the codes and that output, so the allocation peak is
 1.8x (encode) and 1.5x (decode) a 9.4 MB float32 input, 8.1x and 4.5x with
 whole-tensor float64 intermediates; ``tests/compression/test_sz2_kernel.py``
 pins 2.5x.  Every float operation runs per block or per value, so slabs change
-no code, mode flag or coefficient (``tests/compression/test_sz2_slabs.py``).
+no code, mode flag or coefficient (``tests/golden/``).
 
 A block never looks outside itself, so the walk takes a *run* of tensors: one
 of any size, or consecutive ones whose blocks together fit
@@ -45,7 +45,7 @@ facts left in the walk are the edge pad of a tensor's last block and its
 ``ε``, a column of one entry per row (a scalar for a lone tensor, which numpy
 divides by faster).
 Each tensor keeps its own ``modes`` / ``coef`` / ``codes`` sections and its own
-DEFLATE stream, byte for byte (``tests/compression/test_sz2_groups.py``; the
+DEFLATE stream, byte for byte (``tests/golden/``'s group cases; the
 one float reduction that sees neighbouring rows, the slope's matrix-vector
 product, can differ in the last float64 bit with the row's position, as it
 already did from slab to slab, and is rounded to the stored float32 before

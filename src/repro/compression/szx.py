@@ -45,8 +45,8 @@ Allocation peaks on a 9.4 MB float32 tensor at REL 1e-2: 0.85x the input to
 compress (the codes, and the payload twice while it is framed) and 1.3x to
 decompress (the output and the received values), against 10.4x and 7.4x with
 whole-tensor float64 / uint64 temporaries and the bit matrix;
-``tests/compression/test_szx_kernel.py`` pins SZ2's 2.5x and, against digests
-recorded from that whole-tensor body, every payload byte.
+``tests/compression/test_szx_kernel.py`` pins SZ2's 2.5x, and the golden
+corpus (``tests/golden/``) every payload byte of that whole-tensor body.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.compression.base import ErrorBoundMode
+from repro.compression.base import ErrorBoundMode, resolve_error_bound
 from repro.compression.errors import CorruptPayloadError, InvalidErrorBoundError
 from repro.compression.stages import EntropyStage, PredictorStage, StageContext, StagedCompressor
 
@@ -92,14 +92,16 @@ class ZFPPredictor(PredictorStage):
         # ZFP's bound semantics differ from the SZ family: the requested bound
         # only selects the retained coefficient precision, and the raw
         # fallback triggers solely for empty input (constant data still goes
-        # through the transform, faithful to the original tool).
+        # through the transform, faithful to the original tool).  The bound is
+        # checked as every codec checks it; read as ABS, that needs no scan.
+        bound = resolve_error_bound(flat, ctx.error_bound, ErrorBoundMode.ABS)
         if ctx.mode == ErrorBoundMode.REL:
-            precision = precision_for_relative_bound(ctx.error_bound)
+            precision = precision_for_relative_bound(bound)
         else:
             # Absolute bounds are translated against the data range so that a
             # tighter bound still yields more retained bits.
             finite_range = float(flat.max()) - float(flat.min()) if flat.size else 1.0
-            relative = ctx.error_bound / finite_range if finite_range > 0 else ctx.error_bound
+            relative = bound / finite_range if finite_range > 0 else bound
             precision = precision_for_relative_bound(max(relative, 1e-9))
         ctx.params["precision"] = precision
         ctx.raw = ctx.size == 0

@@ -1,20 +1,14 @@
 """Shared utilities used across the FedSZ reproduction.
 
 The helpers in this package are intentionally small and dependency-free:
-deterministic seeding, byte-size formatting, simple wall-clock timers and
-lightweight argument validation.  They are used by the compression substrate,
-the neural-network substrate and the federated-learning runtime alike.
+deterministic seeding, byte-size formatting and simple wall-clock timers.
+They are used by the compression substrate, the neural-network substrate and
+the federated-learning runtime alike.
 """
 
 from repro.utils.seeding import SeedSequenceFactory, default_rng, set_global_seed
 from repro.utils.sizes import format_bytes, nbytes_of, sizeof_state_dict
 from repro.utils.timing import Stopwatch, Timer, timed
-from repro.utils.validation import (
-    ensure_in,
-    ensure_positive,
-    ensure_probability,
-    ensure_type,
-)
 
 __all__ = [
     "SeedSequenceFactory",
@@ -26,8 +20,4 @@ __all__ = [
     "Stopwatch",
     "Timer",
     "timed",
-    "ensure_in",
-    "ensure_positive",
-    "ensure_probability",
-    "ensure_type",
 ]

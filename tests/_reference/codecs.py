@@ -3,9 +3,9 @@
 These are verbatim copies of the monolithic SZ2/SZ3/SZx/ZFP compressors as
 they existed before the stage-based refactor (see
 :mod:`repro.compression.stages`).  They exist for one purpose only: the
-equivalence tests in ``tests/compression/test_staged_equivalence.py`` pin the
-staged codecs' *decompressed outputs* bit-identically against these
-references, per codec and per dtype.
+golden corpus (``tests/golden/test_golden.py``) pins the staged codecs'
+*decompressed outputs* at the real slab bit-identically against these
+references, per case of its table.
 
 Do not extend or optimise this module; new codec work belongs in the stage
 pipeline.

@@ -65,34 +65,10 @@ def test_truncated_body_detected(rng):
 # ----------------------------------------------------------------------
 # Payload format: two backend codes, byte planes for multi-byte widths
 # ----------------------------------------------------------------------
-def _golden_int8() -> np.ndarray:
-    return (np.arange(96) * 7919 % 23) - 11
-
-
-def _golden_int16() -> np.ndarray:
-    return (np.arange(96) * 7919 % 2001) - 1000
-
-
-#: ``encode_indices`` output of the commit before byte planes existed
-#: (backend code 0 with level-6 bodies at both widths).
-GOLDEN_PAYLOADS = {
-    "int8": (
-        _golden_int8,
-        "00600000000000000000789cfbfa8799eb1723c78fff6cdffeb270ff66e2fcc9c0fefd1feb576a"
-        "090300d3e42dff",
-    ),
-    "int16": (
-        _golden_int16,
-        "00600000000000000001789c05c1672202001400e0372e1145685c838c427594f632ae212bb3a3"
-        "94a2acce4164c59f377c5f400e78995fa8492bf48a8798c0311cc12abcf9b1aff9bb9dd8ba4df4"
-        "5437f4435a92940ee738c05dcad30cdd600167b107450842df4b1ef25b2bdb9cdd6945e7752055"
-        "094b8b93fc496794a22f3cc74dfc860bd8821fbff46d9fda95a5ed57af35a37fd296ac0cb8ca61"
-        "1e528d16e81eebb8880fd0802578f41d8ff893ed5ad49e754f633a927d894b9bff01b1d8627b",
-    ),
-}
-
-#: The same commit's opt-in ``huffman`` payload of ``_golden_int8()``.  Backend
-#: code 1 is no longer read.
+#: ``encode_indices`` of ``(np.arange(96) * 7919 % 23) - 11`` through the opt-in
+#: ``huffman`` backend of the commit before byte planes existed (the golden
+#: corpus, ``tests/golden/v3/``, keeps that commit's code-0 payloads, which
+#: still decode).  Backend code 1 is no longer read.
 RETIRED_HUFFMAN_PAYLOAD = (
     "01600000000000000000789c4b6080801d8c105a02488b03691620fefa1f0240ec3f486c66a81e"
     "109b0d89cd8ec4e640627322b1b990d8dc50362b107f839a0f627f4762ff4062ff4462ff4262ff"
@@ -100,12 +76,6 @@ RETIRED_HUFFMAN_PAYLOAD = (
     "039e6f8f2eeb8bf812bf3676c9e70f42d585998ba7d98abf0ecfb4f9c332ef4e54c6d37ed75f57"
     "6ff9db33aa0300ed8475c8"
 )
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
-def test_payloads_of_the_previous_format_still_decode(name):
-    make_indices, payload_hex = GOLDEN_PAYLOADS[name]
-    np.testing.assert_array_equal(decode_indices(bytes.fromhex(payload_hex)), make_indices())
 
 
 def test_the_retired_huffman_payload_fails_closed():

@@ -121,11 +121,26 @@ def test_non_finite_input_rejected_uniformly(compressor, bad_value, dtype):
         compressor.compress(data, 1e-2)
 
 
-def test_invalid_error_bound_rejected(compressor, spiky_weights):
-    with pytest.raises(InvalidErrorBoundError):
-        compressor.compress(spiky_weights, 0.0)
-    with pytest.raises(InvalidErrorBoundError):
-        compressor.compress(spiky_weights, -1e-3)
+@pytest.mark.parametrize("bound", [0.0, -1e-3, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("mode", list(ErrorBoundMode), ids=lambda mode: mode.name)
+def test_invalid_error_bound_rejected(compressor, spiky_weights, mode, bound):
+    """One check and one message for every codec in both modes: ZFP in ABS
+    mode used to code 0 and negative bounds at its precision floor, and to
+    call an ABS ``nan`` a relative bound."""
+    with pytest.raises(InvalidErrorBoundError, match="error bound must be a positive finite"):
+        compressor.compress(spiky_weights, bound, mode)
+
+
+def test_decoder_uses_payload_metadata_not_instance_config(spiky_weights):
+    """A decoder configured differently from the encoder still decodes exactly
+    (block size / cubic flag travel in the payload metadata)."""
+    payload = SZ2Compressor(block_size=64).compress(spiky_weights, 1e-2)
+    expected = SZ2Compressor(block_size=64).decompress(payload)
+    np.testing.assert_array_equal(SZ2Compressor(block_size=512).decompress(payload), expected)
+
+    payload = SZ3Compressor(use_cubic=True).compress(spiky_weights, 1e-2)
+    expected = SZ3Compressor(use_cubic=True).decompress(payload)
+    np.testing.assert_array_equal(SZ3Compressor(use_cubic=False).decompress(payload), expected)
 
 
 def test_corrupt_payload_rejected(compressor, spiky_weights):
@@ -269,7 +284,7 @@ def test_zfp_error_tracks_requested_bound(spiky_weights):
 # Property-based round-trips
 # ----------------------------------------------------------------------
 # Examples are derived from the test's source, not drawn afresh each run: a
-# fresh draw lands on ROADMAP item 4's float32 overshoot (pinned below) about
+# fresh draw lands on ROADMAP item 1 step 1's float32 overshoot (pinned below) about
 # once in a dozen runs, which made tier-1 a coin flip.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
@@ -292,7 +307,7 @@ def test_bounded_compressors_error_bound_property(data, bound, compressor_cls):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: the bound holds for the float64 reconstruction and is "
+    reason="ROADMAP item 1 step 1: the bound holds for the float64 reconstruction and is "
     "overshot by the rounding to float32 output; the fix must flip these",
 )
 @pytest.mark.parametrize("compressor_cls", [SZ2Compressor, SZ3Compressor], ids=["sz2", "sz3"])

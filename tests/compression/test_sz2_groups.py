@@ -2,28 +2,24 @@
 
 ``compress_group`` / ``decompress_group`` hand a codec consecutive tensors in
 one call; SZ2 walks a run of small ones as one slab (``sz2._runs``) with a
-bin width per row, and a lone tensor above the run limit in slabs.  Here a
-list built to land on every edge of that walk is coded as groups and tensor
-by tensor, for every codec (the others through
-``LossyCompressor``'s loop) x dtype x mode x bound, and the payloads and the
-reconstructions must be equal to the bit.  For SZ2 the payloads are also
-compared with digests recorded at the parent commit, whose ``compress`` knew
-one tensor at a time (zlib 1.2.13, on which the bytes depend).  The run limit
-is shrunk to eight blocks and a larger tensor's slab to two, so that the list
-crosses many run and slab boundaries cheaply.  At the real limits, the tiny
-models' updates and a list built to cross the old and the new run limit are
-pinned to digests recorded before the run limit grew from one slab to 2^18
-values.
+bin width per row, and a lone tensor above the run limit in slabs.  The golden
+corpus (``tests/golden/``) codes ``group_members()``, built to land on every
+edge of that walk at a run limit shrunk to eight blocks and a slab of two, as
+one group for every codec x dtype x mode x bound, and the tiny models' updates
+and a list crossing the old and the new run limit at the real limits: each
+must equal its tensors coded alone, and its bytes are pinned there.  Here:
+where the runs are cut, runs that mix code widths and dtypes, the block size
+from ``lossy_options``, the allocation ceiling and forged metadata.
 """
 
 from __future__ import annotations
 
-import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from golden.cases import group_members, noise
 from repro.compression import (
     ErrorBoundMode,
     SZ2Compressor,
@@ -37,7 +33,6 @@ from repro.compression.errors import CorruptPayloadError
 from repro.compression.stages import EntropyStage, unpack_stage_meta
 from repro.core import FedSZCompressor
 from repro.core.serializer import parse_fedsz_payload
-from repro.nn.models import create_model
 
 BLOCK = 256
 RUN_BLOCKS = 8
@@ -45,7 +40,6 @@ SLAB_BLOCKS = 2
 CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "szx": SZxCompressor, "zfp": ZFPCompressor}
 DTYPES = ["float16", "float32", "float64"]
 MODES = [ErrorBoundMode.REL, ErrorBoundMode.ABS]
-BOUNDS = [1e-1, 1e-2, 1e-4]
 
 
 @pytest.fixture
@@ -54,92 +48,12 @@ def small_slab(monkeypatch):
     monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", SLAB_BLOCKS * BLOCK)
 
 
-def _noise(size: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).normal(0.0, 0.02, size)
-
-
-def _members(block: int = BLOCK, run_blocks: int = RUN_BLOCKS):
-    """``(label, float64 tensor)`` pairs; the labels say which edge each is for."""
-    limit = run_blocks * block
-    ramp = np.linspace(-0.05, 0.05, 3 * block)  # regression fits it: int8 codes at any bound
-    sizes = [
-        ("one-value", 1), ("block-1", block - 1), ("block", block), ("block+1", block + 1),
-        ("fills-slab", 3 * block),  # 1 + 1 + 1 + 2 + 3 blocks: the run limit exactly
-        ("fills-slab-a", 3 * block), ("fills-slab-b", 5 * block),  # and again, in two
-        ("overflows-a", 3 * block), ("overflows-b", 5 * block + 1),  # one value too many
-        ("before-big", block), ("big", 2 * limit + 7), ("after-big", block),
-    ]
-    members = [(label, _noise(size, seed)) for seed, (label, size) in enumerate(sizes)]
-    members += [
-        ("constant", np.full(2 * block, 0.25)),  # raw fallback inside a run
-        ("after-constant", _noise(block + 3, 100)),
-        ("empty", np.zeros(0)),  # raw fallback, no blocks at all
-        ("smooth", ramp),
-        ("noisy", 10.0 * _noise(3 * block, 101)),  # int16 codes at REL 1e-4, next to int8
-    ]
-    return members
-
-
-def _digest(payloads) -> str:
-    return hashlib.sha256(b"".join(payloads)).hexdigest()[:12]
-
-
-#: ``_digest`` of ``[SZ2Compressor().compress(tensor.astype(dtype), bound, mode) ...]`` over
-#: ``_members()`` at the parent commit, keyed by ``(dtype, mode, bound)``.
-PARENT_SZ2_DIGESTS = {
-    ("float16", "rel", 1e-1): "06b4b6084ed6",
-    ("float16", "rel", 1e-2): "6e95383dabef",
-    ("float16", "rel", 1e-4): "d11c63cce2ee",
-    ("float16", "abs", 1e-1): "9ac9f53cac5f",
-    ("float16", "abs", 1e-2): "d2c563c92652",
-    ("float16", "abs", 1e-4): "6404311c40c6",
-    ("float32", "rel", 1e-1): "6f6d28195a55",
-    ("float32", "rel", 1e-2): "0f73f50ecdac",
-    ("float32", "rel", 1e-4): "f0f82b2af013",
-    ("float32", "abs", 1e-1): "453eeb61405b",
-    ("float32", "abs", 1e-2): "539a0598781e",
-    ("float32", "abs", 1e-4): "a7302a65a2cf",
-    ("float64", "rel", 1e-1): "fbd3c224ca2b",
-    ("float64", "rel", 1e-2): "2832139e75e3",
-    ("float64", "rel", 1e-4): "8ac5e19d5df7",
-    ("float64", "abs", 1e-1): "3f873364a106",
-    ("float64", "abs", 1e-2): "c3ea3dc72ff7",
-    ("float64", "abs", 1e-4): "b1d29684ac1b",
-}
-
-
-@pytest.mark.parametrize("bound", BOUNDS)
-@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("name", CODECS)
-def test_a_group_is_coded_as_each_tensor_alone(name, dtype, mode, bound, small_slab):
-    codec = CODECS[name]()
-    tensors = [tensor.astype(dtype) for _, tensor in _members()]
-    alone = [codec.compress(tensor, bound, mode) for tensor in tensors]
-    # Every way the pipeline can hand the list over: all at once, and run by run.
-    assert codec.compress_group(tensors, bound, mode) == alone
-    runs = codec.group_slices([tensor.size for tensor in tensors])
-    assert [i for run in runs for i in range(len(tensors))[run]] == list(range(len(tensors)))
-    assert [p for run in runs for p in codec.compress_group(tensors[run], bound, mode)] == alone
-    if name == "sz2":
-        assert _digest(alone) == PARENT_SZ2_DIGESTS[(dtype, mode.value, bound)]
-
-    expected = [codec.decompress(payload) for payload in alone]
-    for restored in (
-        codec.decompress_group(alone),
-        [flat for run in runs for flat in codec.decompress_group(alone[run])],
-    ):
-        for (label, _), tensor, got, want in zip(
-            _members(), tensors, restored, expected, strict=True
-        ):
-            assert got.dtype == tensor.dtype and got.shape == tensor.shape, label
-            np.testing.assert_array_equal(got, want, err_msg=label)
-
-
 def test_runs_cut_where_the_slab_is_full(small_slab):
-    labels = [label for label, _ in _members()]
-    sizes = [tensor.size for _, tensor in _members()]
-    assert [labels[run] for run in SZ2Compressor().group_slices(sizes)] == [
+    labels = [label for label, _ in group_members()]
+    tensors = [tensor.astype(np.float32) for _, tensor in group_members()]
+    codec = SZ2Compressor()
+    runs = codec.group_slices([tensor.size for tensor in tensors])
+    assert [labels[run] for run in runs] == [
         ["one-value", "block-1", "block", "block+1", "fills-slab"],
         ["fills-slab-a", "fills-slab-b"],
         ["overflows-a"],
@@ -148,7 +62,14 @@ def test_runs_cut_where_the_slab_is_full(small_slab):
         ["after-big", "constant", "after-constant", "empty", "smooth"],
         ["noisy"],
     ]
+    # Handed over run by run, the list codes and decodes as it does whole.
+    payloads = codec.compress_group(tensors, 1e-2)
+    assert [p for run in runs for p in codec.compress_group(tensors[run], 1e-2)] == payloads
+    restored = [flat for run in runs for flat in codec.decompress_group(payloads[run])]
+    for got, want in zip(restored, codec.decompress_group(payloads), strict=True):
+        np.testing.assert_array_equal(got, want)
     # The other codecs gain nothing from neighbours: one tensor a group.
+    sizes = [tensor.size for tensor in tensors]
     assert SZ3Compressor().group_slices(sizes) == [slice(i, i + 1) for i in range(len(sizes))]
 
 
@@ -171,69 +92,8 @@ def test_a_run_that_fits_walks_as_one_slab():
     assert sz2._slab_blocks(1, 1 << 20) == 1  # a block beyond both limits
 
 
-#: Sizes of the mixed list below: 30K + 40K crosses the old 2^16-value run
-#: limit, 100K + 90K + 80K the new 2^18 one, then exactly 2^18, one value over
-#: it (a lone tensor in 2^16-value slabs), a 5-value tensor and a 70K one.
-RUN_LIMIT_MIX = [30_000, 40_000, 100_000, 90_000, 80_000, 1 << 18, (1 << 18) + 1, 5, 70_000]
-RUN_LIMIT_BOUNDS = {
-    "rel-1e-2": (1e-2, ErrorBoundMode.REL),
-    "rel-1e-3": (1e-3, ErrorBoundMode.REL),
-    "abs-1e-3": (1e-3, ErrorBoundMode.ABS),
-}
-
-
-def _run_limit_input(name: str, dtype: str):
-    if name == "mix":
-        return [_noise(size, seed).astype(dtype) for seed, size in enumerate(RUN_LIMIT_MIX)]
-    state = create_model(name, "tiny", seed=0).state_dict()
-    return [  # the float tensors of at least 1,024 values
-        np.asarray(value, dtype=dtype).ravel()
-        for value in state.values()
-        if np.issubdtype(np.asarray(value).dtype, np.floating) and np.asarray(value).size >= 1024
-    ]
-
-
-#: ``sha256(b"".join(SZ2Compressor().compress_group(_run_limit_input(name, dtype),
-#: *RUN_LIMIT_BOUNDS[label])))[:16]`` at the commit before the run limit grew
-#: to 2^18 values, keyed by ``(name, dtype, label)``.
-PARENT_RUN_LIMIT_DIGESTS = {
-    ("alexnet", "float32", "rel-1e-2"): "66826e50e5fbef42",
-    ("alexnet", "float32", "rel-1e-3"): "de883e1412f33dee",
-    ("alexnet", "float32", "abs-1e-3"): "6c4d9867825bf095",
-    ("alexnet", "float64", "rel-1e-2"): "3ec08e4090971bd7",
-    ("alexnet", "float64", "rel-1e-3"): "f2535f3ac619c2a1",
-    ("alexnet", "float64", "abs-1e-3"): "c9b8ae5b2aebbd66",
-    ("mobilenetv2", "float32", "rel-1e-2"): "c46c50ca1d514681",
-    ("mobilenetv2", "float32", "rel-1e-3"): "da3aa34a55d92938",
-    ("mobilenetv2", "float32", "abs-1e-3"): "a0ede5f743c2fc02",
-    ("mobilenetv2", "float64", "rel-1e-2"): "ee5c246da45740c5",
-    ("mobilenetv2", "float64", "rel-1e-3"): "6bde99f3faa024db",
-    ("mobilenetv2", "float64", "abs-1e-3"): "8daac43221ab0977",
-    ("mix", "float32", "rel-1e-2"): "7fcb3f5e6bc15b55",
-    ("mix", "float32", "rel-1e-3"): "152a9ec31b8d5bec",
-    ("mix", "float32", "abs-1e-3"): "02e01c7f58226d67",
-    ("mix", "float64", "rel-1e-2"): "63156c19066bdc67",
-    ("mix", "float64", "rel-1e-3"): "7c64fd0654cedef3",
-    ("mix", "float64", "abs-1e-3"): "c6cccb731ae0179a",
-}
-
-
-@pytest.mark.parametrize(
-    "case", PARENT_RUN_LIMIT_DIGESTS, ids=lambda case: "-".join(case)
-)
-def test_the_run_limit_moves_no_payload_byte(case):
-    name, dtype, label = case
-    tensors = _run_limit_input(name, dtype)
-    payloads = SZ2Compressor().compress_group(tensors, *RUN_LIMIT_BOUNDS[label])
-    digest = hashlib.sha256(b"".join(payloads)).hexdigest()[:16]
-    assert digest == PARENT_RUN_LIMIT_DIGESTS[case]
-    restored = SZ2Compressor().decompress_group(payloads)
-    for got, payload in zip(restored, payloads, strict=True):
-        np.testing.assert_array_equal(got, SZ2Compressor().decompress(payload))
-
-
 def test_int8_and_int16_code_streams_share_a_run(small_slab):
-    members = dict(_members())
+    members = dict(group_members())
     tensors = [members["smooth"].astype(np.float32), members["noisy"].astype(np.float32)]
     assert SZ2Compressor().group_slices([t.size for t in tensors]) == [slice(0, 2)]
     payloads = SZ2Compressor().compress_group(tensors, 1e-4, ErrorBoundMode.REL)
@@ -247,7 +107,7 @@ def test_int8_and_int16_code_streams_share_a_run(small_slab):
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
 def test_dtypes_may_mix_within_a_run(mode, small_slab):
-    tensors = [_noise(BLOCK + 5, seed).astype(dtype) for seed, dtype in enumerate(DTYPES * 2)]
+    tensors = [noise(BLOCK + 5, seed).astype(dtype) for seed, dtype in enumerate(DTYPES * 2)]
     codec = SZ2Compressor()
     assert codec.group_slices([t.size for t in tensors]) == [slice(0, 4), slice(4, 6)]
     payloads = codec.compress_group(tensors, 1e-2, mode)
@@ -262,7 +122,7 @@ def test_block_size_from_lossy_options_reaches_the_group_walk(monkeypatch):
     monkeypatch.setattr(sz2, "_RUN_ELEMENTS", 8 * 64)
     monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", 8 * 64)
     state = {
-        f"layer{index}.weight": _noise(size, index).astype(np.float32).reshape(-1, 1)
+        f"layer{index}.weight": noise(size, index).astype(np.float32).reshape(-1, 1)
         for index, size in enumerate([130, 64, 190, 8 * 64 + 1, 63, 200])
     }
     codec = FedSZCompressor(
@@ -283,7 +143,7 @@ def test_block_size_from_lossy_options_reaches_the_group_walk(monkeypatch):
 def test_payloads_of_another_block_size_decode_alone(small_slab):
     """Decode runs are cut from each payload's own metadata: whatever the
     decoder is configured with, and whoever its neighbours are."""
-    tensors = [_noise(BLOCK + 9, seed).astype(np.float32) for seed in range(5)]
+    tensors = [noise(BLOCK + 9, seed).astype(np.float32) for seed in range(5)]
     blocks = [256, 256, 64, 256, 64]
     payloads = [
         SZ2Compressor(block_size=block).compress(tensor, 1e-2)
@@ -312,7 +172,7 @@ def test_full_slab_groups_keep_the_allocation_ceiling_of_one_large_tensor():
     walks as one 2^18-value slab (``test_sz2_kernel.py`` pins its 10x), so
     encode measures 2.55x the 4 MB list (0.85x with 2^16-value runs) against
     a ceiling of 3x; decode 2.43x against the 2.5x a large tensor is held to."""
-    tensors = [_noise(4096, seed).astype(np.float32) for seed in range(256)]
+    tensors = [noise(4096, seed).astype(np.float32) for seed in range(256)]
     nbytes = sum(tensor.nbytes for tensor in tensors)
     codec = SZ2Compressor()
     runs = codec.group_slices([tensor.size for tensor in tensors])

@@ -2,9 +2,9 @@
 
 The kernels are written for memory traffic (slab-sized float64 buffers,
 int32 codes, a cost table, majority-mode decode).  Equality of every
-reconstruction with the frozen reference codecs is pinned by
-``test_staged_equivalence.py`` / ``test_reference_equivalence.py`` and of
-every payload byte across slab boundaries by ``test_sz2_slabs.py``; this file
+reconstruction with the frozen reference codecs, and of every payload byte
+across slab boundaries, is pinned by the golden corpus (``tests/golden/``);
+this file
 pins what those cannot see: the allocation peaks, the equality of the cost
 table with the expression it replaces, and the paths that only extreme or
 hostile inputs reach.

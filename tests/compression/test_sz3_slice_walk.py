@@ -5,19 +5,19 @@
 points through index arrays; that version is kept here, verbatim, as the
 reference: the slice walk must predict every point of every level from the
 same neighbours with the same float operations, so predictions are compared
-element-exact and whole payloads against digests recorded at the commit that
-still had the index walk.
+element-exact.  Whole payloads are pinned in the golden corpus
+(``tests/golden/``), recorded after the slice walk had kept the index walk's.
 """
 
 from __future__ import annotations
 
-import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.compression import ErrorBoundMode, SZ3Compressor
+from golden.cases import weights
+from repro.compression import SZ3Compressor
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.stages import EntropyStage
@@ -52,15 +52,6 @@ def _reference_predict(reconstruction, targets, stride, size, use_cubic):
     return predictions
 
 
-def _weight_like(dtype, size=5001, seed=7):
-    """The tensor of ``test_staged_equivalence.py``: weights plus outliers."""
-    rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, 0.02, size).astype(dtype)
-    outliers = rng.choice(size, 32, replace=False)
-    values[outliers] = rng.uniform(-0.9, 0.9, 32).astype(dtype)
-    return values
-
-
 @pytest.mark.parametrize("use_cubic", [True, False], ids=["cubic", "linear"])
 def test_slice_walk_predicts_exactly_what_the_index_walk_did(use_cubic):
     rng = np.random.default_rng(3)
@@ -81,34 +72,13 @@ def test_slice_walk_predicts_exactly_what_the_index_walk_did(use_cubic):
         assert visited.all(), f"{size=}: the levels do not cover every point"
 
 
-#: SHA-256 of ``SZ3Compressor().compress(_weight_like(dtype), bound, mode)`` at
-#: the parent commit (index walk; zlib 1.2.13, on which the bytes depend).
-PARENT_PAYLOAD_SHA256 = {
-    ("float32", "REL", 1e-1): "6f1828eaf519835536feda07d9034712f4639f84dc614b82dafa2f9529d1868b",
-    ("float32", "REL", 1e-3): "334de623020970ff2ad8b335c69ae8b01f93c67396ce779eb1215845e09b45f8",
-    ("float32", "ABS", 5e-3): "40decd551dc517aeae53ee58047586334648fb90ac6fb28a5346987a4271c3c7",
-    ("float64", "REL", 1e-1): "4fd77aed2e5491b420fecf816650ad6546270a794abc129f9567dc8a338c8ec6",
-    ("float64", "REL", 1e-3): "63a18fdb04b4424b446a6061efe3bd3767a661319645753176d3f802ff4c8b2f",
-    ("float64", "ABS", 5e-3): "569c99ac71779e53b80fcf6fcd8449bf5a0eb0f998edbeeacae2e612cbe77bbe",
-}
-
-
-@pytest.mark.parametrize(
-    "case", PARENT_PAYLOAD_SHA256, ids=lambda case: "{}-{}-{:g}".format(*case)
-)
-def test_payload_bytes_are_those_of_the_index_walk(case):
-    dtype, mode, bound = case
-    payload = SZ3Compressor().compress(_weight_like(dtype), bound, ErrorBoundMode[mode])
-    assert hashlib.sha256(payload).hexdigest() == PARENT_PAYLOAD_SHA256[case]
-
-
 def test_encode_allocation_peak_is_bounded():
     """The level codes go into one preallocated array and the levels read the
     tensor in its own dtype.  Measured 6.75x MobileNetV2-paper's largest tensor
     (409,600 float32 values) at REL 1e-2: the float64 reconstruction, the codes
     and the finest level's predictions; 8.0x with a float64 copy of the tensor
     and the codes as a concatenated list."""
-    data = _weight_like(np.float32, size=409_600)
+    data = weights(409_600, "float32")
     tracemalloc.start()
     try:
         SZ3Compressor().compress(data, 1e-2)
@@ -122,7 +92,7 @@ def test_encode_allocation_peak_is_bounded():
 def test_code_count_must_match_the_tensor(extra):
     """The walk consumes exactly ``size`` codes; trailing ones used to decode
     silently, as the honest tensor."""
-    data = _weight_like(np.float32)
+    data = weights(5001, "float32")
     sections = unpack_sections(SZ3Compressor().compress(data, 1e-2))
     codes = EntropyStage.decode(sections["codes"])
     forged = np.concatenate([codes, np.zeros(extra, codes.dtype)]) if extra > 0 else codes[:extra]

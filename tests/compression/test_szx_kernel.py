@@ -1,25 +1,23 @@
-"""The SZx slab kernels: parent bytes, packer layout, allocation peaks, hostile input.
+"""The SZx slab kernels: code widths, packer layout, allocation peaks, hostile input.
 
 ``SZxPredictor`` encodes a tensor in slabs of ``szx._SLAB_ELEMENTS`` values and
-packs / unpacks its ``width + 1``-bit fields eight to a lane.  Every payload
-here is compared with a digest recorded at the parent commit (whole-tensor
-float64 / uint64 temporaries and a byte-per-bit matrix) and every
-reconstruction bit for bit, sign of zero included, with
-``ReferenceSZxCompressor``, at the real slab size and at sixteen blocks a slab,
-so tensors end before, on and after a boundary.  The rest pins what equality
-cannot see: the packer against ``np.packbits`` of the explicit bit matrix, the
+packs / unpacks its ``width + 1``-bit fields eight to a lane.  The payload
+bytes and reconstructions of its boundary grid and of the special tensors
+below, at the real slab and at sixteen blocks a slab, are pinned in the golden
+corpus (``tests/golden/``).  Here: the widths those special tensors were built
+to reach, the packer against ``np.packbits`` of the explicit bit matrix, the
 allocation peaks, and the sections and inputs that used to escape as untyped
 errors or as a reconstruction full of ``inf``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from golden.cases import REAL_SLAB, SZX_SPECIALS, szx_special
 from repro.compression import ErrorBoundMode, SZ2Compressor, SZxCompressor, szx
 from repro.compression.base import pack_array, pack_sections, unpack_array, unpack_sections
 from repro.compression.errors import CorruptPayloadError, InvalidErrorBoundError
@@ -27,50 +25,6 @@ from _reference.codecs import ReferenceSZxCompressor
 from repro.compression.stages import pack_stage_meta, unpack_stage_meta
 from repro.core import FedSZCompressor
 from repro.core.serializer import build_fedsz_payload, parse_fedsz_payload
-
-#: The slab the sizes below were cut for (they need not follow a retuned one).
-RECORDED_SLAB = 1 << 16
-SMALL_SLAB_BLOCKS = 16
-MODES = {"REL": ErrorBoundMode.REL, "ABS": ErrorBoundMode.ABS}
-
-
-@pytest.fixture(params=["real-slab", "16-block-slab"])
-def slab(request, monkeypatch):
-    """Run the test at the real slab size and at sixteen blocks a slab."""
-
-    def apply(block: int) -> None:
-        if request.param == "16-block-slab":
-            monkeypatch.setattr(szx, "_SLAB_ELEMENTS", SMALL_SLAB_BLOCKS * block)
-
-    return apply
-
-
-def _digest(*payloads: bytes) -> str:
-    return hashlib.sha256(b"".join(payloads)).hexdigest()[:8]
-
-
-def _szx(block: int) -> SZxCompressor:
-    codec = SZxCompressor()
-    codec.block_size = block  # set after construction, as ``lossy_options`` does
-    return codec
-
-
-def _sizes(block: int):
-    """1, around a block, then a slab exactly, a slab and a block, three slabs
-    and a ragged tail — for the sixteen-block slab and the recorded one."""
-    sizes = {1, block - 1, block, block + 1}
-    for slab_values in (SMALL_SLAB_BLOCKS * block, RECORDED_SLAB // block // 8 * 8 * block):
-        sizes |= {slab_values, slab_values + block, 3 * slab_values + block + 7}
-    return sorted(sizes)
-
-
-def _weights(size: int, dtype) -> np.ndarray:
-    """Weight-like noise with a flat stretch (constant blocks) and a few outliers."""
-    rng = np.random.default_rng(size)
-    values = rng.normal(0.0, 0.02, size)
-    values[size // 3 : size // 2] = 0.004
-    values[:: max(1, size // 7)] *= 3.0
-    return values.astype(dtype)
 
 
 def _same_bits(left: np.ndarray, right: np.ndarray) -> bool:
@@ -83,117 +37,23 @@ def _reference_roundtrip(data: np.ndarray, block: int, bound: float, mode) -> np
     return reference.decompress(reference.compress(data, bound, mode))
 
 
-#: ``_digest`` of the payloads of ``_weights(size, dtype)`` over ``_sizes(block)``
-#: at the parent commit, keyed by ``(block, dtype, mode, bound)``.
-PARENT_PAYLOAD_DIGESTS = {
-    (4, "float16", "REL", 0.1): "7e3dadd5", (4, "float16", "REL", 0.01): "92380f21",
-    (4, "float16", "REL", 0.0001): "8ef2679d", (4, "float16", "ABS", 0.1): "37f57d09",
-    (4, "float16", "ABS", 0.01): "e37ae763", (4, "float16", "ABS", 0.0001): "0be4fc80",
-    (4, "float32", "REL", 0.1): "04042d82", (4, "float32", "REL", 0.01): "4cd4394c",
-    (4, "float32", "REL", 0.0001): "b4730677", (4, "float32", "ABS", 0.1): "74a4e7cf",
-    (4, "float32", "ABS", 0.01): "50e1abf1", (4, "float32", "ABS", 0.0001): "d49ce4c9",
-    (4, "float64", "REL", 0.1): "0a4f9f42", (4, "float64", "REL", 0.01): "518c2aea",
-    (4, "float64", "REL", 0.0001): "cf60c517", (4, "float64", "ABS", 0.1): "6fa5ce09",
-    (4, "float64", "ABS", 0.01): "25957dca", (4, "float64", "ABS", 0.0001): "09091b37",
-    (64, "float16", "REL", 0.1): "ab5f8340", (64, "float16", "REL", 0.01): "70c2a73b",
-    (64, "float16", "REL", 0.0001): "de03e11c", (64, "float16", "ABS", 0.1): "6922b99d",
-    (64, "float16", "ABS", 0.01): "3910fae3", (64, "float16", "ABS", 0.0001): "2bfcd14a",
-    (64, "float32", "REL", 0.1): "ecce1f6e", (64, "float32", "REL", 0.01): "e0f26fee",
-    (64, "float32", "REL", 0.0001): "40c996b3", (64, "float32", "ABS", 0.1): "58ec0a48",
-    (64, "float32", "ABS", 0.01): "d2b9b9cd", (64, "float32", "ABS", 0.0001): "659a0248",
-    (64, "float64", "REL", 0.1): "76f971e8", (64, "float64", "REL", 0.01): "3004f6d3",
-    (64, "float64", "REL", 0.0001): "2a23cd3a", (64, "float64", "ABS", 0.1): "e771a657",
-    (64, "float64", "ABS", 0.01): "9d6da256", (64, "float64", "ABS", 0.0001): "ababc665",
-    (100, "float16", "REL", 0.1): "56f097c4", (100, "float16", "REL", 0.01): "278976d0",
-    (100, "float16", "REL", 0.0001): "e4d53ffb", (100, "float16", "ABS", 0.1): "9e71850a",
-    (100, "float16", "ABS", 0.01): "4811b932", (100, "float16", "ABS", 0.0001): "92eec9d2",
-    (100, "float32", "REL", 0.1): "0a0ff9c9", (100, "float32", "REL", 0.01): "f8733301",
-    (100, "float32", "REL", 0.0001): "55a482ba", (100, "float32", "ABS", 0.1): "33b0056f",
-    (100, "float32", "ABS", 0.01): "62e38176", (100, "float32", "ABS", 0.0001): "873196af",
-    (100, "float64", "REL", 0.1): "d8fcfd9d", (100, "float64", "REL", 0.01): "662d4792",
-    (100, "float64", "REL", 0.0001): "7192197e", (100, "float64", "ABS", 0.1): "3b60fec3",
-    (100, "float64", "ABS", 0.01): "68444e31", (100, "float64", "ABS", 0.0001): "838197fe",
-    (128, "float16", "REL", 0.1): "9f740dea", (128, "float16", "REL", 0.01): "55a7a8e4",
-    (128, "float16", "REL", 0.0001): "5f241076", (128, "float16", "ABS", 0.1): "a1221418",
-    (128, "float16", "ABS", 0.01): "277e1842", (128, "float16", "ABS", 0.0001): "64aa0762",
-    (128, "float32", "REL", 0.1): "88c404fa", (128, "float32", "REL", 0.01): "edefcff1",
-    (128, "float32", "REL", 0.0001): "4317ce40", (128, "float32", "ABS", 0.1): "d58178f0",
-    (128, "float32", "ABS", 0.01): "af6fcf98", (128, "float32", "ABS", 0.0001): "e819ce74",
-    (128, "float64", "REL", 0.1): "9dcb99b7", (128, "float64", "REL", 0.01): "06bc10c6",
-    (128, "float64", "REL", 0.0001): "1d8b48a7", (128, "float64", "ABS", 0.1): "b9d6f90d",
-    (128, "float64", "ABS", 0.01): "c1f5ef00", (128, "float64", "ABS", 0.0001): "38e40959",
-}  # fmt: skip
-
-
-@pytest.mark.parametrize(
-    "case", PARENT_PAYLOAD_DIGESTS, ids=lambda case: "b{}-{}-{}-{:g}".format(*case)
-)
-def test_every_slab_boundary_gives_the_parent_bytes(case, slab):
-    block, dtype, mode, bound = case
-    slab(block)
-    payloads = []
-    for size in _sizes(block):
-        data = _weights(size, dtype)
-        payloads.append(_szx(block).compress(data, bound, MODES[mode]))
-        restored = _szx(block).decompress(payloads[-1])
-        expected = _reference_roundtrip(data, block, bound, MODES[mode])
-        assert _same_bits(restored, expected), f"{size=}"
-    assert _digest(*payloads) == PARENT_PAYLOAD_DIGESTS[case]
-
-
-def _special(name: str) -> tuple:
-    """``(data, bound, mode)`` of the named tensor: the shapes the grid misses."""
-    rng = np.random.default_rng(24)
-    if name == "all-constant":  # not one value block; a negative-zero mean among them
-        data = np.repeat(rng.normal(0.0, 1.0, 40), 128).astype(np.float32)
-        data[:128] = -0.0
-        return data, 1e-3, ErrorBoundMode.ABS
-    if name == "mixed-in-one-slab":  # constant and value blocks alternate inside a slab
-        data = rng.normal(0.0, 0.02, (64, 128))
-        data[::2] = 0.01
-        return data.astype(np.float32).ravel(), 1e-2, ErrorBoundMode.REL
-    if name == "widths-over-16":
-        return rng.normal(0.0, 1.0, 5000).astype(np.float32), 1e-6, ErrorBoundMode.ABS
-    if name == "widths-over-32":  # uint64 codes
-        return rng.normal(0.0, 1.0, 5000), 1e-12, ErrorBoundMode.ABS
-    if name == "wider-from-the-third-slab":  # the codes are widened once, late
-        data = rng.normal(0.0, 0.02, 5 * RECORDED_SLAB + 77).astype(np.float32)
-        data[2 * RECORDED_SLAB + 5 :: 1000] = 40.0
-        return data, 1e-3, ErrorBoundMode.ABS
-    if name == "zero-deviations-below-the-mean":  # sign set on magnitude 0: -0.0 + mean
-        data = np.tile(np.array([-1e-9, 0.0, 1e-9, 0.5], dtype=np.float64), 300)
-        return data * 1e-200, 1e-3, ErrorBoundMode.REL
-    raise KeyError(name)
-
-
-#: ``_digest`` of the payload of ``_special(name)`` at the parent commit.
-PARENT_SPECIAL_DIGESTS = {
-    "all-constant": "7f4d40c7",
-    "mixed-in-one-slab": "8890a43c",
-    "widths-over-16": "1459117c",
-    "widths-over-32": "d351cc24",
-    "wider-from-the-third-slab": "fd4e0c8d",
-    "zero-deviations-below-the-mean": "c08eab11",
+#: What each special tensor was built to reach, on its per-block widths.
+SPECIAL_WIDTHS = {
+    "all-constant": lambda widths: widths.max() == 0,
+    "mixed-in-one-slab": lambda widths: 0 < np.count_nonzero(widths) < widths.size,
+    "widths-over-16": lambda widths: 16 < widths.max() <= 31,
+    "widths-over-32": lambda widths: widths.max() > 32,
+    "wider-from-the-third-slab": lambda widths: (
+        widths[: 2 * REAL_SLAB // 128].max() <= 7 < widths.max()
+    ),
 }
 
 
-@pytest.mark.parametrize("name", PARENT_SPECIAL_DIGESTS)
-def test_special_tensors_give_the_parent_bytes(name, slab):
-    slab(128)
-    data, bound, mode = _special(name)
-    payload = SZxCompressor().compress(data, bound, mode)
-    assert _digest(payload) == PARENT_SPECIAL_DIGESTS[name]
-    expected = _reference_roundtrip(data, 128, bound, mode)
-    assert _same_bits(SZxCompressor().decompress(payload), expected)
-    widths = unpack_array(unpack_sections(payload)["widths"])
-    expected_widths = {
-        "all-constant": widths.max() == 0,
-        "mixed-in-one-slab": 0 < np.count_nonzero(widths) < widths.size,
-        "widths-over-16": 16 < widths.max() <= 31,
-        "widths-over-32": widths.max() > 32,
-        "wider-from-the-third-slab": widths[: 2 * RECORDED_SLAB // 128].max() <= 7 < widths.max(),
-    }
-    assert expected_widths.get(name, True)
+@pytest.mark.parametrize("name", SPECIAL_WIDTHS)
+def test_special_tensors_reach_their_code_widths(name):
+    _, mode, bound = SZX_SPECIALS[name]
+    payload = SZxCompressor().compress(szx_special(name), bound, ErrorBoundMode[mode])
+    assert SPECIAL_WIDTHS[name](unpack_array(unpack_sections(payload)["widths"]))
 
 
 # ----------------------------------------------------------------------
