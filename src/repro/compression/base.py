@@ -337,7 +337,13 @@ def pack_sections(sections: Mapping[str, bytes]) -> bytes:
 
 
 def unpack_sections(payload: bytes) -> Dict[str, bytes]:
-    """Inverse of :func:`pack_sections`."""
+    """Inverse of :func:`pack_sections`.
+
+    Fails closed: a truncated stream, bytes after the last declared section
+    and a section name that repeats are all :class:`CorruptPayloadError` — a
+    forged stream can neither smuggle trailing data past the decoder nor
+    shadow one section with another of the same name.
+    """
     if len(payload) < _HEADER_STRUCT.size:
         raise CorruptPayloadError("payload too short to contain a section header")
     magic, count = _HEADER_STRUCT.unpack_from(payload, 0)
@@ -355,8 +361,14 @@ def unpack_sections(payload: bytes) -> Dict[str, bytes]:
         if end_of_data > len(payload):
             raise CorruptPayloadError("truncated section data")
         name = payload[offset:end_of_name].decode("utf-8")
+        if name in sections:
+            raise CorruptPayloadError(f"section {name!r} appears twice")
         sections[name] = payload[end_of_name:end_of_data]
         offset = end_of_data
+    if offset != len(payload):
+        raise CorruptPayloadError(
+            f"{len(payload) - offset} bytes after the last of {count} sections"
+        )
     return sections
 
 

@@ -1,4 +1,4 @@
-"""Fingerprint-keyed broadcast payload cache for the federated runtime.
+"""Once-per-round broadcast payload cache for the federated runtime.
 
 Every round starts with the server shipping the global state to each
 participant.  Three distinct costs hide in that step and this module makes
@@ -18,8 +18,12 @@ each of them explicit, paid **at most once per round**:
 * **repeat rounds** — when nothing changed since the previous round (same
   global state, same codec fingerprint, same error bound — e.g. every update
   was dropped or every client crashed), the cache returns the previous
-  round's entry instead of redoing the work.  The key combines a content
-  digest of the state with the checkpoint-subsystem codec fingerprint
+  round's entry instead of redoing the work.  It finds out by comparison,
+  not hashing: it keeps a private copy of last round's global state and
+  compares the new one with it — names, dtypes, shapes, then raw bytes, so
+  ``-0.0`` against ``+0.0`` or two NaN payloads differ exactly as they would
+  under a content digest — and a round that trained usually misses at the
+  first tensor.  The codec identity is the checkpoint subsystem's
   (:func:`repro.fl.checkpoint.codec_fingerprint`), so swapping the codec or
   its bound between rounds is a guaranteed miss.
 
@@ -31,8 +35,9 @@ path — exactly the pre-cache behaviour.
 
 Worker-side, :class:`repro.fl.executor.ProcessParallelExecutor` ships the
 :class:`BroadcastPayload` to every worker once per round; each worker caches
-the *decoded* state under the same fingerprint, so a fleet round decodes the
-broadcast O(workers) times instead of O(participants).
+the *decoded* state under the payload's :func:`broadcast_key` (a BLAKE2b
+content digest, computed only when a wire buffer is built), so a fleet round
+decodes the broadcast O(workers) times instead of O(participants).
 """
 
 from __future__ import annotations
@@ -58,9 +63,12 @@ def state_fingerprint(state: Mapping[str, np.ndarray]) -> str:
 
     Two states with the same fingerprint are bit-identical for every purpose
     the broadcast cares about (training input, serialized payload, codec
-    input), so the digest is safe as a cache key.  BLAKE2b at 128 bits keeps
-    hashing a paper-scale model in the low milliseconds while making an
-    accidental collision between consecutive rounds astronomically unlikely.
+    input), so the digest is safe as the key process workers cache their
+    decoded broadcast under.  BLAKE2b at 128 bits makes an accidental
+    collision between consecutive rounds astronomically unlikely.  It costs
+    about 2 ms for AlexNet-tiny's 0.89 MB on a 2-vCPU host, which is why the
+    parent-side cache compares states instead and hashes only when it builds
+    a wire buffer.
     """
     digest = hashlib.blake2b(digest_size=16)
     for name, value in state.items():
@@ -75,19 +83,20 @@ def state_fingerprint(state: Mapping[str, np.ndarray]) -> str:
 def broadcast_key(
     state: Mapping[str, np.ndarray], codec, compressed: bool
 ) -> str:
-    """Cache key for one round's broadcast.
+    """Wire key of one round's broadcast (:attr:`BroadcastPayload.fingerprint`).
 
     Combines the state content digest with the codec identity the checkpoint
     subsystem already canonicalises (class + static config, which includes the
-    error bound), so the cache misses whenever the global state, the codec,
-    or its error bound changed between rounds.
+    error bound), so a worker's cached decode is stale whenever the global
+    state, the codec, or its error bound changed between rounds.
     """
+    return _key(state, codec_fingerprint(codec) if compressed else None, compressed)
+
+
+def _key(state: Mapping[str, np.ndarray], codec: Optional[Dict[str, object]], compressed) -> str:
+    """:func:`broadcast_key` from an already computed codec identity."""
     return json.dumps(
-        {
-            "state": state_fingerprint(state),
-            "codec": codec_fingerprint(codec) if compressed else None,
-            "compressed": bool(compressed),
-        },
+        {"state": state_fingerprint(state), "codec": codec, "compressed": bool(compressed)},
         sort_keys=True,
     )
 
@@ -116,12 +125,37 @@ class BroadcastPayload:
         return deserialize_named_arrays(self.data)
 
 
+def _bits(array: np.ndarray) -> np.ndarray:
+    """``array``'s raw bytes as a flat run of unsigned integers of its item
+    size, so equality is byte equality (``-0.0 != +0.0``, a NaN equals only
+    the same NaN payload)."""
+    flat = np.ascontiguousarray(array).reshape(-1)
+    return flat.view(f"u{flat.itemsize}" if flat.itemsize in (1, 2, 4, 8) else np.uint8)
+
+
+def _same_state(kept: Mapping[str, np.ndarray], state: Mapping[str, np.ndarray]) -> bool:
+    """Whether ``state`` is byte-for-byte ``kept``: the same names in the same
+    order, then per tensor the same dtype and shape, then the same bytes."""
+    if len(kept) != len(state):
+        return False
+    for (name, old), (other, new) in zip(kept.items(), state.items(), strict=True):
+        new = np.asarray(new)
+        if name != other or old.dtype != new.dtype or old.shape != new.shape:
+            return False
+        if not np.array_equal(_bits(old), _bits(new)):
+            return False
+    return True
+
+
 @dataclass
 class _CacheEntry:
-    key: str
+    #: Private copy of the global state this entry was built from.
+    source: Dict[str, np.ndarray]
+    #: Codec identity, ``None`` for a raw (uncompressed) broadcast.
+    codec: Optional[Dict[str, object]]
     state: Dict[str, np.ndarray]
     nbytes: int
-    payload: Optional[BroadcastPayload]
+    payload: Optional[BroadcastPayload] = None
     #: Codec bitstream of a compressed broadcast, reused as the wire buffer.
     codec_payload: Optional[bytes] = None
 
@@ -158,18 +192,24 @@ class BroadcastCache:
         cache hit — no codec work happened this round).
         """
         compressed = codec is not None and compress_downlink
-        key = broadcast_key(global_state, codec, compressed)
+        identity = codec_fingerprint(codec) if compressed else None
         # Cross-round reuse would skip a stateful codec's per-round compress
         # call and desynchronise its internal streams from the serial path.
         reusable = codec is None or hasattr(codec, "clone")
         entry = self._entry
-        if entry is not None and entry.key == key and reusable:
+        if (
+            entry is not None
+            and reusable
+            and entry.codec == identity
+            and _same_state(entry.source, global_state)
+        ):
             self.hits += 1
             if build_payload and entry.payload is None:
                 entry.payload = self._build_payload(entry)
             return entry.state, entry.nbytes, entry.payload, 0.0, 0.0
 
         self.misses += 1
+        source = {name: np.array(value, order="C") for name, value in global_state.items()}
         compress_seconds = 0.0
         decompress_seconds = 0.0
         if compressed:
@@ -180,12 +220,13 @@ class BroadcastCache:
             start = time.perf_counter()
             state = codec.decompress(payload_bytes)
             decompress_seconds = time.perf_counter() - start
-            nbytes = len(payload_bytes)
-            entry = _CacheEntry(key, state, nbytes, None, payload_bytes)
+            entry = _CacheEntry(
+                source, identity, state, len(payload_bytes), codec_payload=payload_bytes
+            )
         else:
             state = dict(global_state)
             nbytes = int(sum(np.asarray(v).nbytes for v in global_state.values()))
-            entry = _CacheEntry(key, state, nbytes, None)
+            entry = _CacheEntry(source, identity, state, nbytes)
         if build_payload:
             entry.payload = self._build_payload(entry)
         self._entry = entry
@@ -194,13 +235,14 @@ class BroadcastCache:
     def _build_payload(self, entry: _CacheEntry) -> BroadcastPayload:
         """Build the wire buffer for ``entry`` (counted once per round)."""
         self.serializations += 1
+        key = _key(entry.source, entry.codec, entry.codec is not None)
         if entry.codec_payload is not None:
             # The codec payload *is* the bitstream — ship it and let each
             # worker's codec clone decompress once per round (deterministic
             # codecs decode bit-identically, the repo's standing guarantee).
-            return BroadcastPayload(entry.key, ENCODING_CODEC, entry.codec_payload, entry.nbytes)
+            return BroadcastPayload(key, ENCODING_CODEC, entry.codec_payload, entry.nbytes)
         return BroadcastPayload(
-            entry.key, ENCODING_ARRAYS, serialize_named_arrays(entry.state), entry.nbytes
+            key, ENCODING_ARRAYS, serialize_named_arrays(entry.state), entry.nbytes
         )
 
 

@@ -16,10 +16,11 @@ Pieces:
   by the transport's simulated link seconds, which unifies the virtual
   clock), straggler deadline, checkpoint due, and fault injection.
 * :class:`EligibleSet` — the incrementally maintained "who is reachable"
-  set.  Availability schedules compile into arrival/departure event streams
+  set, a one-``bool``-per-client bitmap.  Availability schedules compile into
+  arrival/departure event streams
   (:meth:`repro.fl.scenarios.ParticipationSchedule.transitions`) instead of
-  per-round full-fleet masks; applying a stream reproduces
-  ``np.nonzero(mask)[0]`` bit for bit.
+  per-round full-fleet masks; applying a stream is two scatters, and the ids
+  it yields reproduce ``np.nonzero(mask)[0]`` bit for bit.
 * :class:`FleetEngine` — drives a :class:`~repro.fl.runtime.FederatedRuntime`
   from the queue.  Schedulers consume the round's completion events
   (``consume_events``): synchronous FedAvg is the degenerate barrier case
@@ -121,11 +122,13 @@ class EventQueue:
 
 
 def _checked_ids(batch, num_clients: Optional[int]) -> np.ndarray:
-    """One transition batch as strictly increasing ``int64`` ids (sorted and
-    de-duplicated if it is not).  Rejects what no mask could mean: a non-integer
-    or non-1-D array, an id outside ``[0, num_clients)`` — two reductions over
-    the batch, not the fleet."""
+    """One transition batch as an ``int64`` id array, in any order, duplicates
+    allowed.  Rejects what no mask could mean: a non-integer or non-1-D array,
+    an id outside ``[0, num_clients)`` — two reductions over the batch, not the
+    fleet.  A bare empty sequence (``[]``) carries no dtype and means no ids."""
     ids = np.asarray(batch)
+    if ids.shape == (0,) and not isinstance(batch, np.ndarray):
+        ids = ids.astype(np.int64)
     if ids.ndim != 1 or ids.dtype.kind not in "iu":
         raise ValueError(
             f"client ids must be a 1-D integer array, got {ids.dtype} of shape {ids.shape}"
@@ -134,28 +137,35 @@ def _checked_ids(batch, num_clients: Optional[int]) -> np.ndarray:
         raise ValueError(
             f"client ids must lie in [0, {num_clients}), got {ids.min()}..{ids.max()}"
         )
-    ids = ids.astype(np.int64, copy=False)
-    if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
-        ids = np.unique(ids)
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 class EligibleSet:
     """The reachable-client set, maintained from arrival/departure batches.
 
-    Ids are held as a sorted, unique ``int64`` array — exactly what
-    ``np.nonzero(mask)[0]`` yields — so handing :meth:`ids` to the sampler
-    reproduces the mask-based draw bit for bit.  A batch is merged in by
-    binary search plus one ``np.insert`` / ``np.delete``: an O(|set| +
-    |batch|) memmove that never re-sorts or re-hashes the set, with the
-    contents of a union-then-difference.  ``touched`` counts ids moved
+    The set is a bitmap, one ``bool`` per client id.  A batch is two scatters
+    (arrivals to ``True``, then departures to ``False``), so folding a round
+    costs O(transitions) and needs no sorted or unique input.  :meth:`ids`
+    is ``np.flatnonzero`` of the bitmap — exactly what
+    ``np.nonzero(mask)[0]`` yields, so handing it to the sampler reproduces
+    the mask-based draw bit for bit — recomputed only after a batch changed
+    the set, so an event-free round costs O(1).  Without a fleet size the
+    bitmap grows to the largest id seen.  ``touched`` counts ids moved
     through :meth:`apply` / :meth:`reset_from_mask`: the O(events) guard
     asserts it scales with transitions, not fleet size.
     """
 
     def __init__(self) -> None:
-        self._ids = np.empty(0, dtype=np.int64)
+        self._bitmap = np.zeros(0, dtype=bool)
+        self._ids: Optional[np.ndarray] = np.empty(0, dtype=np.int64)
         self.touched = 0
+
+    def _reserve(self, size: int) -> None:
+        """Grow the bitmap to hold ids below ``size`` (at least doubling)."""
+        if size > self._bitmap.size:
+            grown = np.zeros(max(size, 2 * self._bitmap.size), dtype=bool)
+            grown[: self._bitmap.size] = self._bitmap
+            self._bitmap = grown
 
     def apply(
         self, arrivals: np.ndarray, departures: np.ndarray, num_clients: Optional[int] = None
@@ -168,16 +178,14 @@ class EligibleSet:
         """
         arriving = _checked_ids(arrivals, num_clients)
         leaving = _checked_ids(departures, num_clients)
-        # ``append(ids, -1)[at]``: the id at each insertion point; past the end
-        # it reads the sentinel, which equals no (validated, non-negative) id.
-        if arriving.size:
-            at = np.searchsorted(self._ids, arriving)
-            new = np.append(self._ids, -1)[at] != arriving
-            self._ids = np.insert(self._ids, at[new], arriving[new])
-        if leaving.size:
-            at = np.searchsorted(self._ids, leaving)
-            self._ids = np.delete(self._ids, at[np.append(self._ids, -1)[at] == leaving])
-        self.touched += int(np.size(arrivals)) + int(np.size(departures))
+        if arriving.size or leaving.size:
+            if num_clients is None:
+                num_clients = 1 + max(arriving.max(initial=-1), leaving.max(initial=-1))
+            self._reserve(int(num_clients))
+            self._bitmap[arriving] = True
+            self._bitmap[leaving] = False
+            self._ids = None
+        self.touched += int(arriving.size) + int(leaving.size)
 
     def reset_from_mask(self, mask: np.ndarray, num_clients: Optional[int] = None) -> None:
         """Rebuild the set from a full mask (the resume/discontinuity path).
@@ -189,15 +197,18 @@ class EligibleSet:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 1 or num_clients not in (None, mask.size):
             raise ValueError(f"availability mask has shape {mask.shape}, expected ({num_clients},)")
-        self._ids = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        self._bitmap = mask.copy()
+        self._ids = None
         self.touched += int(mask.size)
 
     def ids(self) -> np.ndarray:
         """Sorted unique ids of the currently reachable clients."""
+        if self._ids is None:
+            self._ids = np.flatnonzero(self._bitmap).astype(np.int64, copy=False)
         return self._ids
 
     def __len__(self) -> int:
-        return int(self._ids.size)
+        return int(self.ids().size)
 
 
 @dataclass

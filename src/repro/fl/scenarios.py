@@ -9,7 +9,12 @@ named, reproducible presets:
 * a **participation schedule** answers "which clients are reachable in round
   ``t``?" with a boolean availability mask (and its arrival/departure
   stream) that the engine (:mod:`repro.fl.events`) folds into the eligible
-  set *before* ``client_fraction`` of it is sampled;
+  set *before* ``client_fraction`` of it is sampled.  A run asks for the
+  stream round after round, so a mask-drawing schedule keeps the last mask
+  it drew and draws one mask a round, not two.  Round counts
+  (``period_rounds``, ``join_round``, ``leave_round``) must be whole numbers
+  and ``phase`` finite: the constructors reject what they would otherwise
+  truncate;
 * a :class:`FleetScenario` composes the schedule with
   :func:`repro.fl.transport.edge_fleet_specs` (link heterogeneity), a
   partition strategy, and a round scheduler into everything
@@ -36,6 +41,8 @@ Use :func:`get_scenario` / :func:`build_fleet_runtime`, or the CLI's
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,6 +56,18 @@ from repro.fl.transport import Transport, edge_fleet_specs
 # ----------------------------------------------------------------------
 # Participation schedules
 # ----------------------------------------------------------------------
+def _round_count(field_name: str, value) -> int:
+    """``value`` as an ``int`` round count; a fraction, a ``bool`` or a
+    non-finite value is a ``ValueError`` naming ``field_name`` rather than a
+    silent truncation."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise ValueError(f"{field_name} must be a whole number of rounds, got {value!r}")
+
+
 class ParticipationSchedule:
     """Per-round client availability: ``mask(t, n)[i]`` is True when client
     ``i`` is reachable in round ``t``.
@@ -59,6 +78,9 @@ class ParticipationSchedule:
     """
 
     name = "base"
+    #: ``(round_index, num_clients, mask)`` of the last mask :meth:`transitions`
+    #: drew, so a run's next round diffs against it instead of redrawing it.
+    _drawn: Optional[Tuple[int, int, np.ndarray]] = None
 
     def mask(self, round_index: int, num_clients: int) -> np.ndarray:
         """Boolean availability mask of shape ``(num_clients,)``."""
@@ -77,15 +99,22 @@ class ParticipationSchedule:
         for bit (asserted in ``tests/fl/test_events.py``).
 
         The base implementation diffs two full masks — correct for any
-        schedule.  Schedules whose dynamics are sparse (full participation,
-        flash crowds) override this with O(transitions) streams so
-        fleet-size work only happens when the fleet actually changes.
+        schedule, since masks are pure functions of their arguments.  It keeps
+        the mask it drew for ``round_index``, so the next round in order draws
+        one mask, not two; any other call order draws both.  Schedules whose
+        dynamics are sparse (full participation, flash crowds) override this
+        with O(transitions) streams so fleet-size work only happens when the
+        fleet actually changes.
         """
         current = np.asarray(self.mask(round_index, num_clients), dtype=bool)
+        drawn = self._drawn
         if round_index <= 0:
             previous = np.zeros(num_clients, dtype=bool)
+        elif drawn is not None and drawn[:2] == (round_index - 1, num_clients):
+            previous = drawn[2]
         else:
             previous = np.asarray(self.mask(round_index - 1, num_clients), dtype=bool)
+        self._drawn = (round_index, num_clients, current)
         arrivals = np.nonzero(current & ~previous)[0]
         departures = np.nonzero(previous & ~current)[0]
         return arrivals, departures
@@ -141,6 +170,7 @@ class DiurnalSchedule(ParticipationSchedule):
         phase: float = 0.0,
         seed: int = 0,
     ) -> None:
+        period_rounds = _round_count("period_rounds", period_rounds)
         if period_rounds <= 0:
             raise ValueError(f"period_rounds must be positive, got {period_rounds}")
         if not 0.0 <= min_availability <= max_availability <= 1.0:
@@ -148,7 +178,9 @@ class DiurnalSchedule(ParticipationSchedule):
                 "need 0 <= min_availability <= max_availability <= 1, got "
                 f"[{min_availability}, {max_availability}]"
             )
-        self.period_rounds = int(period_rounds)
+        if not math.isfinite(float(phase)):
+            raise ValueError(f"phase must be finite, got {phase!r}")
+        self.period_rounds = period_rounds
         self.min_availability = float(min_availability)
         self.max_availability = float(max_availability)
         self.phase = float(phase)
@@ -194,14 +226,16 @@ class FlashCrowdSchedule(ParticipationSchedule):
         leave_round: int = 6,
         crowd_fraction: float = 0.5,
     ) -> None:
+        join_round = _round_count("join_round", join_round)
+        leave_round = _round_count("leave_round", leave_round)
         if join_round < 0 or leave_round <= join_round:
             raise ValueError(
                 f"need 0 <= join_round < leave_round, got [{join_round}, {leave_round})"
             )
         if not 0.0 < crowd_fraction < 1.0:
             raise ValueError(f"crowd_fraction must lie in (0, 1), got {crowd_fraction}")
-        self.join_round = int(join_round)
-        self.leave_round = int(leave_round)
+        self.join_round = join_round
+        self.leave_round = leave_round
         self.crowd_fraction = float(crowd_fraction)
 
     def crowd_start(self, num_clients: int) -> int:

@@ -25,6 +25,8 @@ from repro.compression import (
 )
 from repro.compression.base import (
     CompressionStats,
+    append_section,
+    begin_sections,
     pack_array,
     pack_sections,
     resolve_error_bound,
@@ -35,6 +37,14 @@ from repro.compression.errors import CorruptPayloadError, UnknownCompressorError
 from repro.compression.lossless import ZlibCompressor
 from repro.compression.metrics import stats_from_evaluation
 from repro.compression.stages import unpack_stage_meta
+from repro.core import FedSZCompressor
+from repro.core.pipeline import decompress_state_dict
+from repro.core.serializer import (
+    build_fedsz_payload,
+    deserialize_named_arrays,
+    parse_fedsz_payload,
+    serialize_named_arrays,
+)
 
 
 def test_builtin_registrations_present():
@@ -114,6 +124,75 @@ def test_pack_sections_corrupt_magic():
     payload = pack_sections({"a": b"b"})
     with pytest.raises(CorruptPayloadError):
         unpack_sections(b"ZZZZ" + payload[4:])
+
+
+def _doubled(name: str, first: bytes, second: bytes) -> bytes:
+    """A section stream that declares ``name`` twice."""
+    buffer = bytearray()
+    begin_sections(buffer, 2)
+    append_section(buffer, name, first)
+    append_section(buffer, name, second)
+    return bytes(buffer)
+
+
+def test_unpack_sections_rejects_trailing_bytes_and_repeated_names():
+    payload = pack_sections({"a": b"b", "c": b""})
+    with pytest.raises(CorruptPayloadError, match="after the last"):
+        unpack_sections(payload + b"xyz")
+    with pytest.raises(CorruptPayloadError, match="after the last"):
+        unpack_sections(pack_sections({}) + b"\x00")
+    with pytest.raises(CorruptPayloadError, match="twice"):
+        unpack_sections(_doubled("a", b"1", b"2"))
+
+
+@pytest.fixture()
+def small_state(rng):
+    return {
+        "conv.weight": rng.normal(size=(16, 8, 3, 3)).astype(np.float32),
+        "conv.bias": rng.normal(size=(16,)).astype(np.float32),
+        "bn.num_batches_tracked": np.array(3, dtype=np.int64),
+    }
+
+
+def test_fedsz_payload_with_trailing_bytes_fails_closed(small_state):
+    codec = FedSZCompressor(error_bound=1e-2)
+    payload = codec.compress(small_state)
+    assert codec.decompress(payload).keys() == small_state.keys()
+    with pytest.raises(CorruptPayloadError):
+        codec.decompress(payload + b"xyz")
+
+
+def test_fedsz_payload_with_a_repeated_lossless_tensor_fails_closed(small_state):
+    """A forged lossless partition that names one tensor twice used to decode
+    to one tensor fewer than it declared."""
+    header, lossy, lossless_blob = parse_fedsz_payload(FedSZCompressor().compress(small_state))
+    lossless = get_lossless_compressor(header["lossless_compressor"])
+    arrays = deserialize_named_arrays(lossless.decompress(lossless_blob))
+    name = next(iter(arrays))
+    forged = _doubled(name, pack_array(arrays[name]), pack_array(arrays[name]))
+    payload = build_fedsz_payload(header, lossy, lossless.compress(forged))
+    with pytest.raises(CorruptPayloadError, match="twice"):
+        decompress_state_dict(payload)
+
+
+@pytest.mark.parametrize("name", sorted(available_lossy_compressors()))
+def test_staged_payload_with_trailing_bytes_fails_closed(name, rng):
+    codec = get_lossy_compressor(name)
+    data = rng.normal(size=(64, 64)).astype(np.float32)
+    payload = codec.compress(data, 1e-2)
+    assert codec.decompress(payload).shape == data.shape
+    with pytest.raises(CorruptPayloadError):
+        codec.decompress(payload + b"\x00")
+
+
+def test_named_array_blob_fails_closed_on_trailing_bytes_and_repeated_names(small_state):
+    blob = serialize_named_arrays(small_state)
+    assert deserialize_named_arrays(blob).keys() == small_state.keys()
+    with pytest.raises(CorruptPayloadError):
+        deserialize_named_arrays(blob + b"xyz")
+    section = pack_array(small_state["conv.bias"])
+    with pytest.raises(CorruptPayloadError):
+        deserialize_named_arrays(_doubled("conv.bias", section, section))
 
 
 def test_pack_array_roundtrip_various_dtypes(rng):

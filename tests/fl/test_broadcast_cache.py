@@ -119,6 +119,76 @@ def test_state_change_invalidates(state):
     assert (cache.hits, cache.misses) == (0, 2)
 
 
+def test_an_in_place_edit_between_rounds_is_a_miss(state, tiny_setup):
+    """The cache keeps its own copy of last round's state: editing the caller's
+    arrays in place, or the server model behind them, cannot fake a hit."""
+    cache = BroadcastCache()
+    cache.round_state(state, None, False)
+    state["layer.bias"][3] += 1.0  # the very arrays the cache saw last round
+    cache.round_state(state, None, False)
+    assert (cache.hits, cache.misses) == (0, 2)
+
+    server = _tiny_runtime(tiny_setup).server
+    cache = BroadcastCache()
+    cache.round_state(server.global_state(), None, False)
+    cache.round_state(server.global_state(), None, False)
+    parameter = next(server.model.parameters())
+    parameter.data.reshape(-1)[0] += 1.0
+    cache.round_state(server.global_state(), None, False)
+    assert (cache.hits, cache.misses) == (1, 2)
+
+
+def _with_bits(values, dtype, uint):
+    return {"w": np.array(values, dtype=uint).view(dtype)}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (_with_bits([0, 0x3F800000], np.float32, np.uint32),  # +0.0, 1.0
+         _with_bits([0x80000000, 0x3F800000], np.float32, np.uint32)),  # -0.0, 1.0
+        (_with_bits([0x7FC00000], np.float32, np.uint32),  # two NaN payloads
+         _with_bits([0x7FC00001], np.float32, np.uint32)),
+        (_with_bits([0x7FF8000000000000], np.float64, np.uint64),
+         _with_bits([0xFFF8000000000000], np.float64, np.uint64)),  # a sign-flipped NaN
+        ({"w": np.zeros(4, np.float32)}, {"w": np.zeros(4, np.int32)}),  # same bytes, new dtype
+        ({"w": np.zeros(4, np.float32)}, {"w": np.zeros((2, 2), np.float32)}),  # new shape
+        ({"w": np.zeros(4, np.float32)}, {"v": np.zeros(4, np.float32)}),  # new name
+    ],
+    ids=["signed-zero", "nan-payload", "nan-sign", "dtype", "shape", "name"],
+)
+def test_states_equal_in_value_but_not_in_bytes_are_a_miss(first, second):
+    cache = BroadcastCache()
+    cache.round_state(first, None, False)
+    cache.round_state(second, None, False)
+    assert (cache.hits, cache.misses) == (0, 2)
+    # The same bytes again are a hit, NaN or not.
+    cache.round_state({k: v.copy() for k, v in second.items()}, None, False)
+    assert (cache.hits, cache.misses) == (1, 2)
+
+
+@pytest.fixture()
+def fingerprint_calls(monkeypatch):
+    """One entry per :func:`state_fingerprint` call made through the module."""
+    import repro.fl.broadcast as broadcast
+
+    calls = []
+    monkeypatch.setattr(
+        broadcast, "state_fingerprint", lambda s: calls.append(1) or state_fingerprint(s)
+    )
+    return calls
+
+
+def test_the_content_digest_is_computed_only_for_a_wire_buffer(state, fingerprint_calls):
+    cache = BroadcastCache()
+    cache.round_state(state, None, False)
+    cache.round_state(state, None, False)
+    assert fingerprint_calls == []
+    _, _, payload, _, _ = cache.round_state(state, None, False, build_payload=True)
+    assert fingerprint_calls == [1]
+    assert payload.fingerprint == broadcast_key(state, None, False)
+
+
 def test_codec_fingerprint_and_bound_changes_invalidate(state):
     cache = BroadcastCache()
     cache.round_state(state, FedSZCompressor(error_bound=1e-2), True)
@@ -214,6 +284,13 @@ def test_uncompressed_broadcast_records_zero_codec_seconds(tiny_setup):
     for record in history.records:
         assert record.broadcast_compress_seconds == 0.0
         assert record.broadcast_decompress_seconds == 0.0
+
+
+def test_a_serial_raw_run_never_hashes_the_model(tiny_setup, fingerprint_calls):
+    runtime = _tiny_runtime(tiny_setup)
+    assert len(runtime.run().records) == 2
+    assert runtime.broadcast_cache.misses == 2
+    assert fingerprint_calls == []
 
 
 # ----------------------------------------------------------------------

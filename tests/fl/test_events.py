@@ -216,6 +216,72 @@ def test_reset_from_mask_rejects_a_mask_that_is_not_one_flag_per_client():
     assert eligible.ids().tolist() == [0, 1, 2, 3, 4]
 
 
+def test_an_event_free_round_returns_the_cached_ids_without_a_fleet_pass(monkeypatch):
+    eligible = EligibleSet()
+    eligible.apply(np.array([4, 1, 7]), np.empty(0, dtype=np.int64), 100_000)
+    ids = eligible.ids()
+    assert ids.tolist() == [1, 4, 7]
+
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a.size) or flatnonzero(a))
+    empty = np.empty(0, dtype=np.int64)
+    for _ in range(3):
+        eligible.apply(empty, empty, 100_000)
+        assert eligible.ids() is ids and len(eligible) == 3
+    assert calls == []  # no pass over the 100k-flag bitmap
+    eligible.apply(np.array([2]), empty, 100_000)
+    assert eligible.ids().tolist() == [1, 2, 4, 7] and calls == [100_000]
+
+
+def test_the_bitmap_grows_to_the_largest_id_without_a_fleet_size():
+    eligible = EligibleSet()
+    eligible.apply([3, 10], [])
+    assert eligible.ids().tolist() == [3, 10] and eligible.ids().dtype == np.int64
+    eligible.apply(np.array([1_000_000]), np.array([10, 5_000_000]))  # an absent departure
+    assert eligible.ids().tolist() == [3, 1_000_000]
+    assert eligible.touched == 5
+
+
+def _two_mask_diff(schedule, round_index, num_clients):
+    current = schedule.mask(round_index, num_clients)
+    previous = (
+        schedule.mask(round_index - 1, num_clients)
+        if round_index > 0
+        else np.zeros(num_clients, dtype=bool)
+    )
+    return np.nonzero(current & ~previous)[0], np.nonzero(previous & ~current)[0]
+
+
+@pytest.mark.parametrize(
+    "calls, draws",
+    [
+        # In order: each round draws its own mask once and diffs against the kept one.
+        ([(r, 300) for r in range(6)], [0, 1, 2, 3, 4, 5]),
+        # Any other order draws both masks, except where the kept mask is the previous round's.
+        (
+            [(3, 300), (1, 300), (2, 300), (2, 300), (0, 300), (1, 300)],
+            [3, 2, 1, 0, 2, 2, 1, 0, 1],
+        ),
+        # A new fleet size is a new mask: draw both.
+        ([(0, 300), (1, 300), (2, 301), (3, 301), (4, 300)], [0, 1, 2, 1, 3, 4, 3]),
+    ],
+    ids=["in-order", "out-of-order", "fleet-resize"],
+)
+def test_transitions_equal_the_two_mask_diff_in_any_call_order(calls, draws):
+    schedule = DiurnalSchedule(period_rounds=4, min_availability=0.2, max_availability=0.9, seed=7)
+    reference = DiurnalSchedule(period_rounds=4, min_availability=0.2, max_availability=0.9, seed=7)
+    drawn = []
+    mask = schedule.mask
+    schedule.mask = lambda round_index, n: drawn.append(round_index) or mask(round_index, n)
+    for round_index, num_clients in calls:
+        arrivals, departures = schedule.transitions(round_index, num_clients)
+        expected_arrivals, expected_departures = _two_mask_diff(reference, round_index, num_clients)
+        np.testing.assert_array_equal(arrivals, expected_arrivals)
+        np.testing.assert_array_equal(departures, expected_departures)
+    assert drawn == draws
+
+
 class _ScriptedSchedule(ParticipationSchedule):
     """Everyone reachable in round 0; ``batch`` arrives in round 1."""
 

@@ -246,6 +246,39 @@ def test_flash_crowd_schedule_mask():
         FlashCrowdSchedule(crowd_fraction=1.0)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: DiurnalSchedule(period_rounds=2.5), "period_rounds"),
+        (lambda: DiurnalSchedule(period_rounds=True), "period_rounds"),
+        (lambda: DiurnalSchedule(period_rounds=float("nan")), "period_rounds"),
+        (lambda: DiurnalSchedule(phase=float("nan")), "phase"),
+        (lambda: DiurnalSchedule(phase=float("inf")), "phase"),
+        (lambda: DiurnalSchedule(phase=-float("inf")), "phase"),
+        (lambda: FlashCrowdSchedule(join_round=1.5), "join_round"),
+        (lambda: FlashCrowdSchedule(leave_round=4.7), "leave_round"),
+        (lambda: FlashCrowdSchedule(join_round=False, leave_round=3), "join_round"),
+    ],
+    ids=[
+        "period-fraction", "period-bool", "period-nan", "phase-nan", "phase-inf",
+        "phase-minus-inf", "join-fraction", "leave-fraction", "join-bool",
+    ],
+)
+def test_schedules_reject_round_counts_they_would_truncate(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_schedules_keep_integral_round_counts():
+    diurnal = DiurnalSchedule(period_rounds=np.int64(4), phase=1)
+    assert (diurnal.period_rounds, diurnal.phase) == (4, 1.0)
+    assert type(diurnal.period_rounds) is int
+    assert DiurnalSchedule(period_rounds=8.0).period_rounds == 8
+    crowd = FlashCrowdSchedule(join_round=np.int32(1), leave_round=3.0)
+    assert (crowd.join_round, crowd.leave_round) == (1, 3)
+    assert type(crowd.join_round) is int and type(crowd.leave_round) is int
+
+
 def test_build_schedule_factory():
     assert isinstance(build_schedule("full"), FullParticipation)
     assert isinstance(build_schedule("diurnal", period_rounds=4), DiurnalSchedule)
