@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import experiments
 from repro.experiments.reporting import ExperimentResult
@@ -443,44 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the full training history as schema-"
                                 "tagged JSON (input for 'repro.cli report')")
 
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the repo-specific determinism/fork-safety lint"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint_parser.add_argument(
-        "--rule", action="append", default=None, metavar="ID",
-        help="run only this rule id (repeatable; default: all rules)",
-    )
-    lint_parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only files changed per git (staged, unstaged and "
-             "untracked) — the pre-commit fast path",
-    )
-    lint_parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="output format (default: text)",
-    )
-    lint_parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline JSON of parked findings (default: "
-             ".repro-lint-baseline.json when it exists)",
-    )
-    lint_parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file, report every finding",
-    )
-    lint_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="capture the current findings as the baseline and exit 0",
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="list rule ids, summaries and the invariant each protects",
-    )
-
     report_parser = subparsers.add_parser(
         "report", help="render a post-run error-analysis markdown report"
     )
@@ -492,108 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--title", default="Run error-analysis report",
                                help="report heading")
     return parser
-
-
-def _git_changed_python_files(paths) -> "List[Path]":
-    """``.py`` files under ``paths`` that git reports as changed.
-
-    Covers staged, unstaged and untracked files (``git status --porcelain``);
-    deletions drop out naturally because the file no longer exists.
-    Raises ``RuntimeError`` outside a git checkout.
-    """
-    import subprocess
-
-    try:
-        completed = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as error:
-        raise RuntimeError(f"git status failed: {error}") from error
-    roots = [Path(p).resolve() for p in paths]
-    changed: List[Path] = []
-    for line in completed.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        # "XY path" — renames are "XY old -> new"; keep the new name.
-        raw = line[3:].split(" -> ")[-1].strip().strip('"')
-        path = Path(raw)
-        if path.suffix != ".py" or not path.exists():
-            continue
-        resolved = path.resolve()
-        if any(root == resolved or root in resolved.parents for root in roots):
-            changed.append(path)
-    return sorted(set(changed), key=lambda p: p.as_posix())
-
-
-def _run_lint(arguments) -> int:
-    """Run the determinism/fork-safety lint; exit 1 on fresh findings."""
-    from repro.analysis import (
-        Baseline,
-        get_rules,
-        lint_paths,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_descriptions,
-        write_baseline,
-    )
-    from repro.analysis.baseline import DEFAULT_BASELINE_NAME
-
-    if arguments.list_rules:
-        for description in rule_descriptions():
-            print(f"{description['id']:8s} {description['summary']}")
-            print(f"{'':8s} invariant: {description['invariant']}")
-        return 0
-
-    try:
-        rules = get_rules(arguments.rule)
-    except KeyError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-    missing = [path for path in arguments.paths if not Path(path).exists()]
-    if missing:
-        print(f"no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
-        return 2
-
-    paths = arguments.paths
-    if arguments.changed:
-        try:
-            paths = _git_changed_python_files(arguments.paths)
-        except RuntimeError as error:
-            print(error, file=sys.stderr)
-            return 2
-
-    result = lint_paths(paths, rules)
-
-    if arguments.write_baseline:
-        destination = arguments.baseline or Path(DEFAULT_BASELINE_NAME)
-        write_baseline(destination, result.findings)
-        print(f"wrote {len(result.findings)} finding(s) to {destination}")
-        return 0
-
-    baseline_path = arguments.baseline
-    if baseline_path is None and not arguments.no_baseline:
-        candidate = Path(DEFAULT_BASELINE_NAME)
-        if candidate.exists():
-            baseline_path = candidate
-    if baseline_path is not None and not arguments.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"cannot read baseline {baseline_path}: {error}", file=sys.stderr)
-            return 2
-        result.findings, result.baselined = baseline.filter(result.findings)
-
-    if arguments.format == "json":
-        output = render_json(result)
-    elif arguments.format == "sarif":
-        output = render_sarif(result, rule_descriptions())
-    else:
-        output = render_text(result)
-    print(output)
-    return 1 if result.findings else 0
 
 
 def _run_report(arguments) -> int:
@@ -625,9 +485,6 @@ def main(argv: Optional[list] = None) -> int:
         for name in available_experiments():
             print(name)
         return 0
-
-    if arguments.command == "lint":
-        return _run_lint(arguments)
 
     if arguments.command == "report":
         return _run_report(arguments)

@@ -339,10 +339,11 @@ def pack_sections(sections: Mapping[str, bytes]) -> bytes:
 def unpack_sections(payload: bytes) -> Dict[str, bytes]:
     """Inverse of :func:`pack_sections`.
 
-    Fails closed: a truncated stream, bytes after the last declared section
-    and a section name that repeats are all :class:`CorruptPayloadError` — a
-    forged stream can neither smuggle trailing data past the decoder nor
-    shadow one section with another of the same name.
+    Fails closed: a truncated stream, bytes after the last declared section,
+    a section name that is not UTF-8 and one that repeats are all
+    :class:`CorruptPayloadError` — a forged stream can neither smuggle
+    trailing data past the decoder nor shadow one section with another of the
+    same name.
     """
     if len(payload) < _HEADER_STRUCT.size:
         raise CorruptPayloadError("payload too short to contain a section header")
@@ -351,7 +352,7 @@ def unpack_sections(payload: bytes) -> Dict[str, bytes]:
         raise CorruptPayloadError(f"bad payload magic {magic!r}")
     offset = _HEADER_STRUCT.size
     sections: Dict[str, bytes] = {}
-    for _ in range(count):
+    for index in range(count):
         if offset + _ENTRY_STRUCT.size > len(payload):
             raise CorruptPayloadError("truncated section entry header")
         name_len, data_len = _ENTRY_STRUCT.unpack_from(payload, offset)
@@ -360,7 +361,13 @@ def unpack_sections(payload: bytes) -> Dict[str, bytes]:
         end_of_data = end_of_name + data_len
         if end_of_data > len(payload):
             raise CorruptPayloadError("truncated section data")
-        name = payload[offset:end_of_name].decode("utf-8")
+        raw_name = payload[offset:end_of_name]
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptPayloadError(
+                f"section {index} name {raw_name!r} is not UTF-8"
+            ) from None
         if name in sections:
             raise CorruptPayloadError(f"section {name!r} appears twice")
         sections[name] = payload[end_of_name:end_of_data]

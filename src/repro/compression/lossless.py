@@ -16,7 +16,10 @@ Offline substitutions (documented in DESIGN.md):
   the same band as gzip/zlib).
 
 All codecs implement :class:`~repro.compression.base.LosslessCompressor` and
-produce self-describing payloads that round-trip exactly.
+produce self-describing payloads that round-trip exactly.  Decoding fails
+closed: an empty, truncated or corrupt stream is
+:class:`~repro.compression.errors.CorruptPayloadError`, whatever the backend
+raised (see :func:`_inflate`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import gzip
 import lzma
 import struct
 import zlib
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +37,24 @@ from repro.compression.errors import CorruptPayloadError
 
 _SHUFFLE_MAGIC = b"BLSC"
 _SHUFFLE_HEADER = struct.Struct("<4sBQ")
+
+
+#: What the stdlib backends raise on a stream they cannot decode.
+_BACKEND_ERRORS = (zlib.error, lzma.LZMAError, EOFError, gzip.BadGzipFile)
+
+
+def _inflate(name: str, decode: Callable[[bytes], bytes], payload: bytes) -> bytes:
+    """``decode(payload)``, with every backend failure a :class:`CorruptPayloadError`.
+
+    No codec here writes an empty stream, so an empty payload is corrupt too
+    (gzip alone would decode it to ``b""``).
+    """
+    if not payload:
+        raise CorruptPayloadError(f"{name} payload is empty")
+    try:
+        return decode(payload)
+    except _BACKEND_ERRORS as error:
+        raise CorruptPayloadError(f"{name} payload is corrupt: {error}") from error
 
 
 def byte_shuffle(data: bytes, itemsize: int) -> bytes:
@@ -81,7 +103,7 @@ class BloscLZCompressor(LosslessCompressor):
         magic, itemsize, original_length = _SHUFFLE_HEADER.unpack_from(payload, 0)
         if magic != _SHUFFLE_MAGIC:
             raise CorruptPayloadError(f"bad blosc-lz payload magic {magic!r}")
-        shuffled = zlib.decompress(payload[_SHUFFLE_HEADER.size :])
+        shuffled = _inflate(self.name, zlib.decompress, payload[_SHUFFLE_HEADER.size :])
         if len(shuffled) != original_length:
             raise CorruptPayloadError("blosc-lz payload length mismatch after decompression")
         return byte_unshuffle(shuffled, itemsize, original_length)
@@ -99,7 +121,7 @@ class ZstdCompressor(LosslessCompressor):
         return zlib.compress(data, self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return zlib.decompress(payload)
+        return _inflate(self.name, zlib.decompress, payload)
 
 
 class ZlibCompressor(LosslessCompressor):
@@ -114,7 +136,7 @@ class ZlibCompressor(LosslessCompressor):
         return zlib.compress(data, self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return zlib.decompress(payload)
+        return _inflate(self.name, zlib.decompress, payload)
 
 
 class GzipCompressor(LosslessCompressor):
@@ -129,7 +151,7 @@ class GzipCompressor(LosslessCompressor):
         return gzip.compress(data, compresslevel=self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return gzip.decompress(payload)
+        return _inflate(self.name, gzip.decompress, payload)
 
 
 class XzCompressor(LosslessCompressor):
@@ -144,4 +166,4 @@ class XzCompressor(LosslessCompressor):
         return lzma.compress(data, preset=self.preset)
 
     def decompress(self, payload: bytes) -> bytes:
-        return lzma.decompress(payload)
+        return _inflate(self.name, lzma.decompress, payload)

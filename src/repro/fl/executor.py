@@ -551,7 +551,7 @@ class ProcessParallelExecutor:
     def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
         try:
             self.close()
-        except Exception:  # repro-lint: disable=DET004 -- raising in __del__ at interpreter shutdown is worse
+        except Exception:  # raising in __del__ at interpreter shutdown is worse
             pass
 
     def broadcast_cache_stats(self) -> Dict[int, Dict[str, int]]:

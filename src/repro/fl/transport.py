@@ -110,7 +110,7 @@ class ClientLink:
 
 
 @dataclass
-class UploadRecord:  # repro-lint: worker-crossing
+class UploadRecord:
     """Plain-data result of the codec half; a process worker ships it to
     the parent, in-process executors hand it straight to the link half."""
 

@@ -76,7 +76,7 @@ class RunMonitor:
         self, max_events: int = 4096, clock: Optional[Callable[[], float]] = None
     ) -> None:
         self._lock = threading.RLock()
-        # Late-bound so monkeypatched/sanitized time.time is honoured; the
+        # Late-bound so a monkeypatched time.time is honoured; the
         # default wall clock feeds monitor data only, never simulation state.
         self._clock = clock if clock is not None else time.time
         self._events: deque = deque(maxlen=max_events)
@@ -112,7 +112,7 @@ class RunMonitor:
         for subscriber in subscribers:
             try:
                 subscriber(event)
-            except Exception:  # repro-lint: disable=DET004 -- monitor stays passive; a broken subscriber must not touch the run
+            except Exception:  # the monitor stays passive: a broken subscriber must not touch the run
                 pass
         return event
 

@@ -26,8 +26,9 @@ def set_global_seed(seed: int) -> None:
     """
     global _GLOBAL_SEED
     _GLOBAL_SEED = int(seed)
-    random.seed(seed)  # repro-lint: disable=DET001 -- the sanctioned global-seed entry point
-    np.random.seed(seed % (2**32))  # repro-lint: disable=DET001 -- the sanctioned global-seed entry point
+    # The one sanctioned use of the global generators: seeding them.
+    random.seed(seed)
+    np.random.seed(seed % (2**32))
 
 
 def get_global_seed() -> Optional[int]:

@@ -143,6 +143,9 @@ def test_unpack_sections_rejects_trailing_bytes_and_repeated_names():
         unpack_sections(pack_sections({}) + b"\x00")
     with pytest.raises(CorruptPayloadError, match="twice"):
         unpack_sections(_doubled("a", b"1", b"2"))
+    # The first b"a" is the first section's name; 0xFF is never UTF-8.
+    with pytest.raises(CorruptPayloadError, match="section 0 name .* not UTF-8"):
+        unpack_sections(payload.replace(b"a", b"\xff", 1))
 
 
 @pytest.fixture()
@@ -160,6 +163,15 @@ def test_fedsz_payload_with_trailing_bytes_fails_closed(small_state):
     assert codec.decompress(payload).keys() == small_state.keys()
     with pytest.raises(CorruptPayloadError):
         codec.decompress(payload + b"xyz")
+
+
+def test_fedsz_payload_with_a_flipped_lossless_byte_fails_closed(small_state):
+    codec = FedSZCompressor(error_bound=1e-2)
+    payload = bytearray(codec.compress(small_state))
+    _, _, lossless_blob = parse_fedsz_payload(bytes(payload))
+    payload[payload.rindex(lossless_blob) + len(lossless_blob) // 2] ^= 0xFF
+    with pytest.raises(CorruptPayloadError, match="blosc-lz payload is corrupt"):
+        codec.decompress(bytes(payload))
 
 
 def test_fedsz_payload_with_a_repeated_lossless_tensor_fails_closed(small_state):

@@ -19,6 +19,7 @@ from repro.compression import (
     get_lossless_compressor,
     get_lossy_compressor,
 )
+from repro.compression.errors import CorruptPayloadError
 from repro.compression.quantizer import verify_error_bound
 
 
@@ -113,3 +114,21 @@ def test_lossless_clone_is_independent_same_config(lossless_codec):
 def test_lossless_roundtrips_empty_and_binary(lossless_codec):
     for payload in (b"", bytes(range(256)) * 16):
         assert lossless_codec.decompress(lossless_codec.compress(payload)) == payload
+
+
+def _flip_middle_byte(payload: bytes) -> bytes:
+    flipped = bytearray(payload)
+    flipped[len(flipped) // 2] ^= 0xFF
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda payload: payload[:-1], _flip_middle_byte, lambda payload: b""],
+    ids=["truncated", "bit-flipped", "empty"],
+)
+def test_lossless_corrupt_stream_fails_closed(lossless_codec, mutate):
+    """Whatever the backend raises, a stream it cannot decode is CorruptPayloadError."""
+    payload = lossless_codec.compress(bytes(range(256)) * 16)
+    with pytest.raises(CorruptPayloadError):
+        lossless_codec.decompress(mutate(payload))

@@ -29,7 +29,7 @@ from repro.compression import (
 )
 from repro.compression.base import ErrorBoundMode
 from repro.compression.errors import CorruptPayloadError, UnsupportedDataError
-from repro.core import FedSZCompressor
+from repro.core import FedSZCompressor, pipeline
 from repro.core.config import FedSZConfig
 from repro.core.partition import partition_state_dict
 from repro.core.pipeline import (
@@ -197,6 +197,28 @@ def test_codec_seconds_are_a_share_of_the_wall(low_threshold, config):
     # Pooled groups overlap; their shares still sum to no more than the wall.
     assert report.lossy_compress_seconds <= report.compress_seconds
     assert report.lossy_decompress_seconds <= report.decompress_seconds
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+def test_codec_task_seconds_are_scaled_to_sum_to_the_wall(monkeypatch, workers):
+    """Whatever the lanes bill, the tasks' seconds sum to the call's wall.
+
+    One tick a clock read: serially a task bills 1 tick of the 2T + 1 the
+    call spans, so seconds left unscaled fall short of the wall."""
+    ticks, reads, lock = iter(range(1000)), [], threading.Lock()
+
+    def clock():
+        with lock:
+            reads.append(float(next(ticks)))
+            return reads[-1]
+
+    monkeypatch.setattr(pipeline, "lane_clock", lambda: clock)
+    tasks = ["a", "b", "c", "d"]
+    outcomes = pipeline._run_codec_tasks(
+        tasks, [4, 3, 2, 1], workers, SZ2Compressor(), lambda codec, task: task
+    )
+    assert [result for result, _ in outcomes] == tasks
+    assert sum(seconds for _, seconds in outcomes) == pytest.approx(reads[-1] - reads[0])
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.fl import FederatedRuntime, FLConfig, LinkSpec, Transport
 from repro.fl.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    RunCheckpoint,
     capture_runtime,
     checkpoint_path,
     codec_fingerprint,
@@ -127,6 +128,13 @@ def test_foreign_magic_rejected(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNKJUNK")
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_forged_frame_with_a_non_utf8_section_name_is_a_checkpoint_error():
+    """A valid CRC over a section name that is not UTF-8 fails closed."""
+    payload = pack_sections({"meta": b"{}"}).replace(b"meta", b"\xffeta", 1)
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        RunCheckpoint.from_bytes(frame_checksummed(CHECKPOINT_MAGIC, payload))
 
 
 def test_old_schema_version_refused(data, model_fn, tmp_path):

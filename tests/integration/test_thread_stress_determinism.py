@@ -11,9 +11,6 @@ the process executor must stay bit-identical on ``deterministic_rows()`` and
 final weights — and so must serial at one, two and four lanes when the
 helper lanes code each upload while the caller trains the next client (the
 streamed schedule, which SZ2's lowered lane threshold switches on here).
-The RNG/clock sanitizer (see
-``conftest.py``) is active throughout, so a race that *would* be hidden by a
-global-stream fallback raises instead of flaking.
 """
 
 from __future__ import annotations
