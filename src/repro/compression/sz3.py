@@ -89,7 +89,9 @@ class SZ3Predictor(PredictorStage):
 
     def decode(self, sections: Mapping[str, bytes], ctx: StageContext) -> np.ndarray:
         size, bound = ctx.size, ctx.absolute_bound
-        use_cubic = bool(ctx.params["use_cubic"])
+        use_cubic = ctx.params.get("use_cubic")
+        if not isinstance(use_cubic, bool):
+            raise CorruptPayloadError(f"sz3 payload declares use_cubic {use_cubic!r}")
 
         all_codes = EntropyStage.decode(sections["codes"])
         if all_codes.size != size:

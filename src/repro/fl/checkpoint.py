@@ -218,6 +218,8 @@ class RunCheckpoint:
             meta = json.loads(sections[_META_KEY].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise CheckpointError(f"checkpoint metadata is not valid JSON: {error}") from error
+        if not isinstance(meta, dict):
+            raise CheckpointError("checkpoint metadata is not a JSON object")
         version = meta.get("schema_version")
         if version != SCHEMA_VERSION:
             raise CheckpointError(
@@ -233,21 +235,26 @@ class RunCheckpoint:
             history_rows = json.loads(sections[_HISTORY_KEY].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise CheckpointError(f"checkpoint history is not valid JSON: {error}") from error
-        return cls(
-            rounds_completed=int(meta["rounds_completed"]),
-            config=meta["config"],
-            scheduler=meta["scheduler"],
-            schedule=meta["schedule"],
-            transport=meta["transport"],
-            sampling_rng=meta["sampling_rng"],
-            link_rngs=meta["link_rngs"],
-            clients=meta["clients"],
-            codec=meta["codec"],
-            codec_fingerprint=meta["codec_fingerprint"],
-            history_rows=history_rows,
-            model_state=model_state,
-            schema_version=int(version),
-        )
+        try:
+            return cls(
+                rounds_completed=int(meta["rounds_completed"]),
+                config=meta["config"],
+                scheduler=meta["scheduler"],
+                schedule=meta["schedule"],
+                transport=meta["transport"],
+                sampling_rng=meta["sampling_rng"],
+                link_rngs=meta["link_rngs"],
+                clients=meta["clients"],
+                codec=meta["codec"],
+                codec_fingerprint=meta["codec_fingerprint"],
+                history_rows=history_rows,
+                model_state=model_state,
+                schema_version=int(version),
+            )
+        except KeyError as error:
+            raise CheckpointError(f"checkpoint metadata has no {error} field") from error
+        except (TypeError, ValueError) as error:  # a non-integer round count
+            raise CheckpointError(f"checkpoint metadata is malformed: {error}") from error
 
 
 # ----------------------------------------------------------------------
