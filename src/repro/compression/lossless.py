@@ -103,6 +103,10 @@ class BloscLZCompressor(LosslessCompressor):
         magic, itemsize, original_length = _SHUFFLE_HEADER.unpack_from(payload, 0)
         if magic != _SHUFFLE_MAGIC:
             raise CorruptPayloadError(f"bad blosc-lz payload magic {magic!r}")
+        if itemsize != self.itemsize:
+            raise CorruptPayloadError(
+                f"blosc-lz payload shuffled {itemsize}-byte items, this codec {self.itemsize}-byte"
+            )
         shuffled = _inflate(self.name, zlib.decompress, payload[_SHUFFLE_HEADER.size :])
         if len(shuffled) != original_length:
             raise CorruptPayloadError("blosc-lz payload length mismatch after decompression")

@@ -20,6 +20,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -62,7 +63,14 @@ PAPER_DATASETS = ("cifar10", "caltech101", "fashion-mnist")
 
 
 class SyntheticImageDataset:
-    """In-memory labelled image dataset with class-prototype structure."""
+    """In-memory labelled image dataset with class-prototype structure.
+
+    A side of :meth:`split` keeps no pixels of its own: its row ``i`` is row
+    ``rows[i]`` of the parent's array, which both sides share.  Indexing
+    (``dataset[batch]``, what :class:`~repro.data.loader.DataLoader` and
+    :meth:`subset` read) gathers through that index; ``images`` gathers the
+    side's rows once, keeps them and lets go of the parent's array.
+    """
 
     def __init__(
         self,
@@ -76,30 +84,51 @@ class SyntheticImageDataset:
                 f"images and labels disagree on sample count: {images.shape[0]} vs {labels.shape[0]}"
             )
         self.name = name
-        self.images = np.asarray(images, dtype=np.float32)
+        self._pixels = np.asarray(images, dtype=np.float32)
+        #: Row ``i`` of this dataset is ``_pixels[_rows[i]]``; ``None`` when
+        #: ``_pixels`` holds exactly this dataset's rows.
+        self._rows: np.ndarray | None = None
         self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
 
+    @property
+    def images(self) -> np.ndarray:
+        """Every sample as one ``(N, C, H, W)`` float32 array."""
+        if self._rows is not None:
+            self._pixels, self._rows = self._pixels[self._rows], None
+        return self._pixels
+
     def __len__(self) -> int:
-        return int(self.images.shape[0])
+        return int(self.labels.shape[0])
 
     def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
-        return self.images[index], self.labels[index]
+        rows = index if self._rows is None else self._rows[index]
+        return self._pixels[rows], self.labels[index]
 
     @property
     def input_shape(self) -> Tuple[int, int, int]:
         """(channels, height, width) of one sample."""
-        return tuple(self.images.shape[1:])
+        return tuple(self._pixels.shape[1:])
 
     def subset(self, indices: np.ndarray) -> "SyntheticImageDataset":
-        """A view-like dataset restricted to ``indices`` (copies the data)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return SyntheticImageDataset(
-            self.name, self.images[indices], self.labels[indices], self.num_classes
-        )
+        """A dataset of the samples at ``indices`` (copied out)."""
+        images, labels = self[np.asarray(indices, dtype=np.int64)]
+        return SyntheticImageDataset(self.name, images, labels, self.num_classes)
+
+    def _side(self, rows: np.ndarray) -> "SyntheticImageDataset":
+        """The samples at ``rows``, sharing this dataset's pixel array."""
+        side = copy.copy(self)
+        side._rows = rows if self._rows is None else self._rows[rows]
+        side.labels = self.labels[rows]
+        return side
 
     def split(self, train_fraction: float, seed: int = 0) -> Tuple["SyntheticImageDataset", "SyntheticImageDataset"]:
-        """Random train/validation split."""
+        """Random train/validation split; both sides index this dataset's pixels.
+
+        The sides partition the rows, so until one reads ``images`` they hold
+        one array between them, as their two copies would; it is freed with
+        the last side that still indexes it.
+        """
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
         rng = np.random.default_rng(seed)
@@ -110,7 +139,7 @@ class SyntheticImageDataset:
                 f"splitting {len(self)} samples at {train_fraction} leaves an empty side: "
                 f"{cut} train, {len(self) - cut} validation"
             )
-        return self.subset(order[:cut]), self.subset(order[cut:])
+        return self._side(order[:cut]), self._side(order[cut:])
 
 
 def _generate_class_prototypes(

@@ -61,4 +61,4 @@ class DataLoader:
             batch = order[start : start + self.batch_size]
             if batch.size < self.batch_size and self.drop_last:
                 return
-            yield self.dataset.images[batch], self.dataset.labels[batch]
+            yield self.dataset[batch]

@@ -26,18 +26,36 @@ class ClientShards(LazySequence):
 
     def __init__(self, dataset: SyntheticImageDataset, index_sets: Sequence[np.ndarray]) -> None:
         super().__init__(len(index_sets), lambda client_id: dataset.subset(index_sets[client_id]))
-        self.sizes = np.fromiter(map(len, index_sets), dtype=np.int64, count=len(index_sets))
+        if isinstance(index_sets, BlockRows):
+            self.sizes = index_sets.sizes
+        else:
+            self.sizes = np.fromiter(map(len, index_sets), dtype=np.int64, count=len(index_sets))
+
+
+class BlockRows(LazySequence):
+    """The rows of ``head`` then those of ``tail`` (2-D blocks), each a view
+    made on first access; ``sizes`` (every row's length) comes from the two
+    block shapes."""
+
+    def __init__(self, head: np.ndarray, tail: np.ndarray) -> None:
+        def row(index: int) -> np.ndarray:
+            return head[index] if index < len(head) else tail[index - len(head)]
+
+        super().__init__(len(head) + len(tail), row)
+        self.sizes = np.repeat(
+            np.array([head.shape[1], tail.shape[1]], dtype=np.int64), [len(head), len(tail)]
+        )
 
 
 def iid_partition(
     dataset: SyntheticImageDataset, num_clients: int, seed: int = 0
-) -> List[np.ndarray]:
+) -> BlockRows:
     """Uniformly random, equally sized client splits.
 
     One permutation, cut as ``numpy.array_split`` cuts it (the first ``n % k``
     clients get one sample more), each client's ids sorted: the two size
-    classes are two 2-D blocks sorted along their rows, the index sets their
-    row views, so no per-client call is made.
+    classes are two 2-D blocks sorted along their rows, and client ``i``'s
+    index set is row ``i`` of the two, so no per-client object is made up front.
     """
     if num_clients <= 0:
         raise ValueError(f"num_clients must be positive, got {num_clients}")
@@ -51,7 +69,7 @@ def iid_partition(
     cut = larger * (size + 1)
     head = np.sort(order[:cut].reshape(larger, size + 1), axis=1)
     tail = np.sort(order[cut:].reshape(num_clients - larger, size), axis=1)
-    return [*head, *tail]
+    return BlockRows(head, tail)
 
 
 def dirichlet_partition(

@@ -140,6 +140,11 @@ class FederatedRuntime:
         )
         self.transport.require_modellable(codec)
         self.scheduler = scheduler or SynchronousScheduler()
+        if executor is not None and not callable(getattr(executor, "run_clients", None)):
+            raise TypeError(
+                f"executor must be an executor object, got {executor!r}; "
+                "name one with FLConfig(executor=...)"
+            )
         # An explicit executor object wins; otherwise the config names one
         # (``executor="serial"`` by default, so default runs are unchanged).
         self.executor = executor or build_executor(

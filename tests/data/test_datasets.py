@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import (
     PAPER_DATASET_SPECS,
     PAPER_DATASETS,
+    DataLoader,
     dataset_spec,
     load_dataset,
     make_synthetic_dataset,
+    partition_dataset,
 )
 from repro.data import datasets as datasets_module
 from repro.data.datasets import SyntheticImageDataset, _generate_class_prototypes
@@ -124,6 +128,67 @@ def test_split_refuses_an_empty_side():
         tiny.split(0.05)
     train, validation = load_dataset("cifar10", num_samples=600, image_size=8, seed=0).split(0.75)
     assert (len(train), len(validation)) == (450, 150)
+
+
+def _assert_reads_equal(side, images, labels, seed):
+    """Every way of reading ``side`` gives the rows of ``images`` / ``labels``."""
+    picks = np.random.default_rng(seed).permutation(len(side))[: max(1, len(side) // 3)]
+    got_images, got_labels = side[picks]
+    np.testing.assert_array_equal(got_images, images[picks])
+    np.testing.assert_array_equal(got_labels, labels[picks])
+    np.testing.assert_array_equal(side[picks[0]][0], images[picks[0]])
+    shard = side.subset(picks)
+    np.testing.assert_array_equal(shard.images, images[picks])
+    np.testing.assert_array_equal(shard.labels, labels[picks])
+    eager = SyntheticImageDataset("eager", images, labels, side.num_classes)
+    loaders = [DataLoader(data, batch_size=16, seed=seed) for data in (side, eager)]
+    for _ in range(2):  # two epochs, two shuffles
+        for (got_images, got_labels), (want_images, want_labels) in zip(*loaders, strict=True):
+            np.testing.assert_array_equal(got_images, want_images)
+            np.testing.assert_array_equal(got_labels, want_labels)
+    assert side.input_shape == images.shape[1:] and len(side) == len(images)
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.8, 0), (0.5, 3), (0.97, 7), (0.03, 11)])
+@pytest.mark.parametrize("images_first", [True, False], ids=["images-first", "images-last"])
+def test_split_sides_read_the_floats_an_eager_gather_reads(fraction, seed, images_first):
+    """A side indexes the parent's pixels; every read of it is bit-equal to
+    the same read of ``full.images[order[...]]``, before and after ``images``
+    gathers, and a split of a side composes the two indexes."""
+    full = load_dataset("cifar10", num_samples=150, image_size=4, seed=seed)
+    order = np.random.default_rng(seed).permutation(len(full))
+    cut = int(round(fraction * len(full)))
+    for side, rows in zip(full.split(fraction, seed=seed), (order[:cut], order[cut:]), strict=True):
+        images, labels = full.images[rows], full.labels[rows]
+        if images_first:
+            np.testing.assert_array_equal(side.images, images)
+        _assert_reads_equal(side, images, labels, seed)
+        np.testing.assert_array_equal(side.images, images)
+        _assert_reads_equal(side, images, labels, seed + 1)
+        if len(side) >= 4:
+            inner = np.random.default_rng(seed + 2).permutation(len(side))
+            inner_cut = int(round(0.5 * len(side)))
+            halves = side.split(0.5, seed=seed + 2)
+            for half, half_rows in zip(halves, (inner[:inner_cut], inner[inner_cut:]), strict=True):
+                _assert_reads_equal(half, images[half_rows], labels[half_rows], seed)
+                np.testing.assert_array_equal(half.images, images[half_rows])
+
+
+def test_a_fleet_split_and_its_iid_partition_copy_no_pixels():
+    """A one-sample-a-client fleet's set-up (split, then an IID partition
+    across every train row) allocates a small fraction of the pixels."""
+    clients = 20_000
+    full = load_dataset("cifar10", num_samples=clients + 64, image_size=8, seed=0)
+    tracemalloc.start()
+    try:
+        train, validation = full.split(clients / (clients + 64), seed=1)
+        shards = partition_dataset(train, clients, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(train), len(validation), len(shards)) == (clients, 64, clients)
+    assert shards.materialized_count == 0
+    assert peak < 0.10 * full.images.nbytes, f"{peak} bytes vs {full.images.nbytes} of pixels"
 
 
 def _one_draw_reference(num_samples, input_shape, num_classes, noise_scale, prototype_scale, seed):

@@ -88,15 +88,24 @@ def test_dirichlet_partition_validation(dataset):
     ids=["n%k=0", "n%k=1", "n%k=k-1", "k=n", "k=1", "one-pair"],
 )
 def test_vectorised_iid_partition_equals_the_array_split_loop(num_samples, num_clients):
-    """Two row-sorted blocks reproduce ``np.array_split``'s layout exactly."""
+    """Two row-sorted blocks reproduce ``np.array_split``'s layout exactly,
+    their rows read in any order, and ``ClientShards.sizes`` (taken from the
+    block shapes) is every index set's length."""
     data = load_dataset("cifar10", num_samples=num_samples, image_size=4, seed=0)
     order = np.random.default_rng(9).permutation(num_samples)
     reference = [np.sort(chunk) for chunk in np.array_split(order, num_clients)]
     parts = iid_partition(data, num_clients, seed=9)
-    assert len(parts) == num_clients
+    assert len(parts) == num_clients and parts.materialized_count == 0
+    for client_id in np.random.default_rng(1).permutation(num_clients)[:3]:
+        np.testing.assert_array_equal(parts[client_id - num_clients], reference[client_id])
     for part, expected in zip(parts, reference, strict=True):
         assert part.dtype == expected.dtype
         np.testing.assert_array_equal(part, expected)
+    with pytest.raises(IndexError):
+        parts[num_clients]
+    sizes = partition_dataset(data, num_clients, seed=9).sizes
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [len(expected) for expected in reference]
 
 
 @pytest.mark.parametrize("strategy", ["iid", "dirichlet"])

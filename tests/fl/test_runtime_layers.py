@@ -276,6 +276,19 @@ def test_removed_executor_names_fail_naming_the_valid_ones(removed):
     assert isinstance(build_executor("process", max_workers=2), ProcessParallelExecutor)
 
 
+@pytest.mark.parametrize("name", ["serial", "process"])
+def test_an_executor_name_fails_at_construction_pointing_at_the_config(data, model_fn, name):
+    """Only ``FLConfig(executor=...)`` takes a name; passed as the executor
+    object it fails before a round runs, not as an AttributeError inside one."""
+    from repro.fl import build_fleet_runtime
+
+    train, val = data
+    with pytest.raises(TypeError, match=r"FLConfig\(executor=\.\.\.\)"):
+        FederatedRuntime(model_fn, train, val, FLConfig(num_clients=2), executor=name)
+    with pytest.raises(TypeError, match=r"FLConfig\(executor=\.\.\.\)"):
+        build_fleet_runtime("uniform-edge", model_fn, train, val, executor=name, num_clients=2)
+
+
 # ----------------------------------------------------------------------
 # Scheduler layer
 # ----------------------------------------------------------------------

@@ -52,7 +52,11 @@ FEDSZ_BACKENDS = [(lossy, "blosc-lz") for lossy in CODECS] + [
 ]
 
 
-def _sweep(payload: bytes, family: str, decode: Callable, kind: type, error=CorruptPayloadError):
+def _sweep(
+    payload: bytes, family: str, decode: Callable, kind: type, error=CorruptPayloadError, exact=None
+):
+    """Every forgery raises ``error`` or decodes to a ``kind`` (to ``exact``
+    itself, when given)."""
     forgeries = mutants(payload, family)
     assert forgeries, f"no {family} forgery of a {len(payload)}-byte payload"
     escapes = []
@@ -68,6 +72,8 @@ def _sweep(payload: bytes, family: str, decode: Callable, kind: type, error=Corr
                 continue
             if not isinstance(decoded, kind):
                 escapes.append(f"{label}: decoded to a {type(decoded).__name__}")
+            elif exact is not None and decoded != exact:
+                escapes.append(f"{label}: decoded to {len(decoded)} other bytes")
     assert not escapes, f"{len(escapes)} of {len(forgeries)} escape, e.g. " + "; ".join(escapes[:3])
 
 
@@ -104,9 +110,10 @@ def test_fedsz_container_fails_closed(state_dict, lossy, lossless, family):
 @pytest.mark.parametrize("seed", ["weights", "empty"])
 @pytest.mark.parametrize("codec_name", available_lossless_compressors())
 def test_lossless_codec_fails_closed(codec_name, seed, family):
+    """A lossless forgery raises or decodes to exactly the original bytes."""
     codec = get_lossless_compressor(codec_name)
     raw = weights(300, "float32").tobytes() if seed == "weights" else b""
-    _sweep(codec.compress(raw), family, codec.decompress, bytes)
+    _sweep(codec.compress(raw), family, codec.decompress, bytes, exact=raw)
 
 
 def _checkpoint() -> RunCheckpoint:
