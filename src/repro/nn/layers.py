@@ -17,6 +17,23 @@ from repro.utils.seeding import default_rng
 _PER_CHANNEL = (1, -1, 1, 1)
 
 
+def _window(kernel_size: int, stride: int, padding: int, pooling: bool = False):
+    """``(kernel_size, stride, padding)`` as ints, rejecting geometry no window has.
+
+    A pooling window may be padded by at most half its size (PyTorch's rule):
+    wider padding makes windows of padding alone, whose maximum is ``-inf``.
+    """
+    kernel_size, stride, padding = int(kernel_size), int(stride), int(padding)
+    if kernel_size < 1 or stride < 1 or padding < 0:
+        raise ValueError(
+            f"need kernel_size >= 1, stride >= 1 and padding >= 0, "
+            f"got {kernel_size}, {stride} and {padding}"
+        )
+    if pooling and padding > kernel_size // 2:
+        raise ValueError(f"pooling padding {padding} exceeds half the kernel size {kernel_size}")
+    return kernel_size, stride, padding
+
+
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
 
@@ -65,9 +82,7 @@ class Conv2d(Module):
             raise ValueError("in_channels and out_channels must be divisible by groups")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self.kernel_size, self.stride, self.padding = _window(kernel_size, stride, padding)
         self.groups = int(groups)
         rng = rng or default_rng()
         self.weight = Parameter(
@@ -190,14 +205,17 @@ class ReLU6(ReLU):
     max_value = 6.0
 
 
-class MaxPool2d(Module):
-    """Max pooling."""
+class _Pool2d(Module):
+    """A pooling window; ``stride`` defaults to ``kernel_size``."""
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0) -> None:
         super().__init__()
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else int(kernel_size)
-        self.padding = int(padding)
+        stride = kernel_size if stride is None else stride
+        self.kernel_size, self.stride, self.padding = _window(kernel_size, stride, padding, pooling=True)
+
+
+class MaxPool2d(_Pool2d):
+    """Max pooling."""
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.max_pool2d_forward(
@@ -209,14 +227,8 @@ class MaxPool2d(Module):
         return F.max_pool2d_backward(grad_output, self._cache)
 
 
-class AvgPool2d(Module):
+class AvgPool2d(_Pool2d):
     """Average pooling; padding counts as zeros and in the divisor (count-include-pad)."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0) -> None:
-        super().__init__()
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else int(kernel_size)
-        self.padding = int(padding)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.avg_pool2d_forward(

@@ -21,11 +21,21 @@ client (8×8 input, momentum 0.9, BLAS pinned, 2 vCPUs) a first step takes
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.nn.parameter import Parameter, ParameterArena
+
+
+def _checked(name: str, value: float, positive: bool = False) -> float:
+    """``value`` as a float; NaN, infinities and negatives (and zero if ``positive``) raise."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+    return value
 
 
 class SGD:
@@ -38,18 +48,12 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+        self.lr = _checked("learning rate", lr, positive=True)
+        self.momentum = _checked("momentum", momentum)
+        self.weight_decay = _checked("weight decay", weight_decay)
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("SGD received an empty parameter list")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         #: ``(start, stop)`` of each parameter in the flat velocity and work
         #: space — its slice of the arena when the parameters are one.
         self._bounds = []
@@ -134,6 +138,4 @@ class SGD:
 
     def set_lr(self, lr: float) -> None:
         """Change the learning rate (e.g. for per-round decay schedules)."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
+        self.lr = _checked("learning rate", lr, positive=True)

@@ -250,6 +250,37 @@ def test_maxpool_gradient_matches_numerical(rng):
     _check_input_gradient(layer, inputs)
 
 
+@pytest.mark.parametrize("layer", [Conv2d, MaxPool2d, AvgPool2d])
+@pytest.mark.parametrize(
+    "geometry",
+    [{"kernel_size": 0}, {"stride": 0}, {"stride": -1}, {"padding": -1}],
+    ids=["kernel0", "stride0", "stride-1", "padding-1"],
+)
+def test_window_layers_reject_nonsense_geometry(layer, geometry):
+    kwargs = {"kernel_size": 3, "stride": 1, "padding": 0, **geometry}
+    channels = (3, 4) if layer is Conv2d else ()
+    with pytest.raises(ValueError, match="kernel_size >= 1, stride >= 1 and padding >= 0"):
+        layer(*channels, **kwargs)
+
+
+@pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
+def test_pooling_padding_is_at_most_half_the_kernel(layer):
+    # MaxPool2d(2, padding=2) used to build windows of padding alone: -inf out.
+    with pytest.raises(ValueError, match="exceeds half the kernel size 2"):
+        layer(2, padding=2)
+    assert layer(3, stride=2, padding=1).padding == 1
+    assert layer(2).stride == 2  # stride defaults to the kernel size
+
+
+@pytest.mark.parametrize("kernel,padding", [(5, 0), (7, 1)])
+def test_window_larger_than_its_padded_input_names_the_shapes(kernel, padding):
+    inputs = np.zeros((1, 2, 3, 4), np.float32)
+    with pytest.raises(ValueError, match=f"kernel {kernel} with padding {padding} exceeds a 3x4 input"):
+        F.im2col(inputs, kernel, 1, padding)
+    with pytest.raises(ValueError, match="exceeds a 3x4 input"):
+        F.max_pool2d_forward(inputs, kernel, 1, padding)
+
+
 def test_avgpool_forward_and_gradient(rng):
     layer = AvgPool2d(2, stride=2)
     inputs = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)

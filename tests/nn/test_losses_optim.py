@@ -90,6 +90,18 @@ def test_sgd_validation_errors():
         optimizer.set_lr(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay", "set_lr"])
+def test_sgd_rejects_non_finite_hyper_parameters(name, value):
+    # NaN passed every `<= 0` / `< 0` check and then poisoned every weight.
+    parameter = Parameter(np.zeros(1))
+    with pytest.raises(ValueError, match="must be finite"):
+        if name == "set_lr":
+            SGD([parameter], lr=0.1).set_lr(value)
+        else:
+            SGD([parameter], **{"lr": 0.1, name: value})
+
+
 def test_end_to_end_training_reduces_loss(rng):
     """A small MLP must be able to fit a linearly separable problem."""
     model = Sequential(Linear(2, 16, rng=rng), ReLU(), Linear(16, 2, rng=rng))
