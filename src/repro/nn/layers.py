@@ -17,7 +17,7 @@ from repro.utils.seeding import default_rng
 _PER_CHANNEL = (1, -1, 1, 1)
 
 
-def _window(kernel_size: int, stride: int, padding: int, pooling: bool = False):
+def _window(kernel_size: int, stride: int, padding: int, pooling: bool = False) -> tuple:
     """``(kernel_size, stride, padding)`` as ints, rejecting geometry no window has.
 
     A pooling window may be padded by at most half its size (PyTorch's rule):
