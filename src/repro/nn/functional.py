@@ -12,31 +12,29 @@ parameters are float32; the shape-only ops (ReLU, pooling, ``im2col`` /
 
 Convolution takes one of three paths, selected by the call alone:
 
-* ``kernel == 1``, ``stride == 1`` and ``padding == 0`` — no window
-  gathering: the columns are the input viewed as ``(batch, channels,
-  height * width)`` and ``col2im`` is a reshape;
+* ``kernel == 1`` and ``padding == 0`` — no window gathering: the columns are
+  the input viewed as ``(batch, channels, height * width)`` (one strided
+  gather when ``stride > 1``) and ``col2im`` is a reshape;
 * ``groups == in_channels == out_channels`` (depthwise) — no columns at all:
   the padded input is held channels-last and its ``kernel²`` shifted taps are
   multiplied and reduced in one pass (a strided window view through a plain,
   path-search-free ``einsum``), each tap running over contiguous channels;
-* anything else (dense or grouped) — windows are gathered once into a
+* anything else (dense or grouped ``k×k``) — windows are gathered once into a
   contiguous ``(batch, channels·k·k, positions)`` buffer.
 
 The first and third share the GEMMs: ``np.matmul`` forward and for the column
 gradient, one ``tensordot`` over batch and positions for the weight gradient.
 
-``im2col``, ``col2im`` and pooling are each one ``np.take`` through an index
-plan cached read-only (bounded ``lru_cache``) per ``(channels, height, width,
-kernel, stride, padding)``: per sample, so every batch size shares it.  Window
-plans point each window element at its pixel, or at a fill slot appended to the
-sample (0, or ``-inf`` for max pooling), so nothing is padded; scatter plans
-point each (tap, pixel) at the element of that tap covering it, or at a zero
-slot, and the contributions are added tap by tap into a ``+0.0`` image.  The
-bits equal those of the ``kernel²`` strided copies and ``+=`` this replaced: a
-gather is a copy, each pixel sees the same operands in the same order, and a
-sum begun at ``+0.0`` is never ``-0.0``, so adding ``+0.0`` for a missed tap is
-a no-op (``tests/nn/test_window_golden.py``).  At ~1 ns a value the gather is
-2–4x faster on 2×2–4×4 maps, and up to 2x slower on 16×16 ones.
+``im2col`` and ``col2im`` on maps of up to 64 pixels (8×8) are one ``np.take``
+through an index plan cached read-only (bounded ``lru_cache``) per sample
+geometry ``(channels, height, width, kernel, stride, padding)``, so every batch
+size shares it: padding reads a zero slot appended to each sample, and
+``col2im`` adds each pixel's gathered contributions tap by tap into a ``+0.0``
+image.  Larger maps, and pooling at every size, walk the ``kernel²`` strided
+taps of a padded copy, which win once rows are wide (a gather costs ~1 ns a
+value).  The path does not move a bit: a gather is a copy, each pixel sees the
+same operands in the same order, and a sum begun at ``+0.0`` is never ``-0.0``
+(``tests/nn/test_window_golden.py``).
 """
 
 from __future__ import annotations
@@ -48,30 +46,75 @@ import numpy as np
 
 
 # ----------------------------------------------------------------------
-# Windows: index plans, shifted taps, im2col / col2im
+# Windows: padding, shifted taps, index plans, im2col / col2im
 # ----------------------------------------------------------------------
+# Maps of up to this many pixels move their windows through index plans: the
+# size up to which the gather measured faster than the strided taps (ROADMAP 7(c)).
+_GATHER_MAX_PIXELS = 64
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window."""
     return (size + 2 * padding - kernel) // stride + 1
 
 
-@functools.lru_cache(maxsize=256)
-def _window_plan(
-    channels: int, height: int, width: int, kernel: int, stride: int, padding: int,
-    *, taps_first: bool,
-) -> np.ndarray:
-    """Where each window element of one sample comes from.
-
-    An index into the sample's flattened ``(channels, height, width)`` pixels,
-    or ``channels * height * width`` — the fill slot :func:`_gather` appends —
-    for a padding position.  Shaped ``(channels, kernel², positions)``, the row
-    order of :func:`im2col`'s columns, or ``(kernel², channels, positions)``
-    with ``taps_first``, so that each tap of a pooling window is one run.
-    """
+def _output_size(
+    height: int, width: int, kernel: int, stride: int, padding: int
+) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a window walk; a ``ValueError`` when no window fits."""
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
     if out_h < 1 or out_w < 1:
         raise ValueError(f"kernel {kernel} with padding {padding} exceeds a {height}x{width} input")
+    return out_h, out_w
+
+
+def _pad(inputs: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+    """``inputs`` with a ``fill`` border (a copy), or ``inputs`` itself when ``padding == 0``."""
+    if padding == 0:
+        return inputs
+    batch, channels, height, width = inputs.shape
+    shape = (batch, channels, height + 2 * padding, width + 2 * padding)
+    padded = np.zeros(shape, inputs.dtype) if fill == 0.0 else np.full(shape, fill, inputs.dtype)
+    padded[:, :, padding : padding + height, padding : padding + width] = inputs
+    return padded
+
+
+def _crop(padded: np.ndarray, padding: int) -> np.ndarray:
+    """Inverse of :func:`_pad`, as a contiguous array."""
+    if padding == 0:
+        return padded
+    return np.ascontiguousarray(padded[:, :, padding:-padding, padding:-padding])
+
+
+def _taps(
+    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int, height_axis: int = 2
+) -> Iterator[np.ndarray]:
+    """The ``kernel²`` shifted, strided views of ``padded``, one per window offset.
+
+    Each view has ``out_h × out_w`` spatial positions and is writable, so the
+    same walk gathers windows (read the taps) and scatters them back (``+=``
+    into the taps of a zero array).  ``height_axis`` is 2 for NCHW, 1 for NHWC.
+    """
+    index = [slice(None)] * padded.ndim
+    for ky in range(kernel):
+        index[height_axis] = slice(ky, ky + stride * out_h, stride)
+        for kx in range(kernel):
+            index[height_axis + 1] = slice(kx, kx + stride * out_w, stride)
+            yield padded[tuple(index)]
+
+
+@functools.lru_cache(maxsize=256)
+def _window_plan(
+    channels: int, height: int, width: int, kernel: int, stride: int, padding: int
+) -> np.ndarray:
+    """Where each column element of one sample comes from, ``(channels, kernel², positions)``.
+
+    An index into the sample's flattened ``(channels, height, width)`` pixels,
+    or ``channels * height * width`` — the zero slot :func:`_gather` appends —
+    for a padding position.
+    """
+    out_h, out_w = _output_size(height, width, kernel, stride, padding)
     rows = (np.arange(kernel)[:, None] + stride * np.arange(out_h) - padding)[:, None, :, None]
     cols = (np.arange(kernel)[:, None] + stride * np.arange(out_w) - padding)[None, :, None, :]
     inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)  # (ky, kx, y, x)
@@ -79,59 +122,34 @@ def _window_plan(
         kernel * kernel, -1
     )
     plan = np.where(inside.reshape(kernel * kernel, -1), pixel, channels * height * width)
-    plan = np.ascontiguousarray(plan.transpose(1, 0, 2) if taps_first else plan, np.intp)
+    plan = plan.astype(np.intp, copy=False)
     plan.flags.writeable = False
     return plan
 
 
 @functools.lru_cache(maxsize=256)
 def _scatter_plan(
-    channels: int, height: int, width: int, kernel: int, stride: int, padding: int,
-    *, taps_first: bool,
+    channels: int, height: int, width: int, kernel: int, stride: int, padding: int
 ) -> np.ndarray:
-    """``(kernel², channels * height * width)``: for each tap and pixel, the one window
+    """``(kernel², channels * height * width)``: for each tap and pixel, the one column
     element of that tap covering the pixel (a tap's windows never overlap), or the
-    window count, :func:`_gather`'s fill slot, where none does."""
-    gather = _window_plan(channels, height, width, kernel, stride, padding, taps_first=taps_first)
-    taps = np.arange(kernel * kernel).reshape((-1, 1, 1) if taps_first else (1, -1, 1))
+    element count, :func:`_gather`'s zero slot, where none does."""
+    gather = _window_plan(channels, height, width, kernel, stride, padding)
+    taps = np.arange(kernel * kernel).reshape(1, -1, 1)
     plan = np.full((kernel * kernel, channels * height * width + 1), gather.size, np.intp)
     plan[np.broadcast_to(taps, gather.shape), gather] = np.arange(gather.size).reshape(gather.shape)
-    plan = np.ascontiguousarray(plan[:, :-1])  # padding positions landed in the fill column
+    plan = np.ascontiguousarray(plan[:, :-1])  # padding positions landed in the zero column
     plan.flags.writeable = False
     return plan
 
 
-def _gather(values: np.ndarray, plan: np.ndarray, fill: float) -> np.ndarray:
-    """``values`` flattened per sample, one ``fill`` slot appended, taken through
+def _gather(values: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """``values`` flattened per sample, one zero slot appended, taken through
     ``plan``: a fresh ``(batch, *plan.shape)`` array in the dtype of ``values``."""
-    slot = np.full((len(values), 1), fill, values.dtype)
+    slot = np.zeros((len(values), 1), values.dtype)
     flat = np.concatenate([values.reshape(len(values), -1), slot], axis=1)
     # Every index is in range: "wrap" only skips the per-index check "raise" makes.
     return np.take(flat, plan, axis=1, mode="wrap")
-
-
-def _scatter(windows: np.ndarray, geometry: tuple, *, taps_first: bool) -> np.ndarray:
-    """Add gathered ``windows`` back onto the pixels of ``geometry``, ``(input_shape, kernel,
-    stride, padding)``: each pixel's contributions, gathered through the scatter plan, are
-    added tap by tap into a ``+0.0`` image."""
-    input_shape, kernel, stride, padding = geometry
-    plan = _scatter_plan(*input_shape[1:], kernel, stride, padding, taps_first=taps_first)
-    contributions = _gather(windows, plan, 0.0)
-    image = np.zeros((len(windows), plan.shape[1]), windows.dtype)
-    for tap in range(len(plan)):
-        image += contributions[:, tap]
-    return image.reshape(input_shape)
-
-
-def _taps(
-    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
-) -> Iterator[np.ndarray]:
-    """The ``kernel²`` shifted, strided, writable ``(batch, out_h, out_w, channels)``
-    views of a padded NHWC array, one per window offset."""
-    for ky in range(kernel):
-        rows = slice(ky, ky + stride * out_h, stride)
-        for kx in range(kernel):
-            yield padded[:, rows, kx : kx + stride * out_w : stride]
 
 
 def im2col(
@@ -141,17 +159,31 @@ def im2col(
 
     Returns ``(columns, out_h, out_w)`` with ``columns`` of shape
     ``(batch, channels * kernel * kernel, out_h * out_w)`` in the dtype of
-    ``inputs``.  For an unpadded, unstrided ``kernel == 1`` the columns are a
-    reshape of ``inputs`` — a *view* when ``inputs`` is contiguous — otherwise
-    one gather through the geometry's window plan.
+    ``inputs``.  For ``kernel == 1`` without padding the columns are a reshape
+    of ``inputs`` — a *view* when ``stride == 1`` and ``inputs`` is contiguous
+    — otherwise one freshly gathered contiguous buffer: taken through the
+    window plan on small maps, copied from a strided window view on large ones.
     """
     batch, channels, height, width = inputs.shape
-    if kernel == 1 and stride == 1 and padding == 0:
-        return inputs.reshape(batch, channels, height * width), height, width
-    plan = _window_plan(channels, height, width, kernel, stride, padding, taps_first=False)
-    columns = _gather(inputs, plan, 0.0).reshape(batch, channels * kernel * kernel, -1)
-    out_h = conv_output_size(height, kernel, stride, padding)
-    return columns, out_h, conv_output_size(width, kernel, stride, padding)
+    out_h, out_w = _output_size(height, width, kernel, stride, padding)
+    if kernel == 1 and padding == 0:
+        if stride > 1:
+            inputs = inputs[:, :, ::stride, ::stride]
+        return inputs.reshape(batch, channels, out_h * out_w), out_h, out_w
+    if height * width <= _GATHER_MAX_PIXELS:
+        plan = _window_plan(channels, height, width, kernel, stride, padding)
+        return _gather(inputs, plan).reshape(batch, -1, out_h * out_w), out_h, out_w
+    padded = _pad(inputs, padding)
+    strides = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, channels, kernel, kernel, out_h, out_w),
+        strides=strides + (strides[2] * stride, strides[3] * stride),
+        writeable=False,
+    )
+    columns = np.empty((batch, channels * kernel * kernel, out_h * out_w), dtype=inputs.dtype)
+    columns.reshape(windows.shape)[...] = windows
+    return columns, out_h, out_w
 
 
 def col2im(
@@ -164,11 +196,28 @@ def col2im(
     """Scatter-add columns back to image space (adjoint of :func:`im2col`).
 
     A reshape of ``columns`` for an unpadded, unstrided ``kernel == 1``;
-    otherwise :func:`_scatter` through the geometry's plan.
+    otherwise ``kernel²`` additions into a ``+0.0`` image, of each pixel's
+    contributions gathered through the scatter plan on small maps, of strided
+    taps on large ones.
     """
+    batch, channels, height, width = input_shape
     if kernel == 1 and stride == 1 and padding == 0:
         return columns.reshape(input_shape)
-    return _scatter(columns, (input_shape, kernel, stride, padding), taps_first=False)
+    out_h, out_w = _output_size(height, width, kernel, stride, padding)
+    if height * width <= _GATHER_MAX_PIXELS:
+        plan = _scatter_plan(channels, height, width, kernel, stride, padding)
+        contributions = _gather(columns, plan)
+        image = np.zeros((batch, plan.shape[1]), columns.dtype)
+        for tap in range(len(plan)):
+            image += contributions[:, tap]
+        return image.reshape(input_shape)
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=columns.dtype
+    )
+    windows = columns.reshape(batch, channels, kernel * kernel, out_h, out_w)
+    for index, tap in enumerate(_taps(padded, kernel, stride, out_h, out_w)):
+        tap += windows[:, :, index]
+    return _crop(padded, padding)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +273,7 @@ def _depthwise_backward(
     )
     grad_padded = np.zeros_like(padded)
     scratch = np.empty_like(grad)
-    grad_taps = _taps(grad_padded, kernel, stride, out_h, out_w)
+    grad_taps = _taps(grad_padded, kernel, stride, out_h, out_w, height_axis=1)
     for tap_weight, grad_tap in zip(weight.reshape(len(weight), -1).T, grad_taps, strict=True):
         np.multiply(grad, tap_weight, out=scratch)
         grad_tap += scratch
@@ -313,59 +362,43 @@ def conv2d_backward(
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
-def _pool_windows(
-    inputs: np.ndarray, kernel: int, stride: int, padding: int, fill: float
-) -> np.ndarray:
-    """The windows, ``(batch, kernel², channels, positions)``; padding reads ``fill``."""
-    _, channels, height, width = inputs.shape
-    plan = _window_plan(channels, height, width, kernel, stride, padding, taps_first=True)
-    return _gather(inputs, plan, fill)
-
-
-def _pool_forward(
-    inputs: np.ndarray, kernel: int, stride: int, padding: int, fill: float, fold: np.ufunc
-) -> np.ndarray:
-    """The window taps folded left to right with the ufunc ``fold``."""
-    windows = _pool_windows(inputs, kernel, stride, padding, fill)
-    output = windows[:, 0].copy()
-    for tap in range(1, kernel * kernel):
-        fold(output, windows[:, tap], out=output)
-    batch, channels, height, _ = inputs.shape
-    return output.reshape(batch, channels, conv_output_size(height, kernel, stride, padding), -1)
-
-
 def max_pool2d_forward(
     inputs: np.ndarray, kernel: int, stride: int, padding: int = 0
 ) -> Tuple[np.ndarray, dict]:
     """Max pooling forward pass: a running maximum over the window taps.
 
-    Padding is ``-inf``, so a padded position never wins the maximum.  The
-    cache keeps the input, not its windows: backward gathers them again.
+    Padding is ``-inf``, so a padded position never wins the maximum.
     """
-    output = _pool_forward(inputs, kernel, stride, padding, -np.inf, np.maximum)
-    geometry = (inputs.shape, kernel, stride, padding)
-    return output, {"geometry": geometry, "inputs": inputs, "output": output}
+    _, _, height, width = inputs.shape
+    out_h, out_w = _output_size(height, width, kernel, stride, padding)
+    padded = _pad(inputs, padding, -np.inf)
+    taps = _taps(padded, kernel, stride, out_h, out_w)
+    output = next(taps).copy()
+    for tap in taps:
+        np.maximum(output, tap, out=output)
+    cache = {"padded": padded, "output": output, "kernel": kernel, "stride": stride, "padding": padding}
+    return output, cache
 
 
 def max_pool2d_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
     """Max pooling backward pass.
 
     Each window's gradient goes to its first maximal element in row-major
-    window order (what ``argmax`` picks), found by comparing the windows
-    with the cached output tap by tap.
+    window order (what ``argmax`` picks), found by comparing the taps of the
+    cached input with the cached output.
     """
-    _, kernel, stride, padding = cache["geometry"]
-    windows = _pool_windows(cache["inputs"], kernel, stride, padding, -np.inf)
-    output = cache["output"].reshape(windows[:, 0].shape)
-    grad = grad_output.reshape(output.shape)
-    grad_windows = np.empty_like(windows)
+    padded, output = cache["padded"], cache["output"]
+    _, _, out_h, out_w = output.shape
+    grad_padded = np.zeros_like(padded)
     unclaimed = np.ones(output.shape, dtype=bool)
-    for tap in range(windows.shape[1]):
-        hit = windows[:, tap] == output
+    taps = _taps(padded, cache["kernel"], cache["stride"], out_h, out_w)
+    grad_taps = _taps(grad_padded, cache["kernel"], cache["stride"], out_h, out_w)
+    for tap, grad_tap in zip(taps, grad_taps, strict=True):
+        hit = tap == output
         hit &= unclaimed
         unclaimed ^= hit
-        np.multiply(grad, hit, out=grad_windows[:, tap])
-    return _scatter(grad_windows, cache["geometry"], taps_first=True)
+        grad_tap += grad_output * hit
+    return _crop(grad_padded, cache["padding"])
 
 
 def global_avg_pool_forward(inputs: np.ndarray) -> Tuple[np.ndarray, dict]:
@@ -386,17 +419,29 @@ def avg_pool2d_forward(
 
     Padding counts as zeros *and* in the divisor (count-include-pad).
     """
-    output = _pool_forward(inputs, kernel, stride, padding, 0.0, np.add)
+    _, _, height, width = inputs.shape
+    out_h, out_w = _output_size(height, width, kernel, stride, padding)
+    taps = _taps(_pad(inputs, padding), kernel, stride, out_h, out_w)
+    output = next(taps).copy()
+    for tap in taps:
+        output += tap
     output /= kernel * kernel
-    return output, {"geometry": (inputs.shape, kernel, stride, padding)}
+    cache = {"input_shape": inputs.shape, "kernel": kernel, "stride": stride, "padding": padding}
+    return output, cache
 
 
 def avg_pool2d_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
     """Average pooling backward pass: every tap receives ``grad / kernel²``."""
-    (batch, channels, _, _), kernel, _, _ = cache["geometry"]
-    share = grad_output.reshape(batch, 1, channels, -1) / (kernel * kernel)
-    windows = np.broadcast_to(share, (batch, kernel * kernel) + share.shape[2:])
-    return _scatter(windows, cache["geometry"], taps_first=True)
+    batch, channels, height, width = cache["input_shape"]
+    kernel, padding = cache["kernel"], cache["padding"]
+    _, _, out_h, out_w = grad_output.shape
+    grad_padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=grad_output.dtype
+    )
+    share = grad_output / (kernel * kernel)
+    for grad_tap in _taps(grad_padded, kernel, cache["stride"], out_h, out_w):
+        grad_tap += share
+    return _crop(grad_padded, padding)
 
 
 # ----------------------------------------------------------------------
