@@ -13,7 +13,7 @@ from typing import Sequence
 from repro.core import ErrorBoundCandidate, FedSZCompressor, select_error_bound
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import train_tiny_model
-from repro.nn import functional as F
+from repro.nn import functional as F, inference
 
 DEFAULT_BOUNDS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.5)
 
@@ -35,7 +35,8 @@ def run_figure5(
         model, dataset, epochs=train_epochs, samples=samples, seed=seed
     )
     trained_model.eval()
-    baseline_logits = trained_model(validation.images)
+    with inference():
+        baseline_logits = trained_model(validation.images)
     baseline_accuracy = F.accuracy(baseline_logits, validation.labels)
     original_state = trained_model.state_dict()
     original_nbytes = sum(v.nbytes for v in original_state.values())
@@ -55,7 +56,8 @@ def run_figure5(
         report = codec.report()
         trained_model.load_state_dict(restored)
         trained_model.eval()
-        accuracy = F.accuracy(trained_model(validation.images), validation.labels)
+        with inference():
+            accuracy = F.accuracy(trained_model(validation.images), validation.labels)
         result.add_row(
             error_bound=bound,
             accuracy=accuracy,

@@ -12,7 +12,7 @@ import numpy as np
 from repro.data.datasets import SyntheticImageDataset
 from repro.fl.aggregation import fedavg
 from repro.nn import functional as F
-from repro.nn.module import Module
+from repro.nn.module import Module, inference
 from repro.utils.pools import pool_width, run_lanes
 
 
@@ -35,9 +35,11 @@ def evaluate_model(
 ) -> Tuple[float, float]:
     """Loss and top-1 accuracy of ``model``, in eval mode, on ``images``.
 
-    The forward pass runs in batches of ``batch_size`` rows, so peak activation
-    memory is bounded by the batch rather than the dataset, and loss and
-    accuracy are taken once over the logits concatenated in batch order.
+    The forward pass runs in batches of ``batch_size`` rows under
+    :func:`~repro.nn.inference` (entered by every lane), so no layer keeps its
+    activations: peak memory is one layer's working set on one batch, and no
+    model or replica holds a cache afterwards.  Loss and accuracy are taken
+    once over the logits concatenated in batch order.
     Where :func:`~repro.utils.pools.pool_width` allows, contiguous runs of
     batches go to :func:`~repro.utils.pools.run_lanes`: lane 0, the caller,
     runs on ``model``, every other lane on a replica — a deep copy of
@@ -52,7 +54,8 @@ def evaluate_model(
     model.eval()
 
     def forward(lane_model: Module, lane_starts) -> List[np.ndarray]:
-        return [lane_model(images[start : start + batch_size]) for start in lane_starts]
+        with inference():
+            return [lane_model(images[start : start + batch_size]) for start in lane_starts]
 
     replicas = [] if replicas is None else replicas
     replicas.extend(copy.deepcopy(model) for _ in range(lanes - 1 - len(replicas)))

@@ -2,7 +2,8 @@
 
 Provides the ``Module`` / ``Parameter`` / ``state_dict`` surface the FedSZ
 pipeline compresses, the layers needed by AlexNet / MobileNetV2 / ResNet, a
-cross-entropy loss, SGD, and model profiling utilities.
+cross-entropy loss, SGD, and model profiling utilities.  Forwards that only
+evaluate run under :func:`inference`, which keeps no backward cache.
 """
 
 from repro.nn import functional
@@ -22,7 +23,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.losses import CrossEntropyLoss, cross_entropy_with_grad
-from repro.nn.module import Module
+from repro.nn.module import Module, inference
 from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter
 
@@ -48,6 +49,7 @@ __all__ = [
     "CrossEntropyLoss",
     "cross_entropy_with_grad",
     "Module",
+    "inference",
     "SGD",
     "Parameter",
 ]

@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.nn.layers import Conv2d, Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, inference
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def count_flops(model: Module, input_shape: Tuple[int, int, int]) -> float:
     """Estimate forward FLOPs for a single sample of ``input_shape`` (C, H, W).
 
     The model's convolution and linear ``forward`` methods are temporarily
-    instrumented, a dummy forward pass is run in evaluation mode, and the
+    instrumented, a dummy forward pass is run in evaluation and inference mode, and the
     recorded input/output shapes are turned into FLOP counts.
     """
     records: list[float] = []
@@ -112,7 +112,8 @@ def count_flops(model: Module, input_shape: Tuple[int, int, int]) -> float:
     model.eval()
     try:
         dummy = np.zeros((1, *input_shape), dtype=np.float32)
-        model(dummy)
+        with inference():
+            model(dummy)
     finally:
         for module, original in patched:
             object.__setattr__(module, "forward", original)

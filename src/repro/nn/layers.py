@@ -16,6 +16,9 @@ from repro.utils.seeding import default_rng
 #: Reshape target that broadcasts a per-channel vector over NCHW activations.
 _PER_CHANNEL = (1, -1, 1, 1)
 
+#: :class:`Dropout`'s cache after an identity forward (``None`` means no cache).
+_UNMASKED = "unmasked"
+
 
 def _window(kernel_size: int, stride: int, padding: int, pooling: bool = False) -> tuple:
     """``(kernel_size, stride, padding)`` as ints, rejecting geometry no window has.
@@ -57,7 +60,7 @@ class Linear(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self.weight.accumulate_grad(grad_output.T @ self._cache)
+        self.weight.accumulate_grad(grad_output.T @ self._saved())
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
         return grad_output @ self.weight.data
@@ -103,7 +106,7 @@ class Conv2d(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_input, grad_weight, grad_bias = F.conv2d_backward(
-            grad_output, self.weight.data, self._cache
+            grad_output, self.weight.data, self._saved()
         )
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
@@ -162,7 +165,7 @@ class BatchNorm2d(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        normalized, inv_std, frozen = self._cache
+        normalized, inv_std, frozen = self._saved()
         if frozen is not None:
             inputs, mean = frozen
             normalized = (inputs - mean.reshape(_PER_CHANNEL)) * inv_std.reshape(_PER_CHANNEL)
@@ -196,7 +199,7 @@ class ReLU(Module):
         return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.relu_backward(grad_output, self._cache, self.max_value)
+        return F.relu_backward(grad_output, self._saved(), self.max_value)
 
 
 class ReLU6(ReLU):
@@ -224,7 +227,7 @@ class MaxPool2d(_Pool2d):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.max_pool2d_backward(grad_output, self._cache)
+        return F.max_pool2d_backward(grad_output, self._saved())
 
 
 class AvgPool2d(_Pool2d):
@@ -237,7 +240,7 @@ class AvgPool2d(_Pool2d):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.avg_pool2d_backward(grad_output, self._cache)
+        return F.avg_pool2d_backward(grad_output, self._saved())
 
 
 class GlobalAvgPool2d(Module):
@@ -248,7 +251,7 @@ class GlobalAvgPool2d(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.global_avg_pool_backward(grad_output, self._cache)
+        return F.global_avg_pool_backward(grad_output, self._saved())
 
 
 class Flatten(Module):
@@ -259,7 +262,7 @@ class Flatten(Module):
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._cache)
+        return grad_output.reshape(self._saved())
 
 
 class Dropout(Module):
@@ -274,7 +277,7 @@ class Dropout(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.training or self.probability == 0.0:
-            self._cache = None
+            self._cache = _UNMASKED
             return inputs
         keep = 1.0 - self.probability
         # bool -> float32 is a real conversion; the mask carries the 1/keep scale.
@@ -282,9 +285,10 @@ class Dropout(Module):
         return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        mask = self._saved()
+        if mask is _UNMASKED:
             return grad_output
-        return grad_output * self._cache
+        return grad_output * mask
 
 
 class Identity(Module):

@@ -17,7 +17,9 @@ FedSZ pipeline and the federated-learning runtime rely on:
 Unlike PyTorch there is no autograd graph: every module implements an
 explicit ``forward`` and ``backward`` and caches whatever it needs in
 between.  That keeps the substrate small, dependency-free and fast enough for
-laptop-scale federated simulations.
+laptop-scale federated simulations.  Under :func:`inference` (``torch``'s
+``no_grad`` in spirit) a call keeps no cache, so each activation is freed once
+the next layer has read it; ``eval()`` is independent of it.
 
 The tree is walked once, not on every call.  On first use, a module flattens
 the tree below it into a :class:`_Layout`: its module, parameter and buffer
@@ -56,12 +58,37 @@ whole client          3.6 → 2.3            4.6 → 3.6
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.parameter import Parameter, ParameterArena, arena_epoch, invalidate_arenas
+
+
+_mode = threading.local()
+
+
+@contextmanager
+def inference() -> Iterator[None]:
+    """Forward without keeping anything for ``backward``, on this thread.
+
+    Inside the block every ``module(inputs)`` drops the cache its ``forward``
+    made, so a forward's peak memory is one layer's working set rather than
+    every layer's activations, and the model holds none of them afterwards.
+    The forward code and its arithmetic are the same as outside; only what is
+    kept changes, and a ``backward`` after such a forward raises
+    ``RuntimeError``.  The mode is per thread (a pool lane enters it itself),
+    nests, and is restored on exit, also when the block raises.
+    """
+    outer = getattr(_mode, "inference", False)
+    _mode.inference = True
+    try:
+        yield
+    finally:
+        _mode.inference = outer
 
 
 class _Layout:
@@ -113,8 +140,9 @@ class Module:
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self.training = True
         #: Whatever ``forward`` keeps for ``backward`` (activations, columns,
-        #: masks).  Scratch, not state: never in ``state_dict()``, and dropped
-        #: when the module is pickled.
+        #: masks), read through :meth:`_saved`.  Scratch, not state: never in
+        #: ``state_dict()``, dropped when the module is pickled or copied, and
+        #: never kept by a call under :func:`inference` (``None`` then).
         self._cache = None
         #: The flattened tree below this module, built on first use.
         self._flat: Optional[_Layout] = None
@@ -293,7 +321,19 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
+        output = self.forward(inputs)
+        if getattr(_mode, "inference", False):
+            self._cache = None
+        return output
+
+    def _saved(self):
+        """What the last forward kept for ``backward``; raises if it kept nothing."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs the cache of a forward run outside "
+                "repro.nn.inference(); the last forward ran in inference mode, or none ran"
+            )
+        return self._cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         child_names = ", ".join(self._modules)

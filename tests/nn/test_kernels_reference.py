@@ -20,10 +20,13 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     Dropout,
+    Flatten,
+    GlobalAvgPool2d,
     Linear,
     MaxPool2d,
     ReLU,
     ReLU6,
+    inference,
 )
 from repro.nn import functional as F
 from repro.nn.models import create_model
@@ -283,6 +286,25 @@ def test_read_only_arrays_survive_forward_and_backward(layer, rng):
     np.testing.assert_array_equal(inputs, before)
     np.testing.assert_array_equal(grad_output, grad_before)
     np.testing.assert_array_equal(output, snapshot)  # backward leaves the returned output alone
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [*_layers_under_test(), Linear(6, 3), Flatten(), GlobalAvgPool2d(), Dropout(0.5).eval()],
+    ids=lambda layer: f"{type(layer).__name__}-{'train' if layer.training else 'eval'}",
+)
+def test_backward_after_an_inference_forward_raises_naming_the_mode(layer, rng):
+    channels = 16 if type(layer).__name__ == "InvertedResidual" else 4
+    shape = (2, 6) if isinstance(layer, Linear) else (2, channels, 6, 6)
+    inputs = rng.normal(size=shape).astype(np.float32)
+    layer.backward(np.ones_like(layer(inputs)))  # a kept cache: backward works
+    with inference():
+        output = layer(inputs)
+    assert all(module._cache is None for _, module in layer.named_modules())
+    with pytest.raises(RuntimeError, match=r"inference\(\)"):
+        layer.backward(np.ones_like(output))
+    layer(inputs)  # a forward outside the mode keeps its cache again
+    assert layer.backward(np.ones_like(output)).shape == inputs.shape
 
 
 def test_linear_keeps_read_only_inputs(rng):

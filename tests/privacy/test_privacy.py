@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.workloads import model_weight_sample
 from repro.nn.models import create_model, synthetic_pretrained_weights
 from repro.privacy import (
     analyze_array_errors,
@@ -41,6 +42,36 @@ def test_fit_distinguishes_gaussian_from_laplace(rng):
     gaussian = rng.normal(0.0, 1.0, 50_000)
     fit = fit_laplace(gaussian)
     assert not fit.closer_to_laplace_than_normal
+
+
+# ``scipy.stats.kstest(sample, "laplace" | "norm", args=fitted).statistic``
+# (scipy 1.17.1), recorded once so that the tests need no scipy.
+@pytest.mark.parametrize(
+    "draw, ks_laplace, ks_normal",
+    [
+        (lambda g: g.laplace(0.02, 0.05, 2000), 0.018494717943219774, 0.062397790831940525),
+        (lambda g: g.normal(0.0, 1.0, 2000), 0.04644660219060737, 0.01821084781054516),
+    ],
+    ids=["laplace", "normal"],
+)
+def test_ks_statistics_equal_scipy_kstest(draw, ks_laplace, ks_normal):
+    fit = fit_laplace(draw(np.random.default_rng(42)))
+    assert fit.ks_statistic == pytest.approx(ks_laplace, abs=1e-12)
+    assert fit.ks_statistic_normal == pytest.approx(ks_normal, abs=1e-12)
+
+
+def test_figure10_ks_statistics_equal_scipy_kstest():
+    """Figure 10's rows at ``num_values=60_000``, as scipy's ``kstest`` read them."""
+    recorded = {
+        0.5: (0.020308192495683164, 0.12280026557488394),
+        0.1: (0.01717954348267897, 0.09634154761545599),
+        0.05: (0.010632446983805666, 0.07770419944596041),
+    }
+    weights = model_weight_sample("alexnet", num_values=60_000, seed=0)
+    for distribution in analyze_array_errors(weights, list(recorded), compressor="sz2"):
+        ks_laplace, ks_normal = recorded[distribution.error_bound]
+        assert distribution.fit.ks_statistic == pytest.approx(ks_laplace, abs=1e-12)
+        assert distribution.fit.ks_statistic_normal == pytest.approx(ks_normal, abs=1e-12)
 
 
 def test_fit_requires_minimum_samples():

@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import available_experiments, build_parser, main, run_experiment
+
+
+def test_importing_the_cli_and_the_experiments_loads_no_scipy():
+    code = (
+        "import sys, repro.cli, repro.experiments; "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_available_experiments_cover_all_tables_and_figures():
