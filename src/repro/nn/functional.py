@@ -17,13 +17,26 @@ Convolution takes one of three paths, selected by the call alone:
   gather when ``stride > 1``) and ``col2im`` is a reshape;
 * ``groups == in_channels == out_channels`` (depthwise) — no columns at all:
   the padded input is held channels-last and its ``kernel²`` shifted taps are
-  multiplied and reduced in one pass (a strided window view through a plain,
-  path-search-free ``einsum``), each tap running over contiguous channels;
+  multiplied and reduced in one plain, path-search-free ``einsum`` over a
+  strided window view.  The stride-1 forward and the input gradient (at every
+  stride) sweep whole rows: a tap read along an output row of a channels-last
+  array is one contiguous run of ``width · channels`` values, and the input
+  gradient reads a reversed window of the output gradient, zero-stuffed at the
+  stride and framed by ``kernel - 1`` zeros.  The strided forward and the
+  weight gradient run each tap over one pixel's contiguous channels;
 * anything else (dense or grouped ``k×k``) — windows are gathered once into a
   contiguous ``(batch, channels·k·k, positions)`` buffer.
 
 The first and third share the GEMMs: ``np.matmul`` forward and for the column
 gradient, one ``tensordot`` over batch and positions for the weight gradient.
+The depthwise forward and input gradient start every element from ``+0.0``
+and add its products in row-major ``(i, j)`` tap order, one rounding per
+multiply and per add, so the whole-row sweep gives the bytes the per-tap loop
+it replaced gave (``tests/nn/test_depthwise_taps.py``): the frame only adds
+``0 · w = ±0``, and a sum begun at ``+0.0`` is never ``-0.0``, so that leaves
+it where it was.  The one exception is an
+infinite weight, where ``0 · inf`` is NaN, so input-gradient elements that
+read the frame through it are NaN instead of ``±inf`` or a finite sum.
 
 ``im2col`` and ``col2im`` on maps of up to 64 pixels (8×8) are one ``np.take``
 through an index plan cached read-only (bounded ``lru_cache``) per sample
@@ -87,21 +100,17 @@ def _crop(padded: np.ndarray, padding: int) -> np.ndarray:
     return np.ascontiguousarray(padded[:, :, padding:-padding, padding:-padding])
 
 
-def _taps(
-    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int, height_axis: int = 2
-) -> Iterator[np.ndarray]:
-    """The ``kernel²`` shifted, strided views of ``padded``, one per window offset.
+def _taps(padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> Iterator[np.ndarray]:
+    """The ``kernel²`` shifted, strided views of an NCHW ``padded``, one per window offset.
 
     Each view has ``out_h × out_w`` spatial positions and is writable, so the
     same walk gathers windows (read the taps) and scatters them back (``+=``
-    into the taps of a zero array).  ``height_axis`` is 2 for NCHW, 1 for NHWC.
+    into the taps of a zero array).
     """
-    index = [slice(None)] * padded.ndim
     for ky in range(kernel):
-        index[height_axis] = slice(ky, ky + stride * out_h, stride)
+        rows = slice(ky, ky + stride * out_h, stride)
         for kx in range(kernel):
-            index[height_axis + 1] = slice(kx, kx + stride * out_w, stride)
-            yield padded[tuple(index)]
+            yield padded[:, :, rows, slice(kx, kx + stride * out_w, stride)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -237,14 +246,54 @@ def _channels_last_windows(
     )
 
 
+def _row_sweep(
+    origin: np.ndarray, taps: np.ndarray, out_h: int, out_w: int, direction: int
+) -> np.ndarray:
+    """``out[b, y, x, c] = Σ_(i, j) origin[b, y + direction·i, x + direction·j, c] · taps[i, j, c]``,
+    an NHWC ``(batch, out_h, out_w, channels)`` array.
+
+    ``origin`` is an NHWC array (or a view into one) whose ``(column, channel)``
+    run is contiguous, so a window tap read along a whole output row is one
+    contiguous run of ``out_w · channels`` values; the taps are tiled across the
+    row to match.  One ``einsum`` then sweeps whole rows: every element starts
+    from ``+0.0`` and adds its ``kernel²`` products in row-major ``(i, j)`` order.
+    """
+    batch, _, _, channels = origin.shape
+    kernel = len(taps)
+    image, row, column, channel = origin.strides
+    windows = np.lib.stride_tricks.as_strided(
+        origin,
+        shape=(batch, out_h, kernel, kernel, out_w * channels),
+        strides=(image, row, direction * row, direction * column, channel),
+        writeable=False,
+    )
+    rows = np.einsum("byijx,ijx->byx", windows, np.tile(taps, (1, 1, out_w)))
+    return rows.reshape(batch, out_h, out_w, channels)
+
+
+def _stuffed_placement(
+    size: int, out_size: int, kernel: int, stride: int, padding: int
+) -> Tuple[slice, slice]:
+    """``(outputs, frame)``: which output positions of one axis land inside the
+    ``size + kernel - 1`` frame :func:`_depthwise_backward` sweeps, and where,
+    spaced ``stride`` apart (zero-stuffed) behind ``kernel - 1 - padding`` zeros."""
+    offset = kernel - 1 - padding
+    first = -(min(offset, 0) // stride)  # the first output whose position is >= 0
+    count = max(0, min(out_size, -(-(size + padding) // stride)) - first)
+    start = first * stride + offset
+    return slice(first, first + count), slice(start, start + stride * count, stride)
+
+
 def _depthwise_forward(
     inputs: np.ndarray, weight: np.ndarray, stride: int, padding: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Depthwise convolution as one multiply-reduce over the ``kernel²`` shifted
-    taps of the padded input, held channels-last so each tap runs over
-    contiguous channels.
+    taps of the padded input, held channels-last.
 
-    Returns the NCHW output and the padded NHWC input the backward pass reuses.
+    At stride 1 a tap's reads along an output row are contiguous, so the
+    reduction sweeps whole rows (:func:`_row_sweep`); at larger strides each
+    tap runs over one pixel's contiguous channels.  Returns the NCHW output and
+    the padded NHWC input the backward pass reuses.
     """
     batch, channels, height, width = inputs.shape
     kernel = weight.shape[-1]
@@ -252,33 +301,43 @@ def _depthwise_forward(
     out_w = conv_output_size(width, kernel, stride, padding)
     padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), np.float32)
     padded[:, padding : padding + height, padding : padding + width] = inputs.transpose(0, 2, 3, 1)
-    output = np.einsum(
-        "bhwijc,ijc->bhwc",
-        _channels_last_windows(padded, kernel, stride, out_h, out_w),
-        np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0)),
-    )
+    taps = np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0))
+    if stride == 1:
+        output = _row_sweep(padded, taps, out_h, out_w, 1)
+    else:
+        windows = _channels_last_windows(padded, kernel, stride, out_h, out_w)
+        output = np.einsum("bhwijc,ijc->bhwc", windows, taps)
     return np.ascontiguousarray(output.transpose(0, 3, 1, 2)), padded
 
 
 def _depthwise_backward(
     grad_output: np.ndarray, weight: np.ndarray, padded: np.ndarray, stride: int, padding: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(grad_input, grad_weight)`` of :func:`_depthwise_forward`: one multiply-reduce
-    against the cached padded input, and ``kernel²`` strided ``+=`` of the weighted gradient."""
+    """``(grad_input, grad_weight)`` of :func:`_depthwise_forward`.
+
+    ``grad_weight`` is one multiply-reduce against the cached padded input.
+    The input gradient is the same whole-row sweep as the stride-1 forward,
+    over a reversed window (row and column strides negated) of the output
+    gradient zero-stuffed at ``stride`` and framed by ``kernel - 1`` zeros, cut
+    to what the unpadded interior reads, so no padded gradient is built.  Each
+    element adds the products of the taps that cover it in the order the old
+    per-tap ``+=`` loop did, plus ``0 · w`` for the rest, which changes nothing
+    unless ``w`` is infinite: then the element is NaN where the loop gave
+    ``±inf`` or a finite sum.
+    """
     kernel = weight.shape[-1]
-    _, _, out_h, out_w = grad_output.shape
+    batch, channels, out_h, out_w = grad_output.shape
     grad = np.ascontiguousarray(grad_output.transpose(0, 2, 3, 1))
     grad_weight = np.einsum(
         "bhwijc,bhwc->ijc", _channels_last_windows(padded, kernel, stride, out_h, out_w), grad
     )
-    grad_padded = np.zeros_like(padded)
-    scratch = np.empty_like(grad)
-    grad_taps = _taps(grad_padded, kernel, stride, out_h, out_w, height_axis=1)
-    for tap_weight, grad_tap in zip(weight.reshape(len(weight), -1).T, grad_taps, strict=True):
-        np.multiply(grad, tap_weight, out=scratch)
-        grad_tap += scratch
-    _, padded_h, padded_w, _ = padded.shape
-    grad_input = grad_padded[:, padding : padded_h - padding, padding : padded_w - padding]
+    height, width = padded.shape[1] - 2 * padding, padded.shape[2] - 2 * padding
+    framed = np.zeros((batch, height + kernel - 1, width + kernel - 1, channels), np.float32)
+    rows = _stuffed_placement(height, out_h, kernel, stride, padding)
+    columns = _stuffed_placement(width, out_w, kernel, stride, padding)
+    framed[:, rows[1], columns[1]] = grad[:, rows[0], columns[0]]
+    taps = np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0))
+    grad_input = _row_sweep(framed[:, kernel - 1 :, kernel - 1 :], taps, height, width, -1)
     return (
         np.ascontiguousarray(grad_input.transpose(0, 3, 1, 2)),
         np.ascontiguousarray(grad_weight.transpose(2, 0, 1)).reshape(weight.shape),
