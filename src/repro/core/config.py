@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -38,8 +39,8 @@ class FedSZConfig:
     max_codec_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.error_bound <= 0:
-            raise ValueError(f"error_bound must be positive, got {self.error_bound}")
+        if not math.isfinite(self.error_bound) or self.error_bound <= 0:
+            raise ValueError(f"error_bound must be positive and finite, got {self.error_bound}")
         if self.partition_threshold < 0:
             raise ValueError(
                 f"partition_threshold must be non-negative, got {self.partition_threshold}"

@@ -150,6 +150,12 @@ def test_config_validation():
     assert "sz2" in FedSZConfig().describe()
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_config_rejects_a_non_finite_error_bound(bound):
+    with pytest.raises(ValueError, match="error_bound must be positive and finite"):
+        FedSZConfig(error_bound=bound)
+
+
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
