@@ -34,9 +34,9 @@ and add its products in row-major ``(i, j)`` tap order, one rounding per
 multiply and per add, so the whole-row sweep gives the bytes the per-tap loop
 it replaced gave (``tests/nn/test_depthwise_taps.py``): the frame only adds
 ``0 · w = ±0``, and a sum begun at ``+0.0`` is never ``-0.0``, so that leaves
-it where it was.  The one exception is an
-infinite weight, where ``0 · inf`` is NaN, so input-gradient elements that
-read the frame through it are NaN instead of ``±inf`` or a finite sum.
+it where it was.  The one exception is an infinite weight, where ``0 · inf``
+is NaN, so input-gradient elements that read the frame through it are NaN
+instead of ``±inf`` or a finite sum.
 
 ``im2col`` and ``col2im`` on maps of up to 64 pixels (8×8) are one ``np.take``
 through an index plan cached read-only (bounded ``lru_cache``) per sample
@@ -100,7 +100,9 @@ def _crop(padded: np.ndarray, padding: int) -> np.ndarray:
     return np.ascontiguousarray(padded[:, :, padding:-padding, padding:-padding])
 
 
-def _taps(padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> Iterator[np.ndarray]:
+def _taps(
+    padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> Iterator[np.ndarray]:
     """The ``kernel²`` shifted, strided views of an NCHW ``padded``, one per window offset.
 
     Each view has ``out_h × out_w`` spatial positions and is writable, so the
@@ -249,8 +251,8 @@ def _channels_last_windows(
 def _row_sweep(
     origin: np.ndarray, taps: np.ndarray, out_h: int, out_w: int, direction: int
 ) -> np.ndarray:
-    """``out[b, y, x, c] = Σ_(i, j) origin[b, y + direction·i, x + direction·j, c] · taps[i, j, c]``,
-    an NHWC ``(batch, out_h, out_w, channels)`` array.
+    """The NHWC ``(batch, out_h, out_w, channels)`` array ``out[b, y, x, c] =
+    Σ_(i, j) origin[b, y + direction·i, x + direction·j, c] · taps[i, j, c]``.
 
     ``origin`` is an NHWC array (or a view into one) whose ``(column, channel)``
     run is contiguous, so a window tap read along a whole output row is one

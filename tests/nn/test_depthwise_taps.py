@@ -11,9 +11,9 @@ A kernel that reorders the taps, starts a sum from the first product instead of
 this grid: :mod:`test_window_golden`'s values (ties, all-negative planes,
 ``±0.0`` and 1e30s, whose products overflow to ``±inf`` and meet as NaN) over
 its batches and maps, at strides 1, 2 and 3, plus an odd 37-channel map wide
-enough for numpy's vector loops and their remainders.  ``grad_weight`` is a sum over
-batch and positions whose order is not the taps', and stays covered by the
-float64 reference in :mod:`test_kernels_reference`.
+enough for numpy's vector loops and their remainders.  ``grad_weight`` is a
+sum over batch and positions whose order is not the taps', and stays covered
+by the float64 reference in :mod:`test_kernels_reference`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ STRIDES = (1, 2, 3)
 SHAPES = [(batch, CHANNELS, *size) for batch in BATCHES for size in MAPS] + [(2, 37, 9, 7)]
 
 
-def _geometries():
+def _geometries(kernel):
     for shape in SHAPES:
-        for kernel in KERNELS:
-            for stride in STRIDES:
-                for padding in CONV_PADDINGS:
-                    if min(shape[2:]) + 2 * padding >= kernel:
-                        yield shape, kernel, stride, padding
+        for stride in STRIDES:
+            for padding in CONV_PADDINGS:
+                if min(shape[2:]) + 2 * padding >= kernel:
+                    yield shape, stride, padding
 
 
 def _reference(inputs, weight, grad_output, stride, padding):
@@ -63,7 +62,7 @@ def _assert_same_bytes(got, want):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_depthwise_forward_and_input_gradient_follow_tap_order(kernel):
-    for shape, _, stride, padding in (g for g in _geometries() if g[1] == kernel):
+    for shape, stride, padding in _geometries(kernel):
         inputs = _values(shape, np.float32, 0)
         weight = _values((shape[1], 1, kernel, kernel), np.float32, 11)
         with np.errstate(over="ignore", invalid="ignore"):  # 1e30 * 1e30 is meant to overflow
