@@ -18,13 +18,14 @@ stream is self-describing and independently decodable.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ _SECTION_MAGIC = b"RPRS"
 _HEADER_STRUCT = struct.Struct("<4sI")
 _ENTRY_STRUCT = struct.Struct("<HQ")
 _ARRAY_DTYPE = re.compile(rb"[<>|=][biuf][0-9]+")
+_DTYPE_LEN = struct.Struct("<H")
 
 
 class ErrorBoundMode(str, Enum):
@@ -54,7 +56,10 @@ class ErrorBoundMode(str, Enum):
 
 
 def resolve_error_bound(
-    data: np.ndarray, error_bound: float, mode: ErrorBoundMode
+    data: np.ndarray,
+    error_bound: float,
+    mode: ErrorBoundMode,
+    value_range: Optional[float] = None,
 ) -> float:
     """Convert a (bound, mode) pair into an absolute tolerance for ``data``.
 
@@ -62,8 +67,10 @@ def resolve_error_bound(
     ``REL`` semantics.  A constant array has zero range; in that case the
     resolved absolute bound is 0.0 and callers are expected to fall back to an
     exact representation (which is trivially cheap for constant data).
+    ``value_range``, when given, is that range as :func:`validate_lossy_input`
+    measured it, and ``data`` is not scanned again.
     """
-    if not np.isfinite(error_bound) or error_bound <= 0:
+    if not math.isfinite(error_bound) or error_bound <= 0:
         raise InvalidErrorBoundError(
             f"error bound must be a positive finite number, got {error_bound!r}"
         )
@@ -71,17 +78,19 @@ def resolve_error_bound(
         return float(error_bound)
     if data.size == 0:
         return float(error_bound)
-    lowest, highest = data.min(), data.max()
-    if not (np.isfinite(lowest) and np.isfinite(highest)):
-        # Only a tensor holding NaN/Inf has a non-finite extreme; the codecs
-        # reject those beforehand, so the masked copy is paid by nobody else.
-        finite = data[np.isfinite(data)]
-        if finite.size == 0:
-            return float(error_bound)
-        lowest, highest = finite.min(), finite.max()
-    # Python floats: float16/32 extremes widen exactly, so the bound is the one
-    # the tensor's float64 copy resolves to, whatever dtype it arrives in.
-    return float(error_bound * (float(highest) - float(lowest)))
+    if value_range is None:
+        lowest, highest = data.min(), data.max()
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
+            # Only a tensor holding NaN/Inf has a non-finite extreme; the codecs
+            # reject those beforehand, so the masked copy is paid by nobody else.
+            finite = data[np.isfinite(data)]
+            if finite.size == 0:
+                return float(error_bound)
+            lowest, highest = finite.min(), finite.max()
+        # Python floats: float16/32 extremes widen exactly, so the bound is the
+        # one the tensor's float64 copy resolves to, whatever dtype it arrives in.
+        value_range = float(highest) - float(lowest)
+    return float(error_bound * value_range)
 
 
 def safe_throughput_mbps(nbytes: int, seconds: Optional[float]) -> float:
@@ -129,7 +138,7 @@ class CompressionStats:
         return safe_throughput_mbps(self.original_nbytes, self.decompress_seconds)
 
 
-def validate_lossy_input(data: np.ndarray, codec: str = "lossy") -> np.ndarray:
+def validate_lossy_input(data: np.ndarray, codec: str = "lossy") -> Tuple[np.ndarray, float]:
     """Uniform input policy shared by every error-bounded lossy codec.
 
     The policy (identical for SZ2, SZ3, SZx, ZFP and any predictor-stage codec
@@ -145,6 +154,13 @@ def validate_lossy_input(data: np.ndarray, codec: str = "lossy") -> np.ndarray:
       produced;
     * empty arrays are allowed and round-trip to empty arrays.
 
+    Returns the array and its value range, ``max - min`` as Python floats
+    (0.0 when empty).  The check is that one scan for the two extremes:
+    ``NaN`` propagates through ``min`` and ``max`` and ``±Inf`` is an extreme,
+    so both are finite exactly when every value is, and the range is what a
+    ``REL`` bound scales (:func:`resolve_error_bound` takes it and scans no
+    more).
+
     ``codec`` names the caller in the error message so pipeline-level failures
     point at the stage that rejected the tensor.
     """
@@ -153,12 +169,16 @@ def validate_lossy_input(data: np.ndarray, codec: str = "lossy") -> np.ndarray:
         raise UnsupportedDataError(
             f"{codec}: lossy compressors expect floating-point data, got dtype {data.dtype}"
         )
-    if not np.all(np.isfinite(data)):
+    if data.size == 0:
+        return data, 0.0
+    lowest = float(np.minimum.reduce(data, axis=None))
+    highest = float(np.maximum.reduce(data, axis=None))
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise UnsupportedDataError(
             f"{codec}: lossy compressors require finite input values "
             "(NaN/+Inf/-Inf are rejected; see repro.compression.base.validate_lossy_input)"
         )
-    return data
+    return data, highest - lowest
 
 
 class LossyCompressor(ABC):
@@ -211,8 +231,17 @@ class LossyCompressor(ABC):
         tensors: Sequence[np.ndarray],
         error_bound: float,
         mode: ErrorBoundMode = ErrorBoundMode.REL,
+        ranges: Optional[List[float]] = None,
     ) -> List[bytes]:
-        """:meth:`compress` of each tensor, in order."""
+        """:meth:`compress` of each tensor, in order.
+
+        ``ranges``, when a list, receives each tensor's value range as
+        :func:`validate_lossy_input` measures it, in order: what a caller
+        resolving a bound over the same tensors needs, without a scan of its
+        own.
+        """
+        if ranges is not None:
+            ranges.extend(validate_lossy_input(tensor, self.name)[1] for tensor in tensors)
         return [self.compress(tensor, error_bound, mode) for tensor in tensors]
 
     def decompress_group(self, payloads: Sequence[bytes]) -> List[np.ndarray]:
@@ -248,7 +277,7 @@ class LossyCompressor(ABC):
 
     def _validate_input(self, data: np.ndarray) -> np.ndarray:
         """Apply the shared input policy (see :func:`validate_lossy_input`)."""
-        return validate_lossy_input(data, codec=self.name)
+        return validate_lossy_input(data, codec=self.name)[0]
 
 
 class LosslessCompressor(ABC):
@@ -294,6 +323,13 @@ def begin_sections(buffer: bytearray, count: int) -> None:
     buffer += _HEADER_STRUCT.pack(_SECTION_MAGIC, count)
 
 
+def _section_name(name: str) -> bytes:
+    encoded_name = name.encode("utf-8")
+    if len(encoded_name) > 0xFFFF:
+        raise ValueError(f"section name too long: {name!r}")
+    return encoded_name
+
+
 def append_section_header(buffer: bytearray, name: str, data_nbytes: int) -> None:
     """Write one section's entry header + name, promising ``data_nbytes`` of data.
 
@@ -301,9 +337,7 @@ def append_section_header(buffer: bytearray, name: str, data_nbytes: int) -> Non
     split lets composite payloads stream nested sections straight into the
     final buffer instead of materialising them as an intermediate blob first.
     """
-    encoded_name = name.encode("utf-8")
-    if len(encoded_name) > 0xFFFF:
-        raise ValueError(f"section name too long: {name!r}")
+    encoded_name = _section_name(name)
     buffer += _ENTRY_STRUCT.pack(len(encoded_name), data_nbytes)
     buffer += encoded_name
 
@@ -322,22 +356,45 @@ def sections_nbytes(sizes: Mapping[str, int]) -> int:
     return total
 
 
-def pack_sections(sections: Mapping[str, bytes]) -> bytes:
+def pack_sections(
+    sections: Mapping[str, object],
+    write: Optional[Callable[[bytearray, object], None]] = None,
+) -> bytes:
     """Serialize named byte sections into a single framed payload.
 
     The format is: magic, section count, then for each section a
     (name-length, data-length) header followed by the UTF-8 name and the raw
-    data.  Section order is preserved.
+    data.  Section order is preserved.  ``write(buffer, value)``, when given,
+    appends each section's data straight to the one output buffer (e.g.
+    :func:`append_array`), so no section exists as a blob of its own; its
+    length is filled into the entry header afterwards.
     """
     buffer = bytearray()
     begin_sections(buffer, len(sections))
-    for name, data in sections.items():
-        append_section(buffer, name, bytes(data))
+    if write is None:
+        for name, data in sections.items():
+            append_section(buffer, name, data)
+        return bytes(buffer)
+    entry = _ENTRY_STRUCT
+    for name, value in sections.items():
+        encoded_name = _section_name(name)
+        at = len(buffer)
+        buffer += entry.pack(len(encoded_name), 0)
+        buffer += encoded_name
+        start = len(buffer)
+        write(buffer, value)
+        entry.pack_into(buffer, at, len(encoded_name), len(buffer) - start)
     return bytes(buffer)
 
 
-def unpack_sections(payload: bytes) -> Dict[str, bytes]:
-    """Inverse of :func:`pack_sections`.
+def unpack_sections(
+    payload, read: Optional[Callable[[object, int, int], object]] = None
+) -> Dict[str, object]:
+    """Inverse of :func:`pack_sections`: each section's bytes by name.
+
+    ``read(payload, start, end)``, when given, turns the section at
+    ``payload[start:end]`` into the value kept under its name, so the stream
+    is walked once and no section is copied out on its way to ``read``.
 
     Fails closed: a truncated stream, bytes after the last declared section,
     a section name that is not UTF-8 and one that repeats are all
@@ -345,66 +402,102 @@ def unpack_sections(payload: bytes) -> Dict[str, bytes]:
     trailing data past the decoder nor shadow one section with another of the
     same name.
     """
-    if len(payload) < _HEADER_STRUCT.size:
+    size = len(payload)
+    if size < _HEADER_STRUCT.size:
         raise CorruptPayloadError("payload too short to contain a section header")
     magic, count = _HEADER_STRUCT.unpack_from(payload, 0)
     if magic != _SECTION_MAGIC:
         raise CorruptPayloadError(f"bad payload magic {magic!r}")
+    entry = _ENTRY_STRUCT.unpack_from
     offset = _HEADER_STRUCT.size
-    sections: Dict[str, bytes] = {}
+    sections: Dict[str, object] = {}
     for index in range(count):
-        if offset + _ENTRY_STRUCT.size > len(payload):
+        if offset + _ENTRY_STRUCT.size > size:
             raise CorruptPayloadError("truncated section entry header")
-        name_len, data_len = _ENTRY_STRUCT.unpack_from(payload, offset)
+        name_len, data_len = entry(payload, offset)
         offset += _ENTRY_STRUCT.size
         end_of_name = offset + name_len
         end_of_data = end_of_name + data_len
-        if end_of_data > len(payload):
+        if end_of_data > size:
             raise CorruptPayloadError("truncated section data")
         raw_name = payload[offset:end_of_name]
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError:
             raise CorruptPayloadError(
-                f"section {index} name {raw_name!r} is not UTF-8"
+                f"section {index} name {bytes(raw_name)!r} is not UTF-8"
             ) from None
         if name in sections:
             raise CorruptPayloadError(f"section {name!r} appears twice")
-        sections[name] = payload[end_of_name:end_of_data]
+        sections[name] = (
+            payload[end_of_name:end_of_data] if read is None
+            else read(payload, end_of_name, end_of_data)
+        )
         offset = end_of_data
-    if offset != len(payload):
+    if offset != size:
         raise CorruptPayloadError(
-            f"{len(payload) - offset} bytes after the last of {count} sections"
+            f"{size - offset} bytes after the last of {count} sections"
         )
     return sections
 
 
+@functools.lru_cache(maxsize=64)
+def _array_header(dtype: np.dtype, ndim: int) -> Tuple[bytes, struct.Struct]:
+    """An array section's dtype and rank fields, and the struct of its shape."""
+    dtype_name = dtype.str.encode("ascii")
+    fields = struct.pack(f"<H{len(dtype_name)}sB", len(dtype_name), dtype_name, ndim)
+    return fields, struct.Struct(f"<{ndim}q")
+
+
+@functools.lru_cache(maxsize=64)
+def _array_layout(fields: bytes) -> Tuple[np.dtype, struct.Struct]:
+    """An array section's dtype, and the struct of its shape, from the dtype
+    name and rank byte ahead of the shape; anything else raises ``ValueError``.
+
+    Only what ``dtype.str`` of a bool/int/uint/float array looks like reaches
+    numpy, whose dtype parser raises anything up to SyntaxError.  Valid fields
+    are cached (dtypes and structs are immutable); rejected ones are checked
+    again each time they come.
+    """
+    if not _ARRAY_DTYPE.fullmatch(fields, 0, len(fields) - 1):
+        raise ValueError(f"dtype {fields[:-1]!r}")
+    return np.dtype(fields[:-1].decode("ascii")), struct.Struct(f"<{fields[-1]}q")
+
+
+def append_array(buffer: bytearray, array: np.ndarray) -> None:
+    """Write a numpy array (dtype, shape and raw bytes) to the end of ``buffer``."""
+    array = np.asarray(array)
+    fields, dims = _array_header(array.dtype, array.ndim)
+    buffer += fields
+    buffer += dims.pack(*array.shape)
+    buffer += array.tobytes()  # C order, whatever the array's strides
+
+
 def pack_array(array: np.ndarray) -> bytes:
     """Serialize a numpy array (dtype, shape and raw bytes) into one section."""
-    array = np.asarray(array)
-    dtype_name = array.dtype.str.encode("ascii")
-    header = struct.pack(
-        f"<H{len(dtype_name)}sB{array.ndim}q", len(dtype_name), dtype_name, array.ndim, *array.shape
-    )
-    return header + array.tobytes()  # C order, whatever the array's strides
+    buffer = bytearray()
+    append_array(buffer, array)
+    return bytes(buffer)
 
 
-def unpack_array(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`pack_array`; anything else is :class:`CorruptPayloadError`."""
+def unpack_array(payload) -> np.ndarray:
+    """Inverse of :func:`pack_array`; anything else is :class:`CorruptPayloadError`.
+
+    ``payload`` may be any bytes-like object (a ``memoryview`` slice of a
+    larger stream, say): the array is read from it in place and copied once,
+    into an array of its own, whose raw bytes are ``payload``'s last
+    ``nbytes``.
+    """
+    view = memoryview(payload)
     try:
-        (dtype_len,) = struct.unpack_from("<H", payload, 0)
-        offset = 2 + dtype_len
-        # Only what ``dtype.str`` of a bool/int/uint/float array looks like
-        # reaches numpy, whose dtype parser raises anything up to SyntaxError.
-        if not _ARRAY_DTYPE.fullmatch(payload[2:offset]):
-            raise ValueError(f"dtype {payload[2:offset]!r}")
-        dtype = np.dtype(payload[2:offset].decode("ascii"))
-        (ndim,) = struct.unpack_from("<B", payload, offset)
-        shape = struct.unpack_from(f"<{ndim}q", payload, offset + 1)
-        raw = payload[offset + 1 + 8 * ndim :]
+        (dtype_len,) = _DTYPE_LEN.unpack_from(view, 0)
+        offset = 3 + dtype_len
+        dtype, dims = _array_layout(bytes(view[2:offset]))
+        shape = dims.unpack_from(view, offset)
+        offset += dims.size
         # Python ints: a forged shape cannot wrap the element count around.
-        if min(shape, default=0) < 0 or len(raw) != math.prod(shape) * dtype.itemsize:
-            raise ValueError(f"{len(raw)} bytes for shape {shape} of {dtype}")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if (shape and min(shape) < 0) or view.nbytes - offset != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{view.nbytes - offset} bytes for shape {shape} of {dtype}")
+        return np.ndarray(shape, dtype, view, offset).copy()
     except (struct.error, TypeError, ValueError) as error:
         raise CorruptPayloadError(f"corrupt array payload: {error}") from error

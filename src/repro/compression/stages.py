@@ -37,6 +37,7 @@ codec ``clone()`` is a shallow copy and concurrent per-tensor compression
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -66,8 +67,15 @@ from repro.compression.quantizer import dequantize_residuals, quantize_residuals
 STAGED_FORMAT_VERSION = 3
 
 _META_STRUCT = struct.Struct("<IQdB")
+_DTYPE_LEN = struct.Struct("<H")
+_NDIM = struct.Struct("<B")
+_PARAMS_LEN = struct.Struct("<I")
 _FLOAT_DTYPE = re.compile(rb"[<>=]f[0-9]+")
 _PARAMS_JSON = json.JSONEncoder(sort_keys=True)  # ``json.dumps`` builds one per call
+#: Entries each metadata cache keeps: far more than the distinct dtypes and
+#: parameter sets of any run, few enough that a forged stream cannot grow them.
+_CACHE_SIZE = 64
+_PARAMS_BLOBS: Dict[str, bytes] = {}
 
 
 @dataclass
@@ -89,6 +97,8 @@ class StageContext:
     absolute_bound: float = 0.0
     raw: bool = False
     params: Dict[str, object] = field(default_factory=dict)
+    #: ``max - min`` of the input as validation measured it (encode side only).
+    value_range: float = 0.0
 
     @property
     def bin_width(self) -> float:
@@ -175,7 +185,7 @@ class PredictorStage(ABC):
         raw when it is empty or constant (zero resolved bound) — exact
         storage is trivially cheap for both.
         """
-        ctx.absolute_bound = resolve_error_bound(flat, ctx.error_bound, ctx.mode)
+        ctx.absolute_bound = resolve_error_bound(flat, ctx.error_bound, ctx.mode, ctx.value_range)
         ctx.raw = ctx.size == 0 or ctx.absolute_bound <= 0
 
     @abstractmethod
@@ -199,16 +209,58 @@ class PredictorStage(ABC):
         return [self.decode(member, ctx) for member, ctx in zip(sections, ctxs, strict=True)]
 
 
+def _params_blob(params: Mapping[str, object]) -> bytes:
+    """The JSON of a context's codec parameters, encoded once per distinct value.
+
+    A codec gives every tensor the same few scalars, so the blob is looked up
+    by the parameters' ``repr``, which tells apart what ``==`` does not but
+    JSON does (``True`` / ``1`` / ``1.0``, ``0.0`` / ``-0.0``).  The cache
+    holds immutable bytes and stops growing at ``_CACHE_SIZE`` entries.
+    """
+    key = repr(params)
+    blob = _PARAMS_BLOBS.get(key)
+    if blob is None:
+        blob = _PARAMS_JSON.encode(params).encode("utf-8")
+        if len(_PARAMS_BLOBS) < _CACHE_SIZE:
+            _PARAMS_BLOBS[key] = blob
+    return blob
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _dtype_field(dtype: np.dtype) -> bytes:
+    """A metadata section's length-prefixed dtype name."""
+    name = dtype.str.encode("ascii")
+    return _DTYPE_LEN.pack(len(name)) + name
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _float_dtype(name: bytes) -> Optional[np.dtype]:
+    """The float dtype a metadata section names, or ``None`` for a name that
+    is not one.  Only what ``dtype.str`` of a float array looks like reaches
+    numpy, whose dtype parser raises anything up to SyntaxError."""
+    return np.dtype(name.decode("ascii")) if _FLOAT_DTYPE.fullmatch(name) else None
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _params_items(blob: bytes) -> Optional[Tuple[Tuple[str, object], ...]]:
+    """The codec parameters a metadata section's JSON holds, parsed once per
+    distinct blob: ``None`` when the JSON is not an object.  The cached tuple
+    is immutable; each context gets a dict of its own."""
+    params = json.loads(blob.decode("utf-8"))
+    return tuple(params.items()) if isinstance(params, dict) else None
+
+
 def pack_stage_meta(ctx: StageContext) -> bytes:
     """Serialize the shared metadata section for a staged payload."""
-    params_blob = _PARAMS_JSON.encode(ctx.params).encode("utf-8")
-    dtype_name = np.dtype(ctx.dtype).str.encode("ascii")
-    fixed = struct.pack(
-        f"<IQdBH{len(dtype_name)}sB{len(ctx.shape)}qI",
-        STAGED_FORMAT_VERSION, ctx.size, float(ctx.absolute_bound), 1 if ctx.raw else 0,
-        len(dtype_name), dtype_name, len(ctx.shape), *ctx.shape, len(params_blob),
-    )
-    return fixed + params_blob
+    params_blob = _params_blob(ctx.params)
+    return b"".join((
+        _META_STRUCT.pack(
+            STAGED_FORMAT_VERSION, ctx.size, float(ctx.absolute_bound), 1 if ctx.raw else 0
+        ),
+        _dtype_field(np.dtype(ctx.dtype)),
+        struct.pack(f"<B{len(ctx.shape)}qI", len(ctx.shape), *ctx.shape, len(params_blob)),
+        params_blob,
+    ))
 
 
 def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
@@ -220,35 +272,33 @@ def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
         if version != STAGED_FORMAT_VERSION:
             raise CorruptPayloadError(f"unsupported {codec} payload version {version}")
         cursor = _META_STRUCT.size
-        (dtype_len,) = struct.unpack_from("<H", blob, cursor)
+        (dtype_len,) = _DTYPE_LEN.unpack_from(blob, cursor)
         cursor += 2
-        # Only what ``dtype.str`` of a float array looks like reaches numpy,
-        # whose dtype parser raises anything up to SyntaxError.
-        if not _FLOAT_DTYPE.fullmatch(blob[cursor : cursor + dtype_len]):
+        dtype = _float_dtype(bytes(blob[cursor : cursor + dtype_len]))
+        if dtype is None:
             raise CorruptPayloadError(f"{codec} payload is not of a float dtype")
-        dtype = np.dtype(blob[cursor : cursor + dtype_len].decode("ascii"))
         cursor += dtype_len
-        (ndim,) = struct.unpack_from("<B", blob, cursor)
+        (ndim,) = _NDIM.unpack_from(blob, cursor)
         cursor += 1
         shape: Tuple[int, ...] = ()
         if ndim:
             shape = struct.unpack_from(f"<{ndim}q", blob, cursor)
             cursor += 8 * ndim
-        (params_len,) = struct.unpack_from("<I", blob, cursor)
+        (params_len,) = _PARAMS_LEN.unpack_from(blob, cursor)
         cursor += 4
-        params = json.loads(blob[cursor : cursor + params_len].decode("utf-8"))
+        params = _params_items(bytes(blob[cursor : cursor + params_len]))
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as error:
         raise CorruptPayloadError(f"corrupt {codec} payload metadata: {error}") from error
     # Python ints: a forged shape cannot wrap the element count around.
-    if min(shape, default=0) < 0 or math.prod(shape) != size or not isinstance(params, dict):
+    if min(shape, default=0) < 0 or math.prod(shape) != size or params is None:
         raise CorruptPayloadError(f"{codec} payload metadata disagrees with itself")
     return StageContext(
-        size=int(size),
-        shape=tuple(int(s) for s in shape),
+        size=size,
+        shape=shape,
         dtype=dtype,
-        absolute_bound=float(absolute_bound),
+        absolute_bound=absolute_bound,
         raw=bool(raw),
-        params=params,
+        params=dict(params),
     )
 
 
@@ -278,21 +328,25 @@ class StagedCompressor(LossyCompressor):
         tensors: Sequence[np.ndarray],
         error_bound: float,
         mode: ErrorBoundMode = ErrorBoundMode.REL,
+        ranges: Optional[List[float]] = None,
     ) -> List[bytes]:
         predictor = self._predictor()
         members = []
         for data in tensors:
-            data = validate_lossy_input(data, codec=self.name)
+            data, value_range = validate_lossy_input(data, codec=self.name)
             ctx = StageContext(
                 size=data.size,
                 shape=data.shape,
                 dtype=data.dtype,
                 error_bound=float(error_bound),
                 mode=mode,
+                value_range=value_range,
             )
             flat = data.ravel()
             predictor.prepare(flat, ctx)
             members.append((data, flat, ctx))
+        if ranges is not None:
+            ranges.extend(ctx.value_range for _, _, ctx in members)
         staged = [(flat, ctx) for _, flat, ctx in members if not ctx.raw]
         encoded = iter(predictor.encode_group(*zip(*staged, strict=True)) if staged else ())
         return [

@@ -100,7 +100,7 @@ class ZFPPredictor(PredictorStage):
         else:
             # Absolute bounds are translated against the data range so that a
             # tighter bound still yields more retained bits.
-            finite_range = float(flat.max()) - float(flat.min()) if flat.size else 1.0
+            finite_range = ctx.value_range if flat.size else 1.0
             relative = bound / finite_range if finite_range > 0 else bound
             precision = precision_for_relative_bound(max(relative, 1e-9))
         ctx.params["precision"] = precision

@@ -26,11 +26,7 @@ from repro.core.config import DEFAULT_PARTITION_THRESHOLD
 def is_lossy_eligible(name: str, tensor: np.ndarray, threshold: int = DEFAULT_PARTITION_THRESHOLD) -> bool:
     """Algorithm 1's predicate for routing a tensor to the lossy path."""
     tensor = np.asarray(tensor)
-    return (
-        "weight" in name
-        and np.issubdtype(tensor.dtype, np.floating)
-        and tensor.size > threshold
-    )
+    return "weight" in name and tensor.dtype.kind == "f" and tensor.size > threshold
 
 
 @dataclass

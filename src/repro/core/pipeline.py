@@ -77,6 +77,9 @@ class FedSZReport:
     #: and the map sums to the codec phase's wall time at any worker count.
     per_tensor_compress_seconds: Dict[str, float] = field(default_factory=dict)
     per_tensor_decompress_seconds: Dict[str, float] = field(default_factory=dict)
+    #: ``max - min`` of each lossy tensor, from the codec's validation scan: the
+    #: range a REL bound scales, so bound utilization needs no scan of its own.
+    per_tensor_range: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
@@ -290,23 +293,26 @@ def compress_state_dict(
         codec_workers=workers,
     )
 
-    def compress_group(codec, group: Sequence[TensorTask]) -> List[bytes]:
+    def compress_group(codec, group: Sequence[TensorTask]) -> Tuple[List[bytes], List[float]]:
         flats = [np.ascontiguousarray(task.tensor).ravel() for task in group]
-        return codec.compress_group(flats, config.error_bound, config.error_bound_mode)
+        ranges: List[float] = []
+        payloads = codec.compress_group(flats, config.error_bound, config.error_bound_mode, ranges)
+        return payloads, ranges
 
     outcomes = _run_codec_tasks(groups, group_sizes, workers, lossy_codec, compress_group)
 
     lossy_payloads: Dict[str, bytes] = {}
     lossy_shapes: Dict[str, list] = {}
     lossy_dtypes: Dict[str, str] = {}
-    for group, (payloads, seconds) in zip(groups, outcomes, strict=True):
+    for group, ((payloads, ranges), seconds) in zip(groups, outcomes, strict=True):
         shares = _shares(seconds, [task.nbytes for task in group])
-        for task, payload, share in zip(group, payloads, shares, strict=True):
+        for task, payload, value_range, share in zip(group, payloads, ranges, shares, strict=True):
             lossy_payloads[task.name] = payload
             lossy_shapes[task.name] = list(task.tensor.shape)
-            lossy_dtypes[task.name] = np.dtype(task.tensor.dtype).str
+            lossy_dtypes[task.name] = task.tensor.dtype.str
             report.per_tensor_ratio[task.name] = task.nbytes / max(len(payload), 1)
             report.per_tensor_compress_seconds[task.name] = share
+            report.per_tensor_range[task.name] = value_range
 
     lossless_blob = lossless_codec.compress(serialize_named_arrays(partition.lossless))
 

@@ -18,18 +18,20 @@ load, unlike pickle.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
-from typing import Dict, Mapping, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.compression.base import (
+    append_array,
     append_section,
     append_section_header,
     begin_sections,
-    pack_array,
     pack_sections,
     sections_nbytes,
     unpack_array,
@@ -78,17 +80,128 @@ def unframe_checksummed(magic: bytes, blob: bytes) -> bytes:
 
 
 def serialize_named_arrays(arrays: Mapping[str, np.ndarray]) -> bytes:
-    """Serialize a name→array mapping preserving order, dtypes and shapes."""
-    return pack_sections({name: pack_array(np.asarray(value)) for name, value in arrays.items()})
+    """Serialize a name→array mapping preserving order, dtypes and shapes.
+
+    One section per array (:func:`~repro.compression.base.pack_array`'s
+    layout), each written straight into the one output buffer.
+    """
+    return pack_sections(arrays, append_array)
+
+
+class _ArrayLayout(NamedTuple):
+    """Where a named-array blob's framing sits, what it holds, and what it says.
+
+    The framing is every byte the walk of :func:`deserialize_named_arrays`
+    reads (section headers, names, dtypes and shapes); everything else is
+    array data, which is copied and never parsed.  A blob of the same length
+    whose framing bytes are the same walks to the same names, dtypes, shapes
+    and offsets, and passes the same checks, so it is read from here.
+    """
+
+    framing_at: np.ndarray
+    framing: bytes
+    #: ``(name, shape, dtype, data offset)`` of each array, in order.
+    arrays: Tuple[Tuple[str, Tuple[int, ...], np.dtype, int], ...]
+
+
+#: Layouts by blob length: a round's uploads of one model share one.
+_LAYOUTS: Dict[int, _ArrayLayout] = {}
+_LAYOUTS_KEPT = 16
+
+
+def _layout_of(payload: bytes, arrays: Dict[str, np.ndarray], spans: list) -> _ArrayLayout:
+    framing = np.ones(len(payload), dtype=bool)
+    for start, end in spans:
+        framing[start:end] = False
+    framing_at = np.flatnonzero(framing)
+    framing_at.flags.writeable = False
+    return _ArrayLayout(
+        framing_at,
+        np.frombuffer(payload, dtype=np.uint8)[framing_at].tobytes(),
+        tuple(
+            (name, array.shape, array.dtype, start)
+            for (name, array), (start, _) in zip(arrays.items(), spans, strict=True)
+        ),
+    )
 
 
 def deserialize_named_arrays(payload: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`serialize_named_arrays`."""
-    return {name: unpack_array(blob) for name, blob in unpack_sections(payload).items()}
+    """Inverse of :func:`serialize_named_arrays`.
+
+    The framing is parsed once per distinct layout: the first blob of a
+    layout is walked once, through a ``memoryview``, with every check of
+    :func:`~repro.compression.base.unpack_sections` and
+    :func:`~repro.compression.base.unpack_array`; a later blob of the same
+    length whose framing bytes equal it (one gather and compare) skips the
+    walk.  Either way each array is copied once, out of the payload into an
+    array of its own.
+    """
+    layout = _LAYOUTS.get(len(payload))
+    if layout is not None and (
+        np.frombuffer(payload, dtype=np.uint8)[layout.framing_at].tobytes() == layout.framing
+    ):
+        return {
+            name: np.ndarray(shape, dtype, payload, offset).copy()
+            for name, shape, dtype, offset in layout.arrays
+        }
+    view = memoryview(payload)
+    spans = []
+
+    def read(_, start: int, end: int) -> np.ndarray:
+        array = unpack_array(view[start:end])
+        spans.append((end - array.nbytes, end))
+        return array
+
+    arrays = unpack_sections(view, read)
+    if len(_LAYOUTS) >= _LAYOUTS_KEPT:
+        _LAYOUTS.clear()  # one call, so lanes filling it at once cannot trip over each other
+    _LAYOUTS[len(payload)] = _layout_of(payload, arrays, spans)
+    return arrays
+
+
+def _frozen(value):
+    """``value`` with every JSON object a read-only mapping and every array a tuple."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _thawed(value):
+    """JSON encoder fallback: a header that :func:`parse_fedsz_payload` froze."""
+    if isinstance(value, MappingProxyType):
+        return dict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+_HEADER_JSON = json.JSONEncoder(sort_keys=True, default=_thawed)
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_header(blob: bytes) -> Mapping[str, object]:
+    """A FedSZ header, parsed once per distinct bytes and frozen.
+
+    Every upload of a round under one config carries the same header (codecs,
+    bound, each lossy tensor's shape and dtype), so a round parses it once.
+    The cached header is read-only all the way down, so no caller can change
+    what the next payload with these bytes decodes to.
+    """
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise CorruptPayloadError(f"FedSZ header is not valid JSON: {error}") from error
+    if not isinstance(header, dict):
+        raise CorruptPayloadError("FedSZ header is not a JSON object")
+    if header.get("format_version") != _FORMAT_VERSION:
+        raise CorruptPayloadError(
+            f"unsupported FedSZ payload version {header.get('format_version')!r}"
+        )
+    return _frozen(header)
 
 
 def build_fedsz_payload(
-    header: Dict[str, object],
+    header: Mapping[str, object],
     lossy_payloads: Mapping[str, bytes],
     lossless_blob: bytes,
 ) -> bytes:
@@ -100,11 +213,12 @@ def build_fedsz_payload(
     partition as an intermediate blob and copying it a second time into the
     outer framing (for a large model that intermediate is most of the
     bitstream).  The byte layout is unchanged — :func:`parse_fedsz_payload`
-    and generic :func:`unpack_sections` read it as before.
+    and generic :func:`unpack_sections` read it as before.  ``header`` may be
+    one :func:`parse_fedsz_payload` returned.
     """
     header = dict(header)
     header["format_version"] = _FORMAT_VERSION
-    header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_blob = _HEADER_JSON.encode(header).encode("utf-8")
     lossy_nbytes = sections_nbytes({name: len(blob) for name, blob in lossy_payloads.items()})
 
     buffer = bytearray()
@@ -118,9 +232,20 @@ def build_fedsz_payload(
     return bytes(buffer)
 
 
-def parse_fedsz_payload(payload: bytes) -> Tuple[Dict[str, object], Dict[str, bytes], bytes]:
-    """Split a FedSZ bitstream back into header, lossy payloads and lossless blob."""
-    sections = unpack_sections(payload)
+def _copied(data: memoryview, start: int, end: int) -> bytes:
+    return bytes(data[start:end])
+
+
+def parse_fedsz_payload(
+    payload: bytes,
+) -> Tuple[Mapping[str, object], Dict[str, bytes], bytes]:
+    """Split a FedSZ bitstream back into header, lossy payloads and lossless blob.
+
+    The header is read-only (see :func:`_parse_header`).  The sections are
+    walked through a ``memoryview``, so each lossy payload and the lossless
+    blob is copied once, out of ``payload``.
+    """
+    sections = unpack_sections(memoryview(payload))
     for key in (_HEADER_KEY, _LOSSY_KEY, _LOSSLESS_KEY):
         if key not in sections:
             raise CorruptPayloadError(f"FedSZ payload missing section {key!r}")
@@ -128,16 +253,9 @@ def parse_fedsz_payload(payload: bytes) -> Tuple[Dict[str, object], Dict[str, by
     if len(header_section) < 4:
         raise CorruptPayloadError("FedSZ header section truncated")
     (header_length,) = struct.unpack_from("<I", header_section, 0)
-    header_blob = header_section[4 : 4 + header_length]
+    header_blob = bytes(header_section[4 : 4 + header_length])
     if len(header_blob) != header_length:
         raise CorruptPayloadError("FedSZ header length mismatch")
-    try:
-        header = json.loads(header_blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CorruptPayloadError(f"FedSZ header is not valid JSON: {error}") from error
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise CorruptPayloadError(
-            f"unsupported FedSZ payload version {header.get('format_version')!r}"
-        )
-    lossy_payloads = unpack_sections(sections[_LOSSY_KEY])
-    return header, lossy_payloads, sections[_LOSSLESS_KEY]
+    header = _parse_header(header_blob)
+    lossy_payloads = unpack_sections(sections[_LOSSY_KEY], _copied)
+    return header, lossy_payloads, bytes(sections[_LOSSLESS_KEY])

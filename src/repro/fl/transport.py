@@ -169,10 +169,14 @@ def _bound_utilization(
 
     ``max|original - received| / resolved_bound`` for every lossy tensor (the
     codec report names them via ``per_tensor_ratio``; codecs without a report
-    fall back to every tensor).  Pure arithmetic over the two states, so it
-    perturbs no RNG stream and is bit-identical on every executor and lane.
+    fall back to every tensor).  A REL bound is resolved from the value range
+    the codec's validation measured (``per_tensor_range``), so the original is
+    not scanned again; a tensor the report gives no range is.  Pure arithmetic
+    over the two states, so it perturbs no RNG stream and is bit-identical on
+    every executor and lane.
     """
     names = getattr(report, "per_tensor_ratio", None) or original
+    ranges = getattr(report, "per_tensor_range", None) or {}
     mode_enum = ErrorBoundMode.ABS if mode == "ABS" else ErrorBoundMode.REL
     utilization: Dict[str, float] = {}
     for name in names:
@@ -183,8 +187,8 @@ def _bound_utilization(
         if a.shape != b.shape or a.size == 0:
             continue
         difference = np.subtract(a, b, dtype=np.float64)  # the one tensor-sized temporary
-        error = float(np.abs(difference, out=difference).max())
-        resolved = resolve_error_bound(a, bound, mode_enum)
+        error = float(np.maximum.reduce(np.abs(difference, out=difference), axis=None))
+        resolved = resolve_error_bound(a, bound, mode_enum, ranges.get(name))
         if resolved > 0.0:
             utilization[name] = error / resolved
         else:  # zero-range tensor under a REL bound: exact or infinitely over

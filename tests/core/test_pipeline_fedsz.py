@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -265,9 +267,19 @@ def test_codec_clone_is_independent(tiny_state):
 # ----------------------------------------------------------------------
 # A received FedSZ header is outside input: forgeries fail closed
 # ----------------------------------------------------------------------
+def _mutable(value):
+    """A plain dict/list copy of a read-only header from ``parse_fedsz_payload``."""
+    if isinstance(value, Mapping):
+        return {key: _mutable(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return [_mutable(item) for item in value]
+    return value
+
+
 def _reframed(payload: bytes, edit) -> bytes:
-    """``payload`` with its header passed through ``edit`` (in place)."""
+    """``payload`` with a copy of its header passed through ``edit`` (in place)."""
     header, lossy_payloads, lossless_blob = parse_fedsz_payload(payload)
+    header = _mutable(header)
     edit(header)
     return build_fedsz_payload(header, lossy_payloads, lossless_blob)
 
