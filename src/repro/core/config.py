@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.compression.base import ErrorBoundMode
+from repro.compression.registry import (
+    available_lossless_compressors,
+    available_lossy_compressors,
+)
 
 #: Relative error bound the paper recommends as the accuracy/ratio sweet spot.
 RECOMMENDED_ERROR_BOUND = 1e-2
@@ -41,6 +45,13 @@ class FedSZConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.error_bound) or self.error_bound <= 0:
             raise ValueError(f"error_bound must be positive and finite, got {self.error_bound}")
+        for field_name, known in (
+            ("lossy_compressor", available_lossy_compressors()),
+            ("lossless_compressor", available_lossless_compressors()),
+        ):
+            name = getattr(self, field_name)
+            if not isinstance(name, str) or name.lower() not in known:
+                raise ValueError(f"{field_name} must be one of {known}, got {name!r}")
         if self.partition_threshold < 0:
             raise ValueError(
                 f"partition_threshold must be non-negative, got {self.partition_threshold}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,6 +69,10 @@ class FLConfig:
     max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.num_clients)
+        except TypeError:
+            raise ValueError(f"num_clients must be an integer, got {self.num_clients!r}") from None
         if self.num_clients <= 0:
             raise ValueError(f"num_clients must be positive, got {self.num_clients}")
         if self.rounds <= 0:
@@ -76,18 +81,25 @@ class FLConfig:
             raise ValueError(f"local_epochs must be positive, got {self.local_epochs}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both comparisons.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
         if self.partition_strategy not in {"iid", "dirichlet"}:
             raise ValueError(
                 f"partition_strategy must be 'iid' or 'dirichlet', got {self.partition_strategy!r}"
             )
-        if self.dirichlet_alpha <= 0:
-            raise ValueError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
+        if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
+            raise ValueError(
+                f"dirichlet_alpha must be positive and finite, got {self.dirichlet_alpha}"
+            )
         LinkSpec(bandwidth_mbps=self.bandwidth_mbps)  # the link model's own validation
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(

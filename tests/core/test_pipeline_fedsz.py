@@ -158,6 +158,26 @@ def test_config_rejects_a_non_finite_error_bound(bound):
         FedSZConfig(error_bound=bound)
 
 
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("lossy_compressor", "sz9"),
+        ("lossy_compressor", None),
+        ("lossless_compressor", "lzma-ish"),
+        ("lossless_compressor", 3),
+    ],
+)
+def test_config_rejects_an_unknown_codec_name(field, name):
+    """An unregistered codec used to construct and fail at the first compress."""
+    with pytest.raises(ValueError, match=field):
+        FedSZConfig(**{field: name})
+
+
+def test_config_accepts_registered_codec_names_in_any_case():
+    config = FedSZConfig(lossy_compressor="SZ3", lossless_compressor="Blosc-LZ")
+    assert config.lossy_compressor == "SZ3"
+
+
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------

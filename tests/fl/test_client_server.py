@@ -223,6 +223,15 @@ def test_a_failing_lane_raises_the_serial_error_and_joins_its_threads(
         ("momentum", 1.0),
         ("weight_decay", -1e-4),
         ("dirichlet_alpha", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+        ("dirichlet_alpha", float("nan")),
+        ("dirichlet_alpha", float("inf")),
+        ("num_clients", 2.5),
+        ("num_clients", 4.0),
+        ("num_clients", "4"),
     ],
 )
 def test_flconfig_rejects_nonsense_at_construction(field, value):
