@@ -442,7 +442,7 @@ def unpack_sections(
 
 
 @functools.lru_cache(maxsize=64)
-def _array_header(dtype: np.dtype, ndim: int) -> Tuple[bytes, struct.Struct]:
+def _array_fields(dtype: np.dtype, ndim: int) -> Tuple[bytes, struct.Struct]:
     """An array section's dtype and rank fields, and the struct of its shape."""
     dtype_name = dtype.str.encode("ascii")
     fields = struct.pack(f"<H{len(dtype_name)}sB", len(dtype_name), dtype_name, ndim)
@@ -450,7 +450,7 @@ def _array_header(dtype: np.dtype, ndim: int) -> Tuple[bytes, struct.Struct]:
 
 
 @functools.lru_cache(maxsize=64)
-def _array_layout(fields: bytes) -> Tuple[np.dtype, struct.Struct]:
+def _read_array_fields(fields: bytes) -> Tuple[np.dtype, struct.Struct]:
     """An array section's dtype, and the struct of its shape, from the dtype
     name and rank byte ahead of the shape; anything else raises ``ValueError``.
 
@@ -467,7 +467,7 @@ def _array_layout(fields: bytes) -> Tuple[np.dtype, struct.Struct]:
 def append_array(buffer: bytearray, array: np.ndarray) -> None:
     """Write a numpy array (dtype, shape and raw bytes) to the end of ``buffer``."""
     array = np.asarray(array)
-    fields, dims = _array_header(array.dtype, array.ndim)
+    fields, dims = _array_fields(array.dtype, array.ndim)
     buffer += fields
     buffer += dims.pack(*array.shape)
     buffer += array.tobytes()  # C order, whatever the array's strides
@@ -492,7 +492,7 @@ def unpack_array(payload) -> np.ndarray:
     try:
         (dtype_len,) = _DTYPE_LEN.unpack_from(view, 0)
         offset = 3 + dtype_len
-        dtype, dims = _array_layout(bytes(view[2:offset]))
+        dtype, dims = _read_array_fields(bytes(view[2:offset]))
         shape = dims.unpack_from(view, offset)
         offset += dims.size
         # Python ints: a forged shape cannot wrap the element count around.

@@ -97,8 +97,9 @@ class StageContext:
     absolute_bound: float = 0.0
     raw: bool = False
     params: Dict[str, object] = field(default_factory=dict)
-    #: ``max - min`` of the input as validation measured it (encode side only).
-    value_range: float = 0.0
+    #: ``max - min`` of the input as validation measured it; ``None`` (the
+    #: decode side, or a context built by hand) leaves bound resolution to scan.
+    value_range: Optional[float] = None
 
     @property
     def bin_width(self) -> float:

@@ -100,7 +100,8 @@ class ZFPPredictor(PredictorStage):
         else:
             # Absolute bounds are translated against the data range so that a
             # tighter bound still yields more retained bits.
-            finite_range = ctx.value_range if flat.size else 1.0
+            # The value range as a REL bound of 1 resolves it (1.0 when empty).
+            finite_range = resolve_error_bound(flat, 1.0, ErrorBoundMode.REL, ctx.value_range)
             relative = bound / finite_range if finite_range > 0 else bound
             precision = precision_for_relative_bound(max(relative, 1e-9))
         ctx.params["precision"] = precision

@@ -110,10 +110,12 @@ _LAYOUTS_KEPT = 16
 
 
 def _layout_of(payload: bytes, arrays: Dict[str, np.ndarray], spans: list) -> _ArrayLayout:
-    framing = np.ones(len(payload), dtype=bool)
-    for start, end in spans:
-        framing[start:end] = False
-    framing_at = np.flatnonzero(framing)
+    """The layout of a blob the walk read as ``arrays``, their data at ``spans``."""
+    runs, end = [], 0
+    for start, stop in [*spans, (len(payload), len(payload))]:
+        runs.append(np.arange(end, start))  # the framing between two arrays' data
+        end = stop
+    framing_at = np.concatenate(runs)
     framing_at.flags.writeable = False
     return _ArrayLayout(
         framing_at,
