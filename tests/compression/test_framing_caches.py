@@ -8,6 +8,9 @@ a parsed byte ride on an earlier blob's parse.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,38 @@ def test_a_forged_framing_byte_fails_closed_after_its_layout_was_seen(where):
         deserialize_named_arrays(bytes(forged))
 
 
+def test_lanes_sharing_the_layouts_each_decode_their_own_blob():
+    """Codec lanes are threads: more of them than cores, switching every few
+    microseconds, decode blobs of more lengths than the cache keeps and of
+    one length in two layouts, and each must get exactly what it encoded."""
+    states = [
+        {f"t{size}": np.arange(size * rows, dtype=np.float32).reshape(rows, size)}
+        for size in range(1, 21)
+        for rows in (2, 3)
+    ]
+    blobs = [serialize_named_arrays(state) for state in states]
+    mismatches = []
+
+    def lane(seed: int) -> None:
+        order = np.random.default_rng(seed).permutation(len(states) * 8) % len(states)
+        for index in order:
+            if not _same(deserialize_named_arrays(blobs[index]), states[index]):
+                mismatches.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lanes = [threading.Thread(target=lane, args=(seed,)) for seed in range(6)]
+        for thread in lanes:
+            thread.start()
+        for thread in lanes:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in lanes)
+    assert mismatches == []
+
+
 # ----------------------------------------------------------------------
 # The FedSZ header
 # ----------------------------------------------------------------------
@@ -87,7 +122,7 @@ def test_the_parsed_header_is_read_only_all_the_way_down():
     with pytest.raises(TypeError):
         header["lossy_shapes"]["fc.weight"] = (1,)
     assert header["lossy_shapes"]["fc.weight"] == (40, 40)
-    assert _same(codec.decompress(codec.compress(state)), {**state})
+    assert _same(codec.decompress(codec.compress(state)), state)  # a cached header decodes
 
 
 def test_a_header_that_is_not_a_json_object_fails_closed():
@@ -146,7 +181,7 @@ def test_the_range_resolves_the_bound_a_scan_resolves(dtype):
         assert resolve_error_bound(data, 1e-2, mode, value_range) == resolve_error_bound(
             data, 1e-2, mode
         )
-    assert validate_lossy_input(np.zeros((0, 3), dtype)) [1] == 0.0
+    assert validate_lossy_input(np.zeros((0, 3), dtype))[1] == 0.0
 
 
 class _OneAtATime(LossyCompressor):
