@@ -474,10 +474,14 @@ def append_array(buffer: bytearray, array: np.ndarray) -> None:
 
 
 def pack_array(array: np.ndarray) -> bytes:
-    """Serialize a numpy array (dtype, shape and raw bytes) into one section."""
-    buffer = bytearray()
-    append_array(buffer, array)
-    return bytes(buffer)
+    """Serialize a numpy array (dtype, shape and raw bytes) into one section.
+
+    The layout :func:`append_array` writes, joined in one copy of the data
+    past its ``tobytes``.
+    """
+    array = np.asarray(array)
+    fields, dims = _array_fields(array.dtype, array.ndim)
+    return b"".join((fields, dims.pack(*array.shape), array.tobytes()))
 
 
 def unpack_array(payload) -> np.ndarray:

@@ -30,7 +30,7 @@ from repro.core.serializer import parse_fedsz_payload
 def _same(left: dict, right: dict) -> bool:
     return list(left) == list(right) and all(
         (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        for a, b in zip(left.values(), right.values())
+        for a, b in zip(left.values(), right.values(), strict=True)
     )
 
 
@@ -54,7 +54,7 @@ def test_a_blob_of_the_same_length_and_another_layout_is_parsed_afresh():
     widened = {"a.weight": np.arange(6, dtype=np.int32).reshape(2, 3)}
     blobs = [serialize_named_arrays(state) for state in (rows, columns, widened)]
     assert len({len(blob) for blob in blobs}) == 1
-    for state, blob in zip((rows, columns, widened, rows), blobs + blobs[:1]):
+    for state, blob in zip((rows, columns, widened, rows), blobs + blobs[:1], strict=True):
         assert _same(deserialize_named_arrays(blob), state)
 
 
