@@ -55,13 +55,9 @@ from repro.compression.metrics import (
     psnr,
 )
 from repro.compression.quantizer import (
-    QuantizationResult,
     dequantize_residuals,
-    quantize_absolute,
     quantize_residuals,
     verify_error_bound,
-    zigzag_decode,
-    zigzag_encode,
 )
 from repro.compression.registry import (
     available_lossless_compressors,
@@ -117,13 +113,9 @@ __all__ = [
     "max_abs_error",
     "mean_squared_error",
     "psnr",
-    "QuantizationResult",
-    "quantize_absolute",
     "quantize_residuals",
     "dequantize_residuals",
     "verify_error_bound",
-    "zigzag_encode",
-    "zigzag_decode",
     "available_lossy_compressors",
     "available_lossless_compressors",
     "get_lossy_compressor",

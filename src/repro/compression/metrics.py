@@ -16,7 +16,6 @@ from typing import Dict
 import numpy as np
 
 from repro.compression.base import (
-    CompressionStats,
     ErrorBoundMode,
     LosslessCompressor,
     LossyCompressor,
@@ -202,18 +201,6 @@ def evaluate_lossless(compressor: LosslessCompressor, data: bytes) -> LosslessEv
     )
 
 
-def stats_from_evaluation(evaluation: LossyEvaluation) -> CompressionStats:
-    """Convert a :class:`LossyEvaluation` into the lighter-weight stats type."""
-    return CompressionStats(
-        original_nbytes=evaluation.original_nbytes,
-        compressed_nbytes=evaluation.compressed_nbytes,
-        compress_seconds=evaluation.compress_seconds,
-        decompress_seconds=evaluation.decompress_seconds,
-        max_abs_error=evaluation.max_abs_error,
-        metadata={"compressor": evaluation.compressor, "error_bound": evaluation.error_bound},
-    )
-
-
 __all__ = [
     "compression_ratio",
     "max_abs_error",
@@ -223,5 +210,4 @@ __all__ = [
     "LosslessEvaluation",
     "evaluate_lossy",
     "evaluate_lossless",
-    "stats_from_evaluation",
 ]

@@ -3,58 +3,15 @@
 All prediction-based SZ-style compressors share the same core primitive: given
 a prediction for each value, quantize the prediction residual onto a uniform
 grid with bin width ``2 * error_bound`` so that the reconstruction error never
-exceeds the bound.  This module provides that primitive in both "absolute"
-form (quantize values directly against an offset) and "residual" form
-(quantize value-minus-prediction), plus helpers to recentre signed indices for
-entropy coding.
+exceeds the bound.  This module provides that primitive (quantize
+value-minus-prediction) and its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.compression.errors import InvalidErrorBoundError
-
-
-@dataclass(frozen=True)
-class QuantizationResult:
-    """Output of a quantization pass.
-
-    Attributes
-    ----------
-    indices:
-        Signed integer bin indices (int64).
-    offset:
-        The reference value subtracted before quantization.
-    bin_width:
-        Reconstruction grid spacing (``2 * error_bound``).
-    """
-
-    indices: np.ndarray
-    offset: float
-    bin_width: float
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct float64 values from the stored indices."""
-        return self.offset + self.indices.astype(np.float64) * self.bin_width
-
-
-def quantize_absolute(data: np.ndarray, error_bound: float, offset: float | None = None) -> QuantizationResult:
-    """Quantize values onto a uniform grid anchored at ``offset``.
-
-    The reconstruction ``offset + index * 2 * error_bound`` is guaranteed to be
-    within ``error_bound`` of each input value.
-    """
-    if error_bound <= 0 or not np.isfinite(error_bound):
-        raise InvalidErrorBoundError(f"error bound must be positive and finite, got {error_bound}")
-    data = np.asarray(data, dtype=np.float64)
-    if offset is None:
-        offset = float(data.min()) if data.size else 0.0
-    bin_width = 2.0 * float(error_bound)
-    indices = np.rint((data - offset) / bin_width).astype(np.int64)
-    return QuantizationResult(indices=indices, offset=float(offset), bin_width=bin_width)
 
 
 #: Codes travel as int32 while every magnitude stays under this, so that the
@@ -97,22 +54,6 @@ def dequantize_residuals(
     """Inverse of :func:`quantize_residuals`; ``out`` receives the float64 result."""
     values = np.multiply(indices, 2.0 * error_bound, out=out, dtype=np.float64)
     return np.add(values, predictions, out=out)
-
-
-def zigzag_encode(indices: np.ndarray) -> np.ndarray:
-    """Map signed integers onto unsigned ones (0, -1, 1, -2, ... → 0, 1, 2, 3, ...).
-
-    Small-magnitude residuals dominate after good prediction, so zig-zag
-    mapping keeps the entropy coder's alphabet compact and non-negative.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    return np.where(indices >= 0, indices * 2, -indices * 2 - 1).astype(np.int64)
-
-
-def zigzag_decode(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_encode`."""
-    values = np.asarray(values, dtype=np.int64)
-    return np.where(values % 2 == 0, values // 2, -(values + 1) // 2).astype(np.int64)
 
 
 def verify_error_bound(original: np.ndarray, reconstructed: np.ndarray, error_bound: float, slack: float = 1e-9) -> bool:

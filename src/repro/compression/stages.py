@@ -287,6 +287,11 @@ def unpack_stage_meta(blob: bytes | None, codec: str) -> StageContext:
             cursor += 8 * ndim
         (params_len,) = _PARAMS_LEN.unpack_from(blob, cursor)
         cursor += 4
+        if cursor + params_len != len(blob):
+            raise CorruptPayloadError(
+                f"{codec} payload metadata declares {params_len} params bytes, "
+                f"its section holds {len(blob) - cursor}"
+            )
         params = _params_items(bytes(blob[cursor : cursor + params_len]))
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as error:
         raise CorruptPayloadError(f"corrupt {codec} payload metadata: {error}") from error

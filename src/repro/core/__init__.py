@@ -24,15 +24,12 @@ from repro.core.pipeline import (
     FedSZReport,
     compress_state_dict,
     decompress_state_dict,
-    roundtrip_state_dict,
 )
 from repro.core.selection import (
     CompressorCandidate,
     CompressorSelection,
     ErrorBoundCandidate,
     ErrorBoundSelection,
-    candidates_from_measurements,
-    recommended_error_bound,
     select_error_bound,
     select_lossy_compressor,
 )
@@ -53,13 +50,10 @@ __all__ = [
     "FedSZReport",
     "compress_state_dict",
     "decompress_state_dict",
-    "roundtrip_state_dict",
     "CompressorCandidate",
     "CompressorSelection",
     "ErrorBoundCandidate",
     "ErrorBoundSelection",
-    "candidates_from_measurements",
-    "recommended_error_bound",
     "select_error_bound",
     "select_lossy_compressor",
     "serialize_named_arrays",

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -388,15 +387,3 @@ def decompress_state_dict(
 
     state.update(deserialize_named_arrays(lossless_codec.decompress(lossless_blob)))
     return state
-
-
-def roundtrip_state_dict(
-    state_dict: Mapping[str, np.ndarray],
-    config: Optional[FedSZConfig] = None,
-) -> Tuple[Dict[str, np.ndarray], FedSZReport]:
-    """Compress then decompress, reporting sizes and both runtimes."""
-    payload, report = compress_state_dict(state_dict, config)
-    start = time.perf_counter()
-    restored = decompress_state_dict(payload, config, report=report)
-    report.decompress_seconds = time.perf_counter() - start
-    return restored, report

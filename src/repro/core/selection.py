@@ -15,7 +15,7 @@ reproducible and auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -157,26 +157,3 @@ def select_error_bound(
         tolerance=tolerance,
         candidates=list(ordered),
     )
-
-
-def candidates_from_measurements(
-    measurements: Dict[float, Dict[str, float]],
-) -> List[ErrorBoundCandidate]:
-    """Convenience: turn ``{bound: {"accuracy":..., "nbytes":...}}`` into candidates."""
-    candidates = []
-    for bound, values in measurements.items():
-        candidates.append(
-            ErrorBoundCandidate(
-                error_bound=float(bound),
-                accuracy=float(values["accuracy"]),
-                communication_nbytes=int(values["nbytes"]),
-            )
-        )
-    return candidates
-
-
-def recommended_error_bound(selection: Optional[ErrorBoundSelection] = None) -> float:
-    """The paper's recommended operating point (1e-2) unless a selection says otherwise."""
-    if selection is None:
-        return 1e-2
-    return selection.best.error_bound

@@ -19,10 +19,9 @@ from repro.data.loader import DataLoader
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
-    label_distribution,
     partition_dataset,
 )
-from repro.data.scientific import miranda_like_slice, miranda_like_volume, smoothness_score
+from repro.data.scientific import miranda_like_slice, smoothness_score
 
 __all__ = [
     "PAPER_DATASET_SPECS",
@@ -35,9 +34,7 @@ __all__ = [
     "DataLoader",
     "dirichlet_partition",
     "iid_partition",
-    "label_distribution",
     "partition_dataset",
     "miranda_like_slice",
-    "miranda_like_volume",
     "smoothness_score",
 ]

@@ -127,13 +127,3 @@ def partition_dataset(
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}; expected 'iid' or 'dirichlet'")
     return ClientShards(dataset, index_sets)
-
-
-def label_distribution(datasets: Sequence[SyntheticImageDataset], num_classes: int) -> np.ndarray:
-    """Per-client label histogram, shape ``(clients, classes)`` — useful for
-    checking how heterogeneous a partition is."""
-    histogram = np.zeros((len(datasets), num_classes), dtype=np.int64)
-    for client_id, client_dataset in enumerate(datasets):
-        counts = np.bincount(client_dataset.labels, minlength=num_classes)
-        histogram[client_id] = counts
-    return histogram

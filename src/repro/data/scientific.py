@@ -3,7 +3,7 @@
 Figure 2 of the paper contrasts spiky FL model parameters with smooth
 snippets of the Miranda large-eddy-simulation dataset (density and velocity
 slices).  SDRBench data cannot be downloaded offline, so this module
-synthesises smooth 1-D/2-D fields with the same qualitative character:
+synthesises smooth 1-D fields with the same qualitative character:
 large-scale coherent structure, small local variation, high EBLC
 compressibility.
 """
@@ -33,31 +33,6 @@ def miranda_like_slice(
         raise ValueError(f"unknown field {field!r}; expected 'density' or 'velocity'")
     noise = 0.01 * rng.normal(size=length)
     return (base + ripple + noise).astype(np.float32)
-
-
-def miranda_like_volume(
-    height: int = 64,
-    width: int = 64,
-    field: str = "density",
-    seed: int = 0,
-) -> np.ndarray:
-    """A smooth 2-D field used for visualising the Figure 2 comparison."""
-    rng = np.random.default_rng(seed)
-    y = np.linspace(0.0, 1.0, height)[:, None]
-    x = np.linspace(0.0, 1.0, width)[None, :]
-    phase = rng.uniform(0, 2 * np.pi, size=4)
-    if field == "density":
-        surface = (
-            1.0
-            + 2.0 / (1.0 + np.exp(-(y - 0.5 - 0.05 * np.sin(2 * np.pi * 3 * x + phase[0])) * 30.0))
-            + 0.1 * np.sin(2 * np.pi * 5 * x + phase[1]) * np.sin(2 * np.pi * 4 * y + phase[2])
-        )
-    elif field == "velocity":
-        surface = 1.5 * np.sin(2 * np.pi * 2 * x + phase[0]) * np.cos(2 * np.pi * 2 * y + phase[3])
-    else:
-        raise ValueError(f"unknown field {field!r}; expected 'density' or 'velocity'")
-    noise = 0.01 * rng.normal(size=(height, width))
-    return (surface + noise).astype(np.float32)
 
 
 def smoothness_score(values: np.ndarray) -> float:

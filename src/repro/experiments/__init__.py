@@ -25,7 +25,7 @@ given more budget.
 """
 
 from repro.experiments.figure2_data_characterization import run_figure2
-from repro.experiments.figure3_weight_distributions import run_figure3, weight_histogram
+from repro.experiments.figure3_weight_distributions import run_figure3
 from repro.experiments.figure4_convergence import final_accuracies, run_figure4
 from repro.experiments.figure5_accuracy_vs_bound import accuracy_cliff_bound, run_figure5
 from repro.experiments.figure6_epoch_breakdown import run_figure6
@@ -42,7 +42,6 @@ from repro.experiments.table5_compression_ratios import run_table5
 from repro.experiments.workloads import (
     FederatedSetup,
     build_federated_setup,
-    evaluate_state_dict,
     model_weight_sample,
     pretrained_like_state_dict,
     train_tiny_model,
@@ -59,7 +58,6 @@ __all__ = [
     "run_table5",
     "run_figure2",
     "run_figure3",
-    "weight_histogram",
     "run_figure4",
     "final_accuracies",
     "run_figure5",
@@ -74,7 +72,6 @@ __all__ = [
     "run_figure10",
     "FederatedSetup",
     "build_federated_setup",
-    "evaluate_state_dict",
     "model_weight_sample",
     "pretrained_like_state_dict",
     "train_tiny_model",

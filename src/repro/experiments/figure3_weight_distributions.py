@@ -8,20 +8,12 @@ motivation for relative (rather than absolute) error bounds.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.workloads import PAPER_MODELS, model_weight_sample
-
-
-def weight_histogram(model: str, bins: int = 81, num_values: int = 400_000, seed: int = 0) -> Dict[str, np.ndarray]:
-    """Density histogram of one model family's trained-like weights."""
-    weights = model_weight_sample(model, num_values=num_values, seed=seed)
-    density, edges = np.histogram(weights, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return {"centers": centers, "density": density}
 
 
 def run_figure3(

@@ -249,23 +249,3 @@ def train_tiny_model(
             model.backward(loss_fn.backward())
             optimizer.step()
     return model, setup.validation_dataset
-
-
-def evaluate_state_dict(
-    model_fn: Callable[[], Module],
-    state_dict: Dict[str, np.ndarray],
-    dataset: SyntheticImageDataset,
-    batch_size: int = 256,
-) -> float:
-    """Top-1 accuracy of a state dict on a dataset (loads it into a fresh model)."""
-    from repro.nn import functional as F
-
-    model = model_fn()
-    model.load_state_dict(dict(state_dict))
-    model.eval()
-    correct = 0.0
-    for start in range(0, len(dataset), batch_size):
-        images = dataset.images[start : start + batch_size]
-        labels = dataset.labels[start : start + batch_size]
-        correct += F.accuracy(model(images), labels) * labels.shape[0]
-    return correct / max(len(dataset), 1)

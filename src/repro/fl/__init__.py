@@ -22,7 +22,7 @@ the global model, and every client update is routed through a pluggable codec
 (FedSZ or the uncompressed baseline) over its link.
 """
 
-from repro.fl.aggregation import fedavg, mix_states, state_dict_difference
+from repro.fl.aggregation import fedavg, mix_states
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload, state_fingerprint
 from repro.fl.checkpoint import (
     CheckpointError,
@@ -84,7 +84,6 @@ from repro.fl.transport import (
 __all__ = [
     "fedavg",
     "mix_states",
-    "state_dict_difference",
     "ClientUpdate",
     "FLClient",
     "FLConfig",

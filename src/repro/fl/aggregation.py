@@ -94,14 +94,3 @@ def mix_states(
         else:
             mixed[key] = blended.astype(reference.dtype)
     return mixed
-
-
-def state_dict_difference(
-    new_state: Mapping[str, np.ndarray], old_state: Mapping[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Per-tensor difference ``new - old`` (useful for update-style protocols)."""
-    return {
-        key: np.asarray(new_state[key], dtype=np.float64) - np.asarray(old_state[key], dtype=np.float64)
-        for key in new_state
-        if key in old_state and np.issubdtype(np.asarray(new_state[key]).dtype, np.floating)
-    }

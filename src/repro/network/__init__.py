@@ -29,7 +29,6 @@ from repro.network.scaling import (
     speedup_curve,
     strong_scaling,
     weak_scaling,
-    weak_scaling_efficiency,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "speedup_curve",
     "strong_scaling",
     "weak_scaling",
-    "weak_scaling_efficiency",
 ]

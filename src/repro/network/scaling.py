@@ -103,11 +103,3 @@ def speedup_curve(points: List[ScalingPoint]) -> Dict[int, float]:
         return {}
     baseline = points[0].epoch_seconds_per_client
     return {point.cores: baseline / point.epoch_seconds_per_client for point in points}
-
-
-def weak_scaling_efficiency(points: List[ScalingPoint]) -> Dict[int, float]:
-    """Weak-scaling efficiency: ideal is a flat curve (efficiency 1.0)."""
-    if not points:
-        return {}
-    baseline = points[0].epoch_seconds_per_client
-    return {point.cores: baseline / point.epoch_seconds_per_client for point in points}

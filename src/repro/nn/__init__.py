@@ -9,7 +9,6 @@ evaluate run under :func:`inference`, which keeps no backward cache.
 from repro.nn import functional
 from repro.nn.flops import ModelProfile, count_flops, count_parameters, lossy_fraction, profile_model
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -22,7 +21,7 @@ from repro.nn.layers import (
     ReLU6,
     Sequential,
 )
-from repro.nn.losses import CrossEntropyLoss, cross_entropy_with_grad
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module, inference
 from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter
@@ -34,7 +33,6 @@ __all__ = [
     "count_parameters",
     "lossy_fraction",
     "profile_model",
-    "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",
     "Dropout",
@@ -47,7 +45,6 @@ __all__ = [
     "ReLU6",
     "Sequential",
     "CrossEntropyLoss",
-    "cross_entropy_with_grad",
     "Module",
     "inference",
     "SGD",

@@ -473,38 +473,6 @@ def global_avg_pool_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray
     return np.broadcast_to(grad_output, cache["input_shape"]) * (1.0 / (height * width))
 
 
-def avg_pool2d_forward(
-    inputs: np.ndarray, kernel: int, stride: int, padding: int = 0
-) -> Tuple[np.ndarray, dict]:
-    """Average pooling forward pass: the sum of the window taps over ``kernel²``.
-
-    Padding counts as zeros *and* in the divisor (count-include-pad).
-    """
-    _, _, height, width = inputs.shape
-    out_h, out_w = _output_size(height, width, kernel, stride, padding)
-    taps = _taps(_pad(inputs, padding), kernel, stride, out_h, out_w)
-    output = next(taps).copy()
-    for tap in taps:
-        output += tap
-    output /= kernel * kernel
-    cache = {"input_shape": inputs.shape, "kernel": kernel, "stride": stride, "padding": padding}
-    return output, cache
-
-
-def avg_pool2d_backward(grad_output: np.ndarray, cache: dict) -> np.ndarray:
-    """Average pooling backward pass: every tap receives ``grad / kernel²``."""
-    batch, channels, height, width = cache["input_shape"]
-    kernel, padding = cache["kernel"], cache["padding"]
-    _, _, out_h, out_w = grad_output.shape
-    grad_padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=grad_output.dtype
-    )
-    share = grad_output / (kernel * kernel)
-    for grad_tap in _taps(grad_padded, kernel, cache["stride"], out_h, out_w):
-        grad_tap += share
-    return _crop(grad_padded, padding)
-
-
 # ----------------------------------------------------------------------
 # Activations and classification head
 # ----------------------------------------------------------------------

@@ -21,20 +21,6 @@ def kaiming_normal(shape, fan: int, rng: np.random.Generator | None = None) -> n
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def kaiming_uniform(shape, fan: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """He-uniform initialisation with the given fan."""
-    rng = rng or default_rng()
-    bound = np.sqrt(6.0 / max(fan, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot-uniform initialisation."""
-    rng = rng or default_rng()
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def conv_weight(out_channels: int, in_channels: int, kernel_size: int, rng=None) -> np.ndarray:
     """Kaiming-normal (fan-out) convolution kernel, torchvision's default."""
     fan_out = out_channels * kernel_size * kernel_size

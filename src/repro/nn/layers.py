@@ -208,17 +208,13 @@ class ReLU6(ReLU):
     max_value = 6.0
 
 
-class _Pool2d(Module):
-    """A pooling window; ``stride`` defaults to ``kernel_size``."""
+class MaxPool2d(Module):
+    """Max pooling; ``stride`` defaults to ``kernel_size``."""
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0) -> None:
         super().__init__()
         stride = kernel_size if stride is None else stride
         self.kernel_size, self.stride, self.padding = _window(kernel_size, stride, padding, pooling=True)
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling."""
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output, self._cache = F.max_pool2d_forward(
@@ -228,19 +224,6 @@ class MaxPool2d(_Pool2d):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return F.max_pool2d_backward(grad_output, self._saved())
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling; padding counts as zeros and in the divisor (count-include-pad)."""
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output, self._cache = F.avg_pool2d_forward(
-            inputs, self.kernel_size, self.stride, self.padding
-        )
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return F.avg_pool2d_backward(grad_output, self._saved())
 
 
 class GlobalAvgPool2d(Module):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.nn import functional as F
@@ -32,8 +30,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, targets: np.ndarray) -> float:
         return self.forward(logits, targets)
-
-
-def cross_entropy_with_grad(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Convenience wrapper returning ``(loss, grad_logits)`` in one call."""
-    return F.cross_entropy(logits, np.asarray(targets, dtype=np.int64))

@@ -12,14 +12,14 @@ from repro.privacy.dp import (
     laplace_mechanism,
     perturb_state_dict_with_laplace,
 )
-from repro.privacy.dp_codec import DPFedSZCompressor, epsilon_for_noise_scale
+from repro.privacy.dp_codec import DPFedSZCompressor
 from repro.privacy.error_analysis import (
     ErrorDistribution,
     analyze_array_errors,
     analyze_state_dict_errors,
     compression_errors_for_array,
 )
-from repro.privacy.laplace import LaplaceFit, error_histogram, fit_laplace, laplace_density
+from repro.privacy.laplace import LaplaceFit, error_histogram, fit_laplace
 
 __all__ = [
     "EquivalentPrivacyEstimate",
@@ -28,7 +28,6 @@ __all__ = [
     "laplace_mechanism",
     "perturb_state_dict_with_laplace",
     "DPFedSZCompressor",
-    "epsilon_for_noise_scale",
     "ErrorDistribution",
     "analyze_array_errors",
     "analyze_state_dict_errors",
@@ -36,5 +35,4 @@ __all__ = [
     "LaplaceFit",
     "error_histogram",
     "fit_laplace",
-    "laplace_density",
 ]

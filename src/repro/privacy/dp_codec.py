@@ -147,12 +147,3 @@ class DPFedSZCompressor:
             else:
                 privatized[name] = tensor.copy()
         return privatized
-
-
-def epsilon_for_noise_scale(noise_scale: float, clip_norm: float) -> float:
-    """Inverse calibration: the ε a Laplace mechanism with this scale provides."""
-    if noise_scale <= 0:
-        raise ValueError(f"noise_scale must be positive, got {noise_scale}")
-    if clip_norm <= 0:
-        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-    return clip_norm / noise_scale

@@ -97,9 +97,3 @@ def error_histogram(errors: np.ndarray, bins: int = 61) -> Dict[str, np.ndarray]
     density, edges = np.histogram(errors, bins=bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return {"centers": centers, "density": density, "edges": edges}
-
-
-def laplace_density(x: np.ndarray, location: float, scale: float) -> np.ndarray:
-    """Laplace probability density, for overlaying fits on histograms."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-np.abs(x - location) / scale) / (2.0 * scale)

@@ -7,17 +7,14 @@ the federated-learning runtime alike.
 """
 
 from repro.utils.seeding import SeedSequenceFactory, default_rng, set_global_seed
-from repro.utils.sizes import format_bytes, nbytes_of, sizeof_state_dict
-from repro.utils.timing import Stopwatch, Timer, timed
+from repro.utils.sizes import format_bytes
+from repro.utils.timing import Timer, timed
 
 __all__ = [
     "SeedSequenceFactory",
     "default_rng",
     "set_global_seed",
     "format_bytes",
-    "nbytes_of",
-    "sizeof_state_dict",
-    "Stopwatch",
     "Timer",
     "timed",
 ]

@@ -31,11 +31,6 @@ def set_global_seed(seed: int) -> None:
     np.random.seed(seed % (2**32))
 
 
-def get_global_seed() -> Optional[int]:
-    """Return the last seed passed to :func:`set_global_seed`, if any."""
-    return _GLOBAL_SEED
-
-
 def default_rng(seed: Optional[int] = None) -> np.random.Generator:
     """Create a :class:`numpy.random.Generator`.
 

@@ -7,25 +7,11 @@ both.  The helpers here centralise those conversions.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
-
 #: Bytes per unit for the binary prefixes used in reports.
 _BINARY_UNITS = ("B", "KiB", "MiB", "GiB", "TiB")
 
 #: Bits per megabit, used when converting bandwidths expressed in Mbps.
 BITS_PER_MEGABIT = 1_000_000
-
-
-def nbytes_of(array: np.ndarray) -> int:
-    """Return the raw byte footprint of a numpy array."""
-    return int(np.asarray(array).nbytes)
-
-
-def sizeof_state_dict(state_dict: Mapping[str, np.ndarray]) -> int:
-    """Total byte footprint of a model state dictionary."""
-    return int(sum(nbytes_of(v) for v in state_dict.values()))
 
 
 def format_bytes(num_bytes: float, precision: int = 2) -> str:

@@ -70,33 +70,6 @@ class Timer:
         self.counts.clear()
 
 
-class Stopwatch:
-    """Single-shot stopwatch with lap support."""
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-        self._laps: list[float] = []
-
-    def lap(self) -> float:
-        """Record and return the time since the last lap (or start)."""
-        now = time.perf_counter()
-        previous = self._start if not self._laps else self._last_lap_time
-        self._laps.append(now - previous)
-        self._last_lap_time = now
-        return self._laps[-1]
-
-    def elapsed(self) -> float:
-        """Seconds since construction."""
-        return time.perf_counter() - self._start
-
-    @property
-    def laps(self) -> Tuple[float, ...]:
-        """All recorded laps."""
-        return tuple(self._laps)
-
-    _last_lap_time: float = 0.0
-
-
 def lane_clock() -> Callable[[], float]:
     """The clock codec seconds are read with: ``time.perf_counter`` on the
     main thread, ``time.thread_time`` off it and on every lane of

@@ -4,32 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.compression.errors import InvalidErrorBoundError
 from repro.compression.quantizer import (
     dequantize_residuals,
-    quantize_absolute,
     quantize_residuals,
     verify_error_bound,
-    zigzag_decode,
-    zigzag_encode,
 )
-
-
-def test_absolute_quantization_respects_bound(rng):
-    data = rng.normal(0, 1, 5000)
-    result = quantize_absolute(data, error_bound=0.01)
-    np.testing.assert_array_less(np.abs(result.dequantize() - data), 0.01 + 1e-12)
-
-
-def test_absolute_quantization_uses_min_as_default_offset(rng):
-    data = rng.uniform(5.0, 6.0, 100)
-    result = quantize_absolute(data, error_bound=0.05)
-    assert result.offset == pytest.approx(data.min())
-    assert result.indices.min() >= 0
 
 
 def test_residual_quantization_roundtrip(rng):
@@ -42,16 +23,7 @@ def test_residual_quantization_roundtrip(rng):
 
 def test_invalid_error_bound_raises():
     with pytest.raises(InvalidErrorBoundError):
-        quantize_absolute(np.zeros(3), error_bound=0.0)
-    with pytest.raises(InvalidErrorBoundError):
         quantize_residuals(np.zeros(3), np.zeros(3), error_bound=-1.0)
-
-
-def test_zigzag_mapping_small_values():
-    values = np.array([0, -1, 1, -2, 2, -3])
-    encoded = zigzag_encode(values)
-    assert encoded.tolist() == [0, 1, 2, 3, 4, 5]
-    np.testing.assert_array_equal(zigzag_decode(encoded), values)
 
 
 def test_verify_error_bound_detects_violation():
@@ -64,25 +36,3 @@ def test_verify_error_bound_detects_violation():
 
 def test_verify_error_bound_empty_arrays():
     assert verify_error_bound(np.array([]), np.array([]), 1e-3)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    data=hnp.arrays(
-        dtype=np.float64,
-        shape=st.integers(min_value=1, max_value=500),
-        elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
-    ),
-    error_bound=st.floats(min_value=1e-6, max_value=10.0),
-)
-def test_absolute_quantization_error_bound_property(data, error_bound):
-    result = quantize_absolute(data, error_bound=error_bound)
-    assert verify_error_bound(data, result.dequantize(), error_bound)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=0, max_size=200))
-def test_zigzag_roundtrip_property(values):
-    array = np.array(values, dtype=np.int64)
-    np.testing.assert_array_equal(zigzag_decode(zigzag_encode(array)), array)
-    assert np.all(zigzag_encode(array) >= 0)

@@ -35,7 +35,6 @@ from repro.compression.base import (
 )
 from repro.compression.errors import CorruptPayloadError, UnknownCompressorError
 from repro.compression.lossless import ZlibCompressor
-from repro.compression.metrics import stats_from_evaluation
 from repro.compression.stages import unpack_stage_meta
 from repro.core import FedSZCompressor
 from repro.core.pipeline import decompress_state_dict
@@ -100,13 +99,6 @@ def test_evaluate_lossless_checks_roundtrip(rng):
     evaluation = evaluate_lossless(ZlibCompressor(), data)
     assert evaluation.original_nbytes == len(data)
     assert evaluation.compress_throughput_mbps > 0
-
-
-def test_stats_from_evaluation(spiky_weights):
-    evaluation = evaluate_lossy(SZ2Compressor(), spiky_weights, 1e-2)
-    stats = stats_from_evaluation(evaluation)
-    assert isinstance(stats, CompressionStats)
-    assert stats.ratio == pytest.approx(evaluation.ratio)
 
 
 def test_compression_stats_properties():

@@ -7,8 +7,6 @@ import pytest
 
 from repro.core import (
     ErrorBoundCandidate,
-    candidates_from_measurements,
-    recommended_error_bound,
     select_error_bound,
     select_lossy_compressor,
 )
@@ -94,17 +92,3 @@ def test_error_bound_selection_falls_back_to_closest_accuracy():
 def test_error_bound_selection_requires_candidates():
     with pytest.raises(ValueError):
         select_error_bound([], baseline_accuracy=0.5)
-
-
-def test_candidates_from_measurements_helper():
-    candidates = candidates_from_measurements(
-        {1e-2: {"accuracy": 0.55, "nbytes": 1000}, 1e-3: {"accuracy": 0.56, "nbytes": 2000}}
-    )
-    assert len(candidates) == 2
-    assert {c.error_bound for c in candidates} == {1e-2, 1e-3}
-
-
-def test_recommended_error_bound_defaults_to_paper_value():
-    assert recommended_error_bound() == pytest.approx(1e-2)
-    selection = select_error_bound(_paper_like_candidates(), baseline_accuracy=0.579)
-    assert recommended_error_bound(selection) == selection.best.error_bound

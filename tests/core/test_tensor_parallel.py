@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from repro.core.pipeline import (
     compress_state_dict,
     decompress_state_dict,
     resolve_codec_workers,
-    roundtrip_state_dict,
 )
 from repro.core.serializer import build_fedsz_payload, parse_fedsz_payload
 from repro.nn.models import create_model
@@ -47,6 +47,15 @@ LOW = 4096
 SERIAL = FedSZConfig(max_codec_workers=1)
 POOLED = FedSZConfig(max_codec_workers=2)
 CODECS = {"sz2": SZ2Compressor, "sz3": SZ3Compressor, "szx": SZxCompressor, "zfp": ZFPCompressor}
+
+
+def _roundtrip(state, config):
+    """Compress then decompress ``state``, timing the decode on the report."""
+    payload, report = compress_state_dict(state, config)
+    start = time.perf_counter()
+    restored = decompress_state_dict(payload, config, report=report)
+    report.decompress_seconds = time.perf_counter() - start
+    return restored, report
 
 
 def lower_thresholds(monkeypatch, values: int) -> None:
@@ -157,7 +166,7 @@ def test_pooled_payload_and_reconstruction_equal_serial(low_threshold, codec, dt
         for workers in (1, 2)
     ]
     (serial, serial_report), (pooled, pooled_report) = (
-        roundtrip_state_dict(state, config) for config in configs
+        _roundtrip(state, config) for config in configs
     )
     assert (serial_report.codec_workers, pooled_report.codec_workers) == (1, 2)
     payloads = [compress_state_dict(state, config)[0] for config in configs]
@@ -177,7 +186,7 @@ def test_pooled_roundtrip_of_a_grouping_codec(low_threshold, monkeypatch):
     monkeypatch.setattr(sz2, "_RUN_ELEMENTS", 8192)
     monkeypatch.setattr(sz2, "_SLAB_ELEMENTS", 8192)
     state = create_model("mobilenetv2", "tiny", seed=3).state_dict()
-    (serial, _), (pooled, report) = (roundtrip_state_dict(state, c) for c in (SERIAL, POOLED))
+    (serial, _), (pooled, report) = (_roundtrip(state, c) for c in (SERIAL, POOLED))
     assert report.codec_workers == 2
     for name in state:
         assert serial[name].tobytes() == pooled[name].tobytes(), name
@@ -189,7 +198,7 @@ def test_pooled_roundtrip_of_a_grouping_codec(low_threshold, monkeypatch):
 @pytest.mark.parametrize("config", [SERIAL, POOLED], ids=["serial", "pooled"])
 def test_codec_seconds_are_a_share_of_the_wall(low_threshold, config):
     state = _state()
-    _, report = roundtrip_state_dict(state, config)
+    _, report = _roundtrip(state, config)
     lossy = {name for name in state if name != "d.bias"}
     assert set(report.per_tensor_compress_seconds) == lossy
     assert set(report.per_tensor_decompress_seconds) == lossy

@@ -11,10 +11,8 @@ from repro.data import (
     DataLoader,
     dirichlet_partition,
     iid_partition,
-    label_distribution,
     load_dataset,
     miranda_like_slice,
-    miranda_like_volume,
     partition_dataset,
     smoothness_score,
 )
@@ -56,14 +54,13 @@ def test_dirichlet_partition_is_disjoint_and_complete(dataset):
 def test_dirichlet_lower_alpha_is_more_skewed(dataset):
     uniform_parts = partition_dataset(dataset, 4, strategy="dirichlet", alpha=100.0, seed=0)
     skewed_parts = partition_dataset(dataset, 4, strategy="dirichlet", alpha=0.1, seed=0)
-    uniform_hist = label_distribution(uniform_parts, dataset.num_classes).astype(float)
-    skewed_hist = label_distribution(skewed_parts, dataset.num_classes).astype(float)
 
-    def skewness(histogram):
+    def skewness(parts):
+        histogram = np.stack([np.bincount(part.labels, minlength=dataset.num_classes) for part in parts])
         proportions = histogram / np.maximum(histogram.sum(axis=1, keepdims=True), 1)
         return float(np.std(proportions, axis=0).mean())
 
-    assert skewness(skewed_hist) > skewness(uniform_hist)
+    assert skewness(skewed_parts) > skewness(uniform_parts)
 
 
 def test_partition_dataset_strategies(dataset):
@@ -182,11 +179,8 @@ def test_loader_length_matches_iteration(batch_size, drop_last):
 def test_miranda_like_fields_shapes():
     assert miranda_like_slice(length=256, field="density").shape == (256,)
     assert miranda_like_slice(length=256, field="velocity").shape == (256,)
-    assert miranda_like_volume(32, 48, field="density").shape == (32, 48)
     with pytest.raises(ValueError):
         miranda_like_slice(field="pressure")
-    with pytest.raises(ValueError):
-        miranda_like_volume(field="pressure")
 
 
 def test_model_weights_are_spikier_than_scientific_data():

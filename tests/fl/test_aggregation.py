@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl import fedavg, state_dict_difference
+from repro.fl import fedavg
 from repro.nn.models import create_model
 
 
@@ -107,14 +107,6 @@ def test_fedavg_of_model_states_loads_back():
     np.testing.assert_allclose(
         averaged[name], 0.25 * state_a[name] + 0.75 * state_b[name], atol=1e-6
     )
-
-
-def test_state_dict_difference_only_float_tensors():
-    new = {"w": np.array([2.0, 3.0]), "count": np.array(5, dtype=np.int64)}
-    old = {"w": np.array([1.0, 1.0]), "count": np.array(4, dtype=np.int64)}
-    difference = state_dict_difference(new, old)
-    assert set(difference) == {"w"}
-    np.testing.assert_allclose(difference["w"], [1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)

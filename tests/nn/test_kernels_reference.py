@@ -16,7 +16,6 @@ import pytest
 from repro.data import load_dataset
 from repro.fl import FLClient, FLConfig, ModelPool
 from repro.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -64,14 +63,13 @@ def _reference_conv(inputs, weight, grad_output_fn, stride, padding, groups):
     return output, grad_input, grad_weight, grad_output.sum(axis=(0, 2, 3))
 
 
-def _reference_pool(inputs, grad_output_fn, kernel, stride, padding, mode):
-    """Direct-loop max / average (count-include-pad) pooling: output and input gradient."""
+def _reference_max_pool(inputs, grad_output_fn, kernel, stride, padding):
+    """Direct-loop max pooling: output and input gradient."""
     batch, channels, height, width = inputs.shape
     out_h = (height + 2 * padding - kernel) // stride + 1
     out_w = (width + 2 * padding - kernel) // stride + 1
-    fill = -np.inf if mode == "max" else 0.0
     border = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    padded = np.pad(inputs.astype(np.float64), border, constant_values=fill)
+    padded = np.pad(inputs.astype(np.float64), border, constant_values=-np.inf)
     output = np.zeros((batch, channels, out_h, out_w))
     grad_output = grad_output_fn(output.shape).astype(np.float64)
     grad_padded = np.zeros_like(padded)
@@ -79,13 +77,9 @@ def _reference_pool(inputs, grad_output_fn, kernel, stride, padding, mode):
         b, c, y, x = index
         rows, cols = slice(y * stride, y * stride + kernel), slice(x * stride, x * stride + kernel)
         window = padded[b, c, rows, cols]
-        if mode == "max":
-            output[index] = window.max()
-            ky, kx = np.unravel_index(window.argmax(), window.shape)
-            grad_padded[b, c, y * stride + ky, x * stride + kx] += grad_output[index]
-        else:
-            output[index] = window.sum() / (kernel * kernel)
-            grad_padded[b, c, rows, cols] += grad_output[index] / (kernel * kernel)
+        output[index] = window.max()
+        ky, kx = np.unravel_index(window.argmax(), window.shape)
+        grad_padded[b, c, y * stride + ky, x * stride + kx] += grad_output[index]
     return output, grad_padded[:, :, padding : padding + height, padding : padding + width]
 
 
@@ -151,16 +145,11 @@ def test_conv2d_dispatch_is_decided_by_the_call_alone():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
-@pytest.mark.parametrize("mode", ["max", "avg"])
-def test_pooling_matches_direct_loop_reference(mode, kernel, stride, padding, batch):
-    forward, backward = {
-        "max": (F.max_pool2d_forward, F.max_pool2d_backward),
-        "avg": (F.avg_pool2d_forward, F.avg_pool2d_backward),
-    }[mode]
+def test_pooling_matches_direct_loop_reference(kernel, stride, padding, batch):
     inputs = _uniform(5, 1.0)((batch, 3, 7, 6))
-    expected_output, expected_grad = _reference_pool(inputs, _uniform(6, 1.0), kernel, stride, padding, mode)
-    output, cache = forward(inputs, kernel, stride, padding)
-    grad_input = backward(_uniform(6, 1.0)(output.shape), cache)
+    expected_output, expected_grad = _reference_max_pool(inputs, _uniform(6, 1.0), kernel, stride, padding)
+    output, cache = F.max_pool2d_forward(inputs, kernel, stride, padding)
+    grad_input = F.max_pool2d_backward(_uniform(6, 1.0)(output.shape), cache)
     _assert_float32_contiguous(output, grad_input)
     np.testing.assert_allclose(output, expected_output, rtol=1e-6, atol=1e-7)
     np.testing.assert_allclose(grad_input, expected_grad, rtol=1e-6, atol=1e-7)
@@ -263,7 +252,6 @@ def _layers_under_test():
         ReLU6(),
         MaxPool2d(2),
         MaxPool2d(3, stride=2, padding=1),
-        AvgPool2d(2),
         Dropout(0.5, rng=generator),
         create_model("mobilenetv2", "tiny", num_classes=10, seed=3).features[1],  # a residual block
     ]

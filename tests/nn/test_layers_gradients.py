@@ -13,7 +13,6 @@ from repro.nn import (
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
-    AvgPool2d,
     ReLU,
     ReLU6,
     Sequential,
@@ -250,7 +249,7 @@ def test_maxpool_gradient_matches_numerical(rng):
     _check_input_gradient(layer, inputs)
 
 
-@pytest.mark.parametrize("layer", [Conv2d, MaxPool2d, AvgPool2d])
+@pytest.mark.parametrize("layer", [Conv2d, MaxPool2d])
 @pytest.mark.parametrize(
     "geometry",
     [{"kernel_size": 0}, {"stride": 0}, {"stride": -1}, {"padding": -1}],
@@ -263,13 +262,12 @@ def test_window_layers_reject_nonsense_geometry(layer, geometry):
         layer(*channels, **kwargs)
 
 
-@pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
-def test_pooling_padding_is_at_most_half_the_kernel(layer):
+def test_pooling_padding_is_at_most_half_the_kernel():
     # MaxPool2d(2, padding=2) used to build windows of padding alone: -inf out.
     with pytest.raises(ValueError, match="exceeds half the kernel size 2"):
-        layer(2, padding=2)
-    assert layer(3, stride=2, padding=1).padding == 1
-    assert layer(2).stride == 2  # stride defaults to the kernel size
+        MaxPool2d(2, padding=2)
+    assert MaxPool2d(3, stride=2, padding=1).padding == 1
+    assert MaxPool2d(2).stride == 2  # stride defaults to the kernel size
 
 
 @pytest.mark.parametrize("kernel,padding", [(5, 0), (7, 1)])
@@ -279,14 +277,6 @@ def test_window_larger_than_its_padded_input_names_the_shapes(kernel, padding):
         F.im2col(inputs, kernel, 1, padding)
     with pytest.raises(ValueError, match="exceeds a 3x4 input"):
         F.max_pool2d_forward(inputs, kernel, 1, padding)
-
-
-def test_avgpool_forward_and_gradient(rng):
-    layer = AvgPool2d(2, stride=2)
-    inputs = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)
-    output = layer(inputs)
-    assert output[0, 0, 0, 0] == pytest.approx(inputs[0, 0, :2, :2].mean(), rel=1e-5)
-    _check_input_gradient(layer, inputs)
 
 
 def test_global_avg_pool(rng):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import partition_state_dict
 from repro.nn.models import create_model
-from repro.privacy import DPFedSZCompressor, epsilon_for_noise_scale
+from repro.privacy import DPFedSZCompressor
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,6 @@ def state_dict():
 def test_noise_scale_calibration():
     codec = DPFedSZCompressor(epsilon_per_round=2.0, clip_norm=0.5)
     assert codec.noise_scale == pytest.approx(0.25)
-    assert epsilon_for_noise_scale(0.25, 0.5) == pytest.approx(2.0)
 
 
 def test_epsilon_accounting_accumulates(state_dict):
@@ -76,7 +75,3 @@ def test_validation_errors():
         DPFedSZCompressor(epsilon_per_round=0.0)
     with pytest.raises(ValueError):
         DPFedSZCompressor(clip_norm=0.0)
-    with pytest.raises(ValueError):
-        epsilon_for_noise_scale(0.0, 1.0)
-    with pytest.raises(ValueError):
-        epsilon_for_noise_scale(1.0, 0.0)

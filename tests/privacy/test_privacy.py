@@ -15,7 +15,6 @@ from repro.privacy import (
     equivalent_epsilon,
     error_histogram,
     fit_laplace,
-    laplace_density,
     laplace_mechanism,
     perturb_state_dict_with_laplace,
 )
@@ -85,12 +84,6 @@ def test_error_histogram_is_a_density(rng):
     widths = np.diff(histogram["edges"])
     assert np.sum(histogram["density"] * widths) == pytest.approx(1.0, rel=1e-6)
     assert histogram["centers"].shape == histogram["density"].shape
-
-
-def test_laplace_density_integrates_to_one():
-    x = np.linspace(-2, 2, 20_001)
-    density = laplace_density(x, 0.0, 0.1)
-    assert np.trapezoid(density, x) == pytest.approx(1.0, rel=1e-3)
 
 
 # ----------------------------------------------------------------------

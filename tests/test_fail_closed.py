@@ -15,10 +15,14 @@ handles corruption would crash on it instead.  The entry points:
 - every lossless codec;
 - ``RunCheckpoint.from_bytes``, with the stored checksum (stale for every
   forgery) and with one recomputed for it, as a forger would.
+
+Two forgeries of the lossy codecs' stage metadata must raise, not decode: a
+params length that runs past the section, and bytes after the params.
 """
 
 from __future__ import annotations
 
+import struct
 import warnings
 from typing import Callable
 
@@ -28,6 +32,7 @@ import pytest
 from _fuzz.mutator import FAMILIES, mutants, parse, serialize
 from golden.cases import CODECS, EDGES, weights
 from repro.compression import ErrorBoundMode, available_lossless_compressors
+from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.errors import CorruptPayloadError
 from repro.compression.registry import get_lossless_compressor
 from repro.core import FedSZCompressor
@@ -85,6 +90,32 @@ def test_lossy_codec_fails_closed(codec_name, seed, family):
     codec = CODECS[codec_name]()
     payload = codec.compress(make(), bound, ErrorBoundMode[mode])
     _sweep(payload, family, codec.decompress, np.ndarray)
+
+
+def _overlong_params_length(meta: bytes) -> bytes:
+    """The params length one byte past the section (the params are its tail)."""
+    start = meta.index(b'{"')
+    (declared,) = struct.unpack_from("<I", meta, start - 4)
+    assert declared == len(meta) - start
+    return meta[: start - 4] + struct.pack("<I", declared + 1) + meta[start:]
+
+
+STAGE_META_FORGERIES = {
+    "overlong-params-length": _overlong_params_length,
+    "trailing-junk": lambda meta: meta + b"\x00junk",
+}
+
+
+@pytest.mark.parametrize("forgery", STAGE_META_FORGERIES)
+@pytest.mark.parametrize("codec_name", CODECS)
+def test_stage_metadata_must_end_where_its_params_end(codec_name, forgery):
+    """A params length that ran past the section used to be clamped, and bytes
+    after the params were ignored: both payloads decoded."""
+    codec = CODECS[codec_name]()
+    sections = unpack_sections(codec.compress(weights(600, "float32"), 1e-2))
+    sections["meta"] = STAGE_META_FORGERIES[forgery](sections["meta"])
+    with pytest.raises(CorruptPayloadError, match="params bytes"):
+        codec.decompress(pack_sections(sections))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.seeding import SeedSequenceFactory, default_rng, get_global_seed, set_global_seed
+from repro.utils.seeding import SeedSequenceFactory, default_rng, set_global_seed
 
 
 def test_set_global_seed_makes_default_rng_deterministic():
@@ -22,11 +22,6 @@ def test_default_rng_with_explicit_seed_ignores_global():
     set_global_seed(2)
     b = default_rng(123).integers(0, 1000, size=10)
     np.testing.assert_array_equal(a, b)
-
-
-def test_get_global_seed_reflects_last_set():
-    set_global_seed(99)
-    assert get_global_seed() == 99
 
 
 def test_seed_factory_is_reproducible():

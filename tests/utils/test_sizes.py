@@ -2,28 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.utils.sizes import (
     format_bytes,
     megabits_per_second_to_bytes_per_second,
-    nbytes_of,
-    sizeof_state_dict,
 )
-
-
-def test_nbytes_of_float32_array():
-    assert nbytes_of(np.zeros(10, dtype=np.float32)) == 40
-
-
-def test_sizeof_state_dict_sums_all_tensors():
-    state = {
-        "weight": np.zeros((4, 4), dtype=np.float32),
-        "bias": np.zeros(4, dtype=np.float32),
-        "running_mean": np.zeros(4, dtype=np.float64),
-    }
-    assert sizeof_state_dict(state) == 64 + 16 + 32
 
 
 def test_format_bytes_uses_binary_prefixes():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from repro.utils.timing import Stopwatch, Timer, timed
+from repro.utils.timing import Timer, timed
 
 
 def test_timer_accumulates_measurements():
@@ -29,18 +29,6 @@ def test_timer_reset_clears_state():
     timer.add("x", 1.0)
     timer.reset()
     assert timer.as_dict() == {}
-
-
-def test_stopwatch_laps_and_elapsed():
-    watch = Stopwatch()
-    time.sleep(0.001)
-    first = watch.lap()
-    time.sleep(0.001)
-    second = watch.lap()
-    assert first > 0.0
-    assert second > 0.0
-    assert watch.elapsed() >= first + second
-    assert len(watch.laps) == 2
 
 
 def test_timed_returns_result_and_duration():
