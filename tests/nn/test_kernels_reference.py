@@ -155,6 +155,22 @@ def test_pooling_matches_direct_loop_reference(kernel, stride, padding, batch):
     np.testing.assert_allclose(grad_input, expected_grad, rtol=1e-6, atol=1e-7)
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_global_avg_pool_matches_direct_loop_reference(batch):
+    inputs = _uniform(5, 1.0)((batch, 3, 7, 6))
+    grad_output = _uniform(6, 1.0)((batch, 3, 1, 1))
+    expected_output = np.zeros((batch, 3, 1, 1))
+    expected_grad = np.zeros(inputs.shape)
+    for b, c in np.ndindex(batch, 3):
+        expected_output[b, c, 0, 0] = inputs[b, c].astype(np.float64).sum() / 42
+        expected_grad[b, c] = grad_output[b, c, 0, 0] / 42
+    output, cache = F.global_avg_pool_forward(inputs)
+    grad_input = F.global_avg_pool_backward(grad_output, cache)
+    _assert_float32_contiguous(output, grad_input)
+    np.testing.assert_allclose(output, expected_output, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(grad_input, expected_grad, rtol=1e-6, atol=1e-7)
+
+
 def test_padded_max_pool_ignores_the_padding_on_negative_inputs():
     # Zero padding used to win the max over all-negative windows and swallow
     # their gradient: forward gave [[0, 0], [0, -1]], backward summed to 1.
@@ -257,7 +273,9 @@ def _layers_under_test():
     ]
 
 
-@pytest.mark.parametrize("layer", _layers_under_test(), ids=lambda layer: type(layer).__name__)
+@pytest.mark.parametrize(
+    "layer", [*_layers_under_test(), GlobalAvgPool2d()], ids=lambda layer: type(layer).__name__
+)
 def test_read_only_arrays_survive_forward_and_backward(layer, rng):
     channels = 16 if type(layer).__name__ == "InvertedResidual" else 4
     inputs = rng.normal(size=(2, channels, 6, 6)).astype(np.float32)

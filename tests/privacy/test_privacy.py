@@ -18,6 +18,7 @@ from repro.privacy import (
     laplace_mechanism,
     perturb_state_dict_with_laplace,
 )
+from repro.privacy.laplace import _ks_statistic
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,32 @@ def test_figure10_ks_statistics_equal_scipy_kstest():
 def test_fit_requires_minimum_samples():
     with pytest.raises(ValueError):
         fit_laplace(np.zeros(3))
+
+
+def test_fit_of_a_constant_sample_keeps_a_positive_scale():
+    fit = fit_laplace(np.full(20, 0.25))
+    assert fit.location == 0.25
+    assert fit.scale > 0.0
+    assert np.isfinite(fit.ks_statistic) and np.isfinite(fit.ks_statistic_normal)
+
+
+def test_ks_statistic_of_the_plotting_positions_is_half_a_step():
+    # A hypothesised CDF through the middle of every empirical step is off by 1/(2n).
+    count = 40
+    cdf_values = (np.arange(count) + 0.5) / count
+    assert _ks_statistic(cdf_values) == pytest.approx(0.5 / count, abs=1e-15)
+    assert _ks_statistic(np.zeros(count)) == pytest.approx(1.0)
+
+
+def test_laplace_fit_row_holds_every_field(rng):
+    fit = fit_laplace(rng.laplace(0.0, 0.1, 1000))
+    assert fit.as_row() == {
+        "location": fit.location,
+        "scale": fit.scale,
+        "ks_laplace": fit.ks_statistic,
+        "ks_normal": fit.ks_statistic_normal,
+        "samples": 1000,
+    }
 
 
 def test_error_histogram_is_a_density(rng):

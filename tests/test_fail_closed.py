@@ -16,8 +16,9 @@ handles corruption would crash on it instead.  The entry points:
 - ``RunCheckpoint.from_bytes``, with the stored checksum (stale for every
   forgery) and with one recomputed for it, as a forger would.
 
-Two forgeries of the lossy codecs' stage metadata must raise, not decode: a
-params length that runs past the section, and bytes after the params.
+Three forgeries of the lossy codecs' stage metadata must raise, not decode: a
+params length that runs past the section or stops short of its end, and bytes
+after the params.
 """
 
 from __future__ import annotations
@@ -92,16 +93,21 @@ def test_lossy_codec_fails_closed(codec_name, seed, family):
     _sweep(payload, family, codec.decompress, np.ndarray)
 
 
-def _overlong_params_length(meta: bytes) -> bytes:
-    """The params length one byte past the section (the params are its tail)."""
-    start = meta.index(b'{"')
-    (declared,) = struct.unpack_from("<I", meta, start - 4)
-    assert declared == len(meta) - start
-    return meta[: start - 4] + struct.pack("<I", declared + 1) + meta[start:]
+def _params_length_off_by(delta: int) -> Callable[[bytes], bytes]:
+    """The params length ``delta`` bytes off the section's end (the params are its tail)."""
+
+    def forge(meta: bytes) -> bytes:
+        start = meta.index(b'{"')
+        (declared,) = struct.unpack_from("<I", meta, start - 4)
+        assert declared == len(meta) - start
+        return meta[: start - 4] + struct.pack("<I", declared + delta) + meta[start:]
+
+    return forge
 
 
 STAGE_META_FORGERIES = {
-    "overlong-params-length": _overlong_params_length,
+    "overlong-params-length": _params_length_off_by(1),
+    "short-params-length": _params_length_off_by(-1),
     "trailing-junk": lambda meta: meta + b"\x00junk",
 }
 
@@ -110,7 +116,8 @@ STAGE_META_FORGERIES = {
 @pytest.mark.parametrize("codec_name", CODECS)
 def test_stage_metadata_must_end_where_its_params_end(codec_name, forgery):
     """A params length that ran past the section used to be clamped, and bytes
-    after the params were ignored: both payloads decoded."""
+    after the params were ignored: both payloads decoded.  A short length cut
+    the params JSON and failed only in its parser."""
     codec = CODECS[codec_name]()
     sections = unpack_sections(codec.compress(weights(600, "float32"), 1e-2))
     sections["meta"] = STAGE_META_FORGERIES[forgery](sections["meta"])

@@ -80,3 +80,15 @@ def test_spawn_block_is_lazy_and_equals_the_sequential_stream():
 def test_next_seed_matches_seed_sequence_spawning():
     factory = SeedSequenceFactory(5)
     assert [factory.next_seed() for _ in range(8)] == _eager_stream(5, 8)
+
+
+def test_seed_at_gives_random_access_without_advancing_the_stream():
+    factory = SeedSequenceFactory(5)
+    assert factory.seed_at(6) == _eager_stream(5, 7)[6]
+    assert factory.spawned == 0
+    assert factory.next_seed() == factory.seed_at(0)
+
+
+def test_seed_at_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="non-negative"):
+        SeedSequenceFactory(5).seed_at(-1)

@@ -28,3 +28,17 @@ def test_bandwidth_conversion_10mbps():
 def test_bandwidth_conversion_rejects_nonpositive():
     with pytest.raises(ValueError):
         megabits_per_second_to_bytes_per_second(0)
+
+
+def test_format_bytes_stays_in_tebibytes_past_the_last_prefix():
+    assert format_bytes(1024**5) == "1024.00 TiB"
+
+
+def test_format_bytes_precision():
+    assert format_bytes(1536, precision=1) == "1.5 KiB"
+    assert format_bytes(1023, precision=0) == "1023 B"
+
+
+def test_bandwidth_conversion_rejects_negative():
+    with pytest.raises(ValueError):
+        megabits_per_second_to_bytes_per_second(-5)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.utils.timing import Timer, timed
 
 
@@ -34,4 +36,29 @@ def test_timer_reset_clears_state():
 def test_timed_returns_result_and_duration():
     result, seconds = timed(sum, [1, 2, 3])
     assert result == 6
+    assert seconds >= 0.0
+
+
+def test_timer_measure_records_when_the_body_raises():
+    timer = Timer()
+    with pytest.raises(KeyError):
+        with timer.measure("fails"):
+            raise KeyError("x")
+    assert timer.counts["fails"] == 1
+    assert timer.total("fails") >= 0.0
+
+
+def test_timer_as_dict_is_a_snapshot():
+    timer = Timer()
+    timer.add("x", 1.0)
+    snapshot = timer.as_dict()
+    snapshot["x"] = 99.0
+    timer.add("x", 0.5)
+    assert timer.as_dict() == {"x": 1.5}
+    assert timer.mean("x") == pytest.approx(0.75)
+
+
+def test_timed_passes_positional_and_keyword_arguments():
+    result, seconds = timed(sorted, [3, 1, 2], reverse=True)
+    assert result == [3, 2, 1]
     assert seconds >= 0.0
