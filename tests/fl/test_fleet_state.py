@@ -102,6 +102,24 @@ def test_stochastic_state_roundtrip(model_fn):
         restore_stochastic_state(model, states + states)
 
 
+def test_stochastic_streams_follow_a_module_added_after_a_capture(model_fn):
+    from repro.nn import Dropout
+
+    model = model_fn()
+    states = capture_stochastic_state(model)
+    restore_stochastic_state(model, states)
+    added = Dropout(0.5, rng=np.random.default_rng(77))
+    model.add_module("extra_dropout", added)
+    grown = capture_stochastic_state(model)
+    assert len(grown) == len(states) + 1
+    assert grown[-1] == added._rng.bit_generator.state
+    with pytest.raises(ValueError):
+        restore_stochastic_state(model, states)
+    drawn = added._rng.random(3).tolist()
+    restore_stochastic_state(model, grown)
+    assert added._rng.random(3).tolist() == drawn
+
+
 # ----------------------------------------------------------------------
 # ClientRegistry + lazy FLClient
 # ----------------------------------------------------------------------

@@ -122,3 +122,73 @@ def test_end_to_end_training_reduces_loss(rng):
     final_accuracy = F.accuracy(model(inputs), targets)
     assert loss < first_loss * 0.5
     assert final_accuracy > 0.9
+
+
+def _reference_cross_entropy(logits, targets):
+    """The loss as first written: a float64 softmax, then a float32 gradient."""
+    shifted = logits.astype(np.float64)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    probabilities = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    batch = logits.shape[0]
+    clipped = np.clip(probabilities[np.arange(batch), targets], 1e-12, None)
+    loss = float(-np.mean(np.log(clipped)))
+    grad = probabilities.copy()
+    grad[np.arange(batch), targets] -= 1.0
+    grad /= batch
+    return loss, grad.astype(np.float32)
+
+
+def _logit_cases():
+    rng = np.random.default_rng(7)
+    inf = np.inf
+    cases = {
+        "batch1": (rng.normal(size=(1, 10)).astype(np.float32), [3]),
+        "batch5": ((rng.normal(size=(5, 10)) * 4).astype(np.float32), [0, 9, 3, 3, 7]),
+        "batch12": (rng.normal(size=(12, 10)).astype(np.float32), list(range(10)) + [1, 1]),
+        "float64": (rng.normal(size=(5, 4)), [0, 1, 2, 3, 0]),
+        "tied": (np.array([[2.0, 5.0, 5.0, 1.0], [1.0, 1.0, 1.0, 1.0]], np.float32), [2, 0]),
+        "inf": (
+            np.array([[inf, 0.0, 1.0], [-inf, 2.0, 3.0], [-inf, -inf, 0.0]], np.float32),
+            [0, 0, 2],
+        ),
+        "all-inf": (np.array([[inf, inf, 0.0]], np.float32), [1]),
+        "huge": (np.array([[1e30, -1e30, 3e29], [-2e30, 1e30, 1e30]], np.float32), [2, 1]),
+    }
+    return [pytest.param(logits, targets, id=name) for name, (logits, targets) in cases.items()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the shift
+@pytest.mark.parametrize("logits, targets", _logit_cases())
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_cross_entropy_loss_and_gradient_bytes_equal_the_reference(logits, targets, as_list):
+    expected_loss, expected_grad = _reference_cross_entropy(logits, np.asarray(targets))
+    loss, grad = F.cross_entropy(logits.copy(), targets if as_list else np.asarray(targets))
+    assert type(loss) is float
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+    assert grad.dtype == np.float32 and grad.shape == logits.shape
+    assert grad.tobytes() == expected_grad.tobytes()
+    loss_fn = CrossEntropyLoss()
+    assert np.float64(loss_fn(logits, targets)).tobytes() == np.float64(expected_loss).tobytes()
+    assert loss_fn.backward().tobytes() == expected_grad.tobytes()
+
+
+def test_cross_entropy_leaves_its_logits_unchanged():
+    logits = np.array([[1.0, 2.0, 3.0]], np.float32)
+    F.cross_entropy(logits, [1])
+    np.testing.assert_array_equal(logits, [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("logits, targets", _logit_cases())
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_accuracy_equals_the_mean_of_argmax_hits(logits, targets, as_list):
+    expected = float(np.mean(logits.argmax(axis=-1) == np.asarray(targets)))
+    value = F.accuracy(logits, targets if as_list else np.asarray(targets))
+    assert type(value) is float and value == expected
+
+
+def test_accuracy_gives_a_tie_to_the_first_maximal_class():
+    logits = np.array([[2.0, 5.0, 5.0], [4.0, 4.0, 4.0]], np.float32)
+    assert F.accuracy(logits, [1, 0]) == 1.0
+    assert F.accuracy(logits, [2, 0]) == 0.5
+    assert F.accuracy(logits[:1], [2]) == 0.0
+    assert F.accuracy(logits, [2, 2]) == 0.0
