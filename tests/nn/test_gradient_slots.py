@@ -68,7 +68,7 @@ def _pair(name: str):
     return bound, free
 
 
-def _run(layers, name: str, batch: int, seed: int) -> list:
+def _run(layers, name: str, batch: int, seed: int, dtype=np.float32) -> list:
     """One forward and backward of each layer on the same input and output gradient."""
     _, shape = LAYERS[name]
     rng = np.random.default_rng(seed)
@@ -78,7 +78,7 @@ def _run(layers, name: str, batch: int, seed: int) -> list:
     for layer in layers:
         output = layer(inputs)
         if grad_output is None:
-            grad_output = rng.normal(size=output.shape).astype(np.float32)
+            grad_output = rng.normal(size=output.shape).astype(dtype)
         grads.append(layer.backward(grad_output))
     return grads
 
@@ -108,6 +108,16 @@ def test_a_second_backward_accumulates_with_the_private_copys_bytes(name):
     _run([bound, free], name, 2, seed=0)
     _run([bound, free], name, 1, seed=1)
     _assert_same_gradients(bound, free)
+    assert bound.weight.grad is bound.weight._grad_view
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_a_float64_output_gradient_keeps_the_private_copys_bytes(name):
+    # Its parameter gradients are rounded to float32 once, at the end.
+    bound, free = _pair(name)
+    grad_bound, grad_free = _run([bound, free], name, 2, seed=9, dtype=np.float64)
+    _assert_same_gradients(bound, free)
+    assert grad_bound.tobytes() == grad_free.tobytes()
     assert bound.weight.grad is bound.weight._grad_view
 
 
