@@ -41,22 +41,22 @@ from repro.utils.lazy import LazySequence
 
 def stochastic_modules(model: Module) -> List[Module]:
     """Modules carrying a private random stream (e.g. ``Dropout``), in
-    deterministic tree order."""
-    return [
-        module
-        for _, module in model.named_modules()
-        if isinstance(getattr(module, "_rng", None), np.random.Generator)
-    ]
+    deterministic tree order.
+
+    Found once per layout of the model's tree (the walk that flattens it), so
+    a module registered anywhere is seen on the next call.
+    """
+    return list(model._layout().stochastic)
 
 
 def capture_stochastic_state(model: Module) -> List[dict]:
     """Snapshot the bit-generator state of every stochastic module."""
-    return [module._rng.bit_generator.state for module in stochastic_modules(model)]
+    return [module._rng.bit_generator.state for module in model._layout().stochastic]
 
 
 def restore_stochastic_state(model: Module, states: Sequence[dict]) -> None:
     """Restore previously captured stochastic-module states into ``model``."""
-    modules = stochastic_modules(model)
+    modules = model._layout().stochastic
     if len(modules) != len(states):
         raise ValueError(
             f"model has {len(modules)} stochastic modules but {len(states)} "

@@ -28,7 +28,9 @@ Convolution takes one of three paths, selected by the call alone:
   contiguous ``(batch, channels·k·k, positions)`` buffer.
 
 The first and third share the GEMMs: ``np.matmul`` forward and for the column
-gradient, one ``tensordot`` over batch and positions for the weight gradient.
+gradient; for a dense weight gradient, one ``np.dot`` of the two operand views
+``tensordot`` over batch and positions builds, so it can write a destination
+(a parameter's arena slot) directly.
 The depthwise forward and input gradient start every element from ``+0.0``
 and add its products in row-major ``(i, j)`` tap order, one rounding per
 multiply and per add, so the whole-row sweep gives the bytes the per-tap loop
@@ -313,11 +315,17 @@ def _depthwise_forward(
 
 
 def _depthwise_backward(
-    grad_output: np.ndarray, weight: np.ndarray, padded: np.ndarray, stride: int, padding: int
+    grad_output: np.ndarray,
+    weight: np.ndarray,
+    padded: np.ndarray,
+    stride: int,
+    padding: int,
+    grad_weight: np.ndarray | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(grad_input, grad_weight)`` of :func:`_depthwise_forward`.
 
-    ``grad_weight`` is one multiply-reduce against the cached padded input.
+    ``grad_weight`` is one multiply-reduce against the cached padded input,
+    transposed into the given array (a fresh one when ``None``).
     The input gradient is the same whole-row sweep as the stride-1 forward,
     over a reversed window (row and column strides negated) of the output
     gradient zero-stuffed at ``stride`` and framed by ``kernel - 1`` zeros, cut
@@ -330,9 +338,12 @@ def _depthwise_backward(
     kernel = weight.shape[-1]
     batch, channels, out_h, out_w = grad_output.shape
     grad = np.ascontiguousarray(grad_output.transpose(0, 2, 3, 1))
-    grad_weight = np.einsum(
+    grad_taps = np.einsum(
         "bhwijc,bhwc->ijc", _channels_last_windows(padded, kernel, stride, out_h, out_w), grad
     )
+    if grad_weight is None:
+        grad_weight = np.empty(weight.shape, grad_taps.dtype)
+    grad_weight.reshape(channels, kernel, kernel)[...] = grad_taps.transpose(2, 0, 1)
     height, width = padded.shape[1] - 2 * padding, padded.shape[2] - 2 * padding
     framed = np.zeros((batch, height + kernel - 1, width + kernel - 1, channels), np.float32)
     rows = _stuffed_placement(height, out_h, kernel, stride, padding)
@@ -340,10 +351,7 @@ def _depthwise_backward(
     framed[:, rows[1], columns[1]] = grad[:, rows[0], columns[0]]
     taps = np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0))
     grad_input = _row_sweep(framed[:, kernel - 1 :, kernel - 1 :], taps, height, width, -1)
-    return (
-        np.ascontiguousarray(grad_input.transpose(0, 3, 1, 2)),
-        np.ascontiguousarray(grad_weight.transpose(2, 0, 1)).reshape(weight.shape),
-    )
+    return np.ascontiguousarray(grad_input.transpose(0, 3, 1, 2)), grad_weight
 
 
 def conv2d_forward(
@@ -389,35 +397,53 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    grad_output: np.ndarray, weight: np.ndarray, cache: dict
+    grad_output: np.ndarray,
+    weight: np.ndarray,
+    cache: dict,
+    grad_weight: np.ndarray | None = None,
+    grad_bias: np.ndarray | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of a grouped convolution, following the path the forward took.
 
     Returns ``(grad_input, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
-    when the forward had no bias.
+    when the forward had no bias.  A ``grad_weight`` / ``grad_bias`` given for
+    a float32 ``grad_output`` (a contiguous float32 array of the parameter's
+    shape, such as its arena slot) is written in place and returned; those left
+    ``None`` are fresh arrays.
     """
     stride, padding, groups = cache["stride"], cache["padding"], cache["groups"]
     batch, out_channels, out_h, out_w = grad_output.shape
-    grad_bias = grad_output.sum(axis=(0, 2, 3)) if cache["bias"] else None
+    grad_bias = np.add.reduce(grad_output, axis=(0, 2, 3), out=grad_bias) if cache["bias"] else None
     if "padded" in cache:
         grad_input, grad_weight = _depthwise_backward(
-            grad_output, weight, cache["padded"], stride, padding
+            grad_output, weight, cache["padded"], stride, padding, grad_weight
         )
         return grad_input, grad_weight, grad_bias
 
     columns = cache["columns"]
     grad_grouped = grad_output.reshape(batch, groups, out_channels // groups, out_h * out_w)
     weight_grouped = weight.reshape(groups, out_channels // groups, -1)
+    if grad_weight is None:
+        grad_weight = np.empty(weight.shape, np.result_type(grad_output, columns))
     if groups == 1:
-        grad_weight = np.tensordot(grad_grouped[:, 0], columns, axes=((0, 2), (0, 2)))
+        # The two operand views ``tensordot`` over batch and positions builds.
+        np.dot(
+            grad_grouped[:, 0].transpose(1, 0, 2).reshape(out_channels, -1),
+            columns.transpose(0, 2, 1).reshape(-1, columns.shape[1]),
+            grad_weight.reshape(out_channels, -1),
+        )
     else:
         columns_grouped = columns.reshape(batch, groups, -1, out_h * out_w)
-        grad_weight = np.matmul(grad_grouped, columns_grouped.transpose(0, 1, 3, 2)).sum(axis=0)
+        np.add.reduce(
+            np.matmul(grad_grouped, columns_grouped.transpose(0, 1, 3, 2)),
+            axis=0,
+            out=grad_weight.reshape(groups, out_channels // groups, -1),
+        )
     grad_columns = np.matmul(weight_grouped.transpose(0, 2, 1), grad_grouped)
     grad_input = col2im(
         grad_columns.reshape(columns.shape), cache["input_shape"], weight.shape[-1], stride, padding
     )
-    return grad_input, grad_weight.reshape(weight.shape), grad_bias
+    return grad_input, grad_weight, grad_bias
 
 
 # ----------------------------------------------------------------------
@@ -506,21 +532,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy loss and its gradient with respect to the logits.
 
-    The softmax runs in float64; the gradient goes back to float32.
+    The softmax runs in float64, in place on one copy of the logits (the
+    arithmetic of :func:`softmax`); the gradient goes back to float32.
     """
-    probabilities = softmax(logits.astype(np.float64))
+    probabilities = logits.astype(np.float64)
+    probabilities -= np.maximum.reduce(probabilities, axis=-1, keepdims=True)
+    np.exp(probabilities, out=probabilities)
+    probabilities /= np.add.reduce(probabilities, axis=-1, keepdims=True)
     batch = logits.shape[0]
-    clipped = np.clip(probabilities[np.arange(batch), targets], 1e-12, None)
-    loss = float(-np.mean(np.log(clipped)))
-    grad = probabilities.copy()
-    grad[np.arange(batch), targets] -= 1.0
-    grad /= batch
-    return loss, grad.astype(np.float32)
+    rows = np.arange(batch)
+    picked = probabilities[rows, targets]
+    # ``np.clip(picked, 1e-12, None)`` is this maximum, without its wrapper.
+    np.log(np.maximum(picked, 1e-12, out=picked), out=picked)
+    loss = -float(np.add.reduce(picked) / batch)
+    probabilities[rows, targets] -= 1.0
+    probabilities /= batch
+    return loss, probabilities.astype(np.float32)
 
 
 def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Top-1 classification accuracy in [0, 1]."""
     if logits.shape[0] == 0:
         return 0.0
-    predictions = logits.argmax(axis=-1)
-    return float(np.mean(predictions == targets))
+    return int(np.count_nonzero(logits.argmax(axis=-1) == targets)) / logits.shape[0]

@@ -20,6 +20,16 @@ _PER_CHANNEL = (1, -1, 1, 1)
 _UNMASKED = "unmasked"
 
 
+def _slot(parameter: Optional[Parameter], grad_output: np.ndarray) -> Optional[np.ndarray]:
+    """Where a backward kernel writes ``parameter``'s gradient: its arena slot
+    (:attr:`~repro.nn.parameter.Parameter.grad_slot`) on a float32 pass, else
+    ``None`` — a fresh array, which a float64 ``grad_output`` keeps in float64
+    until ``accumulate_grad`` rounds it, as the layers' own arithmetic reads it."""
+    if parameter is None or grad_output.dtype != np.float32:
+        return None
+    return parameter.grad_slot
+
+
 def _window(kernel_size: int, stride: int, padding: int, pooling: bool = False) -> tuple:
     """``(kernel_size, stride, padding)`` as ints, rejecting geometry no window has.
 
@@ -60,10 +70,13 @@ class Linear(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self.weight.accumulate_grad(grad_output.T @ self._saved())
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_output.sum(axis=0))
-        return grad_output @ self.weight.data
+        weight, bias = self.weight, self.bias
+        weight.accumulate_grad(
+            np.matmul(grad_output.T, self._saved(), out=_slot(weight, grad_output))
+        )
+        if bias is not None:
+            bias.accumulate_grad(np.add.reduce(grad_output, axis=0, out=_slot(bias, grad_output)))
+        return grad_output @ weight.data
 
 
 class Conv2d(Module):
@@ -105,12 +118,17 @@ class Conv2d(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        weight, bias = self.weight, self.bias
         grad_input, grad_weight, grad_bias = F.conv2d_backward(
-            grad_output, self.weight.data, self._saved()
+            grad_output,
+            weight.data,
+            self._saved(),
+            grad_weight=_slot(weight, grad_output),
+            grad_bias=_slot(bias, grad_output),
         )
-        self.weight.accumulate_grad(grad_weight)
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_bias)
+        weight.accumulate_grad(grad_weight)
+        if bias is not None:
+            bias.accumulate_grad(grad_bias)
         return grad_input
 
 
@@ -169,8 +187,10 @@ class BatchNorm2d(Module):
         if frozen is not None:
             inputs, mean = frozen
             normalized = (inputs - mean.reshape(_PER_CHANNEL)) * inv_std.reshape(_PER_CHANNEL)
-        grad_weight = np.einsum("bchw,bchw->c", grad_output, normalized)
-        grad_bias = grad_output.sum(axis=(0, 2, 3))
+        grad_weight = np.einsum(
+            "bchw,bchw->c", grad_output, normalized, out=_slot(self.weight, grad_output)
+        )
+        grad_bias = np.add.reduce(grad_output, axis=(0, 2, 3), out=_slot(self.bias, grad_output))
         self.weight.accumulate_grad(grad_weight)
         self.bias.accumulate_grad(grad_bias)
 

@@ -104,9 +104,14 @@ class _Layout:
         self.parameters: List[Tuple[str, Parameter]] = []
         #: ``(dotted name, owner's buffer dict, key)`` of every buffer.
         self.buffers: List[Tuple[str, Dict[str, np.ndarray], str]] = []
+        #: Modules (the root included) that draw from a private random stream,
+        #: such as ``Dropout``'s ``_rng``, in tree order.
+        self.stochastic: List[Module] = []
         for prefix, module in root._walk():
             if module is not root:
                 self.descendants.append((prefix, module))
+            if isinstance(getattr(module, "_rng", None), np.random.Generator):
+                self.stochastic.append(module)
             dotted = f"{prefix}." if prefix else ""
             for key, parameter in module._parameters.items():
                 if parameter is not None:

@@ -56,11 +56,15 @@ class SGD:
             raise ValueError("SGD received an empty parameter list")
         #: ``(start, stop)`` of each parameter in the flat velocity and work
         #: space — its slice of the arena when the parameters are one.
-        self._bounds = []
-        start = 0
-        for parameter in self.parameters:
-            self._bounds.append((start, start + parameter.size))
-            start += parameter.size
+        arena = self._arena()
+        if arena is not None:
+            self._bounds = arena.bounds
+        else:
+            self._bounds = []
+            start = 0
+            for parameter in self.parameters:
+                self._bounds.append((start, start + parameter.size))
+                start += parameter.size
         self._velocity: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
 

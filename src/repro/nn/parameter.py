@@ -26,6 +26,15 @@ import numpy as np
 
 _epoch = 0
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _float32(values) -> np.ndarray:
+    """``values`` as a float32 ndarray: itself when it is one (no ``asarray`` call)."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT32:
+        return values
+    return np.asarray(values, dtype=np.float32)
+
 
 def arena_epoch() -> int:
     """The current arena epoch; arenas built under an older one are stale."""
@@ -93,14 +102,30 @@ class Parameter:
         """Reset the accumulated gradient."""
         self.grad = None
 
+    @property
+    def grad_slot(self) -> Optional[np.ndarray]:
+        """Where a kernel may write this parameter's next gradient itself.
+
+        The arena's gradient slot while no gradient is held, ``None`` once one
+        is (a later gradient is added to it) or when the parameter is bound to
+        no arena.  A kernel that writes the slot hands it to
+        :meth:`accumulate_grad` once the write has finished; until then the
+        parameter holds no gradient.
+        """
+        return self._grad_view if self.grad is None else None
+
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` to the accumulated gradient (creating it if needed).
 
         The first gradient after :meth:`zero_grad` is written into the arena's
         gradient slot when the parameter is bound (a private copy otherwise);
-        later ones are added to it in place.
+        later ones are added to it in place.  The slot itself, written by a
+        kernel through :attr:`grad_slot`, becomes the gradient without a copy.
         """
-        grad = np.asarray(grad, dtype=np.float32)
+        if self.grad is None and grad is self._grad_view and grad is not None:
+            self.grad = grad
+            return
+        grad = _float32(grad)
         if grad.shape != self._data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match parameter shape {self._data.shape}"
@@ -115,7 +140,7 @@ class Parameter:
 
     def copy_(self, values: np.ndarray) -> None:
         """In-place overwrite of the parameter value (used by load_state_dict)."""
-        values = np.asarray(values, dtype=np.float32)
+        values = _float32(values)
         if values.shape != self._data.shape:
             raise ValueError(
                 f"cannot load values of shape {values.shape} into parameter of shape "
