@@ -343,8 +343,12 @@ def decompress_state_dict(
     ``config`` only supplies the codec pool's cap (``max_codec_workers``);
     which codecs to use is read from the payload header, so a plain
     ``decompress_state_dict(blob)`` keeps decoding any FedSZ payload.  When
-    ``report`` is given, measured per-tensor decode times are recorded on it.
+    ``report`` is given, the decode's seconds (``decompress_seconds``, read on
+    the clock ``compress_seconds`` is) and the measured per-tensor decode times
+    are recorded on it.
     """
+    clock = lane_clock()
+    start = clock()
     config = config or FedSZConfig()
     header, lossy_payloads, lossless_blob = parse_fedsz_payload(payload)
     lossy_codec = _header_codec(get_lossy_compressor, header, "lossy_compressor")
@@ -386,4 +390,6 @@ def decompress_state_dict(
                 report.per_tensor_decompress_seconds[name] = share
 
     state.update(deserialize_named_arrays(lossless_codec.decompress(lossless_blob)))
+    if report is not None:
+        report.decompress_seconds = clock() - start
     return state

@@ -179,6 +179,29 @@ def test_figure8_crossover_band(figure8):
     assert any("worthwhile below" in note for note in figure8.notes)
 
 
+@pytest.mark.parametrize("device", [None, "raspberry-pi-5"])
+def test_figures_7_and_8_bill_a_measured_decode_on_the_host_only(monkeypatch, device):
+    from repro.network import LinkSpec
+
+    billed = []
+    estimate_upload = LinkSpec.estimate_upload
+
+    def recording(self, *args, **kwargs):
+        billed.append(kwargs.get("measured_decompress_seconds"))
+        return estimate_upload(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkSpec, "estimate_upload", recording)
+    small = {"max_elements_per_tensor": 20_000, "seed": 0, "device": device}
+    run_figure7(models=("alexnet",), error_bounds=(1e-2,), **small)
+    run_figure8(compressors=("sz2",), bandwidths_mbps=[10.0], **small)
+    measured = [seconds for seconds in billed if seconds is not None]
+    assert len(measured) == 2
+    if device is None:
+        assert all(seconds > 0 for seconds in measured)
+    else:  # a device link models its codec seconds; no decode runs on the host
+        assert measured == [0.0, 0.0]
+
+
 def test_default_bandwidth_sweep_is_log_spaced():
     bandwidths = default_bandwidths(9)
     assert bandwidths[0] == pytest.approx(1.0)
