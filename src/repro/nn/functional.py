@@ -320,7 +320,7 @@ def _depthwise_backward(
     padded: np.ndarray,
     stride: int,
     padding: int,
-    grad_weight: np.ndarray | None = None,
+    grad_weight: np.ndarray | None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(grad_input, grad_weight)`` of :func:`_depthwise_forward`.
 
@@ -554,4 +554,5 @@ def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Top-1 classification accuracy in [0, 1]."""
     if logits.shape[0] == 0:
         return 0.0
-    return int(np.count_nonzero(logits.argmax(axis=-1) == targets)) / logits.shape[0]
+    hits = logits.argmax(axis=-1) == targets
+    return int(np.count_nonzero(hits)) / hits.size

@@ -21,10 +21,11 @@ _UNMASKED = "unmasked"
 
 
 def _slot(parameter: Optional[Parameter], grad_output: np.ndarray) -> Optional[np.ndarray]:
-    """Where a backward kernel writes ``parameter``'s gradient: its arena slot
-    (:attr:`~repro.nn.parameter.Parameter.grad_slot`) on a float32 pass, else
-    ``None`` — a fresh array, which a float64 ``grad_output`` keeps in float64
-    until ``accumulate_grad`` rounds it, as the layers' own arithmetic reads it."""
+    """The destination a backward kernel writes ``parameter``'s gradient into:
+    its arena slot (:attr:`~repro.nn.parameter.Parameter.grad_slot`), or
+    ``None`` for a fresh array.  Only a float32 ``grad_output`` gets the slot;
+    the gradients of another dtype are computed in that dtype and rounded once,
+    by ``accumulate_grad``."""
     if parameter is None or grad_output.dtype != np.float32:
         return None
     return parameter.grad_slot

@@ -11,10 +11,12 @@ A model's parameters live in one :class:`ParameterArena` (built by
 and one of gradients, so that exporting, loading and stepping a model are a
 few whole-array operations instead of a walk over its parameters.  A bound
 parameter's ``data`` is a view into the values, and its ``grad``, once
-accumulated, a view into the gradients.  An arena is valid only as long as
-nothing is registered anywhere and no bound parameter's ``data`` is rebound:
-each such change bumps a process-wide epoch (:func:`invalidate_arenas`), and
-an arena or layout built under an older epoch is rebuilt on next use.
+accumulated, a view into the gradients, where the layers' backward kernels
+write a first gradient directly (:attr:`Parameter.grad_slot`).  An arena is
+valid only as long as nothing is registered anywhere and no bound parameter's
+``data`` is rebound: each such change bumps a process-wide epoch
+(:func:`invalidate_arenas`), and an arena or layout built under an older epoch
+is rebuilt on next use.
 """
 
 from __future__ import annotations
