@@ -8,7 +8,11 @@ planes of the narrowest integer width that can represent the indices.
 Payload format
 --------------
 Every payload is ``<B backend> <Q count> <B dtype code>`` followed by a zlib
-stream, so the decoder needs no configuration.  The dtype code names the
+stream, so the decoder needs no configuration.  The header declares the
+inflated size, so the body is inflated through
+:func:`repro.compression.inflate.inflate` (libdeflate where it loads, zlib
+otherwise) into a buffer of exactly that size, and a body that holds more,
+less, or anything after its stream fails closed.  The dtype code names the
 little-endian signed width (0/1/2/3 = int8/16/32/64).  Two backend codes are
 read:
 
@@ -46,6 +50,10 @@ REL bound  ratio deflate -> huffman  compress MB/s          decompress MB/s
 1e-2       6.813 -> 6.825 (+0.2%)    113-136 / 22.3-23.4    322-384 / 3.0-3.7
 1e-3       3.398 -> 3.993 (+17.5%)   72-87 / 11.6-12.8      182-210 / 1.8-1.9
 =========  ========================  =====================  ===================
+
+Both decompress columns were taken when decode inflated with zlib 1.2.13;
+libdeflate roughly halves the deflate side's inflate time (see
+:mod:`repro.compression.inflate`), which only widens the gap.
 
 The bar for a second coder was at least 3% more ratio at no less than half
 the speed.  At the paper's operating point, REL 1e-2, Huffman bought 0.2% and
@@ -95,6 +103,7 @@ import zlib
 import numpy as np
 
 from repro.compression.errors import CorruptPayloadError
+from repro.compression.inflate import inflate
 
 _BACKEND_DEFLATE = 0
 _BACKEND_PLANES = 2
@@ -112,11 +121,6 @@ _CODE_BY_ITEMSIZE = {1: 0, 2: 1, 4: 2, 8: 3}
 #: The run-length pass emitting fewer bits than this per input byte marks a
 #: highly structured stream, on which the LZ77 match search is also tried.
 _MATCH_SEARCH_BELOW_BITS = 2.0
-
-#: No DEFLATE stream inflates by more than this factor (a 258-byte match
-#: costs at least two bits), so a larger declared size is forged.
-_MAX_INFLATE_RATIO = 1032
-
 
 def _narrowest_signed_dtype(values: np.ndarray) -> np.dtype:
     """Smallest signed integer dtype that can hold every value exactly."""
@@ -139,25 +143,6 @@ def _deflate(raw: np.ndarray, level: int) -> bytes:
         if len(searched) < len(body):
             return searched
     return body
-
-
-def _inflate(body: bytes, nbytes: int) -> bytes:
-    """Inflate a zlib stream that must hold exactly ``nbytes``, in bounded memory."""
-    if nbytes > len(body) * _MAX_INFLATE_RATIO:
-        raise CorruptPayloadError(
-            f"entropy payload declares {nbytes} bytes, more than {len(body)} deflated bytes can hold"
-        )
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(body, nbytes + 1)
-    except zlib.error as error:
-        raise CorruptPayloadError(f"corrupt entropy payload body: {error}") from error
-    if len(raw) != nbytes or not inflater.eof:
-        raise CorruptPayloadError(
-            f"entropy payload declared {nbytes} bytes but its body is "
-            + ("longer" if len(raw) > nbytes else "truncated")
-        )
-    return raw
 
 
 def encode_indices(indices: np.ndarray, level: int = 6) -> bytes:
@@ -184,16 +169,15 @@ def decode_indices(payload: bytes) -> np.ndarray:
     if len(payload) < _HEADER.size:
         raise CorruptPayloadError("entropy payload too short")
     backend, count, dtype_code = _HEADER.unpack_from(payload, 0)
-    body = payload[_HEADER.size :]
     if backend not in (_BACKEND_DEFLATE, _BACKEND_PLANES):
         raise CorruptPayloadError(f"unknown entropy backend code {backend}")
     if dtype_code not in _DTYPE_BY_CODE:
         raise CorruptPayloadError(f"unknown entropy dtype code {dtype_code}")
     dtype = _DTYPE_BY_CODE[dtype_code]
-    raw = _inflate(body, count * dtype.itemsize)
+    raw = inflate(payload[_HEADER.size :], count * dtype.itemsize, "entropy payload")
     if backend == _BACKEND_DEFLATE:
-        return np.frombuffer(raw, dtype=dtype)
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, count)
+        return raw.view(dtype)
+    planes = raw.reshape(dtype.itemsize, count)
     values = np.empty(count, dtype=dtype)
     interleaved = values.view(np.uint8).reshape(count, dtype.itemsize)
     for position, plane in enumerate(planes):  # a transposed copy is 5x slower

@@ -4,16 +4,22 @@ The FedSZ paper compares blosc-lz, gzip, xz, zlib and zstd (Table II) and
 selects blosc-lz for the lossless path because it is by far the fastest while
 achieving a ratio comparable to the much slower xz.
 
-Offline substitutions (documented in DESIGN.md):
+Offline substitutions:
 
 * ``gzip``, ``zlib`` and ``xz`` wrap the genuine stdlib implementations.
 * ``blosc-lz`` is not installable offline; the stand-in reproduces its two key
   ingredients — a byte *shuffle* filter over the float stream followed by a
   fast LZ pass (DEFLATE at level 1) — which preserves the property the paper
-  relies on: the fastest codec in the suite with a competitive ratio.
+  relies on: the fastest codec in the suite with a competitive ratio.  Its
+  header declares the original length, so its body is inflated through
+  :func:`repro.compression.inflate.inflate` (libdeflate where it loads, zlib
+  otherwise) into a buffer of exactly that length: a forged body costs its
+  declared length, never what it would inflate to.
 * ``zstd`` is likewise unavailable; the stand-in is DEFLATE at a mid level,
   preserving Zstandard's position in Table II (slower than blosc-lz, ratio in
   the same band as gzip/zlib).
+* The ``zlib``, ``gzip``, ``zstd`` and ``xz`` payloads declare no size, so
+  they decode through the stdlib, and without a bound on what they inflate to.
 
 All codecs implement :class:`~repro.compression.base.LosslessCompressor` and
 produce self-describing payloads that round-trip exactly.  Decoding fails
@@ -34,6 +40,7 @@ import numpy as np
 
 from repro.compression.base import LosslessCompressor
 from repro.compression.errors import CorruptPayloadError
+from repro.compression.inflate import inflate
 
 _SHUFFLE_MAGIC = b"BLSC"
 _SHUFFLE_HEADER = struct.Struct("<4sBQ")
@@ -71,13 +78,13 @@ def byte_shuffle(data: bytes, itemsize: int) -> bytes:
     return head.T.tobytes() + data[usable:]
 
 
-def byte_unshuffle(data: bytes, itemsize: int, original_length: int) -> bytes:
-    """Inverse of :func:`byte_shuffle`."""
+def byte_unshuffle(data, itemsize: int, original_length: int) -> bytes:
+    """Inverse of :func:`byte_shuffle`; ``data`` is any bytes-like object."""
     if itemsize <= 1 or original_length < itemsize:
-        return data
+        return bytes(data)
     usable = (original_length // itemsize) * itemsize
-    head = np.frombuffer(data[:usable], dtype=np.uint8).reshape(itemsize, -1)
-    return head.T.tobytes() + data[usable:]
+    head = np.frombuffer(data, dtype=np.uint8, count=usable).reshape(itemsize, -1)
+    return head.T.tobytes() + bytes(data[usable:])
 
 
 class BloscLZCompressor(LosslessCompressor):
@@ -107,9 +114,7 @@ class BloscLZCompressor(LosslessCompressor):
             raise CorruptPayloadError(
                 f"blosc-lz payload shuffled {itemsize}-byte items, this codec {self.itemsize}-byte"
             )
-        shuffled = _inflate(self.name, zlib.decompress, payload[_SHUFFLE_HEADER.size :])
-        if len(shuffled) != original_length:
-            raise CorruptPayloadError("blosc-lz payload length mismatch after decompression")
+        shuffled = inflate(payload[_SHUFFLE_HEADER.size :], original_length, "blosc-lz payload")
         return byte_unshuffle(shuffled, itemsize, original_length)
 
 

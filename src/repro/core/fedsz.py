@@ -9,12 +9,12 @@ worthwhileness check for a given link bandwidth.
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.compression.base import ErrorBoundMode
+from repro.compression.inflate import crc32
 from repro.core.config import FedSZConfig
 from repro.core.pipeline import FedSZReport, compress_state_dict, decompress_state_dict
 from repro.network.decision import CompressionDecision, should_compress
@@ -27,7 +27,7 @@ def _payload_digest(payload: bytes) -> Tuple[int, int]:
     cryptographic hash of every payload, twice a round trip, was the one cost
     of a codec op that no span of the trace covered.
     """
-    return len(payload), zlib.crc32(payload)
+    return len(payload), crc32(payload)
 
 
 class FedSZCompressor:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 import struct
-import zlib
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Tuple
 
@@ -38,6 +37,7 @@ from repro.compression.base import (
     unpack_sections,
 )
 from repro.compression.errors import CorruptPayloadError
+from repro.compression.inflate import crc32
 
 _FORMAT_VERSION = 1
 _HEADER_KEY = "header"
@@ -54,7 +54,7 @@ def frame_checksummed(magic: bytes, payload: bytes) -> bytes:
     """
     if len(magic) != 4:
         raise ValueError(f"magic must be exactly 4 bytes, got {len(magic)}")
-    return magic + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    return magic + struct.pack("<I", crc32(payload)) + payload
 
 
 def unframe_checksummed(magic: bytes, blob: bytes) -> bytes:
@@ -70,7 +70,7 @@ def unframe_checksummed(magic: bytes, blob: bytes) -> bytes:
         )
     (expected,) = struct.unpack_from("<I", blob, 4)
     payload = blob[8:]
-    actual = zlib.crc32(payload) & 0xFFFFFFFF
+    actual = crc32(payload)
     if actual != expected:
         raise CorruptPayloadError(
             f"frame checksum mismatch (stored {expected:#010x}, computed "

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import SZ2Compressor, SZ3Compressor, ZFPCompressor
+from repro.compression import SZ2Compressor, SZ3Compressor, ZFPCompressor, inflate
 from repro.compression.base import pack_sections, unpack_sections
 from repro.compression.entropy import decode_indices, encode_indices
 from repro.compression.errors import CorruptPayloadError
@@ -84,17 +84,18 @@ def test_the_retired_huffman_payload_fails_closed():
 
 
 @pytest.mark.parametrize("itemsize", [1, 2, 4, 8])
-@pytest.mark.parametrize("count", [1, 1000])
-def test_roundtrip_at_every_width(itemsize, count, rng):
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_roundtrip_at_every_width(itemsize, count, rng, inflate_backend):
     limit = 2 ** (8 * itemsize - 1)
     indices = rng.integers(-limit, limit, size=count, dtype=np.int64)
-    indices[0] = limit - 1  # pin the width whatever the draw
+    indices[:1] = limit - 1  # pin the width whatever the draw
+    width = itemsize if count else 1  # no index at all is held as int8
     payload = encode_indices(indices)
     # int8 stays a plain code-0 stream (old decoders read it); wider is planes.
-    assert payload[0] == (0 if itemsize == 1 else 2)
-    assert payload[9] == {1: 0, 2: 1, 4: 2, 8: 3}[itemsize]
+    assert payload[0] == (0 if width == 1 else 2)
+    assert payload[9] == {1: 0, 2: 1, 4: 2, 8: 3}[width]
     decoded = decode_indices(payload)
-    assert decoded.dtype.itemsize == itemsize
+    assert decoded.dtype.itemsize == width
     np.testing.assert_array_equal(decoded, indices)
 
 
@@ -157,30 +158,48 @@ def _forge(payload: bytes, backend=None, count=None, body=None) -> bytes:
     return bytes(header) + (payload[10:] if body is None else body)
 
 
-@pytest.mark.parametrize("width", ["int8", "int16"])
-def test_hostile_entropy_payloads_raise_the_typed_error(width, rng):
+def _hostile(width: str, rng) -> dict:
     indices = rng.integers(-5, 5, size=4000) * (1 if width == "int8" else 300)
     payload = encode_indices(indices)
-    hostile = {
+    return {
         "forged count 2**60": _forge(payload, count=2**60),
         "count beyond the deflate ceiling": _forge(payload, count=(len(payload) - 10) * 1032 + 1),
         "count one too many": _forge(payload, count=indices.size + 1),
         "count one too few": _forge(payload, count=indices.size - 1),
         "truncated body": payload[:-7],
         "truncated checksum": payload[:-1],
+        "bytes after the stream": payload + b"junkjunk",
         "garbage body": _forge(payload, body=bytes(range(256)) * 4),
         "bit flip": payload[:40] + bytes([payload[40] ^ 0x10]) + payload[41:],
         "zip bomb": _forge(payload, body=zlib.compress(bytes(50_000_000))),
         "unknown backend": _forge(payload, backend=7),
         "huffman garbage": _forge(payload, backend=1, body=b"\x00" * 64),
     }
+
+
+#: What each failure says, whichever inflate path ran.
+WORDING = {
+    "count beyond the deflate ceiling": "deflated bytes can hold",
+    "count one too many": "body is truncated",
+    "count one too few": "body is longer",
+    "truncated body": "body is truncated",
+    "bytes after the stream": "8 bytes after the end of its zlib stream",
+    "garbage body": "entropy payload is corrupt",
+    "zip bomb": "body is longer",
+}
+
+
+@pytest.mark.parametrize("width", ["int8", "int16"])
+def test_hostile_entropy_payloads_raise_the_typed_error(width, rng, inflate_backend):
+    hostile = _hostile(width, rng)
     tracemalloc.start()
     try:
         for what, blob in hostile.items():
             try:
                 decode_indices(blob)
-            except CorruptPayloadError:
-                continue  # zlib.error or MemoryError would escape as themselves
+            except CorruptPayloadError as error:  # zlib.error or MemoryError would escape
+                assert WORDING.get(what, "") in str(error), (what, str(error))
+                continue
             pytest.fail(f"{what}: decoded without an error")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -190,8 +209,27 @@ def test_hostile_entropy_payloads_raise_the_typed_error(width, rng):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("width", ["int8", "int16"])
+def test_both_inflate_paths_word_every_failure_alike(width, rng, monkeypatch):
+    if inflate.backend() != "libdeflate":
+        pytest.skip("libdeflate.so.0 does not load on this host")
+    hostile = _hostile(width, rng)
+
+    def messages() -> dict:
+        said = {}
+        for what, blob in hostile.items():
+            with pytest.raises(CorruptPayloadError) as caught:
+                decode_indices(blob)
+            said[what] = str(caught.value)
+        return said
+
+    fast = messages()
+    monkeypatch.setattr(inflate, "_libdeflate", None)
+    assert messages() == fast
+
+
 @pytest.mark.parametrize("backend", [1, 3, 127, 128, 255])
-def test_backend_codes_but_0_and_2_fail_closed_before_inflating(backend):
+def test_backend_codes_but_0_and_2_fail_closed_before_inflating(backend, inflate_backend):
     bomb = zlib.compress(bytes(50_000_000))
     payload = struct.pack("<BQB", backend, 50_000_000, 0) + bomb
     tracemalloc.start()
@@ -257,7 +295,7 @@ def _peak_while_rejected(decode, payload) -> int:
         tracemalloc.stop()
 
 
-def test_huffman_bomb_fails_closed_before_inflating(huffman_bomb):
+def test_huffman_bomb_fails_closed_before_inflating(huffman_bomb, inflate_backend):
     assert len(huffman_bomb) < 270_000
     assert _peak_while_rejected(decode_indices, huffman_bomb) <= 4_000_000
 

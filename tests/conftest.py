@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import inflate as _inflate
 from repro.compression import registry as _compressor_registry
 from repro.utils.seeding import set_global_seed
 
@@ -31,6 +32,17 @@ def _isolated_compressor_registry():
     _compressor_registry._LOSSY_FACTORIES.update(lossy)
     _compressor_registry._LOSSLESS_FACTORIES.clear()
     _compressor_registry._LOSSLESS_FACTORIES.update(lossless)
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def inflate_backend(request, monkeypatch) -> str:
+    """Run the test on each path of :mod:`repro.compression.inflate`: the
+    system's libdeflate, and the zlib fallback a host without it takes."""
+    if request.param == "zlib":
+        monkeypatch.setattr(_inflate, "_libdeflate", None)
+    elif _inflate.backend() != "libdeflate":
+        pytest.skip("libdeflate.so.0 does not load on this host")
+    return request.param
 
 
 @pytest.fixture

@@ -89,6 +89,6 @@ def _decode_v3(name: str, payload: bytes):
 
 
 @pytest.mark.parametrize("name", sorted(V3_DIGESTS))
-def test_version_3_payloads_still_decode(name):
+def test_version_3_payloads_still_decode(name, inflate_backend):
     restored = _decode_v3(name, (V3 / name).read_bytes())
     assert array_digest(restored) == V3_DIGESTS[name]["reconstruction"]
