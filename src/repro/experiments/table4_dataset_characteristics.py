@@ -1,10 +1,10 @@
 """Table IV — dataset characteristics used for FedSZ benchmarking.
 
 The reproduction replaces the real datasets with synthetic stand-ins (see
-DESIGN.md); this harness documents that the stand-ins preserve the columns
-the paper reports — sample counts, input dimensions and class counts — and
-records the synthetic-generation parameters actually used by the federated
-experiments.
+:mod:`repro.data.datasets`); this harness documents that the stand-ins
+preserve the columns the paper reports — sample counts, input dimensions and
+class counts — and records the synthetic-generation parameters actually used
+by the federated experiments.
 """
 
 from __future__ import annotations

@@ -69,18 +69,17 @@ class FLConfig:
     max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.num_clients)
-        except TypeError:
-            raise ValueError(f"num_clients must be an integer, got {self.num_clients!r}") from None
-        if self.num_clients <= 0:
-            raise ValueError(f"num_clients must be positive, got {self.num_clients}")
-        if self.rounds <= 0:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
-        if self.local_epochs <= 0:
-            raise ValueError(f"local_epochs must be positive, got {self.local_epochs}")
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        for name in ("num_clients", "rounds", "local_epochs", "batch_size", "eval_batch_size",
+                     "max_workers"):
+            value = getattr(self, name)
+            if value is None and name == "max_workers":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both comparisons.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
@@ -109,9 +108,5 @@ class FLConfig:
             raise ValueError(
                 f"learning_rate_decay must lie in (0, 1], got {self.learning_rate_decay}"
             )
-        if self.eval_batch_size <= 0:
-            raise ValueError(f"eval_batch_size must be positive, got {self.eval_batch_size}")
         if self.executor.lower().replace("_", "-") not in {"serial", "process"}:
             raise ValueError(f"executor must be 'serial' or 'process', got {self.executor!r}")
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {self.max_workers}")

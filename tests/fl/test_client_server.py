@@ -232,6 +232,11 @@ def test_a_failing_lane_raises_the_serial_error_and_joins_its_threads(
         ("num_clients", 2.5),
         ("num_clients", 4.0),
         ("num_clients", "4"),
+        ("local_epochs", float("nan")),
+        ("batch_size", 2.5),
+        ("rounds", float("inf")),
+        ("eval_batch_size", 1.5),
+        ("max_workers", float("nan")),
     ],
 )
 def test_flconfig_rejects_nonsense_at_construction(field, value):
