@@ -1,11 +1,13 @@
 """Federated-learning runtime (the APPFL/FedAvg stand-in), in three layers.
 
-One event engine (:mod:`repro.fl.events`) drives every round; around it the
+:meth:`FederatedRuntime.run` is the run loop: a round, then a checkpoint if
+one is due, then the fault injector.  The engine (:mod:`repro.fl.events`) runs
+each round over an incrementally kept reachable-client set; around it the
 runtime separates the three concerns a real FL stack separates:
 
-* **scheduler** (:mod:`repro.fl.scheduler`) — what a round means:
-  synchronous FedAvg, semi-synchronous with a straggler deadline, or
-  asynchronous staleness-weighted mixing;
+* **scheduler** (:mod:`repro.fl.scheduler`) — what a round means, decided
+  from the round's results: synchronous FedAvg, semi-synchronous with a
+  straggler deadline, or asynchronous staleness-weighted mixing;
 * **executor** (:mod:`repro.fl.executor`) — how client work runs: trained in
   sequence with uploads coded on one lane per core (:class:`SerialExecutor`),
   or on a persistent shared-nothing worker-process pool

@@ -26,6 +26,19 @@ def participant_count(client_fraction: float, num_clients: int) -> int:
     return max(1, min(count, num_clients))
 
 
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (``operator.index`` accepts it) of at least ``minimum`` (0 or 1)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(
+            f"{name} must be {'positive' if minimum else 'non-negative'}, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class FLConfig:
     """Hyper-parameters of one federated simulation.
@@ -74,12 +87,7 @@ class FLConfig:
             value = getattr(self, name)
             if value is None and name == "max_workers":
                 continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            require_count(name, value)
         # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both comparisons.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(

@@ -1,32 +1,26 @@
-"""Discrete-event engine: the round loop of every federated run.
+"""Fleet engine: one federated round, with the reachable set kept incrementally.
 
-Rounds and control actions flow through a deterministic event queue, and the
-reachable-client set is maintained incrementally, so per-round work scales
-with **participants + availability transitions** — the events that actually
-happen — and a 100k–1M-client fleet costs what its activity costs, not what
-its census costs.
+The paper's round is a barrier: clients train, compress and upload, and the
+server closes the round once every upload has landed or been cut.  The engine
+runs one such round: it brings the reachable-client set up to the round, lets
+the runtime sample, broadcast and execute, and hands the results to the
+scheduler, which closes the round from them (:mod:`repro.fl.scheduler`).  The
+run loop (a round, then a due checkpoint, then the fault injector) is
+:meth:`repro.fl.runtime.FederatedRuntime.run`.
 
 Pieces:
 
-* :class:`EventQueue` — a deterministic priority queue (``heapq``) ordered by
-  ``(time, seq)``.  The monotone sequence number makes ties reproducible:
-  two events at the same instant pop in push order, never in hash or
-  comparison-of-payload order.
-* Typed events (:class:`Event`) — round start, per-client completion (timed
-  by the transport's simulated link seconds, which unifies the virtual
-  clock), straggler deadline, checkpoint due, and fault injection.
 * :class:`EligibleSet` — the incrementally maintained "who is reachable"
   set, a one-``bool``-per-client bitmap.  Availability schedules compile into
-  arrival/departure event streams
+  arrival/departure streams
   (:meth:`repro.fl.scenarios.ParticipationSchedule.transitions`) instead of
   per-round full-fleet masks; applying a stream is two scatters, and the ids
   it yields reproduce ``np.nonzero(mask)[0]`` bit for bit.
-* :class:`FleetEngine` — drives a :class:`~repro.fl.runtime.FederatedRuntime`
-  from the queue.  Schedulers consume the round's completion events
-  (``consume_events``): synchronous FedAvg is the degenerate barrier case
-  (drain everything), the semi-synchronous deadline is a
-  :data:`STRAGGLER_DEADLINE` event cutting the stream, and the asynchronous
-  scheduler mixes deliveries in pop order.
+* :class:`FleetEngine` — one per runtime: folds each round's transitions into
+  the set, so per-round work scales with **participants + availability
+  transitions** and a 100k–1M-client fleet costs what its activity costs, not
+  what its census costs.
+* :class:`EngineStats` — that accounting, per engine.
 
 Determinism contract
 --------------------
@@ -35,17 +29,16 @@ pure function of the seed under every executor and across kill+resume
 (asserted at 256 clients for sync/semi-sync/async × serial/process in
 ``tests/integration/test_event_engine.py``):
 
-* Within a round, event times are **round-relative** turnaround durations,
-  never re-based onto the global clock (float addition is not associative;
-  ``t0 + a <= t0 + b`` can disagree with ``a <= b``).  The run-level virtual
-  clock advances by each round's ``simulated_round_seconds`` instead.
-* Completion events are pushed in task order, so pop order is
-  ``(turnaround, task order)`` — and since participants are sorted by client
-  id, that is an arrival sort by ``(turnaround_seconds, client_id)``.  The
-  deadline event is pushed after the completions, so a completion at exactly
-  the deadline drains first: ``turnaround <= deadline`` is on time.
-* Aggregation happens in **task order** from the results list (events decide
-  membership and timing only), so float summation order never changes.
+* A round closes on round-relative turnaround durations, never re-based onto
+  a global clock (float addition is not associative; ``t0 + a <= t0 + b``
+  can disagree with ``a <= b``).
+* Results arrive in task order, which is ascending client id.  Arrival order
+  is a stable sort of them by turnaround, so simultaneous arrivals keep
+  ascending client id; the semi-sync deadline is inclusive
+  (``turnaround <= deadline`` is on time).
+* Sync and semi-sync aggregate in task order, so float summation order never
+  depends on arrival order; async mixes in arrival order, which is a pure
+  function of the results.
 * Sampling consumes the same RNG stream: the eligible ids handed to the
   sampler equal ``np.nonzero(mask)[0]`` exactly, and
   ``Generator.choice``'s draws depend only on the pool size and draw count.
@@ -53,72 +46,11 @@ pure function of the seed under every executor and across kill+resume
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-#: A new round opens: sample the eligible fleet, broadcast, dispatch tasks.
-ROUND_START = "round-start"
-#: One participant's update finished its simulated receive→train→transmit arc.
-CLIENT_COMPLETION = "client-completion"
-#: The semi-synchronous scheduler's cutoff: later completions are stragglers.
-STRAGGLER_DEADLINE = "straggler-deadline"
-#: A checkpoint is due (persisted before any fault can fire).
-CHECKPOINT_DUE = "checkpoint-due"
-#: The fault injector is consulted (the worst-case crash point).
-FAULT_INJECTION = "fault-injection"
-
-
-@dataclass
-class Event:
-    """One typed occurrence on the virtual clock.
-
-    ``time`` is round-relative (a turnaround duration) for within-round
-    events and absolute virtual seconds for run-level control events — see
-    the module docstring's determinism contract for why the two never mix.
-    """
-
-    kind: str
-    time: float
-    round_index: int = -1
-    client_id: Optional[int] = None
-    #: The :class:`~repro.fl.executor.ClientResult` behind a completion.
-    result: Optional[object] = None
-
-
-class EventQueue:
-    """Deterministic priority queue: pops by ``(time, push order)``.
-
-    Events never compare against each other — the heap entries are
-    ``(time, seq, event)`` and the monotone ``seq`` breaks every time tie —
-    so pop order is a pure function of the push sequence.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[tuple] = []
-        self._seq = 0
-
-    def push(self, event: Event) -> None:
-        """Enqueue ``event`` at ``event.time``."""
-        heapq.heappush(self._heap, (float(event.time), self._seq, event))
-        self._seq += 1
-
-    def pop(self) -> Event:
-        """Dequeue the earliest event (FIFO within one instant)."""
-        return heapq.heappop(self._heap)[2]
-
-    def peek_time(self) -> float:
-        """The time of the next event without dequeuing it."""
-        return self._heap[0][0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 def _checked_ids(batch, num_clients: Optional[int]) -> np.ndarray:
@@ -217,29 +149,22 @@ class EngineStats:
 
     rounds_run: int = 0
     participants: int = 0
-    completion_events: int = 0
     availability_transitions: int = 0
-    control_events: int = 0
     #: Per-round client touches: participants + availability transitions.
     round_touches: List[int] = field(default_factory=list)
 
     @property
     def total_events(self) -> int:
-        """Every event the engine processed (the basis of ``events_per_round``)."""
-        return (
-            self.rounds_run
-            + self.completion_events
-            + self.availability_transitions
-            + self.control_events
-        )
+        """Round starts, client completions and availability transitions
+        (the basis of ``events_per_round``)."""
+        return self.rounds_run + self.participants + self.availability_transitions
 
 
 class FleetEngine:
-    """Drive a :class:`~repro.fl.runtime.FederatedRuntime` by events.
+    """Run the rounds of a :class:`~repro.fl.runtime.FederatedRuntime`.
 
-    Every runtime owns one.  :meth:`run_round` executes a single round;
-    :meth:`run` owns a whole run including checkpointing and fault
-    injection.  See the module docstring for the determinism contract.
+    Every runtime owns one.  See the module docstring for the determinism
+    contract.
     """
 
     def __init__(self, runtime) -> None:
@@ -253,26 +178,6 @@ class FleetEngine:
         #: (-1 = never advanced, forcing a mask rebuild on first use).
         self._availability_round = -1
 
-    # ------------------------------------------------------------------
-    # Virtual clock
-    # ------------------------------------------------------------------
-    @property
-    def virtual_time(self) -> float:
-        """Absolute simulated seconds elapsed: the sum of round durations.
-
-        Derived from the history rather than accumulated privately, so a
-        resumed engine's clock is automatically exact.
-        """
-        return float(
-            sum(
-                record.simulated_round_seconds
-                for record in self.runtime.history.records
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Availability event stream
-    # ------------------------------------------------------------------
     def _advance_availability(self, round_index: int) -> Tuple[Optional[np.ndarray], int]:
         """Bring the eligible set to ``round_index``; return ``(ids, touches)``.
 
@@ -300,110 +205,17 @@ class FleetEngine:
         self._availability_round = round_index
         return self.eligible.ids(), self.eligible.touched - before
 
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
     def run_round(self):
-        """Execute one round by feeding its events to the scheduler."""
+        """Run one round and let the scheduler close it from its results."""
         runtime = self.runtime
-        round_index = len(runtime.history)
-        eligible, touches = self._advance_availability(round_index)
+        eligible, touches = self._advance_availability(len(runtime.history))
         context = runtime.start_round(eligible=eligible)
         results = runtime.execute_clients(context)
-
-        events = EventQueue()
-        for result in results:  # task order: ties pop by ascending client id
-            events.push(
-                Event(
-                    kind=CLIENT_COMPLETION,
-                    time=result.turnaround_seconds,
-                    round_index=round_index,
-                    client_id=result.client_id,
-                    result=result,
-                )
-            )
-        deadline = getattr(runtime.scheduler, "deadline_seconds", None)
-        if deadline is not None:
-            # Pushed after the completions: an update landing exactly at the
-            # deadline has a smaller sequence number and drains first, so
-            # `turnaround <= deadline` counts as on time.
-            events.push(
-                Event(kind=STRAGGLER_DEADLINE, time=float(deadline), round_index=round_index)
-            )
-            self.stats.control_events += 1
-
-        record = runtime.scheduler.consume_events(runtime, context, results, events)
-
+        record = runtime.scheduler.consume_events(runtime, context, results)
         self.stats.rounds_run += 1
         self.stats.participants += len(results)
-        self.stats.completion_events += len(results)
         self.stats.round_touches.append(len(results) + touches)
         return record
 
-    # ------------------------------------------------------------------
-    # Whole runs
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        target: int,
-        *,
-        directory=None,
-        checkpoint_every: int = 1,
-        keep_checkpoints: int = 3,
-        injector=None,
-    ) -> None:
-        """Drive the run to ``target`` completed rounds through the queue.
 
-        Control events fire at the absolute virtual time the round closed;
-        at equal times the push order decides: checkpoint, then fault, then
-        the next round start — a fault fires only after the round's snapshot
-        is durable.
-        """
-        runtime = self.runtime
-        queue = EventQueue()
-        if len(runtime.history) < target:
-            queue.push(
-                Event(
-                    kind=ROUND_START,
-                    time=self.virtual_time,
-                    round_index=len(runtime.history),
-                )
-            )
-        while queue:
-            event = queue.pop()
-            if event.kind == ROUND_START:
-                self.run_round()
-                completed = len(runtime.history)
-                now = self.virtual_time
-                if directory is not None and (
-                    completed % checkpoint_every == 0 or completed >= target
-                ):
-                    queue.push(
-                        Event(kind=CHECKPOINT_DUE, time=now, round_index=completed - 1)
-                    )
-                if injector is not None:
-                    queue.push(
-                        Event(kind=FAULT_INJECTION, time=now, round_index=completed - 1)
-                    )
-                if completed < target:
-                    queue.push(Event(kind=ROUND_START, time=now, round_index=completed))
-            elif event.kind == CHECKPOINT_DUE:
-                self.stats.control_events += 1
-                runtime._write_due_checkpoint(directory, keep_checkpoints)
-            elif event.kind == FAULT_INJECTION:
-                self.stats.control_events += 1
-                runtime._consult_injector(injector, event.round_index, directory)
-
-
-__all__ = [
-    "ROUND_START",
-    "CLIENT_COMPLETION",
-    "STRAGGLER_DEADLINE",
-    "CHECKPOINT_DUE",
-    "FAULT_INJECTION",
-    "Event",
-    "EventQueue",
-    "EligibleSet",
-    "EngineStats",
-    "FleetEngine",
-]
+__all__ = ["EligibleSet", "EngineStats", "FleetEngine"]

@@ -82,6 +82,10 @@ OBSERVATIONAL_ROUND_RECORD_FIELDS = frozenset({
     "tensor_bound_utilization",
 })
 
+# The fields TrainingHistory.deterministic_rows copies, in a fixed order.
+_RECORD_ROW_FIELDS = sorted(DETERMINISTIC_ROUND_RECORD_FIELDS - {"client_stats"})
+_CLIENT_ROW_FIELDS = sorted(DETERMINISTIC_CLIENT_ROUND_STAT_FIELDS)
+
 # Per-round means of the RoundRecord fields of the same class.
 DETERMINISTIC_EPOCH_TIME_BREAKDOWN_FIELDS = frozenset({"communication_seconds"})
 
@@ -408,53 +412,25 @@ class TrainingHistory:
         return history
 
     def deterministic_rows(self) -> List[Dict]:
-        """The simulation-determined fields of every record.
+        """The deterministic fields of every record, as plain dicts.
 
-        Everything a seeded run reproduces exactly regardless of host speed or
-        executor choice: accuracies, losses, byte counts, modelled link times
-        and participation flags.  Host-measured wall-clock fields
-        (``train_seconds``, ``compress_seconds``, turnarounds and the round
-        times derived from them) are excluded — two runs of the same seed
-        differ there by scheduling noise.  The kill-and-resume integration
-        test compares these rows bit-for-bit against an uninterrupted run.
+        The fields are exactly the ``DETERMINISTIC_*_FIELDS`` sets above:
+        everything a seeded run reproduces regardless of host speed or
+        executor choice (accuracies, losses, byte counts, modelled link times,
+        participation flags).  Two keys keep their historical names, so
+        digests of these rows stay put: ``round_index`` is ``"round"`` and
+        ``client_stats`` is ``"clients"``.  The kill-and-resume and executor
+        parity suites compare these rows bit for bit.
         """
         rows: List[Dict] = []
         for record in self.records:
-            rows.append(
-                {
-                    "round": record.round_index,
-                    "global_accuracy": record.global_accuracy,
-                    "global_loss": record.global_loss,
-                    "mean_client_loss": record.mean_client_loss,
-                    "mean_client_accuracy": record.mean_client_accuracy,
-                    "uplink_bytes": record.uplink_bytes,
-                    "uplink_seconds": record.uplink_seconds,
-                    "downlink_bytes": record.downlink_bytes,
-                    "downlink_seconds": record.downlink_seconds,
-                    "downlink_aggregate_seconds": record.downlink_aggregate_seconds,
-                    "mean_compression_ratio": record.mean_compression_ratio,
-                    "participating_clients": record.participating_clients,
-                    "dropped_clients": record.dropped_clients,
-                    "straggler_clients": record.straggler_clients,
-                    "clients": [
-                        {
-                            "client_id": stat.client_id,
-                            "num_samples": stat.num_samples,
-                            "train_loss": stat.train_loss,
-                            "train_accuracy": stat.train_accuracy,
-                            "payload_nbytes": stat.payload_nbytes,
-                            "compression_ratio": stat.compression_ratio,
-                            "transfer_seconds": stat.transfer_seconds,
-                            "downlink_seconds": stat.downlink_seconds,
-                            "delivered": stat.delivered,
-                            "aggregated": stat.aggregated,
-                            "staleness": stat.staleness,
-                            "weight": stat.weight,
-                        }
-                        for stat in record.client_stats
-                    ],
-                }
-            )
+            row = {name: getattr(record, name) for name in _RECORD_ROW_FIELDS}
+            row["round"] = row.pop("round_index")
+            row["clients"] = [
+                {name: getattr(stat, name) for name in _CLIENT_ROW_FIELDS}
+                for stat in record.client_stats
+            ]
+            rows.append(row)
         return rows
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The layered federated runtime: engine + scheduler + executor + transport.
 
 :class:`FederatedRuntime` owns the server, the client population and the
-round-by-round history.  One **engine** (:mod:`repro.fl.events`) is the round
-loop — rounds, checkpoints and fault injection flow through a deterministic
-event queue — and three orthogonal concerns are pluggable layers around it:
+round-by-round history.  :meth:`FederatedRuntime.run` is the run loop: a
+round, then a checkpoint if one is due, then the fault injector, until the
+target round count.  One **engine** (:mod:`repro.fl.events`) runs each round
+over an incrementally maintained reachable-client set, and three orthogonal
+concerns are pluggable layers around it:
 
 * the **scheduler** (:mod:`repro.fl.scheduler`) decides what a round means —
   synchronous FedAvg, semi-synchronous with a straggler deadline, or
@@ -38,7 +40,7 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.data.partition import partition_dataset
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload
 from repro.fl.client import FLClient
-from repro.fl.config import FLConfig, participant_count
+from repro.fl.config import FLConfig, participant_count, require_count
 from repro.fl.events import FleetEngine
 from repro.fl.executor import ClientResult, ClientTask, build_executor
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
@@ -197,9 +199,8 @@ class FederatedRuntime:
         if callable(bind):
             bind(self)
 
-        #: The round loop (:mod:`repro.fl.events`): rounds and control actions
-        #: flow through a deterministic event queue and the eligible set is
-        #: maintained incrementally from availability transitions.
+        #: Runs each round (:mod:`repro.fl.events`), keeping the eligible set
+        #: incrementally from availability transitions.
         self.engine = FleetEngine(self)
 
     def close(self) -> None:
@@ -248,9 +249,15 @@ class FederatedRuntime:
         with, e.g. a :class:`~repro.fl.scenarios.ServerCrashSchedule`) is
         consulted *after* each round's checkpoint is persisted — the
         worst-case crash point — and may raise to kill the run.
+
+        ``rounds`` must be ``None`` or a non-negative integer, and
+        ``checkpoint_every`` and ``keep_checkpoints`` positive integers; anything
+        else raises ``ValueError`` before a round trains.
         """
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
+        if rounds is not None:
+            require_count("rounds", rounds, minimum=0)
+        require_count("checkpoint_every", checkpoint_every)
+        require_count("keep_checkpoints", keep_checkpoints)
         injector = fault_injector if fault_injector is not None else self.fault_injector
         directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
         monitor = self.monitor
@@ -286,13 +293,15 @@ class FederatedRuntime:
         if monitor is not None:
             monitor.run_started(self, target_rounds=target)
         try:
-            self.engine.run(
-                target,
-                directory=directory,
-                checkpoint_every=checkpoint_every,
-                keep_checkpoints=keep_checkpoints,
-                injector=injector,
-            )
+            while len(self.history) < target:
+                self.run_round()
+                completed = len(self.history)
+                if directory is not None and (
+                    completed % checkpoint_every == 0 or completed >= target
+                ):
+                    self._write_checkpoint(directory, keep_checkpoints)
+                if injector is not None:
+                    self._consult_injector(injector, completed - 1, directory)
         except BaseException as error:
             if monitor is not None:
                 monitor.run_finished(status="crashed", error=error)
@@ -301,9 +310,8 @@ class FederatedRuntime:
             monitor.run_finished(status="completed")
         return self.history
 
-    def _write_due_checkpoint(self, directory: Path, keep_checkpoints: int) -> None:
-        """Persist a checkpoint for the last completed round (the engine
-        decides when one is due)."""
+    def _write_checkpoint(self, directory: Path, keep_checkpoints: int) -> None:
+        """Persist a checkpoint for the last completed round."""
         from repro.fl.checkpoint import capture_runtime, write_checkpoint
 
         path = write_checkpoint(

@@ -91,8 +91,8 @@ class ParticipationSchedule:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(arrivals, departures)`` client-id arrays entering round ``round_index``.
 
-        The availability *event stream* consumed by the event engine
-        (:mod:`repro.fl.events`): ids that became reachable since the
+        The availability transitions the engine (:mod:`repro.fl.events`)
+        folds into its eligible set: ids that became reachable since the
         previous round and ids that dropped off.  Round 0 diffs against an
         empty fleet, so its arrivals are exactly ``nonzero(mask(0))``.
         Applying the stream incrementally reproduces every round's mask bit

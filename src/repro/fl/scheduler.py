@@ -13,10 +13,11 @@ and how long the round takes in simulated time.
   (FedAsync-style): delivered updates are applied one at a time in arrival
   order, each with weight ``mixing_rate * (1 + staleness)**-staleness_exponent``.
 
-Schedulers are pure event consumers: the engine (:mod:`repro.fl.events`)
-samples, broadcasts and executes the round, then hands each scheduler's
-``consume_events`` the completion events to close it.  Client execution
-belongs to the executor layer and per-client links to the transport layer.
+The engine (:mod:`repro.fl.events`) samples, broadcasts and executes the
+round, then hands the scheduler's ``consume_events`` the round's results in
+task order (ascending client id); the scheduler closes the round from them.
+Client execution belongs to the executor layer and per-client links to the
+transport layer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.fl.aggregation import mix_states
-from repro.fl.events import CLIENT_COMPLETION, STRAGGLER_DEADLINE
 from repro.fl.history import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,14 +40,11 @@ class RoundScheduler:
         """Execute one round against the runtime and return its record."""
         return runtime.run_round()
 
-    def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Close the round from its event stream.
+    def consume_events(self, runtime, context, results) -> RoundRecord:
+        """Close the round from its ``results`` (task order).
 
-        ``events`` pops the round's completions by ``(turnaround, client id)``
-        (plus a :data:`~repro.fl.events.STRAGGLER_DEADLINE` when the scheduler
-        declares ``deadline_seconds``); ``results`` holds the same updates in
-        task order.  Decide who aggregates and how long the round took, then
-        return ``runtime.finish_round(...)``.
+        Decide who aggregates and how long the round took, then return
+        ``runtime.finish_round(...)``.
         """
         raise NotImplementedError
 
@@ -67,19 +64,15 @@ class SynchronousScheduler(RoundScheduler):
 
     name = "sync"
 
-    def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """The barrier: drain every completion, then aggregate.
+    def consume_events(self, runtime, context, results) -> RoundRecord:
+        """The barrier: wait for every participant, then aggregate.
 
-        The round closes at the last completion event, delivered or not — the
+        The round closes at the slowest turnaround, delivered or not — the
         server only learns an update was lost in transit once its transfer
-        window has passed.  Aggregation walks ``results`` in task order, not
-        pop order, so float summation order is the same under every executor.
+        window has passed.  Aggregation walks ``results`` in task order, so
+        float summation order is the same under every executor.
         """
-        round_seconds = 0.0
-        while events:
-            event = events.pop()
-            if event.kind == CLIENT_COMPLETION:
-                round_seconds = event.time  # pops ascend: last one is the max
+        round_seconds = max((r.turnaround_seconds for r in results), default=0.0)
         delivered = [result for result in results if result.delivered]
         if delivered:
             runtime.server.aggregate(
@@ -107,35 +100,28 @@ class SemiSynchronousScheduler(RoundScheduler):
     def state_dict(self) -> dict:
         return {"name": self.name, "deadline_seconds": self.deadline_seconds}
 
-    def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """The deadline: completions race a deadline event.
+    def consume_events(self, runtime, context, results) -> RoundRecord:
+        """The deadline: deliveries landing by it aggregate, the rest are cut.
 
-        Deliveries popping before the :data:`~repro.fl.events.STRAGGLER_DEADLINE`
-        event are on time; the engine pushes the deadline after the
-        completions, so an update landing at exactly the deadline drains
-        first (``turnaround <= deadline`` is on time).  The round runs to the
-        deadline whenever any expected update is missing at close — cut
-        stragglers *and* updates dropped in transit, which the server cannot
-        tell apart until then.  Aggregation walks ``results`` in task order,
-        not pop order.
+        An update landing at exactly the deadline is on time
+        (``turnaround <= deadline``).  The round runs to the deadline whenever
+        any expected update is missing at close — cut stragglers *and*
+        updates dropped in transit, which the server cannot tell apart until
+        then — and otherwise closes at the last on-time delivery.
+        Aggregation walks ``results`` in task order.
         """
-        on_time_ids = set()
-        last_on_time = 0.0
-        while events:
-            event = events.pop()
-            if event.kind == STRAGGLER_DEADLINE:
-                break  # everything still queued is a straggler
-            if event.kind == CLIENT_COMPLETION and event.result.delivered:
-                on_time_ids.add(event.client_id)
-                last_on_time = event.time
-        on_time = [r for r in results if r.client_id in on_time_ids]
+        on_time = [
+            r for r in results if r.delivered and r.turnaround_seconds <= self.deadline_seconds
+        ]
         if on_time:
             runtime.server.aggregate(
                 [result.state for result in on_time],
                 [float(result.update.num_samples) for result in on_time],
             )
-        waited_out = len(on_time) < len(results)
-        round_seconds = self.deadline_seconds if waited_out else last_on_time
+        if len(on_time) < len(results):
+            round_seconds = self.deadline_seconds
+        else:
+            round_seconds = max((r.turnaround_seconds for r in on_time), default=0.0)
         return runtime.finish_round(
             context,
             results,
@@ -177,38 +163,31 @@ class AsynchronousScheduler(RoundScheduler):
         """Mixing weight for an update that is ``staleness`` versions old."""
         return self.mixing_rate * (1.0 + staleness) ** (-self.staleness_exponent)
 
-    def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Async mixing: apply deliveries in pop order.
+    def consume_events(self, runtime, context, results) -> RoundRecord:
+        """Async mixing: apply deliveries in arrival order.
 
-        The engine pushes completions in task order (ascending client id), so
-        pop order is ``(turnaround, client_id)`` — simultaneous arrivals mix
-        lower id first — and each delivered update is mixed in the moment its
-        event fires.
+        Arrival order is a stable sort of the task-ordered results by
+        turnaround, so simultaneous arrivals mix lower client id first; the
+        round closes at the last delivery.
         """
+        arrivals = sorted(
+            (r for r in results if r.delivered), key=lambda r: r.turnaround_seconds
+        )
         weights = {}
         staleness_by_client = {}
-        aggregated_ids = set()
         global_state = runtime.server.global_state()
-        staleness = 0
-        round_seconds = 0.0
-        while events:
-            event = events.pop()
-            if event.kind != CLIENT_COMPLETION or not event.result.delivered:
-                continue
+        for staleness, result in enumerate(arrivals):
             weight = self.staleness_weight(staleness)
-            global_state = mix_states(global_state, event.result.state, weight)
-            weights[event.client_id] = weight
-            staleness_by_client[event.client_id] = staleness
-            aggregated_ids.add(event.client_id)
-            round_seconds = event.time  # pops ascend: last delivery closes
-            staleness += 1
-        if aggregated_ids:
+            global_state = mix_states(global_state, result.state, weight)
+            weights[result.client_id] = weight
+            staleness_by_client[result.client_id] = staleness
+        if arrivals:
             runtime.server.set_global_state(global_state)
         return runtime.finish_round(
             context,
             results,
-            aggregated_ids=aggregated_ids,
-            round_seconds=round_seconds,
+            aggregated_ids=set(weights),
+            round_seconds=arrivals[-1].turnaround_seconds if arrivals else 0.0,
             client_weights=weights,
             client_staleness=staleness_by_client,
         )

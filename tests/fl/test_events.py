@@ -2,11 +2,11 @@
 
 The integration-level guarantees (bit-identical histories across schedulers,
 executors and kill+resume) live in ``tests/integration/test_event_engine.py``;
-this module pins the pieces those guarantees are built from: deterministic
-queue ordering, the tie rules each scheduler applies when it closes a round,
-the transitions-vs-mask contract of participation schedules, the
-incrementally maintained eligible set, and the random-access seed derivation
-lazily built transport links rely on.
+this module pins the pieces those guarantees are built from: the tie rules
+each scheduler applies when it closes a round, the transitions-vs-mask
+contract of participation schedules, the incrementally maintained eligible
+set, and the random-access seed derivation lazily built transport links rely
+on.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.events import (
-    CLIENT_COMPLETION,
-    STRAGGLER_DEADLINE,
-    EligibleSet,
-    Event,
-    EventQueue,
-    FleetEngine,
-)
+from _oracles import ORACLES
+from repro.fl.events import EligibleSet, FleetEngine
 from repro.fl.scenarios import (
     DiurnalSchedule,
     FlashCrowdSchedule,
@@ -38,45 +32,6 @@ from repro.fl.scheduler import (
     SynchronousScheduler,
 )
 from repro.utils.seeding import SeedSequenceFactory
-
-
-# ----------------------------------------------------------------------
-# EventQueue
-# ----------------------------------------------------------------------
-def test_event_queue_orders_by_time():
-    queue = EventQueue()
-    for t in (3.0, 1.0, 2.0):
-        queue.push(Event(kind=CLIENT_COMPLETION, time=t))
-    assert [queue.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
-    assert not queue
-
-
-def test_event_queue_breaks_time_ties_by_push_order():
-    """Two events at the same instant pop in push order — the property the
-    semi-sync deadline semantics (completion at t == deadline drains first)
-    are built on."""
-    queue = EventQueue()
-    queue.push(Event(kind=CLIENT_COMPLETION, time=5.0, client_id=7))
-    queue.push(Event(kind=STRAGGLER_DEADLINE, time=5.0))
-    queue.push(Event(kind=CLIENT_COMPLETION, time=5.0, client_id=2))
-    kinds = [queue.pop() for _ in range(3)]
-    assert [e.kind for e in kinds] == [
-        CLIENT_COMPLETION,
-        STRAGGLER_DEADLINE,
-        CLIENT_COMPLETION,
-    ]
-    assert kinds[0].client_id == 7  # push order, not id order
-    assert kinds[2].client_id == 2
-
-
-def test_event_queue_peek_and_len():
-    queue = EventQueue()
-    queue.push(Event(kind=CLIENT_COMPLETION, time=2.5))
-    queue.push(Event(kind=CLIENT_COMPLETION, time=1.5))
-    assert len(queue) == 2
-    assert queue.peek_time() == 1.5
-    queue.pop()
-    assert len(queue) == 1
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +357,44 @@ def test_async_simultaneous_deliveries_mix_lower_client_id_first():
     assert closed.weights == {9: 0.5, 2: 0.25, 5: 0.5 / 3.0}
     assert closed.aggregated == {2, 5, 9}
     assert closed.seconds == 1.0
+
+
+_DEADLINE = 5.0
+_SCHEDULERS = [
+    SynchronousScheduler(),
+    SemiSynchronousScheduler(deadline_seconds=_DEADLINE),
+    AsynchronousScheduler(mixing_rate=0.5, staleness_exponent=1.0),
+]
+# Few distinct turnarounds, so ties are common; the deadline and the next float
+# past it straddle the semi-sync cut.
+_TURNAROUNDS = [0.0, 1.0, _DEADLINE, float(np.nextafter(_DEADLINE, np.inf)), 9.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    arrivals=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),
+            st.sampled_from(_TURNAROUNDS),
+            st.booleans(),
+        ),
+        max_size=10,
+        unique_by=lambda arrival: arrival[0],
+    )
+)
+def test_every_scheduler_closes_a_tie_heavy_round_as_its_oracle_does(arrivals):
+    stats = [
+        SimpleNamespace(client_id=c, turnaround_seconds=t, delivered=d) for c, t, d in arrivals
+    ]
+    for scheduler in _SCHEDULERS:
+        closed = _close_round(scheduler, arrivals)
+        aggregated, seconds = ORACLES[scheduler.name](stats, scheduler)
+        weights, staleness = closed.weights or {}, closed.staleness or {}
+        assert {
+            client_id: (staleness.get(client_id, 0), weights.get(client_id, 0.0))
+            for client_id in closed.aggregated
+        } == aggregated, scheduler.name
+        assert closed.seconds == seconds, scheduler.name
 
 
 # ----------------------------------------------------------------------

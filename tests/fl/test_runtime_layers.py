@@ -457,3 +457,26 @@ def test_runtime_is_usable_directly(data, model_fn, config):
     assert len(history) == 1
     assert runtime.channel is not None
     assert history.total_uplink_seconds > 0
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        {"rounds": 2.5},
+        {"rounds": -3},
+        {"keep_checkpoints": 0},
+        {"keep_checkpoints": 1.5},
+        {"checkpoint_every": float("nan")},
+    ],
+    ids=["fractional-rounds", "negative-rounds", "keep-none", "keep-fraction", "every-nan"],
+)
+def test_run_rejects_nonsense_arguments_before_any_round_trains(
+    data, model_fn, config, tmp_path, arguments
+):
+    train, val = data
+    runtime = FederatedRuntime(model_fn, train, val, config)
+    (name,) = arguments
+    with pytest.raises(ValueError, match=name):
+        runtime.run(checkpoint_dir=tmp_path, **arguments)
+    assert len(runtime.history) == 0
+    assert not any(tmp_path.iterdir())

@@ -8,8 +8,8 @@ Five guarantees are pinned here:
   natural fleet preset);
 * **close-of-round rules** — each round's recorded ``aggregated`` /
   ``staleness`` / ``weight`` / ``simulated_round_seconds`` equal what a
-  test-side oracle (three small pure functions, one per scheduler) derives
-  from the same round's per-client turnarounds;
+  test-side oracle (``tests/_oracles.py``: three small pure functions, one
+  per scheduler) derives from the same round's per-client turnarounds;
 * **crash-safe equivalence** — a kill + resume lands on exactly the
   uninterrupted run;
 * **O(events) rounds** — per-round client touches scale with participants +
@@ -30,6 +30,7 @@ import functools
 import numpy as np
 import pytest
 
+from _oracles import ORACLES
 from repro.core import FedSZCompressor
 from repro.data import load_dataset
 from repro.fl import (
@@ -126,45 +127,6 @@ def test_event_engine_matches_legacy_loop_across_executors(finished_fleet, prese
     other = finished_fleet(preset_name, "process")
     assert other.history.deterministic_rows() == rows
     _assert_states_identical(serial, other)
-
-
-# ----------------------------------------------------------------------
-# Close-of-round oracle: what each scheduler must decide, as pure functions
-# of one round's ClientRoundStats.  Each returns
-# ``({client_id: (staleness, weight)} for aggregated clients, round seconds)``.
-# ----------------------------------------------------------------------
-def _sync_oracle(stats, scheduler):
-    aggregated = {s.client_id: (0, 0.0) for s in stats if s.delivered}
-    # The barrier waits for everyone, including updates lost in transit.
-    return aggregated, max((s.turnaround_seconds for s in stats), default=0.0)
-
-
-def _semi_sync_oracle(stats, scheduler):
-    deadline = scheduler.deadline_seconds
-    on_time = [s for s in stats if s.delivered and s.turnaround_seconds <= deadline]
-    if len(on_time) < len(stats):  # someone is late or lost: wait out the deadline
-        seconds = deadline
-    else:
-        seconds = max((s.turnaround_seconds for s in on_time), default=0.0)
-    return {s.client_id: (0, 0.0) for s in on_time}, seconds
-
-
-def _async_oracle(stats, scheduler):
-    arrivals = sorted(
-        (s for s in stats if s.delivered),
-        key=lambda s: (s.turnaround_seconds, s.client_id),
-    )
-    aggregated = {
-        s.client_id: (
-            i,
-            scheduler.mixing_rate * (1.0 + i) ** (-scheduler.staleness_exponent),
-        )
-        for i, s in enumerate(arrivals)
-    }
-    return aggregated, max((s.turnaround_seconds for s in arrivals), default=0.0)
-
-
-ORACLES = {"sync": _sync_oracle, "semi-sync": _semi_sync_oracle, "async": _async_oracle}
 
 
 @pytest.mark.parametrize("executor_name", EXECUTORS)
