@@ -71,13 +71,8 @@ def main() -> None:
         with MonitorServer(monitor, port=arguments.port) as server:
             print(f"dashboard: {server.url}/   (JSON: {server.url}/api/status)")
             history = runtime.run()
-            snapshot = monitor.snapshot()
-            cache = snapshot["broadcast_cache"]
-            print(
-                f"monitored {snapshot['progress']['rounds_completed']} rounds; "
-                f"broadcast cache {cache.get('hits', 0)} hits / "
-                f"{cache.get('misses', 0)} misses"
-            )
+            rounds = monitor.snapshot()["progress"]["rounds_completed"]
+            print(f"monitored {rounds} rounds")
     runtime.close()
 
     print()

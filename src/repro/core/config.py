@@ -11,6 +11,7 @@ from repro.compression.registry import (
     available_lossless_compressors,
     available_lossy_compressors,
 )
+from repro.utils.validation import require_count
 
 #: Relative error bound the paper recommends as the accuracy/ratio sweet spot.
 RECOMMENDED_ERROR_BOUND = 1e-2
@@ -52,14 +53,9 @@ class FedSZConfig:
             name = getattr(self, field_name)
             if not isinstance(name, str) or name.lower() not in known:
                 raise ValueError(f"{field_name} must be one of {known}, got {name!r}")
-        if self.partition_threshold < 0:
-            raise ValueError(
-                f"partition_threshold must be non-negative, got {self.partition_threshold}"
-            )
-        if self.max_codec_workers is not None and self.max_codec_workers <= 0:
-            raise ValueError(
-                f"max_codec_workers must be positive or None, got {self.max_codec_workers}"
-            )
+        require_count("partition_threshold", self.partition_threshold, minimum=0)
+        if self.max_codec_workers is not None:
+            require_count("max_codec_workers", self.max_codec_workers)
 
     def describe(self) -> str:
         """One-line human-readable summary used in logs and reports."""

@@ -11,8 +11,8 @@ runtime separates the three concerns a real FL stack separates:
 * **executor** (:mod:`repro.fl.executor`) — how client work runs: trained in
   sequence with uploads coded on one lane per core (:class:`SerialExecutor`),
   or on a persistent shared-nothing worker-process pool
-  (:class:`ProcessParallelExecutor`), fed by a fingerprint-keyed
-  once-per-round broadcast payload cache (:mod:`repro.fl.broadcast`);
+  (:class:`ProcessParallelExecutor`), fed one broadcast payload a round
+  (:mod:`repro.fl.broadcast`);
 * **transport** (:mod:`repro.fl.transport`) — what each client's link looks
   like: one shared channel or heterogeneous per-client bandwidth, latency,
   straggler and dropout profiles, optionally backed by a device profile for
@@ -25,7 +25,7 @@ the global model, and every client update is routed through a pluggable codec
 """
 
 from repro.fl.aggregation import fedavg, mix_states
-from repro.fl.broadcast import BroadcastCache, BroadcastPayload, state_fingerprint
+from repro.fl.broadcast import BroadcastCache, BroadcastPayload
 from repro.fl.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -96,7 +96,6 @@ __all__ = [
     "build_executor",
     "BroadcastCache",
     "BroadcastPayload",
-    "state_fingerprint",
     "codec_fingerprint",
     "ClientRoundStat",
     "RoundRecord",

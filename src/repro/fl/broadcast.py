@@ -1,49 +1,30 @@
-"""Once-per-round broadcast payload cache for the federated runtime.
+"""Once-per-round broadcast preparation for the federated runtime.
 
 Every round starts with the server shipping the global state to each
-participant.  Three distinct costs hide in that step and this module makes
+participant.  Two distinct costs hide in that step and this module makes
 each of them explicit, paid **at most once per round**:
 
 * **codec work** — with ``compress_downlink=True`` the global state is
   compressed (and decompressed, so clients train on what they would actually
   receive) through the uplink codec.  :class:`BroadcastCache` times both
-  calls, so downlink codec seconds finally show up in the round record
-  instead of being burned untimed (see ``RoundRecord.broadcast_*_seconds``).
+  calls, so downlink codec seconds show up in the round record instead of
+  being burned untimed (see ``RoundRecord.broadcast_*_seconds``).
 * **serialization** — a process executor cannot share the state dict by
   reference; it needs one picklable buffer.  The cache builds that buffer
   through the :mod:`repro.core.serializer` bitstream (raw broadcasts) or
-  reuses the codec payload itself (compressed broadcasts) exactly once per
-  round, and only when the active executor asks for it
+  reuses the codec payload itself (compressed broadcasts) once per round,
+  and only when the active executor asks for it
   (``wants_broadcast_payload``) — serial runs pay nothing.
-* **repeat rounds** — when nothing changed since the previous round (same
-  global state, same codec fingerprint, same error bound — e.g. every update
-  was dropped or every client crashed), the cache returns the previous
-  round's entry instead of redoing the work.  It finds out by comparison,
-  not hashing: it keeps a private copy of last round's global state and
-  compares the new one with it — names, dtypes, shapes, then raw bytes, so
-  ``-0.0`` against ``+0.0`` or two NaN payloads differ exactly as they would
-  under a content digest — and a round that trained usually misses at the
-  first tensor.  The codec identity is the checkpoint subsystem's
-  (:func:`repro.fl.checkpoint.codec_fingerprint`), so swapping the codec or
-  its bound between rounds is a guaranteed miss.
 
-Cross-round reuse is restricted to codecs that expose ``clone()`` (the
-stateless stage-pipeline codecs): a stateful codec (adaptive bound, DP noise)
-must see its ``compress`` called every round to keep its internal streams in
-the order the serial path would produce, so such codecs always take the miss
-path — exactly the pre-cache behaviour.
-
-Worker-side, :class:`repro.fl.executor.ProcessParallelExecutor` ships the
-:class:`BroadcastPayload` to every worker once per round; each worker caches
-the *decoded* state under the payload's :func:`broadcast_key` (a BLAKE2b
-content digest, computed only when a wire buffer is built), so a fleet round
-decodes the broadcast O(workers) times instead of O(participants).
+Each round is prepared from scratch: nothing is kept between rounds, so the
+codec sees ``compress`` every round in the order the serial path calls it.
+:class:`repro.fl.executor.ProcessParallelExecutor` ships the round's
+:class:`BroadcastPayload` to every worker once, and each worker decodes it
+once for all of its tasks that round.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
@@ -51,54 +32,10 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.serializer import deserialize_named_arrays, serialize_named_arrays
-from repro.fl.checkpoint import codec_fingerprint
 
 #: Wire encodings a :class:`BroadcastPayload` may carry.
 ENCODING_ARRAYS = "arrays"
 ENCODING_CODEC = "codec"
-
-
-def state_fingerprint(state: Mapping[str, np.ndarray]) -> str:
-    """Content digest of a state dict: names, dtypes, shapes and raw bytes.
-
-    Two states with the same fingerprint are bit-identical for every purpose
-    the broadcast cares about (training input, serialized payload, codec
-    input), so the digest is safe as the key process workers cache their
-    decoded broadcast under.  BLAKE2b at 128 bits makes an accidental
-    collision between consecutive rounds astronomically unlikely.  It costs
-    about 2 ms for AlexNet-tiny's 0.89 MB on a 2-vCPU host, which is why the
-    parent-side cache compares states instead and hashes only when it builds
-    a wire buffer.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for name, value in state.items():
-        array = np.ascontiguousarray(value)
-        digest.update(name.encode("utf-8"))
-        digest.update(str(array.dtype).encode("ascii"))
-        digest.update(repr(array.shape).encode("ascii"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def broadcast_key(
-    state: Mapping[str, np.ndarray], codec, compressed: bool
-) -> str:
-    """Wire key of one round's broadcast (:attr:`BroadcastPayload.fingerprint`).
-
-    Combines the state content digest with the codec identity the checkpoint
-    subsystem already canonicalises (class + static config, which includes the
-    error bound), so a worker's cached decode is stale whenever the global
-    state, the codec, or its error bound changed between rounds.
-    """
-    return _key(state, codec_fingerprint(codec) if compressed else None, compressed)
-
-
-def _key(state: Mapping[str, np.ndarray], codec: Optional[Dict[str, object]], compressed) -> str:
-    """:func:`broadcast_key` from an already computed codec identity."""
-    return json.dumps(
-        {"state": state_fingerprint(state), "codec": codec, "compressed": bool(compressed)},
-        sort_keys=True,
-    )
 
 
 @dataclass
@@ -111,7 +48,6 @@ class BroadcastPayload:
     self-describing framing that the simulated link never ships.
     """
 
-    fingerprint: str
     encoding: str
     data: bytes
     nbytes: int
@@ -125,48 +61,13 @@ class BroadcastPayload:
         return deserialize_named_arrays(self.data)
 
 
-def _bits(array: np.ndarray) -> np.ndarray:
-    """``array``'s raw bytes as a flat run of unsigned integers of its item
-    size, so equality is byte equality (``-0.0 != +0.0``, a NaN equals only
-    the same NaN payload)."""
-    flat = np.ascontiguousarray(array).reshape(-1)
-    return flat.view(f"u{flat.itemsize}" if flat.itemsize in (1, 2, 4, 8) else np.uint8)
-
-
-def _same_state(kept: Mapping[str, np.ndarray], state: Mapping[str, np.ndarray]) -> bool:
-    """Whether ``state`` is byte-for-byte ``kept``: the same names in the same
-    order, then per tensor the same dtype and shape, then the same bytes."""
-    if len(kept) != len(state):
-        return False
-    for (name, old), (other, new) in zip(kept.items(), state.items(), strict=True):
-        new = np.asarray(new)
-        if name != other or old.dtype != new.dtype or old.shape != new.shape:
-            return False
-        if not np.array_equal(_bits(old), _bits(new)):
-            return False
-    return True
-
-
-@dataclass
-class _CacheEntry:
-    #: Private copy of the global state this entry was built from.
-    source: Dict[str, np.ndarray]
-    #: Codec identity, ``None`` for a raw (uncompressed) broadcast.
-    codec: Optional[Dict[str, object]]
-    state: Dict[str, np.ndarray]
-    nbytes: int
-    payload: Optional[BroadcastPayload] = None
-    #: Codec bitstream of a compressed broadcast, reused as the wire buffer.
-    codec_payload: Optional[bytes] = None
-
-
 class BroadcastCache:
     """Parent-side once-per-round broadcast preparation (see module docstring).
 
-    Holds the previous round's entry; counters instrument exactly the claims
-    the tests pin down: ``serializations`` (wire-buffer builds) and
-    ``compressions`` (downlink ``codec.compress`` calls) grow at most once per
-    round, ``hits`` counts rounds served entirely from cache.
+    Its counters instrument the claims the tests pin down: ``serializations``
+    (wire-buffer builds) and ``compressions`` (downlink ``codec.compress``
+    calls) grow at most once per round, and ``misses`` counts prepared
+    rounds.  ``hits`` is always 0: no round is served from an earlier one.
     """
 
     def __init__(self) -> None:
@@ -174,7 +75,6 @@ class BroadcastCache:
         self.misses = 0
         self.serializations = 0
         self.compressions = 0
-        self._entry: Optional[_CacheEntry] = None
 
     def round_state(
         self,
@@ -188,62 +88,32 @@ class BroadcastCache:
         Returns ``(state, nbytes, payload, compress_seconds,
         decompress_seconds)``: the state clients train on, the modelled
         downlink payload size, the wire buffer (``None`` unless
-        ``build_payload``), and the measured downlink codec seconds (0.0 on a
-        cache hit — no codec work happened this round).
+        ``build_payload``), and the measured downlink codec seconds (0.0
+        without ``compress_downlink``).
         """
-        compressed = codec is not None and compress_downlink
-        identity = codec_fingerprint(codec) if compressed else None
-        # Cross-round reuse would skip a stateful codec's per-round compress
-        # call and desynchronise its internal streams from the serial path.
-        reusable = codec is None or hasattr(codec, "clone")
-        entry = self._entry
-        if (
-            entry is not None
-            and reusable
-            and entry.codec == identity
-            and _same_state(entry.source, global_state)
-        ):
-            self.hits += 1
-            if build_payload and entry.payload is None:
-                entry.payload = self._build_payload(entry)
-            return entry.state, entry.nbytes, entry.payload, 0.0, 0.0
-
         self.misses += 1
-        source = {name: np.array(value, order="C") for name, value in global_state.items()}
-        compress_seconds = 0.0
-        decompress_seconds = 0.0
-        if compressed:
+        payload = None
+        if codec is not None and compress_downlink:
             start = time.perf_counter()
-            payload_bytes = codec.compress(dict(global_state))
+            data = codec.compress(dict(global_state))
             compress_seconds = time.perf_counter() - start
             self.compressions += 1
             start = time.perf_counter()
-            state = codec.decompress(payload_bytes)
+            state = codec.decompress(data)
             decompress_seconds = time.perf_counter() - start
-            entry = _CacheEntry(
-                source, identity, state, len(payload_bytes), codec_payload=payload_bytes
-            )
-        else:
-            state = dict(global_state)
-            nbytes = int(sum(np.asarray(v).nbytes for v in global_state.values()))
-            entry = _CacheEntry(source, identity, state, nbytes)
+            if build_payload:
+                # The codec payload *is* the bitstream — ship it and let each
+                # worker's codec clone decompress it (deterministic codecs
+                # decode bit-identically, the repo's standing guarantee).
+                self.serializations += 1
+                payload = BroadcastPayload(ENCODING_CODEC, data, len(data))
+            return state, len(data), payload, compress_seconds, decompress_seconds
+        state = dict(global_state)
+        nbytes = int(sum(np.asarray(v).nbytes for v in state.values()))
         if build_payload:
-            entry.payload = self._build_payload(entry)
-        self._entry = entry
-        return entry.state, entry.nbytes, entry.payload, compress_seconds, decompress_seconds
-
-    def _build_payload(self, entry: _CacheEntry) -> BroadcastPayload:
-        """Build the wire buffer for ``entry`` (counted once per round)."""
-        self.serializations += 1
-        key = _key(entry.source, entry.codec, entry.codec is not None)
-        if entry.codec_payload is not None:
-            # The codec payload *is* the bitstream — ship it and let each
-            # worker's codec clone decompress once per round (deterministic
-            # codecs decode bit-identically, the repo's standing guarantee).
-            return BroadcastPayload(key, ENCODING_CODEC, entry.codec_payload, entry.nbytes)
-        return BroadcastPayload(
-            key, ENCODING_ARRAYS, serialize_named_arrays(entry.state), entry.nbytes
-        )
+            self.serializations += 1
+            payload = BroadcastPayload(ENCODING_ARRAYS, serialize_named_arrays(state), nbytes)
+        return state, nbytes, payload, 0.0, 0.0
 
 
 __all__ = [
@@ -251,6 +121,4 @@ __all__ = [
     "ENCODING_CODEC",
     "BroadcastCache",
     "BroadcastPayload",
-    "broadcast_key",
-    "state_fingerprint",
 ]

@@ -145,10 +145,6 @@ def codec_fingerprint(codec) -> Optional[Dict[str, object]]:
     return _static_settings(json.loads(json.dumps(fingerprint, sort_keys=True, default=_jsonable)))
 
 
-#: Backwards-compatible alias from before the fingerprint went public.
-_codec_fingerprint = codec_fingerprint
-
-
 @dataclass(frozen=True)
 class RunCheckpoint:
     """One snapshot of a federated run after ``rounds_completed`` rounds.

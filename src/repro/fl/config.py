@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.network.bandwidth import LinkSpec
+from repro.utils.validation import require_count
 
 
 def participant_count(client_fraction: float, num_clients: int) -> int:
@@ -24,19 +24,6 @@ def participant_count(client_fraction: float, num_clients: int) -> int:
         raise ValueError(f"num_clients must be positive, got {num_clients}")
     count = math.ceil(client_fraction * num_clients - 1e-9)
     return max(1, min(count, num_clients))
-
-
-def require_count(name: str, value, minimum: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (``operator.index`` accepts it) of at least ``minimum`` (0 or 1)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(
-            f"{name} must be {'positive' if minimum else 'non-negative'}, got {value}"
-        )
 
 
 @dataclass(frozen=True)

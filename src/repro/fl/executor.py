@@ -67,9 +67,9 @@ snapshots shipped in the task spec and shipped back advanced; the **parent**
 keeps every simulation stream it owns — it pre-rolls link dropout in task
 order before dispatch and runs the upload's link half in task order after
 collection, so channel logs and RNG streams match the serial run draw for
-draw.  Each round the parent ships a single fingerprint-keyed
+draw.  Each round the parent ships a single
 :class:`~repro.fl.broadcast.BroadcastPayload` to every worker, which decodes
-it once and serves all of its tasks from the decoded state.  Every message
+it once and serves all of its tasks that round from the decoded state.  Every message
 either side puts on a queue is pickled first, on the sending thread, so
 one that cannot be pickled fails its round naming the client instead of
 hanging it (:func:`_pickled`).
@@ -119,6 +119,7 @@ from repro.fl.transport import (
     transmit_update,  # noqa: F401 -- span target of perf/fedbench/spans.py
 )
 from repro.utils.pools import pool_width, run_lanes
+from repro.utils.validation import require_count
 
 
 @dataclass
@@ -374,12 +375,12 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
     """Worker loop: decode each round's broadcast once, then drain tasks.
 
     One registry, one model pool (a worker runs its tasks serially, so it
-    builds one model) and one codec clone live for the whole
-    pool lifetime.  The broadcast state is cached under its fingerprint, so a
-    repeat round (same state, same codec) skips the decode entirely; the idle
-    ack ships cumulative hit/miss counters back for the cache-behaviour
-    tests.  BLAS is pinned to one thread first, or workers oversubscribe the
-    host (a 4-client tiny round on 2 vCPUs: 0.19 s unpinned, 0.05 s pinned).
+    builds one model) and one codec clone live for the whole pool lifetime.
+    Each round message carries that round's broadcast, decoded once for all
+    of the round's tasks this worker takes; the idle ack that closes the
+    round names the worker.  BLAS is pinned to one thread first, or workers
+    oversubscribe the host (a 4-client tiny round on 2 vCPUs: 0.19 s
+    unpinned, 0.05 s pinned).
     """
     _openblas_threads("set", 1)
     registry = ClientRegistry(
@@ -390,35 +391,25 @@ def _process_worker_main(worker_id, context, inbox, task_queue, result_queue):
         ModelPool(context.model_fn),
     )
     codec = context.codec.clone() if context.codec is not None else None
-    cached_fingerprint = None
-    cached_state = None
-    hits = 0
-    misses = 0
     while True:
         message = pickle.loads(inbox.get())
         if message[0] == "stop":
             return
-        payload = message[1]
-        if payload.fingerprint == cached_fingerprint:
-            hits += 1
-        else:
-            cached_state = payload.decode(codec)
-            cached_fingerprint = payload.fingerprint
-            misses += 1
+        broadcast_state = message[1].decode(codec)
         while True:
             spec = pickle.loads(task_queue.get())
             if spec is None:
                 break
             try:
                 try:
-                    result = _execute_spec(spec, registry, codec, cached_state)
+                    result = _execute_spec(spec, registry, codec, broadcast_state)
                 except ClientCrash:
                     result = _WorkerTaskResult(spec.index)
                 message = _pickled(("result", result))
             except BaseException:
                 message = _pickled(("error", spec.index, spec.client_id, traceback.format_exc()))
             result_queue.put(message)
-        result_queue.put(_pickled(("idle", worker_id, hits, misses)))
+        result_queue.put(_pickled(("idle", worker_id)))
 
 
 def _pickled(message) -> bytes:
@@ -455,8 +446,8 @@ class ProcessParallelExecutor:
     wants_broadcast_payload = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
+        if max_workers is not None:
+            require_count("max_workers", max_workers)
         self.max_workers = max_workers or os.cpu_count() or 1
         self._context: Optional[_WorkerContext] = None
         self._procs: list = []
@@ -464,9 +455,6 @@ class ProcessParallelExecutor:
         self._task_queue = None
         self._result_queue = None
         self._pool_fingerprint = None
-        #: Cumulative per-worker broadcast-cache counters from the latest
-        #: idle acks: ``{worker_id: {"hits": int, "misses": int}}``.
-        self._worker_cache_stats: Dict[int, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -524,7 +512,6 @@ class ProcessParallelExecutor:
             proc.start()
             self._procs.append(proc)
         self._pool_fingerprint = codec_fingerprint(codec)
-        self._worker_cache_stats = {}
 
     def close(self) -> None:
         """Shut the worker pool down; the next round restarts it lazily."""
@@ -553,10 +540,6 @@ class ProcessParallelExecutor:
             self.close()
         except Exception:  # raising in __del__ at interpreter shutdown is worse
             pass
-
-    def broadcast_cache_stats(self) -> Dict[int, Dict[str, int]]:
-        """Per-worker cumulative broadcast-cache hit/miss counters."""
-        return {wid: dict(stats) for wid, stats in self._worker_cache_stats.items()}
 
     # ------------------------------------------------------------------
     # Round execution
@@ -646,9 +629,7 @@ class ProcessParallelExecutor:
                 raw_results[message[1].index] = message[1]
             elif kind == "error":
                 errors.append(message[1:])
-            else:  # idle ack with cumulative cache counters
-                _, worker_id, hits, misses = message
-                self._worker_cache_stats[worker_id] = {"hits": hits, "misses": misses}
+            else:  # idle ack: the worker has drained the round
                 pending_acks -= 1
         return raw_results, errors
 

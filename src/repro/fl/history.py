@@ -199,8 +199,7 @@ class RoundRecord:
     #: had to wait out a late or lost update, the last arrival for async.
     simulated_round_seconds: float = 0.0
     #: Measured codec seconds spent preparing the round's broadcast
-    #: (``compress_downlink`` only; 0.0 on a broadcast-cache hit, when no
-    #: codec work happened).  Host-measured, so excluded from
+    #: (``compress_downlink`` only, 0.0 otherwise).  Host-measured, so excluded from
     #: :meth:`TrainingHistory.deterministic_rows` like every other timing.
     broadcast_compress_seconds: float = 0.0
     broadcast_decompress_seconds: float = 0.0

@@ -40,7 +40,7 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.data.partition import partition_dataset
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload
 from repro.fl.client import FLClient
-from repro.fl.config import FLConfig, participant_count, require_count
+from repro.fl.config import FLConfig, participant_count
 from repro.fl.events import FleetEngine
 from repro.fl.executor import ClientResult, ClientTask, build_executor
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
@@ -50,6 +50,7 @@ from repro.fl.state import ClientRegistry, ModelPool
 from repro.fl.transport import Transport, codec_error_bound
 from repro.nn.module import Module
 from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.validation import require_count
 
 
 def _measured_codec_seconds(stats) -> float:
@@ -86,8 +87,8 @@ class DownlinkStats:
     wallclock_seconds: float = 0.0
     aggregate_seconds: float = 0.0
     #: Measured codec seconds spent preparing the broadcast itself (non-zero
-    #: only with ``compress_downlink`` on a cache miss): the server-side
-    #: compress and the reference decompress clients train against.
+    #: only with ``compress_downlink``): the server-side compress and the
+    #: reference decompress clients train against.
     compress_seconds: float = 0.0
     decompress_seconds: float = 0.0
 
@@ -165,7 +166,7 @@ class FederatedRuntime:
         #: Once-per-round broadcast preparation (see :mod:`repro.fl.broadcast`).
         self.broadcast_cache = BroadcastCache()
         #: Optional :class:`repro.obs.RunMonitor`.  Strictly passive — it only
-        #: ever *reads* completed round records and counters, never touches an
+        #: ever *reads* completed round records, never touches an
         #: RNG stream — so a monitored run is bit-identical to an unmonitored
         #: one (asserted in ``tests/obs/test_monitor_server.py``).
         self.monitor = monitor
@@ -491,7 +492,7 @@ class FederatedRuntime:
         )
         self.history.add(record)
         if self.monitor is not None:
-            self.monitor.round_completed(record, runtime=self)
+            self.monitor.round_completed(record)
         return record
 
     # ------------------------------------------------------------------
@@ -532,11 +533,10 @@ class FederatedRuntime:
         state they actually receive (including the compression error).
 
         All serialization and codec work goes through the
-        :class:`~repro.fl.broadcast.BroadcastCache`, so it happens **at most
-        once per round** — and not at all when nothing changed since the
-        previous round — with the codec seconds measured rather than burned
-        untimed.  The wire buffer (``payload``) is built only when the active
-        executor asks for one (``wants_broadcast_payload``).
+        :class:`~repro.fl.broadcast.BroadcastCache`, so it happens **once per
+        round**, with the codec seconds measured rather than burned untimed.
+        The wire buffer (``payload``) is built only when the active executor
+        asks for one (``wants_broadcast_payload``).
 
         Returns ``(state, DownlinkStats, payload_or_None)``.  Independent
         heterogeneous links broadcast in parallel, so the wall-clock is the

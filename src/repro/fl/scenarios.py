@@ -337,7 +337,7 @@ class ServerCrashSchedule(FaultInjector):
     def __init__(self, *crash_after_rounds: int) -> None:
         if not crash_after_rounds:
             raise ValueError("ServerCrashSchedule needs at least one round index")
-        rounds = sorted(int(r) for r in crash_after_rounds)
+        rounds = sorted(_round_count("crash_after_rounds", r) for r in crash_after_rounds)
         if rounds[0] < 0:
             raise ValueError(f"crash rounds must be non-negative, got {rounds}")
         self.crash_after_rounds = tuple(rounds)

@@ -22,6 +22,7 @@ transport layer.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.fl.aggregation import mix_states
@@ -93,8 +94,10 @@ class SemiSynchronousScheduler(RoundScheduler):
     name = "semi-sync"
 
     def __init__(self, deadline_seconds: float) -> None:
-        if deadline_seconds <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline_seconds}")
+        if not (math.isfinite(deadline_seconds) and deadline_seconds > 0):
+            raise ValueError(
+                f"deadline_seconds must be positive and finite, got {deadline_seconds}"
+            )
         self.deadline_seconds = float(deadline_seconds)
 
     def state_dict(self) -> dict:
@@ -145,9 +148,9 @@ class AsynchronousScheduler(RoundScheduler):
     def __init__(self, mixing_rate: float = 0.5, staleness_exponent: float = 0.5) -> None:
         if not 0.0 < mixing_rate <= 1.0:
             raise ValueError(f"mixing_rate must lie in (0, 1], got {mixing_rate}")
-        if staleness_exponent < 0:
+        if not (math.isfinite(staleness_exponent) and staleness_exponent >= 0):
             raise ValueError(
-                f"staleness_exponent must be non-negative, got {staleness_exponent}"
+                f"staleness_exponent must be non-negative and finite, got {staleness_exponent}"
             )
         self.mixing_rate = float(mixing_rate)
         self.staleness_exponent = float(staleness_exponent)

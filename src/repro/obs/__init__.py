@@ -2,13 +2,12 @@
 
 Three pieces, deliberately decoupled from the simulation they observe:
 
-* :class:`RunMonitor` (:mod:`repro.obs.monitor`) — a thread-safe in-process
-  event bus that :class:`repro.fl.runtime.FederatedRuntime` feeds per-round
-  events (progress, per-client straggler/drop stats, codec ratio and
-  error-bound trajectories, broadcast-cache hit rates, checkpoint age).  It
-  is strictly passive: it reads completed records and counters and never
-  touches an RNG stream, so a monitored run is bit-identical to an
-  unmonitored one.
+* :class:`RunMonitor` (:mod:`repro.obs.monitor`) — a thread-safe live view
+  that :class:`repro.fl.runtime.FederatedRuntime` feeds as a run progresses
+  (progress, per-client straggler/drop stats, codec ratio and error-bound
+  trajectories, faults, checkpoint age).  It is strictly passive: it reads
+  completed records and never touches an RNG stream, so a monitored run is
+  bit-identical to an unmonitored one.
 * :class:`MonitorServer` (:mod:`repro.obs.server`) — a stdlib-only HTTP
   status endpoint plus a minimal HTML dashboard over a live monitor
   (``python -m repro.cli fl --monitor-port 8700``).  Routes live in
@@ -20,12 +19,11 @@ Three pieces, deliberately decoupled from the simulation they observe:
   worst clients/links, and the fault/checkpoint timeline.
 """
 
-from repro.obs.monitor import MonitorEvent, RunMonitor
+from repro.obs.monitor import RunMonitor
 from repro.obs.report import build_error_analysis
 from repro.obs.server import MonitorServer
 
 __all__ = [
-    "MonitorEvent",
     "RunMonitor",
     "MonitorServer",
     "build_error_analysis",

@@ -1,7 +1,7 @@
-"""Thread-safe in-process event bus over a running federated fleet.
+"""Thread-safe live view of a running federated fleet.
 
 :class:`RunMonitor` is the write side of the observability layer: the
-runtime calls its four hook methods (``run_started`` / ``round_completed`` /
+runtime calls its five hook methods (``run_started`` / ``round_completed`` /
 ``checkpoint_written`` / ``fault_injected`` / ``run_finished``) as a run
 progresses, and any number of reader threads — the HTTP status server, tests,
 a notebook — call :meth:`RunMonitor.snapshot` to get a JSON-compatible view
@@ -10,16 +10,15 @@ of the fleet at that instant.
 Design constraints, in order:
 
 1. **Passivity.**  The monitor only ever *reads* completed round records and
-   cache counters.  It draws from no RNG stream, mutates no runtime state and
-   swallows subscriber exceptions, so attaching it cannot change a run's
-   simulated outcome (``tests/obs/test_monitor_server.py`` pins monitored ==
-   unmonitored bit-for-bit).
+   the runtime's run metadata.  It draws from no RNG stream and mutates no
+   runtime state, so attaching it cannot change a run's simulated outcome
+   (``tests/obs/test_monitor_server.py`` pins monitored == unmonitored
+   bit-for-bit).
 2. **Thread safety.**  Every mutation and every snapshot happens under one
    lock; snapshots deep-copy the aggregated state so readers can serialize it
    without racing the training loop.
-3. **Bounded memory.**  The raw event log is a bounded deque; the aggregated
-   per-round/per-client state is O(rounds + clients), which is what the
-   dashboard actually renders.
+3. **Bounded memory.**  The aggregated per-round/per-client state is
+   O(rounds + clients), which is what the dashboard renders.
 
 Wall-clock timestamps (``time.time``) appear *only* in monitor data — they
 feed checkpoint-age display and never flow back into the simulation.
@@ -30,25 +29,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-#: Event kinds the runtime emits, in lifecycle order.
-RUN_STARTED = "run-started"
-ROUND_COMPLETED = "round-completed"
-CHECKPOINT_WRITTEN = "checkpoint-written"
-FAULT_INJECTED = "fault-injected"
-RUN_FINISHED = "run-finished"
-
-
-@dataclass(frozen=True)
-class MonitorEvent:
-    """One observation pushed through the bus."""
-
-    kind: str
-    wall_time: float
-    payload: Dict[str, object] = field(default_factory=dict)
 
 
 def _round_row(record) -> Dict[str, object]:
@@ -70,51 +51,19 @@ def _round_row(record) -> Dict[str, object]:
 
 
 class RunMonitor:
-    """Aggregating event bus for one federated run (see module docstring)."""
+    """Aggregated live state of one federated run (see module docstring)."""
 
-    def __init__(
-        self, max_events: int = 4096, clock: Optional[Callable[[], float]] = None
-    ) -> None:
-        self._lock = threading.RLock()
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+        self._lock = threading.Lock()
         # Late-bound so a monkeypatched time.time is honoured; the
         # default wall clock feeds monitor data only, never simulation state.
         self._clock = clock if clock is not None else time.time
-        self._events: deque = deque(maxlen=max_events)
-        self._subscribers: List[Callable[[MonitorEvent], None]] = []
         self._status = "idle"
         self._run: Dict[str, object] = {}
         self._rounds: List[Dict[str, object]] = []
         self._clients: Dict[int, Dict[str, object]] = {}
         self._faults: List[Dict[str, object]] = []
         self._checkpoint: Dict[str, object] = {}
-        self._cache: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # Bus primitives
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[MonitorEvent], None]) -> None:
-        """Register a callback invoked on the emitting thread for every event.
-
-        Callbacks run *outside* the bus lock (so they may call
-        :meth:`snapshot`, or block on a reader that does, without
-        deadlocking) and their exceptions are swallowed: observability must
-        never be able to kill the run it observes.
-        """
-        with self._lock:
-            self._subscribers.append(callback)
-
-    def emit(self, kind: str, **payload) -> MonitorEvent:
-        """Append one event to the log and fan it out to subscribers."""
-        event = MonitorEvent(kind=kind, wall_time=self._clock(), payload=payload)
-        with self._lock:
-            self._events.append(event)
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            try:
-                subscriber(event)
-            except Exception:  # the monitor stays passive: a broken subscriber must not touch the run
-                pass
-        return event
 
     # ------------------------------------------------------------------
     # Runtime-facing hooks
@@ -135,9 +84,8 @@ class RunMonitor:
                 "finished_at": None,
                 "error": None,
             }
-        self.emit(RUN_STARTED, target_rounds=int(target_rounds))
 
-    def round_completed(self, record, runtime=None) -> None:
+    def round_completed(self, record) -> None:
         """Fold one completed :class:`~repro.fl.history.RoundRecord` in."""
         row = _round_row(record)
         with self._lock:
@@ -169,16 +117,6 @@ class RunMonitor:
                 client["max_bound_utilization"] = max(
                     client["max_bound_utilization"], stat.bound_utilization
                 )
-            if runtime is not None:
-                cache = getattr(runtime, "broadcast_cache", None)
-                if cache is not None:
-                    self._cache = {
-                        "hits": cache.hits,
-                        "misses": cache.misses,
-                        "serializations": cache.serializations,
-                        "compressions": cache.compressions,
-                    }
-        self.emit(ROUND_COMPLETED, **row)
 
     def checkpoint_written(self, round_index: int, path) -> None:
         """Record a persisted snapshot (drives the checkpoint-age display)."""
@@ -189,7 +127,6 @@ class RunMonitor:
                 "written_at": self._clock(),
                 "count": int(self._checkpoint.get("count", 0)) + 1,
             }
-        self.emit(CHECKPOINT_WRITTEN, round=int(round_index), path=str(path))
 
     def fault_injected(self, round_index: int, fault: BaseException) -> None:
         """Record an injected failure firing after ``round_index``."""
@@ -200,12 +137,6 @@ class RunMonitor:
         }
         with self._lock:
             self._faults.append(entry)
-        self.emit(
-            FAULT_INJECTED,
-            round=entry["round"],
-            fault_kind=entry["kind"],
-            detail=entry["detail"],
-        )
 
     def run_finished(self, status: str = "completed", error: Optional[BaseException] = None) -> None:
         """Mark the run over (``status`` is ``"completed"`` or ``"crashed"``)."""
@@ -214,7 +145,6 @@ class RunMonitor:
             if self._run:
                 self._run["finished_at"] = self._clock()
                 self._run["error"] = None if error is None else f"{type(error).__name__}: {error}"
-        self.emit(RUN_FINISHED, status=status)
 
     # ------------------------------------------------------------------
     # Read side
@@ -248,24 +178,9 @@ class RunMonitor:
                         r["max_bound_utilization"] for r in self._rounds
                     ],
                 },
-                "broadcast_cache": dict(self._cache),
                 "checkpoint": checkpoint,
                 "faults": copy.deepcopy(self._faults),
-                "event_count": len(self._events),
             }
 
-    def events(self) -> List[MonitorEvent]:
-        """The retained event log (newest last)."""
-        with self._lock:
-            return list(self._events)
 
-
-__all__ = [
-    "MonitorEvent",
-    "RunMonitor",
-    "RUN_STARTED",
-    "ROUND_COMPLETED",
-    "CHECKPOINT_WRITTEN",
-    "FAULT_INJECTED",
-    "RUN_FINISHED",
-]
+__all__ = ["RunMonitor"]

@@ -73,8 +73,6 @@ function render(s) {
   document.getElementById("barfill").style.width =
     Math.round(100 * (p.fraction || 0)) + "%";
   var last = s.rounds.length ? s.rounds[s.rounds.length - 1] : null;
-  var cache = s.broadcast_cache || {};
-  var lookups = (cache.hits || 0) + (cache.misses || 0);
   var ckpt = s.checkpoint || {};
   var util = last ? last.max_bound_utilization : 0;
   var cards =
@@ -83,7 +81,6 @@ function render(s) {
     card("ratio", last ? fmt(last.ratio, 2) + "x" : "-") +
     card("bound use", fmt(util, 3),
          util > 1 ? "bad" : (util > 0.9 ? "warn" : "")) +
-    card("cache hits", lookups ? fmt(100 * (cache.hits || 0) / lookups, 0) + "%" : "-") +
     card("ckpt age", ckpt.age_seconds !== undefined ? fmt(ckpt.age_seconds, 0) + "s" : "-") +
     card("faults", (s.faults || []).length, (s.faults || []).length ? "warn" : "");
   document.getElementById("cards").innerHTML = cards;

@@ -1,11 +1,11 @@
-"""Unit tests for the fingerprint-keyed broadcast cache (repro.fl.broadcast).
+"""Unit tests for the once-per-round broadcast preparation (repro.fl.broadcast).
 
-Covers the cache's three claims in isolation — once-per-round serialization,
-guaranteed invalidation on state/codec/bound changes, stateful-codec opt-out —
-plus the satellite behaviours that ride on it: broadcast codec seconds landing
-on the round record (and in the Figure-6 breakdown), and the serial
-executor's upload lanes cloning the codec once per lane rather than once per
-task.
+Covers the wire buffer's round trips (each round ships its own state bit for
+bit, and the codec it is handed), the codec seeing ``compress`` every
+round under ``compress_downlink``, and a serial run building no wire buffer;
+plus the behaviours that ride on it: broadcast codec seconds landing on the
+round record (and in the Figure-6 breakdown), and the serial executor's
+upload lanes cloning the codec once per lane rather than once per task.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import FedSZCompressor, IdentityCodec
-from repro.fl.broadcast import (
-    ENCODING_ARRAYS,
-    ENCODING_CODEC,
-    BroadcastCache,
-    BroadcastPayload,
-    broadcast_key,
-    state_fingerprint,
-)
+from repro.core import FedSZCompressor
+from repro.fl.broadcast import ENCODING_ARRAYS, ENCODING_CODEC, BroadcastCache, BroadcastPayload
 
 
 @pytest.fixture()
@@ -40,16 +33,8 @@ def _nbytes(state):
 
 
 # ----------------------------------------------------------------------
-# Fingerprints and payload round-trips
+# Payload round-trips
 # ----------------------------------------------------------------------
-def test_state_fingerprint_tracks_content(state):
-    fingerprint = state_fingerprint(state)
-    assert fingerprint == state_fingerprint({k: v.copy() for k, v in state.items()})
-    perturbed = {k: v.copy() for k, v in state.items()}
-    perturbed["layer.bias"][0] += 1.0
-    assert state_fingerprint(perturbed) != fingerprint
-
-
 def test_raw_payload_roundtrip(state):
     cache = BroadcastCache()
     out_state, nbytes, payload, compress_s, decompress_s = cache.round_state(
@@ -82,60 +67,54 @@ def test_codec_payload_roundtrip(state):
 
 
 def test_codec_payload_requires_codec(state):
-    payload = BroadcastPayload("key", ENCODING_CODEC, b"\x00", 1)
+    payload = BroadcastPayload(ENCODING_CODEC, b"\x00", 1)
     with pytest.raises(ValueError, match="codec"):
         payload.decode()
 
 
 # ----------------------------------------------------------------------
-# Hit/miss and invalidation
+# Every round prepared from scratch
 # ----------------------------------------------------------------------
-def test_repeat_round_is_a_hit_and_serializes_nothing(state):
+class _CountingFedSZ(FedSZCompressor):
+    """A clonable codec that counts its ``compress`` calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def compress(self, state_dict):
+        self.calls += 1
+        return super().compress(state_dict)
+
+
+class _StatefulCodec:
+    """A codec without ``clone()`` whose internal stream advances per call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def compress(self, state_dict):
+        self.calls += 1
+        return FedSZCompressor(error_bound=1e-2).compress(state_dict)
+
+    def decompress(self, payload):
+        return FedSZCompressor(error_bound=1e-2).decompress(payload)
+
+
+@pytest.mark.parametrize(
+    "make_codec",
+    [lambda: _CountingFedSZ(error_bound=1e-2), _StatefulCodec],
+    ids=["clonable", "stateful"],
+)
+def test_every_codec_compresses_every_round_under_compress_downlink(state, make_codec):
+    """The same state three rounds running is compressed three times: no
+    round is served from an earlier one, whether or not the codec clones."""
+    codec = make_codec()
     cache = BroadcastCache()
-    first = cache.round_state(state, None, False, build_payload=True)
-    second = cache.round_state(state, None, False, build_payload=True)
-    assert (cache.hits, cache.misses, cache.serializations) == (1, 1, 1)
-    assert second[0] is first[0]  # the cached state object itself
-    assert second[2] is first[2]  # and the cached wire buffer
-
-
-def test_hit_builds_payload_lazily_when_first_requested(state):
-    """Round 1 under a serial executor (no payload), round 2 after swapping to
-    the process executor: the hit must still produce a wire buffer."""
-    cache = BroadcastCache()
-    cache.round_state(state, None, False, build_payload=False)
-    assert cache.serializations == 0
-    _, _, payload, _, _ = cache.round_state(state, None, False, build_payload=True)
-    assert payload is not None
-    assert (cache.hits, cache.serializations) == (1, 1)
-
-
-def test_state_change_invalidates(state):
-    cache = BroadcastCache()
-    cache.round_state(state, None, False)
-    changed = {k: v.copy() for k, v in state.items()}
-    changed["layer.weight"] += 0.5
-    cache.round_state(changed, None, False)
-    assert (cache.hits, cache.misses) == (0, 2)
-
-
-def test_an_in_place_edit_between_rounds_is_a_miss(state, tiny_setup):
-    """The cache keeps its own copy of last round's state: editing the caller's
-    arrays in place, or the server model behind them, cannot fake a hit."""
-    cache = BroadcastCache()
-    cache.round_state(state, None, False)
-    state["layer.bias"][3] += 1.0  # the very arrays the cache saw last round
-    cache.round_state(state, None, False)
-    assert (cache.hits, cache.misses) == (0, 2)
-
-    server = _tiny_runtime(tiny_setup).server
-    cache = BroadcastCache()
-    cache.round_state(server.global_state(), None, False)
-    cache.round_state(server.global_state(), None, False)
-    parameter = next(server.model.parameters())
-    parameter.data.reshape(-1)[0] += 1.0
-    cache.round_state(server.global_state(), None, False)
-    assert (cache.hits, cache.misses) == (1, 2)
+    for _ in range(3):
+        cache.round_state(state, codec, True, build_payload=True)
+    assert codec.calls == cache.compressions == cache.serializations == 3
+    assert (cache.hits, cache.misses) == (0, 3)
 
 
 def _with_bits(values, dtype, uint):
@@ -157,87 +136,67 @@ def _with_bits(values, dtype, uint):
     ],
     ids=["signed-zero", "nan-payload", "nan-sign", "dtype", "shape", "name"],
 )
-def test_states_equal_in_value_but_not_in_bytes_are_a_miss(first, second):
+def test_consecutive_raw_rounds_ship_each_state_bit_for_bit(first, second):
+    """States equal in value but not in bytes, broadcast one round after the
+    other: each round's wire buffer decodes to its own state's names, dtypes,
+    shapes and bits, never to the previous round's."""
     cache = BroadcastCache()
-    cache.round_state(first, None, False)
-    cache.round_state(second, None, False)
-    assert (cache.hits, cache.misses) == (0, 2)
-    # The same bytes again are a hit, NaN or not.
-    cache.round_state({k: v.copy() for k, v in second.items()}, None, False)
-    assert (cache.hits, cache.misses) == (1, 2)
+    for sent in (first, second):
+        _, nbytes, payload, _, _ = cache.round_state(sent, None, False, build_payload=True)
+        received = payload.decode()
+        assert list(received) == list(sent)
+        for name, array in sent.items():
+            assert received[name].dtype == array.dtype
+            assert received[name].shape == array.shape
+            assert received[name].tobytes() == array.tobytes()
+        assert nbytes == _nbytes(sent)
+    assert (cache.hits, cache.misses, cache.serializations) == (0, 2, 2)
 
 
-@pytest.fixture()
-def fingerprint_calls(monkeypatch):
-    """One entry per :func:`state_fingerprint` call made through the module."""
-    import repro.fl.broadcast as broadcast
-
-    calls = []
-    monkeypatch.setattr(
-        broadcast, "state_fingerprint", lambda s: calls.append(1) or state_fingerprint(s)
-    )
-    return calls
-
-
-def test_the_content_digest_is_computed_only_for_a_wire_buffer(state, fingerprint_calls):
+def test_an_in_place_edit_between_rounds_reaches_the_next_broadcast(tiny_setup):
+    """Editing the server model in place between rounds changes what the
+    next round ships, and an unedited model ships the same bytes again."""
+    server = _tiny_runtime(tiny_setup).server
     cache = BroadcastCache()
-    cache.round_state(state, None, False)
-    cache.round_state(state, None, False)
-    assert fingerprint_calls == []
-    _, _, payload, _, _ = cache.round_state(state, None, False, build_payload=True)
-    assert fingerprint_calls == [1]
-    assert payload.fingerprint == broadcast_key(state, None, False)
-
-
-def test_codec_fingerprint_and_bound_changes_invalidate(state):
-    cache = BroadcastCache()
-    cache.round_state(state, FedSZCompressor(error_bound=1e-2), True)
-    # Same state, tighter bound: must recompress.
-    cache.round_state(state, FedSZCompressor(error_bound=1e-3), True)
-    # Same state, different codec class entirely.
-    cache.round_state(state, IdentityCodec(), True)
-    assert (cache.hits, cache.misses, cache.compressions) == (0, 3, 3)
-    # Back to a bound already seen — only depth-1 history is kept, still a miss.
-    cache.round_state(state, FedSZCompressor(error_bound=1e-2), True)
-    assert cache.misses == 4
-
-
-def test_uncompressed_key_ignores_codec(state):
-    """With compress_downlink off the codec never touches the broadcast, so
-    its identity must not poison the key."""
-    assert broadcast_key(state, FedSZCompressor(), False) == broadcast_key(
-        state, None, False
-    )
-    assert broadcast_key(state, FedSZCompressor(), True) != broadcast_key(
-        state, None, False
+    payloads = []
+    for edit in (False, False, True):
+        if edit:
+            next(server.model.parameters()).data.reshape(-1)[0] += 1.0
+        _, _, payload, _, _ = cache.round_state(
+            server.global_state(), None, False, build_payload=True
+        )
+        payloads.append(payload.data)
+    assert payloads[0] == payloads[1]
+    assert payloads[2] != payloads[1]
+    name, first = next(iter(server.global_state().items()))
+    assert BroadcastPayload(ENCODING_ARRAYS, payloads[2], 0).decode()[name].reshape(-1)[0] == (
+        first.reshape(-1)[0]
     )
 
 
-def test_stateful_codec_never_reuses_across_rounds(state):
-    """A codec without clone() must see compress() every round (its internal
-    streams advance in call order); the cache always takes the miss path."""
-
-    class StatefulCodec:
-        def __init__(self):
-            self.calls = 0
-
-        def compress(self, state_dict):
-            self.calls += 1
-            return FedSZCompressor(error_bound=1e-2).compress(state_dict)
-
-        def decompress(self, payload):
-            return FedSZCompressor(error_bound=1e-2).decompress(payload)
-
-    codec = StatefulCodec()
+def test_a_new_codec_bound_takes_effect_the_next_round(state):
+    """Each round compresses with the codec it is handed: a tighter bound the
+    round after a looser one ships exactly what that codec gives alone."""
     cache = BroadcastCache()
-    cache.round_state(state, codec, True)
-    cache.round_state(state, codec, True)
-    assert codec.calls == 2
-    assert (cache.hits, cache.misses) == (0, 2)
+    shipped = []
+    for bound in (1e-2, 1e-3):
+        codec = FedSZCompressor(error_bound=bound)
+        out_state, nbytes, payload, _, _ = cache.round_state(
+            state, codec, True, build_payload=True
+        )
+        shipped.append(payload.data)
+        alone = FedSZCompressor(error_bound=bound).compress(dict(state))
+        assert payload.data == alone
+        assert nbytes == len(alone)
+        expected = FedSZCompressor(error_bound=bound).decompress(alone)
+        for name in state:
+            np.testing.assert_array_equal(out_state[name], expected[name])
+    assert shipped[0] != shipped[1]
+    assert (cache.hits, cache.misses, cache.compressions) == (0, 2, 2)
 
 
 # ----------------------------------------------------------------------
-# Broadcast codec seconds on the round record (satellite: timing accounting)
+# Broadcast codec seconds on the round record (timing accounting)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_setup():
@@ -286,15 +245,15 @@ def test_uncompressed_broadcast_records_zero_codec_seconds(tiny_setup):
         assert record.broadcast_decompress_seconds == 0.0
 
 
-def test_a_serial_raw_run_never_hashes_the_model(tiny_setup, fingerprint_calls):
+def test_a_serial_raw_run_builds_no_wire_buffer(tiny_setup):
     runtime = _tiny_runtime(tiny_setup)
     assert len(runtime.run().records) == 2
-    assert runtime.broadcast_cache.misses == 2
-    assert fingerprint_calls == []
+    cache = runtime.broadcast_cache
+    assert (cache.hits, cache.misses, cache.serializations, cache.compressions) == (0, 2, 0, 0)
 
 
 # ----------------------------------------------------------------------
-# Serial upload lanes clone once per lane (satellite: clone churn)
+# Serial upload lanes clone once per lane (clone churn)
 # ----------------------------------------------------------------------
 def test_serial_lanes_clone_once_per_lane(tiny_setup, monkeypatch):
     from repro.fl import FederatedRuntime, FLConfig, SerialExecutor

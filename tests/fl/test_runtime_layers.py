@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import FedSZCompressor, IdentityCodec
+from repro.core import FedSZCompressor, FedSZConfig, IdentityCodec
 from repro.data import load_dataset
 from repro.fl import (
     AsynchronousScheduler,
@@ -16,6 +16,7 @@ from repro.fl import (
     LinkSpec,
     ProcessParallelExecutor,
     SemiSynchronousScheduler,
+    ServerCrashSchedule,
     SerialExecutor,
     SynchronousScheduler,
     Transport,
@@ -420,6 +421,33 @@ def test_scheduler_parameter_validation():
         AsynchronousScheduler(mixing_rate=0.0)
     with pytest.raises(ValueError):
         AsynchronousScheduler(staleness_exponent=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("deadline_seconds", lambda: SemiSynchronousScheduler(deadline_seconds=float("nan"))),
+        ("deadline_seconds", lambda: SemiSynchronousScheduler(deadline_seconds=float("inf"))),
+        ("staleness_exponent", lambda: AsynchronousScheduler(staleness_exponent=float("nan"))),
+        ("staleness_exponent", lambda: AsynchronousScheduler(staleness_exponent=float("inf"))),
+        ("partition_threshold", lambda: FedSZConfig(partition_threshold=float("nan"))),
+        ("partition_threshold", lambda: FedSZConfig(partition_threshold=2.5)),
+        ("max_codec_workers", lambda: FedSZConfig(max_codec_workers=2.5)),
+        ("max_codec_workers", lambda: FedSZConfig(max_codec_workers=float("nan"))),
+        ("max_workers", lambda: ProcessParallelExecutor(max_workers=2.5)),
+        ("crash_after_rounds", lambda: ServerCrashSchedule(2.5)),
+    ],
+    ids=["deadline-nan", "deadline-inf", "exponent-nan", "exponent-inf", "threshold-nan",
+         "threshold-fraction", "codec-workers-fraction", "codec-workers-nan",
+         "max-workers-fraction", "crash-round-fraction"],
+)
+def test_nonsense_parameters_are_rejected_at_construction(field, build):
+    """A NaN or infinite deadline cuts every update or stalls the round, a
+    non-finite exponent turns the global state to NaN, a NaN threshold turns
+    the lossy path off, and a fractional count truncates; each is refused
+    up front, naming its field."""
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 # ----------------------------------------------------------------------

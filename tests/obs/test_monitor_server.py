@@ -7,7 +7,8 @@ Two guarantees are pinned here:
   reads completed records;
 * **liveness** — while the runtime is mid-run, the stdlib HTTP endpoint
   serves a consistent snapshot whose round count is strictly between 0 and
-  the target (polled from a subscriber on the round-completed event).
+  the target (polled from a fault injector that never raises, which the
+  run loop calls after every round).
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import pytest
 
 from repro.core import FedSZCompressor
 from repro.data import load_dataset
-from repro.fl import FederatedRuntime, FLConfig, LinkSpec, Transport
+from repro.fl import FaultInjector, FederatedRuntime, FLConfig, LinkSpec, Transport
 from repro.nn.models import create_model
 from repro.obs import MonitorServer, RunMonitor
-from repro.obs.monitor import ROUND_COMPLETED
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +83,12 @@ def test_live_endpoint_serves_mid_run_snapshots(data):
     mid_run = []
 
     with MonitorServer(monitor, port=0) as server:
-        def poll(event):
-            if event.kind == ROUND_COMPLETED:
+        class Poll(FaultInjector):
+            def after_round(self, round_index):
                 mid_run.append(_get_json(f"{server.url}/api/status"))
 
-        monitor.subscribe(poll)
         runtime = _build_runtime(data, monitor=monitor, rounds=3)
-        runtime.run()
+        runtime.run(fault_injector=Poll())
         runtime.close()
 
         final = _get_json(f"{server.url}/api/status")
@@ -153,19 +152,7 @@ def test_checkpoint_hook_feeds_age_display(data, tmp_path):
 
 
 def test_monitor_unit_behaviour():
-    monitor = RunMonitor(max_events=4, clock=lambda: 0.0)
-    seen = []
-    monitor.subscribe(seen.append)
-    monitor.subscribe(lambda event: (_ for _ in ()).throw(RuntimeError("boom")))
-
-    for index in range(6):
-        monitor.emit("tick", index=index)
-    # Bounded log keeps the newest events; the raising subscriber never
-    # disturbs the run or the healthy subscriber.
-    assert len(monitor.events()) == 4
-    assert [e.payload["index"] for e in monitor.events()] == [2, 3, 4, 5]
-    assert len(seen) == 6
-
+    monitor = RunMonitor(clock=lambda: 0.0)
     monitor.fault_injected(3, RuntimeError("injected server crash"))
     monitor.run_finished(status="crashed", error=RuntimeError("injected server crash"))
     snapshot = monitor.snapshot()
@@ -182,8 +169,9 @@ def test_snapshot_is_a_deep_copy():
     assert monitor.snapshot()["rounds"] == []
 
 
-def test_concurrent_snapshots_do_not_race():
+def test_concurrent_snapshots_do_not_race(data):
     monitor = RunMonitor(clock=lambda: 0.0)
+    record = _build_runtime(data).run_round()
     errors = []
 
     def reader():
@@ -196,8 +184,9 @@ def test_concurrent_snapshots_do_not_race():
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for thread in threads:
         thread.start()
-    for index in range(200):
-        monitor.emit("tick", index=index)
+    for _ in range(200):
+        monitor.round_completed(record)
     for thread in threads:
         thread.join()
     assert errors == []
+    assert monitor.snapshot()["progress"]["rounds_completed"] == 200
